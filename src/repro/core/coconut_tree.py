@@ -132,10 +132,12 @@ class CoconutTree(SeriesIndex):
         self.name = "Coconut-Tree-Full" if materialized else "Coconut-Tree"
         self._leaves: list[_Leaf] = []
         self._first_keys: np.ndarray | None = None
-        self._leaf_words: list[np.ndarray] = []
-        self._leaf_offsets: list[np.ndarray] = []
         self._summaries_loaded = False
         self._summaries_dirty = False
+        # The summary column, flat and in on-disk (directory) order: the
+        # sorted keys, the SAX words they convert to, their raw-file
+        # offsets and the directory index of each record's leaf.
+        self._keys: np.ndarray | None = None
         self._flat_words: np.ndarray | None = None
         self._flat_offsets: np.ndarray | None = None
         self._flat_leaf_of: np.ndarray | None = None
@@ -255,28 +257,45 @@ class CoconutTree(SeriesIndex):
         )
 
     def _bulk_load(self, sorted_chunks, rec: np.dtype) -> None:
-        """Fill leaves to the target fill factor from the sorted stream."""
+        """Pack the sorted stream into leaves at the target fill factor.
+
+        Full leaves are sliced out of each chunk by offset and only the
+        sub-leaf tail is carried into the next chunk, so the bytes
+        copied are linear in the stream whatever its chunking.
+        """
         target = self.target_leaf_records
-        pending_keys: list[np.ndarray] = []
-        pending_payloads: list[np.ndarray] = []
-        pending = 0
+        key_parts: list[np.ndarray] = []
+        offset_parts: list[np.ndarray] = []
+        tail_keys: list[np.ndarray] = []
+        tail_payloads: list[np.ndarray] = []
+        carried = 0
         for keys, payloads in sorted_chunks:
-            pending_keys.append(keys)
-            pending_payloads.append(payloads)
-            pending += len(keys)
-            while pending >= target:
-                keys_cat = np.concatenate(pending_keys)
-                pay_cat = np.concatenate(pending_payloads)
-                self._emit_leaf(keys_cat[:target], pay_cat[:target], rec)
-                pending_keys = [keys_cat[target:]]
-                pending_payloads = [pay_cat[target:]]
-                pending -= target
-        if pending:
+            key_parts.append(keys)
+            # A copy: a field view would pin the chunk's series in memory.
+            offset_parts.append(payloads["off"].astype(np.int64))
+            at = 0
+            if carried:
+                at = min(target - carried, len(keys))
+                tail_keys.append(keys[:at])
+                tail_payloads.append(payloads[:at])
+                carried += at
+                if carried < target:
+                    continue
+                self._emit_leaf(
+                    np.concatenate(tail_keys), np.concatenate(tail_payloads), rec
+                )
+            end = at + (len(keys) - at) // target * target
+            for lo in range(at, end, target):
+                self._emit_leaf(
+                    keys[lo : lo + target], payloads[lo : lo + target], rec
+                )
+            tail_keys, tail_payloads = [keys[end:]], [payloads[end:]]
+            carried = len(keys) - end
+        if carried:
             self._emit_leaf(
-                np.concatenate(pending_keys),
-                np.concatenate(pending_payloads),
-                rec,
+                np.concatenate(tail_keys), np.concatenate(tail_payloads), rec
             )
+        self._set_summary_column(key_parts, offset_parts)
 
     def _emit_leaf(
         self, keys: np.ndarray, payloads: np.ndarray, rec: np.dtype
@@ -293,9 +312,21 @@ class CoconutTree(SeriesIndex):
         self._write_leaf_records(slot, records)
         first = bytes(keys[0]).ljust(self.config.key_bytes, b"\x00")
         self._leaves.append(_Leaf(slot=slot, count=len(keys), first_key=first))
-        words = deinterleave_keys(keys, self.config)
-        self._leaf_words.append(words)
-        self._leaf_offsets.append(payloads["off"].astype(np.int64))
+
+    def _set_summary_column(
+        self, key_parts: list[np.ndarray], offset_parts: list[np.ndarray]
+    ) -> None:
+        """Adopt the leaf-ordered keys and offsets; convert to words once."""
+        # The typed empty head keeps an empty stream's column well-formed.
+        self._keys = np.concatenate(
+            [np.empty(0, dtype=self.config.key_dtype), *key_parts]
+        )
+        self._flat_offsets = np.concatenate(
+            [np.empty(0, dtype=np.int64), *offset_parts]
+        )
+        self._flat_words = deinterleave_keys(self._keys, self.config)
+        counts = np.array([leaf.count for leaf in self._leaves], dtype=np.intp)
+        self._flat_leaf_of = np.repeat(np.arange(len(counts)), counts)
 
     def _write_leaf_records(self, slot: int, records: np.ndarray) -> None:
         self._leaf_file.write_stream(
@@ -328,14 +359,9 @@ class CoconutTree(SeriesIndex):
         if not self._leaves:
             return
         dtype = np.dtype([("k", self.config.key_dtype), ("off", "<i8")])
-        rows = np.zeros(sum(l.count for l in self._leaves), dtype=dtype)
-        at = 0
-        for i, leaf in enumerate(self._leaves):
-            rows["k"][at : at + leaf.count] = interleave_words(
-                self._leaf_words[i], self.config
-            )
-            rows["off"][at : at + leaf.count] = self._leaf_offsets[i]
-            at += leaf.count
+        rows = np.zeros(len(self._keys), dtype=dtype)
+        rows["k"] = self._keys
+        rows["off"] = self._flat_offsets
         self._sidecar = PagedFile(self.disk, name=f"{self.name}-summaries")
         self._sidecar.write_stream(rows.tobytes())
         self._summaries_loaded = False
@@ -438,24 +464,11 @@ class CoconutTree(SeriesIndex):
         if self._summaries_dirty:
             self._write_sidecar()
             self._summaries_dirty = False
-        if self._summaries_loaded and self._flat_words is not None:
+        if self._summaries_loaded:
             return
         if self._sidecar.n_pages:
             # One sequential pass over the summary column.
             self._sidecar.read_stream(0, self._sidecar.n_pages)
-        if self._leaf_words:
-            self._flat_words = np.concatenate(self._leaf_words)
-            self._flat_offsets = np.concatenate(self._leaf_offsets)
-            self._flat_leaf_of = np.repeat(
-                np.arange(len(self._leaves)),
-                [leaf.count for leaf in self._leaves],
-            )
-        else:
-            self._flat_words = np.empty(
-                (0, self.config.word_length), dtype=np.uint16
-            )
-            self._flat_offsets = np.empty(0, dtype=np.int64)
-            self._flat_leaf_of = np.empty(0, dtype=np.int64)
         self._summaries_loaded = True
 
     def exact_search(
@@ -741,15 +754,23 @@ class CoconutTree(SeriesIndex):
         targets = np.maximum(
             np.searchsorted(self._first_keys, probes, side="right") - 1, 0
         )
+        starts = np.concatenate(
+            [[0], np.cumsum([leaf.count for leaf in self._leaves])]
+        )
         new_leaves: list[_Leaf] = []
-        new_words: list[np.ndarray] = []
-        new_offsets: list[np.ndarray] = []
+        # The in-memory summary column must mirror the on-disk record
+        # order: untouched leaves keep their slice, merged ones (split
+        # or not, their records stay contiguous) contribute theirs.
+        key_parts: list[np.ndarray] = []
+        offset_parts: list[np.ndarray] = []
         for i, leaf in enumerate(self._leaves):
             mask = targets == i
             if not mask.any():
                 new_leaves.append(leaf)
-                new_words.append(self._leaf_words[i])
-                new_offsets.append(self._leaf_offsets[i])
+                key_parts.append(self._keys[starts[i] : starts[i + 1]])
+                offset_parts.append(
+                    self._flat_offsets[starts[i] : starts[i + 1]]
+                )
                 continue
             existing = self._read_leaf_records(leaf)
             merged = np.zeros(leaf.count + int(mask.sum()), dtype=rec)
@@ -759,45 +780,25 @@ class CoconutTree(SeriesIndex):
             if self.is_materialized:
                 merged["series"][leaf.count :] = series[mask]
             merged = merged[np.argsort(merged["k"], kind="stable")]
-            # In-memory summaries must mirror the on-disk record order.
-            merged_words = deinterleave_keys(merged["k"], self.config)
-            self._split_and_store(
-                leaf, merged, merged_words, new_leaves, new_words, new_offsets
-            )
+            new_leaves.extend(self._split_and_store(leaf, merged))
+            # Copies: field views would pin the merged series in memory.
+            key_parts.append(np.ascontiguousarray(merged["k"]))
+            offset_parts.append(merged["off"].astype(np.int64))
         self._leaves = new_leaves
-        self._leaf_words = new_words
-        self._leaf_offsets = new_offsets
+        self._set_summary_column(key_parts, offset_parts)
 
-    def _split_and_store(
-        self,
-        leaf: _Leaf,
-        merged: np.ndarray,
-        merged_words: np.ndarray,
-        new_leaves: list[_Leaf],
-        new_words: list[np.ndarray],
-        new_offsets: list[np.ndarray],
-    ) -> None:
+    def _split_and_store(self, leaf: _Leaf, merged: np.ndarray) -> list[_Leaf]:
         """Write a merged leaf back, median-splitting while oversized."""
-        if len(merged) <= self.leaf_size:
-            self._write_leaf_records(leaf.slot, merged)
-            first = bytes(merged["k"][0]).ljust(self.config.key_bytes, b"\x00")
-            new_leaves.append(_Leaf(leaf.slot, len(merged), first))
-            new_words.append(merged_words)
-            new_offsets.append(merged["off"].astype(np.int64))
-            return
+        leaves = []
         # Median split (Sec. 3.2): divide into the fewest leaves that
         # fit, each at least half full — never a full leaf plus a
         # near-empty remainder.
         n_chunks = -(-len(merged) // self.leaf_size)
-        base = len(merged) // n_chunks
-        remainder = len(merged) % n_chunks
-        chunks = []
+        base, remainder = divmod(len(merged), n_chunks)
         at = 0
         for j in range(n_chunks):
-            size = base + (1 if j < remainder else 0)
-            chunks.append((merged[at : at + size], merged_words[at : at + size]))
-            at += size
-        for j, (chunk, chunk_words) in enumerate(chunks):
+            chunk = merged[at : at + base + (1 if j < remainder else 0)]
+            at += len(chunk)
             if j == 0:
                 slot = leaf.slot
             else:
@@ -805,9 +806,8 @@ class CoconutTree(SeriesIndex):
                 self._leaf_file.grow(self.pages_per_leaf)
             self._write_leaf_records(slot, chunk)
             first = bytes(chunk["k"][0]).ljust(self.config.key_bytes, b"\x00")
-            new_leaves.append(_Leaf(slot, len(chunk), first))
-            new_words.append(chunk_words)
-            new_offsets.append(chunk["off"].astype(np.int64))
+            leaves.append(_Leaf(slot, len(chunk), first))
+        return leaves
 
     # ------------------------------------------------------------------
     # Accounting

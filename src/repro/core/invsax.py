@@ -28,6 +28,7 @@ import numpy as np
 
 from ..summaries.paa import paa
 from ..summaries.sax import SAXConfig, sax_words
+from .zorder import deinterleave_codes, interleave_codes
 
 
 def interleave_words(words: np.ndarray, config: SAXConfig) -> np.ndarray:
@@ -35,32 +36,21 @@ def interleave_words(words: np.ndarray, config: SAXConfig) -> np.ndarray:
 
     For each bit significance level ``i`` (most significant first) and
     each segment ``j`` in series order, output bit ``i`` of segment
-    ``j``.  Returns an (N,) array of dtype ``S{key_bytes}``.
+    ``j`` (the kernel is :func:`repro.core.zorder.interleave_codes`).
+    Returns an (N,) array of dtype ``S{key_bytes}``.
     """
-    words = np.asarray(words, dtype=np.uint32)
+    words = np.asarray(words)
     if words.size == 0:
         # Zero records interleave to zero keys regardless of the shape
         # the empty array arrived in (chunked pipelines legitimately
         # produce empty chunks).
         return np.empty(0, dtype=config.key_dtype)
     words = np.atleast_2d(words)
-    n, w = words.shape
-    if w != config.word_length:
+    if words.shape[1] != config.word_length:
         raise ValueError(
-            f"expected {config.word_length} segments, got {w}"
+            f"expected {config.word_length} segments, got {words.shape[1]}"
         )
-    if words.max(initial=0) >= config.cardinality:
-        raise ValueError(
-            f"symbol out of range for cardinality {config.cardinality}"
-        )
-    bits = config.bits_per_symbol
-    out = np.zeros((n, config.key_bytes), dtype=np.uint8)
-    for i in range(bits):
-        level = ((words >> (bits - 1 - i)) & 1).astype(np.uint8)
-        for j in range(w):
-            position = i * w + j
-            out[:, position >> 3] |= level[:, j] << (7 - (position & 7))
-    return out.reshape(n * config.key_bytes).view(config.key_dtype)
+    return interleave_codes(words, config.bits_per_symbol)
 
 
 def deinterleave_keys(keys: np.ndarray, config: SAXConfig) -> np.ndarray:
@@ -70,18 +60,7 @@ def deinterleave_keys(keys: np.ndarray, config: SAXConfig) -> np.ndarray:
     between sortable and original form is "easy and efficient", which
     is why pruning power is preserved.
     """
-    keys = np.ascontiguousarray(keys, dtype=config.key_dtype)
-    n = keys.shape[0]
-    raw = keys.view(np.uint8).reshape(n, config.key_bytes)
-    bits = config.bits_per_symbol
-    w = config.word_length
-    words = np.zeros((n, w), dtype=np.uint16)
-    for i in range(bits):
-        for j in range(w):
-            position = i * w + j
-            bit = (raw[:, position >> 3] >> (7 - (position & 7))) & 1
-            words[:, j] |= bit.astype(np.uint16) << (bits - 1 - i)
-    return words
+    return deinterleave_codes(keys, config.word_length, config.bits_per_symbol)
 
 
 def invsax_keys(batch: np.ndarray, config: SAXConfig) -> np.ndarray:

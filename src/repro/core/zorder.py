@@ -6,7 +6,9 @@ multi-dimensional point" — DFT, wavelets, PLA, SVD features and so on.
 This module delivers that claim: quantize any float feature matrix
 dimension-wise (by empirical quantiles, mirroring how SAX breakpoints
 equalize symbol usage) and interleave the resulting code bits into
-sortable byte-string keys, exactly as invSAX does for SAX words.
+sortable byte-string keys.  The bit-interleaving kernel lives here
+once; invSAX (:mod:`repro.core.invsax`) is this kernel applied to SAX
+words.
 """
 
 from __future__ import annotations
@@ -55,34 +57,51 @@ def interleave_codes(codes: np.ndarray, bits: int) -> np.ndarray:
     """Bit-interleave integer codes into big-endian byte-string keys.
 
     The generic core of Algorithm 1: for each significance level (MSB
-    first) and each dimension in order, emit one bit.  Returns an (N,)
+    first) and each dimension in order, emit one bit.  One whole
+    ``(N, D)`` level block is written per iteration into a row-padded
+    bit matrix that ``np.packbits`` folds into bytes, so pad bits of a
+    key width that is not a multiple of 8 are zero.  Returns an (N,)
     array of dtype ``S{ceil(D * bits / 8)}``.
     """
-    codes = np.atleast_2d(np.asarray(codes, dtype=np.uint32))
+    codes = np.atleast_2d(np.asarray(codes))
+    if not np.issubdtype(codes.dtype, np.integer):
+        raise ValueError(f"codes must be integers, got dtype {codes.dtype}")
     n, d = codes.shape
-    if codes.max(initial=0) >= (1 << bits):
+    if codes.size and (codes.min() < 0 or codes.max() >= (1 << bits)):
         raise ValueError(f"code out of range for {bits} bits")
     key_bytes = -(-d * bits // 8)
-    out = np.zeros((n, key_bytes), dtype=np.uint8)
-    for i in range(bits):
-        level = ((codes >> (bits - 1 - i)) & 1).astype(np.uint8)
-        for j in range(d):
-            position = i * d + j
-            out[:, position >> 3] |= level[:, j] << (7 - (position & 7))
-    return out.reshape(n * key_bytes).view(f"S{key_bytes}")
+    bit_matrix = np.zeros((n, key_bytes * 8), dtype=np.uint8)
+    for level in range(bits):
+        np.right_shift(
+            codes,
+            bits - 1 - level,
+            out=bit_matrix[:, level * d : (level + 1) * d],
+            casting="unsafe",  # keeps the low byte; masked to one bit below
+        )
+    bit_matrix &= 1
+    return np.packbits(bit_matrix).view(f"S{key_bytes}")
 
 
 def deinterleave_codes(keys: np.ndarray, n_dimensions: int, bits: int) -> np.ndarray:
-    """Invert :func:`interleave_codes`."""
+    """Invert :func:`interleave_codes`: (N, D) ``uint16`` codes.
+
+    Keys narrower than ``S{ceil(D * bits / 8)}`` are legal (NumPy
+    strips trailing NULs); wider ones would lose their tail, so they
+    are rejected.
+    """
     key_bytes = -(-n_dimensions * bits // 8)
+    keys = np.asarray(keys)
+    if keys.dtype.kind == "S" and keys.dtype.itemsize > key_bytes:
+        raise ValueError(
+            f"keys are {keys.dtype.itemsize} bytes wide, expected at most "
+            f"{key_bytes} for {n_dimensions} dimensions x {bits} bits"
+        )
     keys = np.ascontiguousarray(keys, dtype=f"S{key_bytes}")
-    raw = keys.view(np.uint8).reshape(len(keys), key_bytes)
+    bit_matrix = np.unpackbits(keys.view(np.uint8)).reshape(len(keys), key_bytes * 8)
     codes = np.zeros((len(keys), n_dimensions), dtype=np.uint16)
-    for i in range(bits):
-        for j in range(n_dimensions):
-            position = i * n_dimensions + j
-            bit = (raw[:, position >> 3] >> (7 - (position & 7))) & 1
-            codes[:, j] |= bit.astype(np.uint16) << (bits - 1 - i)
+    for level in range(bits):
+        codes <<= 1
+        codes |= bit_matrix[:, level * n_dimensions : (level + 1) * n_dimensions]
     return codes
 
 

@@ -204,3 +204,155 @@ def test_larger_radius_counts_more_visited_leaves():
     _, index, _, _ = build_index(n=600, seed=13)
     query = random_walk(1, length=64, seed=14)[0]
     assert index.approximate_search(query, radius_leaves=5).visited_leaves == 5
+
+
+# ----------------------------------------------------------------------
+# Bulk-load: convert once, pack linearly
+# ----------------------------------------------------------------------
+def file_bytes(paged_file):
+    if not paged_file.n_pages:
+        return b""
+    return bytes(paged_file.read_stream(0, paged_file.n_pages))
+
+
+class RechunkedTree(CoconutTree):
+    """Feeds ``_bulk_load`` the same sorted records under another chunking."""
+
+    def __init__(self, *args, cuts, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.cuts = cuts
+
+    def _bulk_load(self, sorted_chunks, rec):
+        parts = list(sorted_chunks)
+        keys = np.concatenate([k for k, _ in parts])
+        payloads = np.concatenate([p for _, p in parts])
+        edges = [0, *self.cuts(len(keys), self.target_leaf_records), len(keys)]
+        super()._bulk_load(
+            ((keys[a:b], payloads[a:b]) for a, b in zip(edges, edges[1:])),
+            rec,
+        )
+
+
+CHUNKINGS = {
+    "one_giant_chunk": lambda n, target: [],
+    "sub_leaf_chunks": lambda n, target: list(range(3, n, 3)),
+    "empty_chunks": lambda n, target: [0, 0, 5, 5, 5, n // 2, n // 2, n, n],
+    "ends_on_leaf_boundary": lambda n, target: [2 * target, 5 * target],
+}
+
+
+def built_state(materialized, fill_factor, cuts=None):
+    disk = SimulatedDisk(page_size=2048)
+    raw = RawSeriesFile.create(disk, random_walk(431, length=64, seed=21))
+    # The sort fits in memory, so draining the stream before packing
+    # (RechunkedTree) moves no I/O relative to streaming it.
+    kwargs = dict(
+        memory_bytes=1 << 20, config=CONFIG, leaf_size=16,
+        fill_factor=fill_factor, materialized=materialized,
+    )
+    if cuts is None:
+        index = CoconutTree(disk, **kwargs)
+    else:
+        index = RechunkedTree(disk, cuts=cuts, **kwargs)
+    index.build(raw)
+    after_build = disk.snapshot()
+    index._ensure_summaries()
+    return {
+        "stats": (after_build, disk.snapshot()),
+        "leaf_bytes": file_bytes(index._leaf_file),
+        "sidecar_bytes": file_bytes(index._sidecar),
+        "first_keys": index._first_keys.tobytes(),
+        "directory": [(l.slot, l.count, l.first_key) for l in index._leaves],
+        "words": index._flat_words.tobytes(),
+        "offsets": index._flat_offsets.tobytes(),
+    }
+
+
+@pytest.mark.parametrize("fill_factor", [0.5, 1.0])
+@pytest.mark.parametrize("materialized", [False, True])
+def test_bulk_load_is_invariant_to_chunk_shape(materialized, fill_factor):
+    expected = built_state(materialized, fill_factor)
+    assert len(expected["directory"]) > 20
+    for name, cuts in CHUNKINGS.items():
+        assert built_state(materialized, fill_factor, cuts) == expected, name
+
+
+def count_conversions(monkeypatch, leaf_size):
+    import repro.core.coconut_tree as module
+
+    calls = {"interleave_words": 0, "deinterleave_keys": 0}
+
+    def spy(name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(module, name, spy(name))
+    disk = SimulatedDisk(page_size=2048)
+    raw = RawSeriesFile.create(disk, random_walk(600, length=64, seed=22))
+    index = CoconutTree(
+        disk, memory_bytes=1 << 13, config=CONFIG, leaf_size=leaf_size
+    )
+    index.build(raw)
+    index.exact_search(random_walk(1, length=64, seed=23)[0])
+    n_blocks = sum(1 for _ in raw.scan())
+    return calls, n_blocks, len(index._leaves)
+
+
+def test_build_converts_once_whatever_the_leaf_count(monkeypatch):
+    """Keys <-> words conversions do not scale with the number of leaves.
+
+    The regression this pins: one ``deinterleave_keys`` per emitted leaf
+    and one ``interleave_words`` per leaf when writing the sidecar.
+    """
+    few, n_blocks, few_leaves = count_conversions(monkeypatch, leaf_size=300)
+    monkeypatch.undo()
+    many, _, many_leaves = count_conversions(monkeypatch, leaf_size=4)
+    assert few_leaves == 2 and many_leaves == 150
+    assert many == few
+    assert many["deinterleave_keys"] == 1
+    # One per scan block of the build; the query's own key is built by
+    # ``query_key``, which is bound in another module.
+    assert many["interleave_words"] == n_blocks
+
+
+@pytest.mark.parametrize("materialized", [False, True])
+def test_summary_column_mirrors_disk_after_merges_and_splits(materialized):
+    """Whatever the in-memory layout, it is the leaf file's, in order."""
+    from repro.core import deinterleave_keys
+
+    _, index, _, _ = build_index(
+        n=300, leaf_size=16, seed=24, materialized=materialized,
+        fill_factor=0.75,
+    )
+    sidecar_dtype = np.dtype([("k", CONFIG.key_dtype), ("off", "<i8")])
+    # A leaf merge without splits (few rows, 3/4-full leaves), then
+    # median splits (more rows than the free slots), then both again.
+    for n_rows, seed in ((6, 25), (260, 26), (40, 27)):
+        n_leaves = len(index._leaves)
+        index.insert_batch(random_walk(n_rows, length=64, seed=seed))
+        assert (len(index._leaves) > n_leaves) == (n_rows > 6)
+        index._ensure_summaries()
+        records = [index._read_leaf_records(leaf) for leaf in index._leaves]
+        keys = np.concatenate([r["k"] for r in records])
+        offsets = np.concatenate([r["off"] for r in records])
+        assert np.all(keys[:-1] <= keys[1:])
+        np.testing.assert_array_equal(
+            index._flat_words, deinterleave_keys(keys, CONFIG)
+        )
+        np.testing.assert_array_equal(index._flat_offsets, offsets)
+        np.testing.assert_array_equal(
+            index._flat_leaf_of,
+            np.repeat(np.arange(len(records)), [len(r) for r in records]),
+        )
+        sidecar = np.frombuffer(
+            file_bytes(index._sidecar)[: len(keys) * sidecar_dtype.itemsize],
+            dtype=sidecar_dtype,
+        )
+        np.testing.assert_array_equal(sidecar["k"], keys)
+        np.testing.assert_array_equal(sidecar["off"], offsets)

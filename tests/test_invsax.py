@@ -202,3 +202,58 @@ def test_single_record_roundtrip():
     keys = interleave_words(words, CONFIG)
     assert keys.shape == (1,)
     np.testing.assert_array_equal(deinterleave_keys(keys, CONFIG), words)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    word_length=st.integers(1, 24),
+    bits=st.integers(1, 16),
+    n=st.sampled_from([0, 1, 5, 1000]),
+)
+def test_property_keys_equal_algorithm1_bit_by_bit(seed, word_length, bits, n):
+    """invSAX keys are Algorithm 1 spelled out on Python integers.
+
+    Level by level (most significant first), segment by segment, one
+    bit at a time; the key is that integer left-aligned in its bytes,
+    so pad bits of widths that are not whole bytes are zero.
+    """
+    config = SAXConfig(
+        series_length=64, word_length=word_length, cardinality=1 << bits
+    )
+    rng = np.random.default_rng(seed)
+    words = rng.integers(0, 1 << bits, size=(n, word_length)).astype(np.uint16)
+    keys = interleave_words(words, config)
+    assert keys.shape == (n,)
+    assert keys.dtype == config.key_dtype
+    pad_bits = config.key_bytes * 8 - config.key_bits
+    numeric = []
+    for word in words.tolist():
+        value = 0
+        for level in range(bits):
+            for symbol in word:
+                value = (value << 1) | ((symbol >> (bits - 1 - level)) & 1)
+        numeric.append(value << pad_bits)
+    assert [key_to_int(key, config) for key in keys] == numeric
+    decoded = deinterleave_keys(keys, config)
+    assert decoded.dtype == np.uint16
+    np.testing.assert_array_equal(decoded.reshape(n, word_length), words)
+    by_key = [numeric[i] for i in np.argsort(keys, kind="stable")]
+    assert by_key == sorted(numeric)
+
+
+def test_interleave_rejects_float_words():
+    """Regression: float words were floored silently (1.7 -> 1)."""
+    with pytest.raises(ValueError):
+        interleave_words(np.array([[1.7, 0.0, 2.0, 3.0]]), CONFIG)
+
+
+def test_deinterleave_rejects_keys_wider_than_config():
+    """Regression: an S8 array under a 2-byte config lost 6 bytes."""
+    keys = interleave_words(np.array([[3, 1, 4, 15]]), CONFIG)
+    with pytest.raises(ValueError):
+        deinterleave_keys(keys.astype("S8"), CONFIG)
+    # Narrower is legal: NumPy strips trailing NULs from byte strings.
+    np.testing.assert_array_equal(
+        deinterleave_keys(np.array([b"\xf0"]), CONFIG), [[8, 8, 8, 8]]
+    )

@@ -114,3 +114,88 @@ def test_property_key_order_matches_morton_order(seed):
     byte_order = np.argsort(keys, kind="stable")
     numeric_order = np.argsort(numeric, kind="stable")
     np.testing.assert_array_equal(numeric[byte_order], numeric[numeric_order])
+
+
+def reference_interleave(codes, bits):
+    """Algorithm 1 one bit at a time: the oracle the kernel is pinned to.
+
+    Returns the (N, key_bytes) byte matrix and each row's Morton code
+    as a Python integer.
+    """
+    n_dimensions = codes.shape[1]
+    key_bytes = -(-n_dimensions * bits // 8)
+    out = np.zeros((len(codes), key_bytes), dtype=np.uint8)
+    mortons = []
+    for row, code in enumerate(codes.tolist()):
+        morton = 0
+        for level in range(bits):
+            for j in range(n_dimensions):
+                bit = (code[j] >> (bits - 1 - level)) & 1
+                position = level * n_dimensions + j
+                out[row, position >> 3] |= bit << (7 - (position & 7))
+                morton = (morton << 1) | bit
+        mortons.append(morton)
+    return out, mortons
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    dims=st.integers(1, 24),
+    bits=st.integers(1, 16),
+    n=st.sampled_from([0, 1, 7, 1000]),
+)
+def test_property_kernel_matches_bitwise_reference(seed, dims, bits, n):
+    """The bit-plane kernel is byte-identical to the bit-by-bit loop."""
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, 1 << bits, size=(n, dims)).astype(np.uint16)
+    key_bytes = -(-dims * bits // 8)
+    keys = interleave_codes(codes, bits)
+    assert keys.shape == (n,)
+    assert keys.dtype == np.dtype(f"S{key_bytes}")
+    raw = keys.view(np.uint8).reshape(n, key_bytes)
+    expected, mortons = reference_interleave(codes, bits)
+    np.testing.assert_array_equal(raw, expected)
+    pad_bits = key_bytes * 8 - dims * bits
+    if n and pad_bits:
+        assert not (raw[:, -1] & ((1 << pad_bits) - 1)).any()
+    decoded = deinterleave_codes(keys, dims, bits)
+    assert decoded.dtype == np.uint16
+    assert decoded.shape == (n, dims)
+    np.testing.assert_array_equal(decoded, codes)
+    # Byte-string order is Morton-code order.
+    by_key = [mortons[i] for i in np.argsort(keys, kind="stable")]
+    assert by_key == sorted(mortons)
+
+
+def test_kernel_accepts_any_integer_dtype_and_layout():
+    codes = np.arange(24, dtype=np.int64).reshape(4, 6) % 8
+    expected = interleave_codes(codes.astype(np.uint16), 3)
+    for variant in (codes, codes.astype(np.uint8), np.asfortranarray(codes),
+                    codes.tolist()):
+        np.testing.assert_array_equal(interleave_codes(variant, 3), expected)
+    np.testing.assert_array_equal(
+        deinterleave_codes(expected[::-1], 6, 3), codes[::-1]
+    )
+
+
+def test_interleave_rejects_non_integer_and_negative_codes():
+    """Regression: float codes were floored silently (1.7 -> 1)."""
+    with pytest.raises(ValueError):
+        interleave_codes(np.array([[1.7, 0.0]]), bits=2)
+    with pytest.raises(ValueError):
+        interleave_codes(np.array([[-1, 0]]), bits=2)
+
+
+def test_deinterleave_rejects_keys_wider_than_the_geometry():
+    """Regression: wide keys were truncated to their first bytes."""
+    keys = interleave_codes(np.array([[3, 1, 2, 0]]), bits=4)  # 2 bytes
+    with pytest.raises(ValueError):
+        deinterleave_codes(keys.astype("S8"), 4, 4)
+    with pytest.raises(ValueError):
+        deinterleave_codes(np.array([b"abcdefgh"]), 4, 4)
+    # Narrower is legal: NumPy strips trailing NULs from byte strings.
+    narrow = np.array([b"\x80"])
+    np.testing.assert_array_equal(
+        deinterleave_codes(narrow, 4, 4), [[8, 0, 0, 0]]
+    )
