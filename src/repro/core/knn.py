@@ -71,6 +71,45 @@ class _BoundedMaxHeap:
             self._ids.discard(-evicted[1])
             self._ids.add(identifier)
 
+    def offer_block(
+        self, distances: np.ndarray, identifiers: np.ndarray
+    ) -> None:
+        """Offer one refined block; same heap as offering it row by row.
+
+        Rows above the current threshold cannot enter a full heap
+        (thresholds only shrink).  Of the rest, only the
+        ``k + len(heap)`` lexicographically smallest ``(distance, id)``
+        pairs are offered, in block order: at most ``len(heap)`` of
+        them revisit an identifier the heap holds, which leaves the
+        ``k`` smallest new pairs — all the order-independent heap can
+        retain of the block.
+
+        Identifiers must be distinct within the block (one fetch of
+        distinct positions).  The heap then equals the per-row loop's
+        whenever a revisit changes nothing in that loop: the identifier
+        is still held, or comes back no better than what evicted it.
+        The engines' only revisit is the approximate seed, at its own
+        distance up to the rounding of a different distance kernel —
+        which is why the cut keeps slack for held identifiers instead
+        of assuming a revisit ranks where the held pair does.
+        """
+        distances = np.asarray(distances, dtype=np.float64)
+        identifiers = np.asarray(identifiers)
+        rows = np.nonzero(distances <= self.threshold)[0]
+        cut = self.k + len(self._heap)
+        if len(rows) > cut:
+            candidates = distances[rows]
+            last = np.partition(candidates, cut - 1)[cut - 1]
+            below = rows[candidates < last]
+            # Distance ties at the cut are ranked by identifier.
+            tied = rows[candidates == last]
+            tied = tied[np.argsort(identifiers[tied], kind="stable")]
+            rows = np.sort(np.concatenate([below, tied[: cut - len(below)]]))
+        for distance, identifier in zip(
+            distances[rows].tolist(), identifiers[rows].tolist()
+        ):
+            self.offer(distance, identifier)
+
     def merge(self, other: "_BoundedMaxHeap") -> None:
         """Offer every pair another heap retained (coordinator merge)."""
         for distance, identifier in other.items():
@@ -157,8 +196,7 @@ def sims_knn_scan(
             query, series, heap.threshold
         )
         visited += len(block)
-        for distance, identifier in zip(distances, identifiers):
-            heap.offer(float(distance), int(identifier))
+        heap.offer_block(distances, identifiers)
     items = heap.sorted_items()
     n = len(words)
     return KNNOutcome(

@@ -109,6 +109,29 @@ class _Run:
         return len(self.keys)
 
 
+def concatenated_summaries(
+    runs: "list[_Run]",
+    mem_keys: "list[np.ndarray]",
+    mem_offsets: "list[np.ndarray]",
+    config: SAXConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The SIMS summary column of an LSM state: (words, offsets).
+
+    Runs in list order, then the memtable batches; one key conversion
+    for the whole column.  A pure function of immutable arrays, so an
+    immutable state (a service snapshot) computes it once.
+    """
+    key_parts = [run.keys for run in runs] + mem_keys
+    offset_parts = [run.offsets for run in runs] + mem_offsets
+    if key_parts:
+        all_keys = np.concatenate(key_parts)
+        all_offsets = np.concatenate(offset_parts)
+    else:
+        all_keys = np.empty(0, dtype=config.key_dtype)
+        all_offsets = np.empty(0, dtype=np.int64)
+    return deinterleave_keys(all_keys, config), all_offsets
+
+
 class CoconutLSM(SeriesIndex):
     """Write-optimized Coconut variant (secondary index only)."""
 
@@ -654,15 +677,9 @@ class CoconutLSM(SeriesIndex):
 
     def _all_summaries(self) -> tuple[np.ndarray, np.ndarray]:
         """Concatenated (words, offsets) of all runs plus the memtable."""
-        key_parts = [run.keys for run in self._runs] + self._mem_keys
-        offset_parts = [run.offsets for run in self._runs] + self._mem_offsets
-        if key_parts:
-            all_keys = np.concatenate(key_parts)
-            all_offsets = np.concatenate(offset_parts)
-        else:
-            all_keys = np.empty(0, dtype=self.config.key_dtype)
-            all_offsets = np.empty(0, dtype=np.int64)
-        return deinterleave_keys(all_keys, self.config), all_offsets
+        return concatenated_summaries(
+            self._runs, self._mem_keys, self._mem_offsets, self.config
+        )
 
     def exact_search(self, query: np.ndarray) -> QueryResult:
         """SIMS over the union of all runs plus the memtable."""

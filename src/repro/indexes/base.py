@@ -214,8 +214,9 @@ class SeriesIndex(abc.ABC):
                 distances = early_abandon_euclidean_block(
                     query, block.astype(np.float64), heap.threshold
                 )
-                for j in np.argsort(distances, kind="stable")[:k]:
-                    heap.offer(float(distances[j]), start + int(j))
+                heap.offer_block(
+                    distances, np.arange(start, start + len(distances))
+                )
         items = heap.sorted_items()
         return KNNOutcome(
             answer_ids=[identifier for _, identifier in items],
@@ -317,13 +318,30 @@ class SeriesIndex(abc.ABC):
         return self.raw
 
     def _query_array(self, query: np.ndarray) -> np.ndarray:
-        raw = self._require_built()
         query = np.asarray(query, dtype=np.float64).ravel()
-        if len(query) != raw.length:
-            raise ValueError(
-                f"query length {len(query)} != indexed length {raw.length}"
-            )
+        self._check_queries(query)
         return query
+
+    def _query_matrix(self, queries: np.ndarray) -> np.ndarray:
+        """A (Q, length) float64 batch, checked like one query."""
+        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        self._check_queries(queries)
+        return queries
+
+    def _check_queries(self, queries: np.ndarray) -> None:
+        """Refuse what cannot be answered (series along the last axis).
+
+        A query of the wrong length has no defined distance, and a NaN
+        or infinite value zeroes every lower bound and poisons every
+        heap threshold: ``ValueError`` rather than an arbitrary answer.
+        """
+        raw = self._require_built()
+        if queries.ndim > 2 or queries.shape[-1] != raw.length:
+            raise ValueError(
+                f"query length {queries.shape[-1]} != indexed length {raw.length}"
+            )
+        if not np.isfinite(queries).all():
+            raise ValueError("query contains NaN or infinite values")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r}, built={self.built})"

@@ -94,6 +94,7 @@ class SerialScan(SeriesIndex):
         from ..parallel.batch import build_batch_report
         from ..parallel.sched import plan_query_batch
 
+        queries = self._query_matrix(batch.queries)
         plan = plan_query_batch(
             batch,
             self,
@@ -113,20 +114,16 @@ class SerialScan(SeriesIndex):
             report.plan = plan
             return report
 
-        queries = np.atleast_2d(np.asarray(batch.queries, dtype=np.float64))
-        for query in queries:
-            self._query_array(query)
         heaps = [_BoundedMaxHeap(batch.k) for _ in queries]
         with Measurement(self.disk) as measure:
             for start, block in self.raw.scan():
                 block64 = block.astype(np.float64)
+                identifiers = np.arange(start, start + len(block))
                 for heap, query in zip(heaps, queries):
                     distances = early_abandon_euclidean_block(
                         query, block64, heap.threshold
                     )
-                    top = np.argsort(distances, kind="stable")[: batch.k]
-                    for j in top:
-                        heap.offer(float(distances[j]), start + int(j))
+                    heap.offer_block(distances, identifiers)
         outcomes = []
         for heap in heaps:
             items = heap.sorted_items()

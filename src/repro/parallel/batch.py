@@ -67,9 +67,7 @@ def batched_exact_knn(
             _outcome(heap, visited=0, n_records=n) for heap in heaps
         ]
     query_paa = paa(queries, config.word_length)
-    mindists = np.stack(
-        [mindist_paa_to_words(query_paa[i], words, config) for i in range(n_queries)]
-    )
+    mindists = mindist_paa_to_words(query_paa, words, config)
     thresholds = np.array([heap.threshold for heap in heaps])
     union = np.nonzero((mindists < thresholds[:, None]).any(axis=0))[0]
     visited = walk_candidate_blocks(
@@ -163,8 +161,7 @@ def walk_candidate_blocks(
                 queries[i], series[rows], thresholds[i]
             )
             visited[i] += len(rows)
-            for distance, identifier in zip(distances, identifiers[rows]):
-                heaps[i].offer(float(distance), int(identifier))
+            heaps[i].offer_block(distances, identifiers[rows])
         if bound_board is not None:
             bound_board.publish(
                 np.array([heap.threshold for heap in heaps])

@@ -148,12 +148,7 @@ def _scan_range(
     the returned candidate positions are *local* to it.  Module-level
     so process pools can pickle it.
     """
-    mindists = np.stack(
-        [
-            mindist_paa_to_words(query_paa[i], words, config)
-            for i in range(len(query_paa))
-        ]
-    )
+    mindists = mindist_paa_to_words(query_paa, words, config)
     union = np.nonzero((mindists < thresholds[:, None]).any(axis=0))[0]
     return mindists, union
 
@@ -540,6 +535,7 @@ def parallel_serial_scan_batch(
         local = [_BoundedMaxHeap(k) for _ in queries]
         for start, block in view.scan(start=lo, stop=hi):
             block64 = block.astype(np.float64)
+            identifiers = np.arange(start, start + len(block))
             for heap, query in zip(local, queries):
                 # Fused refine against this heap's block-start k-th
                 # best.  Abandoned rows come back ``inf``: every one
@@ -550,9 +546,7 @@ def parallel_serial_scan_batch(
                 distances = early_abandon_euclidean_block(
                     query, block64, heap.threshold
                 )
-                top = np.argsort(distances, kind="stable")[:k]
-                for j in top:
-                    heap.offer(float(distances[j]), start + int(j))
+                heap.offer_block(distances, identifiers)
         return local
 
     def attempt(attempt_index: int) -> "list[list[_BoundedMaxHeap]]":

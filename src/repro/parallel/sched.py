@@ -464,7 +464,10 @@ def run_sims_query_batch(
     partitioned approximate engine.  ``bound_board`` injects a board
     (tests drive adversarial publish schedules through it); ``None``
     lets the engine build one per attempt when the plan shares bounds.
+    Wrong-length and non-finite queries raise ``ValueError`` before
+    anything is planned or read.
     """
+    index._query_matrix(batch.queries)
     plan = plan_query_batch(
         batch,
         index,

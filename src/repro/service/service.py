@@ -555,6 +555,12 @@ class CoconutService:
         if mode == "approximate" and k != 1:
             raise ValueError("approximate requests answer 1-NN only")
         query = np.asarray(query, dtype=np.float64).ravel()
+        if len(query) != self.raw.length:
+            raise ValueError(
+                f"query length {len(query)} != indexed length {self.raw.length}"
+            )
+        if not np.isfinite(query).all():
+            raise ValueError("query contains NaN or infinite values")
         now = self.clock()
         if self._state == "stopped":
             self.stats.on_rejected(REJECT_SHUTDOWN)

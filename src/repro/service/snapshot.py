@@ -40,11 +40,12 @@ on the unwrapped snapshot shard, answers bit-identical either way.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import replace
 
 import numpy as np
 
-from ..core.lsm import CoconutLSM
+from ..core.lsm import CoconutLSM, concatenated_summaries
 from ..parallel.batch import batched_exact_knn
 from ..parallel.heal import RetryPolicy, run_self_healing
 from ..storage.bufferpool import BufferPool
@@ -80,6 +81,10 @@ class ServiceSnapshot:
         self._mem_offsets = list(lsm._mem_offsets)
         self._mem_records = lsm._mem_records
         self._raw = lsm.raw.view(base_disk)  # pins n_series
+        # The SIMS summary column of this state, converted by the first
+        # exact batch served from it and shared by every later one.
+        self._summaries: "tuple[np.ndarray, np.ndarray] | None" = None
+        self._summaries_lock = threading.Lock()
         # The fence-proof read path: a floating read-only session whose
         # shard reads the snapshot's (pre-session) pages even while a
         # writing session fences the parent.
@@ -90,6 +95,19 @@ class ServiceSnapshot:
             read_only=True,
         )
         self.shard = self._session.shards[0]
+
+    def summaries(self) -> "tuple[np.ndarray, np.ndarray]":
+        """(words, offsets) over the frozen runs and memtable.
+
+        The state never changes, so the keys are concatenated and
+        converted once per snapshot instead of once per served batch.
+        """
+        with self._summaries_lock:
+            if self._summaries is None:
+                self._summaries = concatenated_summaries(
+                    self._runs, self._mem_keys, self._mem_offsets, self.config
+                )
+            return self._summaries
 
     def frozen_view(self, device=None) -> CoconutLSM:
         """A read-only ``CoconutLSM`` facade over the frozen state.
@@ -126,6 +144,7 @@ class ServiceSnapshot:
         view._heal_report = None
         view.raw = self._raw
         view.built = True
+        view._all_summaries = self.summaries
         return view
 
 

@@ -132,20 +132,46 @@ def symbol_bounds(
 def mindist_paa_to_words(
     query_paa: np.ndarray, words: np.ndarray, config: SAXConfig
 ) -> np.ndarray:
-    """Vectorized lower bound from a query's PAA to many SAX words.
+    """Vectorized lower bound from query PAAs to many SAX words.
 
     This is the tighter PAA-to-region mindist used by iSAX
     implementations: per segment, distance from the query's PAA value
     to the candidate symbol's region (zero if inside), scaled by the
     segment size.  Guaranteed ``<=`` the true Euclidean distance.
+
+    A word column is dictionary-encoded: per query a (segment, symbol)
+    cell takes one of ``word_length * cardinality`` values, so the gap
+    is evaluated once per dictionary entry — the squared-gap table
+    ``T[j, s]`` — and every record gathers its ``word_length`` cells
+    from it.  The gathered ``(N, word_length)`` array holds the floats
+    the per-cell evaluation would have produced, in the same layout,
+    so the row sums (and the bounds) are byte-identical to it.
+
+    ``query_paa`` is one PAA vector (returns ``(N,)``) or a ``(Q, w)``
+    block (returns ``(Q, N)``; the gather index is built once).
     """
-    query_paa = np.asarray(query_paa, dtype=np.float64).ravel()
+    query_paa = np.asarray(query_paa, dtype=np.float64)
     words = np.atleast_2d(words)
-    lower, upper = symbol_bounds(words, config.cardinality)
-    below = np.where(query_paa[None, :] < lower, lower - query_paa[None, :], 0.0)
-    above = np.where(query_paa[None, :] > upper, query_paa[None, :] - upper, 0.0)
+    n_words, word_length = words.shape
+    if query_paa.ndim not in (1, 2) or query_paa.shape[-1] != word_length:
+        raise ValueError(
+            f"query PAA of shape {query_paa.shape} does not match "
+            f"words of {word_length} segments"
+        )
+    cardinality = config.cardinality
+    ext = extended_breakpoints(cardinality)
+    lower, upper = ext[:-1], ext[1:]
+    values = query_paa.reshape(-1, word_length, 1)
+    below = np.where(values < lower, lower - values, 0.0)
+    above = np.where(values > upper, values - upper, 0.0)
     gap = below + above
-    return np.sqrt(config.segment_size * np.sum(gap * gap, axis=1))
+    tables = (gap * gap).reshape(len(values), word_length * cardinality)
+    cells = np.add(words, np.arange(word_length) * cardinality, dtype=np.intp)
+    sums = np.empty((len(values), n_words))
+    for table, row in zip(tables, sums):
+        np.sum(table.take(cells), axis=1, out=row)
+    bounds = np.sqrt(config.segment_size * sums)
+    return bounds[0] if query_paa.ndim == 1 else bounds
 
 
 def mindist_words(

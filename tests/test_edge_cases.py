@@ -168,3 +168,44 @@ def test_rebuild_on_same_disk_is_independent():
     want = brute(query, data)
     assert first.exact_search(query).distance == pytest.approx(want, rel=1e-6)
     assert second.exact_search(query).distance == pytest.approx(want, rel=1e-6)
+
+
+@pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+def test_non_finite_queries_are_refused_not_answered(poison):
+    """A NaN PAA value zeroes every lower bound and a NaN distance
+    poisons the heap threshold: the answer used to be arbitrary ids at
+    ``nan`` distance.  Every query entry point refuses instead."""
+    from repro import QueryBatch, SerialScan
+    from repro.core import CoconutLSM
+
+    disk = SimulatedDisk(page_size=2048)
+    data = random_walk(120, length=64, seed=21)
+    raw = RawSeriesFile.create(disk, data)
+    config = SAXConfig(series_length=64, word_length=8, cardinality=16)
+    queries = random_walk(3, length=64, seed=22).astype(np.float64)
+    queries[1, 5] = poison
+    for index in (
+        CoconutTree(disk, 1 << 20, config=config, leaf_size=16),
+        CoconutTrie(disk, 1 << 20, config=config, leaf_size=16),
+        CoconutLSM(disk, 1 << 20, config=config),
+        SerialScan(disk, 1 << 20),
+    ):
+        index.build(raw)
+        for call in (
+            lambda: index.approximate_search(queries[1]),
+            lambda: index.exact_search(queries[1]),
+            lambda: index.exact_knn(queries[1], 3),
+            lambda: index.query_batch(QueryBatch(queries=queries, k=3)),
+            lambda: index.query_batch(
+                QueryBatch(queries=queries, k=3), query_workers=2
+            ),
+            lambda: index.query_batch(
+                QueryBatch(queries=queries, mode="approximate")
+            ),
+        ):
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                call()
+        # The finite rows of the same batch are still answered exactly.
+        report = index.query_batch(QueryBatch(queries=queries[[0, 2]], k=1))
+        for query, result in zip(queries[[0, 2]], report.results):
+            assert result.distance == pytest.approx(brute(query, data), rel=1e-6)

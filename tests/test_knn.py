@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_sax import reference_mindist_paa_to_words
 
-from repro.core import CoconutTree
+from repro import QueryBatch, make_dataset
+from repro.core import CoconutLSM, CoconutTree, CoconutTrie
 from repro.core.knn import _BoundedMaxHeap, sims_knn_scan
-from repro.series import euclidean_batch, random_walk
+from repro.series import euclidean_batch, query_workload, random_walk
 from repro.storage import RawSeriesFile, SimulatedDisk
 from repro.summaries import SAXConfig, sax_words
 
@@ -59,6 +63,85 @@ def test_heap_deduplicates_identifiers():
 def test_heap_rejects_bad_k():
     with pytest.raises(ValueError):
         _BoundedMaxHeap(0)
+
+
+def reference_offer_block(heap, distances, identifiers):
+    """The per-row admission loop ``offer_block`` replaced."""
+    for distance, identifier in zip(distances, identifiers):
+        heap.offer(float(distance), int(identifier))
+
+
+def _heap_state(heap):
+    return sorted(heap.items()), set(heap._ids), heap.threshold
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    k=st.integers(1, 6),
+    true_distances=st.lists(
+        # Few distinct values: ties at the k-th place across ids.
+        st.sampled_from([0.0, 1.0, 1.0, 2.5, 2.5, 4.0, float("inf")]),
+        max_size=40,
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_property_offer_block_equals_the_per_row_offer_loop(
+    k, true_distances, seed
+):
+    """Same ``items()``, ``_ids`` and ``threshold`` after every block.
+
+    Shaped like an engine pass: some ids seed the heap (at a distance
+    that may differ from the one refined later, as the approximate
+    probe's does in the last bits), then every id — the seeds again,
+    as revisits — arrives exactly once across blocks of any size,
+    empty ones and ones larger or smaller than ``k`` included, at its
+    true distance or abandoned to ``inf``.  The contract is quantified
+    over passes whose revisits change nothing in the per-row loop.
+    """
+    rng = np.random.default_rng(seed)
+    true_distances = np.array(true_distances, dtype=np.float64)
+    n = len(true_distances)
+    blocked, looped = _BoundedMaxHeap(k), _BoundedMaxHeap(k)
+    finite = np.nonzero(np.isfinite(true_distances))[0]
+    seeds = rng.permutation(finite)[: rng.integers(0, k + 2)]
+    for identifier in seeds:
+        seeded_at = true_distances[identifier] + rng.choice([-0.5, 0.0, 0.0, 1.5])
+        for heap in (blocked, looped):
+            heap.offer(float(seeded_at), int(identifier))
+    order = rng.permutation(n)
+    cuts = np.sort(rng.integers(0, n + 1, size=rng.integers(0, 5)))
+    for identifiers in np.split(order, cuts):
+        distances = true_distances[identifiers].copy()
+        distances[rng.random(len(identifiers)) < 0.2] = np.inf
+        blocked.offer_block(distances, identifiers)
+        for distance, identifier in zip(distances, identifiers):
+            before = _heap_state(looped)
+            reference_offer_block(looped, [distance], [identifier])
+            assume(identifier not in seeds or _heap_state(looped) == before)
+        assert _heap_state(blocked) == _heap_state(looped)
+
+
+def test_offer_block_cuts_a_block_to_the_pairs_that_can_be_retained(monkeypatch):
+    offered = []
+    original = _BoundedMaxHeap.offer
+
+    def counting(self, distance, identifier):
+        offered.append(identifier)
+        original(self, distance, identifier)
+
+    monkeypatch.setattr(_BoundedMaxHeap, "offer", counting)
+    heap = _BoundedMaxHeap(3)
+    heap.offer(2.0, 7)  # the seed, revisited below
+    offered.clear()
+    distances = np.array([5.0, 2.0, 9.0, 1.0, 2.0, 8.0, 2.0, 7.0])
+    identifiers = np.array([10, 7, 11, 12, 4, 13, 3, 14])
+    heap.offer_block(distances, identifiers)
+    # k + len(heap) = 4 smallest pairs, distance ties ranked by id.
+    assert offered == [7, 12, 4, 3]
+    assert heap.sorted_items() == [(1.0, 12), (2.0, 3), (2.0, 4)]
+    offered.clear()
+    heap.offer_block(distances + 10.0, identifiers + 100)
+    assert offered == []  # nothing at or below the threshold
 
 
 # ---------------------------------------------------------------- scan
@@ -123,3 +206,116 @@ def test_knn_with_k_exceeding_dataset():
     outcome = index.exact_knn(query, 50)
     assert len(outcome.answer_ids) == 20
     assert outcome.distances == sorted(outcome.distances)
+
+
+# ------------------------------------------------- exact-path identity
+ENGINE_CONFIG = SAXConfig(series_length=48, word_length=8, cardinality=64)
+ENGINE_MAKERS = {
+    "CTree": lambda disk: CoconutTree(
+        disk, 1 << 20, config=ENGINE_CONFIG, leaf_size=32
+    ),
+    "CTreeFull": lambda disk: CoconutTree(
+        disk, 1 << 20, config=ENGINE_CONFIG, leaf_size=32, materialized=True
+    ),
+    "CTrie": lambda disk: CoconutTrie(
+        disk, 1 << 20, config=ENGINE_CONFIG, leaf_size=32
+    ),
+    "LSM": lambda disk: CoconutLSM(disk, 1 << 12, config=ENGINE_CONFIG),
+}
+
+
+def _reference_mindist_block(query_paa, words, config):
+    query_paa = np.asarray(query_paa, dtype=np.float64)
+    if query_paa.ndim == 1:
+        return reference_mindist_paa_to_words(query_paa, words, config)
+    return np.stack(
+        [reference_mindist_paa_to_words(row, words, config) for row in query_paa]
+    ).reshape(len(query_paa), len(words))
+
+
+def _use_reference_kernels(monkeypatch):
+    import repro.core.knn
+    import repro.core.sims
+    import repro.parallel.batch
+    import repro.parallel.query
+
+    for module in (
+        repro.core.knn, repro.core.sims, repro.parallel.batch, repro.parallel.query
+    ):
+        monkeypatch.setattr(
+            module, "mindist_paa_to_words", _reference_mindist_block
+        )
+    monkeypatch.setattr(_BoundedMaxHeap, "offer_block", reference_offer_block)
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_MAKERS))
+def test_exact_batches_visit_and_answer_as_the_reference_kernels_do(name):
+    """New kernels vs the ones they replaced, through ``query_batch``.
+
+    Answers, per-query visited counts and every ``DiskStats`` counter
+    must be equal: the lower bounds are the same floats and the heaps
+    hold the same pairs after every block, so no engine decision moves.
+    """
+    disk = SimulatedDisk(page_size=2048)
+    # More than one refine block per fetch worker, so thresholds
+    # tighten between blocks in every cell.
+    data = make_dataset("randomwalk", 9300, length=48, seed=17)
+    raw = RawSeriesFile.create(disk, data[:9000])
+    index = ENGINE_MAKERS[name](disk)
+    index.build(raw)
+    if name == "LSM":  # several runs plus a memtable
+        for start in range(9000, 9300, 100):
+            index.insert_batch(data[start : start + 100])
+        assert index.n_runs > 1 and index._mem_records
+    queries = query_workload("randomwalk", 6, length=48, seed=19)
+    index.query_batch(QueryBatch(queries=queries, k=1))  # summary-load warmup
+
+    def run(k, workers):
+        disk.park_head()
+        report = index.query_batch(
+            QueryBatch(queries=queries, k=k),
+            query_workers=workers,
+            query_pool_kind="serial",
+            scheduler="fixed",
+            bound_sharing="off",
+        )
+        return (
+            report.knn_ids,
+            report.knn_distances,
+            [result.visited_records for result in report.results],
+            report.io,
+        )
+
+    cells = [(k, workers) for k in (1, 3, 10) for workers in (1, 2)]
+    got = [run(k, workers) for k, workers in cells]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _use_reference_kernels(monkeypatch)
+        want = [run(k, workers) for k, workers in cells]
+    for cell, new, reference in zip(cells, got, want):
+        assert new == reference, (name, cell)
+    for _, _, visited, io in got:
+        assert io.bytes_read and min(visited) < 9000  # pruned
+
+
+def test_a_batch_offers_a_few_pairs_per_query_not_every_refined_row(monkeypatch):
+    """64 queries, k = 10, 15 000 records: < 10 000 ``offer`` calls
+    (335 370 when every refined row was offered)."""
+    config = SAXConfig(series_length=256, word_length=16, cardinality=256)
+    disk = SimulatedDisk(page_size=8192)
+    raw = RawSeriesFile.create(
+        disk, make_dataset("randomwalk", 15_000, length=256, seed=7)
+    )
+    index = CoconutTree(disk, 1 << 24, config=config, leaf_size=100)
+    index.build(raw)
+    queries = query_workload("randomwalk", 64, length=256, seed=7)
+    calls = [0]
+    original = _BoundedMaxHeap.offer
+
+    def counting(self, distance, identifier):
+        calls[0] += 1
+        original(self, distance, identifier)
+
+    monkeypatch.setattr(_BoundedMaxHeap, "offer", counting)
+    report = index.query_batch(QueryBatch(queries=queries, k=10))
+    assert all(len(ids) == 10 for ids in report.knn_ids)
+    assert 0 < calls[0] < 10_000

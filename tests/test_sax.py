@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.series import euclidean, random_walk, z_normalize
+from repro.series import (
+    euclidean,
+    euclidean_batch,
+    make_dataset,
+    query_workload,
+    random_walk,
+    z_normalize,
+)
 from repro.summaries import (
     SAXConfig,
     breakpoints,
@@ -143,3 +150,106 @@ def test_property_sax_mindist_lower_bounds_euclidean(seed, cardinality):
     bounds = mindist_paa_to_words(paa(query, 8)[0], sax_words(data, config), config)
     true = [euclidean(query, row) for row in data]
     assert np.all(bounds <= np.array(true) + 1e-6)
+
+
+# ----------------------------------------------------------------------
+# The breakpoint-table kernel against the per-cell evaluation it replaced
+# ----------------------------------------------------------------------
+def reference_mindist_paa_to_words(query_paa, words, config):
+    """Every (record, segment) cell evaluated from scratch.
+
+    The body ``mindist_paa_to_words`` had before the table kernel; the
+    kernel must reproduce its floats byte for byte.  Also monkeypatched
+    into the engines by the visit-identity test in ``test_knn.py``.
+    """
+    query_paa = np.asarray(query_paa, dtype=np.float64).ravel()
+    words = np.atleast_2d(words)
+    lower, upper = symbol_bounds(words, config.cardinality)
+    below = np.where(query_paa[None, :] < lower, lower - query_paa[None, :], 0.0)
+    above = np.where(query_paa[None, :] > upper, query_paa[None, :] - upper, 0.0)
+    gap = below + above
+    return np.sqrt(config.segment_size * np.sum(gap * gap, axis=1))
+
+
+def _adversarial_paa(rng, n_queries, word_length, cardinality):
+    """PAA values on, between and far beyond the breakpoints."""
+    bps = breakpoints(cardinality)
+    pools = [
+        rng.standard_normal((n_queries, word_length)),
+        rng.choice(bps, size=(n_queries, word_length)),
+        rng.choice([bps[0] - 1.0, bps[-1] + 1.0], size=(n_queries, word_length)),
+        rng.choice([-1e6, 1e6], size=(n_queries, word_length)),
+    ]
+    pick = rng.integers(0, len(pools), size=(n_queries, word_length))
+    return np.choose(pick, pools)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    word_length=st.integers(1, 24),
+    bits=st.integers(1, 10),
+    n_words=st.sampled_from([0, 1, 37, 5000]),
+    n_queries=st.integers(1, 4),
+)
+def test_property_table_kernel_is_byte_identical_to_the_per_cell_reference(
+    seed, word_length, bits, n_words, n_queries
+):
+    cardinality = 1 << bits
+    config = SAXConfig(
+        series_length=4 * word_length, word_length=word_length,
+        cardinality=cardinality,
+    )
+    rng = np.random.default_rng(seed)
+    dtype = np.uint8 if cardinality <= 256 and seed % 2 else np.uint16
+    words = rng.integers(0, cardinality, size=(n_words, word_length)).astype(dtype)
+    block = _adversarial_paa(rng, n_queries, word_length, cardinality)
+    got = mindist_paa_to_words(block, words, config)
+    assert got.shape == (n_queries, n_words)
+    for i in range(n_queries):
+        want = reference_mindist_paa_to_words(block[i], words, config)
+        single = mindist_paa_to_words(block[i], words, config)
+        assert single.shape == (n_words,)
+        assert single.tobytes() == want.tobytes()
+        assert got[i].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dataset", ["randomwalk", "seismic"])
+def test_mindist_lower_bounds_float32_stored_float64_queried_series(dataset):
+    """The paper's invariant for this summary, at the storage dtypes."""
+    config = SAXConfig(series_length=128, word_length=16, cardinality=256)
+    data = make_dataset(dataset, 400, length=128, seed=5)
+    assert data.dtype == np.float32
+    queries = query_workload(dataset, 6, length=128, seed=5).astype(np.float64)
+    words = sax_words(data, config)
+    bounds = mindist_paa_to_words(paa(queries, 16), words, config)
+    for query, row in zip(queries, bounds):
+        true = euclidean_batch(query, data.astype(np.float64))
+        assert np.all(row <= true)
+
+
+def test_mindist_rejects_a_paa_of_the_wrong_width():
+    config = SAXConfig(series_length=64, word_length=8, cardinality=16)
+    words = sax_words(random_walk(5, length=64, seed=0), config)
+    for bad in (np.zeros(1), np.zeros(7), np.zeros((2, 4)), np.float64(0.0)):
+        with pytest.raises(ValueError):
+            mindist_paa_to_words(bad, words, config)
+
+
+def test_table_kernel_beats_the_per_cell_evaluation_at_the_default_geometry():
+    """15 000 words x 16 segments x cardinality 256: measured 4-9x
+    (docs/queries.md); the gate is 2x so allocator noise cannot fail it
+    while a return to per-cell evaluation still does."""
+    import timeit
+
+    config = SAXConfig(series_length=256, word_length=16, cardinality=256)
+    rng = np.random.default_rng(3)
+    words = rng.integers(0, 256, size=(15_000, 16)).astype(np.uint16)
+    values = rng.standard_normal(16)
+
+    def best(kernel):
+        return min(
+            timeit.repeat(lambda: kernel(values, words, config), number=3, repeat=7)
+        )
+
+    assert best(mindist_paa_to_words) * 2 < best(reference_mindist_paa_to_words)

@@ -164,6 +164,34 @@ def test_malformed_requests_raise_before_accounting():
     assert svc.stats_snapshot()["submitted"] == 0
 
 
+def test_wrong_length_or_non_finite_query_is_refused_and_the_server_lives():
+    """A malformed query used to reach ``np.stack`` on the server
+    thread, outside its ``try``: the thread died, the ticket stayed
+    ``queued`` and every later ticket hung."""
+    _, _, svc = make_service(ServiceConfig(batch_window_s=0.001))
+    svc.start()
+    try:
+        before = svc.stats_snapshot()
+        poisoned = QUERIES[0].copy()
+        poisoned[3] = np.nan
+        for bad in (np.zeros(10), np.zeros(LENGTH + 1), poisoned, -poisoned * np.inf):
+            for mode in ("exact", "approximate"):
+                with pytest.raises(ValueError):
+                    svc.submit(bad, mode=mode)
+        after = svc.stats_snapshot()
+        for counter in ("submitted", "served", "shed", "rejected", "queue_depth"):
+            assert after[counter] == before[counter]
+        ticket = svc.submit(QUERIES[1], k=2)
+        assert ticket.wait(timeout=30.0)
+        assert svc._thread.is_alive()
+        assert ticket.status == "served"
+        oracle = svc._lsm.exact_knn(QUERIES[1], 2)
+        assert list(ticket.knn_ids) == list(oracle.answer_ids)
+    finally:
+        svc.stop()
+    assert_conservation(svc)
+
+
 def test_deadline_expired_in_queue_is_shed():
     clock = ManualClock()
     _, _, svc = make_service(clock=clock)
@@ -225,6 +253,48 @@ def test_snapshot_survives_later_flushes_and_compactions():
         assert got_dists[0] == dists
     # And the service's current snapshot moved to the new watermark.
     assert svc.current_snapshot().n_series == raw.n_series
+
+
+def _brute_force(rows, query, k):
+    distances = np.sqrt(
+        ((rows.astype(np.float64) - query[None, :]) ** 2).sum(axis=1)
+    )
+    return list(np.argsort(distances, kind="stable")[:k])
+
+
+def test_summary_column_is_converted_once_per_snapshot(monkeypatch):
+    """Batches served from one snapshot share one key conversion; a
+    snapshot taken after a flush or compaction converts its own."""
+    import repro.core.lsm as lsm_module
+
+    calls = []
+    convert = lsm_module.deinterleave_keys
+
+    def spy(keys, config):
+        calls.append(len(keys))
+        return convert(keys, config)
+
+    monkeypatch.setattr(lsm_module, "deinterleave_keys", spy)
+    _, raw, svc = make_service()
+    rows = np.concatenate([BASE, EXTRA])
+
+    def serve_two_batches():
+        for query in QUERIES[:2]:
+            ticket = svc.query(query, mode="exact", k=3)
+            assert ticket.status == "served"
+            assert ticket.snapshot_series == raw.n_series
+            assert list(ticket.knn_ids) == _brute_force(
+                rows[: ticket.snapshot_series], query, 3
+            )
+
+    serve_two_batches()
+    assert calls == [len(BASE)]
+    flushes, merges = svc._lsm.n_flushes, svc._lsm.n_merges
+    for lo in range(0, len(EXTRA), 25):
+        svc.ingest(EXTRA[lo : lo + 25])
+    assert svc._lsm.n_flushes > flushes and svc._lsm.n_merges > merges
+    serve_two_batches()
+    assert calls == [len(BASE), len(BASE) + len(EXTRA)]
 
 
 def test_ticket_reports_the_watermark_it_is_exact_over():
