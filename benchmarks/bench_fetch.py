@@ -1,4 +1,4 @@
-"""Vectorized columnar gather + fused refine vs. the loop-level oracle.
+"""Vectorized columnar gather + one-pass refine vs. the loop-level oracle.
 
 The fetch path used to assemble every record with per-record Python
 slicing and refine candidates one scalar early-abandon call at a time.
@@ -6,8 +6,8 @@ slicing and refine candidates one scalar early-abandon call at a time.
 counted read per maximal consecutive page run, then a single strided
 fancy-index take over the joined stream — and the refine step runs
 through the batched :func:`repro.series.distance.
-early_abandon_euclidean_block` kernel (chunked partial sums with
-per-row abandon masks).  This benchmark measures the win and *asserts*
+early_abandon_euclidean_block` kernel (one tiled, allocation-free
+distance pass).  This benchmark measures the win and *asserts*
 the contract on every cell:
 
 * fetched records bit-identical between the vectorized gather and the
@@ -17,8 +17,9 @@ the contract on every cell:
   skip-sequential plan visits, once each, in ascending order — and
   records/stats/traces/heads bit-identical across stores per path
   (the harness raises on any violation);
-* refine distances bitwise-identical (``uint64`` view) between the
-  block kernel and the scalar early-abandon loop applied row by row;
+* every refine distance bitwise-identical (``uint64`` view) to the
+  naive one-shot formula, ``inf`` only strictly above the bound, and
+  never ``inf`` where the scalar early-abandon loop keeps the row;
 * at the headline configuration (>= 200k series of length 16, the
   dense regime where whole page runs collapse into single bulk reads)
   the gather must be >= 5x faster than the loop oracle, **on a host
@@ -111,7 +112,7 @@ def main(argv: list) -> int:
             repeats=args.repeats,
         )
     print_experiment(
-        "vectorized gather + fused refine vs loop oracle",
+        "vectorized gather + one-pass refine vs loop oracle",
         rows,
         columns=COLUMNS,
     )

@@ -788,9 +788,10 @@ def _drive_refine_pass(
     """One timed refine pass: block kernel vs the scalar row loop.
 
     Mirrors the SIMS refine step: distances from one query to a
-    fetched block under a realistic best-so-far (the workload's 1st
-    percentile — tight enough to abandon most rows, the regime the
-    kernel exists for).
+    fetched block under a best-so-far at the workload's 1st percentile
+    — tight enough for the scalar loop to abandon most rows, so the
+    cell compares the one-pass kernel with the UCR loop at its best.
+    ``naive`` is the one-shot formula both are checked against.
     """
     import time
 
@@ -802,13 +803,13 @@ def _drive_refine_pass(
     rng = np.random.default_rng(seed)
     block = rng.standard_normal((n_series, length)).astype(np.float32)
     query = rng.standard_normal(length).astype(np.float32)
-    sample = np.sqrt(
+    naive = np.sqrt(
         np.sum(
-            (block[:256].astype(np.float64) - query.astype(np.float64)) ** 2,
+            (block.astype(np.float64) - query.astype(np.float64)) ** 2,
             axis=1,
         )
     )
-    best_so_far = float(np.quantile(sample, 0.01))
+    best_so_far = float(np.quantile(naive[:256], 0.01))
     t0 = time.perf_counter()
     if use_loop:
         distances = np.array(
@@ -820,7 +821,12 @@ def _drive_refine_pass(
     else:
         distances = early_abandon_euclidean_block(query, block, best_so_far)
     wall = time.perf_counter() - t0
-    return {"distances": distances, "wall_s": wall}
+    return {
+        "distances": distances,
+        "wall_s": wall,
+        "naive": naive,
+        "bound": best_so_far,
+    }
 
 
 def run_fetch_sweep(
@@ -841,8 +847,10 @@ def run_fetch_sweep(
     must be bit-identical between the two paths, and records, stats,
     access traces and head positions bit-identical across stores per
     path; only the wall clock may differ.  Every
-    ``refine`` cell pins :func:`early_abandon_euclidean_block`
-    bitwise against the scalar early-abandon loop applied row by row.
+    ``refine`` cell asserts the contract of
+    :func:`early_abandon_euclidean_block`: every value bitwise the
+    naive one-shot formula, ``inf`` only strictly above the bound, and
+    never ``inf`` where the scalar early-abandon loop keeps the row.
 
     Wall clocks take the best of ``repeats`` runs, so the reported
     speedups are noise floors, not averages.
@@ -936,11 +944,14 @@ def run_fetch_sweep(
             ),
             key=lambda run: run["wall_s"],
         )
+        block_d, naive = vector_refine["distances"], vector_refine["naive"]
+        kept = block_d != np.inf
         identical = bool(
             np.array_equal(
-                loop_refine["distances"].view(np.uint64),
-                vector_refine["distances"].view(np.uint64),
+                block_d[kept].view(np.uint64), naive[kept].view(np.uint64)
             )
+            and np.all(naive[~kept] > vector_refine["bound"])
+            and np.all(kept | (loop_refine["distances"] == np.inf))
         )
         if not identical:
             raise AssertionError(

@@ -453,8 +453,7 @@ class CoconutTree(SeriesIndex):
             subset = records[start : start + window]
             series = raw.get_many(subset["off"])
             identifiers = subset["off"].astype(np.int64)
-        # No running bound at the approximate probe: the inf bound
-        # short-circuits the fused kernel to the plain batch distance.
+        # No running bound at the approximate probe.
         return identifiers, early_abandon_euclidean_block(
             query, series, float("inf")
         )

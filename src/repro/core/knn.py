@@ -88,7 +88,8 @@ class _BoundedMaxHeap:
         distinct positions).  The heap then equals the per-row loop's
         whenever a revisit changes nothing in that loop: the identifier
         is still held, or comes back no better than what evicted it.
-        The engines' only revisit is the approximate seed, at its own
+        The engines' only revisits are approximate-probe seeds (the
+        best one, or on the served path all of them), each at its own
         distance up to the rounding of a different distance kernel —
         which is why the cut keeps slack for held identifiers instead
         of assuming a revisit ranks where the held pair does.
@@ -185,13 +186,9 @@ def sims_knn_scan(
         if len(block) == 0:
             continue
         series, identifiers = fetch(block)
-        # Fused refine against the k-th best distance.  Abandoned rows
-        # come back ``inf`` — but an abandoned row has distance
-        # strictly above the block-start threshold, so its offer was
-        # doomed anyway (thresholds only shrink within a block): the
-        # heap evolves bit-identically to the full euclidean_batch
-        # pass.  While the heap is not yet full the threshold is inf
-        # and the kernel short-circuits to the plain batch distance.
+        # A row the kernel abandons (``inf``) has distance strictly
+        # above the block-start threshold, so its offer was doomed
+        # anyway (thresholds only shrink within a block).
         distances = early_abandon_euclidean_block(
             query, series, heap.threshold
         )

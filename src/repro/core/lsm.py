@@ -549,13 +549,16 @@ class CoconutLSM(SeriesIndex):
 
     def _approximate_one(
         self, query: np.ndarray, read_window=None, raw=None
-    ) -> tuple[int, float, int]:
-        """One approximate probe: (answer_idx, distance, visited).
+    ) -> tuple[int, float, np.ndarray, np.ndarray]:
+        """One approximate probe: (answer_idx, distance, offsets, distances).
 
-        Shared between :meth:`approximate_search` and the batched
-        paths; only ``read_window`` (how run page windows are charged)
-        and ``raw`` (which device the record fetch lands on) vary, so
-        per-query answers are identical by construction.
+        ``offsets`` (ascending, distinct) are the records the probe
+        refined and ``distances`` their true distances — every one a
+        free seed for an exact k-NN heap.  Shared between
+        :meth:`approximate_search` and the batched paths; only
+        ``read_window`` (how run page windows are charged) and ``raw``
+        (which device the record fetch lands on) vary, so per-query
+        answers are identical by construction.
         """
         raw = raw if raw is not None else self.raw
         key = query_key(query, self.config)
@@ -572,28 +575,28 @@ class CoconutLSM(SeriesIndex):
             position = int(np.searchsorted(mem_keys[order], probe[0]))
             start = max(0, position - window // 2)
             offset_parts.append(mem_offsets[order][start : start + window])
-        best_idx, best_dist, visited = -1, float("inf"), 0
-        if offset_parts:
-            offsets = np.unique(np.concatenate(offset_parts))
-            if len(offsets):
-                series = raw.get_many(offsets)
-                distances = early_abandon_euclidean_block(
-                    query, series, float("inf")
-                )
-                visited = len(offsets)
-                j = int(np.argmin(distances))
-                best_idx, best_dist = int(offsets[j]), float(distances[j])
-        return best_idx, best_dist, visited
+        offsets = (
+            np.unique(np.concatenate(offset_parts))
+            if offset_parts
+            else np.empty(0, dtype=np.int64)
+        )
+        if len(offsets) == 0:
+            return -1, float("inf"), offsets, np.empty(0)
+        distances = early_abandon_euclidean_block(
+            query, raw.get_many(offsets), float("inf")
+        )
+        j = int(np.argmin(distances))
+        return int(offsets[j]), float(distances[j]), offsets, distances
 
     def approximate_search(self, query: np.ndarray) -> QueryResult:
         """Probe every run (and the memtable) around the query key."""
         query = self._query_array(query)
         with Measurement(self.disk) as measure:
-            best_idx, best_dist, visited = self._approximate_one(query)
+            best_idx, best_dist, offsets, _ = self._approximate_one(query)
         return QueryResult(
             answer_idx=best_idx,
             distance=best_dist,
-            visited_records=visited,
+            visited_records=len(offsets),
             visited_leaves=self.n_runs,
             io=measure.io,
             simulated_io_ms=measure.simulated_io_ms,
@@ -644,7 +647,7 @@ class CoconutLSM(SeriesIndex):
         pairs = []
         for qi in order:
             qi = int(qi)
-            best_idx, best_dist, visited = self._approximate_one(
+            best_idx, best_dist, offsets, distances = self._approximate_one(
                 queries[qi], read_window, raw=raw
             )
             pairs.append(
@@ -653,8 +656,9 @@ class CoconutLSM(SeriesIndex):
                     QueryResult(
                         answer_idx=best_idx,
                         distance=best_dist,
-                        visited_records=visited,
+                        visited_records=len(offsets),
                         visited_leaves=self.n_runs,
+                        probed=(offsets, distances),
                     ),
                 )
             )

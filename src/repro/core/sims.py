@@ -83,11 +83,8 @@ def sims_scan(
         if len(block) == 0:
             continue
         series, identifiers = fetch(block)
-        # Fused refine: rows abandoned against the current bsf come
-        # back ``inf``, but an abandoned row provably has distance
-        # > bsf, so it could never have won the argmin update below —
-        # answers and bsf evolution are bit-identical to the full
-        # euclidean_batch pass.
+        # A row the kernel abandons (``inf``) provably has distance
+        # > bsf, so it could never have won the argmin update below.
         distances = early_abandon_euclidean_block(query, series, bsf)
         visited += len(block)
         best = int(np.argmin(distances))

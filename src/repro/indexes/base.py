@@ -52,6 +52,13 @@ class QueryResult:
     simulated_io_ms: float = 0.0
     wall_s: float = 0.0
     pruned_fraction: float = 0.0
+    #: ``(ids, distances)`` of every record a batched approximate probe
+    #: refined, when the index hands them over (``CoconutLSM``): seeds
+    #: for an exact k-NN heap.  Travels with the result because probes
+    #: run on pool workers; not part of a result's identity.
+    probed: "tuple[np.ndarray, np.ndarray] | None" = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def total_cost_s(self) -> float:
@@ -207,12 +214,11 @@ class SeriesIndex(abc.ABC):
         heap = _BoundedMaxHeap(k)
         with Measurement(self.disk) as measure:
             for start, block in self._require_built().scan():
-                # Fused refine against the block-start k-th best:
-                # abandoned rows (inf) sit strictly above it, so the
-                # heap retains exactly what the full-distance scan
-                # would.
+                # Refine against the block-start k-th best: a row at
+                # ``inf`` sits strictly above it, so the heap retains
+                # exactly what the full-distance scan would.
                 distances = early_abandon_euclidean_block(
-                    query, block.astype(np.float64), heap.threshold
+                    query, block, heap.threshold
                 )
                 heap.offer_block(
                     distances, np.arange(start, start + len(distances))

@@ -199,10 +199,8 @@ class RTreeIndex(SeriesIndex):
             series = records["series"].astype(np.float64)
         else:
             series = self.raw.get_many(records["off"])
-        # With the default inf bound the kernel short-circuits to the
-        # plain batch distance; the branch-and-bound search passes its
-        # evolving bsf so within-leaf refine abandons rows it already
-        # knows cannot win (inf rows lose the argmin update anyway).
+        # The branch-and-bound search passes its evolving bsf: rows the
+        # kernel abandons (``inf``) lose the argmin update anyway.
         distances = early_abandon_euclidean_block(query, series, best_so_far)
         return distances, records["off"].astype(np.int64)
 

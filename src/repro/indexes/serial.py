@@ -43,11 +43,11 @@ class SerialScan(SeriesIndex):
         with Measurement(self.disk) as measure:
             best_idx, best_dist = -1, float("inf")
             for start, block in self.raw.scan():
-                # Fused refine: abandoned rows (inf) have distance
-                # strictly above best_dist, so the argmin update below
-                # sees bit-identical winners.
+                # A row the kernel abandons (``inf``) has distance
+                # strictly above best_dist: the argmin update below
+                # sees the same winners.
                 distances = early_abandon_euclidean_block(
-                    query, block.astype(np.float64), best_dist
+                    query, block, best_dist
                 )
                 j = int(np.argmin(distances))
                 if distances[j] < best_dist:
@@ -117,11 +117,10 @@ class SerialScan(SeriesIndex):
         heaps = [_BoundedMaxHeap(batch.k) for _ in queries]
         with Measurement(self.disk) as measure:
             for start, block in self.raw.scan():
-                block64 = block.astype(np.float64)
                 identifiers = np.arange(start, start + len(block))
                 for heap, query in zip(heaps, queries):
                     distances = early_abandon_euclidean_block(
-                        query, block64, heap.threshold
+                        query, block, heap.threshold
                     )
                     heap.offer_block(distances, identifiers)
         outcomes = []

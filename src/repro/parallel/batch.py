@@ -123,10 +123,11 @@ def walk_candidate_blocks(
     excludes — and the running-min discipline guarantees the visited
     set never grows relative to the board-free loop (the monotone
     non-increasing visits contract; see ``docs/queries.md``).  Rows
-    abandoned strictly above a shared bound may offer ``inf`` into a
+    strictly above a shared bound may still be offered (at their
+    distance, or ``inf`` if the kernel abandoned them) into a
     not-yet-full heap; a finite shared bound certifies that k real
     offers at or below it exist globally, so the coordinator merge
-    displaces every such ``inf`` before it can reach an answer.
+    displaces every such offer before it can reach an answer.
     """
     n_queries = len(queries)
     visited = np.zeros(n_queries, dtype=np.int64)
@@ -152,11 +153,9 @@ def walk_candidate_blocks(
             rows = np.nonzero(need[i])[0]
             if len(rows) == 0:
                 continue
-            # Fused refine against this query's block-start threshold:
-            # abandoned rows (inf) sit strictly above it, so their
-            # offers were doomed regardless of how the threshold
-            # shrinks within the block — heap evolution is
-            # bit-identical to the full euclidean_batch pass.
+            # Refine against this query's block-start threshold: a
+            # row at ``inf`` sits strictly above it, so its offer was
+            # doomed however the threshold shrinks within the block.
             distances = early_abandon_euclidean_block(
                 queries[i], series[rows], thresholds[i]
             )

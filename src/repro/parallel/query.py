@@ -534,17 +534,14 @@ def parallel_serial_scan_batch(
         view = raw.view(device)
         local = [_BoundedMaxHeap(k) for _ in queries]
         for start, block in view.scan(start=lo, stop=hi):
-            block64 = block.astype(np.float64)
             identifiers = np.arange(start, start + len(block))
             for heap, query in zip(local, queries):
-                # Fused refine against this heap's block-start k-th
-                # best.  Abandoned rows come back ``inf``: every one
-                # sits strictly above the threshold, so the multiset
-                # of *retained* offers — all the order-independent
-                # heap ever looks at — is unchanged, and the merged
-                # answers stay bit-identical to the full-distance scan.
+                # Refine against this heap's block-start k-th best: a
+                # row at ``inf`` sits strictly above the threshold, so
+                # the multiset of *retained* offers — all the
+                # order-independent heap ever looks at — is unchanged.
                 distances = early_abandon_euclidean_block(
-                    query, block64, heap.threshold
+                    query, block, heap.threshold
                 )
                 heap.offer_block(distances, identifiers)
         return local

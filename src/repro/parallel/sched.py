@@ -185,7 +185,7 @@ def calibrate_query_costs() -> QueryCostModel:
     """Measure the per-kernel rates of :class:`QueryCostModel`.
 
     Times the two hot kernels the planner prices — the SIMS lower
-    bound and the fused refine — on small synthetic inputs, plus one
+    bound and the refine kernel — on small synthetic inputs, plus one
     thread-pool task round trip.  Process-pool and IPC terms keep
     their documented defaults: measuring a fork + import costs more
     than any plan it could improve.  Cached for the process lifetime

@@ -28,11 +28,36 @@ def squared_euclidean(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum((a - b) ** 2))
 
 
+#: Bytes of float64 scratch per tile of :func:`euclidean_batch`: stays
+#: L2-resident across the subtract, the square and the row sums, and
+#: below the size at which every fresh temporary costs an mmap.
+TILE_BYTES = 256 * 1024
+
+
 def euclidean_batch(query: np.ndarray, batch: np.ndarray) -> np.ndarray:
-    """Euclidean distances from one query to every row of a batch."""
+    """Euclidean distances from one query to every row of a batch.
+
+    ``sqrt(sum((batch - query) ** 2, axis=1))`` evaluated tile by tile
+    into one reused float64 scratch of at most :data:`TILE_BYTES`, so
+    the pass allocates the scratch and the output and nothing else; a
+    float32 (or integer) batch is cast inside the subtract.  The
+    arithmetic per row — float64 difference, square, pairwise row sum,
+    root — is that of the one-shot formula, so the result is bitwise
+    equal to it for any dtype, row stride or number of tiles (a
+    column-major batch is reduced row-major like every other).
+    """
     query = np.asarray(query, dtype=np.float64)
-    batch = np.asarray(batch, dtype=np.float64)
-    return np.sqrt(np.sum((batch - query[None, :]) ** 2, axis=1))
+    batch = np.asarray(batch)
+    n, length = batch.shape
+    out = np.empty(n)
+    rows = max(1, TILE_BYTES // (8 * length or 1))
+    scratch = np.empty((min(n, rows), length))
+    for lo in range(0, n, rows):
+        tile = scratch[: n - lo]
+        np.subtract(batch[lo : lo + rows], query, out=tile)
+        np.multiply(tile, tile, out=tile)
+        np.add.reduce(tile, axis=1, out=out[lo : lo + rows])
+    return np.sqrt(out, out=out)
 
 
 #: Elements summed per partial-sum step of the early-abandoning ED.
@@ -79,60 +104,34 @@ def early_abandon_euclidean(
 
 
 def early_abandon_euclidean_block(
-    query: np.ndarray,
-    block: np.ndarray,
-    best_so_far: float,
-    chunk: int = 0,
+    query: np.ndarray, block: np.ndarray, best_so_far: float
 ) -> np.ndarray:
-    """Batched early-abandoning ED: one query against a whole block.
+    """Refine one candidate block: ED of every row against ``query``.
 
-    The vectorized form of :func:`early_abandon_euclidean`, applied to
-    every row of ``block`` at once: partial sums accumulate chunk by
-    chunk over the still-active rows, rows whose proper-prefix sum
-    already exceeds ``best_so_far`` drop out with ``inf``, and the
-    survivors' distances are recomputed with the exact
-    :func:`euclidean_batch` reduction.  Both the abandon decisions and
-    every finite distance are **bitwise identical** to running the
-    scalar kernel row by row — and every finite distance is bitwise
-    identical to :func:`euclidean_batch` — so swapping this kernel
-    into a refine loop cannot change answers, tie order, or any
-    downstream comparison, only the amount of arithmetic performed.
+    Contract: each returned value is the bitwise
+    :func:`euclidean_batch` distance of its row, or ``inf`` only for a
+    row whose distance is provably above ``best_so_far`` — with no
+    obligation to abandon anything.  Every consumer takes an ``argmin``
+    against its bound or feeds ``offer_block``, which drops rows above
+    the threshold itself, so answers and tie order cannot depend on
+    which rows come back ``inf``.
 
-    A non-finite (or NaN) ``best_so_far`` can never abandon anything,
-    so the kernel short-circuits to :func:`euclidean_batch`; likewise
-    when the series fit in a single chunk (no proper-prefix boundary
-    exists to check).
+    The body is one :func:`euclidean_batch` pass that abandons nothing:
+    the lower-bound filter upstream has already removed the rows a
+    prefix check would catch (``docs/fetch.md`` has the measurement),
+    and finishing every row costs less than gathering survivors chunk
+    by chunk.  The scalar :func:`early_abandon_euclidean` remains the
+    UCR reference: this kernel never returns ``inf`` where that one
+    returns a finite distance.
 
     Raises ``ValueError`` when ``block`` is not 2-D with rows the
     length of ``query``.
     """
     query = np.asarray(query, dtype=np.float64).ravel()
-    block = np.asarray(block, dtype=np.float64)
+    block = np.asarray(block)
     if block.ndim != 2 or block.shape[1] != query.shape[0]:
         raise ValueError(f"shape mismatch: {block.shape} vs {query.shape}")
-    n, length = block.shape
-    if n == 0:
-        return np.empty(0, dtype=np.float64)
-    chunk = chunk if chunk > 0 else EARLY_ABANDON_CHUNK
-    bound = float(best_so_far)
-    if np.isnan(bound) or bound == np.inf or length <= chunk:
-        return euclidean_batch(query, block)
-    out = np.full(n, np.inf)
-    totals = np.zeros(n)
-    active = np.arange(n)
-    for at in range(0, length - chunk, chunk):
-        sub = block[active, at : at + chunk] - query[at : at + chunk]
-        totals[active] += np.sum(sub * sub, axis=1)
-        # ``~(x > bound)`` rather than ``x <= bound``: NaN prefixes
-        # must stay active (and come back NaN), exactly as the scalar
-        # kernel's ``if sqrt > bound`` keeps them.
-        active = active[~(np.sqrt(totals[active]) > bound)]
-        if len(active) == 0:
-            return out
-    out[active] = np.sqrt(
-        np.sum((block[active] - query[None, :]) ** 2, axis=1)
-    )
-    return out
+    return euclidean_batch(query, block)
 
 
 def dtw(a: np.ndarray, b: np.ndarray, window: int | None = None) -> float:

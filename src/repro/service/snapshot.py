@@ -151,10 +151,12 @@ class ServiceSnapshot:
 def _answer_on(view: CoconutLSM, batch, device):
     """Answer ``batch`` on the frozen view with all reads on ``device``.
 
-    Mirrors the serial batched engines exactly: approximate batches are
-    the shared-window probe pass; exact batches seed each query with
-    its approximate answer and run the shared SIMS kNN scan.  Returns
-    ``(ids, distances)`` — per query, ascending ``(distance, id)``.
+    The serial batched engines on one device: approximate batches are
+    the shared-window probe pass; exact batches seed each query's
+    heap with every distance its approximate probe computed — so a
+    ``k > 1`` threshold is finite from the first block — and run the
+    shared SIMS kNN scan.  Returns ``(ids, distances)`` — per query,
+    ascending ``(distance, id)``.
     """
     queries = np.atleast_2d(np.asarray(batch.queries, dtype=np.float64))
     order, ctx = view._approx_visit_order(queries)
@@ -174,7 +176,8 @@ def _answer_on(view: CoconutLSM, batch, device):
         return ids, distances
     seeds: "list[list[tuple[float, int]]]" = [[] for _ in range(len(queries))]
     for qi, result in pairs:
-        seeds[qi] = [(result.distance, result.answer_idx)]
+        offsets, probe_distances = result.probed
+        seeds[qi] = list(zip(probe_distances.tolist(), offsets.tolist()))
     words, make_fetch = view._prepare_sims_parallel()
     outcomes = batched_exact_knn(
         queries, batch.k, words, view.config, make_fetch(device), seeds

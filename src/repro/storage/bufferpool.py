@@ -134,10 +134,11 @@ class BufferPool:
         against the device directly."""
         return getattr(self._require_attached(), "checksums", None)
 
+    def _source(self) -> str:
+        return f"BufferPool({self.disk!r})"
+
     def _verify(self, page_id: int, data):
-        return verify_view(
-            self.checksums, page_id, data, f"BufferPool({self.disk!r})"
-        )
+        return verify_view(self.checksums, page_id, data, self._source)
 
     # ------------------------------------------------------------------
     # I/O

@@ -57,8 +57,7 @@ class QueryCostModel:
     #: One ``mindist_paa_to_words`` cell — a (query, record) lower
     #: bound in the shared SIMS scan.
     mindist_cell_us: float = 0.02
-    #: One fetched record pushed through the fused early-abandon
-    #: refine kernel.
+    #: One fetched record pushed through the refine kernel.
     refine_record_us: float = 1.0
     #: Spawning + joining one task on a thread pool.
     thread_task_us: float = 200.0

@@ -190,33 +190,38 @@ class ChecksumMap:
         self._crcs.update(child._crcs)
 
 
-def verify_view(checksums: "ChecksumMap | None", page_id: int, view, source: str):
+def verify_view(checksums: "ChecksumMap | None", page_id: int, view, source):
     """Hash ``view`` against the sidecar; raise with provenance on mismatch.
 
     Returns ``view`` unchanged so callers can verify inline on the
     zero-copy path.  ``source`` names the reader (pool, file) so a
     raised :class:`CorruptionError` pinpoints *where* the corrupt page
-    was about to be served, not just which page it was.
+    was about to be served, not just which page it was; a per-page
+    caller may pass a zero-argument callable instead of the string, so
+    the label is only built when something is raised.
     """
+    if checksums is not None:
+        actual = zlib.crc32(view)
+        expected = checksums.expected(page_id)
+        if actual == expected:
+            return view
+    if callable(source):
+        source = source()
     if checksums is None:
         raise PageError(
             f"{source}: verified_reads requires a ChecksumMap on the device "
             "(construct the SimulatedDisk with integrity=True or call "
             "enable_integrity())"
         )
-    actual = zlib.crc32(view)
-    expected = checksums.expected(page_id)
-    if actual != expected:
-        error = CorruptionError(
-            f"{source}: checksum mismatch on page {page_id} "
-            f"(expected {expected:#010x}, got {actual:#010x})"
-        )
-        error.page_id = page_id
-        error.expected_crc = expected
-        error.actual_crc = actual
-        error.source = source
-        raise error
-    return view
+    error = CorruptionError(
+        f"{source}: checksum mismatch on page {page_id} "
+        f"(expected {expected:#010x}, got {actual:#010x})"
+    )
+    error.page_id = page_id
+    error.expected_crc = expected
+    error.actual_crc = actual
+    error.source = source
+    raise error
 
 
 # ----------------------------------------------------------------------

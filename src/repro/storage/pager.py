@@ -22,6 +22,7 @@ after detach.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .disk import PageError, SimulatedDisk
@@ -34,9 +35,6 @@ class Extent:
     first_page: int
     n_pages: int
 
-    def contains(self, offset: int) -> bool:
-        return 0 <= offset < self.n_pages
-
 
 class PagedFile:
     """A logical page space backed by one or more physical extents."""
@@ -45,6 +43,8 @@ class PagedFile:
         self.disk = disk
         self.name = name
         self._extents: list[Extent] = []
+        # First logical page of each extent (``physical_page`` bisects).
+        self._starts: list[int] = []
         self._n_pages = 0
         if n_pages:
             self.grow(n_pages)
@@ -63,6 +63,7 @@ class PagedFile:
         file = cls(device, name=name)
         if n_pages:
             file._extents = [Extent(first_page, n_pages)]
+            file._starts = [0]
             file._n_pages = n_pages
         return file
 
@@ -79,6 +80,7 @@ class PagedFile:
         """
         view = PagedFile(device, name=self.name)
         view._extents = list(self._extents)
+        view._starts = list(self._starts)
         view._n_pages = self._n_pages
         return view
 
@@ -117,6 +119,7 @@ class PagedFile:
             self._extents[-1] = Extent(last.first_page, last.n_pages + n_pages)
         else:
             self._extents.append(Extent(first_physical, n_pages))
+            self._starts.append(first_logical)
         self._n_pages += n_pages
         return first_logical
 
@@ -126,12 +129,8 @@ class PagedFile:
             raise PageError(
                 f"logical page {logical} out of range [0, {self._n_pages})"
             )
-        remaining = logical
-        for extent in self._extents:
-            if extent.contains(remaining):
-                return extent.first_page + remaining
-            remaining -= extent.n_pages
-        raise AssertionError("extent bookkeeping out of sync")  # pragma: no cover
+        at = bisect_right(self._starts, logical) - 1
+        return self._extents[at].first_page + logical - self._starts[at]
 
     def _physical_runs(
         self, first_logical: int, n_pages: int

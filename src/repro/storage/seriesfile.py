@@ -81,7 +81,9 @@ class RawSeriesFile:
     CorruptionError` with page provenance instead of returning records
     from a flipped page.  The raw file is the queries' source of truth,
     so this is the last line of defence between silent media decay and
-    a wrong answer.
+    a wrong answer.  Each page is hashed once: reads through a pool
+    that is itself verifying are hashed by the pool (on a miss, before
+    admission — its hits are verified views) and not again here.
     """
 
     def __init__(
@@ -230,6 +232,13 @@ class RawSeriesFile:
         view._pool = None
         return view
 
+    def _hashes_reads_from(self, device) -> bool:
+        """Whether this file must hash what ``device`` hands it (a
+        verifying pool read from directly already has)."""
+        return self.verified_reads and not (
+            isinstance(device, BufferPool) and device.verified_reads
+        )
+
     def _verify_run(self, device, first_physical: int, data, n_pages: int):
         """Hash ``n_pages`` page slices of a padded stream (zero-copy)."""
         checksums = getattr(device, "checksums", None)
@@ -251,7 +260,7 @@ class RawSeriesFile:
             device, data = self._pool, self._pool.read(physical)
         else:
             device, data = self.disk, self.disk.read_page(physical)
-        if self.verified_reads:
+        if self._hashes_reads_from(device):
             verify_view(
                 getattr(device, "checksums", None),
                 physical,
@@ -277,11 +286,12 @@ class RawSeriesFile:
                 for i in range(n_pages)
             )
         parts = []
+        verify = self._hashes_reads_from(device)
         for first_physical, run_pages in self.file._physical_runs(
             first_page, n_pages
         ):
             part = reader(first_physical, run_pages)
-            if self.verified_reads:
+            if verify:
                 self._verify_run(device, first_physical, part, run_pages)
             parts.append(part)
         return parts[0] if len(parts) == 1 else b"".join(parts)

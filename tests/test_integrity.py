@@ -204,6 +204,65 @@ def test_raw_seriesfile_verified_reads_refuse_flipped_records():
     assert np.array_equal(raw.get(other), data[other])
 
 
+def test_raw_pages_under_a_verifying_pool_are_hashed_once(monkeypatch):
+    """A verifying pool hashes on a miss; the raw file reading through
+    it does not hash again — and a flip at rest is still refused with
+    the pool's provenance."""
+    disk = make_disk()
+    rng = np.random.default_rng(5)
+    data = rng.standard_normal((200, 16)).astype(np.float32)  # 8 per page
+    raw = RawSeriesFile.create(disk, data)
+    raw.verified_reads = True
+    hashed = []
+    crc32 = zlib.crc32
+
+    def counting_crc32(*args):
+        hashed.append(1)
+        return crc32(*args)
+
+    monkeypatch.setattr(zlib, "crc32", counting_crc32)
+    # Single pages, multi-page runs, a full scan, and hits on all of it.
+    wanted = np.array([3, 4, 90, 16, 17, 18, 24, 25, 199, 3])
+    with BufferPool(disk, 64, verified_reads=True) as pool:
+        view = raw.view(pool)
+        assert view.verified_reads
+        for _ in range(2):
+            assert np.array_equal(view.get_many(wanted), data[wanted])
+            assert np.array_equal(view.get(90), data[90])
+        scanned = np.concatenate([block for _, block in view.scan()])
+        assert np.array_equal(scanned, data)
+        assert pool.hits > 0
+        assert len(hashed) == pool.misses == raw.file.n_pages
+    # Without a verifying device underneath the file hashes for itself:
+    # directly on the disk, and through a pool that does not verify.
+    del hashed[:]
+    assert np.array_equal(raw.get_many(wanted), data[wanted])
+    assert len(hashed) == len(set((wanted // 8).tolist()))
+    del hashed[:]
+    with BufferPool(disk, 64) as pool:
+        raw.view(pool).get_many(wanted)
+        assert len(hashed) == pool.hits + pool.misses
+    # A page flipped at rest: same refusal, same provenance.
+    bad_physical = raw.file.physical_page(raw._page_of(17))
+    decay_bit(disk, bad_physical, bit=77)
+    for fetch in (
+        lambda view: view.get_many(wanted),
+        lambda view: view.get(17),
+        lambda view: list(view.scan()),
+    ):
+        with BufferPool(disk, 64, verified_reads=True) as pool:
+            with pytest.raises(CorruptionError) as exc:
+                fetch(raw.view(pool))
+            assert exc.value.page_id == bad_physical
+            assert exc.value.source == f"BufferPool({disk!r})"
+            assert str(exc.value).startswith(
+                f"BufferPool({disk!r}): checksum mismatch on page {bad_physical} "
+            )
+    with pytest.raises(CorruptionError) as exc:
+        raw.get(17)
+    assert exc.value.source == "RawSeriesFile('raw')"
+
+
 def test_verified_reads_without_sidecar_fail_loudly():
     disk = SimulatedDisk(page_size=PAGE)  # integrity not enabled
     first = disk.allocate(1)

@@ -42,6 +42,47 @@ def test_logical_to_physical_mapping_across_extents():
     assert [a.physical_page(i) for i in range(4)] == [0, 1, 5, 6]
 
 
+def _linear_walk(file, logical):
+    """The extent walk ``physical_page`` used before it bisected."""
+    remaining = logical
+    for extent in file._extents:
+        if 0 <= remaining < extent.n_pages:
+            return extent.first_page + remaining
+        remaining -= extent.n_pages
+    raise AssertionError("extent bookkeeping out of sync")
+
+
+def test_physical_page_bisect_equals_linear_walk_on_60_extents():
+    disk = SimulatedDisk()
+    file, other = PagedFile(disk), PagedFile(disk)
+    for i in range(60):
+        file.grow(1 + i % 3)
+        other.grow(1)  # an interloper after every grow: no merging
+    assert file.n_extents == 60
+
+    def check():
+        for logical in range(file.n_pages):
+            assert file.physical_page(logical) == _linear_walk(file, logical)
+        for logical in (-1, file.n_pages):
+            with pytest.raises(PageError, match="out of range"):
+                file.physical_page(logical)
+        view = file.attach(disk)
+        assert view.physical_page(file.n_pages - 1) == _linear_walk(
+            file, file.n_pages - 1
+        )
+
+    check()
+    file.grow(4)  # a 61st extent ...
+    assert file.n_extents == 61
+    check()
+    file.grow(2)  # ... then one that merges into it
+    assert file.n_extents == 61
+    check()
+    assert file._physical_runs(0, file.n_pages) == [
+        (extent.first_page, extent.n_pages) for extent in file._extents
+    ]
+
+
 def test_out_of_range_access_fails():
     disk = SimulatedDisk()
     file = PagedFile(disk, n_pages=2)

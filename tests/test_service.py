@@ -255,11 +255,17 @@ def test_snapshot_survives_later_flushes_and_compactions():
     assert svc.current_snapshot().n_series == raw.n_series
 
 
-def _brute_force(rows, query, k):
+def _lex_knn(rows, query, k):
+    """Brute-force k-NN under the heap's ``(distance, id)`` order."""
     distances = np.sqrt(
-        ((rows.astype(np.float64) - query[None, :]) ** 2).sum(axis=1)
+        np.sum((rows.astype(np.float64) - query[None, :]) ** 2, axis=1)
     )
-    return list(np.argsort(distances, kind="stable")[:k])
+    order = np.argsort(distances, kind="stable")[:k]
+    return order.tolist(), distances[order].tolist()
+
+
+def _brute_force(rows, query, k):
+    return _lex_knn(rows, query, k)[0]
 
 
 def test_summary_column_is_converted_once_per_snapshot(monkeypatch):
@@ -295,6 +301,76 @@ def test_summary_column_is_converted_once_per_snapshot(monkeypatch):
     assert svc._lsm.n_flushes > flushes and svc._lsm.n_merges > merges
     serve_two_batches()
     assert calls == [len(BASE), len(BASE) + len(EXTRA)]
+
+
+@pytest.mark.parametrize("memtable_rows", [0, 5])
+def test_served_heaps_are_seeded_with_every_probe_distance(memtable_rows):
+    """Seeding with the whole probe == seeding with its best == brute
+    force, for any ``k`` — duplicate series (distance ties) included."""
+    from repro.parallel.batch import batched_exact_knn
+    from repro.service.snapshot import _answer_on
+
+    _, raw, svc = make_service()
+    lsm = svc._lsm
+    # Duplicates of indexed rows tie with them at every distance; one
+    # batch of exactly the buffer capacity flushes, leaving no memtable.
+    svc.ingest(BASE[: lsm._buffer_capacity])
+    if memtable_rows:
+        svc.ingest(BASE[:memtable_rows])
+    assert lsm._mem_records == memtable_rows and lsm.n_runs >= 2
+    rows = np.concatenate(
+        [BASE, BASE[: lsm._buffer_capacity], BASE[:memtable_rows]]
+    )
+    snapshot = svc.current_snapshot()
+    view = snapshot.frozen_view()
+    # A query sitting on a duplicated series: the k nearest tie in pairs.
+    queries = np.concatenate([QUERIES, BASE[3:4].astype(np.float64)])
+    order, ctx = view._approx_visit_order(queries)
+    probes = dict(view._approx_answer_subset(queries, ctx, order))
+    probe_size = len(probes[0].probed[0])
+    assert probe_size > 3
+    words, make_fetch = view._prepare_sims_parallel()
+    for k in (1, 3, probe_size, probe_size + 1, len(rows) + 1):
+        batch = QueryBatch(queries=queries, k=k, mode="exact")
+        ids, distances = _answer_on(view, batch, snapshot.shard)
+        single = batched_exact_knn(
+            queries,
+            k,
+            words,
+            view.config,
+            make_fetch(snapshot.shard),
+            [[(probes[qi].distance, probes[qi].answer_idx)] for qi in order],
+        )
+        for qi, query in enumerate(queries):
+            want_ids, want_distances = _lex_knn(rows, query, k)
+            assert ids[qi] == want_ids == list(single[qi].answer_ids)
+            assert distances[qi] == want_distances == list(single[qi].distances)
+        # The service's own path serves the same answers.
+        ticket = svc.query(queries[-1], mode="exact", k=k)
+        assert list(ticket.knn_ids) == _lex_knn(rows, queries[-1], k)[0]
+
+
+def test_probe_hand_over_is_per_query_on_pool_workers():
+    """Each result carries its own probe's arrays — nothing shared —
+    when the probes run on ``query_workers = 2`` pool threads."""
+    from repro.parallel.sched import parallel_approx_batch
+
+    _, _, svc = make_service(ServiceConfig(query_workers=2))
+    svc.ingest(EXTRA[:60])
+    view = svc.current_snapshot().frozen_view()
+    queries = np.concatenate([QUERIES, EXTRA[:8].astype(np.float64)])
+    batch = QueryBatch(queries=queries, k=1, mode="approximate")
+    report = parallel_approx_batch(view, batch, workers=2)
+    for query, result in zip(queries, report.results):
+        best_idx, best_dist, offsets, distances = view._approximate_one(query)
+        assert (result.answer_idx, result.distance) == (best_idx, best_dist)
+        assert np.array_equal(result.probed[0], offsets)
+        assert np.array_equal(result.probed[1], distances)
+        assert result.visited_records == len(offsets)
+    # And the two-worker service answers exact tickets like brute force.
+    rows = np.concatenate([BASE, EXTRA[:60]])
+    ticket = svc.query(QUERIES[0], mode="exact", k=3)
+    assert list(ticket.knn_ids) == _lex_knn(rows, QUERIES[0], 3)[0]
 
 
 def test_ticket_reports_the_watermark_it_is_exact_over():
