@@ -1,24 +1,24 @@
 """Fault-injection layer: disabled-hook overhead + recovery smoke.
 
-The robustness PR threads a ``FaultyDevice`` seam under every page
-store, shard and pool so tests can inject transient/permanent errors,
+The robustness PR threads a ``FaultyDevice`` seam under every disk,
+shard and pool so tests can inject transient/permanent errors,
 torn writes, bit flips and crashes deterministically
 (``docs/robustness.md``).  Production deployments keep the wrapper
 with ``plan=None`` — a pure forwarder — so the seam must be close to
 free.  This benchmark measures and *asserts* that contract:
 
 * ``overhead`` cells run the headline skip-sequential gather bare vs
-  through ``FaultyDevice(plan=None)`` on both page stores; fetched
-  records, classified ``DiskStats`` and head positions must be
-  bit-identical (the harness raises on any violation);
+  through ``FaultyDevice(plan=None)``; fetched records, classified
+  ``DiskStats`` and head positions must be bit-identical (the harness
+  raises on any violation);
 * at the headline configuration (>= 200k series, the regime where the
   gather itself is cheap and per-op dispatch would show) the
   disabled hook must cost **< 5%** wall clock, **on a host with >= 4
   cores** (small/noisy CI boxes stay ungated and report honest
   numbers);
-* ``recovery`` cells run seeded crash/recover cycles on both stores;
-  the recovered index must answer exactly like a fault-free oracle
-  rebuilt from the acknowledged batches.
+* ``recovery`` cells run seeded crash/recover cycles; the recovered
+  index must answer exactly like a fault-free oracle rebuilt from the
+  acknowledged batches.
 
 Run standalone with::
 
@@ -41,7 +41,7 @@ GATE_OVERHEAD = 1.05
 GATE_MIN_CORES = 4
 
 COLUMNS = [
-    "workload", "store", "n_series", "cores",
+    "workload", "n_series", "cores",
     "bare_s", "hooked_s", "overhead", "identical", "io_identical",
 ]
 
@@ -64,7 +64,7 @@ def check(rows: list) -> None:
     for row in gated:
         assert row["overhead"] <= GATE_OVERHEAD, (
             f"expected the disabled fault hook to cost < "
-            f"{(GATE_OVERHEAD - 1) * 100:.0f}% on the {row['store']} store "
+            f"{(GATE_OVERHEAD - 1) * 100:.0f}% "
             f"at {row['n_series']} series on {cores} cores, got "
             f"{(row['overhead'] - 1) * 100:.1f}%"
         )

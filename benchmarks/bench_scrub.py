@@ -7,16 +7,15 @@ enough to leave on in production, and repair must be exact — this
 benchmark measures and *asserts* both contracts:
 
 * ``overhead`` cells run the headline skip-sequential gather
-  unverified vs ``verified_reads=True`` on both page stores; fetched
-  records, classified ``DiskStats`` and head positions must be
-  bit-identical (the harness raises on any violation);
+  unverified vs ``verified_reads=True``; fetched records, classified
+  ``DiskStats`` and head positions must be bit-identical (the harness
+  raises on any violation);
 * at the headline configuration (>= 200k series) verified reads must
   cost **<= 10%** wall clock, **on a host with >= 4 cores**
   (small/noisy CI boxes stay ungated and report honest numbers);
-* ``scrub`` cells run seeded decay + sweep cycles on both stores;
-  every cell asserts the sweep detects **exactly** the injected
-  pages (detected == injected), repairs them all, and answers never
-  move.
+* ``scrub`` cells run seeded decay + sweep cycles; every cell asserts
+  the sweep detects **exactly** the injected pages (detected ==
+  injected), repairs them all, and answers never move.
 
 Run standalone with::
 
@@ -39,7 +38,7 @@ GATE_OVERHEAD = 1.10
 GATE_MIN_CORES = 4
 
 COLUMNS = [
-    "workload", "store", "n_series", "cores",
+    "workload", "n_series", "cores",
     "plain_s", "verified_s", "overhead", "identical", "io_identical",
 ]
 
@@ -67,7 +66,7 @@ def check(rows: list) -> None:
     for row in gated:
         assert row["overhead"] <= GATE_OVERHEAD, (
             f"expected verified reads to cost <= "
-            f"{(GATE_OVERHEAD - 1) * 100:.0f}% on the {row['store']} store "
+            f"{(GATE_OVERHEAD - 1) * 100:.0f}% "
             f"at {row['n_series']} series on {cores} cores, got "
             f"{(row['overhead'] - 1) * 100:.1f}%"
         )

@@ -1,7 +1,7 @@
 """Sharded parallel spilled-run merging vs. the serial external sort.
 
-After the vectorized merge engine (bench_merge_engine), the file-backed
-merge cascade was the last serial phase of bulk loading: the simulated
+With the k-way merge vectorized (:mod:`repro.storage.merge`), the
+file-backed merge cascade was the last serial phase of bulk loading: the simulated
 disk is a single I/O domain, so ``merge_workers`` only helped resident
 runs.  The sharded storage layer (:mod:`repro.parallel.spill`) lifts
 that: each cascade group's key range is partitioned, every partition

@@ -14,7 +14,6 @@ from .harness import (
     run_build_sweep,
     run_complete_workload,
     run_length_sweep,
-    run_merge_engine_sweep,
     run_parallel_build_sweep,
     run_query_experiment,
     run_scaling_sweep,
@@ -42,7 +41,6 @@ __all__ = [
     "run_build_sweep",
     "run_complete_workload",
     "run_length_sweep",
-    "run_merge_engine_sweep",
     "run_parallel_build_sweep",
     "run_query_experiment",
     "run_scaling_sweep",

@@ -14,10 +14,7 @@ Examples::
     python -m repro.bench query --batch --workers 4
     python -m repro.bench sched --workers 2 4 --k 8
     python -m repro.bench parallel --index CTreeFull --workers 1 2 4
-    python -m repro.bench merge --records 200000 --runs 32 --workers 2 4
     python -m repro.bench spilled --records 200000 --runs 8 --workers 4
-    python -m repro.bench arena --n 50000 --records 200000 --workers 1 2
-    python -m repro.bench fetch --n 50000
     python -m repro.bench faults --n 50000 --repeats 5
     python -m repro.bench scrub --n 50000 --scrub-seeds 4
     python -m repro.bench space --n 15000
@@ -49,12 +46,9 @@ from typing import Callable, Optional
 from .harness import (
     MATERIALIZED_GROUP,
     SECONDARY_GROUP,
-    run_arena_sweep,
     run_batch_query_experiment,
     run_build_sweep,
     run_fault_overhead_sweep,
-    run_fetch_sweep,
-    run_merge_engine_sweep,
     run_parallel_build_sweep,
     run_query_experiment,
     run_sched_sweep,
@@ -211,38 +205,6 @@ def _run_parallel(args: argparse.Namespace, spec: DatasetSpec) -> None:
     print_experiment("parallel build scaling", rows)
 
 
-# ------------------------------------------------------------------ merge
-def _configure_merge(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--records", type=int, nargs="+", default=[200_000],
-        help="total records per merge cell",
-    )
-    parser.add_argument(
-        "--runs", type=int, nargs="+", default=[32],
-        help="presorted run counts to merge",
-    )
-    parser.add_argument(
-        "--workers", type=int, nargs="+", default=[],
-        help="also time the parallel range-partitioned in-memory merge",
-    )
-    parser.add_argument(
-        "--dup-alphabet", type=int, default=0,
-        help="draw key bytes from this many values (duplicate-heavy keys)",
-    )
-    parser.add_argument("--seed", type=int, default=7)
-
-
-def _run_merge(args: argparse.Namespace, spec: None) -> None:
-    rows = run_merge_engine_sweep(
-        args.records,
-        args.runs,
-        workers_list=args.workers,
-        seed=args.seed,
-        dup_alphabet=args.dup_alphabet,
-    )
-    print_experiment("k-way merge engines", rows)
-
-
 # ---------------------------------------------------------------- spilled
 def _configure_spilled(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
@@ -277,88 +239,6 @@ def _run_spilled(args: argparse.Namespace, spec: None) -> None:
     print_experiment("sharded spilled-run merging", rows)
 
 
-# ------------------------------------------------------------------ arena
-def _configure_arena(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--n", type=int, nargs="+", default=[60_000],
-        help="series counts for the scan/fetch cells",
-    )
-    parser.add_argument("--length", type=int, default=128)
-    parser.add_argument(
-        "--fetch-fraction", type=float, default=0.3,
-        help="fraction of records the skip-sequential fetch visits",
-    )
-    parser.add_argument(
-        "--records", type=int, nargs="+", default=[200_000],
-        help="records per spilled-merge cell (empty budget forces a spill)",
-    )
-    parser.add_argument(
-        "--runs", type=int, nargs="+", default=[8],
-        help="presorted run counts for the merge cells",
-    )
-    parser.add_argument(
-        "--workers", type=int, nargs="+", default=[1, 2],
-        help="merge worker counts (>1 exercises shard arenas too)",
-    )
-    parser.add_argument("--seed", type=int, default=7)
-
-
-def _run_arena(args: argparse.Namespace, spec: None) -> None:
-    rows = run_arena_sweep(
-        args.n,
-        length=args.length,
-        fetch_fraction=args.fetch_fraction,
-        record_counts=args.records,
-        run_counts=args.runs,
-        workers_list=args.workers,
-        seed=args.seed,
-    )
-    print_experiment(
-        "arena vs dict page store",
-        rows,
-        columns=[
-            "workload", "n_series", "records", "runs", "cores",
-            "dict_s", "arena_s", "speedup", "identical", "io_identical",
-        ],
-    )
-
-
-# ------------------------------------------------------------------ fetch
-def _configure_fetch(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--n", type=int, nargs="+", default=[10_000, 50_000],
-        help="series counts for the gather/refine cells",
-    )
-    parser.add_argument("--length", type=int, default=128)
-    parser.add_argument(
-        "--fetch-fraction", type=float, default=0.3,
-        help="fraction of records the skip-sequential gather visits",
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=3,
-        help="timing repeats per cell (best-of)",
-    )
-    parser.add_argument("--seed", type=int, default=7)
-
-
-def _run_fetch(args: argparse.Namespace, spec: None) -> None:
-    rows = run_fetch_sweep(
-        args.n,
-        length=args.length,
-        fetch_fraction=args.fetch_fraction,
-        seed=args.seed,
-        repeats=args.repeats,
-    )
-    print_experiment(
-        "vectorized fetch vs loop oracle",
-        rows,
-        columns=[
-            "workload", "store", "n_series", "cores",
-            "loop_s", "vector_s", "speedup", "identical", "io_identical",
-        ],
-    )
-
-
 # ----------------------------------------------------------------- faults
 def _configure_faults(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
@@ -376,7 +256,7 @@ def _configure_faults(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--recovery-seeds", type=int, default=4,
-        help="seeded crash/recover schedules per page store",
+        help="seeded crash/recover schedules",
     )
     parser.add_argument("--seed", type=int, default=7)
 
@@ -394,7 +274,7 @@ def _run_faults(args: argparse.Namespace, spec: None) -> None:
         "fault layer: disabled-hook overhead + recovery smoke",
         rows,
         columns=[
-            "workload", "store", "n_series", "cores",
+            "workload", "n_series", "cores",
             "bare_s", "hooked_s", "overhead", "identical", "io_identical",
         ],
     )
@@ -417,7 +297,7 @@ def _configure_scrub(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--scrub-seeds", type=int, default=4,
-        help="seeded decay + sweep schedules per page store",
+        help="seeded decay + sweep schedules",
     )
     parser.add_argument("--seed", type=int, default=7)
 
@@ -435,7 +315,7 @@ def _run_scrub(args: argparse.Namespace, spec: None) -> None:
         "integrity: verified-read overhead + scrub/repair smoke",
         rows,
         columns=[
-            "workload", "store", "n_series", "cores",
+            "workload", "n_series", "cores",
             "plain_s", "verified_s", "overhead", "identical", "io_identical",
         ],
     )
@@ -505,17 +385,9 @@ COMMANDS: tuple[_Command, ...] = (
              _configure_sched, _run_sched),
     _Command("parallel", "build speedup vs worker count",
              _configure_parallel, _run_parallel),
-    _Command("merge", "k-way merge engine comparison (heapq vs blockwise)",
-             _configure_merge, _run_merge, needs_dataset=False),
     _Command("spilled",
              "sharded parallel spilled-run merge vs the serial sorter",
              _configure_spilled, _run_spilled, needs_dataset=False),
-    _Command("arena",
-             "arena page store vs the dict-store oracle (zero-copy reads)",
-             _configure_arena, _run_arena, needs_dataset=False),
-    _Command("fetch",
-             "vectorized gather/refine vs the loop-level fetch oracle",
-             _configure_fetch, _run_fetch, needs_dataset=False),
     _Command("faults",
              "fault-layer overhead (hooks disabled) + crash-recovery smoke",
              _configure_faults, _run_faults, needs_dataset=False),

@@ -286,134 +286,6 @@ def make_presorted_runs(
     return runs
 
 
-def _drive_merge(
-    runs: list[tuple[np.ndarray, np.ndarray]],
-    memory_bytes: int,
-    engine: str = "blockwise",
-    merge_workers: int = 1,
-    pool_kind: str = "process",
-):
-    """One timed ExternalSorter.sort_runs pass on a fresh disk."""
-    import time
-
-    from ..storage.external_sort import ExternalSorter
-
-    disk = SimulatedDisk(page_size=PAGE_SIZE)
-    sorter = ExternalSorter(
-        disk,
-        memory_bytes,
-        merge_engine=engine,
-        merge_workers=merge_workers,
-        pool_kind=pool_kind,
-    )
-    t0 = time.perf_counter()
-    parts = list(sorter.sort_runs(runs))
-    wall = time.perf_counter() - t0
-    keys = np.concatenate([k for k, _ in parts])
-    payloads = np.concatenate([p for _, p in parts])
-    shapes = [len(k) for k, _ in parts]
-    return keys, payloads, shapes, disk.stats, sorter.report, wall
-
-
-def run_merge_engine_sweep(
-    record_counts: list[int],
-    run_counts: list[int],
-    workers_list: list[int] | None = None,
-    seed: int = 7,
-    dup_alphabet: int = 0,
-    memory_fraction: float = 1 / 6,
-    pool_kind: str = "thread",
-) -> list[dict]:
-    """Merge-engine comparison: heapq oracle vs blockwise vs parallel.
-
-    For every (records, runs) cell the same presorted runs are merged
-    by the per-record ``heapq`` reference and the vectorized
-    ``blockwise`` engine on identical disks with a memory budget of
-    ``memory_fraction`` of the data, raising on any violation of
-    byte-identical output streams, chunk shapes, ``SortReport`` or
-    ``DiskStats``.  Cells small enough to fit the 1 KiB budget floor
-    stay resident (both "engines" then share the in-memory merge path
-    and the speedup is meaningless) — the ``spilled`` column reports
-    which regime a row measured.  Worker counts beyond 1 additionally
-    time the in-memory range-partitioned parallel merge (generous
-    budget, since workers apply to the resident merge phase) against
-    its own serial baseline; its speedup depends on idle cores — on a
-    single-core host it honestly reports ~1x (threads) or the pool
-    transfer overhead (processes) — while its output equivalence holds
-    everywhere.
-    """
-    rows = []
-    workers_list = [w for w in (workers_list or []) if w > 1]
-    for n_records in record_counts:
-        for n_runs in run_counts:
-            runs = make_presorted_runs(
-                n_records, n_runs, seed=seed, dup_alphabet=dup_alphabet
-            )
-            record_bytes = 8 + 8
-            memory = max(
-                1024, int(n_records * record_bytes * memory_fraction)
-            )
-            hk, hp, hs, hio, hrep, ht = _drive_merge(runs, memory, "heapq")
-            bk, bp, bs, bio, brep, bt = _drive_merge(runs, memory, "blockwise")
-            identical = bool(
-                np.array_equal(hk, bk)
-                and np.array_equal(hp, bp)
-                and hs == bs
-                and hrep == brep
-            )
-            if not identical or hio != bio:
-                raise AssertionError(
-                    f"merge-engine equivalence violation at {n_records} "
-                    f"records / {n_runs} runs: identical={identical}, "
-                    f"io_identical={hio == bio}"
-                )
-            rows.append(
-                {
-                    "records": n_records,
-                    "runs": n_runs,
-                    "engine": "blockwise",
-                    "baseline": "heapq",
-                    "spilled": hrep.spilled,
-                    "heapq_s": ht,
-                    "engine_s": bt,
-                    "speedup": ht / bt if bt else float("inf"),
-                    "identical": identical,
-                    "io_identical": hio == bio,
-                }
-            )
-            if not workers_list:
-                continue
-            inmem = n_records * record_bytes * 4
-            sk, sp, _, _, _, st = _drive_merge(runs, inmem, "blockwise")
-            for w in workers_list:
-                wk, wp, _, wio, _, wt = _drive_merge(
-                    runs, inmem, "blockwise",
-                    merge_workers=w, pool_kind=pool_kind,
-                )
-                if not (np.array_equal(sk, wk) and np.array_equal(sp, wp)):
-                    raise AssertionError(
-                        f"parallel-merge equivalence violation at "
-                        f"{n_records} records / {n_runs} runs / {w} workers"
-                    )
-                rows.append(
-                    {
-                        "records": n_records,
-                        "runs": n_runs,
-                        "engine": f"parallel[{w}w]",
-                        "baseline": "in-memory serial",
-                        "spilled": False,
-                        "heapq_s": st,
-                        "engine_s": wt,
-                        "speedup": st / wt if wt else float("inf"),
-                        "identical": bool(
-                            np.array_equal(sk, wk) and np.array_equal(sp, wp)
-                        ),
-                        "io_identical": wio.total_ios == 0,
-                    }
-                )
-    return rows
-
-
 def run_spilled_merge_sweep(
     record_counts: list[int],
     run_counts: list[int],
@@ -550,432 +422,6 @@ def _drive_spilled_merge(
         "spill_s": t1 - t0,
         "merge_s": t2 - t1,
     }
-
-
-def _drive_arena_fetch(
-    store: str, n_series: int, length: int, fetch_fraction: float, seed: int
-) -> dict:
-    """One timed scan + skip-sequential fetch pass on a fresh disk.
-
-    Returns everything the sweep needs to assert the cross-store
-    contract: the scanned and fetched records, the classified
-    counters, the access trace and the final head position.
-    """
-    import time
-
-    disk = SimulatedDisk(page_size=PAGE_SIZE, store=store, trace=True)
-    rng = np.random.default_rng(seed)
-    data = rng.standard_normal((n_series, length)).astype(np.float32)
-    raw = RawSeriesFile.create(disk, data)
-    n_fetch = max(1, int(n_series * fetch_fraction))
-    idxs = np.sort(rng.choice(n_series, size=n_fetch, replace=False))
-    disk.reset_stats()
-    disk.park_head()
-    t0 = time.perf_counter()
-    blocks = [block for _, block in raw.scan()]
-    t1 = time.perf_counter()
-    fetched = raw.get_many(idxs)
-    t2 = time.perf_counter()
-    return {
-        "scanned": np.concatenate(blocks),
-        "fetched": fetched,
-        "scan_s": t1 - t0,
-        "fetch_s": t2 - t1,
-        "stats": disk.stats,
-        "trace": list(disk.trace),
-        "head": disk.head_position,
-    }
-
-
-def _drive_arena_merge(
-    store: str,
-    runs: list[tuple[np.ndarray, np.ndarray]],
-    memory_bytes: int,
-    merge_workers: int,
-) -> dict:
-    """One timed spilled sort_runs pass on a fresh disk of ``store``."""
-    import time
-
-    from ..storage.external_sort import ExternalSorter
-
-    disk = SimulatedDisk(page_size=PAGE_SIZE, store=store, trace=True)
-    sorter = ExternalSorter(disk, memory_bytes, merge_workers=merge_workers)
-    t0 = time.perf_counter()
-    parts = list(sorter.sort_runs(runs))
-    wall = time.perf_counter() - t0
-    return {
-        "keys": np.concatenate([k for k, _ in parts]),
-        "payloads": np.concatenate([p for _, p in parts]),
-        "shapes": [len(k) for k, _ in parts],
-        "stats": disk.stats,
-        "trace": list(disk.trace),
-        "report": sorter.report,
-        "wall_s": wall,
-    }
-
-
-def run_arena_sweep(
-    n_series_list: list[int],
-    length: int = 128,
-    fetch_fraction: float = 0.3,
-    record_counts: list[int] | None = None,
-    run_counts: list[int] | None = None,
-    workers_list: list[int] | None = None,
-    seed: int = 7,
-    memory_fraction: float = 1 / 8,
-    payload_dims: int = 16,
-) -> list[dict]:
-    """Arena page store vs. the dict-store oracle, per workload cell.
-
-    Every cell runs the same workload twice — once on the default
-    contiguous-arena store and once on the per-page dict store the
-    arena replaced — and *asserts* the tentpole contract before
-    reporting a speedup: answers (scanned/fetched/merged records),
-    classified :class:`DiskStats`, access traces and head positions
-    must be bit-identical; only the copy profile and the wall clock
-    may differ.
-
-    Cells:
-
-    * ``scan`` / ``fetch`` — a full :meth:`RawSeriesFile.scan` and a
-      skip-sequential :meth:`RawSeriesFile.get_many` over
-      ``fetch_fraction`` of the records (the SIMS exact-search fetch
-      pattern).  These are the copy-bound paths the arena exists for:
-      the dict store joins and pads every page on the way up, the
-      arena hands out zero-copy views.
-    * ``merge`` — a spilled ``sort_runs`` pass (``memory_fraction`` of
-      the data, so the cascade streams through :class:`RunCursor`
-      refills); ``workers_list`` entries > 1 additionally run the
-      sharded cascade, exercising shard arenas and the splice-based
-      detach on both stores.
-    """
-    import os
-
-    rows = []
-    cores = os.cpu_count() or 1
-    for n_series in n_series_list:
-        dict_run = _drive_arena_fetch(
-            "dict", n_series, length, fetch_fraction, seed
-        )
-        arena_run = _drive_arena_fetch(
-            "arena", n_series, length, fetch_fraction, seed
-        )
-        identical = bool(
-            np.array_equal(dict_run["scanned"], arena_run["scanned"])
-            and np.array_equal(dict_run["fetched"], arena_run["fetched"])
-        )
-        io_identical = (
-            dict_run["stats"] == arena_run["stats"]
-            and dict_run["trace"] == arena_run["trace"]
-            and dict_run["head"] == arena_run["head"]
-        )
-        if not identical or not io_identical:
-            raise AssertionError(
-                f"arena-store equivalence violation at {n_series} series: "
-                f"identical={identical}, io_identical={io_identical}"
-            )
-        for phase in ("scan", "fetch"):
-            rows.append(
-                {
-                    "workload": phase,
-                    "n_series": n_series,
-                    "length": length,
-                    "cores": cores,
-                    "dict_s": dict_run[f"{phase}_s"],
-                    "arena_s": arena_run[f"{phase}_s"],
-                    "speedup": (
-                        dict_run[f"{phase}_s"] / arena_run[f"{phase}_s"]
-                        if arena_run[f"{phase}_s"]
-                        else float("inf")
-                    ),
-                    "identical": identical,
-                    "io_identical": io_identical,
-                }
-            )
-    record_bytes = 8 + 4 * payload_dims
-    for n_records in record_counts or []:
-        for n_runs in run_counts or [8]:
-            runs = make_presorted_runs(
-                n_records, n_runs, seed=seed, payload_dims=payload_dims
-            )
-            memory = max(2048, int(n_records * record_bytes * memory_fraction))
-            for workers in workers_list or [1]:
-                dict_run = _drive_arena_merge("dict", runs, memory, workers)
-                arena_run = _drive_arena_merge("arena", runs, memory, workers)
-                identical = bool(
-                    np.array_equal(dict_run["keys"], arena_run["keys"])
-                    and np.array_equal(
-                        dict_run["payloads"], arena_run["payloads"]
-                    )
-                    and dict_run["shapes"] == arena_run["shapes"]
-                    and dict_run["report"] == arena_run["report"]
-                )
-                io_identical = (
-                    dict_run["stats"] == arena_run["stats"]
-                    and dict_run["trace"] == arena_run["trace"]
-                )
-                if not identical or not io_identical:
-                    raise AssertionError(
-                        f"arena-store merge equivalence violation at "
-                        f"{n_records} records / {n_runs} runs / {workers} "
-                        f"workers: identical={identical}, "
-                        f"io_identical={io_identical}"
-                    )
-                rows.append(
-                    {
-                        "workload": f"merge[{workers}w]",
-                        "records": n_records,
-                        "runs": n_runs,
-                        "cores": cores,
-                        "spilled": dict_run["report"].spilled,
-                        "dict_s": dict_run["wall_s"],
-                        "arena_s": arena_run["wall_s"],
-                        "speedup": (
-                            dict_run["wall_s"] / arena_run["wall_s"]
-                            if arena_run["wall_s"]
-                            else float("inf")
-                        ),
-                        "identical": identical,
-                        "io_identical": io_identical,
-                    }
-                )
-    return rows
-
-
-def _drive_fetch_pass(
-    store: str,
-    n_series: int,
-    length: int,
-    fetch_fraction: float,
-    seed: int,
-    use_loop: bool,
-    page_size: int = PAGE_SIZE,
-) -> dict:
-    """One timed skip-sequential gather on a fresh traced disk.
-
-    ``use_loop`` selects the retained loop-level oracle
-    (:meth:`RawSeriesFile.get_many_loop`) instead of the vectorized
-    gather; everything else — data, index array, page geometry — is
-    identical, so the sweep can assert records, classified
-    :class:`DiskStats`, access traces and head positions cell by cell.
-    """
-    import time
-
-    disk = SimulatedDisk(page_size=page_size, store=store, trace=True)
-    rng = np.random.default_rng(seed)
-    data = rng.standard_normal((n_series, length)).astype(np.float32)
-    raw = RawSeriesFile.create(disk, data)
-    n_fetch = max(1, int(n_series * fetch_fraction))
-    idxs = np.sort(rng.choice(n_series, size=n_fetch, replace=False))
-    gather = raw.get_many_loop if use_loop else raw.get_many
-    disk.reset_stats()
-    disk.park_head()
-    t0 = time.perf_counter()
-    fetched = gather(idxs)
-    wall = time.perf_counter() - t0
-    return {
-        "fetched": fetched,
-        "wall_s": wall,
-        "stats": disk.stats,
-        "trace": list(disk.trace),
-        "head": disk.head_position,
-    }
-
-
-def _drive_refine_pass(
-    n_series: int, length: int, seed: int, use_loop: bool
-) -> dict:
-    """One timed refine pass: block kernel vs the scalar row loop.
-
-    Mirrors the SIMS refine step: distances from one query to a
-    fetched block under a best-so-far at the workload's 1st percentile
-    — tight enough for the scalar loop to abandon most rows, so the
-    cell compares the one-pass kernel with the UCR loop at its best.
-    ``naive`` is the one-shot formula both are checked against.
-    """
-    import time
-
-    from ..series.distance import (
-        early_abandon_euclidean,
-        early_abandon_euclidean_block,
-    )
-
-    rng = np.random.default_rng(seed)
-    block = rng.standard_normal((n_series, length)).astype(np.float32)
-    query = rng.standard_normal(length).astype(np.float32)
-    naive = np.sqrt(
-        np.sum(
-            (block.astype(np.float64) - query.astype(np.float64)) ** 2,
-            axis=1,
-        )
-    )
-    best_so_far = float(np.quantile(naive[:256], 0.01))
-    t0 = time.perf_counter()
-    if use_loop:
-        distances = np.array(
-            [
-                early_abandon_euclidean(query, block[i], best_so_far)
-                for i in range(len(block))
-            ]
-        )
-    else:
-        distances = early_abandon_euclidean_block(query, block, best_so_far)
-    wall = time.perf_counter() - t0
-    return {
-        "distances": distances,
-        "wall_s": wall,
-        "naive": naive,
-        "bound": best_so_far,
-    }
-
-
-def run_fetch_sweep(
-    n_series_list: list[int],
-    length: int = 128,
-    fetch_fraction: float = 0.3,
-    seed: int = 7,
-    repeats: int = 3,
-) -> list[dict]:
-    """Vectorized fetch/refine vs the loop-level oracle, per cell.
-
-    Every ``gather`` cell runs the same skip-sequential workload twice
-    per page store — once through the vectorized
-    :meth:`RawSeriesFile.get_many`, once through the retained
-    loop-level oracle :meth:`RawSeriesFile.get_many_loop` — and
-    *asserts* the tentpole contract before reporting a speedup:
-    fetched records, classified :class:`DiskStats` and head positions
-    must be bit-identical between the two paths, and records, stats,
-    access traces and head positions bit-identical across stores per
-    path; only the wall clock may differ.  Every
-    ``refine`` cell asserts the contract of
-    :func:`early_abandon_euclidean_block`: every value bitwise the
-    naive one-shot formula, ``inf`` only strictly above the bound, and
-    never ``inf`` where the scalar early-abandon loop keeps the row.
-
-    Wall clocks take the best of ``repeats`` runs, so the reported
-    speedups are noise floors, not averages.
-    """
-    import os
-
-    rows = []
-    cores = os.cpu_count() or 1
-    for n_series in n_series_list:
-        per_store: dict[str, dict] = {}
-        for store in ("dict", "arena"):
-            loop_run = min(
-                (
-                    _drive_fetch_pass(
-                        store, n_series, length, fetch_fraction, seed, True
-                    )
-                    for _ in range(repeats)
-                ),
-                key=lambda run: run["wall_s"],
-            )
-            vector_run = min(
-                (
-                    _drive_fetch_pass(
-                        store, n_series, length, fetch_fraction, seed, False
-                    )
-                    for _ in range(repeats)
-                ),
-                key=lambda run: run["wall_s"],
-            )
-            identical = bool(
-                np.array_equal(loop_run["fetched"], vector_run["fetched"])
-            )
-            # Classified stats and head movement must match exactly;
-            # the raw traces differ only in granularity (the gather
-            # records one tuple per bulk run where the loop records
-            # one per page), so they are pinned across *stores* below
-            # instead, per access path.
-            io_identical = (
-                loop_run["stats"] == vector_run["stats"]
-                and loop_run["head"] == vector_run["head"]
-            )
-            if not identical or not io_identical:
-                raise AssertionError(
-                    f"fetch equivalence violation at {n_series} series on "
-                    f"the {store} store: identical={identical}, "
-                    f"io_identical={io_identical}"
-                )
-            per_store[store] = {"loop": loop_run, "vector": vector_run}
-            rows.append(
-                {
-                    "workload": "gather",
-                    "store": store,
-                    "n_series": n_series,
-                    "length": length,
-                    "cores": cores,
-                    "loop_s": loop_run["wall_s"],
-                    "vector_s": vector_run["wall_s"],
-                    "speedup": (
-                        loop_run["wall_s"] / vector_run["wall_s"]
-                        if vector_run["wall_s"]
-                        else float("inf")
-                    ),
-                    "identical": identical,
-                    "io_identical": io_identical,
-                }
-            )
-        for path in ("loop", "vector"):
-            dict_run = per_store["dict"][path]
-            arena_run = per_store["arena"][path]
-            if not (
-                np.array_equal(dict_run["fetched"], arena_run["fetched"])
-                and dict_run["stats"] == arena_run["stats"]
-                and dict_run["trace"] == arena_run["trace"]
-                and dict_run["head"] == arena_run["head"]
-            ):
-                raise AssertionError(
-                    f"cross-store {path}-gather divergence at "
-                    f"{n_series} series"
-                )
-        loop_refine = min(
-            (
-                _drive_refine_pass(n_series, length, seed, True)
-                for _ in range(repeats)
-            ),
-            key=lambda run: run["wall_s"],
-        )
-        vector_refine = min(
-            (
-                _drive_refine_pass(n_series, length, seed, False)
-                for _ in range(repeats)
-            ),
-            key=lambda run: run["wall_s"],
-        )
-        block_d, naive = vector_refine["distances"], vector_refine["naive"]
-        kept = block_d != np.inf
-        identical = bool(
-            np.array_equal(
-                block_d[kept].view(np.uint64), naive[kept].view(np.uint64)
-            )
-            and np.all(naive[~kept] > vector_refine["bound"])
-            and np.all(kept | (loop_refine["distances"] == np.inf))
-        )
-        if not identical:
-            raise AssertionError(
-                f"refine kernel divergence at {n_series} series"
-            )
-        rows.append(
-            {
-                "workload": "refine",
-                "store": "-",
-                "n_series": n_series,
-                "length": length,
-                "cores": cores,
-                "loop_s": loop_refine["wall_s"],
-                "vector_s": vector_refine["wall_s"],
-                "speedup": (
-                    loop_refine["wall_s"] / vector_refine["wall_s"]
-                    if vector_refine["wall_s"]
-                    else float("inf")
-                ),
-                "identical": identical,
-                "io_identical": True,
-            }
-        )
-    return rows
 
 
 def run_batch_query_experiment(
@@ -1409,7 +855,6 @@ def run_update_workload(
 
 
 def _drive_fault_fetch_pass(
-    store: str,
     n_series: int,
     length: int,
     fetch_fraction: float,
@@ -1429,7 +874,7 @@ def _drive_fault_fetch_pass(
 
     from ..storage.faults import FaultyDevice
 
-    disk = SimulatedDisk(page_size=page_size, store=store)
+    disk = SimulatedDisk(page_size=page_size)
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((n_series, length)).astype(np.float32)
     raw = RawSeriesFile.create(disk, data)
@@ -1449,7 +894,7 @@ def _drive_fault_fetch_pass(
     }
 
 
-def _drive_recovery_smoke(store: str, seed: int) -> dict:
+def _drive_recovery_smoke(seed: int) -> dict:
     """One injected-crash + recovery cycle; asserts the oracle contract.
 
     A small durable LSM takes batches through a seeded fault schedule
@@ -1475,7 +920,7 @@ def _drive_recovery_smoke(store: str, seed: int) -> dict:
     queries = rng.standard_normal((3, length))
 
     def fresh(device_plan):
-        disk = SimulatedDisk(page_size=2048, store=store)
+        disk = SimulatedDisk(page_size=2048)
         raw = RawSeriesFile(disk, length)
         raw.append_batch(base)
         device = disk if device_plan is None else FaultyDevice(disk, device_plan)
@@ -1517,9 +962,7 @@ def _drive_recovery_smoke(store: str, seed: int) -> dict:
             a.answer_idx == b.answer_idx and a.distance == b.distance
         )
     if not identical:
-        raise AssertionError(
-            f"recovery divergence on the {store} store at seed {seed}"
-        )
+        raise AssertionError(f"recovery divergence at seed {seed}")
     return {
         "faults": faults,
         "acked_rows": int(raw.n_series),
@@ -1539,93 +982,84 @@ def run_fault_overhead_sweep(
 ) -> list[dict]:
     """Price the disabled fault hook; smoke-test injected recovery.
 
-    ``overhead`` cells run the headline skip-sequential gather twice
-    per page store — bare device vs ``FaultyDevice(plan=None)`` — and
-    assert fetched records, classified :class:`DiskStats` and head
-    positions bit-identical before reporting the wall-clock ratio
-    (best of ``repeats``; the <5% gate is armed by
+    ``overhead`` cells run the headline skip-sequential gather twice —
+    bare device vs ``FaultyDevice(plan=None)`` — and assert fetched
+    records, classified :class:`DiskStats` and head positions
+    bit-identical before reporting the wall-clock ratio (best of
+    ``repeats``; the <5% gate is armed by
     ``benchmarks/bench_faults.py`` at the headline scale only).
-    ``recovery`` cells run seeded crash/recover cycles on both stores
-    and assert the recovered index answers exactly like the
-    acknowledged-rows oracle.
+    ``recovery`` cells run seeded crash/recover cycles and assert the
+    recovered index answers exactly like the acknowledged-rows oracle.
     """
     import os
 
     rows = []
     cores = os.cpu_count() or 1
     for n_series in n_series_list:
-        for store in ("dict", "arena"):
-            bare = min(
-                (
-                    _drive_fault_fetch_pass(
-                        store, n_series, length, fetch_fraction, seed, False
-                    )
-                    for _ in range(repeats)
-                ),
-                key=lambda run: run["wall_s"],
-            )
-            hooked = min(
-                (
-                    _drive_fault_fetch_pass(
-                        store, n_series, length, fetch_fraction, seed, True
-                    )
-                    for _ in range(repeats)
-                ),
-                key=lambda run: run["wall_s"],
-            )
-            identical = bool(
-                np.array_equal(bare["fetched"], hooked["fetched"])
-            )
-            io_identical = (
-                bare["stats"] == hooked["stats"]
-                and bare["head"] == hooked["head"]
-            )
-            if not identical or not io_identical:
-                raise AssertionError(
-                    f"disabled fault hook changed the fetch at {n_series} "
-                    f"series on the {store} store: identical={identical}, "
-                    f"io_identical={io_identical}"
+        bare = min(
+            (
+                _drive_fault_fetch_pass(
+                    n_series, length, fetch_fraction, seed, False
                 )
-            rows.append(
-                {
-                    "workload": "overhead",
-                    "store": store,
-                    "n_series": n_series,
-                    "cores": cores,
-                    "bare_s": bare["wall_s"],
-                    "hooked_s": hooked["wall_s"],
-                    "overhead": (
-                        hooked["wall_s"] / bare["wall_s"]
-                        if bare["wall_s"]
-                        else 1.0
-                    ),
-                    "identical": identical,
-                    "io_identical": io_identical,
-                }
+                for _ in range(repeats)
+            ),
+            key=lambda run: run["wall_s"],
+        )
+        hooked = min(
+            (
+                _drive_fault_fetch_pass(
+                    n_series, length, fetch_fraction, seed, True
+                )
+                for _ in range(repeats)
+            ),
+            key=lambda run: run["wall_s"],
+        )
+        identical = bool(np.array_equal(bare["fetched"], hooked["fetched"]))
+        io_identical = (
+            bare["stats"] == hooked["stats"] and bare["head"] == hooked["head"]
+        )
+        if not identical or not io_identical:
+            raise AssertionError(
+                f"disabled fault hook changed the fetch at {n_series} "
+                f"series: identical={identical}, "
+                f"io_identical={io_identical}"
             )
-    for store in ("dict", "arena"):
-        for smoke_seed in range(recovery_seeds):
-            smoke = _drive_recovery_smoke(store, seed + smoke_seed)
-            rows.append(
-                {
-                    "workload": "recovery",
-                    "store": store,
-                    "n_series": smoke["acked_rows"],
-                    "cores": cores,
-                    "bare_s": 0.0,
-                    "hooked_s": smoke["wall_s"],
-                    "overhead": 1.0,
-                    "identical": smoke["identical"],
-                    "io_identical": True,
-                    "faults": smoke["faults"],
-                    "rebuilt_runs": smoke["rebuilt_runs"],
-                }
-            )
+        rows.append(
+            {
+                "workload": "overhead",
+                "n_series": n_series,
+                "cores": cores,
+                "bare_s": bare["wall_s"],
+                "hooked_s": hooked["wall_s"],
+                "overhead": (
+                    hooked["wall_s"] / bare["wall_s"]
+                    if bare["wall_s"]
+                    else 1.0
+                ),
+                "identical": identical,
+                "io_identical": io_identical,
+            }
+        )
+    for smoke_seed in range(recovery_seeds):
+        smoke = _drive_recovery_smoke(seed + smoke_seed)
+        rows.append(
+            {
+                "workload": "recovery",
+                "n_series": smoke["acked_rows"],
+                "cores": cores,
+                "bare_s": 0.0,
+                "hooked_s": smoke["wall_s"],
+                "overhead": 1.0,
+                "identical": smoke["identical"],
+                "io_identical": True,
+                "faults": smoke["faults"],
+                "rebuilt_runs": smoke["rebuilt_runs"],
+            }
+        )
     return rows
 
 
 def _drive_verified_fetch_pass(
-    store: str,
     n_series: int,
     length: int,
     fetch_fraction: float,
@@ -1643,7 +1077,7 @@ def _drive_verified_fetch_pass(
     """
     import time
 
-    disk = SimulatedDisk(page_size=page_size, store=store, integrity=True)
+    disk = SimulatedDisk(page_size=page_size, integrity=True)
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((n_series, length)).astype(np.float32)
     raw = RawSeriesFile.create(disk, data)
@@ -1663,7 +1097,7 @@ def _drive_verified_fetch_pass(
     }
 
 
-def _drive_scrub_cell(store: str, seed: int) -> dict:
+def _drive_scrub_cell(seed: int) -> dict:
     """One seeded decay + sweep cycle; asserts detected == injected.
 
     Builds a small durable index on an integrity disk, injects seeded
@@ -1686,7 +1120,7 @@ def _drive_scrub_cell(store: str, seed: int) -> dict:
     extra = rng.standard_normal((150, length)).astype(np.float32)
     queries = rng.standard_normal((3, length))
 
-    disk = SimulatedDisk(page_size=2048, store=store, integrity=True)
+    disk = SimulatedDisk(page_size=2048, integrity=True)
     raw = RawSeriesFile(disk, length)
     raw.append_batch(base)
     ix = CoconutLSM(disk, 1 << 10, config, durability="wal")
@@ -1716,22 +1150,19 @@ def _drive_scrub_cell(store: str, seed: int) -> dict:
     detected = set(report.corrupt_pages)
     if detected != injected:
         raise AssertionError(
-            f"scrub detection violation on the {store} store at seed "
-            f"{seed}: injected {sorted(injected)}, detected "
-            f"{sorted(detected)}"
+            f"scrub detection violation at seed {seed}: injected "
+            f"{sorted(injected)}, detected {sorted(detected)}"
         )
     if scrubber.unrepairable:
         raise AssertionError(
-            f"scrub left {sorted(scrubber.unrepairable)} unrepaired on "
-            f"the {store} store at seed {seed}"
+            f"scrub left {sorted(scrubber.unrepairable)} unrepaired at "
+            f"seed {seed}"
         )
     after = [
         (r.answer_idx, r.distance) for r in (ix.exact_search(q) for q in queries)
     ]
     if after != expect:
-        raise AssertionError(
-            f"post-repair answers moved on the {store} store at seed {seed}"
-        )
+        raise AssertionError(f"post-repair answers moved at seed {seed}")
     return {
         "pages_scanned": report.pages_scanned,
         "injected": len(injected),
@@ -1753,90 +1184,86 @@ def run_scrub_sweep(
 ) -> list[dict]:
     """Price verified reads; smoke-test seeded scrub + repair.
 
-    ``overhead`` cells run the headline skip-sequential gather twice
-    per page store — unverified vs ``verified_reads=True``, both on an
+    ``overhead`` cells run the headline skip-sequential gather twice —
+    unverified vs ``verified_reads=True``, both on an
     integrity-recorded disk — and assert fetched records, classified
     :class:`DiskStats` and head positions bit-identical before
     reporting the wall-clock ratio (best of ``repeats``; the <=10%
     gate is armed by ``benchmarks/bench_scrub.py`` at the headline
-    scale only).  ``scrub`` cells run seeded decay + sweep cycles on
-    both stores; each asserts detected == injected, full repair and
-    unmoved answers, and reports the sweep's page scan rate.
+    scale only).  ``scrub`` cells run seeded decay + sweep cycles;
+    each asserts detected == injected, full repair and unmoved
+    answers, and reports the sweep's page scan rate.
     """
     import os
 
     rows = []
     cores = os.cpu_count() or 1
     for n_series in n_series_list:
-        for store in ("dict", "arena"):
-            plain = min(
-                (
-                    _drive_verified_fetch_pass(
-                        store, n_series, length, fetch_fraction, seed, False
-                    )
-                    for _ in range(repeats)
-                ),
-                key=lambda run: run["wall_s"],
-            )
-            verified = min(
-                (
-                    _drive_verified_fetch_pass(
-                        store, n_series, length, fetch_fraction, seed, True
-                    )
-                    for _ in range(repeats)
-                ),
-                key=lambda run: run["wall_s"],
-            )
-            identical = bool(
-                np.array_equal(plain["fetched"], verified["fetched"])
-            )
-            io_identical = (
-                plain["stats"] == verified["stats"]
-                and plain["head"] == verified["head"]
-            )
-            if not identical or not io_identical:
-                raise AssertionError(
-                    f"verified reads changed the fetch at {n_series} "
-                    f"series on the {store} store: identical={identical}, "
-                    f"io_identical={io_identical}"
+        plain = min(
+            (
+                _drive_verified_fetch_pass(
+                    n_series, length, fetch_fraction, seed, False
                 )
-            rows.append(
-                {
-                    "workload": "overhead",
-                    "store": store,
-                    "n_series": n_series,
-                    "cores": cores,
-                    "plain_s": plain["wall_s"],
-                    "verified_s": verified["wall_s"],
-                    "overhead": (
-                        verified["wall_s"] / plain["wall_s"]
-                        if plain["wall_s"]
-                        else 1.0
-                    ),
-                    "identical": identical,
-                    "io_identical": io_identical,
-                }
+                for _ in range(repeats)
+            ),
+            key=lambda run: run["wall_s"],
+        )
+        verified = min(
+            (
+                _drive_verified_fetch_pass(
+                    n_series, length, fetch_fraction, seed, True
+                )
+                for _ in range(repeats)
+            ),
+            key=lambda run: run["wall_s"],
+        )
+        identical = bool(
+            np.array_equal(plain["fetched"], verified["fetched"])
+        )
+        io_identical = (
+            plain["stats"] == verified["stats"]
+            and plain["head"] == verified["head"]
+        )
+        if not identical or not io_identical:
+            raise AssertionError(
+                f"verified reads changed the fetch at {n_series} "
+                f"series: identical={identical}, "
+                f"io_identical={io_identical}"
             )
-    for store in ("dict", "arena"):
-        for scrub_seed in range(scrub_seeds):
-            cell = _drive_scrub_cell(store, seed + scrub_seed)
-            rows.append(
-                {
-                    "workload": "scrub",
-                    "store": store,
-                    "n_series": cell["pages_scanned"],
-                    "cores": cores,
-                    "plain_s": 0.0,
-                    "verified_s": cell["wall_s"],
-                    "overhead": 1.0,
-                    "identical": cell["identical"],
-                    "io_identical": True,
-                    "injected": cell["injected"],
-                    "detected": cell["detected"],
-                    "repaired": cell["repaired"],
-                    "rebuilt_runs": cell["rebuilt_runs"],
-                }
-            )
+        rows.append(
+            {
+                "workload": "overhead",
+                "n_series": n_series,
+                "cores": cores,
+                "plain_s": plain["wall_s"],
+                "verified_s": verified["wall_s"],
+                "overhead": (
+                    verified["wall_s"] / plain["wall_s"]
+                    if plain["wall_s"]
+                    else 1.0
+                ),
+                "identical": identical,
+                "io_identical": io_identical,
+            }
+        )
+    for scrub_seed in range(scrub_seeds):
+        cell = _drive_scrub_cell(seed + scrub_seed)
+        rows.append(
+            {
+                "workload": "scrub",
+                "n_series": cell["pages_scanned"],
+                "cores": cores,
+                "plain_s": 0.0,
+                "verified_s": cell["wall_s"],
+                "overhead": 1.0,
+                "identical": cell["identical"],
+                "io_identical": True,
+                "injected": cell["injected"],
+                "detected": cell["detected"],
+                "repaired": cell["repaired"],
+                "rebuilt_runs": cell["rebuilt_runs"],
+            }
+        )
     return rows
 
 
@@ -1896,7 +1323,7 @@ def run_serve_sweep(
 
     def oracle_at(watermark: int) -> CoconutLSM:
         if watermark not in oracles:
-            odisk = SimulatedDisk(page_size=PAGE_SIZE, store="arena")
+            odisk = SimulatedDisk(page_size=PAGE_SIZE)
             oraw = RawSeriesFile(odisk, spec.length)
             oraw.append_batch(all_rows[:watermark])
             index = CoconutLSM(odisk, memory, config)
@@ -1907,7 +1334,7 @@ def run_serve_sweep(
     rows = []
     cores = _os_cores()
     for workers in workers_list:
-        disk = SimulatedDisk(page_size=PAGE_SIZE, store="arena")
+        disk = SimulatedDisk(page_size=PAGE_SIZE)
         raw = RawSeriesFile(disk, spec.length)
         raw.append_batch(base)
         service = CoconutService(

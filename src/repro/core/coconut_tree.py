@@ -32,16 +32,15 @@ chunk's invSAX keys presorted, and the presorted runs feed
 :meth:`repro.storage.ExternalSorter.sort_runs` — the partition phase of
 the external sort runs on all cores.  The same worker count drives the
 merge phase: resident runs are range-partitioned and merged on a pool
-(:mod:`repro.parallel.merge`), and *spilled* runs now merge the same
+(:mod:`repro.parallel.merge`), and *spilled* runs merge the same
 way on the sharded storage layer (:mod:`repro.parallel.spill`) — each
 cascade group's key range is partitioned and every partition streams
 its slices of the run files through a private
 :class:`repro.storage.disk.DiskShard`, so ``workers=N`` parallelizes
-partition, resident merge and the file-backed cascade alike
-(``merge_engine="heapq"`` selects the per-record oracle).  The
+partition, resident merge and the file-backed cascade alike.  The
 resulting leaf level is bit-identical (same keys, same leaf
 boundaries, same payload order) to the serial build for every worker
-count, chunk size and merge engine.
+count and chunk size.
 Batched queries (:meth:`query_batch`) share one SIMS summary scan and
 every fetched page across the whole batch via
 :func:`repro.parallel.batched_exact_knn`; batched approximate queries
@@ -110,7 +109,6 @@ class CoconutTree(SeriesIndex):
         workers: int = 1,
         chunk_series: int | None = None,
         pool_kind: str = "process",
-        merge_engine: str = "blockwise",
     ):
         super().__init__(disk, memory_bytes)
         if not 0.5 <= fill_factor <= 1.0:
@@ -128,7 +126,6 @@ class CoconutTree(SeriesIndex):
         self.workers = max(1, int(workers))
         self.chunk_series = chunk_series
         self.pool_kind = pool_kind
-        self.merge_engine = merge_engine
         self.name = "Coconut-Tree-Full" if materialized else "Coconut-Tree"
         self._leaves: list[_Leaf] = []
         self._first_keys: np.ndarray | None = None
@@ -183,7 +180,6 @@ class CoconutTree(SeriesIndex):
             sorter = ExternalSorter(
                 self.disk,
                 self.memory_bytes,
-                merge_engine=self.merge_engine,
                 merge_workers=self.workers,
             )
             if self.workers > 1:

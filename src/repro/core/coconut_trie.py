@@ -65,7 +65,6 @@ class CoconutTrie(SeriesIndex):
         workers: int = 1,
         chunk_series: int | None = None,
         pool_kind: str = "process",
-        merge_engine: str = "blockwise",
     ):
         super().__init__(disk, memory_bytes)
         if leaf_size <= 0:
@@ -76,7 +75,6 @@ class CoconutTrie(SeriesIndex):
         self.workers = max(1, int(workers))
         self.chunk_series = chunk_series
         self.pool_kind = pool_kind
-        self.merge_engine = merge_engine
         self.name = "Coconut-Trie-Full" if materialized else "Coconut-Trie"
         self._leaves: list[_TrieLeaf] = []
         self._first_keys: np.ndarray | None = None
@@ -97,7 +95,6 @@ class CoconutTrie(SeriesIndex):
             sorter = ExternalSorter(
                 self.disk,
                 self.memory_bytes,
-                merge_engine=self.merge_engine,
                 merge_workers=self.workers,
             )
             if self.workers > 1:

@@ -19,23 +19,22 @@ the extension is natural:
 Compaction merging
 ------------------
 Compaction inputs are already sorted, so merging them is a pure merge,
-not a sort.  The default ``merge_engine="vectorized"`` merges the runs
-pairwise with NumPy searchsorted scatters
-(:func:`repro.storage.merge.merge_presorted`); with ``workers > 1``
-compaction runs on the sharded storage layer
+not a sort: the serial compaction merges the runs pairwise with NumPy
+searchsorted scatters (:func:`repro.storage.merge.merge_presorted`);
+with ``workers > 1`` compaction runs on the sharded storage layer
 (:func:`repro.parallel.spill.sharded_spill_merge`): the key space is
 range-partitioned, each partition reads its record slices of the input
 run files through a private :class:`repro.storage.disk.DiskShard` and
 writes a disjoint extent of the output run, and the shards are
-reconciled deterministically in partition order.  All paths — the
-serial merge, the sharded merge for any worker count or splitter
-sample, and the retained ``merge_engine="argsort"`` oracle, a stable
-argsort of the concatenation — produce bit-identical runs: the merge
-is stable over runs listed in ``self._runs`` order, so ties resolve by
-(run order, position), which is exactly what the argsort of the
-concatenation yields.  Worker count can therefore never change what
-lands on disk, only how fast the merge happens; the sharded plan's
-DiskStats are pinned to its serial replay (``pool_kind="serial"``).
+reconciled deterministically in partition order.  Both paths — the
+serial merge and the sharded merge for any worker count or splitter
+sample — produce bit-identical runs: the merge is stable over runs
+listed in ``self._runs`` order, so ties resolve by (run order,
+position), which is exactly what a stable argsort of the concatenation
+yields (the oracle the tests pin both to).  Worker count can therefore
+never change what lands on disk, only how fast the merge happens; the
+sharded plan's DiskStats are pinned to its serial replay
+(``pool_kind="serial"``).
 
 Compare with :class:`repro.core.coconut_tree.CoconutTree.insert_batch`,
 which merges batches straight into the leaf level (cheap for big
@@ -71,10 +70,6 @@ from .wal import (
 )
 
 logger = logging.getLogger("repro.core.lsm")
-
-#: Compaction merge strategies (the argsort oracle re-sorts instead of
-#: merging; it is kept for equivalence testing).
-LSM_MERGE_ENGINES = ("vectorized", "argsort")
 
 #: Durability modes: ``None`` keeps the original volatile behaviour;
 #: ``"wal"`` adds checksummed run footers + the write-ahead manifest
@@ -146,18 +141,12 @@ class CoconutLSM(SeriesIndex):
         size_ratio: int = 4,
         workers: int = 1,
         pool_kind: str = "thread",
-        merge_engine: str = "vectorized",
         durability: "str | None" = None,
         wal_id: int = 1,
     ):
         super().__init__(disk, memory_bytes)
         if size_ratio < 2:
             raise ValueError(f"size_ratio must be >= 2, got {size_ratio}")
-        if merge_engine not in LSM_MERGE_ENGINES:
-            raise ValueError(
-                f"merge_engine must be one of {LSM_MERGE_ENGINES}, "
-                f"got {merge_engine!r}"
-            )
         if durability not in LSM_DURABILITY_MODES:
             raise ValueError(
                 f"durability must be one of {LSM_DURABILITY_MODES}, "
@@ -167,7 +156,6 @@ class CoconutLSM(SeriesIndex):
         self.size_ratio = size_ratio
         self.workers = max(1, int(workers))
         self.pool_kind = pool_kind
-        self.merge_engine = merge_engine
         self.durability = durability
         self.wal_id = int(wal_id)
         self._wal: WriteAheadLog | None = None
@@ -407,11 +395,7 @@ class CoconutLSM(SeriesIndex):
                 return
             level = min(overflow)
             group = levels[level]
-            if (
-                self.workers > 1
-                and len(group) > 1
-                and self.merge_engine != "argsort"
-            ):
+            if self.workers > 1 and len(group) > 1:
                 try:
                     self._sharded_compact(group, level)
                 except FaultError as error:
@@ -436,7 +420,11 @@ class CoconutLSM(SeriesIndex):
         for run in group:
             run.file.read_stream(0, run.data_pages)
             self._runs.remove(run)
-        keys, offsets = self._merge_group(group)
+        # Stable over ``self._runs`` order, so bit-identical to the
+        # sharded merge (see the module docstring).
+        keys, offsets = merge_presorted(
+            [(run.keys, run.offsets) for run in group]
+        )
         manifest = None
         if self._wal is not None:
             manifest = (
@@ -499,23 +487,6 @@ class CoconutLSM(SeriesIndex):
         for run in group:
             self._runs.remove(run)
         self._runs.append(new_run)
-
-    def _merge_group(
-        self, group: "list[_Run]"
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """Stable merge of a compaction group's sorted components.
-
-        Components are merged in ``self._runs`` order; every strategy
-        (argsort oracle, vectorized pairwise, sharded parallel) is
-        bit-identical — see the module docstring.
-        """
-        runs = [(run.keys, run.offsets) for run in group]
-        if self.merge_engine == "argsort":
-            keys = np.concatenate([k for k, _ in runs])
-            offsets = np.concatenate([o for _, o in runs])
-            order = np.argsort(keys, kind="stable")
-            return keys[order], offsets[order]
-        return merge_presorted(runs)
 
     # ------------------------------------------------------------------
     # Queries
@@ -786,7 +757,6 @@ class CoconutLSM(SeriesIndex):
         wal_id: "int | None" = None,
         workers: int = 1,
         pool_kind: str = "thread",
-        merge_engine: str = "vectorized",
     ) -> "CoconutLSM":
         """Rebuild a durable index from the device after a crash.
 
@@ -814,7 +784,6 @@ class CoconutLSM(SeriesIndex):
             size_ratio=state.size_ratio,
             workers=workers,
             pool_kind=pool_kind,
-            merge_engine=merge_engine,
             durability="wal",
             wal_id=state.wal_id,
         )

@@ -20,7 +20,7 @@ runs on a worker pool by giving every partition its own I/O domain:
    DiskShard`; the worker reads its record slices of every source run
    through read-only :class:`~repro.storage.pager.PagedFile` views
    bound to a *per-shard* :class:`~repro.storage.bufferpool.
-   BufferPool`, merges them with the block-wise engine
+   BufferPool`, merges them with the block-wise k-way merge
    (:mod:`repro.storage.merge`), and writes its slice of the output —
    a disjoint extent of pre-allocated pages — through its shard;
 4. pages straddling a partition byte boundary belong to no shard; the
@@ -63,7 +63,6 @@ import numpy as np
 from ..storage.bufferpool import BufferPool
 from ..storage.disk import PageError, ShardedDisk, SimulatedDisk
 from ..storage.merge import (
-    MERGE_ENGINES,
     RunCursor,
     _ChunkEmitter,
     merge_stream,
@@ -171,7 +170,6 @@ def _merge_partition_to_shard(
     byte_lo: int,
     byte_hi: int,
     out_first: int,
-    engine: str,
     collect: str | None,
 ):
     """One partition's work unit: read slices, merge, write the extent.
@@ -190,7 +188,7 @@ def _merge_partition_to_shard(
                 slices.append((file.attach(pool), hi - lo, lo))
         writer = _ExtentWriter(shard, out_first, byte_lo, byte_hi)
         for chunk_keys, chunk_payloads in merge_stream(
-            engine, slices, rec_dtype, buffer_records
+            slices, rec_dtype, buffer_records
         ):
             block = np.empty(len(chunk_keys), dtype=rec_dtype)
             block["k"] = chunk_keys
@@ -254,7 +252,6 @@ def sharded_spill_merge(
     n_partitions: int,
     buffer_records: int,
     pool_kind: str = "thread",
-    engine: str = "blockwise",
     splitters: np.ndarray | None = None,
     cuts: "list[np.ndarray] | None" = None,
     collect: str | None = None,
@@ -306,8 +303,6 @@ def sharded_spill_merge(
         to its serial compaction).  Attempt counts land on the result's
         ``n_heal_attempts`` and, when given, on ``heal_report``.
     """
-    if engine not in MERGE_ENGINES:
-        raise ValueError(f"engine must be one of {MERGE_ENGINES}, got {engine!r}")
     _validate_pool_kind(pool_kind)
     splitters, cuts = _cut_sources(sources, n_partitions, splitters, cuts)
     n_parts = len(splitters) + 1
@@ -353,7 +348,6 @@ def sharded_spill_merge(
                     byte_ranges[p][0],
                     byte_ranges[p][1],
                     out_first,
-                    engine,
                     collect,
                 )
                 for p in range(n_parts)
@@ -403,7 +397,7 @@ STREAM_QUEUE_CHUNKS = 2
 
 
 class _PairEmitter:
-    """Re-chunk (keys, payloads) pairs to the serial engines' shapes.
+    """Re-chunk (keys, payloads) pairs to the serial merge's shapes.
 
     Same contract as :class:`repro.storage.merge._ChunkEmitter` — full
     ``out_records`` chunks, then one partial — but fed with the column
@@ -493,7 +487,7 @@ def _cut_sources(sources, n_partitions, splitters, cuts=None):
     return splitters, cuts
 
 
-def _partition_chunks(shard, sources, cuts, p, rec_dtype, buffer_records, engine):
+def _partition_chunks(shard, sources, cuts, p, rec_dtype, buffer_records):
     """Stream one partition's merged chunks through its shard (reads only)."""
     with BufferPool(shard, capacity_pages=SHARD_POOL_PAGES) as pool:
         slices = []
@@ -501,7 +495,7 @@ def _partition_chunks(shard, sources, cuts, p, rec_dtype, buffer_records, engine
             lo, hi = int(cut[p]), int(cut[p + 1])
             if hi > lo:
                 slices.append((file.attach(pool), hi - lo, lo))
-        yield from merge_stream(engine, slices, rec_dtype, buffer_records)
+        yield from merge_stream(slices, rec_dtype, buffer_records)
 
 
 def sharded_stream_merge(
@@ -511,7 +505,6 @@ def sharded_stream_merge(
     n_partitions: int,
     buffer_records: int,
     pool_kind: str = "thread",
-    engine: str = "blockwise",
     splitters: np.ndarray | None = None,
     cuts: "list[np.ndarray] | None" = None,
     wrap_device=None,
@@ -523,7 +516,7 @@ def sharded_stream_merge(
     waste two passes over the data.  This generator instead runs the
     per-partition merges concurrently on read-only shards and yields
     the partitions' chunks in range order, re-chunked to the exact
-    shapes the serial engine emits; workers ahead of the consumer park
+    shapes the serial merge emits; workers ahead of the consumer park
     on bounded queues (:data:`STREAM_QUEUE_CHUNKS` chunks each), so
     transient memory stays proportional to the partition count.
 
@@ -540,8 +533,6 @@ def sharded_stream_merge(
     aborts — the parent is unfenced and the *caller* heals (retries the
     whole stream or degrades to the serial merge).
     """
-    if engine not in MERGE_ENGINES:
-        raise ValueError(f"engine must be one of {MERGE_ENGINES}, got {engine!r}")
     _validate_pool_kind(pool_kind)
     splitters, cuts = _cut_sources(sources, n_partitions, splitters, cuts)
     n_parts = len(splitters) + 1
@@ -560,8 +551,7 @@ def sharded_stream_merge(
         if pool_kind == "serial" or n_parts == 1:
             for p in range(n_parts):
                 for chunk_keys, chunk_payloads in _partition_chunks(
-                    devices[p], sources, cuts, p, rec_dtype,
-                    buffer_records, engine,
+                    devices[p], sources, cuts, p, rec_dtype, buffer_records
                 ):
                     yield from emitter.push(chunk_keys, chunk_payloads)
             yield from emitter.flush()
@@ -571,8 +561,7 @@ def sharded_stream_merge(
         def feed(p: int) -> None:
             try:
                 for chunk in _partition_chunks(
-                    devices[p], sources, cuts, p, rec_dtype,
-                    buffer_records, engine,
+                    devices[p], sources, cuts, p, rec_dtype, buffer_records
                 ):
                     queues[p].put(chunk)
                 queues[p].put(None)
@@ -617,7 +606,7 @@ def stream_run_file(
 ):
     """Yield a materialized run back as (keys, payloads) chunks.
 
-    Chunk shapes follow the serial merge engines — full
+    Chunk shapes follow the serial merge — full
     ``buffer_records`` chunks, then one partial — so a parallel final
     pass that materialized its output hands downstream consumers the
     exact stream the serial merge would have yielded.

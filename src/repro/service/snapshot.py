@@ -126,7 +126,6 @@ class ServiceSnapshot:
         view.size_ratio = self.size_ratio
         view.workers = 1
         view.pool_kind = "thread"
-        view.merge_engine = "vectorized"
         view.durability = None
         view.wal_id = 0
         view._wal = None

@@ -9,7 +9,7 @@ same cost model the paper uses.
 
 from .bufferpool import BufferPool
 from .cost import SSD_COST, UNIFORM_COST, CostModel, DiskStats
-from .disk import PAGE_STORES, DiskShard, PageError, ShardedDisk, SimulatedDisk
+from .disk import DiskShard, PageError, ShardedDisk, SimulatedDisk
 from .external_sort import ExternalSorter, SortReport, sort_to_arrays
 from .fence import (
     RunFence,
@@ -40,11 +40,8 @@ from .integrity import (
     verify_view,
 )
 from .merge import (
-    MERGE_ENGINES,
     LoserTree,
     RunCursor,
-    blockwise_merge_stream,
-    heapq_merge_stream,
     merge_pair,
     merge_presorted,
     merge_stream,
@@ -71,8 +68,6 @@ __all__ = [
     "TransientIOError",
     "ExternalSorter",
     "LoserTree",
-    "MERGE_ENGINES",
-    "PAGE_STORES",
     "PageError",
     "PagedFile",
     "RawSeriesFile",
@@ -84,12 +79,10 @@ __all__ = [
     "SortReport",
     "SSD_COST",
     "UNIFORM_COST",
-    "blockwise_merge_stream",
     "build_run_fence",
     "checksum_page",
     "decay_bit",
     "fenced_cut_positions",
-    "heapq_merge_stream",
     "merge_pair",
     "merge_presorted",
     "merge_stream",

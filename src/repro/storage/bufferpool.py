@@ -152,8 +152,8 @@ class BufferPool:
         views, it never copies page payloads.
 
         One caveat follows from holding views: a write that bypasses
-        the pool straight to the device shows through an arena cache
-        (the view is a window) but not through a dict-store cache (the
+        the pool straight to the device shows through the cache (a
+        view is a window) unless the device handed out copies (then the
         cached bytes are a snapshot).  The lifecycle already forbids
         that pattern — a pool is its domain's only access path; use
         :meth:`invalidate` if an out-of-band write is ever unavoidable.

@@ -13,35 +13,25 @@ contiguity property the Coconut paper establishes.  Indexes built by
 top-down insertion allocate leaves at split time, scattering them across
 the address space, so their I/O is counted as random.
 
-Page stores
------------
-Two page stores implement the same contract:
+Page store
+----------
+Pages live in **contiguous arenas, one per allocation extent**
+(:class:`_ExtentArenas`): every ``allocate`` call reserves one
+``bytearray`` holding its pages back to back, and an extent physically
+adjacent to the tail arena grows it in place.  Reads return zero-copy
+read-only ``memoryview`` slices of the arena — :meth:`read_run_bytes`
+of a run inside one arena is a single slice, no join, no copy — and
+:meth:`write_run_bytes` splices a whole run with one buffer
+assignment.  An arena never moves while a view of it is exported, so
+views stay valid for the life of the device.
 
-* ``store="arena"`` (the default) keeps pages in **contiguous arenas,
-  one per allocation extent**: every ``allocate`` call reserves one
-  fixed-size ``bytearray`` holding its pages back to back.  Reads
-  return zero-copy read-only ``memoryview`` slices of the arena —
-  :meth:`read_run_bytes` of a run inside one arena is a single slice,
-  no join, no copy — and :meth:`write_run_bytes` splices a whole run
-  with one buffer assignment.  Arenas are fixed-size, so views stay
-  valid for the life of the device (growing the address space adds new
-  arenas, it never reallocates old ones).
-* ``store="dict"`` is the per-page ``dict[int, bytes]`` store the
-  arena replaced, retained as the *copy-level oracle*: identical page
-  contents, counters, head movement and (optional) access traces for
-  every access sequence — only the allocation/copy profile differs.
-  ``benchmarks/bench_arena.py`` pins the equivalence per cell.
-
-Both stores share one read semantics: **a page read always returns
-exactly ``page_size`` bytes**.  Pages never written — and the tail of
-pages written short — read as zeros, on ``read_page`` and
-``read_run_bytes`` alike.  (The seed's dict store returned the raw
-short bytes from ``read_page`` and padded only in ``read_run_bytes``;
-consumers had to re-pad, and a never-written page read as ``b""``.)
+**A page read always returns exactly ``page_size`` bytes.**  Pages
+never written — and the tail of pages written short — read as zeros,
+on ``read_page`` and ``read_run_bytes`` alike.
 
 Zero-copy view lifetime
 -----------------------
-Views returned by an arena device alias live storage: they observe
+Views returned by the device alias live storage: they observe
 later writes to the same pages, and they pin the arena's memory while
 referenced.  The safe lifetime rules are documented in
 ``docs/storage.md``; in short, a view taken from a :class:`DiskShard`
@@ -55,10 +45,10 @@ Access traces
 n_pages)`` tuples (``op`` is ``"r"`` or ``"w"``) in :attr:`trace`.
 Bulk accesses record one tuple — exactly the granularity the
 classification happens at — so two devices driven by the same plan
-produce bit-identical traces regardless of their page store.  Shards
-of a tracing parent trace privately; detach appends their traces to
-the parent in partition order, keeping the reconciled trace a pure
-function of the per-shard plans.
+produce bit-identical traces.  Shards of a tracing parent trace
+privately; detach appends their traces to the parent in partition
+order, keeping the reconciled trace a pure function of the per-shard
+plans.
 
 Sharding
 --------
@@ -75,11 +65,10 @@ session, which fences the parent device and hands each worker a
   isolation);
 * its own head position and its own :class:`DiskStats`.
 
-In arena mode the shard's private store is a **private arena covering
-its extent**, seeded with the parent's extent content at attach;
-detach reconciles by splicing whole arenas back into the parent in
-partition order — one buffer assignment per shard, never a per-page
-loop.
+The shard's private store is a **private arena covering its extent**,
+seeded with the parent's extent content at attach; detach reconciles
+by splicing whole arenas back into the parent in partition order — one
+buffer assignment per shard, never a per-page loop.
 
 Because classification depends only on a shard's *own* access sequence,
 the sequential/random split of a parallel run is independent of thread
@@ -97,9 +86,6 @@ from __future__ import annotations
 from bisect import bisect_right
 
 from .cost import CostModel, DiskStats
-
-#: Page store kinds accepted by :class:`SimulatedDisk`.
-PAGE_STORES = ("arena", "dict")
 
 
 class PageError(Exception):
@@ -216,9 +202,10 @@ class _PagedDevice:
     """Accounting and streaming helpers shared by disks and shards.
 
     Subclasses provide ``page_size``, ``cost_model``, ``read_page``,
-    ``write_page`` and ``read_run_bytes``; this base owns the head
-    position (``None`` while parked — the next access is always
-    random), the live counters and the optional access trace.
+    ``write_page``, ``read_run_bytes`` and ``_check_write_run``; this
+    base owns the head position (``None`` while parked — the next
+    access is always random), the live counters and the optional
+    access trace.
     """
 
     page_size: int
@@ -292,7 +279,7 @@ class _PagedDevice:
         """Read ``n_pages`` consecutive pages (one seek, then streaming).
 
         Rides the bytes-level fast path: one :meth:`read_run_bytes`
-        call sliced at page boundaries, so the legacy list API gets the
+        call sliced at page boundaries, so the list API gets the
         arena's zero-copy reads (the slices are sub-views of the same
         buffer) and the same bulk-classified counters.
         """
@@ -304,30 +291,31 @@ class _PagedDevice:
         return [view[i * ps : (i + 1) * ps] for i in range(n_pages)]
 
     def write_run(self, first_page: int, pages: list) -> None:
-        """Write consecutive pages (one seek, then streaming)."""
+        """Write consecutive pages (one seek, then streaming).
+
+        All or nothing, like :meth:`write_run_bytes`: the whole range
+        and every payload length are validated before the first page is
+        counted or stored.
+        """
+        if not pages:
+            return
+        self._check_write_run(first_page, len(pages))
+        for data in pages:
+            self._check_page_payload(data)
         for i, data in enumerate(pages):
             self.write_page(first_page + i, data)
+
+    def _check_page_payload(self, data) -> None:
+        if len(data) > self.page_size:
+            raise PageError(
+                f"data of {len(data)} bytes exceeds page size {self.page_size}"
+            )
 
     def _check_run_payload(self, data, n_pages: int) -> None:
         if len(data) > n_pages * self.page_size:
             raise PageError(
                 f"data of {len(data)} bytes exceeds {n_pages} pages of "
                 f"{self.page_size} bytes"
-            )
-
-    def _store_run_pages(
-        self, pages: "dict[int, bytes]", first_page: int, data, n_pages: int
-    ) -> None:
-        """Dict-store bulk write: one short-sliced bytes object per page.
-
-        Shared by the disk and shard dict paths so their stored layout
-        (and with it the cross-store oracle) cannot drift apart.
-        """
-        view = memoryview(data)
-        page_size = self.page_size
-        for i in range(n_pages):
-            pages[first_page + i] = bytes(
-                view[i * page_size : (i + 1) * page_size]
             )
 
     # ------------------------------------------------------------------
@@ -387,8 +375,10 @@ class SimulatedDisk(_PagedDevice):
     cost_model:
         Converts access counts to simulated milliseconds.
     store:
-        ``"arena"`` (default) for contiguous per-extent arenas with
-        zero-copy reads, ``"dict"`` for the per-page copy-level oracle.
+        Leftover keyword: only ``"arena"`` (the one page store) is
+        accepted.  It survives because ``bench_e2e/pipeline.py`` passes
+        it and a PR may not edit the benchmark it is gated on; delete
+        it in the next ``benchmark``-archetype PR.
     trace:
         Record every classified access in :attr:`trace`.
     integrity:
@@ -410,12 +400,14 @@ class SimulatedDisk(_PagedDevice):
     ):
         if page_size <= 0:
             raise ValueError(f"page_size must be positive, got {page_size}")
-        if store not in PAGE_STORES:
-            raise ValueError(f"store must be one of {PAGE_STORES}, got {store!r}")
+        if store != "arena":
+            raise ValueError(
+                f"store must be 'arena', got {store!r}: the arena is the only "
+                "page store (the dict-backed reference device lives in "
+                "tests/oracles.py)"
+            )
         self.page_size = page_size
         self.cost_model = cost_model or CostModel()
-        self.store = store
-        self._pages: dict[int, bytes] = {}
         self._arenas = _ExtentArenas(page_size)
         self._written: set[int] = set()
         self._next_page = 0
@@ -438,7 +430,7 @@ class SimulatedDisk(_PagedDevice):
             from .integrity import ChecksumMap
 
             self.checksums = ChecksumMap(self.page_size)
-            for page_id in self._written if self.store == "arena" else self._pages:
+            for page_id in self._written:
                 self.checksums.record_page(page_id, self.page_view(page_id))
         return self.checksums
 
@@ -449,17 +441,16 @@ class SimulatedDisk(_PagedDevice):
         """Reserve ``n_pages`` physically contiguous pages.
 
         Returns the id of the first page.  Allocation itself performs
-        no I/O; pages read as zeros until written.  In arena mode each
-        allocation is backed by one contiguous arena, so runs inside it
-        stream as single zero-copy views.
+        no I/O; pages read as zeros until written.  Each allocation is
+        backed by one contiguous arena, so runs inside it stream as
+        single zero-copy views.
         """
         if n_pages <= 0:
             raise ValueError(f"n_pages must be positive, got {n_pages}")
         self._check_unsharded("allocate")
         first = self._next_page
         self._next_page += n_pages
-        if self.store == "arena":
-            self._arenas.add(first, n_pages)
+        self._arenas.add(first, n_pages)
         return first
 
     @property
@@ -468,9 +459,7 @@ class SimulatedDisk(_PagedDevice):
 
     @property
     def pages_written(self) -> int:
-        if self.store == "arena":
-            return len(self._written)
-        return len(self._pages)
+        return len(self._written)
 
     @property
     def sharded(self) -> bool:
@@ -488,30 +477,22 @@ class SimulatedDisk(_PagedDevice):
         """
         self._check_unsharded("write_page")
         self._check_page(page_id)
-        if len(data) > self.page_size:
-            raise PageError(
-                f"data of {len(data)} bytes exceeds page size {self.page_size}"
-            )
+        self._check_page_payload(data)
         self._count_write(page_id)
-        if self.store == "arena":
-            self._arenas.splice(page_id, data, self.page_size)
-            self._written.add(page_id)
-        else:
-            self._pages[page_id] = bytes(data)
+        self._arenas.splice(page_id, data, self.page_size)
+        self._written.add(page_id)
 
     def read_page(self, page_id: int):
         """Read one full page, classifying the access by head position.
 
-        Always returns exactly ``page_size`` bytes; never-written pages
-        (and the tail of short writes) read as zeros.  Arena stores
-        return a zero-copy read-only ``memoryview``.
+        Always returns exactly ``page_size`` bytes — a zero-copy
+        read-only ``memoryview``; never-written pages (and the tail of
+        short writes) read as zeros.
         """
         self._check_unsharded("read_page")
         self._check_page(page_id)
         self._count_read(page_id)
-        if self.store == "arena":
-            return self._arenas.page(page_id)
-        return self._pages.get(page_id, b"").ljust(self.page_size, b"\x00")
+        return self._arenas.page(page_id)
 
     # ------------------------------------------------------------------
     # Bytes-level streaming (whole-run I/O without per-page dispatch)
@@ -522,12 +503,11 @@ class SimulatedDisk(_PagedDevice):
         Returns exactly ``n_pages * page_size`` bytes (short pages are
         zero-padded).  Classification, counters and the final head
         position are bit-identical to ``n_pages`` :meth:`read_page`
-        calls — the accounting happens in one bulk step.  Arena stores
-        return a zero-copy read-only ``memoryview`` when the run lies
-        within one allocation extent — the common case for bulk-built
-        files — which is what lets :meth:`repro.storage.pager.
-        PagedFile.read_stream` hand whole extents upward without a
-        single copy.
+        calls — the accounting happens in one bulk step.  The result is
+        a zero-copy read-only ``memoryview`` when the run lies within
+        one arena — the common case for bulk-built files — which is
+        what lets :meth:`repro.storage.pager.PagedFile.read_stream`
+        hand whole extents upward without a single copy.
         """
         if n_pages <= 0:
             return b""
@@ -535,13 +515,7 @@ class SimulatedDisk(_PagedDevice):
         self._check_page(first_page)
         self._check_page(first_page + n_pages - 1)
         self._count_read_run(first_page, n_pages)
-        if self.store == "arena":
-            return self._arenas.run_view(first_page, n_pages)
-        pages, page_size = self._pages, self.page_size
-        return b"".join(
-            pages.get(p, b"").ljust(page_size, b"\x00")
-            for p in range(first_page, first_page + n_pages)
-        )
+        return self._arenas.run_view(first_page, n_pages)
 
     def write_run_bytes(self, first_page: int, data, n_pages: int) -> None:
         """Write one byte stream across a physically contiguous run.
@@ -549,21 +523,21 @@ class SimulatedDisk(_PagedDevice):
         ``data`` (bytes or memoryview) is laid out back to back; bytes
         past ``len(data)`` up to the run's end read as zeros, exactly
         as the per-page path behaves.  Accounting is bit-identical to
-        ``n_pages`` :meth:`write_page` calls.  Arena stores splice the
-        whole run with one buffer assignment.
+        ``n_pages`` :meth:`write_page` calls; the whole run is spliced
+        with one buffer assignment.
         """
         if n_pages <= 0:
             return
+        self._check_write_run(first_page, n_pages)
+        self._check_run_payload(data, n_pages)
+        self._count_write_run(first_page, n_pages)
+        self._arenas.splice(first_page, data, n_pages * self.page_size)
+        self._written.update(range(first_page, first_page + n_pages))
+
+    def _check_write_run(self, first_page: int, n_pages: int) -> None:
         self._check_unsharded("write_page")
         self._check_page(first_page)
         self._check_page(first_page + n_pages - 1)
-        self._check_run_payload(data, n_pages)
-        self._count_write_run(first_page, n_pages)
-        if self.store == "arena":
-            self._arenas.splice(first_page, data, n_pages * self.page_size)
-            self._written.update(range(first_page, first_page + n_pages))
-            return
-        self._store_run_pages(self._pages, first_page, data, n_pages)
 
     # ------------------------------------------------------------------
     # Diagnostics (no I/O accounting)
@@ -571,23 +545,16 @@ class SimulatedDisk(_PagedDevice):
     def page_view(self, page_id: int):
         """A full zero-padded page without touching head or counters.
 
-        Zero-copy in arena mode; used by :class:`repro.storage.
-        bufferpool.BufferPool` to admit views instead of copies, and by
-        the equivalence suites to compare stores.
+        Zero-copy; used by :class:`repro.storage.bufferpool.BufferPool`
+        to admit views instead of copies, by the maintenance plane
+        (scrub, WAL scavenging) and by the equivalence suites.
         """
         self._check_page(page_id)
-        if self.store == "arena":
-            return self._arenas.page(page_id)
-        return self._pages.get(page_id, b"").ljust(self.page_size, b"\x00")
+        return self._arenas.page(page_id)
 
     def dump_pages(self) -> "dict[int, bytes]":
-        """Written pages as ``{page_id: padded bytes}`` (diagnostics).
-
-        Comparable across stores: the same op sequence on an arena and
-        a dict device dumps identically.
-        """
-        written = self._written if self.store == "arena" else self._pages
-        return {p: bytes(self.page_view(p)) for p in sorted(written)}
+        """Written pages as ``{page_id: padded bytes}`` (diagnostics)."""
+        return {p: bytes(self.page_view(p)) for p in sorted(self._written)}
 
     def _check_page(self, page_id: int) -> None:
         if not 0 <= page_id < self._next_page:
@@ -604,7 +571,7 @@ class SimulatedDisk(_PagedDevice):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"SimulatedDisk(page_size={self.page_size}, store={self.store!r}, "
+            f"SimulatedDisk(page_size={self.page_size}, "
             f"allocated={self._next_page}, written={self.pages_written})"
         )
 
@@ -620,10 +587,10 @@ class DiskShard(_PagedDevice):
     classification depends only on this shard's own sequence, never on
     how a pool interleaves shards.
 
-    In arena mode the private store is one contiguous arena covering
-    the extent, seeded with the parent's extent content at attach, so
-    extent reads are zero-copy views and detach splices the whole arena
-    back in one buffer assignment.
+    The private store is one contiguous arena covering the extent,
+    seeded with the parent's extent content at attach, so extent reads
+    are zero-copy views and detach splices the whole arena back in one
+    buffer assignment.
 
     Shards are created by :class:`ShardedDisk`, not directly.
     """
@@ -639,21 +606,19 @@ class DiskShard(_PagedDevice):
         self.parent = parent
         self.page_size = parent.page_size
         self.cost_model = parent.cost_model
-        self.store = parent.store
         self.first_page = first_page
         self.extent_pages = n_pages
         self.shard_id = shard_id
         self.name = name or f"shard-{shard_id}"
         self._readable_below = parent.pages_allocated
         self._next_page = first_page
-        self._pages: dict[int, bytes] = {}
         self._written: set[int] = set()
         # The private store is a single-extent _ExtentArenas covering
         # the writable range — the same arena mechanics as the parent,
         # in one place.  Seeded with the parent's extent content so
         # unwritten pages read (and reconcile) as the snapshot held.
         self._arenas = _ExtentArenas(self.page_size)
-        if self.store == "arena" and n_pages:
+        if n_pages:
             self._arenas.starts.append(first_page)
             if parent._written.isdisjoint(range(first_page, first_page + n_pages)):
                 # Nothing written in the extent yet: zeros, no copy.
@@ -683,9 +648,7 @@ class DiskShard(_PagedDevice):
 
     @property
     def pages_written(self) -> int:
-        if self.store == "arena":
-            return len(self._written)
-        return len(self._pages)
+        return len(self._written)
 
     def allocate(self, n_pages: int = 1) -> int:
         """Carve ``n_pages`` from the shard's extent (no parent call)."""
@@ -712,16 +675,10 @@ class DiskShard(_PagedDevice):
                 f"{self.name}: page {page_id} outside writable extent "
                 f"[{self.first_page}, {self.first_page + self.extent_pages})"
             )
-        if len(data) > self.page_size:
-            raise PageError(
-                f"data of {len(data)} bytes exceeds page size {self.page_size}"
-            )
+        self._check_page_payload(data)
         self._count_write(page_id)
-        if self.store == "arena":
-            self._arenas.splice(page_id, data, self.page_size)
-            self._written.add(page_id)
-        else:
-            self._pages[page_id] = bytes(data)
+        self._arenas.splice(page_id, data, self.page_size)
+        self._written.add(page_id)
 
     def read_page(self, page_id: int):
         """Read own pages, or any pre-session parent page (read-only).
@@ -729,43 +686,24 @@ class DiskShard(_PagedDevice):
         Same padded-page contract as :meth:`SimulatedDisk.read_page`.
         """
         self._check_attached()
-        if self.store == "arena":
-            in_extent = self._in_extent(page_id)
-            if not in_extent and not 0 <= page_id < self._readable_below:
-                raise PageError(
-                    f"{self.name}: page {page_id} is neither in the shard's "
-                    f"extent nor readable from the parent snapshot "
-                    f"(< {self._readable_below})"
-                )
-            self._count_read(page_id)
-            if in_extent:
-                return self._arenas.page(page_id)
-            # Parent pages are immutable while the session is attached
-            # (the parent is fenced and sibling writes stay shard-local),
-            # so this lookup is safe from any thread.
-            return self.parent._arenas.page(page_id)
-        if page_id in self._pages:
-            self._count_read(page_id)
-            return self._pages[page_id].ljust(self.page_size, b"\x00")
-        if not self._in_extent(page_id) and not 0 <= page_id < self._readable_below:
+        in_extent = self._in_extent(page_id)
+        if not in_extent and not 0 <= page_id < self._readable_below:
             raise PageError(
                 f"{self.name}: page {page_id} is neither in the shard's "
                 f"extent nor readable from the parent snapshot "
                 f"(< {self._readable_below})"
             )
         self._count_read(page_id)
-        return self.parent._pages.get(page_id, b"").ljust(
-            self.page_size, b"\x00"
-        )
+        if in_extent:
+            return self._arenas.page(page_id)
+        # Parent pages are immutable while the session is attached
+        # (the parent is fenced and sibling writes stay shard-local),
+        # so this lookup is safe from any thread.
+        return self.parent._arenas.page(page_id)
 
     # ------------------------------------------------------------------
     # Bytes-level streaming (see SimulatedDisk for the contract)
     # ------------------------------------------------------------------
-    def _readable(self, page_id: int) -> bool:
-        if page_id in self._pages:
-            return True
-        return self._in_extent(page_id) or 0 <= page_id < self._readable_below
-
     def _check_run_readable(self, first_page: int, n_pages: int) -> None:
         """Range check against the snapshot watermark.
 
@@ -788,32 +726,16 @@ class DiskShard(_PagedDevice):
 
         Shard-private extent pages take precedence over the parent
         snapshot, and every counter matches ``n_pages`` single-page
-        reads exactly.  Arena mode returns a single zero-copy view when
-        the run lies entirely inside the extent arena or entirely
-        inside one parent arena.
+        reads exactly.  Returns a single zero-copy view when the run
+        lies entirely inside the extent arena or entirely inside one
+        parent arena.
         """
         if n_pages <= 0:
             return b""
         self._check_attached()
-        if self.store == "arena":
-            self._check_run_readable(first_page, n_pages)
-            self._count_read_run(first_page, n_pages)
-            return self._run_parts(first_page, n_pages)
-        for page_id in range(first_page, first_page + n_pages):
-            if not self._readable(page_id):
-                raise PageError(
-                    f"{self.name}: page {page_id} is neither in the shard's "
-                    f"extent nor readable from the parent snapshot "
-                    f"(< {self._readable_below})"
-                )
+        self._check_run_readable(first_page, n_pages)
         self._count_read_run(first_page, n_pages)
-        local, parent, page_size = self._pages, self.parent._pages, self.page_size
-        return b"".join(
-            (
-                local[p] if p in local else parent.get(p, b"")
-            ).ljust(page_size, b"\x00")
-            for p in range(first_page, first_page + n_pages)
-        )
+        return self._run_parts(first_page, n_pages)
 
     def _run_parts(self, first_page: int, n_pages: int):
         """Compose a run from the extent arena and the parent snapshot.
@@ -841,6 +763,13 @@ class DiskShard(_PagedDevice):
         """Bulk write within the shard's extent (see SimulatedDisk)."""
         if n_pages <= 0:
             return
+        self._check_write_run(first_page, n_pages)
+        self._check_run_payload(data, n_pages)
+        self._count_write_run(first_page, n_pages)
+        self._arenas.splice(first_page, data, n_pages * self.page_size)
+        self._written.update(range(first_page, first_page + n_pages))
+
+    def _check_write_run(self, first_page: int, n_pages: int) -> None:
         self._check_attached()
         last = first_page + n_pages - 1
         if not (
@@ -852,26 +781,13 @@ class DiskShard(_PagedDevice):
                 f"extent [{self.first_page}, "
                 f"{self.first_page + self.extent_pages})"
             )
-        self._check_run_payload(data, n_pages)
-        self._count_write_run(first_page, n_pages)
-        if self.store == "arena":
-            self._arenas.splice(first_page, data, n_pages * self.page_size)
-            self._written.update(range(first_page, first_page + n_pages))
-            return
-        self._store_run_pages(self._pages, first_page, data, n_pages)
 
     # ------------------------------------------------------------------
     def page_view(self, page_id: int):
         """Diagnostic full-page view (no accounting); see SimulatedDisk."""
-        if self.store == "arena":
-            if self._in_extent(page_id):
-                return self._arenas.page(page_id)
-            return self.parent.page_view(page_id)
-        if page_id in self._pages:
-            return self._pages[page_id].ljust(self.page_size, b"\x00")
-        return self.parent._pages.get(page_id, b"").ljust(
-            self.page_size, b"\x00"
-        )
+        if self._in_extent(page_id):
+            return self._arenas.page(page_id)
+        return self.parent.page_view(page_id)
 
     def _check_attached(self) -> None:
         if not self._attached:
@@ -906,8 +822,8 @@ class ShardedDisk:
             ...  # hand one shard to each worker
 
     Detach reconciles deterministically in partition order: shard pages
-    merge into the parent store (arena mode splices each shard's whole
-    extent arena in one buffer assignment — never page by page) and
+    merge into the parent store (each shard's whole extent arena is
+    spliced in one buffer assignment — never page by page) and
     shard stats add onto the parent counters shard by shard, then the
     parent head is parked.  The reconciled totals are therefore
     identical for any pool kind or worker count that executes the same
@@ -925,6 +841,8 @@ class ShardedDisk:
             raise PageError("disk already has an attached ShardedDisk session")
         if read_only and any(n_pages for _, n_pages in extents):
             raise ValueError("read_only sessions take zero-page extents")
+        if names and len(names) != len(extents):
+            raise ValueError(f"{len(names)} names for {len(extents)} extents")
         occupied: list[tuple[int, int]] = []
         for first, n_pages in extents:
             if n_pages < 0 or first < 0:
@@ -974,25 +892,21 @@ class ShardedDisk:
         Idempotent.  Reconciliation walks the shards in partition order
         (shard 0 first), merging pages and adding stats, then parks the
         parent head — so the session's effect on the parent is a pure,
-        deterministic function of the per-shard plans.  An arena-store
-        shard reconciles by splicing its whole extent arena into the
-        parent arena — one buffer assignment, no per-page loop.
+        deterministic function of the per-shard plans.  A shard
+        reconciles by splicing its whole extent arena into the parent
+        arena — one buffer assignment, no per-page loop.
         """
         if not self._attached:
             return DiskStats()
         merged = DiskStats()
-        arena = self.disk.store == "arena"
         for shard in self.shards:
-            if arena:
-                if shard.extent_pages:
-                    self.disk._arenas.splice(
-                        shard.first_page,
-                        shard._arenas.arenas[0],
-                        shard.extent_pages * self.disk.page_size,
-                    )
-                    self.disk._written.update(shard._written)
-            else:
-                self.disk._pages.update(shard._pages)
+            if shard.extent_pages:
+                self.disk._arenas.splice(
+                    shard.first_page,
+                    shard._arenas.arenas[0],
+                    shard.extent_pages * self.disk.page_size,
+                )
+                self.disk._written.update(shard._written)
             if self.disk.checksums is not None and shard.checksums is not None:
                 self.disk.checksums.absorb(shard.checksums)
             merged = merged + shard._stats

@@ -14,17 +14,17 @@ parallel summarization pipeline (:mod:`repro.parallel.summarize`)
 presorts chunks on worker processes — and merges them into the exact
 stream ``sort`` would have produced.
 
-The merge phase is engine-pluggable (:mod:`repro.storage.merge`): the
-default ``"blockwise"`` engine merges page-sized blocks with NumPy
-galloping and is bit-identical — output stream, chunk shapes, and
-simulated-I/O trace — to the ``"heapq"`` per-record reference, which
-remains available as the correctness oracle.  When the merge happens
-in memory (the runs fit the budget), ``merge_workers > 1`` additionally
-range-partitions the key space and merges the disjoint partitions on a
-worker pool (:func:`repro.parallel.merge.parallel_merge_runs`), again
-with bit-identical output for any worker count.
+Spilled runs merge through :func:`repro.storage.merge.merge_stream`,
+which gallops page-sized blocks with NumPy and reproduces the output
+stream, chunk shapes and simulated-I/O trace of a per-record heap
+merge.  Runs that fit the budget merge in memory
+(:func:`repro.storage.merge.merge_presorted`); there
+``merge_workers > 1`` range-partitions the key space and merges the
+disjoint partitions on a worker pool
+(:func:`repro.parallel.merge.parallel_merge_runs`), with bit-identical
+output for any worker count.
 
-``merge_workers > 1`` now also parallelizes the *spilled* cascade
+``merge_workers > 1`` also parallelizes the *spilled* cascade
 (:mod:`repro.parallel.spill`): each cascade group's key space is
 range-partitioned, every partition merges its record slices of the
 group's run files through a private :class:`repro.storage.disk.
@@ -53,7 +53,7 @@ from typing import Iterator
 import numpy as np
 
 from .disk import SimulatedDisk
-from .merge import MERGE_ENGINES, merge_presorted, merge_stream
+from .merge import merge_presorted, merge_stream
 from .pager import PagedFile
 
 
@@ -98,13 +98,10 @@ def _record_dtype(keys: np.ndarray, payloads: np.ndarray) -> np.dtype:
 class ExternalSorter:
     """Sorts (key, payload) records under a main-memory budget.
 
-    ``merge_engine`` selects the k-way merge implementation for spilled
-    sorts (``"blockwise"`` — vectorized, the default — or ``"heapq"``,
-    the per-record oracle); both are bit-identical in output and
-    simulated I/O.  ``merge_workers > 1`` parallelizes both merges by
-    key-range partitioning: the in-memory merge of resident presorted
-    runs on a worker pool, and the file-backed spilled cascade on
-    per-partition disk shards (:mod:`repro.parallel.spill`).
+    ``merge_workers > 1`` parallelizes both merges by key-range
+    partitioning: the in-memory merge of resident presorted runs on a
+    worker pool, and the file-backed spilled cascade on per-partition
+    disk shards (:mod:`repro.parallel.spill`).
     ``pool_kind`` defaults to ``"auto"``, which picks threads for large
     merge payloads (NumPy releases the GIL; no pickling) and processes
     for tiny ones (:func:`repro.parallel.merge.choose_pool_kind`);
@@ -117,17 +114,12 @@ class ExternalSorter:
         self,
         disk: SimulatedDisk,
         memory_bytes: int,
-        merge_engine: str = "blockwise",
         merge_workers: int = 1,
         pool_kind: str = "auto",
         cut_planning: str = "mirror",
     ):
         if memory_bytes <= 0:
             raise ValueError(f"memory_bytes must be positive, got {memory_bytes}")
-        if merge_engine not in MERGE_ENGINES:
-            raise ValueError(
-                f"merge_engine must be one of {MERGE_ENGINES}, got {merge_engine!r}"
-            )
         if cut_planning not in ("mirror", "fence"):
             raise ValueError(
                 "cut_planning must be 'mirror' or 'fence', "
@@ -135,7 +127,6 @@ class ExternalSorter:
             )
         self.disk = disk
         self.memory_bytes = memory_bytes
-        self.merge_engine = merge_engine
         self.merge_workers = max(1, int(merge_workers))
         self.pool_kind = pool_kind
         #: How the sharded cascade plans its splitter cuts: ``"mirror"``
@@ -315,7 +306,6 @@ class ExternalSorter:
                 n_partitions=self.merge_workers,
                 buffer_records=buffer_records,
                 pool_kind=self.pool_kind,
-                engine=self.merge_engine,
                 splitters=splitters,
                 cuts=cuts,
             )
@@ -377,7 +367,6 @@ class ExternalSorter:
             n_partitions=self.merge_workers,
             buffer_records=buffer_records,
             pool_kind=self.pool_kind,
-            engine=self.merge_engine,
             splitters=splitters,
             cuts=cuts,
             collect="keys",
@@ -405,7 +394,6 @@ class ExternalSorter:
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         buffer_records = max(1, mem_records // (len(runs) + 1))
         return merge_stream(
-            self.merge_engine,
             [(run.file, run.n_records) for run in runs],
             rec_dtype,
             buffer_records,

@@ -112,7 +112,7 @@ class ChecksumMap:
     """Per-page CRC32 sidecar keyed by physical page id.
 
     A page with no entry is *expected to be all zeros* — exactly the
-    padded-read contract of the page stores, so never-written pages
+    padded-read contract of the page store, so never-written pages
     verify without any bookkeeping and decay on them is still caught.
 
     ``child()`` builds the sidecar for a :class:`~repro.storage.disk.
@@ -282,11 +282,7 @@ def _store_page(disk, page_id: int, data: bytes) -> None:
     page_size = disk.page_size
     if len(data) != page_size:
         raise PageError(f"patch must be a full page ({page_size} bytes)")
-    arenas = getattr(disk, "_arenas", None)
-    if disk.store == "arena":
-        arenas.splice(page_id, data, page_size)
-    else:
-        disk._pages[page_id] = bytes(data)
+    disk._arenas.splice(page_id, data, page_size)
 
 
 def decay_bit(disk, page_id: int, bit: int) -> None:

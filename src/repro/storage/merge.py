@@ -1,20 +1,12 @@
-"""Block-wise k-way merge engines over sorted runs.
+"""Block-wise k-way merge over sorted runs.
 
 The merge phase of the external sort (and of LSM compaction) consumes
 sorted runs and must produce the *stable* merge: records ordered by
-(key, run index, position within run).  The classic implementation —
-and the reference oracle kept here as :func:`heapq_merge_stream` — is a
-per-record ``heapq`` loop: pop the smallest head, emit one record, push
-the run's next head.  That is O(n log k) comparisons but pays Python
-interpreter cost per *record*, which makes it the last scalar hot path
-of bulk loading.
-
-:func:`blockwise_merge_stream` replaces it with a vectorized engine
-that works a block at a time:
+(key, run index, position within run).  :func:`merge_stream` does it a
+block at a time:
 
 * each run is read through a :class:`RunCursor` holding one multi-page
-  block (the same buffered reader the heapq loop uses, so the page
-  reads are the same);
+  block;
 * a small loser tree (:class:`LoserTree`) over the block *tail* keys
   finds the **safe horizon** L — the smallest last-buffered key among
   runs that still have unread data.  Every buffered record with key
@@ -34,22 +26,25 @@ whole block regardless of interleaving.
 
 Equivalence contract
 --------------------
-Both engines produce byte-identical output streams in identical chunk
-shapes *and* byte-identical simulated-I/O traces.  The second half is
-the subtle one: the heapq loop refills a run's buffer at the instant
+The output stream, its chunk shapes *and* the simulated-I/O trace are
+byte-identical to the textbook per-record ``heapq`` merge loop (kept
+as the oracle in ``tests/oracles.py``).  The trace is the subtle half: the per-record loop refills a run's buffer at the instant
 its block's last record is popped, interleaving refill reads with
-output-chunk writes.  The blockwise engine therefore replays refills
-at the exact output-stream positions where the reference would have
-triggered them (a refill event sorts *before* the chunk write that
+output-chunk writes.  :func:`merge_stream` therefore replays refills
+at the exact output-stream positions where the per-record loop would
+have triggered them (a refill event sorts *before* the chunk write that
 contains its record), so the page-access sequence — and with it every
 sequential/random classification of :class:`repro.storage.disk.
-SimulatedDisk` — is reproduced exactly.  The equivalence suite asserts
-both halves property-style.
+SimulatedDisk` — is reproduced exactly.  The merge equivalence suite
+asserts both halves property-style.
+
+Whole runs already resident in memory merge without cursors:
+:func:`merge_presorted` reduces them pairwise with searchsorted
+scatters (:func:`merge_pair`).
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterator
 
 import numpy as np
@@ -63,11 +58,10 @@ MergeChunk = "tuple[np.ndarray, np.ndarray]"
 class RunCursor:
     """Buffered reader over one sorted run stored as a byte stream.
 
-    Exposes two consumption styles over the same buffer and the same
-    page-read pattern: per-record :meth:`pop` (auto-refilling, used by
-    the heapq reference) and block-level :meth:`take` (explicitly
-    refilled by the blockwise engine so refill reads can be replayed at
-    the reference engine's stream positions).
+    Holds one multi-page block at a time: :meth:`take` consumes
+    records from it and :meth:`refill` loads the next block once it is
+    drained — explicitly, so :func:`merge_stream` can replay each refill
+    read at the per-record merge loop's stream position.
     """
 
     def __init__(
@@ -96,22 +90,6 @@ class RunCursor:
         self._pos = 0
         self._refill()
 
-    # ------------------------------------------------------- record API
-    @property
-    def exhausted(self) -> bool:
-        return self._chunk is None or self._pos >= len(self._chunk)
-
-    def peek_key(self) -> bytes:
-        return bytes(self._chunk["k"][self._pos])
-
-    def pop(self) -> np.void:
-        rec = self._chunk[self._pos]
-        self._pos += 1
-        if self._pos >= len(self._chunk):
-            self._refill()
-        return rec
-
-    # -------------------------------------------------------- block API
     def buffered(self) -> int:
         """Records currently in the buffer and not yet consumed."""
         return 0 if self._chunk is None else len(self._chunk) - self._pos
@@ -186,7 +164,7 @@ class LoserTree:
 
     Leaves hold the current comparison key of each run (``None`` means
     the run poses no constraint); ``winner`` is the index of the run
-    with the smallest (key, index) pair.  Used by the blockwise engine
+    with the smallest (key, index) pair.  Used by :func:`merge_stream`
     to maintain the safe horizon across block refills without an O(k)
     rescan per round.
     """
@@ -232,8 +210,8 @@ class LoserTree:
 class _ChunkEmitter:
     """Accumulate records and yield fixed-size (keys, payloads) chunks.
 
-    Chunk shapes must match the heapq reference exactly (full
-    ``out_records`` chunks, then one partial), because downstream
+    Chunk shapes are fixed (full ``out_records`` chunks, then one
+    partial) and match the per-record merge loop, because downstream
     writers interleave page writes with the cursors' page reads and the
     equivalence contract covers the full I/O trace.
     """
@@ -278,50 +256,25 @@ def _open_cursors(
     return cursors
 
 
-def heapq_merge_stream(
+def merge_stream(
     runs: "list[tuple[PagedFile, int]]",
     rec_dtype: np.dtype,
     buffer_records: int,
 ) -> Iterator[MergeChunk]:
-    """Reference per-record merge (the oracle the engines are pinned to)."""
-    buffer_records = max(1, buffer_records)
-    cursors = _open_cursors(runs, rec_dtype, buffer_records)
-    heap = [
-        (cursor.peek_key(), i)
-        for i, cursor in enumerate(cursors)
-        if not cursor.exhausted
-    ]
-    heapq.heapify(heap)
-    out = np.empty(buffer_records, dtype=rec_dtype)
-    filled = 0
-    while heap:
-        _, i = heapq.heappop(heap)
-        out[filled] = cursors[i].pop()
-        filled += 1
-        if not cursors[i].exhausted:
-            heapq.heappush(heap, (cursors[i].peek_key(), i))
-        if filled == buffer_records:
-            yield out["k"].copy(), out["v"].copy()
-            filled = 0
-    if filled:
-        yield out["k"][:filled].copy(), out["v"][:filled].copy()
+    """Stable k-way merge of sorted runs, one block per run at a time.
 
-
-def blockwise_merge_stream(
-    runs: "list[tuple[PagedFile, int]]",
-    rec_dtype: np.dtype,
-    buffer_records: int,
-) -> Iterator[MergeChunk]:
-    """Vectorized block-wise merge, bit-identical to the heapq oracle.
-
-    Per round: find the safe horizon L (smallest block-tail key among
-    runs with unread data, via the loser tree), gallop every block's
-    safe prefix with one ``searchsorted`` each, order the union with a
-    stable argsort (concatenation order is run order, so ties resolve
-    exactly as the reference does), and emit — replaying each refill at
-    the precise output position where the reference would have issued
-    its read.  Only the horizon run can drain its block in a round, so
-    every round makes at least one block of progress.
+    ``runs`` are ``(file, n_records)`` pairs, or ``(file, n_records,
+    start_record)`` triples opening record slices of shared run files;
+    yields ``(keys, payloads)`` chunks of ``buffer_records`` records
+    (the last one partial).  Per round: find the safe horizon L
+    (smallest block-tail key among runs with unread data, via the loser
+    tree), gallop every block's safe prefix with one ``searchsorted``
+    each, order the union with a stable argsort (concatenation order is
+    run order, so ties resolve by run index), and emit — replaying each
+    refill at the precise output position where the per-record merge
+    loop would have issued its read.  Only the horizon run can drain
+    its block in a round, so every round makes at least one block of
+    progress.
     """
     buffer_records = max(1, buffer_records)
     cursors = _open_cursors(runs, rec_dtype, buffer_records)
@@ -376,7 +329,7 @@ def blockwise_merge_stream(
         # more data (any other pending run keeps at least its tail),
         # and its block-tail record is the stable maximum of the safe
         # set — so replay its refill read just before that record is
-        # placed, exactly where the reference engine issues it.
+        # placed, exactly where the per-record loop issues it.
         yield from emitter.push(merged[:-1])
         cursors[m].refill()
         tree.update(
@@ -386,23 +339,6 @@ def blockwise_merge_stream(
             else None,
         )
         yield from emitter.push(merged[-1:])
-
-
-MERGE_ENGINES = ("blockwise", "heapq")
-
-
-def merge_stream(
-    engine: str,
-    runs: "list[tuple[PagedFile, int]]",
-    rec_dtype: np.dtype,
-    buffer_records: int,
-) -> Iterator[MergeChunk]:
-    """Dispatch to a merge engine by name (see :data:`MERGE_ENGINES`)."""
-    if engine == "heapq":
-        return heapq_merge_stream(runs, rec_dtype, buffer_records)
-    if engine == "blockwise":
-        return blockwise_merge_stream(runs, rec_dtype, buffer_records)
-    raise ValueError(f"unknown merge engine {engine!r}; choose from {MERGE_ENGINES}")
 
 
 # ---------------------------------------------------------------------------

@@ -420,62 +420,6 @@ class RawSeriesFile:
             return gathered
         return gathered[np.searchsorted(uniq, idxs)]
 
-    def get_many_loop(self, idxs: np.ndarray) -> np.ndarray:
-        """Loop-level oracle for :meth:`get_many` (retained on purpose).
-
-        Executes the same one-visit-per-page ascending plan — same
-        bounds checks, same pages in the same order, hence the same
-        classified :class:`repro.storage.cost.DiskStats` — but
-        assembles every record with per-record Python slicing.  The
-        fetch equivalence suite and ``bench fetch`` pin the vectorized
-        gather against this, cell by cell, on both page stores.
-        """
-        idxs = np.asarray(idxs, dtype=np.int64).ravel()
-        out = np.empty((len(idxs), self.length), dtype=np.float32)
-        if len(idxs) == 0:
-            return out
-        self._check_idxs(idxs)
-        if self.pages_per_series == 1:
-            spp = self.series_per_page
-            order = np.argsort(idxs, kind="stable")
-            last_page = -1
-            page_floats = np.empty(0, dtype=np.float32)
-            for pos in order:
-                idx = int(idxs[pos])
-                page = idx // spp
-                if page != last_page:
-                    # One float view per page (zero-copy over the
-                    # device's page view); records inside it are plain
-                    # array slices.
-                    page_data = self._read_logical(page)
-                    usable = (len(page_data) // 4) * 4
-                    page_floats = np.frombuffer(
-                        page_data[:usable], dtype=np.float32
-                    )
-                    last_page = page
-                offset = (idx % spp) * self.length
-                out[pos] = page_floats[offset : offset + self.length]
-            return out
-        # Multi-page records: read each distinct record's page span
-        # once, in ascending order (one visit per page), then route
-        # rows — duplicates included — from the assembled cache.
-        pps = self.pages_per_series
-        assembled: dict[int, np.ndarray] = {}
-        for idx in np.unique(idxs):
-            first = int(idx) * pps
-            blob = b"".join(
-                bytes(self._read_logical(first + j)).ljust(
-                    self.disk.page_size, b"\x00"
-                )
-                for j in range(pps)
-            )
-            assembled[int(idx)] = np.frombuffer(
-                blob[: self.record_bytes], dtype=np.float32
-            )
-        for pos, idx in enumerate(idxs):
-            out[pos] = assembled[int(idx)]
-        return out
-
     def scan(
         self,
         chunk_series: int | None = None,

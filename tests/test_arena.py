@@ -1,15 +1,17 @@
-"""Arena page store: zero-copy invariants and the dict-store oracle.
+"""Arena page store: zero-copy invariants and the dict-device oracle.
 
-The arena store keeps one contiguous ``bytearray`` per allocation
-extent and serves reads as read-only memoryview slices; the dict store
-is the per-page copy-level oracle it replaced.  These tests pin
+The page store keeps one contiguous ``bytearray`` per allocation
+extent and serves reads as read-only memoryview slices; the per-page
+dict device it replaced is the copy-level oracle
+(``tests/oracles.py::DictDisk``).  These tests pin
 
 * the hardened read semantics (never-written pages read as a full zero
-  page, on ``read_page`` and ``read_run_bytes`` alike, on both stores);
+  page, on ``read_page`` and ``read_run_bytes`` alike, on the product
+  device and on the oracle);
 * the zero-copy invariants (views alias the arena; scan blocks share
   arena memory; the buffer pool caches views; shard detach splices
   whole arenas instead of looping pages);
-* the cross-store equivalence oracle: the same op sequence produces
+* the cross-device equivalence oracle: the same op sequence produces
   identical contents, counters, head movement and access traces.
 """
 
@@ -18,8 +20,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import DEVICES, DictDisk
 from repro.storage import (
-    PAGE_STORES,
     BufferPool,
     ExternalSorter,
     PagedFile,
@@ -30,9 +32,9 @@ from repro.storage import (
 
 
 # ------------------------------------------------- hardened semantics
-@pytest.mark.parametrize("store", PAGE_STORES)
+@pytest.mark.parametrize("store", DEVICES)
 def test_unwritten_pages_read_zero_filled_on_both_apis(store):
-    disk = SimulatedDisk(page_size=32, store=store)
+    disk = DEVICES[store](page_size=32)
     disk.allocate(3)
     disk.write_page(1, b"abc")
     assert len(disk.read_page(0)) == 32
@@ -49,9 +51,9 @@ def test_unwritten_pages_read_zero_filled_on_both_apis(store):
     assert bytes(disk.read_run_bytes(0, 2)) == (b"Q" * 40).ljust(64, b"\x00")
 
 
-@pytest.mark.parametrize("store", PAGE_STORES)
+@pytest.mark.parametrize("store", DEVICES)
 def test_shard_reads_are_zero_filled_full_pages(store):
-    disk = SimulatedDisk(page_size=32, store=store)
+    disk = DEVICES[store](page_size=32)
     disk.allocate(2)
     disk.write_page(0, b"parent")
     extent = disk.allocate(2)
@@ -159,7 +161,7 @@ def test_shard_detach_splices_without_per_page_copies():
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     # The whole 128 KiB extent reconciles as one arena splice: no page
-    # payload is allocated on the way (the dict store would re-insert
+    # payload is allocated on the way (a per-page store would re-insert
     # 128 KiB of page objects; what remains is the written-page id
     # bookkeeping, a few bytes per page).
     assert peak < extent_pages * 128
@@ -269,8 +271,8 @@ def _random_ops(disk, rng):
 
 def test_dict_and_arena_stores_are_equivalent_under_random_ops():
     for seed in range(8):
-        arena = SimulatedDisk(page_size=96, store="arena", trace=True)
-        dict_ = SimulatedDisk(page_size=96, store="dict", trace=True)
+        arena = SimulatedDisk(page_size=96, trace=True)
+        dict_ = DictDisk(page_size=96, trace=True)
         got_a = _random_ops(arena, np.random.default_rng(seed))
         got_d = _random_ops(dict_, np.random.default_rng(seed))
         assert got_a == got_d, seed
@@ -286,7 +288,7 @@ def test_spilled_sort_identical_across_stores(workers):
     """The whole sort/spill/merge stack is store-agnostic, sharded too.
 
     Same merged stream, chunk shapes, SortReport, DiskStats and access
-    trace on the arena store as on the dict oracle — serially and with
+    trace on the arena store as on the dict oracle device — serially and with
     the sharded parallel cascade (``workers > 1`` exercises DiskShard
     arenas and the splice-based detach end to end).
     """
@@ -295,8 +297,8 @@ def test_spilled_sort_identical_across_stores(workers):
     keys = raw.view("S8").ravel()
     payloads = rng.standard_normal((4000, 4)).astype(np.float32)
     results = {}
-    for store in PAGE_STORES:
-        disk = SimulatedDisk(page_size=1024, store=store, trace=True)
+    for store, device in DEVICES.items():
+        disk = device(page_size=1024, trace=True)
         sorter = ExternalSorter(
             disk, 4096 * 4, merge_workers=workers, pool_kind="serial"
         )

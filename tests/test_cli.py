@@ -73,24 +73,11 @@ def test_parallel_command(capsys):
     assert "speedup" in out
 
 
-def test_merge_command(capsys):
-    code = main(["merge", "--records", "4000", "--runs", "4",
-                 "--workers", "2"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "k-way merge engines" in out
-    assert "blockwise" in out and "parallel[2w]" in out
-    assert "io_identical" in out
-
-
-def test_arena_command(capsys):
-    code = main(["arena", "--n", "2000", "--records", "6000",
-                 "--runs", "4", "--workers", "1", "2"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "arena vs dict page store" in out
-    assert "scan" in out and "fetch" in out and "merge[2w]" in out
-    assert "io_identical" in out
+@pytest.mark.parametrize("command", ["merge", "arena", "fetch"])
+def test_oracle_comparison_subcommands_are_gone(command):
+    """Their B-sides moved to tests/oracles.py; argparse rejects them."""
+    with pytest.raises(SystemExit):
+        main([command])
 
 
 def test_query_batch_knn_works_with_default_indexes(capsys):

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.storage import CostModel, DiskStats, PageError, SimulatedDisk
+from repro.storage import (
+    CostModel,
+    DiskStats,
+    PageError,
+    ShardedDisk,
+    SimulatedDisk,
+)
 
 
 def test_allocate_returns_contiguous_ranges():
@@ -149,3 +155,64 @@ def test_reset_stats():
     disk.write_page(0, b"x")
     disk.reset_stats()
     assert disk.stats.total_ios == 0
+
+
+def _device_state(device, disk):
+    return (
+        device.stats.copy(),
+        device.head_position,
+        list(device.trace),
+        disk.dump_pages(),
+    )
+
+
+@pytest.mark.parametrize(
+    "pages", [[b"a", b"b"], [b"a", b"x" * 65], [b"x" * 65, b"b"]],
+    ids=["overrun", "long-last", "long-first"],
+)
+def test_write_run_is_all_or_nothing_on_the_disk(pages):
+    """Regression: an overrunning (or oversized) list wrote and charged
+    its valid prefix before raising."""
+    disk = SimulatedDisk(page_size=64, trace=True)
+    disk.allocate(4)
+    disk.write_page(1, b"kept")
+    first = 3 if pages == [b"a", b"b"] else 2
+    before = _device_state(disk, disk)
+    with pytest.raises(PageError):
+        disk.write_run(first, pages)
+    assert _device_state(disk, disk) == before
+    disk.write_run(2, [b"a", b"b"])  # in range: lands right after page 1
+    assert disk.stats.random_writes == 1 and disk.stats.sequential_writes == 2
+
+
+def test_write_run_is_all_or_nothing_on_a_shard():
+    disk = SimulatedDisk(page_size=64, trace=True)
+    extent = disk.allocate(4)
+    with ShardedDisk(disk, [(extent + 1, 2)]) as (shard,):
+        shard.write_page(extent + 1, b"kept")
+        before = _device_state(shard, disk)
+        for first, pages in [
+            (extent + 2, [b"a", b"b"]),  # overruns the extent
+            (extent, [b"a", b"b"]),  # starts before it
+            (extent + 1, [b"a", b"x" * 65]),  # oversized payload
+        ]:
+            with pytest.raises(PageError):
+                shard.write_run(first, pages)
+            assert _device_state(shard, disk) == before
+            assert shard.pages_written == 1
+        shard.write_run(extent + 1, [b"a", b"b"])
+    assert bytes(disk.page_view(extent + 2))[:1] == b"b"
+
+
+def test_sharded_disk_rejects_a_short_names_list():
+    """Regression: died with a bare IndexError halfway through building
+    the shards."""
+    disk = SimulatedDisk(page_size=64)
+    first = disk.allocate(4)
+    for names in (["only-one"], ["a", "b", "c"]):
+        with pytest.raises(ValueError, match="names"):
+            ShardedDisk(disk, [(first, 2), (first + 2, 2)], names=names)
+        assert not disk.sharded
+        disk.write_page(first, b"still live")  # parent left unfenced
+    with ShardedDisk(disk, [(first, 2), (first + 2, 2)], names=["a", "b"]) as s:
+        assert [shard.name for shard in s] == ["a", "b"]

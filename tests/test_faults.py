@@ -16,6 +16,7 @@ Covers the contract ``docs/robustness.md`` documents:
 import numpy as np
 import pytest
 
+from oracles import DEVICES
 from repro.storage import (
     BufferPool,
     DeviceCrash,
@@ -24,7 +25,6 @@ from repro.storage import (
     PagedFile,
     PermanentIOError,
     ShardedDisk,
-    SimulatedDisk,
     TornWrite,
     TransientIOError,
 )
@@ -34,7 +34,7 @@ PAGE = 512
 
 
 def make_disk(store="arena"):
-    return SimulatedDisk(page_size=PAGE, store=store)
+    return DEVICES[store](page_size=PAGE)
 
 
 # ----------------------------------------------------------------------
@@ -233,7 +233,7 @@ def test_crash_halts_before_any_effect():
 # ----------------------------------------------------------------------
 # Transparency and stack composition
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("store", ["arena", "dict"])
+@pytest.mark.parametrize("store", DEVICES)
 def test_plan_none_is_fully_transparent(store):
     bare = make_disk(store)
     wrapped_disk = make_disk(store)
@@ -249,7 +249,7 @@ def test_plan_none_is_fully_transparent(store):
     assert dev.faults_injected == 0
 
 
-@pytest.mark.parametrize("store", ["arena", "dict"])
+@pytest.mark.parametrize("store", DEVICES)
 def test_faulty_device_under_paged_file_and_buffer_pool(store):
     disk = make_disk(store)
     dev = FaultyDevice(

@@ -1,10 +1,11 @@
-"""Cross-store fetch oracle suite: vectorized gather vs loop-level oracle.
+"""Fetch oracle suite: vectorized gather vs loop-level oracle.
 
 The vectorized ``RawSeriesFile.get_many`` / ``scan`` paths must be
-indistinguishable from the retained loop-level oracle
-(``get_many_loop``) on *both* page stores — same float32 payloads, same
+indistinguishable from the loop-level oracle
+(``tests/oracles.py::loop_get_many``) — same float32 payloads, same
 classified :class:`DiskStats`, same head movement, same buffer-pool
-hit/miss counts — for every layout the file supports: page-divisor and
+hit/miss counts — on the product device (zero-copy views) and on the
+dict oracle device (every read a ``bytes`` copy), for every layout the file supports: page-divisor and
 non-divisor record sizes, records spanning multiple pages, duplicate /
 unsorted / empty / out-of-range index arrays.  The refine kernel is
 pinned to its contract: every value bitwise the naive one-shot formula
@@ -25,8 +26,8 @@ from repro.series.distance import (
     early_abandon_euclidean_block,
     euclidean_batch,
 )
-from repro.storage import BufferPool, RawSeriesFile, SimulatedDisk
-from repro.storage.disk import PAGE_STORES
+from oracles import DEVICES, loop_get_many
+from repro.storage import BufferPool, RawSeriesFile
 
 # (n_series, length, page_size): divisor and non-divisor single-page
 # layouts, a page_size that is not a float32 multiple, and multi-page
@@ -53,25 +54,25 @@ INDEX_PATTERNS = [
 def make_raw(n, length, page_size, store, seed=0):
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((n, length)).astype(np.float32)
-    disk = SimulatedDisk(page_size=page_size, store=store)
+    disk = DEVICES[store](page_size=page_size)
     return disk, RawSeriesFile.create(disk, data), data
 
 
-@pytest.mark.parametrize("store", PAGE_STORES)
+@pytest.mark.parametrize("store", DEVICES)
 @pytest.mark.parametrize("n,length,page_size", GEOMETRIES)
 def test_get_many_matches_oracle_and_data(store, n, length, page_size):
     _, raw, data = make_raw(n, length, page_size, store)
     for pattern in INDEX_PATTERNS:
         idxs = pattern(n)
         got = raw.get_many(idxs)
-        oracle = raw.get_many_loop(idxs)
+        oracle = loop_get_many(raw, idxs)
         assert got.shape == (len(idxs), length)
         np.testing.assert_array_equal(got, oracle)
         if len(idxs):
             np.testing.assert_array_equal(got, data[idxs])
 
 
-@pytest.mark.parametrize("store", PAGE_STORES)
+@pytest.mark.parametrize("store", DEVICES)
 @pytest.mark.parametrize("n,length,page_size", GEOMETRIES)
 def test_get_many_stats_match_oracle(store, n, length, page_size):
     """Same classified I/O and head movement as the loop oracle."""
@@ -82,25 +83,25 @@ def test_get_many_stats_match_oracle(store, n, length, page_size):
         for d in (d1, d2):
             d.reset_stats()
             d.park_head()
-        np.testing.assert_array_equal(r1.get_many(idxs), r2.get_many_loop(idxs))
+        np.testing.assert_array_equal(r1.get_many(idxs), loop_get_many(r2, idxs))
         assert d1.stats == d2.stats
         assert d1.head_position == d2.head_position
 
 
-@pytest.mark.parametrize("store", PAGE_STORES)
+@pytest.mark.parametrize("store", DEVICES)
 @pytest.mark.parametrize("n,length,page_size", GEOMETRIES)
 def test_get_many_out_of_range_raises_before_io(store, n, length, page_size):
     """Regression: OOB indexes used to silently gather padded zeros."""
     disk, raw, _ = make_raw(n, length, page_size, store)
     for bad in ([n], [-1], [0, n], [n + 100], [0, -1, 1]):
-        for fn in (raw.get_many, raw.get_many_loop):
+        for fn in (RawSeriesFile.get_many, loop_get_many):
             snap = disk.snapshot()
             with pytest.raises(IndexError):
-                fn(np.array(bad))
+                fn(raw, np.array(bad))
             assert disk.stats_since(snap).total_reads == 0
 
 
-@pytest.mark.parametrize("store", PAGE_STORES)
+@pytest.mark.parametrize("store", DEVICES)
 @pytest.mark.parametrize("n,length,page_size", GEOMETRIES)
 def test_scan_matches_data_everywhere(store, n, length, page_size):
     _, raw, data = make_raw(n, length, page_size, store)
@@ -116,7 +117,7 @@ def test_scan_matches_data_everywhere(store, n, length, page_size):
         np.testing.assert_array_equal(got, data[start:stop])
 
 
-@pytest.mark.parametrize("store", PAGE_STORES)
+@pytest.mark.parametrize("store", DEVICES)
 def test_multipage_get_many_visits_each_page_once(store):
     """Regression: the multi-page path re-read pages per record."""
     n, length, page_size = 9, 64, 128  # 2 pages per record
@@ -130,19 +131,19 @@ def test_multipage_get_many_visits_each_page_once(store):
     assert disk.stats.total_reads == 3 * raw.pages_per_series
 
 
-@pytest.mark.parametrize("store", PAGE_STORES)
+@pytest.mark.parametrize("store", DEVICES)
 def test_get_many_through_pool_matches_and_counts_like_oracle(store):
     n, length, page_size = 60, 12, 256
     disk, raw, data = make_raw(n, length, page_size, store)
     idxs = np.array([0, 7, 7, 30, 2, 59])
     pools = []
     results = []
-    for fn_name in ("get_many", "get_many_loop"):
+    for fn in (RawSeriesFile.get_many, loop_get_many):
         d, r, _ = make_raw(n, length, page_size, store)
         pool = BufferPool(d, capacity_pages=4)
         r.attach_pool(pool)
-        results.append(getattr(r, fn_name)(idxs))
-        results.append(getattr(r, fn_name)(idxs))  # second pass: warm cache
+        results.append(fn(r, idxs))
+        results.append(fn(r, idxs))  # second pass: warm cache
         pools.append(pool)
     np.testing.assert_array_equal(results[0], data[idxs])
     np.testing.assert_array_equal(results[0], results[2])
@@ -154,7 +155,7 @@ def test_get_many_through_pool_matches_and_counts_like_oracle(store):
 @given(
     idxs=st.lists(st.integers(min_value=0, max_value=24), max_size=60),
     geometry=st.sampled_from([(25, 12, 256), (25, 7, 100), (25, 32, 128)]),
-    store=st.sampled_from(PAGE_STORES),
+    store=st.sampled_from(sorted(DEVICES)),
 )
 def test_property_gather_equals_oracle(idxs, geometry, store):
     n, length, page_size = geometry
@@ -165,7 +166,7 @@ def test_property_gather_equals_oracle(idxs, geometry, store):
         d.reset_stats()
         d.park_head()
     got = r1.get_many(idxs)
-    oracle = r2.get_many_loop(idxs)
+    oracle = loop_get_many(r2, idxs)
     np.testing.assert_array_equal(got, oracle)
     if len(idxs):
         np.testing.assert_array_equal(got, data[idxs])

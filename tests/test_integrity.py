@@ -20,6 +20,7 @@ import zlib
 import numpy as np
 import pytest
 
+from oracles import DEVICES
 from repro.storage import (
     BufferPool,
     ChecksumMap,
@@ -41,13 +42,13 @@ PAGE = 512
 
 
 def make_disk(store="arena"):
-    return SimulatedDisk(page_size=PAGE, store=store, integrity=True)
+    return DEVICES[store](page_size=PAGE, integrity=True)
 
 
 # ----------------------------------------------------------------------
 # ChecksumMap semantics
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("store", ["arena", "dict"])
+@pytest.mark.parametrize("store", DEVICES)
 def test_never_written_pages_verify_as_zeros_and_decay_is_caught(store):
     disk = make_disk(store)
     first = disk.allocate(4)
@@ -84,7 +85,7 @@ def test_record_run_covers_zero_filled_tail_pages():
         assert disk.checksums.verify(physical, disk.page_view(physical))
 
 
-@pytest.mark.parametrize("store", ["arena", "dict"])
+@pytest.mark.parametrize("store", DEVICES)
 def test_checksums_survive_arena_coalescing_and_fragmentation(store):
     """Physical-id keying is immune to extent growth and interleaving.
 
@@ -150,7 +151,7 @@ def test_readonly_shard_verifies_against_parent_records():
 # ----------------------------------------------------------------------
 # Verified reads
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("store", ["arena", "dict"])
+@pytest.mark.parametrize("store", DEVICES)
 def test_verified_pool_raises_with_page_provenance(store):
     disk = make_disk(store)
     file = PagedFile(disk, name="t")

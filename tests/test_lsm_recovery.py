@@ -5,23 +5,19 @@ after a crash at *any* injected fault point is bit-identical — run and
 memtable **content** (the lexsorted multiset of (key, offset) records)
 and exact-search answers — to an oracle rebuilt from exactly the
 acknowledged batches.  Randomized fault schedules exercise every
-injected kind (transient, torn, bit flip, clean crash) on both page
-stores; the raw series file sits on the bare device (the durable
-source of truth the paper's LSM design assumes), while every run and
-WAL page goes through the fault layer.
+injected kind (transient, torn, bit flip, clean crash) on the product
+device and on the dict oracle device (``tests/oracles.py``, every read
+a ``bytes`` copy); the raw series file sits on the bare device (the
+durable source of truth the paper's LSM design assumes), while every
+run and WAL page goes through the fault layer.
 """
 
 import numpy as np
 import pytest
 
+from oracles import DEVICES
 from repro.core.lsm import CoconutLSM
-from repro.storage import (
-    CorruptionError,
-    FaultError,
-    FaultPlan,
-    FaultyDevice,
-    SimulatedDisk,
-)
+from repro.storage import CorruptionError, FaultError, FaultPlan, FaultyDevice
 from repro.storage.seriesfile import RawSeriesFile
 from repro.summaries.sax import SAXConfig
 
@@ -50,7 +46,7 @@ def content(ix) -> bytes:
 
 
 def fresh_raw(store):
-    disk = SimulatedDisk(page_size=PAGE, store=store)
+    disk = DEVICES[store](page_size=PAGE)
     raw = RawSeriesFile(disk, LENGTH)
     raw.append_batch(BASE)
     return disk, raw
@@ -75,7 +71,7 @@ def assert_equivalent(ix, oracle):
         assert a.distance == b.distance
 
 
-@pytest.mark.parametrize("store", ["arena", "dict"])
+@pytest.mark.parametrize("store", DEVICES)
 def test_clean_durable_index_recovers_bit_identical(store):
     disk, raw = fresh_raw(store)
     ix = CoconutLSM(disk, MEM, CONFIG, durability="wal")
@@ -89,7 +85,7 @@ def test_clean_durable_index_recovers_bit_identical(store):
     assert_equivalent(rec, ix)
 
 
-@pytest.mark.parametrize("store", ["arena", "dict"])
+@pytest.mark.parametrize("store", DEVICES)
 @pytest.mark.parametrize("seed", range(12))
 def test_crash_recovery_matches_acknowledged_oracle(store, seed):
     disk, raw = fresh_raw(store)
@@ -125,7 +121,7 @@ def test_crash_recovery_matches_acknowledged_oracle(store, seed):
     assert_equivalent(rec, oracle_index(store, raw.n_series))
 
 
-@pytest.mark.parametrize("store", ["arena", "dict"])
+@pytest.mark.parametrize("store", DEVICES)
 def test_bitflipped_run_is_rebuilt_from_raw(store):
     disk, raw = fresh_raw(store)
     dev = FaultyDevice(disk, None)
@@ -148,7 +144,7 @@ def test_bitflipped_run_is_rebuilt_from_raw(store):
     assert_equivalent(rec, ix)
 
 
-@pytest.mark.parametrize("store", ["arena", "dict"])
+@pytest.mark.parametrize("store", DEVICES)
 def test_recover_then_continue_then_recover_again(store):
     disk, raw = fresh_raw(store)
     plan = FaultPlan(seed=77, p_torn_write=0.02, max_faults=1)

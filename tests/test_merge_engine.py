@@ -1,20 +1,26 @@
-"""Equivalence tests for the vectorized and parallel merge engines.
+"""Equivalence tests for the vectorized and parallel merges.
 
-The merge engine contract is strict: for any run shapes, key
-distribution (duplicate-heavy included), memory budget and worker
-count, the blockwise engine and the parallel range-partitioned merge
+The merge contract is strict: for any run shapes, key distribution
+(duplicate-heavy included), memory budget and worker count, the
+blockwise ``merge_stream`` and the parallel range-partitioned merge
 produce *byte-identical* output streams — same records, same chunk
-shapes — and, for the engines that touch disk, an identical simulated
+shapes — and, for the merges that touch disk, an identical simulated
 I/O trace (every sequential/random counter) and identical
-``SortReport``.  The per-record heapq loop stays in the tree as the
-oracle these properties pin everything to.
+``SortReport``.  The oracles these properties pin everything to are
+the per-record heapq loop and the stable argsort in
+``tests/oracles.py``, substituted by patching the one merge callable
+the sorter (or the LSM compaction) calls.
 """
+
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import argsort_merge, heapq_merge_stream
 from repro import RawSeriesFile, SimulatedDisk, random_walk
 from repro.core import CoconutTree
 from repro.core.lsm import CoconutLSM
@@ -49,16 +55,22 @@ def make_sorted_runs(n, run_sizes, key_bytes=4, alphabet=256, seed=0):
     return runs
 
 
-def drive(engine, runs, memory_bytes, page_size=256, workers=1, pool_kind="thread"):
+def heapq_oracle():
+    """Swap the per-record heap merge in for the sorter's merge_stream."""
+    return mock.patch(
+        "repro.storage.external_sort.merge_stream", heapq_merge_stream
+    )
+
+
+def drive(
+    runs, memory_bytes, page_size=256, workers=1, pool_kind="thread", oracle=False
+):
     disk = SimulatedDisk(page_size=page_size)
     sorter = ExternalSorter(
-        disk,
-        memory_bytes,
-        merge_engine=engine,
-        merge_workers=workers,
-        pool_kind=pool_kind,
+        disk, memory_bytes, merge_workers=workers, pool_kind=pool_kind
     )
-    parts = list(sorter.sort_runs(runs))
+    with heapq_oracle() if oracle else nullcontext():
+        parts = list(sorter.sort_runs(runs))
     shapes = [len(k) for k, _ in parts]
     if parts:
         keys = np.concatenate([k for k, _ in parts])
@@ -89,8 +101,8 @@ def test_property_blockwise_equals_heapq(n, n_runs, alphabet, memory_records, se
     sizes = rng.integers(0, max(1, 2 * n // n_runs + 1), size=n_runs)
     runs = make_sorted_runs(n, sizes.tolist(), alphabet=alphabet, seed=seed)
     memory = 12 * memory_records
-    hk, hp, hs, hio, hrep = drive("heapq", runs, memory)
-    bk, bp, bs, bio, brep = drive("blockwise", runs, memory)
+    hk, hp, hs, hio, hrep = drive(runs, memory, oracle=True)
+    bk, bp, bs, bio, brep = drive(runs, memory)
     np.testing.assert_array_equal(hk, bk)
     np.testing.assert_array_equal(hp, bp)
     assert hs == bs
@@ -103,7 +115,7 @@ def test_blockwise_is_correct_and_stable():
     runs = make_sorted_runs(500, [100, 0, 250, 1, 80], alphabet=3, seed=5)
     all_keys = np.concatenate([k for k, _ in runs])
     all_payloads = np.concatenate([p for _, p in runs])
-    keys, payloads, _, _, report = drive("blockwise", runs, 12 * 32)
+    keys, payloads, _, _, report = drive(runs, 12 * 32)
     assert report.spilled
     order = np.argsort(all_keys, kind="stable")
     np.testing.assert_array_equal(keys, all_keys[order])
@@ -116,16 +128,18 @@ def test_all_equal_keys_resolve_by_run_order():
         (np.full(60, b"x", dtype="S1"), np.arange(60, dtype=np.int64) + 100 * i)
         for i in range(5)
     ]
-    keys, payloads, _, _, _ = drive("blockwise", runs, 8 * 16)
+    keys, payloads, _, _, _ = drive(runs, 8 * 16)
     want = np.concatenate([p for _, p in runs])
     np.testing.assert_array_equal(payloads, want)
-    hk, hp, *_ = drive("heapq", runs, 8 * 16)
+    hk, hp, *_ = drive(runs, 8 * 16, oracle=True)
     np.testing.assert_array_equal(payloads, hp)
 
 
 def test_unknown_engine_rejected():
-    with pytest.raises(ValueError):
-        ExternalSorter(SimulatedDisk(), 1024, merge_engine="bubble")
+    """The knob is gone: there is one merge, so naming one is an error."""
+    for engine in ("bubble", "blockwise", "heapq"):
+        with pytest.raises(TypeError):
+            ExternalSorter(SimulatedDisk(), 1024, merge_engine=engine)
 
 
 def test_merge_pair_matrix_payloads():
@@ -235,15 +249,15 @@ def test_sorter_merge_workers_bit_identical_spilled_and_resident():
     """
     runs = make_sorted_runs(900, [220, 180, 300, 200], alphabet=32, seed=4)
     for memory in (12 * 2000, 12 * 40):  # resident merge, spilled merge
-        base = drive("blockwise", runs, memory, workers=1)
-        multi = drive("blockwise", runs, memory, workers=4)
+        base = drive(runs, memory, workers=1)
+        multi = drive(runs, memory, workers=4)
         np.testing.assert_array_equal(base[0], multi[0])
         np.testing.assert_array_equal(base[1], multi[1])
         assert base[2] == multi[2] and base[4] == multi[4]
         if not base[4].spilled:
             assert base[3] == multi[3]
         else:
-            replay = drive("blockwise", runs, memory, workers=4, pool_kind="serial")
+            replay = drive(runs, memory, workers=4, pool_kind="serial")
             assert multi[3] == replay[3]
 
 
@@ -254,23 +268,25 @@ DATA = random_walk(600, length=32, seed=11)
 
 @pytest.mark.parametrize("materialized", [False, True])
 def test_tree_build_identical_across_engines(materialized):
-    """A spilled CoconutTree build is byte-identical for both engines."""
+    """A spilled CoconutTree build is byte-identical with the heap
+    oracle patched in for the sorter's merge."""
 
     memory_bytes = 24 * 1024 if materialized else 4 * 1024
 
-    def build(engine):
+    def build():
         disk = SimulatedDisk(page_size=2048)
         raw = RawSeriesFile.create(disk, DATA)
         index = CoconutTree(
             disk, memory_bytes=memory_bytes, config=CONFIG, leaf_size=40,
-            materialized=materialized, merge_engine=engine,
+            materialized=materialized,
         )
         report = index.build(raw)
         assert report.extra["sort_runs"] > 1
         return index, disk
 
-    oracle, disk_o = build("heapq")
-    engine, disk_e = build("blockwise")
+    with heapq_oracle():
+        oracle, disk_o = build()
+    engine, disk_e = build()
     assert len(oracle._leaves) == len(engine._leaves)
     for leaf_o, leaf_e in zip(oracle._leaves, engine._leaves):
         assert (leaf_o.slot, leaf_o.count, leaf_o.first_key) == (
@@ -298,15 +314,17 @@ def build_lsm(**kwargs):
 def test_lsm_compaction_identical_across_engines_and_workers():
     """Vectorized, sharded-parallel and argsort-oracle compaction agree.
 
-    Every engine produces the same runs (levels, keys, offsets — and
-    the same on-disk run bytes).  DiskStats: the two single-domain
-    engines match each other, and the sharded plan (``workers > 1``)
-    matches its serial replay (``pool_kind="serial"``) bit for bit.
+    Every merge produces the same runs (levels, keys, offsets — and
+    the same on-disk run bytes).  DiskStats: the serial compaction
+    matches itself with the argsort oracle patched in for its merge,
+    and the sharded plan (``workers > 1``) matches its serial replay
+    (``pool_kind="serial"``) bit for bit.
     """
     disk_serial, serial = build_lsm()
     disk_parallel, parallel = build_lsm(workers=3, pool_kind="thread")
     disk_replay, replay = build_lsm(workers=3, pool_kind="serial")
-    disk_oracle, oracle = build_lsm(merge_engine="argsort")
+    with mock.patch("repro.core.lsm.merge_presorted", argsort_merge):
+        disk_oracle, oracle = build_lsm()
     # Snapshot before the file-byte comparisons below add reads.
     stats_serial, stats_parallel = disk_serial.snapshot(), disk_parallel.snapshot()
     stats_replay, stats_oracle = disk_replay.snapshot(), disk_oracle.snapshot()
@@ -326,8 +344,10 @@ def test_lsm_compaction_identical_across_engines_and_workers():
 
 
 def test_lsm_rejects_unknown_merge_engine():
-    with pytest.raises(ValueError):
-        CoconutLSM(SimulatedDisk(), 4096, merge_engine="bubble")
+    """The knob is gone here too (constructor and ``recover``)."""
+    for engine in ("bubble", "vectorized", "argsort"):
+        with pytest.raises(TypeError):
+            CoconutLSM(SimulatedDisk(), 4096, merge_engine=engine)
 
 
 def test_lsm_queries_unchanged_by_parallel_compaction():

@@ -2,7 +2,8 @@
 
 The property pinned here (the "oracle scrub"): for seeded corruption
 schedules — at-rest decay via :func:`decay_bit` and in-flight
-:class:`FaultyDevice` write flips — on both page stores,
+:class:`FaultyDevice` write flips — on the product device and on the
+dict oracle device (``tests/oracles.py``),
 
 * :meth:`Scrubber.sweep` detects **exactly** the pages a brute-force
   hash of every live target finds corrupt (no misses, no false
@@ -19,6 +20,7 @@ schedules — at-rest decay via :func:`decay_bit` and in-flight
 import numpy as np
 import pytest
 
+from oracles import DEVICES
 from repro.core.lsm import CoconutLSM
 from repro.storage import (
     CorruptionError,
@@ -27,7 +29,6 @@ from repro.storage import (
     FaultyDevice,
     RawSeriesFile,
     Scrubber,
-    SimulatedDisk,
     decay_bit,
 )
 from repro.summaries.sax import SAXConfig
@@ -45,7 +46,7 @@ QUERIES = _rng.standard_normal((3, LENGTH))
 
 
 def build_index(store, workers=1, device=None):
-    disk = SimulatedDisk(page_size=PAGE, store=store, integrity=True)
+    disk = DEVICES[store](page_size=PAGE, integrity=True)
     raw = RawSeriesFile(disk, LENGTH)
     raw.append_batch(BASE)
     ix = CoconutLSM(
@@ -88,7 +89,7 @@ def answers(ix):
 # ----------------------------------------------------------------------
 # Clean workloads scrub clean (recording has no gaps)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("store", ["arena", "dict"])
+@pytest.mark.parametrize("store", DEVICES)
 @pytest.mark.parametrize("workers", [1, 2])
 def test_clean_workload_scrubs_clean(store, workers):
     """Every page the sweep covers was recorded by some consumer —
@@ -107,7 +108,7 @@ def test_clean_workload_scrubs_clean(store, workers):
 # ----------------------------------------------------------------------
 # Oracle-scrub pin: seeded at-rest decay
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("store", ["arena", "dict"])
+@pytest.mark.parametrize("store", DEVICES)
 @pytest.mark.parametrize("seed", range(6))
 def test_decay_detected_exactly_and_repaired_bit_identical(store, seed):
     disk, raw, ix = build_index(store)
@@ -146,7 +147,7 @@ def test_decay_detected_exactly_and_repaired_bit_identical(store, seed):
     assert again.corrupt_pages == [] and again.complete
 
 
-@pytest.mark.parametrize("store", ["arena", "dict"])
+@pytest.mark.parametrize("store", DEVICES)
 def test_multibit_run_decay_quarantines_and_rebuilds_from_raw(store):
     disk, raw, ix = build_index(store)
     scrubber = Scrubber(disk, lsm=ix, raw=raw)
@@ -206,14 +207,14 @@ def test_step_honours_page_budget_and_completes():
 # ----------------------------------------------------------------------
 # Oracle-scrub pin: seeded in-flight FaultyDevice write flips
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("store", ["arena", "dict"])
+@pytest.mark.parametrize("store", DEVICES)
 @pytest.mark.parametrize("seed", range(6))
 def test_writetime_flips_found_repaired_and_recovery_equivalent(store, seed):
     """End to end: flips land during a live WAL workload, the sweep
     finds exactly the brute-force corrupt set, every corrupt page is
     provably one of the injected flips, and after repair a recovered
     index matches the acknowledged-batches oracle bit for bit."""
-    disk = SimulatedDisk(page_size=PAGE, store=store, integrity=True)
+    disk = DEVICES[store](page_size=PAGE, integrity=True)
     raw = RawSeriesFile(disk, LENGTH)
     raw.append_batch(BASE)
     dev = FaultyDevice(
@@ -246,7 +247,7 @@ def test_writetime_flips_found_repaired_and_recovery_equivalent(store, seed):
         raw.truncate(len(BASE))
         rec = CoconutLSM(disk, MEM, CONFIG, durability="wal", wal_id=2)
         rec.build(raw)
-    odisk = SimulatedDisk(page_size=PAGE, store=store)
+    odisk = DEVICES[store](page_size=PAGE)
     oraw = RawSeriesFile(odisk, LENGTH)
     oraw.append_batch(BASE)
     oracle = CoconutLSM(odisk, MEM, CONFIG, durability="wal")

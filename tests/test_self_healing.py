@@ -126,8 +126,8 @@ def test_non_fault_exceptions_are_not_masked():
 # ----------------------------------------------------------------------
 # Parallel query engines under injected faults
 # ----------------------------------------------------------------------
-def make_lsm(store="arena"):
-    disk = SimulatedDisk(page_size=PAGE, store=store)
+def make_lsm():
+    disk = SimulatedDisk(page_size=PAGE)
     raw = RawSeriesFile(disk, LENGTH)
     raw.append_batch(DATA)
     ix = CoconutLSM(disk, 1 << 16, CONFIG)
@@ -135,8 +135,8 @@ def make_lsm(store="arena"):
     return disk, ix
 
 
-def make_scan(store="arena"):
-    disk = SimulatedDisk(page_size=PAGE, store=store)
+def make_scan():
+    disk = SimulatedDisk(page_size=PAGE)
     raw = RawSeriesFile(disk, LENGTH)
     raw.append_batch(DATA)
     ix = SerialScan(disk, 1 << 16)
@@ -203,7 +203,7 @@ def lsm_content(ix) -> bytes:
 
 
 def build_compacting_lsm(workers, wrap=None):
-    disk = SimulatedDisk(page_size=PAGE, store="arena")
+    disk = SimulatedDisk(page_size=PAGE)
     raw = RawSeriesFile(disk, LENGTH)
     raw.append_batch(DATA[:200])
     ix = CoconutLSM(disk, 1 << 10, CONFIG, workers=workers)
@@ -232,7 +232,7 @@ def test_sharded_compaction_degrades_to_serial_merge():
 
 
 def test_spill_merge_fault_mid_merge_unfences_parent():
-    disk = SimulatedDisk(page_size=PAGE, store="arena")
+    disk = SimulatedDisk(page_size=PAGE)
     rec_dtype = np.dtype([("k", "S8"), ("v", "<i8")])
     rng = np.random.default_rng(5)
     sources = []
@@ -316,7 +316,7 @@ def test_parallel_merge_runs_unaffected_by_healing_path():
 # PR 6 error paths, exercised through shard sessions and engines
 # ----------------------------------------------------------------------
 def test_get_many_oob_raises_before_io_through_shard_session():
-    disk = SimulatedDisk(page_size=PAGE, store="arena")
+    disk = SimulatedDisk(page_size=PAGE)
     raw = RawSeriesFile(disk, LENGTH)
     raw.append_batch(DATA[:50])
     before = disk.stats
@@ -435,7 +435,7 @@ def test_heal_report_accumulates_across_calls():
 def test_spill_merge_reports_heal_attempts():
     from repro.parallel.heal import HealReport
 
-    disk = SimulatedDisk(page_size=PAGE, store="arena")
+    disk = SimulatedDisk(page_size=PAGE)
     rec_dtype = np.dtype([("k", "S8"), ("v", "<i8")])
     rng = np.random.default_rng(21)
     sources = []

@@ -76,7 +76,7 @@ class ManualClock:
 
 
 def make_service(config=None, device=None, clock=None, n_base=len(BASE)):
-    disk = SimulatedDisk(page_size=PAGE, store="arena")
+    disk = SimulatedDisk(page_size=PAGE)
     raw = RawSeriesFile(disk, LENGTH)
     raw.append_batch(BASE[:n_base])
     kwargs = {}
@@ -414,7 +414,7 @@ def test_serving_proceeds_while_a_writing_session_fences_the_parent(workers):
 # Ingest faults: in-place recovery, crash latch, restart
 # ----------------------------------------------------------------------
 def test_transient_ingest_fault_recovers_in_place_and_acks_once():
-    disk = SimulatedDisk(page_size=PAGE, store="arena")
+    disk = SimulatedDisk(page_size=PAGE)
     raw = RawSeriesFile(disk, LENGTH)
     raw.append_batch(BASE)
     dev = FaultyDevice(disk, None)
@@ -436,7 +436,7 @@ def test_transient_ingest_fault_recovers_in_place_and_acks_once():
 
 
 def test_crash_latch_keeps_serving_then_restart_recovers():
-    disk = SimulatedDisk(page_size=PAGE, store="arena")
+    disk = SimulatedDisk(page_size=PAGE)
     raw = RawSeriesFile(disk, LENGTH)
     raw.append_batch(BASE)
     dev = FaultyDevice(disk, None)
@@ -471,7 +471,7 @@ def test_crash_latch_keeps_serving_then_restart_recovers():
 
 
 def test_recovered_index_matches_acknowledged_oracle():
-    disk = SimulatedDisk(page_size=PAGE, store="arena")
+    disk = SimulatedDisk(page_size=PAGE)
     raw = RawSeriesFile(disk, LENGTH)
     raw.append_batch(BASE)
     dev = FaultyDevice(disk, None)
@@ -484,7 +484,7 @@ def test_recovered_index_matches_acknowledged_oracle():
         svc.ingest(EXTRA[75:100])
     svc.restart()
     # Fault-free oracle over exactly the acknowledged rows.
-    odisk = SimulatedDisk(page_size=PAGE, store="arena")
+    odisk = SimulatedDisk(page_size=PAGE)
     oraw = RawSeriesFile(odisk, LENGTH)
     oraw.append_batch(BASE)
     oraw.append_batch(EXTRA[:75])

@@ -63,7 +63,7 @@ _oracles: "dict[int, CoconutLSM]" = {}
 def oracle_at(watermark: int) -> CoconutLSM:
     """Fault-free index over exactly the first ``watermark`` rows."""
     if watermark not in _oracles:
-        disk = SimulatedDisk(page_size=PAGE, store="arena")
+        disk = SimulatedDisk(page_size=PAGE)
         raw = RawSeriesFile(disk, LENGTH)
         raw.append_batch(ALL_ROWS[:watermark])
         ix = CoconutLSM(disk, MEM, CONFIG)
@@ -119,7 +119,7 @@ def verify_conservation(svc, tickets):
 
 
 def fresh_service(config=None):
-    disk = SimulatedDisk(page_size=PAGE, store="arena")
+    disk = SimulatedDisk(page_size=PAGE)
     raw = RawSeriesFile(disk, LENGTH)
     raw.append_batch(BASE)
     dev = FaultyDevice(disk, None)
@@ -213,7 +213,7 @@ def test_chaos_schedule_preserves_acks_and_answers(seed):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", range(8))
 def test_chaos_with_bitflips_never_serves_corrupt(seed):
-    """Seeded schedules fire *silent* write flips on every page store
+    """Seeded schedules fire *silent* write flips on every page file
     the service touches — raw rides the faulty device here, so flips
     land on the source of truth itself.  With verified reads + the
     background scrubber armed, every served answer must still match
@@ -221,7 +221,7 @@ def test_chaos_with_bitflips_never_serves_corrupt(seed):
     the scrub stats), they are never served.
     """
     rng = np.random.default_rng(seed)
-    disk = SimulatedDisk(page_size=PAGE, store="arena")
+    disk = SimulatedDisk(page_size=PAGE)
     dev = FaultyDevice(disk, None)
     raw = RawSeriesFile(dev, LENGTH)  # raw appends go through the flips
     raw.append_batch(BASE)
