@@ -34,12 +34,18 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from .disk import PageError, SimulatedDisk
+from .disk import PageError, SimulatedDisk, _DerivedVerbs
 from .integrity import verify_view
 
 
-class BufferPool:
+class BufferPool(_DerivedVerbs):
     """Read cache with LRU eviction and write-through semantics.
+
+    ``read_run`` / ``write_run`` / ``read_pages`` are the derived verbs
+    of :class:`repro.storage.disk._DerivedVerbs`, spelled in the
+    cache-aware primitives below — a vectored read through a pool
+    makes, page for page, the hit / miss / admission decisions of the
+    per-run reads it replays.
 
     Parameters
     ----------
@@ -133,6 +139,12 @@ class BufferPool:
         consumers writing through a pool record exactly as they would
         against the device directly."""
         return getattr(self._require_attached(), "checksums", None)
+
+    def _check_write_run(self, first_page: int, n_pages: int) -> None:
+        self._require_attached()._check_write_run(first_page, n_pages)
+
+    def _check_page_payload(self, data) -> None:
+        self._require_attached()._check_page_payload(data)
 
     def _source(self) -> str:
         return f"BufferPool({self.disk!r})"

@@ -29,6 +29,15 @@ views stay valid for the life of the device.
 never written — and the tail of pages written short — read as zeros,
 on ``read_page`` and ``read_run_bytes`` alike.
 
+:meth:`_PagedDevice.read_pages` is the vectored read: a whole page
+list validated once, classified in one vectorized step (bit-identical
+to one ``read_page`` / ``read_run_bytes`` per maximal consecutive
+run) and answered with a *scatter list* of read-only 2-D views over
+whole arenas — no page is copied.  ``RawSeriesFile.get_many`` gathers
+records straight out of it.  Devices that wrap another device answer
+the same verb by replaying the per-run reads on themselves
+(:class:`_DerivedVerbs`).
+
 Zero-copy view lifetime
 -----------------------
 Views returned by the device alias live storage: they observe
@@ -37,7 +46,9 @@ referenced.  The safe lifetime rules are documented in
 ``docs/storage.md``; in short, a view taken from a :class:`DiskShard`
 must not outlive the shard's session, and a consumer that needs a
 stable private copy (e.g. to mutate) must copy explicitly — everything
-inside this package already does.
+inside this package already does.  A scatter list pins whole arenas
+(an ``allocate`` next to a pinned tail arena opens a new arena instead
+of growing it), so it never outlives the call that asked for it.
 
 Access traces
 -------------
@@ -85,11 +96,109 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
+import numpy as np
+
 from .cost import CostModel, DiskStats
+
+#: Every verb that moves page payloads.  A device class defines all of
+#: them (``tests/test_device_vocabulary.py``), and a wrapper that
+#: forwards unknown attributes must refuse these rather than forward
+#: them past its own bookkeeping.
+DEVICE_IO_VERBS = (
+    "read_page",
+    "write_page",
+    "read_run_bytes",
+    "write_run_bytes",
+    "read_run",
+    "write_run",
+    "read_pages",
+)
 
 
 class PageError(Exception):
     """Raised on invalid page accesses (unallocated page, oversized data)."""
+
+
+def _spans(starts_new: np.ndarray) -> "list[tuple[int, int]]":
+    """Half-open ``(lo, hi)`` spans of a sequence of ``len(starts_new) + 1``
+    items, where ``starts_new[i]`` says item ``i + 1`` opens a new span."""
+    cuts = (np.flatnonzero(starts_new) + 1).tolist()
+    return list(zip([0, *cuts], [*cuts, len(starts_new) + 1]))
+
+
+def _opens_run(pages: np.ndarray) -> np.ndarray:
+    """For each page after the first: does it open a new maximal run of
+    consecutive ids (it is not its predecessor + 1)?"""
+    return pages[1:] != pages[:-1] + 1
+
+
+class _DerivedVerbs:
+    """The verbs a device composes from its primitive ones.
+
+    Anything exposing ``page_size``, ``read_page``, ``write_page``,
+    ``read_run_bytes`` and the two write checks gets the list API and
+    the vectored read by inheriting this — the page stores, and every
+    device that wraps another (``BufferPool``, ``FaultyDevice``).  Each
+    verb is spelled in the primitives *of ``self``*, so a wrapper's
+    cache decisions, checksum verification and fault-plan op indices
+    are those of the primitive sequence by construction.
+    """
+
+    def read_run(self, first_page: int, n_pages: int) -> list:
+        """Read ``n_pages`` consecutive pages (one seek, then streaming).
+
+        Rides the bytes-level fast path: one :meth:`read_run_bytes`
+        call sliced at page boundaries, so the list API gets the
+        arena's zero-copy reads (the slices are sub-views of the same
+        buffer) and the same bulk-classified counters.
+        """
+        if n_pages <= 0:
+            return []
+        blob = self.read_run_bytes(first_page, n_pages)
+        view = blob if isinstance(blob, memoryview) else memoryview(blob)
+        ps = self.page_size
+        return [view[i * ps : (i + 1) * ps] for i in range(n_pages)]
+
+    def write_run(self, first_page: int, pages: list) -> None:
+        """Write consecutive pages (one seek, then streaming).
+
+        All or nothing, like ``write_run_bytes``: the whole range and
+        every payload length are validated before the first page is
+        counted or stored.
+        """
+        if not pages:
+            return
+        self._check_write_run(first_page, len(pages))
+        for data in pages:
+            self._check_page_payload(data)
+        for i, data in enumerate(pages):
+            self.write_page(first_page + i, data)
+
+    def read_pages(self, pages) -> "list[tuple[np.ndarray, np.ndarray]]":
+        """Vectored read of ``pages``, replayed run by run on ``self``.
+
+        The adapter behind every device that is not itself a page
+        store: each maximal run of consecutive ids becomes one
+        :meth:`read_page` (single page) or :meth:`read_run_bytes` call,
+        in request order — exactly the sequence a caller without a
+        vectored read would issue — and the joined stream comes back as
+        a one-entry scatter list (see :meth:`_PagedDevice.read_pages`
+        for the shape).  The pages *are* copied here; what the wrapper
+        keeps is its own semantics, call for call.
+        """
+        pages = np.asarray(pages, dtype=np.int64).ravel()
+        if len(pages) == 0:
+            return []
+        parts = [
+            self.read_page(int(pages[lo]))
+            if hi - lo == 1
+            else self.read_run_bytes(int(pages[lo]), hi - lo)
+            for lo, hi in _spans(_opens_run(pages))
+        ]
+        stream = parts[0] if len(parts) == 1 else b"".join(parts)
+        buffer = np.frombuffer(stream, dtype=np.uint8)
+        buffer.flags.writeable = False
+        return [(buffer.reshape(len(pages), self.page_size), np.arange(len(pages)))]
 
 
 class _ExtentArenas:
@@ -165,6 +274,27 @@ class _ExtentArenas:
             i += 1
         return b"".join(parts)
 
+    def scatter(self, pages: np.ndarray) -> "list[tuple[np.ndarray, np.ndarray]]":
+        """Where ``pages`` (all backed) live: ``(buffer2d, rows)`` entries.
+
+        ``buffer2d`` is a read-only ``(arena_pages, page_size)`` uint8
+        view of one whole arena and ``rows`` the row of each page in
+        it; a new entry opens whenever the request moves to another
+        arena, so an ascending request yields one entry per arena
+        touched.  Nothing is copied.
+        """
+        which = np.searchsorted(self.starts, pages, side="right") - 1
+        entries = []
+        for lo, hi in _spans(which[1:] != which[:-1]):
+            i = int(which[lo])
+            arena = np.frombuffer(
+                memoryview(self.arenas[i]).toreadonly(), dtype=np.uint8
+            )
+            entries.append(
+                (arena.reshape(-1, self.page_size), pages[lo:hi] - self.starts[i])
+            )
+        return entries
+
     def splice(self, first_page: int, data, n_bytes: int) -> None:
         """Write ``data`` at ``first_page``, zero-filling up to ``n_bytes``.
 
@@ -198,14 +328,14 @@ class _ExtentArenas:
         return bytearray(run)
 
 
-class _PagedDevice:
+class _PagedDevice(_DerivedVerbs):
     """Accounting and streaming helpers shared by disks and shards.
 
     Subclasses provide ``page_size``, ``cost_model``, ``read_page``,
-    ``write_page``, ``read_run_bytes`` and ``_check_write_run``; this
-    base owns the head position (``None`` while parked — the next
-    access is always random), the live counters and the optional
-    access trace.
+    ``write_page``, ``read_run_bytes``, ``_check_write_run``,
+    ``_check_run_readable`` and ``_scatter``; this base owns the head
+    position (``None`` while parked — the next access is always
+    random), the live counters and the optional access trace.
     """
 
     page_size: int
@@ -273,37 +403,47 @@ class _PagedDevice:
             self._trace.append(("w", first_page, n_pages))
 
     # ------------------------------------------------------------------
-    # Streaming convenience
+    # Vectored read (the gather's one device call)
     # ------------------------------------------------------------------
-    def read_run(self, first_page: int, n_pages: int) -> list:
-        """Read ``n_pages`` consecutive pages (one seek, then streaming).
+    def read_pages(self, pages) -> "list[tuple[np.ndarray, np.ndarray]]":
+        """Read ``pages`` (any order, repeats allowed) in one call.
 
-        Rides the bytes-level fast path: one :meth:`read_run_bytes`
-        call sliced at page boundaries, so the list API gets the
-        arena's zero-copy reads (the slices are sub-views of the same
-        buffer) and the same bulk-classified counters.
+        Validated once — device state and both ends of the id range —
+        before anything is counted, then classified in one vectorized
+        step that is bit-identical to issuing :meth:`read_page` /
+        :meth:`read_run_bytes` per maximal consecutive run in request
+        order: page *i* is sequential iff it is its predecessor + 1
+        (the head, for the first), the head ends on the last page, and
+        the trace gets one ``("r", first, count)`` tuple per run.
+
+        Returns a **scatter list** ``[(buffer2d, rows), ...]`` whose
+        ``rows`` arrays, concatenated, line up with ``pages``:
+        ``buffer2d[rows[j]]`` is the page, ``buffer2d`` a read-only
+        ``(n, page_size)`` uint8 view of a whole arena (a shard's
+        private arena for pages inside its extent, the parent's
+        otherwise).  No page is copied.  Entries alias live storage
+        and pin it, so a scatter list must not outlive the call that
+        asked for it (``docs/storage.md``).
         """
-        if n_pages <= 0:
+        pages = np.asarray(pages, dtype=np.int64).ravel()
+        n = len(pages)
+        if n == 0:
             return []
-        blob = self.read_run_bytes(first_page, n_pages)
-        view = blob if isinstance(blob, memoryview) else memoryview(blob)
-        ps = self.page_size
-        return [view[i * ps : (i + 1) * ps] for i in range(n_pages)]
-
-    def write_run(self, first_page: int, pages: list) -> None:
-        """Write consecutive pages (one seek, then streaming).
-
-        All or nothing, like :meth:`write_run_bytes`: the whole range
-        and every payload length are validated before the first page is
-        counted or stored.
-        """
-        if not pages:
-            return
-        self._check_write_run(first_page, len(pages))
-        for data in pages:
-            self._check_page_payload(data)
-        for i, data in enumerate(pages):
-            self.write_page(first_page + i, data)
+        lo, hi = int(pages.min()), int(pages.max())
+        self._check_run_readable(lo, hi - lo + 1)
+        new_run = _opens_run(pages)
+        random = int(np.count_nonzero(new_run))
+        if self._head is None or pages[0] != self._head + 1:
+            random += 1
+        self._stats.random_reads += random
+        self._stats.sequential_reads += n - random
+        self._stats.bytes_read += n * self.page_size
+        self._head = int(pages[-1])
+        if self._trace is not None:
+            self._trace.extend(
+                ("r", int(pages[a]), b - a) for a, b in _spans(new_run)
+            )
+        return self._scatter(pages)
 
     def _check_page_payload(self, data) -> None:
         if len(data) > self.page_size:
@@ -511,11 +651,17 @@ class SimulatedDisk(_PagedDevice):
         """
         if n_pages <= 0:
             return b""
+        self._check_run_readable(first_page, n_pages)
+        self._count_read_run(first_page, n_pages)
+        return self._arenas.run_view(first_page, n_pages)
+
+    def _check_run_readable(self, first_page: int, n_pages: int) -> None:
         self._check_unsharded("read_page")
         self._check_page(first_page)
         self._check_page(first_page + n_pages - 1)
-        self._count_read_run(first_page, n_pages)
-        return self._arenas.run_view(first_page, n_pages)
+
+    def _scatter(self, pages):
+        return self._arenas.scatter(pages)
 
     def write_run_bytes(self, first_page: int, data, n_pages: int) -> None:
         """Write one byte stream across a physically contiguous run.
@@ -712,6 +858,7 @@ class DiskShard(_PagedDevice):
         the extent — collapses to ``[0, readable_below)``: a run is
         readable iff it stays below the watermark.
         """
+        self._check_attached()
         last = first_page + n_pages - 1
         if first_page < 0 or last >= self._readable_below:
             bad = first_page if first_page < 0 else last
@@ -732,7 +879,6 @@ class DiskShard(_PagedDevice):
         """
         if n_pages <= 0:
             return b""
-        self._check_attached()
         self._check_run_readable(first_page, n_pages)
         self._count_read_run(first_page, n_pages)
         return self._run_parts(first_page, n_pages)
@@ -758,6 +904,17 @@ class DiskShard(_PagedDevice):
         if mid_hi < end:
             parts.append(self.parent._arenas.run_view(mid_hi, end - mid_hi))
         return b"".join(parts)
+
+    def _scatter(self, pages):
+        """Extent pages from the private arena, the rest from the parent."""
+        inside = (pages >= self.first_page) & (
+            pages < self.first_page + self.extent_pages
+        )
+        entries = []
+        for lo, hi in _spans(inside[1:] != inside[:-1]):
+            arenas = self._arenas if inside[lo] else self.parent._arenas
+            entries.extend(arenas.scatter(pages[lo:hi]))
+        return entries
 
     def write_run_bytes(self, first_page: int, data, n_pages: int) -> None:
         """Bulk write within the shard's extent (see SimulatedDisk)."""

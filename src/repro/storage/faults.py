@@ -34,7 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .disk import PageError
+import numpy as np
+
+from .disk import DEVICE_IO_VERBS, PageError, _DerivedVerbs, _opens_run
 
 __all__ = [
     "FaultError",
@@ -186,16 +188,23 @@ class FaultPlan:
         return _pick(self.seed, kind, _S_POS, index, n)
 
 
-class FaultyDevice:
+class FaultyDevice(_DerivedVerbs):
     """A paged device that injects faults from a :class:`FaultPlan`.
 
     Wraps any device speaking the paged vocabulary and forwards
     ``allocate`` / ``read_page`` / ``write_page`` / ``read_run_bytes``
-    / ``write_run_bytes`` with fault checks; ``page_view`` and every
-    other attribute (``cost_model``, ``stats``, ``snapshot``,
-    ``stats_since``, ``head_position`` …) pass straight through, so
-    the wrapper is transparent to ``PagedFile``, ``BufferPool``,
-    ``RawSeriesFile`` and ``Measurement`` alike.
+    / ``write_run_bytes`` with fault checks; ``read_run`` /
+    ``write_run`` / ``read_pages`` are the derived verbs of
+    :class:`repro.storage.disk._DerivedVerbs` over those, so each
+    consults the plan at the op granularity of the inner method it
+    shadows (one read op per run, one write op per page; only a
+    plan-less ``read_pages`` is handed to the inner device whole).
+    ``page_view`` and every other attribute (``cost_model``, ``stats``,
+    ``snapshot``, ``stats_since``, ``head_position`` …) pass straight
+    through, so the wrapper is transparent to ``PagedFile``,
+    ``BufferPool``, ``RawSeriesFile`` and ``Measurement`` alike —
+    except the names in ``DEVICE_IO_VERBS``, which are never forwarded:
+    an I/O verb this class does not define would bypass the plan.
     """
 
     def __init__(self, inner, plan: FaultPlan | None = None):
@@ -370,6 +379,23 @@ class FaultyDevice:
             data = self._flipped_payload(data, index)
         self.inner.write_run_bytes(first_page, data, n_pages)
 
+    def read_pages(self, pages):
+        """One plan decision per run: replayed through the adapter.
+
+        With no plan there is nothing to decide and the wrapper stays
+        the pure forwarder ``benchmarks/bench_faults.py`` gates: the
+        request goes to the inner device whole, numbered as the runs
+        it stands for.
+        """
+        if self.plan is not None:
+            return super().read_pages(pages)
+        if self.crashed:
+            raise DeviceCrash("device halted; reopen before further I/O")
+        pages = np.asarray(pages, dtype=np.int64).ravel()
+        if len(pages):
+            self.reads_issued += 1 + int(np.count_nonzero(_opens_run(pages)))
+        return self.inner.read_pages(pages)
+
     # BufferPool's single-page interface (so a FaultyDevice can wrap a
     # pool as well as sit underneath one).
     def read(self, page_id: int):
@@ -409,7 +435,14 @@ class FaultyDevice:
     def __getattr__(self, name: str):
         # Everything else (cost_model, stats, snapshot, stats_since,
         # head_position, park_head, trace, pages_allocated, …) is
-        # forwarded untouched.
+        # forwarded untouched — but never an I/O verb: one that lands
+        # here is not instrumented, and forwarding it would move
+        # payload past the plan and the crashed latch.
+        if name in DEVICE_IO_VERBS:
+            raise AttributeError(
+                f"FaultyDevice does not instrument {name!r}; define it on "
+                "the class so it consults the fault plan"
+            )
         return getattr(self.inner, name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -25,6 +25,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
+import numpy as np
+
 from .disk import PageError, SimulatedDisk
 
 
@@ -131,6 +133,21 @@ class PagedFile:
             )
         at = bisect_right(self._starts, logical) - 1
         return self._extents[at].first_page + logical - self._starts[at]
+
+    def physical_pages(self, logical: np.ndarray) -> np.ndarray:
+        """:meth:`physical_page` of a whole array of logical pages."""
+        logical = np.asarray(logical, dtype=np.int64)
+        if len(logical) and not 0 <= logical.min() <= logical.max() < self._n_pages:
+            raise PageError(
+                f"logical pages [{logical.min()}, {logical.max()}] out of "
+                f"range [0, {self._n_pages})"
+            )
+        at = np.searchsorted(self._starts, logical, side="right") - 1
+        shift = np.array(
+            [e.first_page - start for e, start in zip(self._extents, self._starts)],
+            dtype=np.int64,
+        )
+        return logical + shift[at]
 
     def _physical_runs(
         self, first_logical: int, n_pages: int

@@ -22,49 +22,21 @@ from .integrity import verify_view
 from .pager import PagedFile
 
 
-def _consecutive_runs(values: np.ndarray) -> "list[tuple[int, int]]":
-    """Split ascending distinct ``values`` into maximal consecutive runs.
-
-    Returns ``(first_value, count)`` pairs in ascending order — the
-    planning step of the grouped gather: each run becomes one bulk
-    read whose classified counters equal the page-at-a-time sequence.
-    """
-    if len(values) == 0:
-        return []
-    breaks = np.nonzero(np.diff(values) != 1)[0] + 1
-    starts = np.concatenate([[0], breaks, [len(values)]])
-    return [
-        (int(values[starts[i]]), int(starts[i + 1] - starts[i]))
-        for i in range(len(starts) - 1)
-    ]
-
-
-def _sorted_unique(values: np.ndarray) -> "tuple[np.ndarray, bool]":
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
     """Ascending distinct values, hash-free.
 
-    Returns ``(uniq, values_is_uniq)`` where the flag records that the
-    input was already strictly ascending (so callers can skip their
-    final reorder take).  Fetch plans usually arrive sorted and
-    deduplicated — one vectorized diff is then the entire cost.
+    Fetch plans usually arrive sorted — one vectorized diff is then the
+    entire cost of finding that out, and a boolean take the cost of
+    dropping the repeats (several records of one page).
     """
     if len(values) < 2:
-        return values, True
+        return values
     diffs = np.diff(values)
     if (diffs > 0).all():
-        return values, True
-    if (diffs >= 0).all():
-        return values[np.concatenate(([True], diffs > 0))], False
-    ordered = np.sort(values)
-    keep = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-    return ordered[keep], False
-
-
-def _dedup_sorted(values: np.ndarray) -> np.ndarray:
-    """Distinct values of an already non-decreasing array."""
-    if len(values) < 2:
         return values
-    keep = np.concatenate(([True], values[1:] != values[:-1]))
-    return values if keep.all() else values[keep]
+    if not (diffs >= 0).all():
+        values = np.sort(values)
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
 
 class RawSeriesFile:
@@ -337,88 +309,77 @@ class RawSeriesFile:
         search: the distinct pages behind ``idxs`` are visited in file
         order so the disk head only moves forward, duplicates and
         unsorted input included, and series spanning several pages are
-        folded into the same one-visit-per-page plan.  The gather is
-        fully vectorized: maximal consecutive page runs are read as
-        single padded streams, parsed with one strided copy per run,
-        and the output rows are assembled with one fancy-index take —
-        no per-record Python work.  Raises :class:`IndexError` on any
-        out-of-range index before any I/O is performed.
+        folded into the same one-visit-per-page plan.  Three steps, no
+        per-record and no per-run Python work: *plan* (page and slot of
+        every requested record; only the page list is sorted and
+        deduplicated), *one vectored read* (``read_pages`` of the
+        device, or of the attached pool) and *one gather* of
+        record-sized cells from the scatter list straight into the
+        output rows, in request order — no page is joined or copied on
+        the way when the device is a page store.  Raises
+        :class:`IndexError` on any out-of-range index before any I/O is
+        performed.
         """
         idxs = np.asarray(idxs, dtype=np.int64).ravel()
+        shape = (len(idxs), self.length)
         if len(idxs) == 0:
-            return np.empty((0, self.length), dtype=np.float32)
+            return np.empty(shape, dtype=np.float32)
         self._check_idxs(idxs)
         page_size = self.disk.page_size
-        # Dedup without hashing: the SIMS fetch already hands us sorted
-        # unique candidates, so detect that (one diff) before paying
-        # for a sort, and remember when the output rows can be returned
-        # without the final reorder take.
-        uniq, idxs_is_uniq = _sorted_unique(idxs)
-        # Record-sized void cells make every gather below move whole
-        # records per element (one C memcpy each), never single bytes.
-        cell = np.dtype((np.void, self.record_bytes))
-        # Phase 1 — I/O only: one counted read per maximal consecutive
-        # page run (the per-page classified counters are guaranteed
-        # identical by the device contract), buffers collected in rank
-        # order.  All parsing is deferred so the per-run Python cost is
-        # nothing but the read itself.
-        if self.pages_per_series == 1:
-            spp = self.series_per_page
-            pages = uniq // spp  # non-decreasing
-            slots = uniq % spp
-            uniq_pages = _dedup_sorted(pages)
-            record_stride = cell.itemsize
-        else:
-            pps = self.pages_per_series
-            pages = uniq  # one record <-> pps consecutive pages
-            slots = None
-            uniq_pages = uniq
-            record_stride = pps * page_size
-        parts = []
-        for first, count in _consecutive_runs(uniq_pages):
-            if count == 1 and self.pages_per_series == 1:
-                parts.append(self._read_logical(first))
-            elif self.pages_per_series == 1:
-                parts.append(self._read_logical_run(first, count))
-            else:
-                parts.append(
-                    self._read_logical_run(first * pps, count * pps)
-                )
-        # Phase 2 — one vectorized gather over the joined stream.  The
-        # join is a single C-level concatenation (zero-copy when the
-        # plan collapsed to one run); every requested page occupies one
-        # page_size slot in rank order, so record cells sit at a
-        # uniform stride and one fancy-index take assembles the rows.
-        stream = parts[0] if len(parts) == 1 else b"".join(parts)
-        gathered = np.empty((len(uniq), self.length), dtype=np.float32)
-        if self.pages_per_series == 1:
-            src = np.frombuffer(
-                stream,
-                dtype=cell,
-                count=len(uniq_pages) * page_size // cell.itemsize,
-            )
-            # Strided (page, slot) window over the padded stream: rows
-            # start at page boundaries (skipping each page's tail
-            # padding), columns at record boundaries.
-            window = as_strided(
-                src,
-                shape=(len(uniq_pages), spp),
-                strides=(page_size, cell.itemsize),
-            )
-            page_rank = np.searchsorted(uniq_pages, pages)
-            gathered.reshape(-1).view(cell)[:] = window[page_rank, slots]
-        else:
-            src = np.frombuffer(
-                stream,
-                dtype=cell,
-                count=len(uniq) * record_stride // cell.itemsize,
-            )
-            gathered.reshape(-1).view(cell)[:] = as_strided(
-                src, shape=(len(uniq),), strides=(record_stride,)
-            )
-        if idxs_is_uniq:
-            return gathered
-        return gathered[np.searchsorted(uniq, idxs)]
+        spp, pps = self.series_per_page, self.pages_per_series
+        # Plan.  A record starts on page (idx // spp) * pps at slot
+        # idx % spp and owns the pps - 1 pages after it (one of spp and
+        # pps is always 1, so the same two lines cover both layouts).
+        heads = idxs // spp * pps
+        slots = idxs % spp
+        distinct = _sorted_unique(heads)
+        plan = (distinct[:, None] + np.arange(pps)).ravel()
+        rank = np.searchsorted(distinct, heads) * pps  # of heads, in plan
+        device = self._pool if self._pool is not None else self.disk
+        physical = self.file.physical_pages(plan)
+        scatter = device.read_pages(physical)
+        if self._hashes_reads_from(device):
+            self._verify_scatter(device, physical, scatter)
+        # Gather.  Chunk j of a record is its bytes on page head + j: a
+        # void cell of ``width`` bytes (the whole record when pps == 1),
+        # so every element moved below is one C memcpy of a record's
+        # worth of bytes, taken from a (page, slot) window over the
+        # entry's buffer — tail padding skipped by the window's row
+        # stride — and stored into the same chunk of the output rows.
+        # One entry holding every record whole (a single arena, or a
+        # wrapper's joined stream) needs no assembly: its take, already
+        # in request order, is the output.
+        one_entry = len(scatter) == 1
+        out = None if one_entry and pps == 1 else np.empty(shape, np.float32)
+        lo = 0
+        for buffer, rows in scatter:
+            hi = lo + len(rows)
+            for j in range(pps):
+                start = j * page_size  # of chunk j within the record
+                width = min(page_size, self.record_bytes - start)
+                cell = np.dtype((np.void, width))
+                window = buffer[:, : spp * width].view(cell)
+                at = rank + j
+                if one_entry:
+                    mine = slice(None)
+                else:
+                    mine = np.flatnonzero((at >= lo) & (at < hi))
+                taken = window[rows[at[mine] - lo], slots[mine]]
+                if out is None:
+                    return taken.view(np.float32).reshape(shape)
+                chunk = out.view(np.uint8)[:, start : start + width]
+                chunk.view(cell)[mine, 0] = taken
+            lo = hi
+        return out
+
+    def _verify_scatter(self, device, physical: np.ndarray, scatter) -> None:
+        """Hash every page of a scatter list once (zero-copy rows)."""
+        checksums = getattr(device, "checksums", None)
+        source = f"RawSeriesFile({self.name!r})"
+        page_ids = iter(physical.tolist())
+        for buffer, rows in scatter:
+            for row in rows.tolist():
+                verify_view(checksums, next(page_ids), buffer[row], source)
 
     def scan(
         self,

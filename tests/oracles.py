@@ -12,6 +12,7 @@ oracle                     production callable it pins            pinned in
 ``heapq_merge_stream``     ``repro.storage.merge.merge_stream``   ``test_merge_engine.py``
 ``argsort_merge``          ``repro.storage.merge.merge_presorted``  ``test_merge_engine.py``
 ``loop_get_many``          ``RawSeriesFile.get_many``             ``test_fetch_oracle.py``
+``loop_read_pages``        ``read_pages`` (native and adapter)    ``test_fetch_oracle.py``
 =========================  =====================================  ======================
 """
 
@@ -20,6 +21,7 @@ import heapq
 import numpy as np
 
 from repro.storage import SimulatedDisk
+from repro.storage.disk import _DerivedVerbs
 from repro.storage.merge import _open_cursors
 
 
@@ -58,7 +60,12 @@ class DictDisk(SimulatedDisk):
     """The copy-level oracle device: a ``SimulatedDisk`` whose pages
     live in :class:`DictPages` instead of extent arenas.  Checks,
     classification, counters and traces are the production code, so
-    only storage differs."""
+    only storage differs.  ``read_pages`` is the run-replay adapter —
+    one classified ``read_page`` / ``read_run_bytes`` per maximal run —
+    which makes this device the oracle for the arena device's
+    vectorized classification as well."""
+
+    read_pages = _DerivedVerbs.read_pages
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -111,6 +118,36 @@ def argsort_merge(runs):
 
 
 # ------------------------------------------------------------------ gather
+def loop_read_pages(device, pages):
+    """``device.read_pages(pages)`` as the loop of single reads it
+    replaces: one ``read_page`` per isolated page, one
+    ``read_run_bytes`` per maximal run of consecutive ids, in request
+    order.  Returns the pages as a list of ``bytes``."""
+    pages = [int(p) for p in pages]
+    page_size = device.page_size
+    out = []
+    i = 0
+    while i < len(pages):
+        j = i + 1
+        while j < len(pages) and pages[j] == pages[j - 1] + 1:
+            j += 1
+        if j - i == 1:
+            out.append(bytes(device.read_page(pages[i])))
+        else:
+            blob = bytes(device.read_run_bytes(pages[i], j - i))
+            out.extend(
+                blob[k * page_size : (k + 1) * page_size] for k in range(j - i)
+            )
+        i = j
+    return out
+
+
+def scatter_pages(scatter):
+    """The pages of a ``read_pages`` scatter list, as ``bytes``, in
+    request order."""
+    return [bytes(buffer[row]) for buffer, rows in scatter for row in rows]
+
+
 def loop_get_many(raw, idxs):
     """Per-record loop gather over a ``RawSeriesFile``.
 

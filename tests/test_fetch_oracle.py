@@ -7,7 +7,12 @@ classified :class:`DiskStats`, same head movement, same buffer-pool
 hit/miss counts — on the product device (zero-copy views) and on the
 dict oracle device (every read a ``bytes`` copy), for every layout the file supports: page-divisor and
 non-divisor record sizes, records spanning multiple pages, duplicate /
-unsorted / empty / out-of-range index arrays.  The refine kernel is
+unsorted / empty / out-of-range index arrays.  The vectored read under
+the gather, ``read_pages``, is pinned the same way on every device
+class to the loop of single reads it replaces
+(``tests/oracles.py::loop_read_pages``), fault-plan op indices
+included, and the two properties the gather's speed rests on — one
+device call, no page copy — are pinned deterministically.  The refine kernel is
 pinned to its contract: every value bitwise the naive one-shot formula
 (or ``inf`` only strictly above the bound), never ``inf`` where the
 scalar early-abandon loop keeps a row, and allocation-free per tile.
@@ -17,7 +22,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.series.distance import (
@@ -26,8 +31,16 @@ from repro.series.distance import (
     early_abandon_euclidean_block,
     euclidean_batch,
 )
-from oracles import DEVICES, loop_get_many
-from repro.storage import BufferPool, RawSeriesFile
+from oracles import (
+    DEVICES,
+    DictDisk,
+    loop_get_many,
+    loop_read_pages,
+    scatter_pages,
+)
+from repro.storage import BufferPool, RawSeriesFile, SimulatedDisk
+from repro.storage.disk import PageError, ShardedDisk
+from repro.storage.faults import FaultPlan, FaultyDevice, TransientIOError
 
 # (n_series, length, page_size): divisor and non-divisor single-page
 # layouts, a page_size that is not a float32 multiple, and multi-page
@@ -171,6 +184,381 @@ def test_property_gather_equals_oracle(idxs, geometry, store):
     if len(idxs):
         np.testing.assert_array_equal(got, data[idxs])
     assert d1.stats == d2.stats
+
+
+# ------------------------------------------- the gather, on every device
+DEVICE_KINDS = ["arena", "dict", "shard", "pool", "faulty"]
+
+
+@st.composite
+def layouts(draw):
+    """(length, page_size, appends): 1..16 records per page with or
+    without tail padding, or records spanning 2..3 pages; the file is
+    grown in 1..6 appends of ``(rows, foreign pages allocated first,
+    pin the tail arena first)``."""
+    length = draw(st.integers(min_value=2, max_value=12))
+    record = 4 * length
+    pps = draw(st.integers(min_value=1, max_value=3))
+    if pps == 1:
+        spp = draw(st.integers(min_value=1, max_value=16))
+        page_size = spp * record + draw(st.integers(0, record - 1))
+    else:
+        page_size = -(-record // pps)
+        assume(-(-record // page_size) == pps)
+    appends = draw(
+        st.lists(
+            st.tuples(st.integers(1, 12), st.integers(0, 3), st.booleans()),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return length, page_size, appends
+
+
+def requests(n, spp):
+    """Empty, duplicated + unsorted, dense, one per page, shuffled."""
+    return st.one_of(
+        st.just([]),
+        st.lists(st.integers(0, n - 1), max_size=40),
+        st.just(list(range(n))),
+        st.just(list(range(0, n, spp))),
+        st.permutations(range(n)),
+    )
+
+
+def open_raw(kind, layout, extent=(0, 0), capacity=0, plan=None):
+    """A raw file grown as ``layout`` says, bound to a ``kind`` device.
+
+    Foreign allocations between appends split the file into several
+    extents; a page view held across an append pins the tail arena, so
+    the next extent opens a new arena.  Returns ``(raw, device, data,
+    keep)``: ``device`` is where the counters move, ``keep`` what must
+    stay referenced (the pins, the shard session).  Deterministic, so
+    two calls build twins.
+    """
+    length, page_size, appends = layout
+    cls = DictDisk if kind == "dict" else SimulatedDisk
+    disk = cls(page_size=page_size, trace=True)
+    raw = RawSeriesFile(disk, length)
+    rng = np.random.default_rng(5)
+    keep, blocks = [], []
+    for rows, foreign, pin in appends:
+        if foreign:
+            disk.allocate(foreign)
+        if pin and disk.pages_allocated:
+            keep.append(disk.page_view(disk.pages_allocated - 1))
+        blocks.append(rng.standard_normal((rows, length)).astype(np.float32))
+        raw.append_batch(blocks[-1])
+    device = disk
+    if kind == "shard":
+        # A writing session whose private extent covers allocated pages
+        # (the file's own, mostly): those are served from the shard's
+        # arena, the rest from the parent's.
+        first = extent[0] % disk.pages_allocated
+        n_pages = 1 + extent[1] % (disk.pages_allocated - first)
+        session = ShardedDisk(disk, [(first, n_pages)])
+        keep.append(session)
+        device = session.shards[0]
+        raw = raw.view(device)
+    elif kind == "pool":
+        raw.attach_pool(BufferPool(disk, capacity_pages=capacity))
+    elif kind == "faulty":
+        raw = raw.view(FaultyDevice(disk, plan))
+    device.reset_stats()
+    device.park_head()
+    return raw, device, np.concatenate(blocks), keep
+
+
+def io_state(raw, device, per_page=False):
+    """Counters, head, trace and pool state after some reads.  The
+    loop oracle reads page by page and the gather run by run — the
+    same pages in the same order — so those two compare their traces
+    ``per_page``."""
+    trace = device.trace
+    if per_page:
+        trace = [(op, first + i, 1) for op, first, n in trace for i in range(n)]
+    pool = raw._pool
+    return (
+        device.stats.copy(),
+        device.head_position,
+        trace,
+        pool and (pool.hits, pool.misses, list(pool._cache)),
+    )
+
+
+def reader(raw):
+    """The device a gather on ``raw`` reads from."""
+    return raw._pool if raw._pool is not None else raw.disk
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    layout=layouts(),
+    kind=st.sampled_from(DEVICE_KINDS),
+    extent=st.tuples(st.integers(0, 200), st.integers(0, 200)),
+    capacity=st.integers(0, 8),
+    data=st.data(),
+)
+def test_property_gather_equals_oracle_on_every_device(
+    layout, kind, extent, capacity, data
+):
+    """Payload, DiskStats, head, trace and pool state of ``get_many``
+    are the loop oracle's — whatever the geometry, however many extents
+    and arenas the file spans, on every device class."""
+    got_raw, got_dev, rows, _k1 = open_raw(kind, layout, extent, capacity)
+    ref_raw, ref_dev, _, _k2 = open_raw(kind, layout, extent, capacity)
+    n = len(rows)
+    # Two requests back to back: the second starts from a warm pool
+    # and from wherever the first left the head.
+    for _ in range(2):
+        idxs = data.draw(requests(n, got_raw.series_per_page))
+        idxs = np.array(idxs, dtype=np.int64)
+        got = got_raw.get_many(idxs)
+        ref = loop_get_many(ref_raw, idxs)
+        assert got.dtype == np.float32 and got.shape == (len(idxs), layout[0])
+        assert got.flags.writeable and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(got, rows[idxs])
+        assert io_state(got_raw, got_dev, per_page=True) == io_state(
+            ref_raw, ref_dev, per_page=True
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    layout=layouts(),
+    kind=st.sampled_from(DEVICE_KINDS),
+    extent=st.tuples(st.integers(0, 200), st.integers(0, 200)),
+    capacity=st.integers(0, 8),
+    data=st.data(),
+)
+def test_property_read_pages_equals_the_loop_of_single_reads(
+    layout, kind, extent, capacity, data
+):
+    """``read_pages`` — native on the page stores, the run-replay
+    adapter on everything else — is call for call the loop it replaces:
+    any order, repeats, runs, a first page that continues the head."""
+    got_raw, got_dev, _, _k1 = open_raw(kind, layout, extent, capacity)
+    ref_raw, ref_dev, _, _k2 = open_raw(kind, layout, extent, capacity)
+    # The file's last page is the device's last allocation.
+    allocated = got_raw.file.physical_page(got_raw.file.n_pages - 1) + 1
+    page = st.integers(0, allocated - 1)
+    run = st.builds(
+        lambda first, n: list(range(first, min(first + n, allocated))),
+        page,
+        st.integers(1, 6),
+    )
+    request = st.lists(st.one_of(page.map(lambda p: [p]), run), max_size=8).map(
+        lambda parts: [p for part in parts for p in part]
+    )
+    for _ in range(3):
+        pages = data.draw(request)
+        head = got_dev.head_position
+        if head is not None and head + 1 < allocated and data.draw(st.booleans()):
+            pages = [head + 1] + pages  # continues the head: sequential
+        scatter = reader(got_raw).read_pages(pages)
+        assert all(not buffer.flags.writeable for buffer, _ in scatter)
+        assert scatter_pages(scatter) == loop_read_pages(reader(ref_raw), pages)
+        del scatter
+        # Run for run, not merely page for page — fault-plan ops too.
+        assert io_state(got_raw, got_dev) == io_state(ref_raw, ref_dev)
+        if kind == "faulty":
+            assert got_raw.disk.reads_issued == ref_raw.disk.reads_issued
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    layout=layouts(),
+    seed=st.integers(0, 2**32 - 1),
+    p=st.sampled_from([0.1, 0.5, 0.9]),
+    data=st.data(),
+)
+def test_property_gather_keeps_every_fault_plan_decision(layout, seed, p, data):
+    """Under a seeded transient-read plan the gather consults the plan
+    at the op indices of the per-run loop: same ``reads_issued``, same
+    ``injected``, same reads reaching the disk, retries included."""
+    plan = FaultPlan(seed=seed, p_transient_read=p)
+    got_raw, got_disk, rows, _k1 = open_raw("faulty", layout, plan=plan)
+    ref_raw, ref_disk, _, _k2 = open_raw("faulty", layout, plan=plan)
+    spp, pps = got_raw.series_per_page, got_raw.pages_per_series
+    for _ in range(3):  # a failed attempt moves the op index: retry
+        idxs = data.draw(requests(len(rows), spp))
+        plan_pages = sorted(
+            {
+                ref_raw.file.physical_page(idx // spp * pps + j)
+                for idx in idxs
+                for j in range(pps)
+            }
+        )
+        outcomes = []
+        for attempt in (
+            lambda: got_raw.get_many(np.array(idxs, dtype=np.int64)),
+            lambda: loop_read_pages(ref_raw.disk, plan_pages),
+        ):
+            try:
+                attempt()
+                outcomes.append("ok")
+            except TransientIOError as error:
+                outcomes.append(str(error))
+        assert outcomes[0] == outcomes[1]
+        assert got_raw.disk.reads_issued == ref_raw.disk.reads_issued
+        assert got_raw.disk.injected == ref_raw.disk.injected
+        assert io_state(got_raw, got_disk) == io_state(ref_raw, ref_disk)
+
+
+@pytest.mark.parametrize(
+    "length,page_size",
+    [(6, 100), (6, 24), (6, 16), (6, 10)],
+    ids=["padded", "one-per-page", "two-pages", "three-pages-padded"],
+)
+@pytest.mark.parametrize("kind", ["arena", "shard"])
+def test_gather_across_arenas_and_extents(kind, length, page_size):
+    """The assembly path, deterministically: a file in three or more
+    arenas (and, on the shard, a private extent in the middle of it)
+    gathered by a request with repeats, out of order, touching all."""
+    layout = (length, page_size, [(7, 1, True), (6, 2, True), (5, 0, True)])
+    raw, device, rows, _keep = open_raw(kind, layout, extent=(3, 4))
+    disk = getattr(device, "parent", device)
+    assert len(disk._arenas.arenas) >= 3 and raw.file.n_extents >= 2
+    idxs = np.array([17, 0, 9, 9, 3, 12, 17, 6, 1])
+    whole_file = raw.file.physical_pages(np.arange(raw.file.n_pages))
+    assert len(device.read_pages(whole_file)) >= 2
+    np.testing.assert_array_equal(raw.get_many(idxs), rows[idxs])
+    np.testing.assert_array_equal(raw.get_many(np.arange(18)), rows)
+
+
+def _paged(kind, n_pages=6, page_size=64):
+    """A written ``n_pages`` device of ``kind`` (native ``read_pages``)."""
+    disk = SimulatedDisk(page_size=page_size)
+    disk.allocate(n_pages)
+    for page in range(n_pages):
+        disk.write_page(page, bytes([page + 1]) * page_size)
+    disk.reset_stats()
+    disk.park_head()
+    if kind == "shard":
+        return ShardedDisk(disk, [(2, 2)]).shards[0]
+    return disk
+
+
+@pytest.mark.parametrize("kind", ["arena", "shard"])
+def test_read_pages_validates_before_anything_is_counted(kind):
+    device = _paged(kind)
+    assert device.read_pages([]) == []
+    assert device.read_pages(np.array([], dtype=np.int64)) == []
+    for bad in ([0, 1, 6], [-1, 0], [3, 99, 4]):
+        with pytest.raises(PageError):
+            device.read_pages(bad)  # the loop would have counted a run first
+    assert device.stats.total_reads == 0 and device.stats.bytes_read == 0
+    assert device.head_position is None
+
+
+def test_read_pages_refuses_a_fenced_parent_and_a_detached_shard():
+    disk = _paged("arena")
+    session = ShardedDisk(disk, [(2, 2)])
+    with pytest.raises(PageError, match="ShardedDisk session"):
+        disk.read_pages([0])
+    shard = session.shards[0]
+    session.detach()
+    with pytest.raises(PageError, match="detached"):
+        shard.read_pages([0])
+    assert disk.stats.total_reads == 0
+
+
+def test_scatter_list_is_zero_copy_read_only_and_pins_its_arena():
+    """The lifetime rule of docs/storage.md, observed: entries alias
+    live storage (a later write shows through), refuse writes, and pin
+    the arena — an ``allocate`` while one is alive opens a new arena
+    instead of growing the tail."""
+    disk = _paged("arena")
+    [(buffer, rows)] = disk.read_pages([4, 0])
+    assert buffer.shape == (6, 64) and rows.tolist() == [4, 0]
+    assert not buffer.flags.writeable
+    with pytest.raises(ValueError):
+        buffer.flags.writeable = True
+    with pytest.raises(ValueError):
+        buffer[0, 0] = 0
+    disk.write_page(0, b"\xff" * 64)
+    assert bytes(buffer[rows[1]]) == b"\xff" * 64  # a window, not a copy
+    disk.allocate(1)
+    assert len(disk._arenas.arenas) == 2  # pinned tail: new arena
+    del buffer
+    disk.allocate(1)
+    assert len(disk._arenas.arenas) == 2  # unpinned: grown in place
+    # A shard serves extent pages from its private arena, the rest
+    # from the parent's — still without copying either.
+    shard = ShardedDisk(disk, [(2, 2)]).shards[0]
+    scatter = shard.read_pages([1, 2, 3, 4])
+    assert [rows.tolist() for _, rows in scatter] == [[1], [0, 1], [4]]
+    assert [len(buffer) for buffer, _ in scatter] == [6, 2, 6]
+    shard.write_page(3, b"\x07" * 64)  # private until detach
+    assert scatter_pages(scatter)[2] == b"\x07" * 64
+    assert scatter_pages(shard.read_pages([3])) == [b"\x07" * 64]
+
+
+# ------------------------------- what makes the gather fast, pinned
+class SpyDisk(SimulatedDisk):
+    """Records every read verb that reaches the device."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = []
+
+    def read_page(self, page_id):
+        self.calls.append("read_page")
+        return super().read_page(page_id)
+
+    def read_run_bytes(self, first_page, n_pages):
+        self.calls.append("read_run_bytes")
+        return super().read_run_bytes(first_page, n_pages)
+
+    def read_pages(self, pages):
+        self.calls.append("read_pages")
+        return super().read_pages(pages)
+
+
+@pytest.mark.parametrize("n,length,page_size", GEOMETRIES)
+def test_get_many_is_one_device_call(n, length, page_size):
+    rng = np.random.default_rng(0)
+    disk = SpyDisk(page_size=page_size)
+    raw = RawSeriesFile.create(
+        disk, rng.standard_normal((n, length)).astype(np.float32)
+    )
+    for pattern in INDEX_PATTERNS:
+        disk.calls.clear()
+        raw.get_many(pattern(n))
+        assert disk.calls == ["read_pages"] * bool(len(pattern(n)))
+
+
+def _gather_peak(raw, idxs):
+    raw.get_many(idxs)  # warm imports and caches
+    tracemalloc.start()
+    try:
+        out = raw.get_many(idxs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / out.nbytes
+
+
+def test_gather_moves_records_not_pages():
+    """Peak allocation of a 256-record gather from a 15 000 x 256 file,
+    in units of its 256 KB output.  Joining the ~250 touched 8 KB pages
+    first peaked at 9.95x; a copy of the pages out of the device costs
+    the same.  From one arena the take *is* the output (1.05x); across
+    arenas it is stored into the output entry by entry (2.1x)."""
+    rng = np.random.default_rng(7)
+    rows = rng.standard_normal((15_000, 256)).astype(np.float32)
+    idxs = rng.choice(len(rows), size=256, replace=False)
+    raw = RawSeriesFile.create(SimulatedDisk(page_size=8192), rows)
+    assert _gather_peak(raw, idxs) < 1.5
+    disk = SimulatedDisk(page_size=8192)
+    raw = RawSeriesFile.create(disk, rows[:7_000])
+    pin = disk.page_view(0)
+    raw.append_batch(rows[7_000:])
+    assert len(disk._arenas.arenas) == 2 and pin is not None
+    np.testing.assert_array_equal(raw.get_many(idxs), rows[idxs])
+    assert _gather_peak(raw, idxs) < 3.0
+
 
 
 # ------------------------------------------------------- refine kernel

@@ -13,7 +13,13 @@ import pytest
 
 import repro.core.lsm
 import repro.storage
-from oracles import DEVICES, argsort_merge, heapq_merge_stream, loop_get_many
+from oracles import (
+    DEVICES,
+    argsort_merge,
+    heapq_merge_stream,
+    loop_get_many,
+    loop_read_pages,
+)
 from repro import RawSeriesFile, SimulatedDisk
 from repro.core import CoconutTree, CoconutTrie
 from repro.core.lsm import CoconutLSM
@@ -94,6 +100,37 @@ def test_loop_gather_is_fancy_indexing(n, length, page_size):
         np.testing.assert_array_equal(loop_get_many(raw, idxs), data[idxs])
     with pytest.raises(IndexError):
         loop_get_many(raw, np.array([0, n]))
+
+
+@pytest.mark.parametrize("store", DEVICES)
+def test_loop_read_pages_is_page_at_a_time_reads(store):
+    """The run-granular read loop against the page-granular one: same
+    pages, and (the device contract) the same classified counters and
+    head as one ``read_page`` per page; its trace is the per-page trace
+    with consecutive ids folded into runs."""
+    rng = np.random.default_rng(3)
+    ps = 32
+    twins = [DEVICES[store](page_size=ps, trace=True) for _ in range(2)]
+    content = [bytes(rng.integers(0, 256, size=ps, dtype=np.uint8)) for _ in range(12)]
+    for disk in twins:
+        disk.allocate(len(content))
+        for page, data in enumerate(content):
+            disk.write_page(page, data)
+        disk.reset_stats()
+        disk.park_head()
+    looped, paged = twins
+    for pages in ([], [3], [0, 1, 2, 7, 8, 4, 4, 5, 11], [6, 7], [8, 9, 10, 0]):
+        assert loop_read_pages(looped, pages) == [content[p] for p in pages]
+        for page in pages:
+            assert bytes(paged.read_page(page)) == content[page]
+        assert looped.stats == paged.stats
+        assert looped.head_position == paged.head_position
+    assert looped.trace[:6] == [
+        ("r", 3, 1), ("r", 0, 3), ("r", 7, 2), ("r", 4, 1), ("r", 4, 2), ("r", 11, 1),
+    ]
+    assert [(op, first + i, 1) for op, first, n in looped.trace for i in range(n)] == (
+        paged.trace
+    )
 
 
 # ------------------------------------------------------------ the device
