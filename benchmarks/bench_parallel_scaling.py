@@ -4,22 +4,13 @@ The paper argues sortable summarizations make construction "scale with
 the hardware": summarization is embarrassingly parallel per chunk and
 the external sort merges presorted runs from any number of producers.
 This benchmark measures that claim directly — CoconutTreeFull built
-serially and with 2/4 worker processes over 100k series — and checks
-two invariants alongside the timing:
+serially and on 2/4 pool threads over 100k series — and asserts
+(``_check``) that the index and the simulated I/O are identical across
+worker counts: parallelism reorganizes CPU work only.
 
-* the index is bit-identical across worker counts (leaf count matches;
-  a dedicated test asserts key/boundary equality at small scale), and
-* simulated I/O does not change with workers: parallelism reorganizes
-  CPU work only.
-
-Speedup depends on the machine: with one worker per otherwise-idle
-physical core the summarization phase scales near-linearly (>1.5x at 4
-workers); on a single-core host (e.g. a constrained CI container, where
-``os.cpu_count() == 1``) process workers cannot beat the serial build
-and the measured speedup honestly reports ~1x.  The assertions below
-therefore gate on the host's core count.
-
-Run standalone (no pytest-benchmark) with::
+The >1.5x assertion at 4 workers is gated on a >= 4-core host; the
+2-core evidence this repository decides on is ``bench_pool_evidence.py``
+(tables in ``docs/build.md``).  Run standalone (no pytest-benchmark)::
 
     PYTHONPATH=src python benchmarks/bench_parallel_scaling.py [n_series]
 """

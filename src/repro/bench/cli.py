@@ -12,7 +12,6 @@ Examples::
     python -m repro.bench query --mode exact --dataset seismic
     python -m repro.bench query --batch --k 5 --indexes CTree Serial
     python -m repro.bench query --batch --workers 4
-    python -m repro.bench sched --workers 2 4 --k 8
     python -m repro.bench parallel --index CTreeFull --workers 1 2 4
     python -m repro.bench spilled --records 200000 --runs 8 --workers 4
     python -m repro.bench faults --n 50000 --repeats 5
@@ -20,17 +19,15 @@ Examples::
     python -m repro.bench space --n 15000
     python -m repro.bench updates --batches 100 1000
 
-Choosing ``--workers``: worker processes pay a per-chunk transfer
-cost, so parallel building pays off once the dataset has at least a
-few tens of thousands of series; use one worker per physical core.
+Choosing ``--workers``: pool threads pay a per-chunk hand-off, so
+parallel building pays off once the dataset has at least a few tens of
+thousands of series; use one worker per physical core.
 ``--batch`` answers the whole query workload in one shared pass —
 always at least as good as per-query on I/O, and most effective on
 exact search where the summary scan dominates.  ``query --batch
 --workers N`` additionally runs that shared pass on the multi-worker
 engine (range-partitioned lower bounds, shard-parallel fetches) with
-identical answers; the speedup needs idle cores.  ``sched`` compares
-the adaptive scheduler (shared best-k bounds, cost-model planning)
-against the fixed plan while asserting answers stay bit-identical.
+identical answers; the speedup needs idle cores.
 
 Each subcommand is one :class:`_Command` row in :data:`COMMANDS` —
 adding an experiment means adding one row, not editing the parser and
@@ -51,7 +48,6 @@ from .harness import (
     run_fault_overhead_sweep,
     run_parallel_build_sweep,
     run_query_experiment,
-    run_sched_sweep,
     run_scrub_sweep,
     run_serve_sweep,
     run_spilled_merge_sweep,
@@ -100,7 +96,7 @@ def _configure_build(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes for parallel bulk-loading (Coconut indexes)",
+        help="pool workers for parallel bulk-loading (Coconut indexes)",
     )
 
 
@@ -157,38 +153,6 @@ def _run_query(args: argparse.Namespace, spec: DatasetSpec) -> None:
             args.indexes, spec, args.queries, mode=args.mode
         )
         print_experiment(f"{args.mode} query costs", rows)
-
-
-# ------------------------------------------------------------------ sched
-def _configure_sched(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--queries", type=int, default=24)
-    parser.add_argument(
-        "--k", type=int, default=8,
-        help="neighbors per query (k > 1 gives the shared board real "
-        "thresholds to propagate)",
-    )
-    parser.add_argument(
-        "--workers", type=int, nargs="+", default=[2, 4],
-        help="worker counts to sweep (cells with 1 are skipped)",
-    )
-    parser.add_argument(
-        "--indexes", nargs="+", default=["CTree", "CTreeFull"],
-    )
-
-
-def _run_sched(args: argparse.Namespace, spec: DatasetSpec) -> None:
-    rows = run_sched_sweep(
-        args.indexes, spec, args.queries, workers_list=args.workers, k=args.k
-    )
-    print_experiment(
-        "adaptive scheduler vs fixed plan (shared best-k bounds)",
-        rows,
-        columns=[
-            "index", "workers", "k", "cores", "fixed_batch_s",
-            "adaptive_batch_s", "speedup", "pages_sharing_on",
-            "pages_sharing_off", "identical", "io_deterministic",
-        ],
-    )
 
 
 # --------------------------------------------------------------- parallel
@@ -380,9 +344,6 @@ COMMANDS: tuple[_Command, ...] = (
              _configure_build, _run_build),
     _Command("query", "query cost experiment",
              _configure_query, _run_query, validate=_validate_query),
-    _Command("sched",
-             "adaptive scheduler vs fixed plan (shared best-k bounds)",
-             _configure_sched, _run_sched),
     _Command("parallel", "build speedup vs worker count",
              _configure_parallel, _run_parallel),
     _Command("spilled",

@@ -594,119 +594,6 @@ def run_parallel_query_sweep(
     return rows
 
 
-def run_sched_sweep(
-    index_keys: list[str],
-    spec: DatasetSpec,
-    n_queries: int,
-    workers_list: list[int],
-    k: int = 8,
-    memory_fraction: float = 0.25,
-) -> list[dict]:
-    """Adaptive scheduler (shared best-k bounds) vs. the fixed plan.
-
-    Every cell answers the same batch five ways — serial, pooled
-    ``scheduler="fixed"``, pooled adaptive (bound sharing on), and the
-    inline serial replays with sharing on and off — and *asserts* the
-    scheduler contract before reporting a speedup:
-
-    * answers bit-identical to the serial batched engine under every
-      scheduler, sharing mode and worker count;
-    * pooled sharing-off ``DiskStats`` bit-identical to the serial
-      replay oracle (the PR 4 pin, quantified over sharing off);
-    * sharing-on replay visits no more pages or bytes than sharing-off
-      at the same partition split (the monotone-visits bound).
-
-    The reported speedup is adaptive wall time over fixed wall time;
-    sharing only pays once idle cores let workers race, so expect ~1x
-    on a single-core host.
-    """
-    import os
-
-    from ..indexes.base import QueryBatch
-
-    queries = spec.queries(n_queries)
-    memory = max(4096, int(spec.raw_bytes * memory_fraction))
-    rows = []
-    workers_list = [w for w in workers_list if w > 1]
-    for key in index_keys:
-        env = make_environment(key, spec, memory)
-        env.index.build(env.raw)
-        batch = QueryBatch(queries=queries, k=k)
-        env.index.query_batch(batch)  # untimed summary-column warmup
-        env.disk.park_head()
-        env.disk.reset_stats()
-        serial = env.index.query_batch(batch)
-        for w in workers_list:
-            runs = {}
-            for label, kwargs in {
-                "replay_off": dict(
-                    query_pool_kind="serial", bound_sharing="off"
-                ),
-                "replay_on": dict(
-                    query_pool_kind="serial", bound_sharing="on"
-                ),
-                "pooled_off": dict(
-                    query_pool_kind="thread", bound_sharing="off"
-                ),
-                "fixed": dict(query_pool_kind="thread", scheduler="fixed"),
-                "adaptive": dict(
-                    query_pool_kind="thread", bound_sharing="on"
-                ),
-            }.items():
-                env.disk.park_head()
-                env.disk.reset_stats()
-                runs[label] = env.index.query_batch(
-                    batch, query_workers=w, **kwargs
-                )
-            identical = all(
-                run.knn_ids == serial.knn_ids
-                and run.knn_distances == serial.knn_distances
-                for run in runs.values()
-            )
-            io_deterministic = runs["pooled_off"].io == runs["replay_off"].io
-
-            def _pages(report):
-                return report.io.sequential_reads + report.io.random_reads
-
-            pages_monotone = (
-                _pages(runs["replay_on"]) <= _pages(runs["replay_off"])
-                and runs["replay_on"].io.bytes_read
-                <= runs["replay_off"].io.bytes_read
-            )
-            if not (identical and io_deterministic and pages_monotone):
-                raise AssertionError(
-                    f"scheduler equivalence violation on {key} at {w} "
-                    f"workers: identical={identical}, "
-                    f"io_deterministic={io_deterministic}, "
-                    f"pages_monotone={pages_monotone}"
-                )
-            fixed_s = runs["fixed"].wall_s
-            adaptive_s = runs["adaptive"].wall_s
-            plan = getattr(runs["adaptive"], "plan", None)
-            rows.append(
-                {
-                    "index": key,
-                    "workers": w,
-                    "n_queries": n_queries,
-                    "k": k,
-                    "n_series": spec.n_series,
-                    "cores": os.cpu_count() or 1,
-                    "fixed_batch_s": fixed_s,
-                    "adaptive_batch_s": adaptive_s,
-                    "speedup": (
-                        fixed_s / adaptive_s if adaptive_s else float("inf")
-                    ),
-                    "pages_sharing_on": _pages(runs["replay_on"]),
-                    "pages_sharing_off": _pages(runs["replay_off"]),
-                    "identical": identical,
-                    "io_deterministic": io_deterministic,
-                    "pages_monotone": pages_monotone,
-                    "plan": plan.as_dict() if plan is not None else None,
-                }
-            )
-    return rows
-
-
 def run_scaling_sweep(
     index_keys: list[str],
     spec: DatasetSpec,

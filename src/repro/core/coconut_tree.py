@@ -106,10 +106,12 @@ class CoconutTree(SeriesIndex):
         materialized: bool = False,
         default_radius: int = 1,
         fanout: int = 32,
-        workers: int = 1,
+        workers: int | None = 1,
         chunk_series: int | None = None,
-        pool_kind: str = "process",
+        pool_kind: str = "thread",
     ):
+        from ..parallel.pool import check_pool_kind, resolve_workers
+
         super().__init__(disk, memory_bytes)
         if not 0.5 <= fill_factor <= 1.0:
             raise ValueError(
@@ -123,9 +125,9 @@ class CoconutTree(SeriesIndex):
         self.is_materialized = materialized
         self.default_radius = max(1, default_radius)
         self.fanout = max(2, fanout)
-        self.workers = max(1, int(workers))
+        self.workers = resolve_workers(workers)
         self.chunk_series = chunk_series
-        self.pool_kind = pool_kind
+        self.pool_kind = check_pool_kind(pool_kind)
         self.name = "Coconut-Tree-Full" if materialized else "Coconut-Tree"
         self._leaves: list[_Leaf] = []
         self._first_keys: np.ndarray | None = None
@@ -172,15 +174,11 @@ class CoconutTree(SeriesIndex):
         self.raw = raw
         with Measurement(self.disk) as measure:
             rec = _record_dtype(self.config, raw.length, self.is_materialized)
-            # The sorter keeps its own merge pool ("auto": threads for
-            # large payloads, which release the GIL; processes for tiny
-            # ones): summarization ships compute-heavy chunks to
-            # processes, but merging runs is bandwidth-bound and the
-            # sharded spilled cascade shares the simulated device.
             sorter = ExternalSorter(
                 self.disk,
                 self.memory_bytes,
                 merge_workers=self.workers,
+                pool_kind=self.pool_kind,
             )
             if self.workers > 1:
                 runs = self._summarize_runs(raw)
@@ -524,8 +522,8 @@ class CoconutTree(SeriesIndex):
         return outcome
 
     def query_batch(
-        self, batch, query_workers=1, query_pool_kind="auto",
-        scheduler="adaptive", bound_sharing="auto",
+        self, batch, query_workers=1, query_pool_kind="thread",
+        bound_sharing="on",
     ):
         """Batched queries sharing work across the batch (repro.parallel).
 
@@ -545,10 +543,9 @@ class CoconutTree(SeriesIndex):
         distances, tie order) stay bit-identical to the serial batched
         engines.  ``query_pool_kind="serial"`` replays the parallel
         plan inline (the I/O-determinism oracle, with
-        ``bound_sharing="off"``).  Planning, ``scheduler`` and
-        ``bound_sharing`` are documented on
-        :func:`repro.parallel.sched.run_sims_query_batch` and
-        :meth:`repro.indexes.base.SeriesIndex.query_batch`.
+        ``bound_sharing="off"``).  Planning and ``bound_sharing`` are
+        documented on :func:`repro.parallel.sched.run_sims_query_batch`
+        and :meth:`repro.indexes.base.SeriesIndex.query_batch`.
         """
         from ..parallel.sched import run_sims_query_batch
 
@@ -557,7 +554,6 @@ class CoconutTree(SeriesIndex):
             batch,
             query_workers=query_workers,
             query_pool_kind=query_pool_kind,
-            scheduler=scheduler,
             bound_sharing=bound_sharing,
         )
 

@@ -62,19 +62,21 @@ class CoconutTrie(SeriesIndex):
         config: SAXConfig | None = None,
         leaf_size: int = 100,
         materialized: bool = False,
-        workers: int = 1,
+        workers: int | None = 1,
         chunk_series: int | None = None,
-        pool_kind: str = "process",
+        pool_kind: str = "thread",
     ):
+        from ..parallel.pool import check_pool_kind, resolve_workers
+
         super().__init__(disk, memory_bytes)
         if leaf_size <= 0:
             raise ValueError(f"leaf_size must be positive, got {leaf_size}")
         self.config = config or SAXConfig()
         self.leaf_size = leaf_size
         self.is_materialized = materialized
-        self.workers = max(1, int(workers))
+        self.workers = resolve_workers(workers)
         self.chunk_series = chunk_series
-        self.pool_kind = pool_kind
+        self.pool_kind = check_pool_kind(pool_kind)
         self.name = "Coconut-Trie-Full" if materialized else "Coconut-Trie"
         self._leaves: list[_TrieLeaf] = []
         self._first_keys: np.ndarray | None = None
@@ -90,12 +92,12 @@ class CoconutTrie(SeriesIndex):
     def build(self, raw: RawSeriesFile) -> BuildReport:
         self.raw = raw
         with Measurement(self.disk) as measure:
-            # The sorter keeps its own merge pool; ``workers`` also
-            # drives the sharded spilled cascade — see CoconutTree.build.
+            # ``workers`` also drives the merges — see CoconutTree.build.
             sorter = ExternalSorter(
                 self.disk,
                 self.memory_bytes,
                 merge_workers=self.workers,
+                pool_kind=self.pool_kind,
             )
             if self.workers > 1:
                 from ..parallel.summarize import summarize_presorted_runs
@@ -342,8 +344,8 @@ class CoconutTrie(SeriesIndex):
         return seeded_sims_knn(self, query, k, self._prepare_sims)
 
     def query_batch(
-        self, batch, query_workers=1, query_pool_kind="auto",
-        scheduler="adaptive", bound_sharing="auto",
+        self, batch, query_workers=1, query_pool_kind="thread",
+        bound_sharing="on",
     ):
         """Batched queries sharing work across the batch (repro.parallel).
 
@@ -355,7 +357,7 @@ class CoconutTrie(SeriesIndex):
         and approximate batches on the partitioned visit-order engine,
         answers bit-identical to the serial batched engines;
         ``query_pool_kind="serial"`` replays the plan inline.
-        Planning, ``scheduler`` and ``bound_sharing`` are documented on
+        Planning and ``bound_sharing`` are documented on
         :func:`repro.parallel.sched.run_sims_query_batch`.
         """
         from ..parallel.sched import run_sims_query_batch
@@ -365,7 +367,6 @@ class CoconutTrie(SeriesIndex):
             batch,
             query_workers=query_workers,
             query_pool_kind=query_pool_kind,
-            scheduler=scheduler,
             bound_sharing=bound_sharing,
         )
 

@@ -139,11 +139,13 @@ class CoconutLSM(SeriesIndex):
         memory_bytes: int,
         config: SAXConfig | None = None,
         size_ratio: int = 4,
-        workers: int = 1,
+        workers: int | None = 1,
         pool_kind: str = "thread",
         durability: "str | None" = None,
         wal_id: int = 1,
     ):
+        from ..parallel.pool import check_pool_kind, resolve_workers
+
         super().__init__(disk, memory_bytes)
         if size_ratio < 2:
             raise ValueError(f"size_ratio must be >= 2, got {size_ratio}")
@@ -154,8 +156,8 @@ class CoconutLSM(SeriesIndex):
             )
         self.config = config or SAXConfig()
         self.size_ratio = size_ratio
-        self.workers = max(1, int(workers))
-        self.pool_kind = pool_kind
+        self.workers = resolve_workers(workers)
+        self.pool_kind = check_pool_kind(pool_kind)
         self.durability = durability
         self.wal_id = int(wal_id)
         self._wal: WriteAheadLog | None = None
@@ -693,8 +695,8 @@ class CoconutLSM(SeriesIndex):
         return seeded_sims_knn(self, query, k, self._prepare_sims)
 
     def query_batch(
-        self, batch, query_workers=1, query_pool_kind="auto",
-        scheduler="adaptive", bound_sharing="auto",
+        self, batch, query_workers=1, query_pool_kind="thread",
+        bound_sharing="on",
     ):
         """Batched queries sharing work across the batch.
 
@@ -706,9 +708,8 @@ class CoconutLSM(SeriesIndex):
         (:mod:`repro.parallel.query`) and approximate batches on the
         partitioned visit-order engine, answers bit-identical to the
         serial batched engines; ``query_pool_kind="serial"`` replays
-        the plan inline.  Planning, ``scheduler`` and ``bound_sharing``
-        are documented on
-        :func:`repro.parallel.sched.run_sims_query_batch`.
+        the plan inline.  Planning and ``bound_sharing`` are documented
+        on :func:`repro.parallel.sched.run_sims_query_batch`.
         """
         from ..parallel.sched import run_sims_query_batch
 
@@ -717,7 +718,6 @@ class CoconutLSM(SeriesIndex):
             batch,
             query_workers=query_workers,
             query_pool_kind=query_pool_kind,
-            scheduler=scheduler,
             bound_sharing=bound_sharing,
         )
 
@@ -755,7 +755,7 @@ class CoconutLSM(SeriesIndex):
         disk: SimulatedDisk,
         raw: RawSeriesFile,
         wal_id: "int | None" = None,
-        workers: int = 1,
+        workers: int | None = 1,
         pool_kind: str = "thread",
     ) -> "CoconutLSM":
         """Rebuild a durable index from the device after a crash.
@@ -770,6 +770,9 @@ class CoconutLSM(SeriesIndex):
         an index rebuilt from the acknowledged batches alone; see
         ``docs/robustness.md`` for the exact contract.
         """
+        from ..parallel.pool import check_pool_kind
+
+        check_pool_kind(pool_kind)  # before the device is touched
         frames = scavenge_frames(disk, wal_id=wal_id)
         state = replay_manifest(frames)
         config = SAXConfig(

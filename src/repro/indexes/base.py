@@ -115,7 +115,7 @@ class BatchReport:
     io: DiskStats = field(default_factory=DiskStats)
     simulated_io_ms: float = 0.0
     wall_s: float = 0.0
-    #: The scheduler's recorded decision for this batch
+    #: The planner's recorded decision for this batch
     #: (:class:`repro.parallel.sched.PlanReport`), when an engine that
     #: plans produced the report; ``None`` for unplanned paths.
     plan: object | None = None
@@ -238,9 +238,8 @@ class SeriesIndex(abc.ABC):
         self,
         batch: QueryBatch,
         query_workers: int = 1,
-        query_pool_kind: str = "auto",
-        scheduler: str = "adaptive",
-        bound_sharing: str = "auto",
+        query_pool_kind: str = "thread",
+        bound_sharing: str = "on",
     ) -> BatchReport:
         """Answer a :class:`QueryBatch`; default is a per-query loop.
 
@@ -251,20 +250,18 @@ class SeriesIndex(abc.ABC):
         that support it (the Coconut family and the serial scan; ``1``
         is the serial path, ``None``/``0`` means all cores); indexes
         without a parallel path accept and ignore it, answering
-        serially with the same results.  ``query_pool_kind`` picks the
-        worker pool (``"auto"``/``"thread"``/``"process"``/``"serial"``
-        — the last replays the parallel plan inline, the I/O oracle).
-
-        ``scheduler`` selects how the parallel engines plan the batch
-        (``"adaptive"`` — the cost-model planner of
-        :mod:`repro.parallel.sched`; ``"fixed"`` — the PR-4 plan,
-        byte-threshold pools and requested workers) and
-        ``bound_sharing`` controls the shared best-k bound of the
-        exact fetch phase (``"auto"`` follows the scheduler — on under
-        adaptive, off under fixed; ``"off"`` restores per-worker
-        pruning and with it the replay-deterministic ``DiskStats``).
-        Indexes without a parallel path accept and ignore both.
+        serially with the same results.  ``query_pool_kind`` is
+        ``"thread"`` or ``"serial"`` (:mod:`repro.parallel.pool`) — the
+        latter replays the parallel plan inline, the I/O oracle — and
+        ``bound_sharing`` controls the shared best-k bound of the exact
+        fetch phase (``"on"``; ``"off"`` restores per-worker pruning
+        and with it the replay-deterministic ``DiskStats``).  Indexes
+        without a parallel path validate the pool kind and otherwise
+        ignore both.
         """
+        from ..parallel.pool import check_pool_kind
+
+        check_pool_kind(query_pool_kind)
         queries = np.atleast_2d(np.asarray(batch.queries, dtype=np.float64))
         results: list[QueryResult] = []
         ids: list[list[int]] = []

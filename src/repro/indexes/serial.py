@@ -71,8 +71,8 @@ class SerialScan(SeriesIndex):
         return self._scan(query)
 
     def query_batch(
-        self, batch, query_workers=1, query_pool_kind="auto",
-        scheduler="adaptive", bound_sharing="auto",
+        self, batch, query_workers=1, query_pool_kind="thread",
+        bound_sharing="on",
     ):
         """Answer the whole batch in a single pass over the raw file.
 
@@ -85,23 +85,19 @@ class SerialScan(SeriesIndex):
         with bit-identical answers for any worker count.
 
         A full scan has no pruning, so ``bound_sharing`` is accepted
-        and ignored; ``scheduler="adaptive"`` still plans the pass —
-        the cost model clamps the fan-out when the file is too small
-        to amortize its pool tasks — and the decision is recorded on
-        ``report.plan``.
+        and ignored; the planner still prices the pass — the cost model
+        clamps the fan-out when the file is too small to amortize its
+        pool tasks — and the decision is recorded on ``report.plan``.
         """
         from ..core.knn import KNNOutcome, _BoundedMaxHeap
         from ..parallel.batch import build_batch_report
+        from ..parallel.pool import check_pool_kind
         from ..parallel.sched import plan_query_batch
 
         queries = self._query_matrix(batch.queries)
+        check_pool_kind(query_pool_kind)
         plan = plan_query_batch(
-            batch,
-            self,
-            query_workers=query_workers,
-            pool_kind=query_pool_kind,
-            scheduler=scheduler,
-            bound_sharing="off",
+            batch, self, query_workers=query_workers, bound_sharing="off"
         )
         if plan.scan_workers > 1:
             # Approximate and exact scans are the same full pass here,

@@ -3,13 +3,18 @@
 The paper's argument is that sortable summarizations make index
 construction "scale with the hardware": summarization is embarrassingly
 parallel per chunk, and an external sort consumes presorted runs from
-any number of producers.  This package supplies both halves:
+any number of producers.  This package supplies both halves, on one
+worker pool:
 
+* :mod:`repro.parallel.pool` — the pool itself: a thread pool
+  (``"thread"``, the default everywhere) or the same partition plan
+  mapped on the calling thread (``"serial"``, the replay reference),
+  validated and constructed in this one place.
 * :mod:`repro.parallel.summarize` — a chunked, multi-worker
   ``series -> PAA -> SAX -> invSAX`` pipeline whose presorted chunk
   runs feed :meth:`repro.storage.ExternalSorter.sort_runs` directly,
-  so bulk-loading uses all cores while producing bit-identical indexes
-  to the serial path.
+  so bulk-loading uses every worker while producing bit-identical
+  indexes to the serial path.
 * :mod:`repro.parallel.merge` — a range-partitioned parallel merge of
   *resident* presorted runs: splitter keys sampled from run boundaries
   cut every run into disjoint key ranges that workers merge
@@ -41,15 +46,12 @@ any number of producers.  This package supplies both halves:
   engine for any worker count and reconciled
   :class:`repro.storage.DiskStats` bit-identical to the inline serial
   replay (``pool_kind="serial"``, with ``bound_sharing="off"``).
-* :mod:`repro.parallel.sched` — the adaptive scheduler on top: a
-  shared best-k bound board that lets exact workers prune against the
-  global state of the batch (answers still bit-identical for any
-  publish interleaving), range-partitioned parallel *approximate*
-  batches, and a calibrated cost-model planner
-  (:func:`repro.parallel.sched.plan_query_batch`) that picks worker
-  counts, pool kinds and fetch-partition floors per batch — with
-  ``scheduler="fixed"`` as the escape hatch reproducing the
-  unscheduled engine exactly.
+* :mod:`repro.parallel.sched` — the planner on top: a shared best-k
+  bound board that lets exact workers prune against the global state
+  of the batch (answers still bit-identical for any publish
+  interleaving), range-partitioned parallel *approximate* batches, and
+  a cost-model planner (:func:`repro.parallel.sched.plan_query_batch`)
+  that clamps worker counts and fetch-partition floors per batch.
 
 All are wired into the index classes (``workers=`` on the Coconut
 constructors, ``query_batch(query_workers=)`` on every index) and into
@@ -66,14 +68,12 @@ from .heal import (
     run_self_healing,
 )
 from .merge import (
-    AUTO_POOL_THREAD_BYTES,
-    choose_pool_kind,
-    choose_pool_kind_for_bytes,
     parallel_merge_runs,
     partition_runs,
     run_cut_positions,
     sample_splitters,
 )
+from .pool import resolve_workers
 from .query import (
     parallel_batched_exact_knn,
     parallel_lower_bound_scan,
@@ -84,7 +84,6 @@ from .query import (
 from .sched import (
     PlanReport,
     SharedBoundBoard,
-    calibrate_query_costs,
     parallel_approx_batch,
     plan_query_batch,
     run_sims_query_batch,
@@ -99,13 +98,11 @@ from .summarize import (
     DEFAULT_CHUNK_SERIES,
     ParallelSummarizer,
     parallel_invsax_keys,
-    resolve_workers,
     summarize_chunk,
     summarize_presorted_runs,
 )
 
 __all__ = [
-    "AUTO_POOL_THREAD_BYTES",
     "DEFAULT_CHUNK_SERIES",
     "HEAL_BACKOFF_CAP_S",
     "HEAL_BACKOFF_S",
@@ -119,9 +116,6 @@ __all__ = [
     "approx_query_batch",
     "batched_exact_knn",
     "build_batch_report",
-    "calibrate_query_costs",
-    "choose_pool_kind",
-    "choose_pool_kind_for_bytes",
     "parallel_approx_batch",
     "parallel_batched_exact_knn",
     "parallel_invsax_keys",

@@ -24,72 +24,20 @@ summarization pipeline, whose runs are chunk-wise samples of the same
 distribution.  A skewed sample only unbalances the partitions; it can
 never change the output.
 
-Worker pools follow :mod:`repro.parallel.summarize`: processes by
-default, threads as fallback in restricted sandboxes, ``workers=1``
-inline with zero overhead.
+Partitions merge on the repository's one pool
+(:mod:`repro.parallel.pool`): threads sharing the run arrays, or inline
+with ``kind="serial"``; ``workers=1`` is the serial merge itself.
 """
 
 from __future__ import annotations
 
-import logging
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
-
 import numpy as np
 
 from ..storage.merge import merge_presorted
-from .summarize import resolve_workers
-
-logger = logging.getLogger("repro.parallel")
+from .pool import check_pool_kind, pool_map, resolve_workers
 
 #: Strided samples taken per run when proposing splitters.
 SPLITTER_SAMPLES_PER_RUN = 16
-
-#: ``pool_kind="auto"`` switches to threads at this many payload bytes:
-#: large NumPy payloads release the GIL during the searchsorted/scatter
-#: work and threads share the arrays zero-copy, while tiny payloads are
-#: interpreter-bound under the GIL — worker processes sidestep it and
-#: pickling a few kilobytes costs next to nothing.  This is the single
-#: documented knob of the auto decision: every ``pool_kind="auto"``
-#: path (merging, spilled cascades, the parallel query engine) resolves
-#: through :func:`choose_pool_kind` / :func:`choose_pool_kind_for_bytes`
-#: against this default, and callers with unusual workloads may pass
-#: their own ``threshold_bytes`` instead of editing a buried literal.
-AUTO_POOL_THREAD_BYTES = 4 << 20
-
-
-def choose_pool_kind_for_bytes(
-    payload_bytes: int, threshold_bytes: int = AUTO_POOL_THREAD_BYTES
-) -> str:
-    """Resolve ``pool_kind="auto"`` from a raw payload byte count.
-
-    Returns ``"thread"`` at or above ``threshold_bytes`` (the NumPy
-    work on a payload that size releases the GIL and threads share it
-    zero-copy), ``"process"`` below it (interpreter-bound work escapes
-    the GIL on separate processes, and shipping a tiny payload is
-    cheap).
-    """
-    return "thread" if payload_bytes >= threshold_bytes else "process"
-
-
-def choose_pool_kind(
-    runs: "list[tuple[np.ndarray, np.ndarray]]",
-    threshold_bytes: int = AUTO_POOL_THREAD_BYTES,
-) -> str:
-    """Resolve ``pool_kind="auto"`` from the merge payload size.
-
-    Returns ``"thread"`` when the runs carry at least
-    ``threshold_bytes`` (default :data:`AUTO_POOL_THREAD_BYTES`) of
-    key+payload data (GIL-releasing NumPy work dominates),
-    ``"process"`` otherwise.  Callers that know better pass an explicit
-    kind instead.
-    """
-    total = sum(keys.nbytes + payloads.nbytes for keys, payloads in runs)
-    return choose_pool_kind_for_bytes(total, threshold_bytes)
 
 
 def sample_splitters(
@@ -160,80 +108,19 @@ def partition_runs(
     return parts
 
 
-def merge_partition(
-    part: "list[tuple[np.ndarray, np.ndarray]]",
-) -> "tuple[np.ndarray, np.ndarray] | None":
-    """Stable merge of one partition's run slices (a pool work unit).
-
-    Module-level so process pools can pickle it.  Returns ``None`` for
-    an empty partition.
-    """
-    if not part:
-        return None
-    return merge_presorted(part)
-
-
-def _make_executor(workers: int, kind: str) -> Executor | None:
-    if workers <= 1 or kind == "serial":
-        return None
-    if kind == "thread":
-        return ThreadPoolExecutor(max_workers=workers)
-    try:
-        return ProcessPoolExecutor(max_workers=workers)
-    except (OSError, ValueError, NotImplementedError) as error:
-        # pragma: no cover - sandboxed environments
-        # Sandboxes without fork/semaphore support land here; degrade
-        # to threads *loudly* — the work units release the GIL, so the
-        # result is identical, only the parallelism regime changes.
-        logger.warning(
-            "process pool unavailable (%s); degrading to a thread pool", error
-        )
-        return ThreadPoolExecutor(max_workers=workers)
-
-
-def _pool_map(fn, arg_columns: list, workers: int, kind: str) -> list:
-    """``executor.map`` with pool healing; bit-identical to serial.
-
-    Runs ``fn`` over the argument columns on the pool
-    :func:`_make_executor` resolves (inline when it yields none).  A
-    pool that *breaks mid-map* — a worker process killed under memory
-    pressure or by a sandbox — raises :class:`BrokenExecutor`; since
-    every work unit here is a pure function, the whole map is retried
-    once on a thread pool with a logged warning instead of failing the
-    query or merge.  Any exception raised by ``fn`` itself propagates
-    unchanged — healing covers pool infrastructure, not user code.
-    """
-    executor = _make_executor(workers, kind)
-    if executor is None:
-        return [fn(*row) for row in zip(*arg_columns)]
-    try:
-        return list(executor.map(fn, *arg_columns))
-    except BrokenExecutor as error:
-        logger.warning(
-            "worker pool broke mid-map (%s); retrying once on threads", error
-        )
-    finally:
-        executor.shutdown(wait=True)
-    with ThreadPoolExecutor(max_workers=workers) as retry:
-        return list(retry.map(fn, *arg_columns))
-
-
 def parallel_merge_runs(
     runs: "list[tuple[np.ndarray, np.ndarray]]",
     workers: int | None = None,
-    kind: str = "process",
+    kind: str = "thread",
 ) -> "tuple[np.ndarray, np.ndarray]":
     """Merge presorted runs on a worker pool; bit-identical to serial.
 
     ``runs`` are (keys, payloads) pairs, each internally stably sorted.
     The output equals :func:`repro.storage.merge.merge_presorted` on
     the same list — and therefore a stable argsort of the concatenation
-    — for every ``workers`` / ``kind`` choice.  ``kind="auto"`` picks
-    threads or processes from the payload size
-    (:func:`choose_pool_kind`).
+    — for every ``workers`` / ``kind`` choice.
     """
-    if kind not in ("process", "thread", "serial", "auto"):
-        raise ValueError(f"unknown pool kind {kind!r}")
+    check_pool_kind(kind)
     runs = [(np.asarray(k), np.asarray(p)) for k, p in runs]
     for keys, payloads in runs:
         if len(keys) != len(payloads):
@@ -243,15 +130,12 @@ def parallel_merge_runs(
         raise ValueError("parallel_merge_runs requires at least one non-empty run")
     if len(runs) == 1:
         return runs[0]
-    if kind == "auto":
-        kind = choose_pool_kind(runs)
     workers = resolve_workers(workers)
     splitters = sample_splitters([keys for keys, _ in runs], workers)
     if workers <= 1 or len(splitters) == 0:
         return merge_presorted(runs)
-    parts = partition_runs(runs, splitters)
-    merged = _pool_map(merge_partition, [parts], workers, kind)
-    merged = [pair for pair in merged if pair is not None]
+    parts = [part for part in partition_runs(runs, splitters) if part]
+    merged = pool_map(merge_presorted, [parts], workers, kind)
     if len(merged) == 1:
         return merged[0]
     keys = np.concatenate([k for k, _ in merged])

@@ -12,11 +12,10 @@ engine:
    Lower bounds are elementwise per record, so concatenating the
    per-range results in range order reproduces the serial matrix and
    candidate list exactly — candidates stay in ascending storage
-   order, preserving the skip-sequential fetch contract.
-   ``pool_kind="auto"`` resolves threads vs. processes from the payload
-   size (:func:`repro.parallel.merge.choose_pool_kind_for_bytes`):
-   large summary columns release the GIL inside NumPy and are shared
-   zero-copy by threads, tiny ones are cheaper to ship to processes.
+   order, preserving the skip-sequential fetch contract.  The ranges
+   run on the repository's one pool (:mod:`repro.parallel.pool`):
+   threads that share the summary column zero-copy while NumPy
+   releases the GIL.
 
 2. **Shard-parallel record fetch.**  The candidate union is cut into
    contiguous chunks, one per worker.  A read-only
@@ -24,9 +23,9 @@ engine:
    private I/O domain; the worker streams its chunk's unpruned blocks
    through its own :class:`repro.storage.bufferpool.BufferPool` (its
    own head, its own counters, its own cache) and fills per-query
-   bounded max-heaps seeded exactly like the serial engine's.  Fetches
-   always run on threads — the simulated device is shared state worker
-   processes could not see — or inline when ``pool_kind="serial"``.
+   bounded max-heaps seeded exactly like the serial engine's.  Fetch
+   partitions run on the same pool, or inline when
+   ``pool_kind="serial"``.
 
 **Answer equivalence.**  Worker heaps retain the k lexicographically
 smallest ``(distance, id)`` pairs of everything offered to them
@@ -64,8 +63,6 @@ contract, and the benchmark reports both costs.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from ..core.knn import _BoundedMaxHeap
@@ -85,8 +82,7 @@ from .batch import (
     walk_candidate_blocks,
 )
 from .heal import run_self_healing
-from .merge import _pool_map, choose_pool_kind_for_bytes
-from .summarize import resolve_workers
+from .pool import check_pool_kind, pool_map, resolve_workers
 
 #: Pages cached by each fetch worker's shard-scoped buffer pool.  The
 #: skip-sequential fetch never revisits a page, so the pool changes no
@@ -94,7 +90,9 @@ from .summarize import resolve_workers
 #: cache domain, mirroring the sharded merge.
 QUERY_SHARD_POOL_PAGES = 8
 
-_POOL_KINDS = ("auto", "thread", "process", "serial")
+#: ``bound_sharing`` values: share per-query best-k bounds between the
+#: exact fetch workers, or prune per worker (replay-deterministic stats).
+SHARING_MODES = ("on", "off")
 
 
 def partition_ranges(n: int, n_parts: int) -> "list[tuple[int, int]]":
@@ -145,8 +143,7 @@ def _scan_range(
     """One worker's lower-bound scan: (mindist rows, local candidates).
 
     ``words`` is the worker's contiguous slice of the summary column;
-    the returned candidate positions are *local* to it.  Module-level
-    so process pools can pickle it.
+    the returned candidate positions are *local* to it.
     """
     mindists = mindist_paa_to_words(query_paa, words, config)
     union = np.nonzero((mindists < thresholds[:, None]).any(axis=0))[0]
@@ -159,7 +156,7 @@ def parallel_lower_bound_scan(
     config: SAXConfig,
     thresholds: np.ndarray,
     workers: int,
-    pool_kind: str = "auto",
+    pool_kind: str = "thread",
 ) -> "tuple[np.ndarray, np.ndarray]":
     """Compute (mindist matrix, candidate union) on a worker pool.
 
@@ -167,41 +164,58 @@ def parallel_lower_bound_scan(
     pool kind: lower bounds are elementwise per record, and per-range
     results concatenate in range order (candidates ascending).
     """
-    n = len(words)
-    ranges = [r for r in partition_ranges(n, workers) if r[1] > r[0]]
-    if pool_kind == "auto":
-        payload = words.nbytes + len(query_paa) * n * 8
-        pool_kind = choose_pool_kind_for_bytes(payload)
-    if len(ranges) <= 1 or pool_kind == "serial":
-        parts = [
-            _scan_range(query_paa, words[lo:hi], config, thresholds)
-            for lo, hi in ranges
-        ]
-    else:
-        # _pool_map heals a broken process pool (retry on threads):
-        # the scan is a pure function of its slice, so the healed
-        # result is bit-identical.
-        parts = _pool_map(
-            _scan_range,
-            [
-                [query_paa] * len(ranges),
-                [words[lo:hi] for lo, hi in ranges],
-                [config] * len(ranges),
-                [thresholds] * len(ranges),
-            ],
-            len(ranges),
-            pool_kind,
-        )
-    if not parts:
+    ranges = [r for r in partition_ranges(len(words), workers) if r[1] > r[0]]
+    if not ranges:
         return (
             np.empty((len(query_paa), 0)),
             np.empty(0, dtype=np.int64),
         )
+    parts = pool_map(
+        lambda lo, hi: _scan_range(query_paa, words[lo:hi], config, thresholds),
+        list(zip(*ranges)),
+        len(ranges),
+        pool_kind,
+    )
     mindists = np.concatenate([m for m, _ in parts], axis=1)
     union = np.concatenate(
         [local + lo for (_, local), (lo, _) in zip(parts, ranges)]
     ).astype(np.int64)
     return mindists, union
+
+
+def run_on_read_shards(
+    disk, label: str, n_parts: int, work, pool_kind: str,
+    wrap_device=None, attempt_index: int = 0,
+) -> list:
+    """``work(p, device)`` for each partition on its own read-only shard.
+
+    One read-only :class:`ShardedDisk` session over ``disk`` hands
+    partition ``p`` a private I/O domain (``wrap_device(shard, p,
+    attempt_index)`` when the fault seam is set), read through a
+    shard-scoped :class:`BufferPool`.  Partitions run on the pool, or
+    inline with ``pool_kind="serial"``; either way the shards reconcile
+    into the parent in partition order, so the resulting
+    :class:`DiskStats` are a pure function of the plans.  A worker
+    exception aborts the session — parent unfenced, nothing reconciled
+    — which is what makes the callers' retry loops sound.
+    """
+    session = ShardedDisk(
+        disk,
+        [(0, 0)] * n_parts,
+        names=[f"{label}-p{p}" for p in range(n_parts)],
+        read_only=True,
+    )
+
+    def run(p: int):
+        shard = session.shards[p]
+        device = (
+            shard if wrap_device is None else wrap_device(shard, p, attempt_index)
+        )
+        with BufferPool(device, QUERY_SHARD_POOL_PAGES) as pool:
+            return work(p, pool)
+
+    with session:
+        return pool_map(run, [range(n_parts)], n_parts, pool_kind)
 
 
 def _fetch_partition(
@@ -243,14 +257,12 @@ def parallel_batched_exact_knn(
     disk,
     seeds: "list[list[tuple[float, int]]] | None" = None,
     workers: int | None = 2,
-    pool_kind: str = "auto",
+    pool_kind: str = "thread",
     block_records: int = SIMS_BLOCK_RECORDS,
     wrap_device=None,
     bound_sharing: str = "off",
     bound_board=None,
-    bound_cadence: str = "block",
     scan_workers: int | None = None,
-    scan_pool_kind: str | None = None,
     min_fetch_records: int = 1,
     heal_report=None,
 ):
@@ -274,13 +286,10 @@ def parallel_batched_exact_knn(
     built per healing attempt (a faulted attempt's publishes must not
     leak into its retry); ``bound_board`` overrides that with an
     injected board for the unsplit batch (the property-test seam for
-    adversarial publish schedules).  ``bound_cadence="partition"``
-    freezes each worker's snapshot at partition start and merges its
-    publishes on completion — the coordinator-exchange cadence a
-    process pool would need.  ``scan_workers``/``scan_pool_kind``
-    override the lower-bound scan's fan-out (the planner's knobs;
-    default: same as the fetch), and ``min_fetch_records`` is the
-    planner's floor on candidates per fetch partition.
+    adversarial publish schedules).  ``scan_workers`` overrides the
+    lower-bound scan's fan-out (the planner's clamp; default: same as
+    the fetch), and ``min_fetch_records`` is the planner's floor on
+    candidates per fetch partition.
 
     ``wrap_device(shard, partition, attempt)`` is the self-healing
     fault seam (:mod:`repro.parallel.heal`): each fetch worker's reads
@@ -294,11 +303,10 @@ def parallel_batched_exact_knn(
     identical ids, distances and tie order for any worker count;
     ``visited_records`` counts what the workers actually evaluated.
     """
-    if pool_kind not in _POOL_KINDS:
-        raise ValueError(f"pool_kind must be one of {_POOL_KINDS}, got {pool_kind!r}")
-    if bound_sharing not in ("on", "off"):
+    check_pool_kind(pool_kind)
+    if bound_sharing not in SHARING_MODES:
         raise ValueError(
-            f"bound_sharing must be 'on' or 'off', got {bound_sharing!r}"
+            f"bound_sharing must be one of {SHARING_MODES}, got {bound_sharing!r}"
         )
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     n_queries, n = len(queries), len(words)
@@ -315,19 +323,16 @@ def parallel_batched_exact_knn(
         # dropped here).
         half = n_queries // 2
         seeds = seeds or [[] for _ in range(n_queries)]
-        return parallel_batched_exact_knn(
-            queries[:half], k, words, config, make_fetch, disk,
-            seeds[:half], workers, pool_kind, block_records, wrap_device,
-            bound_sharing=bound_sharing, bound_cadence=bound_cadence,
-            scan_workers=scan_workers, scan_pool_kind=scan_pool_kind,
-            min_fetch_records=min_fetch_records, heal_report=heal_report,
-        ) + parallel_batched_exact_knn(
-            queries[half:], k, words, config, make_fetch, disk,
-            seeds[half:], workers, pool_kind, block_records, wrap_device,
-            bound_sharing=bound_sharing, bound_cadence=bound_cadence,
-            scan_workers=scan_workers, scan_pool_kind=scan_pool_kind,
-            min_fetch_records=min_fetch_records, heal_report=heal_report,
-        )
+        halves = [
+            parallel_batched_exact_knn(
+                queries[part], k, words, config, make_fetch, disk,
+                seeds[part], workers, pool_kind, block_records, wrap_device,
+                bound_sharing=bound_sharing, scan_workers=scan_workers,
+                min_fetch_records=min_fetch_records, heal_report=heal_report,
+            )
+            for part in (slice(None, half), slice(half, None))
+        ]
+        return halves[0] + halves[1]
     seeds = seeds or [[] for _ in range(n_queries)]
     heaps = seeded_heaps(n_queries, k, seeds)
     if n == 0 or n_queries == 0:
@@ -337,7 +342,7 @@ def parallel_batched_exact_knn(
     mindists, union = parallel_lower_bound_scan(
         query_paa, words, config, thresholds,
         scan_workers if scan_workers is not None else workers,
-        scan_pool_kind if scan_pool_kind is not None else pool_kind,
+        pool_kind,
     )
     visited = np.zeros(n_queries, dtype=np.int64)
     if len(union):
@@ -354,7 +359,6 @@ def parallel_batched_exact_knn(
                 disk, chunks, queries, k, mindists, seeds, make_fetch,
                 block_records, pool_kind, wrap_device, attempt_index,
                 bound_sharing=bound_sharing, bound_board=bound_board,
-                bound_cadence=bound_cadence,
             ),
             # The sentinel routes degradation out of the helper: the
             # serial engine redoes the whole batch (scan included) on
@@ -392,68 +396,36 @@ def _run_fetch_partitions(
     attempt_index: int = 0,
     bound_sharing: str = "off",
     bound_board=None,
-    bound_cadence: str = "block",
 ):
     """Run the per-chunk fetch plans on read-only shards.
-
-    Threaded unless ``pool_kind="serial"`` (the inline replay); either
-    way the shards reconcile into the parent in partition order, so the
-    resulting :class:`DiskStats` are a pure function of the plans.  A
-    worker exception aborts the session — parent unfenced, nothing
-    reconciled — which is what makes the caller's retry loop sound.
 
     The bound board is built *here*, once per attempt: a faulted
     attempt may have published bounds computed from corrupted reads,
     so its board must never survive into the retry.  (An injected
     ``bound_board`` is the test seam and bypasses that isolation.)
-    With ``bound_cadence="partition"`` each worker sees a snapshot
-    frozen at partition start and its publishes merge on completion —
-    under ``pool_kind="serial"`` partition ``p`` therefore prunes with
-    exactly the bounds of partitions ``< p``, a deterministic replay.
     """
     if bound_board is None and bound_sharing == "on":
         from .sched import SharedBoundBoard
 
         bound_board = SharedBoundBoard(len(queries))
-    session = ShardedDisk(
+    return run_on_read_shards(
         disk,
-        [(0, 0)] * len(chunks),
-        names=[f"query-fetch-p{p}" for p in range(len(chunks))],
-        read_only=True,
+        "query-fetch",
+        len(chunks),
+        lambda p, device: _fetch_partition(
+            queries, k, mindists, chunks[p], seeds, make_fetch(device),
+            block_records, bound_board=bound_board,
+        ),
+        pool_kind,
+        wrap_device,
+        attempt_index,
     )
-
-    def run_partition(p: int):
-        board = bound_board
-        if board is not None and bound_cadence == "partition":
-            from .sched import PartitionBoardView
-
-            board = PartitionBoardView(bound_board)
-        device = (
-            session.shards[p]
-            if wrap_device is None
-            else wrap_device(session.shards[p], p, attempt_index)
-        )
-        with BufferPool(device, QUERY_SHARD_POOL_PAGES) as pool:
-            result = _fetch_partition(
-                queries, k, mindists, chunks[p], seeds, make_fetch(pool),
-                block_records, bound_board=board,
-            )
-        if board is not None and board is not bound_board:
-            board.flush()
-        return result
-
-    with session:
-        if pool_kind == "serial" or len(chunks) == 1:
-            return [run_partition(p) for p in range(len(chunks))]
-        with ThreadPoolExecutor(max_workers=len(chunks)) as executor:
-            return list(executor.map(run_partition, range(len(chunks))))
 
 
 def parallel_sims_query_batch(
-    index, batch, prepare_parallel, query_workers, pool_kind: str = "auto",
+    index, batch, prepare_parallel, query_workers, pool_kind: str = "thread",
     wrap_device=None, bound_sharing: str = "off", bound_board=None,
-    bound_cadence: str = "block", scan_workers: int | None = None,
-    scan_pool_kind: str | None = None, min_fetch_records: int = 1,
+    scan_workers: int | None = None, min_fetch_records: int = 1,
     heal_report=None,
 ) -> BatchReport:
     """Multi-worker ``query_batch`` for SIMS-backed indexes.
@@ -463,9 +435,8 @@ def parallel_sims_query_batch(
     charged to the batch, and ``make_fetch`` binds fetches to worker
     devices.  Approximate seeding stays on the parent device, before
     the sharded fetch session opens, exactly like the serial engine.
-    The trailing keywords are the scheduler's knobs, threaded to
-    :func:`parallel_batched_exact_knn`; the defaults reproduce the
-    PR-4 plan exactly.
+    The trailing keywords carry the planner's decisions to
+    :func:`parallel_batched_exact_knn`.
     """
     queries = np.atleast_2d(np.asarray(batch.queries, dtype=np.float64))
     with Measurement(index.disk) as measure:
@@ -487,9 +458,7 @@ def parallel_sims_query_batch(
             wrap_device=wrap_device,
             bound_sharing=bound_sharing,
             bound_board=bound_board,
-            bound_cadence=bound_cadence,
             scan_workers=scan_workers,
-            scan_pool_kind=scan_pool_kind,
             min_fetch_records=min_fetch_records,
             heal_report=heal_report,
         )
@@ -497,7 +466,7 @@ def parallel_sims_query_batch(
 
 
 def parallel_serial_scan_batch(
-    index, batch, query_workers, pool_kind: str = "auto", wrap_device=None,
+    index, batch, query_workers, pool_kind: str = "thread", wrap_device=None,
     heal_report=None,
 ) -> BatchReport:
     """Multi-worker batched brute-force scan (the SerialScan path).
@@ -514,10 +483,7 @@ def parallel_serial_scan_batch(
     on transients and otherwise degrade to one full-range scan on the
     parent device — the exact serial plan.
     """
-    if pool_kind not in _POOL_KINDS:
-        raise ValueError(
-            f"pool_kind must be one of {_POOL_KINDS}, got {pool_kind!r}"
-        )
+    check_pool_kind(pool_kind)
     queries = np.atleast_2d(np.asarray(batch.queries, dtype=np.float64))
     raw = index._require_built()
     k = batch.k
@@ -546,29 +512,6 @@ def parallel_serial_scan_batch(
                 heap.offer_block(distances, identifiers)
         return local
 
-    def attempt(attempt_index: int) -> "list[list[_BoundedMaxHeap]]":
-        session = ShardedDisk(
-            index.disk,
-            [(0, 0)] * len(ranges),
-            names=[f"scan-p{p}" for p in range(len(ranges))],
-            read_only=True,
-        )
-
-        def run(p: int) -> "list[_BoundedMaxHeap]":
-            device = (
-                session.shards[p]
-                if wrap_device is None
-                else wrap_device(session.shards[p], p, attempt_index)
-            )
-            with BufferPool(device, QUERY_SHARD_POOL_PAGES) as pool:
-                return scan_range(*ranges[p], pool)
-
-        with session:
-            if pool_kind == "serial":
-                return [run(p) for p in range(len(ranges))]
-            with ThreadPoolExecutor(max_workers=len(ranges)) as executor:
-                return list(executor.map(run, range(len(ranges))))
-
     heaps = [_BoundedMaxHeap(k) for _ in queries]
     with Measurement(index.disk) as measure:
         if len(ranges) <= 1:
@@ -577,7 +520,15 @@ def parallel_serial_scan_batch(
             ]
         else:
             results = run_self_healing(
-                attempt,
+                lambda attempt_index: run_on_read_shards(
+                    index.disk,
+                    "scan",
+                    len(ranges),
+                    lambda p, device: scan_range(*ranges[p], device),
+                    pool_kind,
+                    wrap_device,
+                    attempt_index,
+                ),
                 # Degradation is the serial plan itself: one full-range
                 # scan on the parent device.
                 fallback=lambda: [scan_range(0, raw.n_series, index.disk)],

@@ -1,7 +1,7 @@
-"""Adaptive parallel query scheduling: shared bounds + cost-model plans.
+"""Parallel query scheduling: shared bounds + cost-model plans.
 
-PR 4 parallelized the batched SIMS pass, but left two gaps the ROADMAP
-names under "adaptive parallel query scheduling":
+The multi-worker SIMS pass (:mod:`repro.parallel.query`) leaves two
+gaps this module closes, and one decision it records:
 
 1. **Exact workers share seeds but not threshold feedback.**  Each
    fetch worker prunes against the k-th best of *its own* offers, so a
@@ -11,9 +11,7 @@ names under "adaptive parallel query scheduling":
    at block boundaries.  Reads are a bare reference grab of an
    immutable snapshot (atomic under the GIL — the "lock-free" side);
    publishes min-merge into a fresh snapshot under a lock and bump an
-   epoch.  For pools without shared memory, :class:`PartitionBoardView`
-   is the coordinator-exchange cadence: a partition works against a
-   frozen snapshot and its publishes are merged when it completes.
+   epoch.
 
    **Why sharing cannot change the answers.**  Every published value
    is some heap's k-th best over a subset of the global offer multiset,
@@ -41,44 +39,31 @@ names under "adaptive parallel query scheduling":
    never depends on cache hits, only its I/O charging does).
 
 On top of both sits the **cost-model planner**
-(:func:`plan_query_batch`): instead of the fixed
-``choose_pool_kind_for_bytes`` byte threshold and
-"one chunk per requested worker" split, it prices the batch with a
-calibrated :class:`repro.storage.cost.QueryCostModel` (lower-bound
-cells, refine records, pool-task overhead, IPC shipping) and picks the
-scan worker count, scan pool kind, fetch partition floor and bound
-cadence.  Every decision is recorded on a :class:`PlanReport` attached
-to the batch report.  ``scheduler="fixed"`` is the escape hatch that
-reproduces the PR-4 plan exactly (requested workers, byte-threshold
-pool choice, no sharing, serial approximate batches).
+(:func:`plan_query_batch`): it prices the batch with
+:class:`repro.storage.cost.QueryCostModel` (lower-bound cells, refine
+records, pool-task overhead) and clamps the scan fan-out and the fetch
+partition floor below the requested worker count.  Every decision is
+recorded on a :class:`PlanReport` attached to the batch report.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ..core.sims import SIMS_BLOCK_RECORDS
 from ..indexes.base import BatchReport, Measurement, QueryResult
-from ..storage.bufferpool import BufferPool
-from ..storage.cost import DEFAULT_QUERY_COST, QueryCostModel
-from ..storage.disk import ShardedDisk
+from ..storage.cost import DEFAULT_QUERY_COST
 from .batch import approx_query_batch, sims_query_batch
 from .heal import run_self_healing
+from .pool import check_pool_kind, resolve_workers
 from .query import (
-    QUERY_SHARD_POOL_PAGES,
+    SHARING_MODES,
     parallel_sims_query_batch,
+    run_on_read_shards,
 )
-from .summarize import resolve_workers
-
-_SCHEDULERS = ("adaptive", "fixed")
-_SHARING_MODES = ("auto", "on", "off")
-_CADENCES = ("block", "partition")
 
 #: A scan worker's slice must amortize at least this many task spawns.
 SCAN_SPAN_TASKS = 4
@@ -135,96 +120,6 @@ class SharedBoundBoard:
             self.epoch += 1
 
 
-class PartitionBoardView:
-    """Coordinator-exchange cadence over a :class:`SharedBoundBoard`.
-
-    Process pools (and any worker without shared memory) cannot read a
-    live board: this view freezes the parent snapshot when the
-    partition starts, buffers the partition's publishes locally, and
-    min-merges them into the parent in one :meth:`flush` when the
-    partition completes — the snapshot-exchange the coordinator would
-    perform over IPC.  Frozen reads are merely *staler* certified
-    bounds, so every correctness property of the live board carries
-    over unchanged.
-    """
-
-    def __init__(self, parent: SharedBoundBoard):
-        self._parent = parent
-        self._snapshot = parent.read()
-        self._pending: np.ndarray | None = None
-
-    def read(self) -> np.ndarray:
-        return self._snapshot
-
-    def publish(self, bounds: np.ndarray) -> None:
-        if self._pending is None:
-            self._pending = np.asarray(bounds, dtype=np.float64).copy()
-        else:
-            np.minimum(self._pending, bounds, out=self._pending)
-
-    def flush(self) -> None:
-        if self._pending is not None:
-            self._parent.publish(self._pending)
-            self._pending = None
-
-
-# ----------------------------------------------------------------------
-# Cost calibration
-# ----------------------------------------------------------------------
-def _best_of(fn, repeats: int = 3) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-@lru_cache(maxsize=1)
-def calibrate_query_costs() -> QueryCostModel:
-    """Measure the per-kernel rates of :class:`QueryCostModel`.
-
-    Times the two hot kernels the planner prices — the SIMS lower
-    bound and the refine kernel — on small synthetic inputs, plus one
-    thread-pool task round trip.  Process-pool and IPC terms keep
-    their documented defaults: measuring a fork + import costs more
-    than any plan it could improve.  Cached for the process lifetime
-    so repeated plans (and the thread-vs-replay stats contract, which
-    needs identical plans) see one consistent model.
-    """
-    from ..series.distance import early_abandon_euclidean_block
-    from ..summaries.paa import paa
-    from ..summaries.sax import SAXConfig, mindist_paa_to_words
-
-    rng = np.random.default_rng(7)
-    config = SAXConfig(word_length=8, cardinality=256)
-    n, length = 4096, 64
-    words = rng.integers(0, 256, size=(n, 8), dtype=np.uint16)
-    query = rng.standard_normal(length)
-    query_paa = paa(query[None, :], 8)[0]
-    block = rng.standard_normal((1024, length))
-
-    scan_s = _best_of(lambda: mindist_paa_to_words(query_paa, words, config))
-    refine_s = _best_of(
-        lambda: early_abandon_euclidean_block(query, block, float("inf"))
-    )
-
-    def _task_round_trip():
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            list(pool.map(int, range(2)))
-
-    task_s = _best_of(_task_round_trip)
-
-    default = DEFAULT_QUERY_COST
-    return QueryCostModel(
-        mindist_cell_us=max(1e-4, scan_s * 1e6 / n),
-        refine_record_us=max(1e-3, refine_s * 1e6 / len(block)),
-        thread_task_us=max(10.0, task_s * 1e6 / 2),
-        process_task_us=default.process_task_us,
-        ship_us_per_mib=default.ship_us_per_mib,
-    )
-
-
 # ----------------------------------------------------------------------
 # The planner
 # ----------------------------------------------------------------------
@@ -238,7 +133,6 @@ class PlanReport:
     plan the threaded run executed.
     """
 
-    scheduler: str
     mode: str
     n_queries: int
     n_records: int
@@ -246,88 +140,45 @@ class PlanReport:
     requested_workers: int | None
     workers: int
     scan_workers: int
-    scan_pool_kind: str
-    pool_kind: str
     bound_sharing: str
-    bound_cadence: str
     min_fetch_records: int
     est_scan_ms: float
     est_refine_ms: float
     reason: str
 
     def as_dict(self) -> dict:
-        return {
-            "scheduler": self.scheduler,
-            "mode": self.mode,
-            "n_queries": self.n_queries,
-            "n_records": self.n_records,
-            "k": self.k,
-            "requested_workers": self.requested_workers,
-            "workers": self.workers,
-            "scan_workers": self.scan_workers,
-            "scan_pool_kind": self.scan_pool_kind,
-            "pool_kind": self.pool_kind,
-            "bound_sharing": self.bound_sharing,
-            "bound_cadence": self.bound_cadence,
-            "min_fetch_records": self.min_fetch_records,
-            "est_scan_ms": self.est_scan_ms,
-            "est_refine_ms": self.est_refine_ms,
-            "reason": self.reason,
-        }
+        return asdict(self)
 
 
 def plan_query_batch(
     batch,
     index,
-    cost_model: QueryCostModel | None = None,
     query_workers: int | None = 1,
-    pool_kind: str = "auto",
-    scheduler: str = "adaptive",
-    bound_sharing: str = "auto",
-    bound_cadence: str = "block",
+    bound_sharing: str = "on",
 ) -> PlanReport:
-    """Pick the batch's worker counts, pool kinds and partition split.
+    """Pick the batch's worker counts and partition split.
 
-    ``scheduler="fixed"`` reproduces the PR-4 plan exactly: the
-    requested worker count everywhere, the byte-threshold pool choice
-    (deferred to the engine via ``pool_kind="auto"``), one fetch chunk
-    per worker, and no bound sharing unless explicitly forced ``"on"``.
-
-    ``scheduler="adaptive"`` prices the batch with ``cost_model``
-    (default: the documented :data:`DEFAULT_QUERY_COST`; pass
-    :func:`calibrate_query_costs` output for measured rates) and
-    *clamps downward* — the plan never exceeds the requested worker
+    Prices the batch with :data:`repro.storage.cost.DEFAULT_QUERY_COST`
+    and *clamps downward* — the plan never exceeds the requested worker
     count, so ``query_workers=1`` always remains the serial engine:
 
     * scan workers: each worker's slice of the Q x N lower-bound
       matrix must amortize :data:`SCAN_SPAN_TASKS` task spawns;
-    * scan pool kind (only when the caller left ``pool_kind="auto"``):
-      argmin of the modeled thread total vs. the process total
-      (spawn + payload shipping + the same compute);
     * fetch split: a partition must hold ``thread_task_us /
       refine_record_us`` candidates (``min_fetch_records``) to earn a
       pool task;
-    * bound sharing: on for exact batches (``bound_sharing="auto"``),
-      off for approximate ones (no heaps to feed it).
+    * bound sharing: as requested for exact batches, off for
+      approximate ones (no heaps to feed it).
     """
-    if scheduler not in _SCHEDULERS:
+    if bound_sharing not in SHARING_MODES:
         raise ValueError(
-            f"scheduler must be one of {_SCHEDULERS}, got {scheduler!r}"
+            f"bound_sharing must be one of {SHARING_MODES}, got {bound_sharing!r}"
         )
-    if bound_sharing not in _SHARING_MODES:
-        raise ValueError(
-            f"bound_sharing must be one of {_SHARING_MODES}, got {bound_sharing!r}"
-        )
-    if bound_cadence not in _CADENCES:
-        raise ValueError(
-            f"bound_cadence must be one of {_CADENCES}, got {bound_cadence!r}"
-        )
-    cost = cost_model or DEFAULT_QUERY_COST
+    cost = DEFAULT_QUERY_COST
     raw = getattr(index, "raw", None)
     n_records = int(raw.n_series) if raw is not None else 0
     n_queries = int(batch.n_queries)
     workers = resolve_workers(query_workers)
-    mode = batch.mode
 
     # Indexes without a summary column (the brute-force scan) price
     # their pass at the refine rate — every record is refined, none is
@@ -337,102 +188,44 @@ def plan_query_batch(
     est_scan_ms = n_queries * n_records * cell_us / 1000.0
     est_refine_ms = n_records * cost.refine_record_us / 1000.0
 
-    if scheduler == "fixed":
-        sharing = "on" if bound_sharing == "on" and mode == "exact" else "off"
-        approx_workers = 1 if mode == "approximate" else workers
-        return PlanReport(
-            scheduler="fixed",
-            mode=mode,
-            n_queries=n_queries,
-            n_records=n_records,
-            k=batch.k,
-            requested_workers=query_workers,
-            workers=approx_workers,
-            scan_workers=workers,
-            scan_pool_kind=pool_kind,
-            pool_kind=pool_kind,
-            bound_sharing=sharing,
-            bound_cadence=bound_cadence,
-            min_fetch_records=1,
-            est_scan_ms=est_scan_ms,
-            est_refine_ms=est_refine_ms,
-            reason="fixed scheduler: requested workers, byte-threshold pools",
-        )
-
     # Scan: clamp the fan-out so each slice amortizes its task spawn.
     # (Recorded for approximate batches too — the brute-force scan
     # answers both modes with the same full pass.)
-    est_scan_us = est_scan_ms * 1000.0
     span_us = SCAN_SPAN_TASKS * cost.thread_task_us
-    scan_workers = max(1, min(workers, int(est_scan_us // max(span_us, 1e-9))))
-
-    if mode == "approximate":
+    scan_workers = max(
+        1, min(workers, int(est_scan_ms * 1000.0 // max(span_us, 1e-9)))
+    )
+    if batch.mode == "approximate":
         # One partition per ~2 queries keeps cache sharing worthwhile.
-        approx_workers = max(1, min(workers, n_queries // 2))
-        sharing = "off"
+        workers = max(1, min(workers, n_queries // 2))
+        bound_sharing = "off"
+        min_fetch_records = 1
         reason = (
-            f"approximate batch: {approx_workers} visit-order partitions"
+            f"approximate batch: {workers} visit-order partitions"
             f" for {n_queries} queries"
         )
-        return PlanReport(
-            scheduler="adaptive",
-            mode=mode,
-            n_queries=n_queries,
-            n_records=n_records,
-            k=batch.k,
-            requested_workers=query_workers,
-            workers=approx_workers,
-            scan_workers=scan_workers,
-            scan_pool_kind=pool_kind,
-            pool_kind=pool_kind,
-            bound_sharing=sharing,
-            bound_cadence=bound_cadence,
-            min_fetch_records=1,
-            est_scan_ms=est_scan_ms,
-            est_refine_ms=est_refine_ms,
-            reason=reason,
-        )
-    if pool_kind == "auto":
-        word_length = getattr(config, "word_length", 8)
-        payload_bytes = n_records * word_length * 2 + n_queries * n_records * 8
-        payload_mib = payload_bytes / (1 << 20)
-        thread_us = cost.thread_task_us * scan_workers + est_scan_us / max(
-            scan_workers, 1
-        )
-        process_us = (
-            cost.process_task_us * scan_workers
-            + cost.ship_us_per_mib * payload_mib
-            + est_scan_us / max(scan_workers, 1)
-        )
-        scan_pool_kind = "thread" if thread_us <= process_us else "process"
     else:
-        scan_pool_kind = pool_kind
-    min_fetch_records = max(
-        1,
-        min(
-            MAX_FETCH_FLOOR_RECORDS,
-            int(cost.thread_task_us / max(cost.refine_record_us, 1e-9)),
-        ),
-    )
-    sharing = "on" if bound_sharing == "auto" else bound_sharing
-    reason = (
-        f"adaptive: scan {scan_workers}/{workers} workers on"
-        f" {scan_pool_kind} pool (est {est_scan_ms:.2f} ms), fetch floor"
-        f" {min_fetch_records} records/partition, bound sharing {sharing}"
-    )
+        min_fetch_records = max(
+            1,
+            min(
+                MAX_FETCH_FLOOR_RECORDS,
+                int(cost.thread_task_us / max(cost.refine_record_us, 1e-9)),
+            ),
+        )
+        reason = (
+            f"scan {scan_workers}/{workers} workers"
+            f" (est {est_scan_ms:.2f} ms), fetch floor {min_fetch_records}"
+            f" records/partition, bound sharing {bound_sharing}"
+        )
     return PlanReport(
-        scheduler="adaptive",
-        mode=mode,
+        mode=batch.mode,
         n_queries=n_queries,
         n_records=n_records,
         k=batch.k,
         requested_workers=query_workers,
         workers=workers,
         scan_workers=scan_workers,
-        scan_pool_kind=scan_pool_kind,
-        pool_kind=pool_kind,
-        bound_sharing=sharing,
-        bound_cadence=bound_cadence,
+        bound_sharing=bound_sharing,
         min_fetch_records=min_fetch_records,
         est_scan_ms=est_scan_ms,
         est_refine_ms=est_refine_ms,
@@ -447,10 +240,8 @@ def run_sims_query_batch(
     index,
     batch,
     query_workers: int | None = 1,
-    query_pool_kind: str = "auto",
-    scheduler: str = "adaptive",
-    bound_sharing: str = "auto",
-    cost_model: QueryCostModel | None = None,
+    query_pool_kind: str = "thread",
+    bound_sharing: str = "on",
     wrap_device=None,
     bound_board=None,
     heal_report=None,
@@ -461,21 +252,20 @@ def run_sims_query_batch(
     CoconutTrie and CoconutLSM: builds a :class:`PlanReport` (attached
     to the returned report as ``report.plan``), then dispatches to the
     serial batched engine, the multi-worker exact engine, or the
-    partitioned approximate engine.  ``bound_board`` injects a board
-    (tests drive adversarial publish schedules through it); ``None``
-    lets the engine build one per attempt when the plan shares bounds.
-    Wrong-length and non-finite queries raise ``ValueError`` before
-    anything is planned or read.
+    partitioned approximate engine.  ``query_pool_kind="serial"`` maps
+    the same partition plan on the calling thread (the replay
+    reference); ``bound_sharing="off"`` restores per-worker pruning and
+    with it the replay-deterministic ``DiskStats``.  ``bound_board``
+    injects a board (tests drive adversarial publish schedules through
+    it); ``None`` lets the engine build one per attempt when the plan
+    shares bounds.  Wrong-length and non-finite queries, then unknown
+    pool kinds and sharing modes, raise ``ValueError`` before anything
+    is planned or read.
     """
     index._query_matrix(batch.queries)
+    check_pool_kind(query_pool_kind)
     plan = plan_query_batch(
-        batch,
-        index,
-        cost_model=cost_model,
-        query_workers=query_workers,
-        pool_kind=query_pool_kind,
-        scheduler=scheduler,
-        bound_sharing=bound_sharing,
+        batch, index, query_workers=query_workers, bound_sharing=bound_sharing
     )
     if batch.mode == "approximate":
         if plan.workers > 1:
@@ -499,9 +289,7 @@ def run_sims_query_batch(
             wrap_device=wrap_device,
             bound_sharing=plan.bound_sharing,
             bound_board=bound_board,
-            bound_cadence=plan.bound_cadence,
             scan_workers=plan.scan_workers,
-            scan_pool_kind=plan.scan_pool_kind,
             min_fetch_records=plan.min_fetch_records,
             heal_report=heal_report,
         )
@@ -515,7 +303,7 @@ def parallel_approx_batch(
     index,
     batch,
     workers: int | None = 2,
-    pool_kind: str = "auto",
+    pool_kind: str = "thread",
     wrap_device=None,
     heal_report=None,
 ) -> BatchReport:
@@ -538,6 +326,7 @@ def parallel_approx_batch(
     engine: transients retry on a fresh session, anything harder
     degrades to the serial batched pass on the parent device.
     """
+    check_pool_kind(pool_kind)
     queries = np.atleast_2d(np.asarray(batch.queries, dtype=np.float64))
     workers = resolve_workers(workers)
     with Measurement(index.disk) as measure:
@@ -550,36 +339,18 @@ def parallel_approx_batch(
         if len(chunks) <= 1:
             pairs = index._approx_answer_subset(queries, ctx, order)
         else:
-
-            def attempt(attempt_index: int):
-                session = ShardedDisk(
-                    index.disk,
-                    [(0, 0)] * len(chunks),
-                    names=[f"approx-p{p}" for p in range(len(chunks))],
-                    read_only=True,
-                )
-
-                def run_partition(p: int):
-                    device = (
-                        session.shards[p]
-                        if wrap_device is None
-                        else wrap_device(session.shards[p], p, attempt_index)
-                    )
-                    with BufferPool(device, QUERY_SHARD_POOL_PAGES) as pool:
-                        return index._approx_answer_subset(
-                            queries, ctx, chunks[p], device=pool
-                        )
-
-                with session:
-                    if pool_kind == "serial":
-                        return [run_partition(p) for p in range(len(chunks))]
-                    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-                        return list(
-                            pool.map(run_partition, range(len(chunks)))
-                        )
-
             parts = run_self_healing(
-                attempt,
+                lambda attempt_index: run_on_read_shards(
+                    index.disk,
+                    "approx",
+                    len(chunks),
+                    lambda p, device: index._approx_answer_subset(
+                        queries, ctx, chunks[p], device=device
+                    ),
+                    pool_kind,
+                    wrap_device,
+                    attempt_index,
+                ),
                 fallback=lambda: None,
                 label="parallel approximate batch",
                 report=heal_report,

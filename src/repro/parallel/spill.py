@@ -44,18 +44,17 @@ are bit-identical to it for any worker count.  The equivalence suite
 equality against the fully-serial merge, stats equality against the
 serial replay.
 
-Worker pools are threads (or inline): the simulated device is shared
-state that worker processes could not mutate, and the merge payloads
-here are multi-page NumPy blocks whose searchsorted/argsort work
-releases the GIL — the regime where threads win anyway (see
-:func:`repro.parallel.merge.choose_pool_kind`).
+Partitions run on the repository's one pool
+(:mod:`repro.parallel.pool`): threads — the shards live in this
+process, and the merge payloads are multi-page NumPy blocks whose
+searchsorted/argsort work releases the GIL — or inline with
+``pool_kind="serial"``.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +69,7 @@ from ..storage.merge import (
 from ..storage.pager import PagedFile
 from .heal import HEAL_RETRIES, HealReport, RetryPolicy, run_self_healing
 from .merge import run_cut_positions, sample_splitters
+from .pool import check_pool_kind, pool_map
 
 #: Pages cached by each worker's shard-scoped read pool.  Source reads
 #: stream forward and never revisit a page, so the pool affects no
@@ -276,7 +276,7 @@ def sharded_spill_merge(
         (sources, splitters, buffer_records), never on the pool.
     pool_kind:
         ``"serial"`` executes partitions inline in partition order (the
-        serial replay oracle); anything else runs them on a thread pool
+        serial replay oracle); ``"thread"`` runs them on a thread pool
         sized to the partition count.
     splitters:
         Explicit splitter keys (ascending, deduplicated) override the
@@ -303,7 +303,7 @@ def sharded_spill_merge(
         to its serial compaction).  Attempt counts land on the result's
         ``n_heal_attempts`` and, when given, on ``heal_report``.
     """
-    _validate_pool_kind(pool_kind)
+    check_pool_kind(pool_kind)
     splitters, cuts = _cut_sources(sources, n_partitions, splitters, cuts)
     n_parts = len(splitters) + 1
     itemsize = rec_dtype.itemsize
@@ -335,29 +335,21 @@ def sharded_spill_merge(
             disk, extents, names=[f"{out_name}-p{p}" for p in range(n_parts)]
         )
         with session as shards:
-            tasks = [
-                (
-                    shards[p]
-                    if wrap_device is None
-                    else wrap_device(shards[p], p, attempt_index),
-                    sources,
-                    cuts,
-                    p,
-                    rec_dtype,
-                    buffer_records,
-                    byte_ranges[p][0],
-                    byte_ranges[p][1],
-                    out_first,
-                    collect,
-                )
+            devices = [
+                shards[p]
+                if wrap_device is None
+                else wrap_device(shards[p], p, attempt_index)
                 for p in range(n_parts)
             ]
-            if pool_kind == "serial" or n_parts == 1:
-                return [_merge_partition_to_shard(*task) for task in tasks]
-            with ThreadPoolExecutor(max_workers=n_parts) as executor:
-                return list(
-                    executor.map(lambda task: _merge_partition_to_shard(*task), tasks)
-                )
+            return pool_map(
+                lambda p: _merge_partition_to_shard(
+                    devices[p], sources, cuts, p, rec_dtype, buffer_records,
+                    *byte_ranges[p], out_first, collect,
+                ),
+                [range(n_parts)],
+                n_parts,
+                pool_kind,
+            )
 
     local_report = HealReport()
     try:
@@ -428,19 +420,6 @@ class _PairEmitter:
                 self.buf["v"][: self.filled].copy(),
             )
             self.filled = 0
-
-
-def _validate_pool_kind(pool_kind: str) -> None:
-    """Reject unknown kinds instead of silently running threaded.
-
-    ``"serial"`` executes inline (the replay oracle); ``"thread"``,
-    ``"process"`` and ``"auto"`` all run the thread pool here — worker
-    processes cannot mutate the shared simulated device, and the merge
-    payloads are multi-page NumPy blocks, the regime where threads win
-    anyway (:func:`repro.parallel.merge.choose_pool_kind`).
-    """
-    if pool_kind not in ("serial", "thread", "process", "auto"):
-        raise ValueError(f"unknown pool kind {pool_kind!r}")
 
 
 def _cut_sources(sources, n_partitions, splitters, cuts=None):
@@ -533,7 +512,7 @@ def sharded_stream_merge(
     aborts — the parent is unfenced and the *caller* heals (retries the
     whole stream or degrades to the serial merge).
     """
-    _validate_pool_kind(pool_kind)
+    check_pool_kind(pool_kind)
     splitters, cuts = _cut_sources(sources, n_partitions, splitters, cuts)
     n_parts = len(splitters) + 1
     emitter = _PairEmitter(rec_dtype, buffer_records)

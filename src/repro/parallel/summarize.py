@@ -15,51 +15,42 @@ cores at once, which is where the bulk-loading speedup comes from.
 
 Worker pools and determinism
 ----------------------------
-``kind="process"`` (the default) uses a ``ProcessPoolExecutor`` so the
-NumPy work runs on separate cores; it falls back to threads when
-process pools are unavailable (restricted sandboxes).  The pipeline
-contains no randomness and no shared mutable state, so results are
-identical for every ``workers`` / ``chunk_size`` / pool-kind choice —
-a property the test suite checks exhaustively.
+Chunks are summarized on the repository's one pool
+(:mod:`repro.parallel.pool`): threads — the SAX kernels are NumPy and
+release the GIL, and a thread reads its chunk in place — or, with
+``kind="serial"``, inline on the calling thread.  The pipeline contains
+no randomness and no shared mutable state, so results are identical
+for every ``workers`` / ``chunk_size`` / ``kind`` choice — a property
+the test suite checks exhaustively.
 
 Choosing ``workers``: ``None`` or ``0`` means "all cores"
 (``os.cpu_count()``); ``1`` runs inline with no pool at all (zero
 overhead, the serial path).  Chunks should be large enough that the
-per-chunk NumPy work dominates the inter-process transfer of the chunk
-(thousands of series); :data:`DEFAULT_CHUNK_SERIES` is a good default.
+per-chunk NumPy work dominates the task hand-off (thousands of
+series); :data:`DEFAULT_CHUNK_SERIES` is a good default.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from ..core.invsax import interleave_words
 from ..summaries.sax import SAXConfig, sax_words
+from .pool import check_pool_kind, make_executor, resolve_workers
 
-#: Default series per chunk: big enough that SAX work dominates IPC.
+#: Default series per chunk: big enough that SAX work dominates the
+#: per-task hand-off.
 DEFAULT_CHUNK_SERIES = 4096
-
-
-def resolve_workers(workers: int | None) -> int:
-    """``None``/``0`` -> all cores; otherwise at least 1."""
-    if workers is None or workers <= 0:
-        return os.cpu_count() or 1
-    return int(workers)
 
 
 def summarize_chunk(
     block: np.ndarray, config: SAXConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One chunk's invSAX keys plus its stable sort order.
-
-    This is the unit of work shipped to a pool worker; it must stay a
-    module-level function so process pools can pickle it.
-    """
+    """One chunk's invSAX keys plus its stable sort order (a work unit)."""
     keys = interleave_words(sax_words(block, config), config)
     return keys, np.argsort(keys, kind="stable")
 
@@ -68,7 +59,7 @@ class ParallelSummarizer:
     """Order-preserving fan-out of summarization chunks to a pool.
 
     Usable as a context manager; otherwise call :meth:`close` when
-    done so pool processes do not outlive the build.
+    done so pool threads do not outlive the build.
     """
 
     def __init__(
@@ -76,16 +67,14 @@ class ParallelSummarizer:
         config: SAXConfig,
         workers: int | None = None,
         chunk_size: int | None = None,
-        kind: str = "process",
+        kind: str = "thread",
     ):
-        if kind not in ("process", "thread", "serial"):
-            raise ValueError(f"unknown pool kind {kind!r}")
+        self.kind = check_pool_kind(kind)
         self.config = config
         self.workers = resolve_workers(workers)
         self.chunk_size = chunk_size or DEFAULT_CHUNK_SERIES
         if self.chunk_size <= 0:
             raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        self.kind = kind
         self._executor: Executor | None = None
         self._started = False
 
@@ -94,15 +83,7 @@ class ParallelSummarizer:
         if self._started:
             return self._executor
         self._started = True
-        if self.workers <= 1 or self.kind == "serial":
-            self._executor = None
-        elif self.kind == "thread":
-            self._executor = ThreadPoolExecutor(max_workers=self.workers)
-        else:
-            try:
-                self._executor = ProcessPoolExecutor(max_workers=self.workers)
-            except (OSError, ValueError):  # pragma: no cover - sandboxes
-                self._executor = ThreadPoolExecutor(max_workers=self.workers)
+        self._executor = make_executor(self.workers, self.kind)
         return self._executor
 
     def close(self) -> None:
@@ -175,11 +156,11 @@ def summarize_presorted_runs(
     materialized: bool,
     workers: int | None = None,
     chunk_size: int | None = None,
-    kind: str = "process",
+    kind: str = "thread",
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Scan a raw file into presorted (keys, payloads) chunk runs.
 
-    The scan (and its simulated I/O) happens in the calling process;
+    The scan (and its simulated I/O) happens on the calling thread;
     chunks are summarized and presorted on pool workers; payloads —
     offsets, plus the series themselves for materialized indexes — are
     permuted locally.  Each run is a contiguous input slice in
@@ -207,7 +188,7 @@ def parallel_invsax_keys(
     config: SAXConfig,
     workers: int | None = None,
     chunk_size: int | None = None,
-    kind: str = "process",
+    kind: str = "thread",
 ) -> np.ndarray:
     """Drop-in parallel equivalent of :func:`repro.core.invsax_keys`."""
     with ParallelSummarizer(config, workers, chunk_size, kind=kind) as pool:

@@ -111,9 +111,6 @@ class ServiceConfig:
     deadline_margin_s: float = 0.0
     #: Worker count for the serving engines (1 = snapshot serial path).
     query_workers: int = 1
-    query_pool_kind: str = "auto"
-    scheduler: str = "adaptive"
-    bound_sharing: str = "auto"
     #: Retry/backoff for ingest recovery and serve-session healing.
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     serve_pool_pages: int = SERVE_POOL_PAGES
@@ -164,7 +161,6 @@ class CoconutService:
         device=None,
         size_ratio: int = 4,
         lsm_workers: int = 1,
-        lsm_pool_kind: str = "thread",
         wal_id: int = 1,
         clock=time.monotonic,
         wrap_serve_device=None,
@@ -188,10 +184,7 @@ class CoconutService:
                 disk.enable_integrity()
             if self.config.verified_reads:
                 raw.verified_reads = True
-        self._lsm_kwargs = dict(
-            workers=lsm_workers,
-            pool_kind=lsm_pool_kind,
-        )
+        self._lsm_workers = lsm_workers
         self.stats = ServiceStats(self.config.latency_capacity)
         self.queue = AdmissionQueue(self.config.queue_capacity, clock)
         self._ingest_lock = threading.Lock()
@@ -208,7 +201,7 @@ class CoconutService:
             size_ratio=size_ratio,
             durability="wal",
             wal_id=wal_id,
-            **self._lsm_kwargs,
+            workers=lsm_workers,
         )
         self._wire_lsm()
 
@@ -463,7 +456,7 @@ class CoconutService:
                 self.device.reopen()
             try:
                 self._lsm = CoconutLSM.recover(
-                    self.device, self.raw, **self._lsm_kwargs
+                    self.device, self.raw, workers=self._lsm_workers
                 )
                 break
             except (TransientIOError, DeviceCrash) as error:
@@ -693,9 +686,6 @@ class CoconutService:
                     view,
                     batch,
                     query_workers=workers,
-                    query_pool_kind=self.config.query_pool_kind,
-                    scheduler=self.config.scheduler,
-                    bound_sharing=self.config.bound_sharing,
                     wrap_device=self.wrap_serve_device,
                     heal_report=self.stats.heal,
                 )

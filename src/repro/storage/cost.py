@@ -41,17 +41,14 @@ class CostModel:
 
 @dataclass(frozen=True)
 class QueryCostModel:
-    """Calibrated CPU-side costs of the batched query engine.
+    """CPU-side costs of the batched query engine.
 
     The disk access model (:class:`CostModel`) prices page transfers;
-    this model prices the *compute* the query planner trades those
+    this model prices the *compute* the query planner
+    (:func:`repro.parallel.sched.plan_query_batch`) trades those
     transfers against: lower-bound cells, record refinement, and the
-    fixed overhead of fanning work out to a pool.  Defaults are
-    conservative laptop-class numbers; ``repro.parallel.sched.
-    calibrate_query_costs`` measures the kernel rates on the running
-    host (pool-overhead and IPC terms keep their documented defaults —
-    measuring a process-pool spawn costs more than the plans it would
-    improve).
+    fixed overhead of fanning work out to the thread pool.  Defaults
+    are conservative laptop-class numbers.
     """
 
     #: One ``mindist_paa_to_words`` cell — a (query, record) lower
@@ -61,22 +58,16 @@ class QueryCostModel:
     refine_record_us: float = 1.0
     #: Spawning + joining one task on a thread pool.
     thread_task_us: float = 200.0
-    #: Spawning + joining one task on a process pool (fork + import).
-    process_task_us: float = 15_000.0
-    #: Pickling + shipping one MiB of payload to a process pool.
-    ship_us_per_mib: float = 9_000.0
 
     def as_dict(self) -> dict:
         return {
             "mindist_cell_us": self.mindist_cell_us,
             "refine_record_us": self.refine_record_us,
             "thread_task_us": self.thread_task_us,
-            "process_task_us": self.process_task_us,
-            "ship_us_per_mib": self.ship_us_per_mib,
         }
 
 
-#: The planner's fallback when no calibration has been run.
+#: The rates the planner prices every batch with.
 DEFAULT_QUERY_COST = QueryCostModel()
 
 

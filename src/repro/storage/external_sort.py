@@ -11,7 +11,7 @@ highlights for non-materialized Coconut variants, whose summarizations
 The partition phase can also be fed from outside: ``sort_runs``
 accepts chunk runs that were already stably sorted elsewhere — the
 parallel summarization pipeline (:mod:`repro.parallel.summarize`)
-presorts chunks on worker processes — and merges them into the exact
+presorts chunks on pool workers — and merges them into the exact
 stream ``sort`` would have produced.
 
 Spilled runs merge through :func:`repro.storage.merge.merge_stream`,
@@ -101,23 +101,24 @@ class ExternalSorter:
     ``merge_workers > 1`` parallelizes both merges by key-range
     partitioning: the in-memory merge of resident presorted runs on a
     worker pool, and the file-backed spilled cascade on per-partition
-    disk shards (:mod:`repro.parallel.spill`).
-    ``pool_kind`` defaults to ``"auto"``, which picks threads for large
-    merge payloads (NumPy releases the GIL; no pickling) and processes
-    for tiny ones (:func:`repro.parallel.merge.choose_pool_kind`);
-    the sharded spilled merge always uses threads — worker processes
-    cannot mutate the shared simulated device — unless
-    ``pool_kind="serial"`` asks for the inline serial replay.
+    disk shards (:mod:`repro.parallel.spill`).  Both run on the
+    repository's one pool (:mod:`repro.parallel.pool`): threads, or
+    with ``pool_kind="serial"`` the same partition plan inline — the
+    serial replay.  ``merge_workers`` follows the one convention:
+    ``None`` / ``0`` mean all cores.
     """
 
     def __init__(
         self,
         disk: SimulatedDisk,
         memory_bytes: int,
-        merge_workers: int = 1,
-        pool_kind: str = "auto",
+        merge_workers: int | None = 1,
+        pool_kind: str = "thread",
         cut_planning: str = "mirror",
     ):
+        # Lazy import: repro.parallel pulls in the index layer.
+        from ..parallel.pool import check_pool_kind, resolve_workers
+
         if memory_bytes <= 0:
             raise ValueError(f"memory_bytes must be positive, got {memory_bytes}")
         if cut_planning not in ("mirror", "fence"):
@@ -127,8 +128,8 @@ class ExternalSorter:
             )
         self.disk = disk
         self.memory_bytes = memory_bytes
-        self.merge_workers = max(1, int(merge_workers))
-        self.pool_kind = pool_kind
+        self.merge_workers = resolve_workers(merge_workers)
+        self.pool_kind = check_pool_kind(pool_kind)
         #: How the sharded cascade plans its splitter cuts: ``"mirror"``
         #: keeps each run's full key column resident (free planning),
         #: ``"fence"`` persists a per-page zone map in the run footer
@@ -411,7 +412,7 @@ class ExternalSorter:
         output — ties resolve in run order, then in within-run order —
         is bit-identical to :meth:`sort` on the unsorted concatenation.
         This is the entry point of the parallel bulk-loading pipeline:
-        worker processes presort chunks, and the partition phase here is
+        pool workers presort chunks, and the partition phase here is
         reduced to writing the runs out (or merging them in memory).
         """
         runs = [(np.asarray(k), np.asarray(p)) for k, p in runs]

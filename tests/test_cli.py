@@ -73,9 +73,10 @@ def test_parallel_command(capsys):
     assert "speedup" in out
 
 
-@pytest.mark.parametrize("command", ["merge", "arena", "fetch"])
+@pytest.mark.parametrize("command", ["merge", "arena", "fetch", "sched"])
 def test_oracle_comparison_subcommands_are_gone(command):
-    """Their B-sides moved to tests/oracles.py; argparse rejects them."""
+    """Their B-sides moved to tests/oracles.py (``sched``: its fixed
+    plan was deleted); argparse rejects them."""
     with pytest.raises(SystemExit):
         main([command])
 

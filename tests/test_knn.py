@@ -276,7 +276,6 @@ def test_exact_batches_visit_and_answer_as_the_reference_kernels_do(name):
             QueryBatch(queries=queries, k=k),
             query_workers=workers,
             query_pool_kind="serial",
-            scheduler="fixed",
             bound_sharing="off",
         )
         return (

@@ -206,9 +206,14 @@ def test_property_parallel_merge_bit_identical(
 
 
 def test_parallel_merge_process_pool():
+    """The process pool is gone: its kinds are rejected, not forgotten."""
     runs = make_sorted_runs(400, [97, 150, 3, 150], seed=9)
+    for kind in ("process", "auto"):
+        with pytest.raises(ValueError):
+            parallel_merge_runs(runs, workers=2, kind=kind)
+    # The default pool (threads) merges to the serial stream.
     want = merge_presorted(list(runs))
-    got = parallel_merge_runs(runs, workers=2, kind="process")
+    got = parallel_merge_runs(runs, workers=2)
     np.testing.assert_array_equal(got[0], want[0])
     np.testing.assert_array_equal(got[1], want[1])
 

@@ -55,10 +55,12 @@ def test_property_parallel_keys_byte_identical(n, chunk_size, workers, kind):
 
 
 def test_parallel_keys_process_pool():
-    """The default process-pool path agrees with the serial path."""
-    keys = parallel_invsax_keys(
-        DATA, CONFIG, workers=2, chunk_size=100, kind="process"
-    )
+    """The process pool is gone: its kinds are rejected, not forgotten."""
+    for kind in ("process", "auto"):
+        with pytest.raises(ValueError):
+            parallel_invsax_keys(DATA, CONFIG, workers=2, chunk_size=100, kind=kind)
+    # The default pool (threads) agrees with the serial path.
+    keys = parallel_invsax_keys(DATA, CONFIG, workers=2, chunk_size=100)
     np.testing.assert_array_equal(keys, invsax_keys(DATA, CONFIG))
 
 

@@ -12,9 +12,8 @@ Three guarantees, each pinned here:
   plans (``query_pool_kind="serial"``), the PR 3 contract extended to
   the query path.
 * **Engine plumbing** — the ``MAX_MINDIST_CELLS`` sub-batch split
-  (odd sizes, seed routing), the order-independent bounded heap, the
-  ``choose_pool_kind`` threshold, and the candidate-union partitioning
-  behave as documented.
+  (odd sizes, seed routing), the order-independent bounded heap and
+  the candidate-union partitioning behave as documented.
 
 Worker counts can be widened from CI via ``REPRO_QUERY_WORKERS``
 (comma-separated), mirroring the sharded-storage suite.
@@ -97,17 +96,19 @@ def test_parallel_answers_bit_identical_for_any_workers(name, workload, k):
 
 @pytest.mark.parametrize("name", ["CTree", "Serial"])
 def test_parallel_answers_with_process_and_auto_pools(name, workload):
-    """The lower-bound scan also parallelizes on process pools."""
+    """The process pool and its chooser are gone: both kinds are
+    rejected before anything is read, whatever the worker count."""
     _, _, queries = workload
     index = _built(name, workload)
     batch = QueryBatch(queries=queries, k=2)
-    serial = index.query_batch(batch)
+    before = index.disk.snapshot()
     for pool_kind in ("process", "auto"):
-        got = index.query_batch(
-            batch, query_workers=2, query_pool_kind=pool_kind
-        )
-        assert got.knn_ids == serial.knn_ids, pool_kind
-        assert got.knn_distances == serial.knn_distances, pool_kind
+        for workers in (1, 2):
+            with pytest.raises(ValueError):
+                index.query_batch(
+                    batch, query_workers=workers, query_pool_kind=pool_kind
+                )
+    assert index.disk.stats == before
 
 
 def test_parallel_answers_survive_duplicate_series(workload):
@@ -247,31 +248,6 @@ def test_split_preserves_seed_identity_in_answers(workload, monkeypatch):
     outcomes = batched_exact_knn(queries, 1, words, index.config, fetch, seeds)
     assert [o.answer_ids[0] for o in outcomes] == [7, 123, 256]
     assert [o.distances[0] for o in outcomes] == [0.0, 0.0, 0.0]
-
-
-# ----------------------------------------------------------------------
-# Satellite: choose_pool_kind threshold
-# ----------------------------------------------------------------------
-def test_choose_pool_kind_threshold_both_sides():
-    from repro.parallel import (
-        AUTO_POOL_THREAD_BYTES,
-        choose_pool_kind,
-        choose_pool_kind_for_bytes,
-    )
-
-    assert choose_pool_kind_for_bytes(AUTO_POOL_THREAD_BYTES) == "thread"
-    assert choose_pool_kind_for_bytes(AUTO_POOL_THREAD_BYTES - 1) == "process"
-    assert choose_pool_kind_for_bytes(0) == "process"
-    # The parameter overrides the module default on both sides.
-    assert choose_pool_kind_for_bytes(100, threshold_bytes=100) == "thread"
-    assert choose_pool_kind_for_bytes(99, threshold_bytes=100) == "process"
-
-    small = [(np.zeros(4, dtype="S8"), np.zeros(4, dtype=np.int64))]
-    assert choose_pool_kind(small) == "process"
-    assert choose_pool_kind(small, threshold_bytes=1) == "thread"
-    big_keys = np.zeros(AUTO_POOL_THREAD_BYTES // 8, dtype="S8")
-    big = [(big_keys, np.zeros(len(big_keys), dtype=np.int64))]
-    assert choose_pool_kind(big) == "thread"
 
 
 # ----------------------------------------------------------------------

@@ -12,12 +12,10 @@ Four pinned properties:
   records and the batch's visited pages are ``<=`` the sharing-off run
   of the *same* plan; sharing can only tighten pruning.
 * **Deterministic replay** — the sharing-on inline replay
-  (``pool_kind="serial"``) is reproducible run to run, and the
-  ``"partition"`` cadence (coordinator snapshot exchange) answers
-  identically to the ``"block"`` cadence.
-* **The planner** — a pure function of batch shape and cost model:
-  ``scheduler="fixed"`` reproduces the pre-scheduler plan, adaptive
-  only clamps downward, invalid knobs raise.
+  (``pool_kind="serial"``) is reproducible run to run.
+* **The planner** — a pure function of batch shape and cost model: it
+  only clamps downward, its decisions are pinned to a table, invalid
+  knobs raise and the removed ``scheduler=`` knob is a ``TypeError``.
 """
 
 import os
@@ -29,11 +27,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import QueryBatch, RawSeriesFile, SerialScan, SimulatedDisk, make_dataset
-from repro.core import CoconutTree, CoconutTrie
-from repro.parallel.query import parallel_sims_query_batch
+from repro.core import CoconutLSM, CoconutTree, CoconutTrie
+from repro.indexes.base import SeriesIndex
 from repro.parallel.sched import (
     MAX_FETCH_FLOOR_RECORDS,
-    PartitionBoardView,
     SharedBoundBoard,
     plan_query_batch,
     run_sims_query_batch,
@@ -83,21 +80,6 @@ def test_shared_bound_board_min_merges_and_snapshots():
     assert np.all(np.isinf(first))
     with pytest.raises(ValueError):
         board.read()[0] = 0.0
-
-
-def test_partition_board_view_freezes_and_flushes():
-    board = SharedBoundBoard(2)
-    board.publish(np.array([9.0, 9.0]))
-    view = PartitionBoardView(board)
-    board.publish(np.array([1.0, 1.0]))  # another partition, mid-flight
-    np.testing.assert_array_equal(view.read(), [9.0, 9.0])  # frozen
-    view.publish(np.array([5.0, 0.5]))
-    view.publish(np.array([4.0, 2.0]))
-    np.testing.assert_array_equal(board.read(), [1.0, 1.0])  # buffered
-    view.flush()
-    np.testing.assert_array_equal(board.read(), [1.0, 0.5])
-    view.flush()  # idempotent
-    np.testing.assert_array_equal(board.read(), [1.0, 0.5])
 
 
 # ----------------------------------------------------------------------
@@ -212,40 +194,49 @@ def test_sharing_on_serial_replay_is_deterministic(tree_workload):
     ]
 
 
-def test_partition_cadence_matches_block_cadence_answers(tree_workload):
-    index, batch, serial = tree_workload
-    for cadence in ("block", "partition"):
-        report = parallel_sims_query_batch(
-            index,
-            batch,
-            index._prepare_sims_parallel,
-            3,
-            pool_kind="serial",
-            bound_sharing="on",
-            bound_cadence=cadence,
-        )
-        assert report.knn_ids == serial.knn_ids, cadence
-        assert report.knn_distances == serial.knn_distances, cadence
-
-
 # ----------------------------------------------------------------------
 # The planner
 # ----------------------------------------------------------------------
 def test_fixed_scheduler_reproduces_pre_scheduler_plan(tree_workload):
+    """The fixed plan is gone: the adaptive plan *is* the plan.
+
+    ``scheduler=`` is not a parameter of the planner nor of any
+    ``query_batch`` any more, so passing it is a ``TypeError``.
+    """
     index, batch, _ = tree_workload
+    with pytest.raises(TypeError):
+        plan_query_batch(batch, index, query_workers=4, scheduler="fixed")
+    for cls in (SeriesIndex, SerialScan, CoconutTree, CoconutTrie, CoconutLSM):
+        with pytest.raises(TypeError):
+            cls.query_batch(index, batch, scheduler="fixed")
+
+
+# The parent commit's adaptive plan on the ``tree_workload`` index
+# (500 records, 6 queries), copied from a run of it:
+# (mode, query_workers) -> (workers, scan_workers, min_fetch_records,
+#                           bound_sharing, est_scan_ms, est_refine_ms)
+PARENT_PLANS = {
+    ("exact", 1): (1, 1, 200, "on", 0.06, 0.5),
+    ("exact", 2): (2, 1, 200, "on", 0.06, 0.5),
+    ("exact", 6): (6, 1, 200, "on", 0.06, 0.5),
+    ("approximate", 1): (1, 1, 1, "off", 0.06, 0.5),
+    ("approximate", 2): (2, 1, 1, "off", 0.06, 0.5),
+    ("approximate", 6): (3, 1, 1, "off", 0.06, 0.5),
+}
+
+
+@pytest.mark.parametrize("mode,workers", sorted(PARENT_PLANS))
+def test_plan_did_not_move(tree_workload, mode, workers):
+    index, batch, _ = tree_workload
+    k = batch.k if mode == "exact" else 1
     plan = plan_query_batch(
-        batch, index, query_workers=4, scheduler="fixed"
+        QueryBatch(queries=batch.queries, k=k, mode=mode), index,
+        query_workers=workers,
     )
-    assert plan.scheduler == "fixed"
-    assert plan.scan_workers == 4 and plan.workers == 4
-    assert plan.pool_kind == "auto"  # byte-threshold choice stays with engine
-    assert plan.min_fetch_records == 1
-    assert plan.bound_sharing == "off"
-    # Forcing sharing on is honored even under the fixed plan.
-    forced = plan_query_batch(
-        batch, index, query_workers=4, scheduler="fixed", bound_sharing="on"
-    )
-    assert forced.bound_sharing == "on"
+    assert (
+        plan.workers, plan.scan_workers, plan.min_fetch_records,
+        plan.bound_sharing, plan.est_scan_ms, plan.est_refine_ms,
+    ) == PARENT_PLANS[mode, workers]
 
 
 def test_adaptive_plan_only_clamps_downward(tree_workload):
@@ -253,7 +244,7 @@ def test_adaptive_plan_only_clamps_downward(tree_workload):
     plan = plan_query_batch(batch, index, query_workers=6)
     assert 1 <= plan.scan_workers <= 6
     assert plan.workers == 6
-    assert plan.bound_sharing == "on"  # auto -> on for exact batches
+    assert plan.bound_sharing == "on"  # the default for exact batches
     assert 1 <= plan.min_fetch_records <= MAX_FETCH_FLOOR_RECORDS
     expected_floor = min(
         MAX_FETCH_FLOOR_RECORDS,
@@ -282,28 +273,35 @@ def test_adaptive_plan_for_approximate_batches(tree_workload):
 
 def test_planner_validates_knobs(tree_workload):
     index, batch, _ = tree_workload
-    with pytest.raises(ValueError, match="scheduler"):
-        plan_query_batch(batch, index, scheduler="psychic")
     with pytest.raises(ValueError, match="bound_sharing"):
         plan_query_batch(batch, index, bound_sharing="maybe")
-    with pytest.raises(ValueError, match="bound_cadence"):
-        plan_query_batch(batch, index, bound_cadence="never")
+    with pytest.raises(ValueError, match="bound_sharing"):
+        plan_query_batch(batch, index, bound_sharing="auto")
+
+
+PLANNING_INDEXES = {
+    "CTree": lambda disk: CoconutTree(disk, MEMORY, config=CONFIG, leaf_size=32),
+    "CTrie": lambda disk: CoconutTrie(disk, MEMORY, config=CONFIG, leaf_size=32),
+    "LSM": lambda disk: CoconutLSM(disk, MEMORY, config=CONFIG),
+    "Serial": lambda disk: SerialScan(disk, MEMORY),
+}
 
 
 def test_plan_attached_to_reports(tree_workload):
-    index, batch, _ = tree_workload
-    report = index.query_batch(batch, query_workers=2)
-    assert report.plan is not None
-    assert report.plan.scheduler == "adaptive"
-    as_dict = report.plan.as_dict()
-    assert as_dict["n_queries"] == batch.n_queries
-    assert as_dict["bound_sharing"] == "on"
-    serial_scan = SerialScan(index.disk, MEMORY)
-    # The base per-query loop and the serial scan accept and record the
-    # same knobs (sharing is ignored where there is nothing to prune).
-    serial_scan.build(index.raw)
-    got = serial_scan.query_batch(batch, query_workers=1)
-    assert got.plan is not None and got.plan.mode == "exact"
+    _, batch, _ = tree_workload
+    data = make_dataset("randomwalk", N_SERIES, length=48, seed=21)
+    for name, maker in PLANNING_INDEXES.items():
+        disk = SimulatedDisk(page_size=2048)
+        index = maker(disk)
+        index.build(RawSeriesFile.create(disk, data))
+        for workers in (1, 2):
+            report = index.query_batch(batch, query_workers=workers)
+            assert report.plan is not None and report.plan.mode == "exact"
+            as_dict = report.plan.as_dict()
+            assert as_dict["n_queries"] == batch.n_queries
+            # Sharing is ignored where there is nothing to prune.
+            assert as_dict["bound_sharing"] == ("off" if name == "Serial" else "on")
+            assert not any("pool" in key or "sched" in key for key in as_dict)
 
 
 # ----------------------------------------------------------------------

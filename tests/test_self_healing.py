@@ -1,6 +1,6 @@
 """Self-healing parallel pools: retry, degradation, exception safety.
 
-Three contracts from ``docs/robustness.md``:
+Two contracts from ``docs/robustness.md``:
 
 * **healing never changes the result** — answers, tie order and
   reconciled stats under injected worker faults are bit-identical to
@@ -8,18 +8,13 @@ Three contracts from ``docs/robustness.md``:
   degrades to the serial plan;
 * **a failed session never wedges the parent** — any exception inside
   a ``ShardedDisk`` session (injected fault or plain bug) aborts it:
-  the parent is unfenced, writable, and saw none of the attempt;
-* **pool infrastructure failures degrade loudly** — a process pool
-  that cannot start or breaks mid-map falls back to threads with a
-  logged warning, bit-identical results either way.
+  the parent is unfenced, writable, and saw none of the attempt.
 
 Also pins the PR 6 error paths end-to-end: out-of-bounds ``get_many``
 raises before any I/O *through a shard session*, and a query/series
 shape mismatch propagates through the parallel scan engine — both
 leaving the parent device live.
 """
-
-import logging
 
 import numpy as np
 import pytest
@@ -28,7 +23,7 @@ from repro.core.lsm import CoconutLSM
 from repro.indexes.base import QueryBatch
 from repro.indexes.serial import SerialScan
 from repro.parallel.heal import run_self_healing
-from repro.parallel.merge import _pool_map, parallel_merge_runs
+from repro.parallel.merge import parallel_merge_runs
 from repro.parallel.query import (
     parallel_serial_scan_batch,
     parallel_sims_query_batch,
@@ -257,46 +252,6 @@ def test_spill_merge_fault_mid_merge_unfences_parent():
     result = sharded_spill_merge(disk, sources, rec_dtype, 3, 64, collect="keys")
     assert result.n_records == sum(n for _, n, _ in sources)
     assert bytes(np.sort(np.concatenate([s[2] for s in sources])).tobytes()) == result.keys.tobytes()
-
-
-# ----------------------------------------------------------------------
-# Pool-infrastructure degradation (process pool unavailable / broken)
-# ----------------------------------------------------------------------
-def test_make_executor_degrades_loudly(monkeypatch, caplog):
-    from repro.parallel import merge as merge_mod
-
-    def broken_pool(*args, **kwargs):
-        raise NotImplementedError("no process support in this sandbox")
-
-    monkeypatch.setattr(merge_mod, "ProcessPoolExecutor", broken_pool)
-    with caplog.at_level(logging.WARNING, logger="repro.parallel"):
-        executor = merge_mod._make_executor(2, "process")
-    try:
-        assert type(executor).__name__ == "ThreadPoolExecutor"
-        assert any("process pool unavailable" in r.message for r in caplog.records)
-    finally:
-        executor.shutdown(wait=True)
-
-
-def test_pool_map_retries_broken_executor_on_threads(monkeypatch, caplog):
-    from concurrent.futures import BrokenExecutor
-
-    from repro.parallel import merge as merge_mod
-
-    class ExplodingPool:
-        def map(self, fn, *cols):
-            raise BrokenExecutor("worker killed")
-
-        def shutdown(self, wait=True):
-            pass
-
-    monkeypatch.setattr(
-        merge_mod, "_make_executor", lambda workers, kind: ExplodingPool()
-    )
-    with caplog.at_level(logging.WARNING, logger="repro.parallel"):
-        out = merge_mod._pool_map(lambda x: x * x, [[1, 2, 3]], 2, "process")
-    assert out == [1, 4, 9]
-    assert any("broke mid-map" in r.message for r in caplog.records)
 
 
 def test_parallel_merge_runs_unaffected_by_healing_path():
