@@ -89,13 +89,12 @@ def dtw_exact_search(
 ) -> DTWSearchResult:
     """Exact 1-NN under constrained DTW over a Coconut index.
 
-    ``index`` is a built CoconutTree (or CoconutTrie); the scan reuses
-    its in-memory summaries and fetch path, so I/O is charged to the
-    same simulated disk.
+    ``index`` is any built SIMS-backed Coconut index (Tree, Trie or
+    LSM, either variant); the scan reuses its summary column and fetch
+    path, so I/O is charged to the same simulated disk.
     """
     query = np.asarray(query, dtype=np.float64).ravel()
-    index._ensure_summaries()
-    words = index._flat_words
+    words, fetch = index._prepare_sims()
     upper, lower = query_envelope(query, window)
     bounds = dtw_mindist_to_words(upper, lower, words, index.config)
 
@@ -108,11 +107,6 @@ def dtw_exact_search(
         bsf = dtw(query, candidate, window=window)
         answer = seed.answer_idx
 
-    fetch = (
-        index._fetch_from_leaves
-        if index.is_materialized
-        else index._fetch_from_raw
-    )
     order = np.nonzero(bounds < bsf)[0]
     visited = refined = 0
     for start in range(0, len(order), block_records):

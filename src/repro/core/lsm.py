@@ -50,16 +50,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..indexes.base import BuildReport, Measurement, QueryResult, SeriesIndex
+from ..indexes.base import BuildReport, Measurement, QueryResult
 from ..series.distance import early_abandon_euclidean_block
 from ..storage.disk import SimulatedDisk
 from ..storage.faults import CorruptionError, FaultError
 from ..storage.merge import merge_presorted
 from ..storage.pager import PagedFile
 from ..storage.seriesfile import RawSeriesFile
-from ..summaries.sax import SAXConfig, sax_words
-from .invsax import deinterleave_keys, interleave_words, query_key
-from .sims import sims_scan
+from ..summaries.sax import SAXConfig
+from .invsax import invsax_keys, query_key
+from .sims import SIMSIndex
+from .summary_column import SummaryColumn, pack_rows, row_dtype, window_around
 from .wal import (
     RunMeta,
     WriteAheadLog,
@@ -104,30 +105,7 @@ class _Run:
         return len(self.keys)
 
 
-def concatenated_summaries(
-    runs: "list[_Run]",
-    mem_keys: "list[np.ndarray]",
-    mem_offsets: "list[np.ndarray]",
-    config: SAXConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The SIMS summary column of an LSM state: (words, offsets).
-
-    Runs in list order, then the memtable batches; one key conversion
-    for the whole column.  A pure function of immutable arrays, so an
-    immutable state (a service snapshot) computes it once.
-    """
-    key_parts = [run.keys for run in runs] + mem_keys
-    offset_parts = [run.offsets for run in runs] + mem_offsets
-    if key_parts:
-        all_keys = np.concatenate(key_parts)
-        all_offsets = np.concatenate(offset_parts)
-    else:
-        all_keys = np.empty(0, dtype=config.key_dtype)
-        all_offsets = np.empty(0, dtype=np.int64)
-    return deinterleave_keys(all_keys, config), all_offsets
-
-
-class CoconutLSM(SeriesIndex):
+class CoconutLSM(SIMSIndex):
     """Write-optimized Coconut variant (secondary index only)."""
 
     is_materialized = False
@@ -229,8 +207,7 @@ class CoconutLSM(SeriesIndex):
             return
         keys_parts, offset_parts = [], []
         for start, block in raw.scan():
-            words = sax_words(block, self.config)
-            keys_parts.append(interleave_words(words, self.config))
+            keys_parts.append(invsax_keys(block, self.config))
             offset_parts.append(
                 np.arange(start, start + len(block), dtype=np.int64)
             )
@@ -249,8 +226,7 @@ class CoconutLSM(SeriesIndex):
         data = np.asarray(data, dtype=np.float32)
         with Measurement(self.disk) as measure:
             first = raw.append_batch(data)
-            words = sax_words(data, self.config)
-            keys = interleave_words(words, self.config)
+            keys = invsax_keys(data, self.config)
             if self._wal is not None:
                 # The commit point: raw rows are fully on the device
                 # (the append above), so once this frame verifies, the
@@ -305,11 +281,7 @@ class CoconutLSM(SeriesIndex):
         self._maybe_compact()
 
     def _pack_records(self, keys: np.ndarray, offsets: np.ndarray) -> bytes:
-        dtype = np.dtype([("k", self.config.key_dtype), ("off", "<i8")])
-        rows = np.zeros(len(keys), dtype=dtype)
-        rows["k"] = keys
-        rows["off"] = offsets
-        return rows.tobytes()
+        return pack_rows(keys, offsets, self.config)
 
     def run_meta_of(self, run: _Run) -> "RunMeta | None":
         """Manifest-shaped description of a live durable run.
@@ -502,10 +474,7 @@ class CoconutLSM(SeriesIndex):
         the batched approximate path passes a caching reader so queries
         probing the same page window of the same run share one read.
         """
-        probe = np.array([key], dtype=self.config.key_dtype)
-        position = int(np.searchsorted(run.keys, probe[0]))
-        start = max(0, min(position - window // 2, run.n_records - window))
-        stop = min(run.n_records, start + window)
+        start, stop = window_around(run.keys, key, window, self.config)
         if stop <= start:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         # Charge the page range of the probed records.
@@ -546,6 +515,8 @@ class CoconutLSM(SeriesIndex):
             order = np.argsort(mem_keys, kind="stable")
             probe = np.array([key], dtype=self.config.key_dtype)
             position = int(np.searchsorted(mem_keys[order], probe[0]))
+            # Not ``window_around``: a memtable probe near the top end
+            # is not pulled back to a full window, and answers pin that.
             start = max(0, position - window // 2)
             offset_parts.append(mem_offsets[order][start : start + window])
         offsets = (
@@ -637,114 +608,30 @@ class CoconutLSM(SeriesIndex):
             )
         return pairs
 
-    def _approximate_batch(self, queries: np.ndarray) -> list[QueryResult]:
-        """Per-query approximate answers sharing run-probe page windows.
-
-        Mirrors :meth:`approximate_search` exactly (same probes, same
-        candidates, same answers); the only change is that the page
-        window a probe touches — keyed on (run, first page, length) —
-        is charged once per batch instead of once per query, the run
-        analogue of the leaf-cache trick the tree indexes use.
-        """
-        order, ctx = self._approx_visit_order(queries)
-        results: list[QueryResult | None] = [None] * len(queries)
-        for qi, result in self._approx_answer_subset(queries, ctx, order):
-            results[qi] = result
-        return results
-
-    def _all_summaries(self) -> tuple[np.ndarray, np.ndarray]:
-        """Concatenated (words, offsets) of all runs plus the memtable."""
-        return concatenated_summaries(
-            self._runs, self._mem_keys, self._mem_offsets, self.config
-        )
-
-    def exact_search(self, query: np.ndarray) -> QueryResult:
-        """SIMS over the union of all runs plus the memtable."""
-        query = self._query_array(query)
-        with Measurement(self.disk) as measure:
-            seed = self.approximate_search(query)
-            words, all_offsets = self._all_summaries()
-
-            def fetch(positions: np.ndarray):
-                offsets = all_offsets[positions]
-                return self.raw.get_many(offsets), offsets
-
-            outcome = sims_scan(
-                query,
-                words,
-                self.config,
-                fetch,
-                initial_bsf=seed.distance,
-                initial_answer=seed.answer_idx,
-            )
-        return QueryResult(
-            answer_idx=outcome.answer_id,
-            distance=outcome.distance,
-            visited_records=outcome.visited_records + seed.visited_records,
-            visited_leaves=self.n_runs,
-            io=measure.io,
-            simulated_io_ms=measure.simulated_io_ms,
-            wall_s=measure.wall_s,
-            pruned_fraction=outcome.pruned_fraction,
-        )
-
-    def exact_knn(self, query: np.ndarray, k: int):
-        """Exact k nearest neighbors via the SIMS kNN scan (core.knn)."""
-        from .knn import seeded_sims_knn
-
-        return seeded_sims_knn(self, query, k, self._prepare_sims)
-
-    def query_batch(
-        self, batch, query_workers=1, query_pool_kind="thread",
-        bound_sharing="on",
-    ):
-        """Batched queries sharing work across the batch.
-
-        Exact batches share one SIMS pass over the union of runs;
-        approximate batches share run-probe page windows (a window
-        several queries land in is read once).  Answers are identical
-        to issuing the queries one at a time.  ``query_workers > 1``
-        runs exact batches on the multi-worker engine
-        (:mod:`repro.parallel.query`) and approximate batches on the
-        partitioned visit-order engine, answers bit-identical to the
-        serial batched engines; ``query_pool_kind="serial"`` replays
-        the plan inline.  Planning and ``bound_sharing`` are documented
-        on :func:`repro.parallel.sched.run_sims_query_batch`.
-        """
-        from ..parallel.sched import run_sims_query_batch
-
-        return run_sims_query_batch(
-            self,
-            batch,
-            query_workers=query_workers,
-            query_pool_kind=query_pool_kind,
-            bound_sharing=bound_sharing,
+    def _summary_column(self) -> SummaryColumn:
+        """The column of the current state: runs in list order, then the
+        memtable batches.  Rebuilt (one key conversion) per call."""
+        return SummaryColumn(
+            self.config,
+            [run.keys for run in self._runs] + self._mem_keys,
+            [run.offsets for run in self._runs] + self._mem_offsets,
         )
 
     def _prepare_sims(self):
         """(words, fetch) over the union of runs, for the shared engines."""
-        words, all_offsets = self._all_summaries()
-
-        def fetch(positions: np.ndarray):
-            offsets = all_offsets[positions]
-            return self.raw.get_many(offsets), offsets
-
-        return words, fetch
+        column = self._summary_column()
+        return column.words, column.raw_fetch(self.raw)
 
     def _prepare_sims_parallel(self):
         """(words, make_fetch) for the multi-worker engine."""
-        words, all_offsets = self._all_summaries()
+        column = self._summary_column()
 
         def make_fetch(device=None):
-            raw = self.raw if device is None else self.raw.view(device)
+            return column.raw_fetch(
+                self.raw if device is None else self.raw.view(device)
+            )
 
-            def fetch(positions: np.ndarray):
-                offsets = all_offsets[positions]
-                return raw.get_many(offsets), offsets
-
-            return fetch
-
-        return words, make_fetch
+        return column.words, make_fetch
 
     # ------------------------------------------------------------------
     # Crash recovery
@@ -837,8 +724,7 @@ class CoconutLSM(SeriesIndex):
             index._bulk_load(raw)
         for lsn, off_lo, off_hi in state.batches:
             offsets = np.arange(off_lo, off_hi, dtype=np.int64)
-            data = raw.get_many(offsets)
-            keys = interleave_words(sax_words(data, config), config)
+            keys = invsax_keys(raw.get_many(offsets), config)
             index._mem_keys.append(keys)
             index._mem_offsets.append(offsets)
             index._mem_lsns.append(lsn)
@@ -855,8 +741,9 @@ class CoconutLSM(SeriesIndex):
         payload = blob[: meta.n_records * self._record_bytes]
         if zlib.crc32(payload) != meta.crc:
             return None
-        dtype = np.dtype([("k", self.config.key_dtype), ("off", "<i8")])
-        rows = np.frombuffer(payload, dtype=dtype, count=meta.n_records)
+        rows = np.frombuffer(
+            payload, dtype=row_dtype(self.config), count=meta.n_records
+        )
         return rows["k"].copy(), rows["off"].astype(np.int64)
 
     def _rebuild_run(self, file: PagedFile, meta: RunMeta):
@@ -875,8 +762,7 @@ class CoconutLSM(SeriesIndex):
                 f"run at page {meta.first_page} covers {len(offsets)} records "
                 f"but the manifest recorded {meta.n_records}"
             )
-        data = self.raw.get_many(offsets)
-        keys = interleave_words(sax_words(data, self.config), self.config)
+        keys = invsax_keys(self.raw.get_many(offsets), self.config)
         order = np.argsort(keys, kind="stable")
         keys, offsets = keys[order], offsets[order]
         payload = self._pack_records(keys, offsets)

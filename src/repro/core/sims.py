@@ -11,6 +11,11 @@ The caller provides the summary array (aligned with its on-disk record
 order) and a fetch callback; this module owns the pruning loop, which
 re-filters after every fetched block because the best-so-far keeps
 shrinking as real distances come in.
+
+:class:`SIMSIndex` is what the Coconut indexes share *above* that loop:
+given an approximate probe and a ``(words, fetch)`` pair, exact search,
+exact k-NN and the batched entry points are the same code whether the
+records sit in median-split leaves, prefix-split leaves or LSM runs.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..indexes.base import Measurement, QueryResult, SeriesIndex
 from ..series.distance import early_abandon_euclidean_block
 from ..summaries.paa import paa
 from ..summaries.sax import SAXConfig, mindist_paa_to_words
@@ -99,3 +105,104 @@ def sims_scan(
         visited_records=visited,
         pruned_fraction=pruned,
     )
+
+
+class SIMSIndex(SeriesIndex):
+    """Exact search, exact k-NN and batches over a summary column.
+
+    A subclass supplies :meth:`approximate_search` (the pruning seed),
+    ``_prepare_sims()`` -> ``(words, fetch)`` and, for the multi-worker
+    engine, ``_prepare_sims_parallel()`` -> ``(words, make_fetch)`` —
+    both load whatever the column needs, charging its I/O to the
+    caller's measurement — plus the two halves of its batched
+    approximate pass, ``_approx_visit_order(queries)`` and
+    ``_approx_answer_subset(queries, ctx, order, device=None)``
+    (contract on :func:`repro.parallel.sched.parallel_approx_batch`).
+    """
+
+    def exact_search(self, query: np.ndarray) -> QueryResult:
+        """Algorithm 5: SIMS over the column, seeded by the probe."""
+        return self._sims_exact_search(query)
+
+    def _sims_exact_search(self, query: np.ndarray, *probe_args) -> QueryResult:
+        """``exact_search`` with ``probe_args`` passed on to the probe."""
+        query = self._query_array(query)
+        with Measurement(self.disk) as measure:
+            words, fetch = self._prepare_sims()
+            seed = self.approximate_search(query, *probe_args)
+            outcome = sims_scan(
+                query,
+                words,
+                self.config,
+                fetch,
+                initial_bsf=seed.distance,
+                initial_answer=seed.answer_idx,
+            )
+        return QueryResult(
+            answer_idx=outcome.answer_id,
+            distance=outcome.distance,
+            visited_records=outcome.visited_records + seed.visited_records,
+            visited_leaves=seed.visited_leaves,
+            io=measure.io,
+            simulated_io_ms=measure.simulated_io_ms,
+            wall_s=measure.wall_s,
+            pruned_fraction=outcome.pruned_fraction,
+        )
+
+    def exact_knn(self, query: np.ndarray, k: int):
+        """Exact k nearest neighbors via the SIMS kNN scan (core.knn).
+
+        The heap is seeded with the probe's best answer; returns a
+        :class:`repro.core.knn.KNNOutcome` carrying the query's I/O.
+        """
+        from .knn import seeded_sims_knn
+
+        return seeded_sims_knn(self, query, k, self._prepare_sims)
+
+    def query_batch(
+        self, batch, query_workers=1, query_pool_kind="thread",
+        bound_sharing="on",
+    ):
+        """Batched queries sharing work across the batch (repro.parallel).
+
+        Exact batches share one SIMS pass: the summary column is loaded
+        once and every fetched record block serves all queries that
+        still need it.  Approximate batches share probe reads: a leaf
+        (or, on the LSM, a run page window) several queries land in is
+        read once.  Either way, answers are identical to issuing the
+        queries one at a time.
+
+        ``query_workers > 1`` (or ``None``/``0`` for all cores) runs
+        the batch on the multi-worker engines: exact batches
+        range-partition the lower-bound scan and stream record fetches
+        through per-worker read-only shards, approximate batches
+        range-partition the visit order — answers (ids, distances, tie
+        order) stay bit-identical to the serial batched engines.
+        ``query_pool_kind="serial"`` replays the parallel plan inline
+        (the I/O-determinism oracle, with ``bound_sharing="off"``).
+        Planning and ``bound_sharing`` are documented on
+        :func:`repro.parallel.sched.run_sims_query_batch` and
+        :meth:`repro.indexes.base.SeriesIndex.query_batch`.
+        """
+        from ..parallel.sched import run_sims_query_batch
+
+        return run_sims_query_batch(
+            self,
+            batch,
+            query_workers=query_workers,
+            query_pool_kind=query_pool_kind,
+            bound_sharing=bound_sharing,
+        )
+
+    def _approximate_batch(self, queries: np.ndarray) -> list[QueryResult]:
+        """Per-query approximate answers sharing the probe's reads.
+
+        Mirrors :meth:`approximate_search` exactly (same candidates,
+        same answers): one subset spanning the whole visit order, on
+        the parent device, with one cache.
+        """
+        order, ctx = self._approx_visit_order(queries)
+        results: list[QueryResult | None] = [None] * len(queries)
+        for qi, result in self._approx_answer_subset(queries, ctx, order):
+            results[qi] = result
+        return results

@@ -101,39 +101,6 @@ def partition_ranges(n: int, n_parts: int) -> "list[tuple[int, int]]":
     return [(int(bounds[i]), int(bounds[i + 1])) for i in range(len(bounds) - 1)]
 
 
-def make_sims_fetch(index, device=None):
-    """Bind a leaf-bulk-loaded index's SIMS fetch to a worker device.
-
-    The shared factory behind ``CoconutTree._make_sims_fetch`` and
-    ``CoconutTrie._make_sims_fetch`` (both expose the same fetch
-    vocabulary: ``_fetch_from_leaves(positions, leaf_file=)`` for
-    materialized variants, ``_fetch_from_raw`` + ``_flat_offsets`` for
-    secondary ones).  ``device=None`` returns the ordinary
-    parent-device fetch; a worker's device gets a closure whose every
-    read — leaf pages or raw-file pages — lands on that device.
-    """
-    if device is None:
-        return (
-            index._fetch_from_leaves
-            if index.is_materialized
-            else index._fetch_from_raw
-        )
-    if index.is_materialized:
-        leaf_file = index._leaf_file.attach(device)
-
-        def fetch(positions: np.ndarray):
-            return index._fetch_from_leaves(positions, leaf_file=leaf_file)
-
-        return fetch
-    raw_view = index.raw.view(device)
-
-    def fetch(positions: np.ndarray):
-        offsets = index._flat_offsets[positions]
-        return raw_view.get_many(offsets), offsets
-
-    return fetch
-
-
 def _scan_range(
     query_paa: np.ndarray,
     words: np.ndarray,

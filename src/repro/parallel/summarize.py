@@ -38,8 +38,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ..core.invsax import interleave_words
-from ..summaries.sax import SAXConfig, sax_words
+from ..core.invsax import invsax_keys
+from ..summaries.sax import SAXConfig
 from .pool import check_pool_kind, make_executor, resolve_workers
 
 #: Default series per chunk: big enough that SAX work dominates the
@@ -51,7 +51,7 @@ def summarize_chunk(
     block: np.ndarray, config: SAXConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """One chunk's invSAX keys plus its stable sort order (a work unit)."""
-    keys = interleave_words(sax_words(block, config), config)
+    keys = invsax_keys(block, config)
     return keys, np.argsort(keys, kind="stable")
 
 
@@ -168,7 +168,7 @@ def summarize_presorted_runs(
     :meth:`repro.storage.ExternalSorter.sort_runs` needs to produce a
     stream bit-identical to the serial sort.
     """
-    from ..core.coconut_tree import payload_dtype
+    from ..core.bulk_index import payload_dtype
 
     pay_dtype = payload_dtype(raw.length, materialized)
     runs: list[tuple[np.ndarray, np.ndarray]] = []

@@ -45,7 +45,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..core.lsm import CoconutLSM, concatenated_summaries
+from ..core.lsm import CoconutLSM
+from ..core.summary_column import SummaryColumn
 from ..parallel.batch import batched_exact_knn
 from ..parallel.heal import RetryPolicy, run_self_healing
 from ..storage.bufferpool import BufferPool
@@ -83,8 +84,8 @@ class ServiceSnapshot:
         self._raw = lsm.raw.view(base_disk)  # pins n_series
         # The SIMS summary column of this state, converted by the first
         # exact batch served from it and shared by every later one.
-        self._summaries: "tuple[np.ndarray, np.ndarray] | None" = None
-        self._summaries_lock = threading.Lock()
+        self._column: "SummaryColumn | None" = None
+        self._column_lock = threading.Lock()
         # The fence-proof read path: a floating read-only session whose
         # shard reads the snapshot's (pre-session) pages even while a
         # writing session fences the parent.
@@ -96,18 +97,17 @@ class ServiceSnapshot:
         )
         self.shard = self._session.shards[0]
 
-    def summaries(self) -> "tuple[np.ndarray, np.ndarray]":
-        """(words, offsets) over the frozen runs and memtable.
+    def column(self, build) -> SummaryColumn:
+        """The summary column of the frozen runs and memtable.
 
-        The state never changes, so the keys are concatenated and
-        converted once per snapshot instead of once per served batch.
+        The state never changes, so ``build()`` runs — keys
+        concatenated and converted — once per snapshot instead of once
+        per served batch.
         """
-        with self._summaries_lock:
-            if self._summaries is None:
-                self._summaries = concatenated_summaries(
-                    self._runs, self._mem_keys, self._mem_offsets, self.config
-                )
-            return self._summaries
+        with self._column_lock:
+            if self._column is None:
+                self._column = build()
+            return self._column
 
     def frozen_view(self, device=None) -> CoconutLSM:
         """A read-only ``CoconutLSM`` facade over the frozen state.
@@ -119,7 +119,8 @@ class ServiceSnapshot:
         service never calls them on a view.  ``device`` rebinds the
         facade's own reads (default: the parent disk).
         """
-        view = CoconutLSM.__new__(CoconutLSM)
+        view = _FrozenLSM.__new__(_FrozenLSM)
+        view._snapshot = self
         view.disk = device if device is not None else self.base_disk
         view.memory_bytes = self.memory_bytes
         view.config = self.config
@@ -143,8 +144,14 @@ class ServiceSnapshot:
         view._heal_report = None
         view.raw = self._raw
         view.built = True
-        view._all_summaries = self.summaries
         return view
+
+
+class _FrozenLSM(CoconutLSM):
+    """A ``CoconutLSM`` over a snapshot's state, sharing its column."""
+
+    def _summary_column(self) -> SummaryColumn:
+        return self._snapshot.column(super()._summary_column)
 
 
 def _answer_on(view: CoconutLSM, batch, device):

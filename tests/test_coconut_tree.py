@@ -116,6 +116,49 @@ def test_approximate_radius_improves_or_matches_quality():
     assert np.mean(wide) < np.mean(narrow)
 
 
+ENTRY_POINTS = {
+    "approximate_search": lambda index, q, r: index.approximate_search(q, r),
+    "exact_search": lambda index, q, r: index.exact_search(q, r),
+    "exact_knn": lambda index, q, r: index.exact_knn(q, 3, r),
+}
+
+
+@pytest.mark.parametrize("radius", [-1, -3, 2.5])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_bad_radius_is_refused_before_anything_is_read(entry, radius):
+    """A negative radius used to answer "no match, -1 leaves visited"
+    and a fractional one to die inside ``range()``."""
+    disk, index, _, _ = build_index(n=300, seed=28)
+    query = random_walk(1, length=64, seed=29)[0]
+    before = disk.snapshot()
+    with pytest.raises(ValueError, match="radius_leaves"):
+        ENTRY_POINTS[entry](index, query, radius)
+    assert disk.snapshot() == before
+
+
+@pytest.mark.parametrize("materialized", [False, True])
+def test_radius_none_and_zero_mean_the_default(materialized):
+    _, index, data, _ = build_index(
+        n=300, leaf_size=16, seed=28, materialized=materialized
+    )
+    index.default_radius = 2
+    query = random_walk(1, length=64, seed=29)[0]
+    n_leaves = len(index._leaves)
+    for call in ENTRY_POINTS.values():
+        by_radius = {}
+        for radius in (None, 0, 1, 2, 10**6):
+            out = call(index, query, radius)
+            answers = getattr(out, "answer_ids", None) or [out.answer_idx]
+            by_radius[radius] = (answers, out.visited_records)
+            if hasattr(out, "visited_leaves"):
+                assert out.visited_leaves == min(radius or 2, n_leaves)
+        assert by_radius[None] == by_radius[0] == by_radius[2]
+    # Every leaf probed: the approximate answer is the exact one.
+    everything = index.approximate_search(query, 10**6)
+    assert everything.visited_records == 300
+    assert everything.answer_idx == brute_force_nn(query, data)[0]
+
+
 @pytest.mark.parametrize("materialized", [False, True])
 def test_exact_search_matches_brute_force(materialized):
     _, index, data, _ = build_index(n=350, materialized=materialized, seed=3)
@@ -263,8 +306,8 @@ def built_state(materialized, fill_factor, cuts=None):
         "sidecar_bytes": file_bytes(index._sidecar),
         "first_keys": index._first_keys.tobytes(),
         "directory": [(l.slot, l.count, l.first_key) for l in index._leaves],
-        "words": index._flat_words.tobytes(),
-        "offsets": index._flat_offsets.tobytes(),
+        "words": index._column.words.tobytes(),
+        "offsets": index._column.offsets.tobytes(),
     }
 
 
@@ -278,21 +321,23 @@ def test_bulk_load_is_invariant_to_chunk_shape(materialized, fill_factor):
 
 
 def count_conversions(monkeypatch, leaf_size):
-    import repro.core.coconut_tree as module
+    import repro.core.invsax as invsax
+    import repro.core.summary_column as summary_column
 
-    calls = {"interleave_words": 0, "deinterleave_keys": 0}
+    # Each kernel is spied where its one caller binds it: ``invsax_keys``
+    # and the ``SummaryColumn`` constructor.
+    callers = {"interleave_words": invsax, "deinterleave_keys": summary_column}
+    calls = {name: 0 for name in callers}
 
-    def spy(name):
-        original = getattr(module, name)
-
+    def spy(name, original):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
 
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(module, name, spy(name))
+    for name, module in callers.items():
+        monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
     disk = SimulatedDisk(page_size=2048)
     raw = RawSeriesFile.create(disk, random_walk(600, length=64, seed=22))
     index = CoconutTree(
@@ -316,9 +361,9 @@ def test_build_converts_once_whatever_the_leaf_count(monkeypatch):
     assert few_leaves == 2 and many_leaves == 150
     assert many == few
     assert many["deinterleave_keys"] == 1
-    # One per scan block of the build; the query's own key is built by
-    # ``query_key``, which is bound in another module.
-    assert many["interleave_words"] == n_blocks
+    # One per scan block of the build, plus the query's own key:
+    # ``query_key`` goes through ``invsax_keys``, the spied call site.
+    assert many["interleave_words"] == n_blocks + 1
 
 
 @pytest.mark.parametrize("materialized", [False, True])
@@ -343,12 +388,11 @@ def test_summary_column_mirrors_disk_after_merges_and_splits(materialized):
         offsets = np.concatenate([r["off"] for r in records])
         assert np.all(keys[:-1] <= keys[1:])
         np.testing.assert_array_equal(
-            index._flat_words, deinterleave_keys(keys, CONFIG)
+            index._column.words, deinterleave_keys(keys, CONFIG)
         )
-        np.testing.assert_array_equal(index._flat_offsets, offsets)
+        np.testing.assert_array_equal(index._column.offsets, offsets)
         np.testing.assert_array_equal(
-            index._flat_leaf_of,
-            np.repeat(np.arange(len(records)), [len(r) for r in records]),
+            index._leaf_starts, np.cumsum([0] + [len(r) for r in records])
         )
         sidecar = np.frombuffer(
             file_bytes(index._sidecar)[: len(keys) * sidecar_dtype.itemsize],

@@ -127,3 +127,28 @@ def test_build_report_fill_factor_consistency():
     n_leaves, fill = index.leaf_stats()
     assert report.n_leaves == n_leaves
     assert report.avg_leaf_fill == pytest.approx(fill)
+
+
+@pytest.mark.parametrize("materialized", [False, True])
+def test_summary_column_mirrors_the_leaf_file(materialized):
+    """Row ``i`` of the column is the ``i``-th record on disk (PAPER.md's
+    fourth invariant), and the sidecar holds exactly those rows."""
+    from repro.core import deinterleave_keys
+    from repro.core.summary_column import pack_rows
+
+    _, index, _, _ = build_trie(n=333, materialized=materialized, leaf_size=16)
+    records = [index._read_leaf_records(leaf) for leaf in index._leaves]
+    keys = np.concatenate([r["k"] for r in records])
+    offsets = np.concatenate([r["off"] for r in records])
+    assert len(keys) == 333 and np.all(keys[:-1] <= keys[1:])
+    column = index._column
+    np.testing.assert_array_equal(column.keys, keys)
+    np.testing.assert_array_equal(column.offsets, offsets)
+    np.testing.assert_array_equal(column.words, deinterleave_keys(keys, CONFIG))
+    np.testing.assert_array_equal(
+        index._leaf_starts, [leaf.position for leaf in index._leaves] + [333]
+    )
+    rows = pack_rows(keys, offsets, CONFIG)
+    sidecar = index._sidecar
+    assert bytes(sidecar.read_stream(0, sidecar.n_pages))[: len(rows)] == rows
+    assert sidecar.n_pages == -(-len(rows) // 2048)

@@ -179,3 +179,126 @@ def test_oversized_batch_splits_without_changing_answers(workload, monkeypatch):
     assert split.knn_ids == whole.knn_ids
     for a, b in zip(split.knn_distances, whole.knn_distances):
         np.testing.assert_allclose(a, b, rtol=1e-12)
+
+
+# ----------------------------------------------------------------------
+# The edge contract, once, for every SIMS-backed variant and every way
+# of asking: empty index, k > n, tying (duplicate / constant) series.
+# ----------------------------------------------------------------------
+COCONUT = sorted(set(INDEX_MAKERS) - {"Serial"})
+
+
+def _knn_per_query(index, queries, k):
+    outcomes = [index.exact_knn(query, k) for query in queries]
+    return [o.answer_ids for o in outcomes], [o.distances for o in outcomes]
+
+
+def _knn_batch(**kwargs):
+    def ask(index, queries, k):
+        report = index.query_batch(QueryBatch(queries=queries, k=k), **kwargs)
+        return report.knn_ids, report.knn_distances
+
+    return ask
+
+
+STYLES = {
+    "per_query": _knn_per_query,
+    "query_batch": _knn_batch(),
+    "query_batch_workers2": _knn_batch(query_workers=2),
+}
+
+
+def _index_over(name, data):
+    disk = SimulatedDisk(page_size=2048)
+    index = INDEX_MAKERS[name](disk)
+    index.build(RawSeriesFile.create(disk, np.asarray(data, dtype=np.float32)))
+    return index
+
+
+def _true_distances(query, rows):
+    rows = np.asarray(rows, dtype=np.float32).astype(np.float64)
+    return np.sqrt(((rows - query) ** 2).sum(axis=1))
+
+
+@pytest.mark.parametrize("style", STYLES)
+@pytest.mark.parametrize("name", COCONUT)
+def test_empty_index_answers_no_match(name, style):
+    queries = query_workload("randomwalk", 2, length=48, seed=5)
+    index = _index_over(name, np.empty((0, 48)))
+    assert index.storage_bytes() == 0
+    for query in queries:
+        for result in (index.approximate_search(query), index.exact_search(query)):
+            assert result.answer_idx == -1 and result.distance == float("inf")
+            assert result.visited_leaves == 0 and result.visited_records == 0
+    assert STYLES[style](index, queries, 5) == ([[], []], [[], []])
+    if style != "per_query":
+        kwargs = {"query_workers": 2} if style.endswith("2") else {}
+        approx = index.query_batch(
+            QueryBatch(queries=queries, mode="approximate"), **kwargs
+        )
+        assert approx.knn_ids == [[], []]
+        assert [r.answer_idx for r in approx.results] == [-1, -1]
+
+
+@pytest.mark.parametrize("materialized", [False, True])
+def test_empty_tree_accepts_inserts(materialized):
+    rows = make_dataset("randomwalk", 40, length=48, seed=6)
+    index = _index_over("CTreeFull" if materialized else "CTree", rows[:0])
+    index.insert_batch(rows)
+    query = query_workload("randomwalk", 1, length=48, seed=6)[0]
+    distances = _true_distances(query, rows)
+    got = index.exact_knn(query, 3)
+    assert got.answer_ids == np.argsort(distances, kind="stable")[:3].tolist()
+
+
+@pytest.mark.parametrize("style", STYLES)
+@pytest.mark.parametrize("name", COCONUT)
+def test_k_larger_than_n_returns_every_series_in_order(name, style):
+    rows = make_dataset("randomwalk", 3, length=48, seed=7)
+    queries = query_workload("randomwalk", 2, length=48, seed=7)
+    index = _index_over(name, rows)
+    ids, distances = STYLES[style](index, queries, 5)
+    for query, got_ids, got_distances in zip(queries, ids, distances):
+        want = _true_distances(query, rows)
+        assert got_ids == np.argsort(want, kind="stable").tolist()
+        np.testing.assert_allclose(got_distances, np.sort(want), rtol=1e-9)
+
+
+def _tying_datasets():
+    walks = make_dataset("randomwalk", 30, length=48, seed=8)
+    duplicated = walks.copy()
+    duplicated[5:15] = walks[5]
+    return {
+        "identical": (np.tile(walks[0], (40, 1)), walks[0]),
+        "constant": (np.zeros((40, 48)), np.zeros(48)),
+        "duplicates": (duplicated, walks[5]),
+    }
+
+
+@pytest.mark.parametrize("style", STYLES)
+@pytest.mark.parametrize("dataset", ["identical", "constant", "duplicates"])
+@pytest.mark.parametrize("name", COCONUT)
+def test_tying_series_give_k_distinct_nearest(name, dataset, style):
+    """``k`` distinct ids at the brute-force k-NN distances (all 0 here).
+
+    *Which* of the tying ids win is deliberately not pinned.  When every
+    probe seed already ties at the threshold, strict-``<`` pruning
+    visits nothing further, so the answer is whatever the probe saw:
+    ``CoconutTree.exact_knn`` (seeded with every probe distance) names
+    different ids than the same tree's ``query_batch``, the Trie, the
+    LSM and ``SerialScan`` (seeded with the best one).  That is the tie
+    boundary ``docs/queries.md`` documents, and ROADMAP lead (iii)'s to
+    decide.
+    """
+    rows, query = _tying_datasets()[dataset]
+    index = _index_over(name, rows)
+    query = np.asarray(query, dtype=np.float64)
+    k = 3
+    ids, distances = STYLES[style](index, query[None, :], k)
+    want = np.sort(_true_distances(query, rows))[:k]
+    assert len(set(ids[0])) == k
+    np.testing.assert_allclose(
+        _true_distances(query, rows)[ids[0]], want, atol=1e-6
+    )
+    np.testing.assert_allclose(distances[0], want, atol=1e-6)
+    assert np.all(want == 0.0)

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CoconutTree, dtw_exact_search, dtw_mindist_to_words, query_envelope
+from repro.core import (
+    CoconutLSM,
+    CoconutTree,
+    CoconutTrie,
+    dtw_exact_search,
+    dtw_mindist_to_words,
+    query_envelope,
+)
 from repro.core.dtw_search import envelope_segment_bounds
 from repro.series import dtw, random_walk, z_normalize
 from repro.storage import RawSeriesFile, SimulatedDisk
@@ -87,6 +94,58 @@ def test_dtw_exact_search_matches_brute_force(materialized):
         result = dtw_exact_search(index, query, window=WINDOW)
         _, want = brute_force_dtw(query, data, WINDOW)
         assert result.distance == pytest.approx(want, rel=1e-6)
+
+
+def _tree(disk, materialized):
+    return CoconutTree(
+        disk, 1 << 20, config=CONFIG, leaf_size=32, materialized=materialized
+    )
+
+
+def _trie(disk, materialized):
+    return CoconutTrie(
+        disk, 1 << 20, config=CONFIG, leaf_size=32, materialized=materialized
+    )
+
+
+VARIANTS = {
+    "tree": lambda disk: _tree(disk, False),
+    "tree-full": lambda disk: _tree(disk, True),
+    "trie": lambda disk: _trie(disk, False),
+    "trie-full": lambda disk: _trie(disk, True),
+    "lsm": lambda disk: CoconutLSM(disk, 1 << 10, config=CONFIG, size_ratio=2),
+}
+
+
+@pytest.mark.parametrize("window", [0, WINDOW])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_dtw_exact_search_on_every_variant(variant, window):
+    """One entry point for all five: it asks the index for ``(words,
+    fetch)`` and nothing else, so the LSM (runs + a live memtable)
+    answers like the leaf-based indexes — and an empty index says -1."""
+    data = random_walk(170, length=64, seed=11)
+    disk = SimulatedDisk(page_size=2048)
+    index = VARIANTS[variant](disk)
+    if variant == "lsm":
+        index.build(RawSeriesFile.create(disk, data[:100]))
+        for lo in range(100, 170, 10):
+            index.insert_batch(data[lo : lo + 10])
+        assert index.n_runs >= 2 and index._mem_records
+    else:
+        index.build(RawSeriesFile.create(disk, data))
+    for seed in (43, 44):
+        query = random_walk(1, length=64, seed=seed)[0].astype(np.float64)
+        result = dtw_exact_search(index, query, window=window)
+        want_idx, want = brute_force_dtw(query, data, window)
+        assert result.distance == pytest.approx(want, rel=1e-6)
+        assert result.answer_idx == want_idx
+
+    empty_disk = SimulatedDisk(page_size=2048)
+    empty = VARIANTS[variant](empty_disk)
+    empty.build(RawSeriesFile.create(empty_disk, data[:0]))
+    result = dtw_exact_search(empty, query, window=window)
+    assert (result.answer_idx, result.distance) == (-1, float("inf"))
+    assert result.visited_records == 0
 
 
 def test_dtw_search_finds_shifted_copy():

@@ -169,3 +169,39 @@ def test_storage_accounts_all_runs():
     for s in range(4):
         index.insert_batch(random_walk(32, length=64, seed=80 + s))
     assert index.storage_bytes() >= before
+
+
+@pytest.mark.parametrize("durability", [None, "wal"])
+def test_summary_column_mirrors_runs_then_memtable(durability):
+    """Each run file holds the packed rows of its mirrors, and the column
+    is the runs in list order followed by the memtable batches."""
+    from repro.core import deinterleave_keys
+    from repro.core.summary_column import pack_rows
+
+    disk = SimulatedDisk(page_size=2048)
+    data = random_walk(500, length=64, seed=17)
+    index = CoconutLSM(
+        disk, memory_bytes=1 << 11, config=CONFIG, size_ratio=2,
+        durability=durability,
+    )
+    index.build(RawSeriesFile.create(disk, data[:200]))
+    for lo in range(200, 480, 20):
+        index.insert_batch(data[lo : lo + 20])
+    assert index.n_flushes >= 2 and index.n_merges >= 1
+    assert index.n_runs >= 2 and index._mem_records
+    for run in index._runs:
+        rows = pack_rows(run.keys, run.offsets, CONFIG)
+        stored = bytes(run.file.read_stream(0, run.data_pages))
+        assert stored[: len(rows)] == rows
+        assert run.data_pages == -(-len(rows) // 2048)
+    keys = np.concatenate([run.keys for run in index._runs] + index._mem_keys)
+    offsets = np.concatenate(
+        [run.offsets for run in index._runs] + index._mem_offsets
+    )
+    column = index._summary_column()
+    np.testing.assert_array_equal(column.keys, keys)
+    np.testing.assert_array_equal(column.offsets, offsets)
+    np.testing.assert_array_equal(column.words, deinterleave_keys(keys, CONFIG))
+    assert sorted(offsets.tolist()) == list(range(480))
+    words, _ = index._prepare_sims()
+    np.testing.assert_array_equal(words, column.words)

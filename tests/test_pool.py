@@ -63,7 +63,7 @@ def _build_tree(pool_kind, memory, materialized=False):
         workers=3, chunk_series=100, pool_kind=pool_kind,
     )
     report = index.build(RawSeriesFile.create(disk, DATA))
-    return index._keys.tobytes(), [leaf.count for leaf in index._leaves], report.io
+    return index._column.keys.tobytes(), [leaf.count for leaf in index._leaves], report.io
 
 
 def _build_trie(pool_kind, memory):

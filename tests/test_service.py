@@ -271,16 +271,16 @@ def _brute_force(rows, query, k):
 def test_summary_column_is_converted_once_per_snapshot(monkeypatch):
     """Batches served from one snapshot share one key conversion; a
     snapshot taken after a flush or compaction converts its own."""
-    import repro.core.lsm as lsm_module
+    import repro.core.summary_column as column_module
 
     calls = []
-    convert = lsm_module.deinterleave_keys
+    convert = column_module.deinterleave_keys
 
     def spy(keys, config):
         calls.append(len(keys))
         return convert(keys, config)
 
-    monkeypatch.setattr(lsm_module, "deinterleave_keys", spy)
+    monkeypatch.setattr(column_module, "deinterleave_keys", spy)
     _, raw, svc = make_service()
     rows = np.concatenate([BASE, EXTRA])
 
