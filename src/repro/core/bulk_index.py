@@ -381,19 +381,19 @@ class BulkLoadedIndex(SIMSIndex):
     # The SIMS pair (Algorithm 5's inputs)
     # ------------------------------------------------------------------
     def _prepare_sims(self):
-        """(words, fetch) of the loaded summary column, for the engines."""
+        """(column, fetch): the loaded summary column, for the engines."""
         self._ensure_summaries()
-        return self._column.words, self._sims_fetch()
+        return self._column, self._sims_fetch()
 
     def _prepare_sims_parallel(self):
-        """(words, make_fetch) for the multi-worker engine.
+        """(column, make_fetch) for the multi-worker engine.
 
         ``make_fetch(device)`` binds the index's fetch to a worker's
         private device (a shard-scoped buffer pool); ``make_fetch(None)``
         is the ordinary parent-device fetch.
         """
         self._ensure_summaries()
-        return self._column.words, self._sims_fetch
+        return self._column, self._sims_fetch
 
     def _sims_fetch(self, device=None):
         """The SIMS fetch with every read — leaf or raw pages — on ``device``."""

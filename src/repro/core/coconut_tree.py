@@ -229,14 +229,14 @@ class CoconutTree(BulkLoadedIndex):
         query = self._query_array(query)
         radius = self._radius(radius_leaves)
         with Measurement(self.disk) as measure:
-            words, fetch = self._prepare_sims()
+            column, fetch = self._prepare_sims()
             key = query_key(query, self.config)
             identifiers, distances, _ = self._probe(
                 query, key, self._locate_leaf(key), radius
             )
             seeds = list(zip(distances.tolist(), identifiers.tolist()))
             outcome = sims_knn_scan(
-                query, k, words, self.config, fetch,
+                query, k, column, self.config, fetch,
                 seed_distances=seeds,
             )
         outcome.visited_records += len(identifiers)

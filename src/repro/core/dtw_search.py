@@ -27,7 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..series.distance import dtw, lb_keogh
-from ..summaries.sax import SAXConfig, symbol_bounds
+from ..summaries.sax import (
+    CellIndex,
+    SAXConfig,
+    bounds_from_tables,
+    extended_breakpoints,
+)
 from ..summaries.paa import segment_boundaries
 
 
@@ -60,16 +65,25 @@ def envelope_segment_bounds(
 def dtw_mindist_to_words(
     upper: np.ndarray,
     lower: np.ndarray,
-    words: np.ndarray,
+    words: "np.ndarray | CellIndex",
     config: SAXConfig,
 ) -> np.ndarray:
-    """Vectorized DTW lower bound from a query envelope to SAX words."""
+    """Vectorized DTW lower bound from a query envelope to SAX words.
+
+    The gap of a (segment, symbol) cell depends on the envelope alone,
+    so it is evaluated once per cell — a ``(word_length, cardinality)``
+    table — and gathered per record by the Euclidean scan's kernel
+    (``words``: symbols, or a column's :class:`CellIndex` over them).
+    """
     u_max, l_min = envelope_segment_bounds(upper, lower, config)
-    region_lo, region_hi = symbol_bounds(np.atleast_2d(words), config.cardinality)
-    above = np.where(region_lo > u_max[None, :], region_lo - u_max[None, :], 0.0)
-    below = np.where(region_hi < l_min[None, :], l_min[None, :] - region_hi, 0.0)
+    u_max, l_min = u_max[:, None], l_min[:, None]
+    ext = extended_breakpoints(config.cardinality)
+    region_lo, region_hi = ext[:-1], ext[1:]
+    above = np.where(region_lo > u_max, region_lo - u_max, 0.0)
+    below = np.where(region_hi < l_min, l_min - region_hi, 0.0)
     gap = above + below
-    return np.sqrt(config.segment_size * np.sum(gap * gap, axis=1))
+    index = CellIndex.of(words, config)
+    return bounds_from_tables((gap * gap).reshape(1, -1), index, config)[0]
 
 
 @dataclass
@@ -94,9 +108,9 @@ def dtw_exact_search(
     path, so I/O is charged to the same simulated disk.
     """
     query = np.asarray(query, dtype=np.float64).ravel()
-    words, fetch = index._prepare_sims()
+    column, fetch = index._prepare_sims()
     upper, lower = query_envelope(query, window)
-    bounds = dtw_mindist_to_words(upper, lower, words, index.config)
+    bounds = column.dtw_lower_bounds(upper, lower)
 
     # Seed: DTW distance to the best ED approximate answer.
     seed = index.approximate_search(query)
@@ -125,7 +139,7 @@ def dtw_exact_search(
             if distance < bsf:
                 bsf = distance
                 answer = int(identifier)
-    n = len(words)
+    n = len(column)
     return DTWSearchResult(
         answer_idx=answer,
         distance=bsf,

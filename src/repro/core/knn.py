@@ -17,8 +17,9 @@ import numpy as np
 
 from ..series.distance import early_abandon_euclidean_block
 from ..summaries.paa import paa
-from ..summaries.sax import SAXConfig, mindist_paa_to_words
+from ..summaries.sax import SAXConfig
 from .sims import SIMS_BLOCK_RECORDS, FetchFn
+from .summary_column import WordColumn
 
 
 @dataclass
@@ -135,7 +136,7 @@ def seeded_sims_knn(index, query: np.ndarray, k: int, prepare) -> KNNOutcome:
     """Shared exact-kNN wrapper for SIMS-backed indexes.
 
     Runs the approximate search as a pruning seed, then the kNN scan
-    over whatever summaries/fetch the index's ``prepare`` callback
+    over whatever column/fetch the index's ``prepare`` callback
     yields — all inside one measurement so I/O (including any summary
     load ``prepare`` performs) is charged to the query.
     """
@@ -143,13 +144,13 @@ def seeded_sims_knn(index, query: np.ndarray, k: int, prepare) -> KNNOutcome:
 
     query = index._query_array(query)
     with Measurement(index.disk) as measure:
-        words, fetch = prepare()
+        column, fetch = prepare()
         seed = index.approximate_search(query)
         seeds = (
             [(seed.distance, seed.answer_idx)] if seed.answer_idx >= 0 else []
         )
         outcome = sims_knn_scan(
-            query, k, words, index.config, fetch, seed_distances=seeds
+            query, k, column, index.config, fetch, seed_distances=seeds
         )
     outcome.visited_records += seed.visited_records
     outcome.io = measure.io
@@ -161,7 +162,7 @@ def seeded_sims_knn(index, query: np.ndarray, k: int, prepare) -> KNNOutcome:
 def sims_knn_scan(
     query: np.ndarray,
     k: int,
-    words: np.ndarray,
+    column: WordColumn,
     config: SAXConfig,
     fetch: FetchFn,
     seed_distances: list[tuple[float, int]] | None = None,
@@ -177,7 +178,7 @@ def sims_knn_scan(
     for distance, identifier in seed_distances or []:
         heap.offer(float(distance), int(identifier))
     query_paa = paa(query, config.word_length)[0]
-    mindists = mindist_paa_to_words(query_paa, words, config)
+    mindists = column.lower_bounds(query_paa)
     candidates = np.nonzero(mindists < heap.threshold)[0]
     visited = 0
     for start in range(0, len(candidates), block_records):
@@ -195,7 +196,7 @@ def sims_knn_scan(
         visited += len(block)
         heap.offer_block(distances, identifiers)
     items = heap.sorted_items()
-    n = len(words)
+    n = len(column)
     return KNNOutcome(
         answer_ids=[i for _, i in items],
         distances=[d for d, _ in items],

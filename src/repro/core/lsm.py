@@ -144,6 +144,8 @@ class CoconutLSM(SIMSIndex):
         self._mem_offsets: list[np.ndarray] = []
         self._mem_lsns: list[int] = []
         self._mem_records = 0
+        # (key pieces, their SummaryColumn): see ``_summary_column``.
+        self._column_of: "tuple[list[np.ndarray], SummaryColumn] | None" = None
         self.n_flushes = 0
         self.n_merges = 0
         self.n_rebuilt_runs = 0
@@ -608,22 +610,46 @@ class CoconutLSM(SIMSIndex):
             )
         return pairs
 
-    def _summary_column(self) -> SummaryColumn:
-        """The column of the current state: runs in list order, then the
-        memtable batches.  Rebuilt (one key conversion) per call."""
+    def _key_pieces(self) -> list[np.ndarray]:
+        """Key arrays of the current state: runs in list order, then the
+        memtable batches."""
+        return [run.keys for run in self._runs] + self._mem_keys
+
+    def _build_summary_column(self) -> SummaryColumn:
+        """The column of the current state (one key conversion)."""
         return SummaryColumn(
             self.config,
-            [run.keys for run in self._runs] + self._mem_keys,
+            self._key_pieces(),
             [run.offsets for run in self._runs] + self._mem_offsets,
         )
 
+    def _summary_column(self) -> SummaryColumn:
+        """The column of the current state, kept — with the cell index
+        its scans built — until runs or memtable next change.
+
+        Runs and memtable batches are immutable arrays that are only
+        ever appended, removed or replaced whole, so the state changed
+        exactly when its key pieces are no longer the same objects in
+        the same order.  The kept pieces are referenced, not ``id``-ed:
+        a freed piece cannot be mistaken for a new one at its address.
+        """
+        pieces = self._key_pieces()
+        kept = self._column_of
+        if (
+            kept is None
+            or len(kept[0]) != len(pieces)
+            or any(a is not b for a, b in zip(kept[0], pieces))
+        ):
+            kept = self._column_of = (pieces, self._build_summary_column())
+        return kept[1]
+
     def _prepare_sims(self):
-        """(words, fetch) over the union of runs, for the shared engines."""
+        """(column, fetch) over the union of runs, for the shared engines."""
         column = self._summary_column()
-        return column.words, column.raw_fetch(self.raw)
+        return column, column.raw_fetch(self.raw)
 
     def _prepare_sims_parallel(self):
-        """(words, make_fetch) for the multi-worker engine."""
+        """(column, make_fetch) for the multi-worker engine."""
         column = self._summary_column()
 
         def make_fetch(device=None):
@@ -631,7 +657,7 @@ class CoconutLSM(SIMSIndex):
                 self.raw if device is None else self.raw.view(device)
             )
 
-        return column.words, make_fetch
+        return column, make_fetch
 
     # ------------------------------------------------------------------
     # Crash recovery

@@ -7,13 +7,13 @@ pass computes a lower bound for every record, and only records whose
 bound beats the best-so-far answer are fetched from disk — in storage
 order, so the disk head only moves forward (skip-sequential access).
 
-The caller provides the summary array (aligned with its on-disk record
+The caller provides the summary column (aligned with its on-disk record
 order) and a fetch callback; this module owns the pruning loop, which
 re-filters after every fetched block because the best-so-far keeps
 shrinking as real distances come in.
 
 :class:`SIMSIndex` is what the Coconut indexes share *above* that loop:
-given an approximate probe and a ``(words, fetch)`` pair, exact search,
+given an approximate probe and a ``(column, fetch)`` pair, exact search,
 exact k-NN and the batched entry points are the same code whether the
 records sit in median-split leaves, prefix-split leaves or LSM runs.
 """
@@ -28,7 +28,8 @@ import numpy as np
 from ..indexes.base import Measurement, QueryResult, SeriesIndex
 from ..series.distance import early_abandon_euclidean_block
 from ..summaries.paa import paa
-from ..summaries.sax import SAXConfig, mindist_paa_to_words
+from ..summaries.sax import SAXConfig
+from .summary_column import WordColumn
 
 #: fetch(positions ascending) -> (series matrix, identifier per row)
 FetchFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -51,7 +52,7 @@ class SIMSOutcome:
 
 def sims_scan(
     query: np.ndarray,
-    words: np.ndarray,
+    column: WordColumn,
     config: SAXConfig,
     fetch: FetchFn,
     initial_bsf: float = float("inf"),
@@ -64,9 +65,9 @@ def sims_scan(
     ----------
     query:
         Raw (z-normalized) query series.
-    words:
-        (N, word_length) full-cardinality SAX words, in the same order
-        as the records are laid out on disk.
+    column:
+        The full-cardinality SAX words of the N records, in the same
+        order as the records are laid out on disk.
     fetch:
         Callback that reads raw series for ascending positions and
         returns (series rows, identifier per row).  It is responsible
@@ -77,7 +78,7 @@ def sims_scan(
     """
     query = np.asarray(query, dtype=np.float64).ravel()
     query_paa = paa(query, config.word_length)[0]
-    mindists = mindist_paa_to_words(query_paa, words, config)
+    mindists = column.lower_bounds(query_paa)
     bsf = float(initial_bsf)
     answer = int(initial_answer)
     candidates = np.nonzero(mindists < bsf)[0]
@@ -97,7 +98,7 @@ def sims_scan(
         if distances[best] < bsf:
             bsf = float(distances[best])
             answer = int(identifiers[best])
-    n = len(words)
+    n = len(column)
     pruned = 1.0 - (visited / n) if n else 0.0
     return SIMSOutcome(
         answer_id=answer,
@@ -111,8 +112,8 @@ class SIMSIndex(SeriesIndex):
     """Exact search, exact k-NN and batches over a summary column.
 
     A subclass supplies :meth:`approximate_search` (the pruning seed),
-    ``_prepare_sims()`` -> ``(words, fetch)`` and, for the multi-worker
-    engine, ``_prepare_sims_parallel()`` -> ``(words, make_fetch)`` —
+    ``_prepare_sims()`` -> ``(column, fetch)`` and, for the multi-worker
+    engine, ``_prepare_sims_parallel()`` -> ``(column, make_fetch)`` —
     both load whatever the column needs, charging its I/O to the
     caller's measurement — plus the two halves of its batched
     approximate pass, ``_approx_visit_order(queries)`` and
@@ -128,11 +129,11 @@ class SIMSIndex(SeriesIndex):
         """``exact_search`` with ``probe_args`` passed on to the probe."""
         query = self._query_array(query)
         with Measurement(self.disk) as measure:
-            words, fetch = self._prepare_sims()
+            column, fetch = self._prepare_sims()
             seed = self.approximate_search(query, *probe_args)
             outcome = sims_scan(
                 query,
-                words,
+                column,
                 self.config,
                 fetch,
                 initial_bsf=seed.distance,

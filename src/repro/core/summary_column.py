@@ -7,11 +7,17 @@ of N records, the SAX words they convert to, and the raw-file offset of
 each.  Every exact answer rests on one constraint — **row ``i`` of the
 column describes the ``i``-th record of the holder's on-disk order**
 (the leaf file in directory order, or an LSM's runs in list order and
-then its memtable) — so position ``i`` of a lower-bound scan over
-``words`` can be fetched as record ``i``.  The holders (``CoconutTree``,
+then its memtable) — so position ``i`` of a lower-bound scan over the
+column can be fetched as record ``i``.  The holders (``CoconutTree``,
 ``CoconutTrie``, ``CoconutLSM``, ``ServiceSnapshot``) build a column
 from the key and offset pieces they wrote and hand the engines
-``(words, fetch)``; nothing else reads its arrays.
+``(column, fetch)``; nothing else reads its arrays.
+
+The scans themselves live on :class:`WordColumn`, the part of a column
+that needs only the words (all ADS+ keeps, in raw-file order): the
+words' :class:`~repro.summaries.sax.CellIndex` is built by the first
+scan, shared by every later one — single queries, blocks, the ranges
+the parallel engine hands its workers — and freed with the column.
 
 The ``(key, offset)`` row a column packs to is also the on-disk record
 of the Tree / Trie sidecars and of every LSM run: one layout, defined
@@ -20,9 +26,12 @@ here.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
-from ..summaries.sax import SAXConfig
+from ..summaries.sax import CellIndex, SAXConfig, mindist_paa_to_words
+from .dtw_search import dtw_mindist_to_words
 from .invsax import deinterleave_keys
 
 
@@ -57,7 +66,42 @@ def window_around(
     return start, min(len(keys), start + window)
 
 
-class SummaryColumn:
+class WordColumn:
+    """The SAX ``words`` of N records and the lower-bound scans over them."""
+
+    def __init__(self, config: SAXConfig, words: np.ndarray):
+        self.config = config
+        self.words = words
+        self._cells: CellIndex | None = None
+        self._cells_lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def _cell_index(self) -> CellIndex:
+        """The words' gather index: built by whoever scans first, once —
+        scan workers arriving together wait for the one building it."""
+        if self._cells is None:
+            with self._cells_lock:
+                if self._cells is None:
+                    self._cells = CellIndex.of(self.words, self.config)
+        return self._cells
+
+    def lower_bounds(
+        self, query_paa: np.ndarray, start: int = 0, stop: int | None = None
+    ) -> np.ndarray:
+        """Euclidean lower bounds from one query PAA (``(n,)``) or a
+        ``(Q, w)`` block (``(Q, n)``) to rows ``start:stop``."""
+        return mindist_paa_to_words(
+            query_paa, self._cell_index().rows(start, stop), self.config
+        )
+
+    def dtw_lower_bounds(self, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+        """DTW lower bounds from a query envelope to every row."""
+        return dtw_mindist_to_words(upper, lower, self._cell_index(), self.config)
+
+
+class SummaryColumn(WordColumn):
     """``keys``, ``offsets`` and ``words`` of N records, in on-disk order."""
 
     def __init__(
@@ -67,7 +111,6 @@ class SummaryColumn:
         offset_parts: list[np.ndarray],
     ):
         """Adopt the pieces in order; convert keys to words once."""
-        self.config = config
         # The typed empty heads keep a column of no pieces well-formed.
         self.keys = np.concatenate(
             [np.empty(0, dtype=config.key_dtype), *key_parts]
@@ -75,10 +118,7 @@ class SummaryColumn:
         self.offsets = np.concatenate(
             [np.empty(0, dtype=np.int64), *offset_parts]
         )
-        self.words = deinterleave_keys(self.keys, config)
-
-    def __len__(self) -> int:
-        return len(self.keys)
+        super().__init__(config, deinterleave_keys(self.keys, config))
 
     def packed(self) -> bytes:
         """The column as ``(key, offset)`` rows — the sidecar's content."""

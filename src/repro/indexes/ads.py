@@ -15,7 +15,7 @@ The paper's main competitor (Zoumpatianos et al., VLDB J. 2016).
   paying the I/O that construction skipped.
 
 Exact search is SIMS (Zoumpatianos et al.): the in-memory summary
-array — aligned with the raw file order — is scanned with vectorized
+column — aligned with the raw file order — is scanned with vectorized
 lower bounds, and surviving records are fetched skip-sequentially from
 the raw file.  Coconut's CoconutTreeSIMS (Algorithm 5) differs by
 scanning summaries in *index* order; both share the engine in
@@ -27,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.sims import sims_scan
+from ..core.summary_column import WordColumn
 from ..series.distance import early_abandon_euclidean_block
 from ..storage.disk import SimulatedDisk
 from ..storage.seriesfile import RawSeriesFile
@@ -55,7 +56,7 @@ class ADSIndex(SeriesIndex):
         self.query_leaf_size = query_leaf_size or max(1, leaf_size // 10)
         self.name = "ADS+" if plus else "ADSFull"
         self.tree: ISAXTree | None = None
-        self._words: np.ndarray | None = None  # raw-file order, in memory
+        self._column: WordColumn | None = None  # raw-file order, in memory
         self.adaptive_splits = 0
 
     # ------------------------------------------------------------------
@@ -103,10 +104,11 @@ class ADSIndex(SeriesIndex):
                     for i in range(len(block)):
                         self.tree.insert(words[i], start + i, block[i])
                 self.tree.flush_all()
-            self._words = (
+            self._column = WordColumn(
+                self.config,
                 np.concatenate(words_parts)
                 if words_parts
-                else np.empty((0, self.config.word_length), dtype=np.uint16)
+                else np.empty((0, self.config.word_length), dtype=np.uint16),
             )
         self.built = True
         n_leaves, fill = self.leaf_stats()
@@ -132,7 +134,9 @@ class ADSIndex(SeriesIndex):
                 self.tree.insert(
                     words[i], first + i, None if self.plus else data[i]
                 )
-            self._words = np.vstack([self._words, words])
+            self._column = WordColumn(
+                self.config, np.vstack([self._column.words, words])
+            )
         n_leaves, fill = self.leaf_stats()
         return BuildReport(
             index_name=self.name,
@@ -233,7 +237,7 @@ class ADSIndex(SeriesIndex):
 
             outcome = sims_scan(
                 query,
-                self._words,
+                self._column,
                 self.config,
                 fetch,
                 initial_bsf=seed.distance,

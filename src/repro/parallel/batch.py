@@ -22,10 +22,11 @@ import numpy as np
 
 from ..core.knn import KNNOutcome, _BoundedMaxHeap
 from ..core.sims import SIMS_BLOCK_RECORDS
+from ..core.summary_column import WordColumn
 from ..indexes.base import BatchReport, Measurement, QueryResult
 from ..series.distance import early_abandon_euclidean_block
 from ..summaries.paa import paa
-from ..summaries.sax import SAXConfig, mindist_paa_to_words
+from ..summaries.sax import SAXConfig
 
 #: Cap on the Q x N lower-bound matrix the engine materializes; larger
 #: batches are split into query sub-batches (fetch sharing is then per
@@ -36,7 +37,7 @@ MAX_MINDIST_CELLS = 16_000_000
 def batched_exact_knn(
     queries: np.ndarray,
     k: int,
-    words: np.ndarray,
+    column: WordColumn,
     config: SAXConfig,
     fetch,
     seeds: list[list[tuple[float, int]]] | None = None,
@@ -52,14 +53,14 @@ def batched_exact_knn(
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     n_queries = len(queries)
-    n = len(words)
+    n = len(column)
     if n_queries > 1 and n_queries * n > MAX_MINDIST_CELLS:
         half = n_queries // 2
         seeds = seeds or [[] for _ in range(n_queries)]
         return batched_exact_knn(
-            queries[:half], k, words, config, fetch, seeds[:half], block_records
+            queries[:half], k, column, config, fetch, seeds[:half], block_records
         ) + batched_exact_knn(
-            queries[half:], k, words, config, fetch, seeds[half:], block_records
+            queries[half:], k, column, config, fetch, seeds[half:], block_records
         )
     heaps = seeded_heaps(n_queries, k, seeds)
     if n == 0 or n_queries == 0:
@@ -67,7 +68,7 @@ def batched_exact_knn(
             _outcome(heap, visited=0, n_records=n) for heap in heaps
         ]
     query_paa = paa(queries, config.word_length)
-    mindists = mindist_paa_to_words(query_paa, words, config)
+    mindists = column.lower_bounds(query_paa)
     thresholds = np.array([heap.threshold for heap in heaps])
     union = np.nonzero((mindists < thresholds[:, None]).any(axis=0))[0]
     visited = walk_candidate_blocks(
@@ -181,20 +182,20 @@ def _outcome(heap: _BoundedMaxHeap, visited: int, n_records: int) -> KNNOutcome:
 def sims_query_batch(index, batch, prepare) -> BatchReport:
     """Shared ``query_batch`` implementation for SIMS-backed indexes.
 
-    ``prepare`` runs inside the measurement and returns the (words,
+    ``prepare`` runs inside the measurement and returns the (column,
     fetch) pair of the index — loading summaries there charges their
     I/O to the batch, shared across all queries.  Each query is seeded
     with its approximate answer, exactly as the per-query engines do.
     """
     queries = np.atleast_2d(np.asarray(batch.queries, dtype=np.float64))
     with Measurement(index.disk) as measure:
-        words, fetch = prepare()
+        column, fetch = prepare()
         seeds = []
         for query in queries:
             approx = index.approximate_search(query)
             seeds.append([(approx.distance, approx.answer_idx)])
         outcomes = batched_exact_knn(
-            queries, batch.k, words, index.config, fetch, seeds
+            queries, batch.k, column, index.config, fetch, seeds
         )
     return build_batch_report(outcomes, measure)
 

@@ -67,12 +67,13 @@ import numpy as np
 
 from ..core.knn import _BoundedMaxHeap
 from ..core.sims import SIMS_BLOCK_RECORDS
+from ..core.summary_column import WordColumn
 from ..indexes.base import BatchReport, Measurement
 from ..series.distance import early_abandon_euclidean_block
 from ..storage.bufferpool import BufferPool
 from ..storage.disk import ShardedDisk
 from ..summaries.paa import paa
-from ..summaries.sax import SAXConfig, mindist_paa_to_words
+from ..summaries.sax import SAXConfig
 from .batch import (
     MAX_MINDIST_CELLS,
     _outcome,
@@ -103,24 +104,24 @@ def partition_ranges(n: int, n_parts: int) -> "list[tuple[int, int]]":
 
 def _scan_range(
     query_paa: np.ndarray,
-    words: np.ndarray,
-    config: SAXConfig,
+    column: WordColumn,
+    lo: int,
+    hi: int,
     thresholds: np.ndarray,
 ) -> "tuple[np.ndarray, np.ndarray]":
     """One worker's lower-bound scan: (mindist rows, local candidates).
 
-    ``words`` is the worker's contiguous slice of the summary column;
-    the returned candidate positions are *local* to it.
+    ``[lo, hi)`` is the worker's contiguous range of the summary
+    column; the returned candidate positions are *local* to it.
     """
-    mindists = mindist_paa_to_words(query_paa, words, config)
+    mindists = column.lower_bounds(query_paa, lo, hi)
     union = np.nonzero((mindists < thresholds[:, None]).any(axis=0))[0]
     return mindists, union
 
 
 def parallel_lower_bound_scan(
     query_paa: np.ndarray,
-    words: np.ndarray,
-    config: SAXConfig,
+    column: WordColumn,
     thresholds: np.ndarray,
     workers: int,
     pool_kind: str = "thread",
@@ -131,14 +132,14 @@ def parallel_lower_bound_scan(
     pool kind: lower bounds are elementwise per record, and per-range
     results concatenate in range order (candidates ascending).
     """
-    ranges = [r for r in partition_ranges(len(words), workers) if r[1] > r[0]]
+    ranges = [r for r in partition_ranges(len(column), workers) if r[1] > r[0]]
     if not ranges:
         return (
             np.empty((len(query_paa), 0)),
             np.empty(0, dtype=np.int64),
         )
     parts = pool_map(
-        lambda lo, hi: _scan_range(query_paa, words[lo:hi], config, thresholds),
+        lambda lo, hi: _scan_range(query_paa, column, lo, hi, thresholds),
         list(zip(*ranges)),
         len(ranges),
         pool_kind,
@@ -218,7 +219,7 @@ def _fetch_partition(
 def parallel_batched_exact_knn(
     queries: np.ndarray,
     k: int,
-    words: np.ndarray,
+    column: WordColumn,
     config: SAXConfig,
     make_fetch,
     disk,
@@ -276,11 +277,11 @@ def parallel_batched_exact_knn(
             f"bound_sharing must be one of {SHARING_MODES}, got {bound_sharing!r}"
         )
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    n_queries, n = len(queries), len(words)
+    n_queries, n = len(queries), len(column)
     workers = resolve_workers(workers)
     if workers <= 1:
         return batched_exact_knn(
-            queries, k, words, config, make_fetch(None), seeds, block_records
+            queries, k, column, config, make_fetch(None), seeds, block_records
         )
     if n_queries > 1 and n_queries * n > MAX_MINDIST_CELLS:
         # Same sub-batch split (and seed routing) as the serial engine:
@@ -292,7 +293,7 @@ def parallel_batched_exact_knn(
         seeds = seeds or [[] for _ in range(n_queries)]
         halves = [
             parallel_batched_exact_knn(
-                queries[part], k, words, config, make_fetch, disk,
+                queries[part], k, column, config, make_fetch, disk,
                 seeds[part], workers, pool_kind, block_records, wrap_device,
                 bound_sharing=bound_sharing, scan_workers=scan_workers,
                 min_fetch_records=min_fetch_records, heal_report=heal_report,
@@ -307,7 +308,7 @@ def parallel_batched_exact_knn(
     query_paa = paa(queries, config.word_length)
     thresholds = np.array([heap.threshold for heap in heaps])
     mindists, union = parallel_lower_bound_scan(
-        query_paa, words, config, thresholds,
+        query_paa, column, thresholds,
         scan_workers if scan_workers is not None else workers,
         pool_kind,
     )
@@ -337,7 +338,7 @@ def parallel_batched_exact_knn(
         )
         if results is None:
             return batched_exact_knn(
-                queries, k, words, config, make_fetch(None), seeds, block_records
+                queries, k, column, config, make_fetch(None), seeds, block_records
             )
         for worker_heaps, worker_visited in results:
             for i in range(n_queries):
@@ -398,7 +399,7 @@ def parallel_sims_query_batch(
     """Multi-worker ``query_batch`` for SIMS-backed indexes.
 
     ``prepare_parallel`` runs inside the measurement and returns the
-    index's ``(words, make_fetch)`` pair — summary-column I/O is
+    index's ``(column, make_fetch)`` pair — summary-column I/O is
     charged to the batch, and ``make_fetch`` binds fetches to worker
     devices.  Approximate seeding stays on the parent device, before
     the sharded fetch session opens, exactly like the serial engine.
@@ -407,7 +408,7 @@ def parallel_sims_query_batch(
     """
     queries = np.atleast_2d(np.asarray(batch.queries, dtype=np.float64))
     with Measurement(index.disk) as measure:
-        words, make_fetch = prepare_parallel()
+        column, make_fetch = prepare_parallel()
         seeds = []
         for query in queries:
             approx = index.approximate_search(query)
@@ -415,7 +416,7 @@ def parallel_sims_query_batch(
         outcomes = parallel_batched_exact_knn(
             queries,
             batch.k,
-            words,
+            column,
             index.config,
             make_fetch,
             index.disk,

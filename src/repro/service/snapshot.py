@@ -151,7 +151,7 @@ class _FrozenLSM(CoconutLSM):
     """A ``CoconutLSM`` over a snapshot's state, sharing its column."""
 
     def _summary_column(self) -> SummaryColumn:
-        return self._snapshot.column(super()._summary_column)
+        return self._snapshot.column(self._build_summary_column)
 
 
 def _answer_on(view: CoconutLSM, batch, device):
@@ -184,9 +184,9 @@ def _answer_on(view: CoconutLSM, batch, device):
     for qi, result in pairs:
         offsets, probe_distances = result.probed
         seeds[qi] = list(zip(probe_distances.tolist(), offsets.tolist()))
-    words, make_fetch = view._prepare_sims_parallel()
+    column, make_fetch = view._prepare_sims_parallel()
     outcomes = batched_exact_knn(
-        queries, batch.k, words, view.config, make_fetch(device), seeds
+        queries, batch.k, column, view.config, make_fetch(device), seeds
     )
     return (
         [list(outcome.answer_ids) for outcome in outcomes],

@@ -129,8 +129,111 @@ def symbol_bounds(
     return ext[words], ext[words + 1]
 
 
+class CellIndex:
+    """Where every symbol of a word column sits in a query's gap table.
+
+    A lower-bound table holds one value per (segment, symbol) cell,
+    flattened to ``segment * cardinality + symbol``; ``cells[j, i]`` is
+    the cell of record ``i`` in segment ``j``.  The array depends on the
+    words alone, so a column builds it once and every query gathers
+    through it.  Its layout is what ``ndarray.take`` wants: segment-major
+    and C-contiguous, so each segment of any record range is one
+    contiguous index row, and ``intp``, because ``take`` re-casts every
+    other index dtype on each call (8x slower at ``int32`` / ``uint16``).
+
+    Symbols are validated where it is built (:meth:`of`), once: a symbol
+    ``>= cardinality`` in any segment but the last would silently read
+    the next segment's cells.
+    """
+
+    __slots__ = ("cells",)
+
+    def __init__(self, cells: np.ndarray):
+        self.cells = cells
+
+    @classmethod
+    def of(cls, words: "np.ndarray | CellIndex", config: SAXConfig) -> "CellIndex":
+        """The index over ``(N, word_length)`` symbols — or ``words``
+        itself when a column already built and handed over its index."""
+        if isinstance(words, CellIndex):
+            return words
+        words = np.atleast_2d(words)
+        cardinality = config.cardinality
+        if words.size and not (0 <= words.min() and words.max() < cardinality):
+            raise ValueError(
+                f"SAX symbols must lie in [0, {cardinality}), got "
+                f"{words.min()}..{words.max()}"
+            )
+        # order="C": adding to the transposed view would otherwise
+        # return an F-ordered result, which ``take`` gathers 10x slower.
+        return cls(
+            np.add(
+                words.T,
+                (np.arange(words.shape[1]) * cardinality)[:, None],
+                dtype=np.intp,
+                order="C",
+            )
+        )
+
+    def rows(self, start: int, stop: int | None) -> "CellIndex":
+        """The index of records ``start:stop`` (a view, nothing copied)."""
+        return CellIndex(self.cells[:, start:stop])
+
+
+def _lane_sums(table: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """``sum_j table[cells[j]]`` per record, in numpy's own summing order.
+
+    ``np.sum(axis=1)`` over a C-contiguous ``(N, w)`` array adds each
+    row pairwise: fewer than 8 values left to right; up to 128 in eight
+    accumulators ``r[k] += row[8i + k]``, combined as ``((r0 + r1) +
+    (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then the ``w % 8`` tail left
+    to right; longer rows split at ``w // 2`` rounded down to a multiple
+    of 8.  Doing the same additions with one whole-column array per
+    operand yields the same floats byte for byte without materializing
+    the ``(N, w)`` gather — at most eight lanes of ``N`` floats are live.
+    """
+    n_rows = len(cells)
+    if n_rows > 128:
+        half = n_rows // 2
+        half -= half % 8
+        return _lane_sums(table, cells[:half]) + _lane_sums(table, cells[half:])
+    lanes = [table.take(row) for row in cells[:8]]
+    body = n_rows - n_rows % 8
+    if body:
+        for j in range(8, body):
+            lanes[j % 8] += table.take(cells[j])
+        for step in (1, 2, 4):
+            for k in range(0, 8, 2 * step):
+                lanes[k] += lanes[k + step]
+        tail = (table.take(row) for row in cells[body:])
+    else:
+        tail = lanes[1:]
+    total = lanes[0]
+    for lane in tail:
+        total += lane
+    return total
+
+
+def bounds_from_tables(
+    tables: np.ndarray, index: CellIndex, config: SAXConfig
+) -> np.ndarray:
+    """``(Q, N)`` lower bounds: each record's cells gathered from each of
+    ``Q`` flattened squared-gap tables, summed and scaled.
+
+    The one scan kernel: the Euclidean bound below and the DTW bound of
+    :mod:`repro.core.dtw_search` differ only in the table they fill.
+    """
+    cells = index.cells
+    bounds = np.empty((len(tables), cells.shape[1]))
+    for table, row in zip(tables, bounds):
+        sums = _lane_sums(table, cells)
+        sums *= config.segment_size
+        np.sqrt(sums, out=row)
+    return bounds
+
+
 def mindist_paa_to_words(
-    query_paa: np.ndarray, words: np.ndarray, config: SAXConfig
+    query_paa: np.ndarray, words: "np.ndarray | CellIndex", config: SAXConfig
 ) -> np.ndarray:
     """Vectorized lower bound from query PAAs to many SAX words.
 
@@ -143,16 +246,20 @@ def mindist_paa_to_words(
     cell takes one of ``word_length * cardinality`` values, so the gap
     is evaluated once per dictionary entry — the squared-gap table
     ``T[j, s]`` — and every record gathers its ``word_length`` cells
-    from it.  The gathered ``(N, word_length)`` array holds the floats
-    the per-cell evaluation would have produced, in the same layout,
-    so the row sums (and the bounds) are byte-identical to it.
+    from it through a :class:`CellIndex`.  The gathered values are the
+    floats the per-cell evaluation would have produced and
+    :func:`_lane_sums` adds them in the order ``np.sum`` would, so the
+    bounds are byte-identical to it.
 
-    ``query_paa`` is one PAA vector (returns ``(N,)``) or a ``(Q, w)``
-    block (returns ``(Q, N)``; the gather index is built once).
+    ``words`` is an ``(N, word_length)`` array of symbols or the
+    :class:`CellIndex` a column already built over one (the index
+    depends on the words alone; handed raw words, the call builds and
+    drops it).  ``query_paa`` is one PAA vector (returns ``(N,)``) or a
+    ``(Q, w)`` block (returns ``(Q, N)``).
     """
     query_paa = np.asarray(query_paa, dtype=np.float64)
-    words = np.atleast_2d(words)
-    n_words, word_length = words.shape
+    index = CellIndex.of(words, config)
+    word_length = len(index.cells)
     if query_paa.ndim not in (1, 2) or query_paa.shape[-1] != word_length:
         raise ValueError(
             f"query PAA of shape {query_paa.shape} does not match "
@@ -166,11 +273,7 @@ def mindist_paa_to_words(
     above = np.where(values > upper, values - upper, 0.0)
     gap = below + above
     tables = (gap * gap).reshape(len(values), word_length * cardinality)
-    cells = np.add(words, np.arange(word_length) * cardinality, dtype=np.intp)
-    sums = np.empty((len(values), n_words))
-    for table, row in zip(tables, sums):
-        np.sum(table.take(cells), axis=1, out=row)
-    bounds = np.sqrt(config.segment_size * sums)
+    bounds = bounds_from_tables(tables, index, config)
     return bounds[0] if query_paa.ndim == 1 else bounds
 
 

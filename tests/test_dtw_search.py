@@ -16,7 +16,7 @@ from repro.core import (
 from repro.core.dtw_search import envelope_segment_bounds
 from repro.series import dtw, random_walk, z_normalize
 from repro.storage import RawSeriesFile, SimulatedDisk
-from repro.summaries import SAXConfig, sax_words
+from repro.summaries import SAXConfig, sax_words, symbol_bounds
 
 CONFIG = SAXConfig(series_length=64, word_length=8, cardinality=16)
 WINDOW = 4
@@ -186,3 +186,49 @@ def test_property_region_bound_below_dtw(seed, window):
         true = dtw(query.astype(np.float64), data[i].astype(np.float64),
                    window=window)
         assert bounds[i] <= true + 1e-6
+
+
+def reference_dtw_mindist_to_words(upper, lower, words, config):
+    """Every (record, segment) cell evaluated from scratch: the body
+    ``dtw_mindist_to_words`` had before it gathered from a table."""
+    u_max, l_min = envelope_segment_bounds(upper, lower, config)
+    region_lo, region_hi = symbol_bounds(np.atleast_2d(words), config.cardinality)
+    above = np.where(region_lo > u_max[None, :], region_lo - u_max[None, :], 0.0)
+    below = np.where(region_hi < l_min[None, :], l_min[None, :] - region_hi, 0.0)
+    gap = above + below
+    return np.sqrt(config.segment_size * np.sum(gap * gap, axis=1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    word_length=st.integers(1, 24),
+    bits=st.integers(1, 10),
+    n_words=st.sampled_from([0, 1, 37, 2000]),
+    window=st.sampled_from([0, 2, 9]),
+)
+def test_property_dtw_table_bound_is_byte_identical_to_the_per_cell_reference(
+    seed, word_length, bits, n_words, window
+):
+    from repro.core.summary_column import WordColumn
+
+    cardinality = 1 << bits
+    config = SAXConfig(
+        series_length=3 * word_length + seed % 3, word_length=word_length,
+        cardinality=cardinality,
+    )
+    rng = np.random.default_rng(seed)
+    dtype = np.uint8 if cardinality <= 256 and seed % 2 else np.uint16
+    words = rng.integers(0, cardinality, size=(n_words, word_length)).astype(dtype)
+    query = rng.standard_normal(config.series_length) * rng.choice([0.1, 1.0, 50.0])
+    upper, lower = query_envelope(query, window)
+    want = reference_dtw_mindist_to_words(upper, lower, words, config)
+    got = dtw_mindist_to_words(upper, lower, words, config)
+    assert got.shape == (n_words,)
+    assert got.tobytes() == want.tobytes()
+    column = WordColumn(config, words)
+    assert column.dtw_lower_bounds(upper, lower).tobytes() == want.tobytes()
+    # The Euclidean and DTW scans of one column share one cell index.
+    cells = column._cell_index()
+    column.lower_bounds(np.zeros(word_length))
+    assert column._cell_index() is cells

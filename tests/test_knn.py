@@ -9,6 +9,7 @@ from test_sax import reference_mindist_paa_to_words
 from repro import QueryBatch, make_dataset
 from repro.core import CoconutLSM, CoconutTree, CoconutTrie
 from repro.core.knn import _BoundedMaxHeap, sims_knn_scan
+from repro.core.summary_column import WordColumn
 from repro.series import euclidean_batch, query_workload, random_walk
 from repro.storage import RawSeriesFile, SimulatedDisk
 from repro.summaries import SAXConfig, sax_words
@@ -148,7 +149,7 @@ def test_offer_block_cuts_a_block_to_the_pairs_that_can_be_retained(monkeypatch)
 def test_sims_knn_scan_matches_brute_force():
     rng = np.random.default_rng(0)
     data = random_walk(200, length=64, seed=1)
-    words = sax_words(data, CONFIG)
+    words = WordColumn(CONFIG, sax_words(data, CONFIG))
 
     def fetch(positions):
         return data[positions].astype(np.float64), positions
@@ -163,7 +164,7 @@ def test_sims_knn_scan_matches_brute_force():
 
 def test_knn_distances_sorted_ascending():
     data = random_walk(100, length=64, seed=3)
-    words = sax_words(data, CONFIG)
+    words = WordColumn(CONFIG, sax_words(data, CONFIG))
     query = random_walk(1, length=64, seed=4)[0]
     outcome = sims_knn_scan(
         query, 5, words, CONFIG,
@@ -224,7 +225,11 @@ ENGINE_MAKERS = {
 }
 
 
-def _reference_mindist_block(query_paa, words, config):
+def _reference_mindist_block(query_paa, index, config):
+    """The per-cell reference behind ``WordColumn.lower_bounds``, which
+    hands the kernel a (range of a) ``CellIndex``: decode its words."""
+    segment_base = np.arange(len(index.cells)) * config.cardinality
+    words = (index.cells - segment_base[:, None]).T
     query_paa = np.asarray(query_paa, dtype=np.float64)
     if query_paa.ndim == 1:
         return reference_mindist_paa_to_words(query_paa, words, config)
@@ -234,17 +239,12 @@ def _reference_mindist_block(query_paa, words, config):
 
 
 def _use_reference_kernels(monkeypatch):
-    import repro.core.knn
-    import repro.core.sims
-    import repro.parallel.batch
-    import repro.parallel.query
+    import repro.core.summary_column
 
-    for module in (
-        repro.core.knn, repro.core.sims, repro.parallel.batch, repro.parallel.query
-    ):
-        monkeypatch.setattr(
-            module, "mindist_paa_to_words", _reference_mindist_block
-        )
+    # The one binding every engine's scan passes through.
+    monkeypatch.setattr(
+        repro.core.summary_column, "mindist_paa_to_words", _reference_mindist_block
+    )
     monkeypatch.setattr(_BoundedMaxHeap, "offer_block", reference_offer_block)
 
 

@@ -203,5 +203,46 @@ def test_summary_column_mirrors_runs_then_memtable(durability):
     np.testing.assert_array_equal(column.offsets, offsets)
     np.testing.assert_array_equal(column.words, deinterleave_keys(keys, CONFIG))
     assert sorted(offsets.tolist()) == list(range(480))
-    words, _ = index._prepare_sims()
-    np.testing.assert_array_equal(words, column.words)
+    assert index._prepare_sims()[0] is column
+
+
+def test_kept_summary_column_tracks_every_insert_flush_and_compaction():
+    """The LSM keeps its column (and the cell index scans built on it)
+    between calls; after every ``insert_batch`` — plain memtable
+    appends, flushes and compactions alike — it must equal a column
+    rebuilt from scratch, and answers must equal brute force."""
+    disk = SimulatedDisk(page_size=2048)
+    data = random_walk(700, length=64, seed=23)
+    queries = random_walk(3, length=64, seed=24).astype(np.float64)
+    index = CoconutLSM(disk, memory_bytes=1 << 11, config=CONFIG, size_ratio=2)
+    index.build(RawSeriesFile.create(disk, data[:200]))
+    n, seen = 200, set()
+    kept = index._summary_column()
+    for step, lo in enumerate(range(200, 700, 20)):
+        flushes, merges = index.n_flushes, index.n_merges
+        index.insert_batch(data[lo : lo + 20])
+        n += 20
+        seen.add((index.n_flushes > flushes, index.n_merges > merges))
+        column = index._summary_column()
+        assert column is not kept  # every insert changes the state
+        assert index._summary_column() is column  # ... and nothing else does
+        fresh = index._build_summary_column()
+        for name in ("keys", "offsets", "words"):
+            np.testing.assert_array_equal(
+                getattr(column, name), getattr(fresh, name), err_msg=name
+            )
+        assert sorted(column.offsets.tolist()) == list(range(n))
+        query = queries[step % len(queries)]
+        true = euclidean_batch(query, data[:n].astype(np.float64))
+        order = np.argsort(true, kind="stable")
+        result = index.exact_search(query)
+        assert result.answer_idx == order[0]
+        outcome = index.exact_knn(query, 4)
+        assert list(outcome.answer_ids) == order[:4].tolist()
+        # Both scans ran on the kept column's one cell index.
+        assert index._summary_column() is column
+        assert column._cells is not None
+        kept = column
+    # Memtable-only inserts, flushes without a merge, and compactions.
+    assert seen == {(False, False), (True, False), (True, True)}
+    assert index.n_merges >= 2

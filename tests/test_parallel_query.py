@@ -304,16 +304,19 @@ def test_parallel_lower_bound_scan_matches_serial(workload):
 
     _, _, queries = workload
     index = _built("CTree", workload)
-    words, _ = index._prepare_sims()
+    column, _ = index._prepare_sims()
     query_paa = paa(np.asarray(queries, dtype=np.float64), CONFIG.word_length)
     serial = np.stack(
-        [mindist_paa_to_words(query_paa[i], words, CONFIG) for i in range(len(queries))]
+        [
+            mindist_paa_to_words(query_paa[i], column.words, CONFIG)
+            for i in range(len(queries))
+        ]
     )
     thresholds = np.full(len(queries), np.inf)
     serial_union = np.nonzero((serial < thresholds[:, None]).any(axis=0))[0]
-    for workers in [1, 2, 3, 5, len(words) + 3]:
+    for workers in [1, 2, 3, 5, len(column) + 3]:
         mindists, union = parallel_lower_bound_scan(
-            query_paa, words, CONFIG, thresholds, workers, pool_kind="thread"
+            query_paa, column, thresholds, workers, pool_kind="thread"
         )
         np.testing.assert_array_equal(mindists, serial)
         np.testing.assert_array_equal(union, serial_union)

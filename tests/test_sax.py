@@ -191,10 +191,14 @@ def _adversarial_paa(rng, n_queries, word_length, cardinality):
     bits=st.integers(1, 10),
     n_words=st.sampled_from([0, 1, 37, 5000]),
     n_queries=st.integers(1, 4),
+    cuts=st.tuples(st.floats(0, 1), st.floats(0, 1)),
 )
 def test_property_table_kernel_is_byte_identical_to_the_per_cell_reference(
-    seed, word_length, bits, n_words, n_queries
+    seed, word_length, bits, n_words, n_queries, cuts
 ):
+    from repro.core import interleave_words
+    from repro.core.summary_column import SummaryColumn
+
     cardinality = 1 << bits
     config = SAXConfig(
         series_length=4 * word_length, word_length=word_length,
@@ -212,6 +216,27 @@ def test_property_table_kernel_is_byte_identical_to_the_per_cell_reference(
         assert single.shape == (n_words,)
         assert single.tobytes() == want.tobytes()
         assert got[i].tobytes() == want.tobytes()
+    # The same floats through a column's cached index, over the whole
+    # column and over an arbitrary range of it (empty and single-row
+    # ranges included), for a block and for each single PAA.
+    column = SummaryColumn(
+        config,
+        [interleave_words(words, config)],
+        [np.arange(n_words, dtype=np.int64)],
+    )
+    np.testing.assert_array_equal(column.words, words)
+    assert column.lower_bounds(block).tobytes() == got.tobytes()
+    start, stop = sorted(int(round(cut * n_words)) for cut in cuts)
+    for lo, hi in [(start, stop), (start, start), (start, None), (0, stop)]:
+        part = column.lower_bounds(block, lo, hi)
+        assert part.tobytes() == got[:, lo:hi].tobytes()
+        for i in range(n_queries):
+            single = column.lower_bounds(block[i], lo, hi)
+            assert single.tobytes() == got[i, lo:hi].tobytes()
+    if n_words:
+        row = start % n_words
+        one = column.lower_bounds(block, row, row + 1)
+        assert one.tobytes() == got[:, row : row + 1].tobytes()
 
 
 @pytest.mark.parametrize("dataset", ["randomwalk", "seismic"])
@@ -234,6 +259,16 @@ def test_mindist_rejects_a_paa_of_the_wrong_width():
     for bad in (np.zeros(1), np.zeros(7), np.zeros((2, 4)), np.float64(0.0)):
         with pytest.raises(ValueError):
             mindist_paa_to_words(bad, words, config)
+
+
+def test_a_symbol_outside_the_alphabet_is_refused_in_every_segment():
+    """A symbol >= cardinality used to read the next segment's cells —
+    a plausible, wrong bound — unless it sat in the last segment."""
+    config = SAXConfig(series_length=64, word_length=4, cardinality=8)
+    for words in ([[9, 0, 0, 0]], [[0, 0, 0, 9]], [[0, -1, 0, 0]]):
+        with pytest.raises(ValueError):
+            mindist_paa_to_words(np.zeros(4), np.array(words), config)
+    assert mindist_paa_to_words(np.zeros(4), [[7, 0, 0, 7]], config).shape == (1,)
 
 
 def test_table_kernel_beats_the_per_cell_evaluation_at_the_default_geometry():

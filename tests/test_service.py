@@ -269,8 +269,9 @@ def _brute_force(rows, query, k):
 
 
 def test_summary_column_is_converted_once_per_snapshot(monkeypatch):
-    """Batches served from one snapshot share one key conversion; a
-    snapshot taken after a flush or compaction converts its own."""
+    """Batches served from one snapshot share one key conversion and
+    one cell index; a snapshot taken after a flush or compaction
+    converts and indexes its own."""
     import repro.core.summary_column as column_module
 
     calls = []
@@ -281,6 +282,17 @@ def test_summary_column_is_converted_once_per_snapshot(monkeypatch):
         return convert(keys, config)
 
     monkeypatch.setattr(column_module, "deinterleave_keys", spy)
+    indexed = []  # ... and one cell index, built by the first scan
+
+    class CountedIndex(column_module.CellIndex):
+        __slots__ = ()
+
+        @classmethod
+        def of(cls, words, config):
+            indexed.append(len(words))
+            return super().of(words, config)
+
+    monkeypatch.setattr(column_module, "CellIndex", CountedIndex)
     _, raw, svc = make_service()
     rows = np.concatenate([BASE, EXTRA])
 
@@ -294,13 +306,13 @@ def test_summary_column_is_converted_once_per_snapshot(monkeypatch):
             )
 
     serve_two_batches()
-    assert calls == [len(BASE)]
+    assert calls == indexed == [len(BASE)]
     flushes, merges = svc._lsm.n_flushes, svc._lsm.n_merges
     for lo in range(0, len(EXTRA), 25):
         svc.ingest(EXTRA[lo : lo + 25])
     assert svc._lsm.n_flushes > flushes and svc._lsm.n_merges > merges
     serve_two_batches()
-    assert calls == [len(BASE), len(BASE) + len(EXTRA)]
+    assert calls == indexed == [len(BASE), len(BASE) + len(EXTRA)]
 
 
 @pytest.mark.parametrize("memtable_rows", [0, 5])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import sims_scan
+from repro.core.summary_column import WordColumn
 from repro.series import euclidean_batch, random_walk
 from repro.summaries import SAXConfig, sax_words
 
@@ -12,7 +13,7 @@ CONFIG = SAXConfig(series_length=64, word_length=8, cardinality=16)
 
 def make_corpus(n=300, seed=0):
     data = random_walk(n, length=64, seed=seed)
-    words = sax_words(data, CONFIG)
+    words = WordColumn(CONFIG, sax_words(data, CONFIG))
     calls = []
 
     def fetch(positions):
@@ -81,7 +82,7 @@ def test_blocks_refiltered_as_bsf_shrinks():
 
 
 def test_empty_corpus():
-    words = np.empty((0, CONFIG.word_length), dtype=np.uint16)
+    words = WordColumn(CONFIG, np.empty((0, CONFIG.word_length), dtype=np.uint16))
 
     def fetch(positions):  # pragma: no cover - never called
         raise AssertionError("fetch must not be called on empty corpus")
