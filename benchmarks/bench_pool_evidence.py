@@ -1,10 +1,11 @@
 """The 2-core evidence behind "a worker pool is a thread pool".
 
 On ``bench_e2e``'s configuration (seed 7), alternating pairs time the three
-``build_rw`` builds at default ``workers=2`` against ``1`` and a 64 x k=10
-exact batch at ``query_workers=2`` against ``1``.  A row is ``median serial
-/ median parallel [min, max pair ratio]``; a range straddling 1.0 is
-unresolved.  Runs unchanged on a parent commit and on a change::
+``build_rw`` builds at default ``workers=2`` against ``1``, a 64 x k=10
+exact batch and a 64-query approximate batch at ``query_workers=2`` against
+``1``.  A row is ``median serial / median parallel [min, max pair ratio]``;
+a range straddling 1.0 is unresolved.  Runs unchanged on a parent commit and
+on a change::
 
     PYTHONPATH=src python benchmarks/bench_pool_evidence.py [reps]
 """
@@ -61,11 +62,13 @@ def main(reps: int) -> None:
         print(f"build {name:11s} workers=2 vs 1: {_pairs(one, two, reps)} same_index={same}")
     for name, dataset, n in [("query_rw", "randomwalk", 15_000), ("query_seismic", "seismic", 4_000)]:
         tree = _build(make_dataset(dataset, n, length=256, seed=7), False, 0.05)[2]
-        batch = QueryBatch(query_workload(dataset, 64, length=256, seed=7), k=10)
-        one = lambda: _timed(lambda: tree.query_batch(batch).knn_ids)
-        two = lambda: _timed(lambda: tree.query_batch(batch, query_workers=2).knn_ids)
-        print(f"batch {name:13s} query_workers=2 vs 1: {_pairs(one, two, reps)} "
-              f"same_answers={one()[1] == two()[1]}")
+        queries = query_workload(dataset, 64, length=256, seed=7)
+        for mode, k in (("exact", 10), ("approximate", 1)):
+            batch = QueryBatch(queries, k=k, mode=mode)
+            one = lambda: _timed(lambda: tree.query_batch(batch).knn_ids)
+            two = lambda: _timed(lambda: tree.query_batch(batch, query_workers=2).knn_ids)
+            print(f"{mode:11s} batch {name:13s} query_workers=2 vs 1: "
+                  f"{_pairs(one, two, reps)} same_answers={one()[1] == two()[1]}")
 
 
 if __name__ == "__main__":

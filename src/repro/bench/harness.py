@@ -550,14 +550,12 @@ def run_parallel_query_sweep(
             env.disk.park_head()
             env.disk.reset_stats()
             replay = env.index.query_batch(
-                batch, query_workers=w, query_pool_kind="serial",
-                bound_sharing="off",
+                batch, query_workers=w, query_pool_kind="serial"
             )
             env.disk.park_head()
             env.disk.reset_stats()
             pooled = env.index.query_batch(
-                batch, query_workers=w, query_pool_kind="thread",
-                bound_sharing="off",
+                batch, query_workers=w, query_pool_kind="thread"
             )
             identical = (
                 pooled.knn_ids == serial.knn_ids

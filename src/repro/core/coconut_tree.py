@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..indexes.base import BuildReport, Measurement, QueryResult
+from ..indexes.base import BuildReport, Measurement, QueryResult, check_k
 from ..storage.disk import SimulatedDisk
 from ..storage.external_sort import ExternalSorter
 from ..summaries.sax import SAXConfig
@@ -226,6 +226,7 @@ class CoconutTree(BulkLoadedIndex):
         """
         from .knn import sims_knn_scan
 
+        k = check_k(k)
         query = self._query_array(query)
         radius = self._radius(radius_leaves)
         with Measurement(self.disk) as measure:

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..indexes.base import Measurement, QueryResult, SeriesIndex
+from ..indexes.base import Measurement, QueryResult, SeriesIndex, check_k
 from ..series.distance import early_abandon_euclidean_block
 from ..summaries.paa import paa
 from ..summaries.sax import SAXConfig
@@ -117,8 +117,9 @@ class SIMSIndex(SeriesIndex):
     both load whatever the column needs, charging its I/O to the
     caller's measurement — plus the two halves of its batched
     approximate pass, ``_approx_visit_order(queries)`` and
-    ``_approx_answer_subset(queries, ctx, order, device=None)``
-    (contract on :func:`repro.parallel.sched.parallel_approx_batch`).
+    ``_approx_answer_subset(queries, ctx, order, device=None)``: the
+    visit order plus context, and the answers of a slice of that order
+    with every read bound to ``device`` (the parent when ``None``).
     """
 
     def exact_search(self, query: np.ndarray) -> QueryResult:
@@ -158,12 +159,9 @@ class SIMSIndex(SeriesIndex):
         """
         from .knn import seeded_sims_knn
 
-        return seeded_sims_knn(self, query, k, self._prepare_sims)
+        return seeded_sims_knn(self, query, check_k(k), self._prepare_sims)
 
-    def query_batch(
-        self, batch, query_workers=1, query_pool_kind="thread",
-        bound_sharing="on",
-    ):
+    def query_batch(self, batch, query_workers=1, query_pool_kind="thread"):
         """Batched queries sharing work across the batch (repro.parallel).
 
         Exact batches share one SIMS pass: the summary column is loaded
@@ -174,16 +172,14 @@ class SIMSIndex(SeriesIndex):
         queries one at a time.
 
         ``query_workers > 1`` (or ``None``/``0`` for all cores) runs
-        the batch on the multi-worker engines: exact batches
-        range-partition the lower-bound scan and stream record fetches
-        through per-worker read-only shards, approximate batches
-        range-partition the visit order — answers (ids, distances, tie
-        order) stay bit-identical to the serial batched engines.
-        ``query_pool_kind="serial"`` replays the parallel plan inline
-        (the I/O-determinism oracle, with ``bound_sharing="off"``).
-        Planning and ``bound_sharing`` are documented on
-        :func:`repro.parallel.sched.run_sims_query_batch` and
-        :meth:`repro.indexes.base.SeriesIndex.query_batch`.
+        exact batches on the multi-worker engine: the lower-bound scan
+        is range-partitioned and record fetches stream through
+        per-worker read-only shards — answers (ids, distances, tie
+        order) stay bit-identical to the serial batched engine.
+        Approximate batches run the serial shared-probe pass at any
+        ``query_workers``.  ``query_pool_kind="serial"`` replays the
+        parallel plan inline (the I/O-determinism oracle).  Planning
+        is documented on :func:`repro.parallel.sched.run_sims_query_batch`.
         """
         from ..parallel.sched import run_sims_query_batch
 
@@ -192,7 +188,6 @@ class SIMSIndex(SeriesIndex):
             batch,
             query_workers=query_workers,
             query_pool_kind=query_pool_kind,
-            bound_sharing=bound_sharing,
         )
 
     def _approximate_batch(self, queries: np.ndarray) -> list[QueryResult]:

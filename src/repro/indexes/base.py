@@ -10,6 +10,7 @@ currencies the paper's figures are plotted in.
 from __future__ import annotations
 
 import abc
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -65,6 +66,19 @@ class QueryResult:
         return self.simulated_io_ms / 1000.0 + self.wall_s
 
 
+def check_k(k) -> int:
+    """``k`` as an ``int``; ``ValueError`` unless it is an integer >= 1.
+
+    Python and NumPy integers pass.  ``bool``, floats (``3.0`` too),
+    strings and ``None`` are refused: a ``k`` the heaps cannot
+    partition by must fail here, before a page is read, not deep in
+    ``np.partition`` (or on a serving thread).
+    """
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    return int(k)
+
+
 @dataclass
 class QueryBatch:
     """Many similarity queries answered in one shared pass.
@@ -84,8 +98,7 @@ class QueryBatch:
     mode: str = "exact"
 
     def __post_init__(self) -> None:
-        if self.k <= 0:
-            raise ValueError(f"k must be positive, got {self.k}")
+        self.k = check_k(self.k)
         if self.mode not in ("exact", "approximate"):
             raise ValueError(f"mode must be exact|approximate, got {self.mode!r}")
         if self.mode == "approximate" and self.k != 1:
@@ -196,6 +209,7 @@ class SeriesIndex(abc.ABC):
         """
         from ..core.knn import KNNOutcome, _BoundedMaxHeap  # deferred
 
+        k = check_k(k)
         if k == 1:
             result = self.exact_search(query)
             answered = result.answer_idx >= 0
@@ -239,7 +253,6 @@ class SeriesIndex(abc.ABC):
         batch: QueryBatch,
         query_workers: int = 1,
         query_pool_kind: str = "thread",
-        bound_sharing: str = "on",
     ) -> BatchReport:
         """Answer a :class:`QueryBatch`; default is a per-query loop.
 
@@ -252,12 +265,9 @@ class SeriesIndex(abc.ABC):
         without a parallel path accept and ignore it, answering
         serially with the same results.  ``query_pool_kind`` is
         ``"thread"`` or ``"serial"`` (:mod:`repro.parallel.pool`) — the
-        latter replays the parallel plan inline, the I/O oracle — and
-        ``bound_sharing`` controls the shared best-k bound of the exact
-        fetch phase (``"on"``; ``"off"`` restores per-worker pruning
-        and with it the replay-deterministic ``DiskStats``).  Indexes
-        without a parallel path validate the pool kind and otherwise
-        ignore both.
+        latter replays the parallel plan inline, the I/O oracle.
+        Indexes without a parallel path validate the pool kind and
+        otherwise ignore it.
         """
         from ..parallel.pool import check_pool_kind
 

@@ -70,10 +70,7 @@ class SerialScan(SeriesIndex):
     def exact_search(self, query: np.ndarray) -> QueryResult:
         return self._scan(query)
 
-    def query_batch(
-        self, batch, query_workers=1, query_pool_kind="thread",
-        bound_sharing="on",
-    ):
+    def query_batch(self, batch, query_workers=1, query_pool_kind="thread"):
         """Answer the whole batch in a single pass over the raw file.
 
         The serial scan is where batching pays the most: Q queries cost
@@ -84,10 +81,9 @@ class SerialScan(SeriesIndex):
         shards (:func:`repro.parallel.query.parallel_serial_scan_batch`)
         with bit-identical answers for any worker count.
 
-        A full scan has no pruning, so ``bound_sharing`` is accepted
-        and ignored; the planner still prices the pass — the cost model
-        clamps the fan-out when the file is too small to amortize its
-        pool tasks — and the decision is recorded on ``report.plan``.
+        The planner prices the pass — the cost model clamps the fan-out
+        when the file is too small to amortize its pool tasks — and the
+        decision is recorded on ``report.plan``.
         """
         from ..core.knn import KNNOutcome, _BoundedMaxHeap
         from ..parallel.batch import build_batch_report
@@ -96,9 +92,7 @@ class SerialScan(SeriesIndex):
 
         queries = self._query_matrix(batch.queries)
         check_pool_kind(query_pool_kind)
-        plan = plan_query_batch(
-            batch, self, query_workers=query_workers, bound_sharing="off"
-        )
+        plan = plan_query_batch(batch, self, query_workers=query_workers)
         if plan.scan_workers > 1:
             # Approximate and exact scans are the same full pass here,
             # so the parallel path serves both modes.

@@ -45,13 +45,11 @@ worker pool:
   (ids, distances, tie order) bit-identical to the serial batched
   engine for any worker count and reconciled
   :class:`repro.storage.DiskStats` bit-identical to the inline serial
-  replay (``pool_kind="serial"``, with ``bound_sharing="off"``).
-* :mod:`repro.parallel.sched` — the planner on top: a shared best-k
-  bound board that lets exact workers prune against the global state
-  of the batch (answers still bit-identical for any publish
-  interleaving), range-partitioned parallel *approximate* batches, and
-  a cost-model planner (:func:`repro.parallel.sched.plan_query_batch`)
-  that clamps worker counts and fetch-partition floors per batch.
+  replay (``pool_kind="serial"``).
+* :mod:`repro.parallel.sched` — the cost-model planner on top
+  (:func:`repro.parallel.sched.plan_query_batch`): it clamps worker
+  counts and fetch-partition floors per batch and runs approximate
+  batches as the serial shared-probe pass.
 
 All are wired into the index classes (``workers=`` on the Coconut
 constructors, ``query_batch(query_workers=)`` on every index) and into
@@ -83,8 +81,6 @@ from .query import (
 )
 from .sched import (
     PlanReport,
-    SharedBoundBoard,
-    parallel_approx_batch,
     plan_query_batch,
     run_sims_query_batch,
 )
@@ -112,11 +108,9 @@ __all__ = [
     "PlanReport",
     "RetryPolicy",
     "ShardedMergeResult",
-    "SharedBoundBoard",
     "approx_query_batch",
     "batched_exact_knn",
     "build_batch_report",
-    "parallel_approx_batch",
     "parallel_batched_exact_knn",
     "parallel_invsax_keys",
     "parallel_lower_bound_scan",

@@ -101,7 +101,6 @@ def walk_candidate_blocks(
     candidates: np.ndarray,
     fetch,
     block_records: int,
-    bound_board=None,
 ) -> np.ndarray:
     """The shared SIMS fetch loop; returns per-query visited counts.
 
@@ -112,38 +111,12 @@ def walk_candidate_blocks(
     each worker of the parallel engine execute exactly this loop —
     sharing it is what keeps their pruning rules in lockstep, which
     the bit-identical-answers contract rests on.
-
-    ``bound_board`` (a :class:`repro.parallel.sched.SharedBoundBoard`
-    or any object with ``read()``/``publish(bounds)``) tightens the
-    loop with bounds published by concurrent workers.  The effective
-    threshold is the **running minimum** of the local heap threshold
-    and every board snapshot seen so far: every published value is a
-    heap's k-th best over a subset of the global offers, hence a
-    certified upper bound on the final k-th distance, so the extra
-    pruning removes only records the serial engine's answer provably
-    excludes — and the running-min discipline guarantees the visited
-    set never grows relative to the board-free loop (the monotone
-    non-increasing visits contract; see ``docs/queries.md``).  Rows
-    strictly above a shared bound may still be offered (at their
-    distance, or ``inf`` if the kernel abandoned them) into a
-    not-yet-full heap; a finite shared bound certifies that k real
-    offers at or below it exist globally, so the coordinator merge
-    displaces every such offer before it can reach an answer.
     """
     n_queries = len(queries)
     visited = np.zeros(n_queries, dtype=np.int64)
-    shared = (
-        bound_board.read().astype(np.float64, copy=True)
-        if bound_board is not None
-        else None
-    )
     for start in range(0, len(candidates), block_records):
         block = candidates[start : start + block_records]
         thresholds = np.array([heap.threshold for heap in heaps])
-        if shared is not None:
-            np.minimum(shared, bound_board.read(), out=shared)
-            np.minimum(shared, thresholds, out=shared)
-            thresholds = shared
         need = mindists[:, block] < thresholds[:, None]
         alive = need.any(axis=0)
         block, need = block[alive], need[:, alive]
@@ -162,10 +135,6 @@ def walk_candidate_blocks(
             )
             visited[i] += len(rows)
             heaps[i].offer_block(distances, identifiers[rows])
-        if bound_board is not None:
-            bound_board.publish(
-                np.array([heap.threshold for heap in heaps])
-            )
     return visited
 
 

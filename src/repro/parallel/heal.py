@@ -13,9 +13,10 @@ That abort guarantee is what makes retry sound.  :func:`run_self_healing`
 layers the policy on top:
 
 * **transient** faults (:class:`~repro.storage.faults.TransientIOError`)
-  are retried up to ``retries`` times with capped exponential backoff —
-  a fresh attempt re-issues the same deterministic I/O plan, so a
-  successful retry is bit-identical to a run that never faulted;
+  are retried up to the :class:`RetryPolicy`'s ``retries`` times with
+  capped exponential backoff — a fresh attempt re-issues the same
+  deterministic I/O plan, so a successful retry is bit-identical to a
+  run that never faulted;
 * **permanent / corruption / crash** faults
   (:class:`~repro.storage.faults.PermanentIOError`,
   :class:`~repro.storage.faults.CorruptionError`,
@@ -140,9 +141,6 @@ class HealReport:
 def run_self_healing(
     attempt,
     fallback=None,
-    retries: "int | None" = None,
-    backoff_s: "float | None" = None,
-    backoff_cap_s: "float | None" = None,
     label: str = "parallel plan",
     policy: "RetryPolicy | None" = None,
     report: "HealReport | None" = None,
@@ -155,10 +153,9 @@ def run_self_healing(
     invoked after a non-transient fault or once transient retries are
     exhausted; with no fallback the last fault is re-raised.
 
-    The policy may be given as an explicit :class:`RetryPolicy` or via
-    the legacy ``retries``/``backoff_s``/``backoff_cap_s`` keywords
-    (which override the matching policy fields).  When ``report`` is
-    given, attempt/retry/degradation counts are accumulated onto it.
+    ``policy`` sets the retry budget and backoff (default
+    :class:`RetryPolicy`).  When ``report`` is given,
+    attempt/retry/degradation counts are accumulated onto it.
 
     Only :class:`~repro.storage.faults.FaultError` is healed.  Any
     other exception (a bug, a bad argument) propagates immediately:
@@ -166,14 +163,6 @@ def run_self_healing(
     real defects.
     """
     base = policy if policy is not None else RetryPolicy()
-    if retries is not None or backoff_s is not None or backoff_cap_s is not None:
-        base = RetryPolicy(
-            retries=base.retries if retries is None else retries,
-            backoff_s=base.backoff_s if backoff_s is None else backoff_s,
-            backoff_cap_s=(
-                base.backoff_cap_s if backoff_cap_s is None else backoff_cap_s
-            ),
-        )
     if report is not None:
         report.n_calls += 1
     last: "FaultError | None" = None

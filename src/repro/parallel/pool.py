@@ -11,6 +11,7 @@ reference the equivalence suites pin the threaded runs to.
 
 from __future__ import annotations
 
+import numbers
 import os
 from concurrent.futures import Executor, ThreadPoolExecutor
 
@@ -26,7 +27,15 @@ def check_pool_kind(kind: str) -> str:
 
 
 def resolve_workers(workers: int | None) -> int:
-    """``None`` / ``0`` / negative -> all cores; otherwise ``workers``."""
+    """``None`` / ``0`` / negative -> all cores; otherwise ``workers``.
+
+    Anything else that is not a Python or NumPy integer (``bool``,
+    ``2.5``, ``"2"``) raises ``ValueError``.
+    """
+    if workers is not None and (
+        isinstance(workers, bool) or not isinstance(workers, numbers.Integral)
+    ):
+        raise ValueError(f"workers must be an integer or None, got {workers!r}")
     if workers is None or workers <= 0:
         return os.cpu_count() or 1
     return int(workers)

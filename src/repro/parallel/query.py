@@ -91,10 +91,6 @@ from .pool import check_pool_kind, pool_map, resolve_workers
 #: cache domain, mirroring the sharded merge.
 QUERY_SHARD_POOL_PAGES = 8
 
-#: ``bound_sharing`` values: share per-query best-k bounds between the
-#: exact fetch workers, or prune per worker (replay-deterministic stats).
-SHARING_MODES = ("on", "off")
-
 
 def partition_ranges(n: int, n_parts: int) -> "list[tuple[int, int]]":
     """Split ``[0, n)`` into ``n_parts`` contiguous balanced ranges."""
@@ -194,7 +190,6 @@ def _fetch_partition(
     seeds: "list[list[tuple[float, int]]]",
     fetch,
     block_records: int,
-    bound_board=None,
 ) -> "tuple[list[_BoundedMaxHeap], np.ndarray]":
     """One fetch worker: walk a candidate chunk, fill per-query heaps.
 
@@ -202,16 +197,11 @@ def _fetch_partition(
     (:func:`repro.parallel.batch.walk_candidate_blocks`) on this
     worker's chunk — except the thresholds only ever see the chunk's
     offers (plus the shared seeds), so they are never tighter than the
-    serial engine's and pruning can only be more conservative.  A
-    ``bound_board`` closes that gap: workers publish their thresholds
-    and prune against the shared minimum, shrinking visits without
-    touching answers (the certified-upper-bound argument in
-    :mod:`repro.parallel.sched`).
+    serial engine's and pruning can only be more conservative.
     """
     heaps = seeded_heaps(len(queries), k, seeds)
     visited = walk_candidate_blocks(
-        queries, heaps, mindists, candidates, fetch, block_records,
-        bound_board=bound_board,
+        queries, heaps, mindists, candidates, fetch, block_records
     )
     return heaps, visited
 
@@ -228,8 +218,6 @@ def parallel_batched_exact_knn(
     pool_kind: str = "thread",
     block_records: int = SIMS_BLOCK_RECORDS,
     wrap_device=None,
-    bound_sharing: str = "off",
-    bound_board=None,
     scan_workers: int | None = None,
     min_fetch_records: int = 1,
     heal_report=None,
@@ -244,20 +232,10 @@ def parallel_batched_exact_knn(
     follows the build convention (``None``/``0`` = all cores, ``1`` =
     the serial engine); ``pool_kind="serial"`` executes the parallel
     plan inline — the replay oracle for the I/O-determinism contract.
-
-    ``bound_sharing="on"`` publishes each worker's per-query heap
-    thresholds to a shared board consulted at block boundaries
-    (:class:`repro.parallel.sched.SharedBoundBoard`): answers and tie
-    order stay bit-identical for any publish interleaving, visits can
-    only shrink, but ``DiskStats`` become interleaving-dependent — the
-    replay-determinism contract requires ``"off"``.  A fresh board is
-    built per healing attempt (a faulted attempt's publishes must not
-    leak into its retry); ``bound_board`` overrides that with an
-    injected board for the unsplit batch (the property-test seam for
-    adversarial publish schedules).  ``scan_workers`` overrides the
-    lower-bound scan's fan-out (the planner's clamp; default: same as
-    the fetch), and ``min_fetch_records`` is the planner's floor on
-    candidates per fetch partition.
+    ``scan_workers`` overrides the lower-bound scan's fan-out (the
+    planner's clamp; default: same as the fetch), and
+    ``min_fetch_records`` is the planner's floor on candidates per
+    fetch partition.
 
     ``wrap_device(shard, partition, attempt)`` is the self-healing
     fault seam (:mod:`repro.parallel.heal`): each fetch worker's reads
@@ -272,10 +250,6 @@ def parallel_batched_exact_knn(
     ``visited_records`` counts what the workers actually evaluated.
     """
     check_pool_kind(pool_kind)
-    if bound_sharing not in SHARING_MODES:
-        raise ValueError(
-            f"bound_sharing must be one of {SHARING_MODES}, got {bound_sharing!r}"
-        )
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     n_queries, n = len(queries), len(column)
     workers = resolve_workers(workers)
@@ -286,16 +260,13 @@ def parallel_batched_exact_knn(
     if n_queries > 1 and n_queries * n > MAX_MINDIST_CELLS:
         # Same sub-batch split (and seed routing) as the serial engine:
         # the memory cap applies to the per-worker mindist slices too.
-        # Sub-batches answer disjoint query sets, so each gets its own
-        # board (an injected one is sized for the unsplit batch and is
-        # dropped here).
         half = n_queries // 2
         seeds = seeds or [[] for _ in range(n_queries)]
         halves = [
             parallel_batched_exact_knn(
                 queries[part], k, column, config, make_fetch, disk,
                 seeds[part], workers, pool_kind, block_records, wrap_device,
-                bound_sharing=bound_sharing, scan_workers=scan_workers,
+                scan_workers=scan_workers,
                 min_fetch_records=min_fetch_records, heal_report=heal_report,
             )
             for part in (slice(None, half), slice(half, None))
@@ -323,10 +294,17 @@ def parallel_batched_exact_knn(
             if len(chunk)
         ]
         results = run_self_healing(
-            lambda attempt_index: _run_fetch_partitions(
-                disk, chunks, queries, k, mindists, seeds, make_fetch,
-                block_records, pool_kind, wrap_device, attempt_index,
-                bound_sharing=bound_sharing, bound_board=bound_board,
+            lambda attempt_index: run_on_read_shards(
+                disk,
+                "query-fetch",
+                len(chunks),
+                lambda p, device: _fetch_partition(
+                    queries, k, mindists, chunks[p], seeds, make_fetch(device),
+                    block_records,
+                ),
+                pool_kind,
+                wrap_device,
+                attempt_index,
             ),
             # The sentinel routes degradation out of the helper: the
             # serial engine redoes the whole batch (scan included) on
@@ -350,51 +328,10 @@ def parallel_batched_exact_knn(
     ]
 
 
-def _run_fetch_partitions(
-    disk,
-    chunks: "list[np.ndarray]",
-    queries: np.ndarray,
-    k: int,
-    mindists: np.ndarray,
-    seeds,
-    make_fetch,
-    block_records: int,
-    pool_kind: str,
-    wrap_device=None,
-    attempt_index: int = 0,
-    bound_sharing: str = "off",
-    bound_board=None,
-):
-    """Run the per-chunk fetch plans on read-only shards.
-
-    The bound board is built *here*, once per attempt: a faulted
-    attempt may have published bounds computed from corrupted reads,
-    so its board must never survive into the retry.  (An injected
-    ``bound_board`` is the test seam and bypasses that isolation.)
-    """
-    if bound_board is None and bound_sharing == "on":
-        from .sched import SharedBoundBoard
-
-        bound_board = SharedBoundBoard(len(queries))
-    return run_on_read_shards(
-        disk,
-        "query-fetch",
-        len(chunks),
-        lambda p, device: _fetch_partition(
-            queries, k, mindists, chunks[p], seeds, make_fetch(device),
-            block_records, bound_board=bound_board,
-        ),
-        pool_kind,
-        wrap_device,
-        attempt_index,
-    )
-
-
 def parallel_sims_query_batch(
     index, batch, prepare_parallel, query_workers, pool_kind: str = "thread",
-    wrap_device=None, bound_sharing: str = "off", bound_board=None,
-    scan_workers: int | None = None, min_fetch_records: int = 1,
-    heal_report=None,
+    wrap_device=None, scan_workers: int | None = None,
+    min_fetch_records: int = 1, heal_report=None,
 ) -> BatchReport:
     """Multi-worker ``query_batch`` for SIMS-backed indexes.
 
@@ -424,8 +361,6 @@ def parallel_sims_query_batch(
             workers=query_workers,
             pool_kind=pool_kind,
             wrap_device=wrap_device,
-            bound_sharing=bound_sharing,
-            bound_board=bound_board,
             scan_workers=scan_workers,
             min_fetch_records=min_fetch_records,
             heal_report=heal_report,

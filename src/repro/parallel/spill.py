@@ -67,7 +67,7 @@ from ..storage.merge import (
     merge_stream,
 )
 from ..storage.pager import PagedFile
-from .heal import HEAL_RETRIES, HealReport, RetryPolicy, run_self_healing
+from .heal import HealReport, RetryPolicy, run_self_healing
 from .merge import run_cut_positions, sample_splitters
 from .pool import check_pool_kind, pool_map
 
@@ -253,11 +253,9 @@ def sharded_spill_merge(
     buffer_records: int,
     pool_kind: str = "thread",
     splitters: np.ndarray | None = None,
-    cuts: "list[np.ndarray] | None" = None,
     collect: str | None = None,
     out_name: str = "sharded-merge",
     wrap_device=None,
-    heal_retries: "int | None" = None,
     heal_policy: "RetryPolicy | None" = None,
     heal_report: "HealReport | None" = None,
 ) -> ShardedMergeResult:
@@ -281,11 +279,6 @@ def sharded_spill_merge(
     splitters:
         Explicit splitter keys (ascending, deduplicated) override the
         sample — the equivalence property is quantified over them.
-    cuts:
-        Precomputed per-run cut positions for ``splitters`` (e.g. from
-        :func:`repro.storage.fence.fenced_cut_positions`); with them
-        the sources' key columns may be ``None`` — planning needs no
-        mirrors at all.
     collect:
         ``"keys"`` returns the merged key column (cascade passes need
         it to cut the next pass); ``"records"`` returns keys and
@@ -295,8 +288,8 @@ def sharded_spill_merge(
         every partition's I/O is routed through its return value.  When
         an attempt raises a device fault the session aborts (parent
         unfenced, output extent untouched) and transients are retried
-        per ``heal_policy`` (or the legacy ``heal_retries`` override) —
-        a successful retry re-issues the same plan against the same
+        per ``heal_policy`` (default :class:`RetryPolicy`) — a
+        successful retry re-issues the same plan against the same
         pre-allocated extent, so the result and reconciled stats are
         bit-identical to a fault-free run.  Non-transient faults
         propagate; the caller degrades (e.g. ``CoconutLSM`` falls back
@@ -304,7 +297,7 @@ def sharded_spill_merge(
         ``n_heal_attempts`` and, when given, on ``heal_report``.
     """
     check_pool_kind(pool_kind)
-    splitters, cuts = _cut_sources(sources, n_partitions, splitters, cuts)
+    splitters, cuts = _cut_sources(sources, n_partitions, splitters)
     n_parts = len(splitters) + 1
     itemsize = rec_dtype.itemsize
     page_size = disk.page_size
@@ -355,7 +348,6 @@ def sharded_spill_merge(
     try:
         results = run_self_healing(
             attempt,
-            retries=heal_retries,
             policy=heal_policy,
             report=local_report,
             label=f"sharded spill merge {out_name!r}",
@@ -422,36 +414,10 @@ class _PairEmitter:
             self.filled = 0
 
 
-def _cut_sources(sources, n_partitions, splitters, cuts=None):
-    """Shared planning: validate sources, sample splitters, cut runs.
-
-    Precomputed ``cuts`` (with their ``splitters``) skip the key
-    mirrors entirely — the fence-planned cascade
-    (:mod:`repro.storage.fence`) cuts runs from per-page zone maps, so
-    its sources carry ``None`` key columns.
-    """
+def _cut_sources(sources, n_partitions, splitters):
+    """Shared planning: validate sources, sample splitters, cut runs."""
     if not sources:
         raise ValueError("sharded merge requires at least one source run")
-    if cuts is not None:
-        if splitters is None:
-            raise ValueError("explicit cuts require their splitters")
-        if len(cuts) != len(sources):
-            raise ValueError(
-                f"{len(cuts)} cut arrays for {len(sources)} sources"
-            )
-        for (file, n_records, _), cut in zip(sources, cuts):
-            cut = np.asarray(cut)
-            if (
-                len(cut) != len(splitters) + 2
-                or cut[0] != 0
-                or cut[-1] != n_records
-                or np.any(np.diff(cut) < 0)
-            ):
-                raise ValueError(
-                    f"run {file.name!r}: cut positions {cut!r} do not "
-                    f"tile [0, {n_records}) at {len(splitters)} splitters"
-                )
-        return splitters, list(cuts)
     for file, n_records, keys in sources:
         if len(keys) != n_records:
             raise ValueError(
@@ -485,7 +451,6 @@ def sharded_stream_merge(
     buffer_records: int,
     pool_kind: str = "thread",
     splitters: np.ndarray | None = None,
-    cuts: "list[np.ndarray] | None" = None,
     wrap_device=None,
 ):
     """Merge spilled runs into a *consumer stream*, partitions in parallel.
@@ -513,7 +478,7 @@ def sharded_stream_merge(
     whole stream or degrades to the serial merge).
     """
     check_pool_kind(pool_kind)
-    splitters, cuts = _cut_sources(sources, n_partitions, splitters, cuts)
+    splitters, cuts = _cut_sources(sources, n_partitions, splitters)
     n_parts = len(splitters) + 1
     emitter = _PairEmitter(rec_dtype, buffer_records)
     session = ShardedDisk(

@@ -53,7 +53,7 @@ import numpy as np
 
 from ..core.lsm import CoconutLSM
 from ..summaries.sax import SAXConfig
-from ..indexes.base import BuildReport, QueryBatch
+from ..indexes.base import BuildReport, QueryBatch, check_k
 from ..parallel.heal import RetryPolicy
 from ..parallel.sched import run_sims_query_batch
 from ..storage.disk import PageError, SimulatedDisk
@@ -543,8 +543,7 @@ class CoconutService:
         # touching admission accounting.
         if mode not in ("exact", "approximate"):
             raise ValueError(f"mode must be exact|approximate, got {mode!r}")
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
+        k = check_k(k)
         if mode == "approximate" and k != 1:
             raise ValueError("approximate requests answer 1-NN only")
         query = np.asarray(query, dtype=np.float64).ravel()

@@ -11,14 +11,6 @@ from .bufferpool import BufferPool
 from .cost import SSD_COST, UNIFORM_COST, CostModel, DiskStats
 from .disk import DiskShard, PageError, ShardedDisk, SimulatedDisk
 from .external_sort import ExternalSorter, SortReport, sort_to_arrays
-from .fence import (
-    RunFence,
-    build_run_fence,
-    fenced_cut_positions,
-    page_record_starts,
-    read_run_fence,
-    write_run_fence,
-)
 from .faults import (
     CorruptionError,
     DeviceCrash,
@@ -72,24 +64,18 @@ __all__ = [
     "PagedFile",
     "RawSeriesFile",
     "RunCursor",
-    "RunFence",
     "Scrubber",
     "ScrubReport",
     "SimulatedDisk",
     "SortReport",
     "SSD_COST",
     "UNIFORM_COST",
-    "build_run_fence",
     "checksum_page",
     "decay_bit",
-    "fenced_cut_positions",
     "merge_pair",
     "merge_presorted",
     "merge_stream",
-    "page_record_starts",
-    "read_run_fence",
     "single_bit_syndromes",
     "sort_to_arrays",
     "verify_view",
-    "write_run_fence",
 ]

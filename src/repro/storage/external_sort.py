@@ -76,17 +76,12 @@ class _SpillRun:
     ``keys`` is the run's in-memory key mirror, retained only when the
     sharded parallel cascade needs it for splitter sampling and exact
     record-level cuts (the sortable summarizations are what "in general
-    fit in main memory"); the serial cascade carries ``None``.  With
-    ``cut_planning="fence"`` the mirror is dropped too — ``fence``
-    holds the per-page zone map (:class:`repro.storage.fence.RunFence`,
-    also persisted as the run's footer) that plans the same cuts from
-    two keys per page plus boundary-page reads.
+    fit in main memory"); the serial cascade carries ``None``.
     """
 
     file: PagedFile
     n_records: int
     keys: np.ndarray | None = None
-    fence: object | None = None
 
 
 def _record_dtype(keys: np.ndarray, payloads: np.ndarray) -> np.dtype:
@@ -114,28 +109,16 @@ class ExternalSorter:
         memory_bytes: int,
         merge_workers: int | None = 1,
         pool_kind: str = "thread",
-        cut_planning: str = "mirror",
     ):
         # Lazy import: repro.parallel pulls in the index layer.
         from ..parallel.pool import check_pool_kind, resolve_workers
 
         if memory_bytes <= 0:
             raise ValueError(f"memory_bytes must be positive, got {memory_bytes}")
-        if cut_planning not in ("mirror", "fence"):
-            raise ValueError(
-                "cut_planning must be 'mirror' or 'fence', "
-                f"got {cut_planning!r}"
-            )
         self.disk = disk
         self.memory_bytes = memory_bytes
         self.merge_workers = resolve_workers(merge_workers)
         self.pool_kind = check_pool_kind(pool_kind)
-        #: How the sharded cascade plans its splitter cuts: ``"mirror"``
-        #: keeps each run's full key column resident (free planning),
-        #: ``"fence"`` persists a per-page zone map in the run footer
-        #: and plans the *identical* cuts from it with a few charged
-        #: boundary-page reads (:mod:`repro.storage.fence`).
-        self.cut_planning = cut_planning
         self.report = SortReport()
 
     def sort(
@@ -215,49 +198,17 @@ class ExternalSorter:
             block["v"] = payloads[start:stop][order]
             run = PagedFile(self.disk, name=f"sort-run-{len(runs)}")
             run.write_stream(block.tobytes())
-            runs.append(self._spill_run(run, sorted_keys, rec_dtype))
+            runs.append(self._spill_run(run, sorted_keys))
         self.report.n_runs = len(runs)
         self.report.spilled = True
         self.report.run_pages = sum(run.file.n_pages for run in runs)
         return self._merge_spilled(runs, rec_dtype, mem_records)
 
-    def _spill_run(
-        self, file: PagedFile, sorted_keys: np.ndarray, rec_dtype: np.dtype
-    ) -> _SpillRun:
-        """Wrap a freshly written run with its cut-planning metadata."""
-        n = len(sorted_keys)
+    def _spill_run(self, file: PagedFile, sorted_keys: np.ndarray) -> _SpillRun:
+        """Wrap a freshly written run, with its key mirror when sharded."""
         if not self._parallel_spill:
-            return _SpillRun(file, n)
-        if self.cut_planning == "fence":
-            from .fence import write_run_fence
-
-            fence = write_run_fence(file, sorted_keys, rec_dtype.itemsize)
-            return _SpillRun(file, n, keys=None, fence=fence)
-        return _SpillRun(file, n, keys=sorted_keys)
-
-    def _plan_cuts(self, group: list[_SpillRun], rec_dtype: np.dtype):
-        """Fence-mode splitters and exact cuts for one cascade group.
-
-        Splitters are sampled from the fences' per-page ``hi`` keys
-        (every sample is a real record key, including each run's tail)
-        and the cuts resolve with boundary-page planning reads on the
-        parent device — identical positions to cutting the full key
-        mirrors (:mod:`repro.storage.fence`).  Mirror mode returns
-        ``(None, None)``: the sharded merge plans from the mirrors.
-        """
-        if self.cut_planning != "fence":
-            return None, None
-        from ..parallel.merge import sample_splitters
-        from .fence import fenced_cut_positions
-
-        splitters = sample_splitters(
-            [run.fence.hi for run in group], self.merge_workers
-        )
-        cuts = [
-            fenced_cut_positions(run.file, run.fence, splitters, rec_dtype)
-            for run in group
-        ]
-        return splitters, cuts
+            return _SpillRun(file, len(sorted_keys))
+        return _SpillRun(file, len(sorted_keys), keys=sorted_keys)
 
     def _merge_spilled(
         self,
@@ -265,9 +216,7 @@ class ExternalSorter:
         rec_dtype: np.dtype,
         mem_records: int,
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        parallel = self._parallel_spill and all(
-            run.keys is not None or run.fence is not None for run in runs
-        )
+        parallel = self._parallel_spill
         # Cascade until one merge pass suffices.  The grouping — and
         # with it the SortReport — is the same for the serial and the
         # sharded cascade.
@@ -298,7 +247,6 @@ class ExternalSorter:
             # shapes the serial merge would have yielded.
             from ..parallel.spill import sharded_stream_merge
 
-            splitters, cuts = self._plan_cuts(runs, rec_dtype)
             buffer_records = max(1, mem_records // (len(runs) + 1))
             return sharded_stream_merge(
                 self.disk,
@@ -307,8 +255,6 @@ class ExternalSorter:
                 n_partitions=self.merge_workers,
                 buffer_records=buffer_records,
                 pool_kind=self.pool_kind,
-                splitters=splitters,
-                cuts=cuts,
             )
         return self._merge_runs(runs, rec_dtype, mem_records)
 
@@ -360,7 +306,6 @@ class ExternalSorter:
         # merging.  The I/O *plan* therefore depends on the worker
         # count only through the splitters.
         buffer_records = max(1, mem_records // (len(group) + 1))
-        splitters, cuts = self._plan_cuts(group, rec_dtype)
         result = sharded_spill_merge(
             self.disk,
             [(run.file, run.n_records, run.keys) for run in group],
@@ -368,23 +313,9 @@ class ExternalSorter:
             n_partitions=self.merge_workers,
             buffer_records=buffer_records,
             pool_kind=self.pool_kind,
-            splitters=splitters,
-            cuts=cuts,
             collect="keys",
             out_name=name,
         )
-        if self.cut_planning == "fence":
-            # The merged keys exist transiently to fence the output run
-            # for the next pass; the resident state between passes is
-            # the zone map, not the mirror.
-            from .fence import write_run_fence
-
-            fence = write_run_fence(
-                result.file, result.keys, rec_dtype.itemsize
-            )
-            return _SpillRun(
-                result.file, result.n_records, keys=None, fence=fence
-            )
         return _SpillRun(result.file, result.n_records, result.keys)
 
     def _merge_runs(
@@ -445,7 +376,7 @@ class ExternalSorter:
             block["v"] = payloads
             run = PagedFile(self.disk, name=f"sort-run-{len(files)}")
             run.write_stream(block.tobytes())
-            files.append(self._spill_run(run, keys, rec_dtype))
+            files.append(self._spill_run(run, keys))
         self.report.run_pages = sum(run.file.n_pages for run in files)
         return self._merge_spilled(files, rec_dtype, mem_records)
 

@@ -14,6 +14,7 @@ import pytest
 
 from repro import QueryBatch, RawSeriesFile, SerialScan, SimulatedDisk, make_dataset
 from repro.core import CoconutLSM, CoconutTree, CoconutTrie
+from repro.indexes import ADSIndex, DSTree, ISAX2Index, RTreeIndex
 from repro.series import query_workload
 from repro.summaries import SAXConfig
 
@@ -133,7 +134,6 @@ def test_query_batch_validation():
 
 def test_default_loop_fallback_agrees(workload):
     """Indexes without a shared-scan override use the per-query loop."""
-    from repro import ADSIndex
     from repro.bench.harness import default_config
 
     disk, raw, queries, oracle = workload
@@ -149,7 +149,6 @@ def test_default_loop_fallback_agrees(workload):
 def test_default_knn_fallback_matches_oracle(workload):
     """Indexes without a SIMS k-NN override fall back to a ground-truth
     scan of the raw file (regression: they used to raise for k > 1)."""
-    from repro import ADSIndex
     from repro.bench.harness import default_config
 
     disk, raw, queries, oracle = workload
@@ -182,10 +181,20 @@ def test_oversized_batch_splits_without_changing_answers(workload, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# The edge contract, once, for every SIMS-backed variant and every way
-# of asking: empty index, k > n, tying (duplicate / constant) series.
+# The edge contract, once, for every index and every way of asking:
+# empty index, k > n, tying (duplicate / constant) series.
 # ----------------------------------------------------------------------
 COCONUT = sorted(set(INDEX_MAKERS) - {"Serial"})
+
+# The baselines answer through the base class's per-query loop.
+# (VerticalIndex is left out: it needs a power-of-two series length.)
+BASELINE_MAKERS = {
+    "ADS+": lambda disk: ADSIndex(disk, MEMORY, config=CONFIG, leaf_size=32),
+    "iSAX2.0": lambda disk: ISAX2Index(disk, MEMORY, config=CONFIG, leaf_size=32),
+    "DSTree": lambda disk: DSTree(disk, MEMORY, leaf_size=32),
+    "R-tree": lambda disk: RTreeIndex(disk, MEMORY, leaf_size=32),
+}
+EDGE = COCONUT + sorted(BASELINE_MAKERS) + ["Serial"]
 
 
 def _knn_per_query(index, queries, k):
@@ -210,7 +219,7 @@ STYLES = {
 
 def _index_over(name, data):
     disk = SimulatedDisk(page_size=2048)
-    index = INDEX_MAKERS[name](disk)
+    index = {**INDEX_MAKERS, **BASELINE_MAKERS}[name](disk)
     index.build(RawSeriesFile.create(disk, np.asarray(data, dtype=np.float32)))
     return index
 
@@ -221,7 +230,7 @@ def _true_distances(query, rows):
 
 
 @pytest.mark.parametrize("style", STYLES)
-@pytest.mark.parametrize("name", COCONUT)
+@pytest.mark.parametrize("name", EDGE)
 def test_empty_index_answers_no_match(name, style):
     queries = query_workload("randomwalk", 2, length=48, seed=5)
     index = _index_over(name, np.empty((0, 48)))
@@ -252,7 +261,7 @@ def test_empty_tree_accepts_inserts(materialized):
 
 
 @pytest.mark.parametrize("style", STYLES)
-@pytest.mark.parametrize("name", COCONUT)
+@pytest.mark.parametrize("name", EDGE)
 def test_k_larger_than_n_returns_every_series_in_order(name, style):
     rows = make_dataset("randomwalk", 3, length=48, seed=7)
     queries = query_workload("randomwalk", 2, length=48, seed=7)
@@ -277,7 +286,7 @@ def _tying_datasets():
 
 @pytest.mark.parametrize("style", STYLES)
 @pytest.mark.parametrize("dataset", ["identical", "constant", "duplicates"])
-@pytest.mark.parametrize("name", COCONUT)
+@pytest.mark.parametrize("name", EDGE)
 def test_tying_series_give_k_distinct_nearest(name, dataset, style):
     """``k`` distinct ids at the brute-force k-NN distances (all 0 here).
 

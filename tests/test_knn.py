@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_sax import reference_mindist_paa_to_words
 
-from repro import QueryBatch, make_dataset
+from repro import CoconutService, QueryBatch, SerialScan, make_dataset
 from repro.core import CoconutLSM, CoconutTree, CoconutTrie
 from repro.core.knn import _BoundedMaxHeap, sims_knn_scan
 from repro.core.summary_column import WordColumn
@@ -64,6 +64,68 @@ def test_heap_deduplicates_identifiers():
 def test_heap_rejects_bad_k():
     with pytest.raises(ValueError):
         _BoundedMaxHeap(0)
+
+
+# ---------------------------------------------------------------- k
+@pytest.fixture(scope="module")
+def k_entry_points():
+    """name -> (disk, ask(k)) for every entry point that takes a ``k``."""
+    disk = SimulatedDisk(page_size=2048)
+    data = random_walk(300, length=64, seed=3)
+    raw = RawSeriesFile.create(disk, data)
+    query = data[0].astype(np.float64)
+    indexes = {
+        "CTree": CoconutTree(disk, 1 << 20, config=CONFIG, leaf_size=32),
+        "CTrie": CoconutTrie(disk, 1 << 20, config=CONFIG, leaf_size=32),
+        "LSM": CoconutLSM(disk, 1 << 20, config=CONFIG),
+        "Serial": SerialScan(disk, 1 << 20),
+    }
+    entries = {}
+    for name, index in indexes.items():
+        index.build(raw)
+        entries[name] = (disk, lambda k, index=index: index.exact_knn(query, k))
+    entries["QueryBatch"] = (
+        disk, lambda k: QueryBatch(queries=query[None, :], k=k)
+    )
+    service_disk = SimulatedDisk(page_size=2048)
+    service = CoconutService(
+        service_disk, RawSeriesFile.create(service_disk, data), 1 << 20,
+        sax_config=CONFIG,
+    )
+    service.bootstrap()
+    entries["Service"] = (service_disk, lambda k: service.submit(query, k=k))
+    return entries, service
+
+
+K_ENTRIES = ["CTree", "CTrie", "LSM", "Serial", "QueryBatch", "Service"]
+
+
+@pytest.mark.parametrize("k", [0, -2, 2.5, 3.0, "3", None, True])
+@pytest.mark.parametrize("entry", K_ENTRIES)
+def test_k_must_be_an_integer_of_at_least_one(k_entry_points, entry, k):
+    """Refused with ``ValueError`` before a page is read or a ticket is
+    admitted (a ``k=2.5`` ticket used to kill the serving thread)."""
+    entries, service = k_entry_points
+    disk, ask = entries[entry]
+    before, submitted = disk.snapshot(), service.stats_snapshot()["submitted"]
+    with pytest.raises(ValueError, match="k must be an integer"):
+        ask(k)
+    assert disk.snapshot() == before
+    assert service.stats_snapshot()["submitted"] == submitted
+
+
+@pytest.mark.parametrize("entry", K_ENTRIES)
+def test_numpy_integer_k_is_accepted(k_entry_points, entry):
+    entries, service = k_entry_points
+    _, ask = entries[entry]
+    got = ask(np.int64(3))
+    if entry == "QueryBatch":
+        assert got.k == 3 and type(got.k) is int
+    elif entry == "Service":
+        service.serve_pending()
+        assert got.status == "served" and len(got.knn_ids) == 3
+    else:
+        assert len(got.answer_ids) == 3
 
 
 def reference_offer_block(heap, distances, identifiers):
@@ -276,7 +338,6 @@ def test_exact_batches_visit_and_answer_as_the_reference_kernels_do(name):
             QueryBatch(queries=queries, k=k),
             query_workers=workers,
             query_pool_kind="serial",
-            bound_sharing="off",
         )
         return (
             report.knn_ids,

@@ -142,18 +142,14 @@ def test_parallel_query_stats_match_serial_replay(name, workload):
     # runs first) and park the head before each run so the first
     # access of both runs classifies from the same position.
     index.query_batch(batch)
-    # With bound sharing on, pooled I/O depends on publish interleaving
-    # (answers do not) — the stats pin is quantified over sharing off.
     for workers in WORKER_COUNTS:
         disk.park_head()
         replay = index.query_batch(
-            batch, query_workers=workers, query_pool_kind="serial",
-            bound_sharing="off",
+            batch, query_workers=workers, query_pool_kind="serial"
         )
         disk.park_head()
         pooled = index.query_batch(
-            batch, query_workers=workers, query_pool_kind="thread",
-            bound_sharing="off",
+            batch, query_workers=workers, query_pool_kind="thread"
         )
         assert pooled.io == replay.io, (name, workers)
         assert pooled.simulated_io_ms == replay.simulated_io_ms

@@ -9,17 +9,20 @@
   exactly ``("thread", "serial")`` and refuses the deleted ``"process"``
   / ``"auto"`` (and nonsense) with ``ValueError`` up front.
 * **One ``workers`` convention** — ``None`` / ``0`` / negative mean all
-  cores at every entry point, ``n >= 1`` means ``n``.
+  cores at every entry point, ``n >= 1`` means ``n``, and a value that
+  is not an integer (``2.5``, ``"2"``) is a ``ValueError``.
 * **Negative pins** — the deleted choosers, config fields and
   constructor parameters stay deleted.
 """
 
+import inspect
 import os
 
 import numpy as np
 import pytest
 
 import repro.parallel
+import repro.storage
 from repro import (
     CoconutService,
     CoconutTree,
@@ -31,7 +34,11 @@ from repro import (
     random_walk,
 )
 from repro.core import CoconutLSM, CoconutTrie
+from repro.core.sims import SIMSIndex
+from repro.indexes.base import SeriesIndex
+from repro.indexes.serial import SerialScan
 from repro.parallel import parallel_merge_runs, pool, resolve_workers
+from repro.parallel.sched import plan_query_batch
 from repro.parallel.spill import sharded_spill_merge, sharded_stream_merge
 from repro.storage import ExternalSorter
 from repro.summaries import SAXConfig
@@ -164,10 +171,17 @@ WORKER_ENTRY_POINTS = {
 @pytest.mark.parametrize("entry", sorted(WORKER_ENTRY_POINTS))
 @pytest.mark.parametrize(
     "requested,expected",
-    [(None, ALL_CORES), (0, ALL_CORES), (-1, ALL_CORES), (1, 1), (3, 3)],
+    [
+        (None, ALL_CORES), (0, ALL_CORES), (-1, ALL_CORES), (1, 1), (3, 3),
+        (2.5, ValueError), ("2", ValueError),
+    ],
 )
 def test_one_workers_convention(entry, requested, expected):
-    assert WORKER_ENTRY_POINTS[entry](requested) == expected
+    if expected is ValueError:
+        with pytest.raises(ValueError, match="workers"):
+            WORKER_ENTRY_POINTS[entry](requested)
+    else:
+        assert WORKER_ENTRY_POINTS[entry](requested) == expected
 
 
 @pytest.mark.parametrize("requested", [None, 0, -1, 1, 3])
@@ -197,9 +211,21 @@ def test_removed_names_fields_and_parameters_stay_removed():
         "choose_pool_kind_for_bytes",
         "AUTO_POOL_THREAD_BYTES",
         "calibrate_query_costs",
+        "SharedBoundBoard",
+        "parallel_approx_batch",
     ):
         assert name not in repro.parallel.__all__
         assert not hasattr(repro.parallel, name)
+    for name in (
+        "RunFence",
+        "build_run_fence",
+        "fenced_cut_positions",
+        "page_record_starts",
+        "read_run_fence",
+        "write_run_fence",
+    ):
+        assert name not in repro.storage.__all__
+        assert not hasattr(repro.storage, name)
     for field in ("query_pool_kind", "scheduler", "bound_sharing"):
         with pytest.raises(TypeError):
             ServiceConfig(**{field: "thread"})
@@ -207,3 +233,23 @@ def test_removed_names_fields_and_parameters_stay_removed():
     raw = RawSeriesFile.create(disk, DATA[:50])
     with pytest.raises(TypeError):
         CoconutService(disk, raw, 4096, lsm_pool_kind="thread")
+    # Bound sharing, fence-planned cuts and precomputed cuts: deleted.
+    index = CoconutTree(disk, 1 << 20, config=CONFIG)
+    index.build(raw)
+    batch = QueryBatch(queries=DATA[:2], k=1)
+    for cls in (SeriesIndex, SerialScan, SIMSIndex):
+        params = inspect.signature(cls.query_batch).parameters
+        assert list(params) == [
+            "self", "batch", "query_workers", "query_pool_kind",
+        ], cls
+        with pytest.raises(TypeError):
+            cls.query_batch(index, batch, bound_sharing="off")
+    with pytest.raises(TypeError):
+        plan_query_batch(batch, index, bound_sharing="off")
+    with pytest.raises(TypeError):
+        ExternalSorter(disk, 4096, cut_planning="mirror")
+    rec_dtype = np.dtype([("k", "S4"), ("v", "<i8")])
+    with pytest.raises(TypeError):
+        sharded_spill_merge(disk, [], rec_dtype, 2, 16, cuts=[])
+    with pytest.raises(TypeError):
+        next(sharded_stream_merge(disk, [], rec_dtype, 2, 16, cuts=[]))

@@ -22,7 +22,7 @@ import pytest
 from repro.core.lsm import CoconutLSM
 from repro.indexes.base import QueryBatch
 from repro.indexes.serial import SerialScan
-from repro.parallel.heal import run_self_healing
+from repro.parallel.heal import RetryPolicy, run_self_healing
 from repro.parallel.merge import parallel_merge_runs
 from repro.parallel.query import (
     parallel_serial_scan_batch,
@@ -89,7 +89,8 @@ def test_retries_transients_then_succeeds():
             raise TransientIOError("flaky")
         return "done"
 
-    assert run_self_healing(attempt, retries=2, backoff_s=0.0) == "done"
+    policy = RetryPolicy(retries=2, backoff_s=0.0)
+    assert run_self_healing(attempt, policy=policy) == "done"
     assert calls == [0, 1, 2]
 
 
@@ -100,7 +101,8 @@ def test_nontransient_goes_straight_to_fallback():
         calls.append(i)
         raise PermanentIOError("dead sector")
 
-    assert run_self_healing(attempt, fallback=lambda: "serial", backoff_s=0.0) == "serial"
+    policy = RetryPolicy(backoff_s=0.0)
+    assert run_self_healing(attempt, fallback=lambda: "serial", policy=policy) == "serial"
     assert calls == [0]
 
 
@@ -108,8 +110,7 @@ def test_without_fallback_the_fault_propagates():
     with pytest.raises(DeviceCrash):
         run_self_healing(
             lambda i: (_ for _ in ()).throw(DeviceCrash("halt")),
-            retries=1,
-            backoff_s=0.0,
+            policy=RetryPolicy(retries=1, backoff_s=0.0),
         )
 
 
@@ -243,7 +244,7 @@ def test_spill_merge_fault_mid_merge_unfences_parent():
     with pytest.raises(PermanentIOError):
         sharded_spill_merge(
             disk, sources, rec_dtype, 3, 64,
-            wrap_device=permanent_wrap, heal_retries=1,
+            wrap_device=permanent_wrap, heal_policy=RetryPolicy(retries=1),
         )
     # the failed merge left the parent live and allocatable
     disk.allocate(1)
@@ -307,8 +308,6 @@ def test_shape_mismatch_is_not_healed_into_silence():
 # RetryPolicy + HealReport (the service's healing surface)
 # ----------------------------------------------------------------------
 def test_retry_policy_delay_is_capped_doubling():
-    from repro.parallel.heal import RetryPolicy
-
     policy = RetryPolicy(retries=5, backoff_s=0.01, backoff_cap_s=0.03)
     assert [policy.delay(i) for i in range(4)] == [0.01, 0.02, 0.03, 0.03]
     with pytest.raises(ValueError):
@@ -318,8 +317,6 @@ def test_retry_policy_delay_is_capped_doubling():
 
 
 def test_explicit_policy_drives_attempt_budget():
-    from repro.parallel.heal import RetryPolicy
-
     calls = []
 
     def attempt(i):
@@ -334,25 +331,28 @@ def test_explicit_policy_drives_attempt_budget():
 
 
 def test_legacy_kwargs_override_policy_fields():
-    from repro.parallel.heal import RetryPolicy
-
+    """The legacy keywords are gone: a policy is a ``RetryPolicy``."""
     calls = []
 
     def attempt(i):
         calls.append(i)
         raise TransientIOError("always")
 
-    with pytest.raises(TransientIOError):
-        run_self_healing(
-            attempt,
-            retries=1,  # overrides the policy's 5
-            policy=RetryPolicy(retries=5, backoff_s=0.0),
+    for legacy in ({"retries": 1}, {"backoff_s": 0.0}, {"backoff_cap_s": 0.0}):
+        with pytest.raises(TypeError):
+            run_self_healing(
+                attempt, policy=RetryPolicy(retries=5, backoff_s=0.0), **legacy
+            )
+    with pytest.raises(TypeError):
+        sharded_spill_merge(
+            SimulatedDisk(page_size=PAGE), [], np.dtype([("k", "S8")]), 2, 64,
+            heal_retries=1,
         )
-    assert calls == [0, 1]
+    assert calls == []
 
 
 def test_heal_report_accumulates_across_calls():
-    from repro.parallel.heal import HealReport, RetryPolicy
+    from repro.parallel.heal import HealReport
 
     report = HealReport()
     policy = RetryPolicy(retries=2, backoff_s=0.0)

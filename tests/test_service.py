@@ -192,6 +192,27 @@ def test_wrong_length_or_non_finite_query_is_refused_and_the_server_lives():
     assert_conservation(svc)
 
 
+def test_non_integer_k_is_refused_and_the_server_lives():
+    """``k=2.5`` used to be admitted and kill the serving thread in
+    ``np.partition``: every later ticket stayed ``queued`` forever."""
+    _, _, svc = make_service(ServiceConfig(batch_window_s=0.001))
+    svc.start()
+    try:
+        for bad in (2.5, 3.0):
+            with pytest.raises(ValueError):
+                svc.submit(QUERIES[0], k=bad)
+        assert svc.stats_snapshot()["submitted"] == 0
+        ticket = svc.submit(QUERIES[1], k=3)
+        assert ticket.wait(timeout=30.0)
+        assert svc._thread.is_alive()
+        assert ticket.status == "served"
+        oracle = svc._lsm.exact_knn(QUERIES[1], 3)
+        assert list(ticket.knn_ids) == list(oracle.answer_ids)
+    finally:
+        svc.stop()
+    assert_conservation(svc)
+
+
 def test_deadline_expired_in_queue_is_shed():
     clock = ManualClock()
     _, _, svc = make_service(clock=clock)
@@ -364,15 +385,15 @@ def test_served_heaps_are_seeded_with_every_probe_distance(memtable_rows):
 
 def test_probe_hand_over_is_per_query_on_pool_workers():
     """Each result carries its own probe's arrays — nothing shared —
-    when the probes run on ``query_workers = 2`` pool threads."""
-    from repro.parallel.sched import parallel_approx_batch
-
+    when the batch is asked for at ``query_workers = 2`` (approximate
+    batches run the one shared-probe pass at any worker count)."""
     _, _, svc = make_service(ServiceConfig(query_workers=2))
     svc.ingest(EXTRA[:60])
     view = svc.current_snapshot().frozen_view()
     queries = np.concatenate([QUERIES, EXTRA[:8].astype(np.float64)])
     batch = QueryBatch(queries=queries, k=1, mode="approximate")
-    report = parallel_approx_batch(view, batch, workers=2)
+    report = view.query_batch(batch, query_workers=2)
+    assert report.plan.workers == 1
     for query, result in zip(queries, report.results):
         best_idx, best_dist, offsets, distances = view._approximate_one(query)
         assert (result.answer_idx, result.distance) == (best_idx, best_dist)
