@@ -78,7 +78,9 @@ class _BoundedMaxHeap:
         """Offer one refined block; same heap as offering it row by row.
 
         Rows above the current threshold cannot enter a full heap
-        (thresholds only shrink).  Of the rest, only the
+        (thresholds only shrink); a block offered to a short heap has
+        already lost, in :func:`refine_block`, the rows whose bound
+        rules them out.  Of the rest, only the
         ``k + len(heap)`` lexicographically smallest ``(distance, id)``
         pairs are offered, in block order: at most ``len(heap)`` of
         them revisit an identifier the heap holds, which leaves the
@@ -132,6 +134,54 @@ class _BoundedMaxHeap:
         return sorted((-d, -i) for d, i in self._heap)
 
 
+#: Lowest-bound rows :func:`refine_block` refines to find a threshold
+#: while the heap it feeds is short of k entries.
+REFINE_FIRST_ROWS = 64
+
+
+def refine_block(
+    query: np.ndarray,
+    series: np.ndarray,
+    identifiers: np.ndarray,
+    rows: np.ndarray,
+    bounds: np.ndarray,
+    heap: _BoundedMaxHeap,
+) -> None:
+    """Offer the distances of ``series[rows]`` to ``heap`` in one offer.
+
+    ``rows`` are ascending distinct positions into ``series``,
+    ``identifiers`` and ``bounds``, the lower bound of every fetched
+    row.  While the heap is short of k entries its threshold is ``inf``
+    and prunes nothing, so a block of more than
+    :data:`REFINE_FIRST_ROWS` rows first refines that many
+    lowest-bound rows: their k-th best distance is a threshold the heap
+    will reach, and only the rows whose bound is ``<=`` it are refined
+    and offered (``<=`` keeps a row that may tie the k-th distance at a
+    smaller id).  Otherwise every row is.
+
+    The heap ends as if every row had been offered: distances are
+    row-wise, so a row refined twice gets the same bits; a row whose
+    bound exceeds a threshold the heap reaches has a distance above it
+    and can never be retained; and the rows still go to
+    :meth:`_BoundedMaxHeap.offer_block` together, in storage order.
+    """
+    if heap.threshold == float("inf") and heap.k <= REFINE_FIRST_ROWS < len(rows):
+        row_bounds = bounds[rows]
+        first = np.argpartition(row_bounds, REFINE_FIRST_ROWS)[:REFINE_FIRST_ROWS]
+        distances = early_abandon_euclidean_block(
+            query, series[rows[first]], float("inf")
+        )
+        reached = np.partition(distances, heap.k - 1)[heap.k - 1]
+        rows = rows[row_bounds <= reached]
+    if len(rows) < len(series):  # else ``rows`` is every row, in order
+        series, identifiers = series[rows], identifiers[rows]
+    # A row the kernel abandons (``inf``) has distance strictly above
+    # the threshold, so its offer was doomed anyway (thresholds only
+    # shrink).
+    distances = early_abandon_euclidean_block(query, series, heap.threshold)
+    heap.offer_block(distances, identifiers)
+
+
 def seeded_sims_knn(index, query: np.ndarray, k: int, prepare) -> KNNOutcome:
     """Shared exact-kNN wrapper for SIMS-backed indexes.
 
@@ -171,7 +221,9 @@ def sims_knn_scan(
     """Exact k-NN via the skip-sequential summary scan.
 
     ``seed_distances`` are (distance, id) pairs from an approximate
-    pass; they tighten the pruning bound from the start.
+    pass; they tighten the pruning bound from the start.  Each fetched
+    block is refined by :func:`refine_block`: lowest bounds first while
+    the heap is short of k, then only the rows that can still enter.
     """
     query = np.asarray(query, dtype=np.float64).ravel()
     heap = _BoundedMaxHeap(k)
@@ -187,14 +239,11 @@ def sims_knn_scan(
         if len(block) == 0:
             continue
         series, identifiers = fetch(block)
-        # A row the kernel abandons (``inf``) has distance strictly
-        # above the block-start threshold, so its offer was doomed
-        # anyway (thresholds only shrink within a block).
-        distances = early_abandon_euclidean_block(
-            query, series, heap.threshold
+        refine_block(
+            query, series, identifiers, np.arange(len(block)),
+            mindists[block], heap,
         )
         visited += len(block)
-        heap.offer_block(distances, identifiers)
     items = heap.sorted_items()
     n = len(column)
     return KNNOutcome(

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.knn import KNNOutcome, _BoundedMaxHeap
+from ..core.knn import KNNOutcome, _BoundedMaxHeap, refine_block
 from ..core.sims import SIMS_BLOCK_RECORDS
 from ..core.summary_column import WordColumn
 from ..indexes.base import BatchReport, Measurement, QueryResult
-from ..series.distance import early_abandon_euclidean_block
 from ..summaries.paa import paa
 from ..summaries.sax import SAXConfig
 
@@ -107,19 +106,23 @@ def walk_candidate_blocks(
     Walks ``candidates`` (ascending positions into ``mindists``
     columns) block by block: thresholds shrink as true distances come
     in, so each block is re-filtered per query before the union of
-    survivors is fetched once.  Both the serial batched engine and
-    each worker of the parallel engine execute exactly this loop —
-    sharing it is what keeps their pruning rules in lockstep, which
-    the bit-identical-answers contract rests on.
+    survivors is fetched once.  Each query's rows are then refined by
+    :func:`repro.core.knn.refine_block`: lowest bounds first while the
+    query's heap is short of k, then only the rows that can still
+    enter.  Both the serial batched engine and each worker of the
+    parallel engine execute exactly this loop — sharing it is what
+    keeps their pruning rules in lockstep, which the bit-identical-
+    answers contract rests on.
     """
     n_queries = len(queries)
     visited = np.zeros(n_queries, dtype=np.int64)
     for start in range(0, len(candidates), block_records):
         block = candidates[start : start + block_records]
         thresholds = np.array([heap.threshold for heap in heaps])
-        need = mindists[:, block] < thresholds[:, None]
+        bounds = mindists[:, block]
+        need = bounds < thresholds[:, None]
         alive = need.any(axis=0)
-        block, need = block[alive], need[:, alive]
+        block, bounds, need = block[alive], bounds[:, alive], need[:, alive]
         if len(block) == 0:
             continue
         series, identifiers = fetch(block)
@@ -127,14 +130,10 @@ def walk_candidate_blocks(
             rows = np.nonzero(need[i])[0]
             if len(rows) == 0:
                 continue
-            # Refine against this query's block-start threshold: a
-            # row at ``inf`` sits strictly above it, so its offer was
-            # doomed however the threshold shrinks within the block.
-            distances = early_abandon_euclidean_block(
-                queries[i], series[rows], thresholds[i]
-            )
+            # Every row fetched for query ``i`` counts as visited, even
+            # one ``refine_block`` proves useless without a distance.
+            refine_block(queries[i], series, identifiers, rows, bounds[i], heaps[i])
             visited[i] += len(rows)
-            heaps[i].offer_block(distances, identifiers[rows])
     return visited
 
 

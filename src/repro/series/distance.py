@@ -114,7 +114,9 @@ def early_abandon_euclidean_block(
     obligation to abandon anything.  Every consumer takes an ``argmin``
     against its bound or feeds ``offer_block``, which drops rows above
     the threshold itself, so answers and tie order cannot depend on
-    which rows come back ``inf``.
+    which rows come back ``inf``.  ``best_so_far`` is the caller's
+    threshold at the call; :func:`repro.core.knn.refine_block` may call
+    twice for one fetched block, first on its lowest-bound rows.
 
     The body is one :func:`euclidean_batch` pass that abandons nothing:
     the lower-bound filter upstream has already removed the rows a

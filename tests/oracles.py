@@ -13,6 +13,7 @@ oracle                     production callable it pins            pinned in
 ``argsort_merge``          ``repro.storage.merge.merge_presorted``  ``test_merge_engine.py``
 ``loop_get_many``          ``RawSeriesFile.get_many``             ``test_fetch_oracle.py``
 ``loop_read_pages``        ``read_pages`` (native and adapter)    ``test_fetch_oracle.py``
+``refine_every_row``       ``repro.core.knn.refine_block``        ``test_refine_order.py``
 =========================  =====================================  ======================
 """
 
@@ -20,6 +21,7 @@ import heapq
 
 import numpy as np
 
+from repro.series.distance import early_abandon_euclidean_block
 from repro.storage import SimulatedDisk
 from repro.storage.disk import _DerivedVerbs
 from repro.storage.merge import _open_cursors
@@ -189,3 +191,15 @@ def loop_get_many(raw, idxs):
     for pos, idx in enumerate(idxs):
         out[pos] = assembled[int(idx)]
     return out
+
+
+# ------------------------------------------------------------------ refine
+def refine_every_row(query, series, identifiers, rows, bounds, heap):
+    """Refine of a fetched block that ignores the lower bounds (same
+    signature as ``refine_block``): one distance per row in ``rows``,
+    against the threshold the heap has before the block, offered in
+    one call in storage order."""
+    distances = early_abandon_euclidean_block(
+        query, series[rows], heap.threshold
+    )
+    heap.offer_block(distances, identifiers[rows])

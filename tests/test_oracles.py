@@ -19,11 +19,14 @@ from oracles import (
     heapq_merge_stream,
     loop_get_many,
     loop_read_pages,
+    refine_every_row,
 )
 from repro import RawSeriesFile, SimulatedDisk
 from repro.core import CoconutTree, CoconutTrie
+from repro.core.knn import _BoundedMaxHeap
 from repro.core.lsm import CoconutLSM
 from repro.parallel.spill import sharded_spill_merge, sharded_stream_merge
+from repro.series import euclidean
 from repro.storage import ExternalSorter, PagedFile, merge_stream
 
 REC = np.dtype([("k", "S2"), ("v", "<i8")])
@@ -131,6 +134,26 @@ def test_loop_read_pages_is_page_at_a_time_reads(store):
     assert [(op, first + i, 1) for op, first, n in looped.trace for i in range(n)] == (
         paged.trace
     )
+
+
+# ------------------------------------------------------------ the refine
+@pytest.mark.parametrize("k", [1, 3, 40])
+def test_refine_every_row_is_the_per_row_offer_loop(k):
+    """Every selected row offered at its plain ``euclidean`` distance,
+    one ``offer`` at a time; duplicated rows tie at the k-th place."""
+    rng = np.random.default_rng(k)
+    series = rng.standard_normal((30, 16)).astype(np.float32)
+    series[10:20] = series[0]
+    identifiers = np.arange(100, 130)
+    query = rng.standard_normal(16)
+    for rows in (np.arange(30), np.array([0, 3, 10, 11, 29]), np.array([], dtype=np.int64)):
+        refined, looped = _BoundedMaxHeap(k), _BoundedMaxHeap(k)
+        refined.offer(0.5, 7)  # a seed outside the block
+        looped.offer(0.5, 7)
+        refine_every_row(query, series, identifiers, rows, None, refined)
+        for row in rows:
+            looped.offer(euclidean(query, series[row]), int(identifiers[row]))
+        assert refined.sorted_items() == looped.sorted_items()
 
 
 # ------------------------------------------------------------ the device
