@@ -4,8 +4,10 @@ On ``bench_e2e``'s configuration (seed 7), alternating pairs time the three
 ``build_rw`` builds at default ``workers=2`` against ``1``, a 64 x k=10
 exact batch and a 64-query approximate batch at ``query_workers=2`` against
 ``1``.  A row is ``median serial / median parallel [min, max pair ratio]``;
-a range straddling 1.0 is unresolved.  Runs unchanged on a parent commit and
-on a change::
+a range straddling 1.0 is unresolved.  Every build asserts the same index for
+any worker count and the same ``DiskStats`` as its inline replay, and every
+batch the same answers at either worker count.  Runs unchanged on a parent
+commit and on a change::
 
     PYTHONPATH=src python benchmarks/bench_pool_evidence.py [reps]
 """
@@ -58,8 +60,8 @@ def main(reps: int) -> None:
         replay = _build(data, materialized, fraction, workers=2, pool_kind="serial")[1]
         # Same index for any worker count; same DiskStats as the inline replay.
         sizes = {(r.n_leaves, r.index_bytes) for r in (one()[1], pooled, replay)}
-        same = len(sizes) == 1 and pooled.io == replay.io
-        print(f"build {name:11s} workers=2 vs 1: {_pairs(one, two, reps)} same_index={same}")
+        assert len(sizes) == 1 and pooled.io == replay.io, f"build {name}: workers=2 diverged"
+        print(f"build {name:11s} workers=2 vs 1: {_pairs(one, two, reps)}")
     for name, dataset, n in [("query_rw", "randomwalk", 15_000), ("query_seismic", "seismic", 4_000)]:
         tree = _build(make_dataset(dataset, n, length=256, seed=7), False, 0.05)[2]
         queries = query_workload(dataset, 64, length=256, seed=7)
@@ -67,8 +69,9 @@ def main(reps: int) -> None:
             batch = QueryBatch(queries, k=k, mode=mode)
             one = lambda: _timed(lambda: tree.query_batch(batch).knn_ids)
             two = lambda: _timed(lambda: tree.query_batch(batch, query_workers=2).knn_ids)
-            print(f"{mode:11s} batch {name:13s} query_workers=2 vs 1: "
-                  f"{_pairs(one, two, reps)} same_answers={one()[1] == two()[1]}")
+            ratio = _pairs(one, two, reps)
+            assert one()[1] == two()[1], f"{mode} batch {name}: query_workers=2 diverged"
+            print(f"{mode:11s} batch {name:13s} query_workers=2 vs 1: {ratio}")
 
 
 if __name__ == "__main__":

@@ -17,8 +17,8 @@ Quickstart::
     result = index.exact_search(random_walk(1, length=256, seed=1)[0])
     print(result.answer_idx, result.distance)
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured reproduction results.
+See docs/PRIOR_ART.md for the system inventory and docs/figures.md for
+the paper-vs-measured reproduction results.
 """
 
 from .core import (

@@ -1,9 +1,4 @@
-"""Plain-text reporting of experiment results in the paper's layout.
-
-Each benchmark prints one table whose rows/series correspond to the
-lines of the paper figure it regenerates, so EXPERIMENTS.md can record
-paper-shape vs. measured-shape side by side.
-"""
+"""Plain-text tables for the scripts under ``benchmarks/``."""
 
 from __future__ import annotations
 

@@ -39,7 +39,8 @@ sharded plan's DiskStats are pinned to its serial replay
 Compare with :class:`repro.core.coconut_tree.CoconutTree.insert_batch`,
 which merges batches straight into the leaf level (cheap for big
 batches, expensive for trickles) — the trade-off the Fig. 10a
-experiment measures and `bench_ablation_lsm_updates.py` revisits.
+experiment measures and the LSM rows of ``tests/test_paper_figures.py``
+revisit.
 """
 
 from __future__ import annotations

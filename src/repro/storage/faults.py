@@ -26,8 +26,8 @@ deterministic under any pool kind.
 vocabulary (``SimulatedDisk``, ``DiskShard``, ``BufferPool``) and
 forwards everything else untouched, so it slots under ``PagedFile``,
 ``BufferPool`` and ``RawSeriesFile`` unchanged.  With ``plan=None``
-the wrapper is pure forwarding — the disabled-hook overhead gated by
-``benchmarks/bench_faults.py``.
+the wrapper is pure forwarding — the disabled hook whose transparency
+``benchmarks/bench_faults.py`` asserts and whose overhead it reports.
 """
 
 from __future__ import annotations
@@ -383,7 +383,7 @@ class FaultyDevice(_DerivedVerbs):
         """One plan decision per run: replayed through the adapter.
 
         With no plan there is nothing to decide and the wrapper stays
-        the pure forwarder ``benchmarks/bench_faults.py`` gates: the
+        the pure forwarder ``benchmarks/bench_faults.py`` measures: the
         request goes to the inner device whole, numbered as the runs
         it stands for.
         """

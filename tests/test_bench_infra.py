@@ -3,17 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.bench import (
-    INDEX_FACTORIES,
-    DatasetSpec,
-    default_config,
-    format_table,
-    make_environment,
-    mixed_workload,
-    run_build_sweep,
-    run_query_experiment,
-    run_update_workload,
-)
+from repro.bench.harness import INDEX_FACTORIES, default_config, make_environment
+from repro.bench.report import format_table
+from repro.bench.workloads import DatasetSpec, mixed_workload
 
 TINY = DatasetSpec("randomwalk", n_series=300, length=64, seed=1)
 
@@ -85,34 +77,6 @@ def test_all_factories_build_and_answer():
         assert got.distance == pytest.approx(want, rel=1e-5), key
 
 
-def test_run_build_sweep_row_schema():
-    rows = run_build_sweep(["CTree"], TINY, [1.0, 0.1])
-    assert len(rows) == 2
-    for row in rows:
-        assert row["index"] == "CTree"
-        assert row["total_s"] >= row["sim_io_s"]
-        assert row["n_leaves"] > 0
-        assert 0 < row["leaf_fill"] <= 1.0
-
-
-def test_run_query_experiment_modes():
-    exact = run_query_experiment(["CTree"], TINY, 3, mode="exact")
-    approx = run_query_experiment(["CTree"], TINY, 3, mode="approximate")
-    assert exact[0]["avg_distance"] <= approx[0]["avg_distance"] + 1e-9
-    assert exact[0]["avg_pruned"] > 0
-
-
-def test_run_update_workload_accumulates_costs():
-    rows = run_update_workload(
-        ["CTree"], TINY, batch_sizes=[50], n_queries=2,
-        memory_fraction=0.5,
-    )
-    row = rows[0]
-    assert row["total_s"] == pytest.approx(
-        row["build_s"] + row["insert_s"] + row["query_s"]
-    )
-
-
 # -------------------------------------------------------------- report
 def test_format_table_alignment_and_values():
     rows = [
@@ -134,26 +98,6 @@ def test_format_table_explicit_columns():
     rows = [{"a": 1, "b": 2}]
     text = format_table(rows, columns=["b"])
     assert "a" not in text.splitlines()[0]
-
-
-def test_parallel_build_sweep_rows():
-    from repro.bench import run_parallel_build_sweep
-
-    rows = run_parallel_build_sweep("CTreeFull", TINY, [1, 2], memory_fraction=2.0)
-    assert [row["workers"] for row in rows] == [1, 2]
-    assert rows[0]["speedup"] == 1.0
-    # Parallelism reorganizes CPU work only: structure and I/O match.
-    assert rows[0]["n_leaves"] == rows[1]["n_leaves"]
-    assert rows[0]["sim_io_s"] == pytest.approx(rows[1]["sim_io_s"])
-
-
-def test_batch_query_experiment_agrees():
-    from repro.bench import run_batch_query_experiment
-
-    rows = run_batch_query_experiment(["CTree", "Serial"], TINY, n_queries=3, k=2)
-    assert {row["index"] for row in rows} == {"CTree", "Serial"}
-    assert all(row["answers_agree"] for row in rows)
-    assert all(row["batched_s"] >= 0 for row in rows)
 
 
 def test_make_environment_workers_threaded_through():

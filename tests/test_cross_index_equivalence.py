@@ -14,7 +14,7 @@ import pytest
 
 from repro import QueryBatch, RawSeriesFile, SerialScan, SimulatedDisk, make_dataset
 from repro.core import CoconutLSM, CoconutTree, CoconutTrie
-from repro.indexes import ADSIndex, DSTree, ISAX2Index, RTreeIndex
+from repro.indexes import ADSIndex, DSTree, ISAX2Index, RTreeIndex, VerticalIndex
 from repro.series import query_workload
 from repro.summaries import SAXConfig
 
@@ -187,14 +187,19 @@ def test_oversized_batch_splits_without_changing_answers(workload, monkeypatch):
 COCONUT = sorted(set(INDEX_MAKERS) - {"Serial"})
 
 # The baselines answer through the base class's per-query loop.
-# (VerticalIndex is left out: it needs a power-of-two series length.)
 BASELINE_MAKERS = {
     "ADS+": lambda disk: ADSIndex(disk, MEMORY, config=CONFIG, leaf_size=32),
     "iSAX2.0": lambda disk: ISAX2Index(disk, MEMORY, config=CONFIG, leaf_size=32),
     "DSTree": lambda disk: DSTree(disk, MEMORY, leaf_size=32),
     "R-tree": lambda disk: RTreeIndex(disk, MEMORY, leaf_size=32),
+    "Vertical": lambda disk: VerticalIndex(disk, MEMORY),
 }
 EDGE = COCONUT + sorted(BASELINE_MAKERS) + ["Serial"]
+
+
+def _length(name):
+    """VerticalIndex's Haar levels need a power-of-two series length."""
+    return 64 if name == "Vertical" else 48
 
 
 def _knn_per_query(index, queries, k):
@@ -232,13 +237,20 @@ def _true_distances(query, rows):
 @pytest.mark.parametrize("style", STYLES)
 @pytest.mark.parametrize("name", EDGE)
 def test_empty_index_answers_no_match(name, style):
-    queries = query_workload("randomwalk", 2, length=48, seed=5)
-    index = _index_over(name, np.empty((0, 48)))
-    assert index.storage_bytes() == 0
+    length = _length(name)
+    queries = query_workload("randomwalk", 2, length=length, seed=5)
+    index = _index_over(name, np.empty((0, length)))
+    # VerticalIndex writes a page for each of its (empty) level files and
+    # counts the levels it scans as visited leaves, plus its seed refine
+    # as one visited record, so only its answers are pinned here.
+    counted = name != "Vertical"
+    if counted:
+        assert index.storage_bytes() == 0
     for query in queries:
         for result in (index.approximate_search(query), index.exact_search(query)):
             assert result.answer_idx == -1 and result.distance == float("inf")
-            assert result.visited_leaves == 0 and result.visited_records == 0
+            if counted:
+                assert result.visited_leaves == 0 and result.visited_records == 0
     assert STYLES[style](index, queries, 5) == ([[], []], [[], []])
     if style != "per_query":
         kwargs = {"query_workers": 2} if style.endswith("2") else {}
@@ -263,8 +275,8 @@ def test_empty_tree_accepts_inserts(materialized):
 @pytest.mark.parametrize("style", STYLES)
 @pytest.mark.parametrize("name", EDGE)
 def test_k_larger_than_n_returns_every_series_in_order(name, style):
-    rows = make_dataset("randomwalk", 3, length=48, seed=7)
-    queries = query_workload("randomwalk", 2, length=48, seed=7)
+    rows = make_dataset("randomwalk", 3, length=_length(name), seed=7)
+    queries = query_workload("randomwalk", 2, length=_length(name), seed=7)
     index = _index_over(name, rows)
     ids, distances = STYLES[style](index, queries, 5)
     for query, got_ids, got_distances in zip(queries, ids, distances):
@@ -273,13 +285,13 @@ def test_k_larger_than_n_returns_every_series_in_order(name, style):
         np.testing.assert_allclose(got_distances, np.sort(want), rtol=1e-9)
 
 
-def _tying_datasets():
-    walks = make_dataset("randomwalk", 30, length=48, seed=8)
+def _tying_datasets(length):
+    walks = make_dataset("randomwalk", 30, length=length, seed=8)
     duplicated = walks.copy()
     duplicated[5:15] = walks[5]
     return {
         "identical": (np.tile(walks[0], (40, 1)), walks[0]),
-        "constant": (np.zeros((40, 48)), np.zeros(48)),
+        "constant": (np.zeros((40, length)), np.zeros(length)),
         "duplicates": (duplicated, walks[5]),
     }
 
@@ -299,7 +311,7 @@ def test_tying_series_give_k_distinct_nearest(name, dataset, style):
     boundary ``docs/queries.md`` documents, and ROADMAP lead (iii)'s to
     decide.
     """
-    rows, query = _tying_datasets()[dataset]
+    rows, query = _tying_datasets(_length(name))[dataset]
     index = _index_over(name, rows)
     query = np.asarray(query, dtype=np.float64)
     k = 3

@@ -6,7 +6,6 @@ from scipy import stats
 
 from repro.series import (
     GENERATORS,
-    astronomy,
     is_z_normalized,
     make_dataset,
     query_workload,
@@ -57,13 +56,18 @@ def test_seismic_has_wave_packets():
 
 
 def test_astronomy_is_skewed():
-    """Fig. 7: astronomy values are slightly skewed, others near 0."""
-    astro = astronomy(100, length=256, seed=2).astype(np.float64)
-    walk = random_walk(100, length=256, seed=2).astype(np.float64)
-    astro_skew = abs(stats.skew(astro.ravel()))
-    walk_skew = abs(stats.skew(walk.ravel()))
-    assert astro_skew > 0.2
-    assert astro_skew > walk_skew
+    """Fig. 7: astronomy values are slightly skewed, random-walk and
+    seismic values near-symmetric, and all three pool to mean 0, std 1."""
+    values = {
+        name: make_dataset(name, 100, length=256, seed=2).astype(np.float64).ravel()
+        for name in ("astronomy", "randomwalk", "seismic")
+    }
+    skew = {name: abs(stats.skew(v)) for name, v in values.items()}
+    assert skew["astronomy"] > 0.2
+    assert skew["astronomy"] > max(skew["randomwalk"], skew["seismic"])
+    assert skew["randomwalk"] < 0.25 and skew["seismic"] < 0.25
+    for v in values.values():
+        assert abs(v.mean()) < 0.05 and abs(v.std() - 1.0) < 0.05
 
 
 def test_query_workload_differs_from_dataset():
