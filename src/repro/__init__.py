@@ -47,7 +47,6 @@ from .parallel import (
     ParallelSummarizer,
     batched_exact_knn,
     parallel_invsax_keys,
-    parallel_merge_runs,
 )
 from .service import CoconutService, ServiceConfig
 from .series import (
@@ -112,7 +111,6 @@ __all__ = [
     "invsax_keys",
     "make_dataset",
     "parallel_invsax_keys",
-    "parallel_merge_runs",
     "query_key",
     "query_workload",
     "random_walk",

@@ -16,8 +16,9 @@ Parallel bulk-loading (``workers > 1``): the summarization scan fans
 page-aligned chunks out to a worker pool
 (:class:`repro.parallel.ParallelSummarizer`), each returned presorted,
 and the runs feed :meth:`repro.storage.ExternalSorter.sort_runs`; the
-same worker count drives the sort's resident and spilled merges
-(:mod:`repro.parallel.merge`, :mod:`repro.parallel.spill`).  The leaf
+same worker count drives the sort's spilled cascade
+(:mod:`repro.parallel.spill`); resident runs merge on the calling
+thread.  The leaf
 level is bit-identical (same keys, same leaf boundaries, same payload
 order) to the serial build for every worker count and chunk size.
 """

@@ -19,22 +19,13 @@ the extension is natural:
 Compaction merging
 ------------------
 Compaction inputs are already sorted, so merging them is a pure merge,
-not a sort: the serial compaction merges the runs pairwise with NumPy
-searchsorted scatters (:func:`repro.storage.merge.merge_presorted`);
-with ``workers > 1`` compaction runs on the sharded storage layer
-(:func:`repro.parallel.spill.sharded_spill_merge`): the key space is
-range-partitioned, each partition reads its record slices of the input
-run files through a private :class:`repro.storage.disk.DiskShard` and
-writes a disjoint extent of the output run, and the shards are
-reconciled deterministically in partition order.  Both paths — the
-serial merge and the sharded merge for any worker count or splitter
-sample — produce bit-identical runs: the merge is stable over runs
-listed in ``self._runs`` order, so ties resolve by (run order,
-position), which is exactly what a stable argsort of the concatenation
-yields (the oracle the tests pin both to).  Worker count can therefore
-never change what lands on disk, only how fast the merge happens; the
-sharded plan's DiskStats are pinned to its serial replay
-(``pool_kind="serial"``).
+not a sort: compaction reads every input run sequentially, merges the
+resident mirrors pairwise with NumPy searchsorted scatters
+(:func:`repro.storage.merge.merge_presorted`) and writes one output run
+sequentially.  The merge is stable over runs listed in ``self._runs``
+order, so ties resolve by (run order, position), which is exactly what
+a stable argsort of the concatenation yields (the oracle the tests pin
+it to).
 
 Compare with :class:`repro.core.coconut_tree.CoconutTree.insert_batch`,
 which merges batches straight into the leaf level (cheap for big
@@ -45,7 +36,7 @@ revisit.
 
 from __future__ import annotations
 
-import logging
+import numbers
 import zlib
 from dataclasses import dataclass
 
@@ -54,7 +45,7 @@ import numpy as np
 from ..indexes.base import BuildReport, Measurement, QueryResult
 from ..series.distance import early_abandon_euclidean_block
 from ..storage.disk import SimulatedDisk
-from ..storage.faults import CorruptionError, FaultError
+from ..storage.faults import CorruptionError
 from ..storage.merge import merge_presorted
 from ..storage.pager import PagedFile
 from ..storage.seriesfile import RawSeriesFile
@@ -70,8 +61,6 @@ from .wal import (
     run_footer,
     scavenge_frames,
 )
-
-logger = logging.getLogger("repro.core.lsm")
 
 #: Durability modes: ``None`` keeps the original volatile behaviour;
 #: ``"wal"`` adds checksummed run footers + the write-ahead manifest
@@ -118,25 +107,27 @@ class CoconutLSM(SIMSIndex):
         memory_bytes: int,
         config: SAXConfig | None = None,
         size_ratio: int = 4,
-        workers: int | None = 1,
-        pool_kind: str = "thread",
         durability: "str | None" = None,
         wal_id: int = 1,
     ):
-        from ..parallel.pool import check_pool_kind, resolve_workers
-
         super().__init__(disk, memory_bytes)
-        if size_ratio < 2:
-            raise ValueError(f"size_ratio must be >= 2, got {size_ratio}")
+        # An integer: the WAL's META frame packs it as one, and tiering
+        # compares run counts against it.
+        if (
+            isinstance(size_ratio, bool)
+            or not isinstance(size_ratio, numbers.Integral)
+            or size_ratio < 2
+        ):
+            raise ValueError(
+                f"size_ratio must be an integer >= 2, got {size_ratio!r}"
+            )
         if durability not in LSM_DURABILITY_MODES:
             raise ValueError(
                 f"durability must be one of {LSM_DURABILITY_MODES}, "
                 f"got {durability!r}"
             )
         self.config = config or SAXConfig()
-        self.size_ratio = size_ratio
-        self.workers = resolve_workers(workers)
-        self.pool_kind = check_pool_kind(pool_kind)
+        self.size_ratio = int(size_ratio)
         self.durability = durability
         self.wal_id = int(wal_id)
         self._wal: WriteAheadLog | None = None
@@ -150,15 +141,9 @@ class CoconutLSM(SIMSIndex):
         self.n_flushes = 0
         self.n_merges = 0
         self.n_rebuilt_runs = 0
-        self.n_degraded_compactions = 0
         # Monotone counter bumped whenever the queryable state (runs,
         # memtable, raw watermark) changes; snapshot caches key on it.
         self.state_version = 0
-        # Healing seams for compaction, set by long-lived owners (the
-        # online service): an explicit RetryPolicy and a HealReport
-        # accumulating sharded-compaction attempt counts.
-        self._heal_policy = None
-        self._heal_report = None
 
     # ------------------------------------------------------------------
     @property
@@ -228,25 +213,30 @@ class CoconutLSM(SIMSIndex):
         raw = self._require_built()
         data = np.asarray(data, dtype=np.float32)
         with Measurement(self.disk) as measure:
+            # Validates shape and values before any page is written.
             first = raw.append_batch(data)
-            keys = invsax_keys(data, self.config)
-            if self._wal is not None:
-                # The commit point: raw rows are fully on the device
-                # (the append above), so once this frame verifies, the
-                # batch is acknowledged and recovery can always rebuild
-                # its keys from the raw file.  A fault before or during
-                # the append leaves the batch unacknowledged — recovery
-                # truncates the raw file back to the acked watermark.
-                lsn = self._wal.append_batch(first, first + len(data))
-                self._mem_lsns.append(lsn)
-            self._mem_keys.append(keys)
-            self._mem_offsets.append(
-                np.arange(first, first + len(data), dtype=np.int64)
-            )
-            self._mem_records += len(data)
-            self.state_version += 1
-            if self._mem_records >= self._buffer_capacity:
-                self._flush_memtable()
+            # Zero rows leave no WAL frame and no memtable entry: a
+            # flush takes its raw range from the first and last entries.
+            if len(data):
+                keys = invsax_keys(data, self.config)
+                if self._wal is not None:
+                    # The commit point: raw rows are fully on the device
+                    # (the append above), so once this frame verifies,
+                    # the batch is acknowledged and recovery can always
+                    # rebuild its keys from the raw file.  A fault before
+                    # or during the append leaves the batch
+                    # unacknowledged — recovery truncates the raw file
+                    # back to the acked watermark.
+                    lsn = self._wal.append_batch(first, first + len(data))
+                    self._mem_lsns.append(lsn)
+                self._mem_keys.append(keys)
+                self._mem_offsets.append(
+                    np.arange(first, first + len(data), dtype=np.int64)
+                )
+                self._mem_records += len(data)
+                self.state_version += 1
+                if self._mem_records >= self._buffer_capacity:
+                    self._flush_memtable()
         return BuildReport(
             index_name=self.name,
             n_series=len(data),
@@ -372,98 +362,25 @@ class CoconutLSM(SIMSIndex):
                 return
             level = min(overflow)
             group = levels[level]
-            if self.workers > 1 and len(group) > 1:
-                try:
-                    self._sharded_compact(group, level)
-                except FaultError as error:
-                    # Self-healing: a device fault inside the sharded
-                    # session aborted it (parent unfenced, nothing
-                    # reconciled), so the serial merge on the parent
-                    # replays the compaction from scratch.
-                    logger.warning(
-                        "sharded compaction failed (%s); degrading to the "
-                        "serial merge",
-                        error,
-                    )
-                    self.n_degraded_compactions += 1
-                    self._serial_compact(group, level)
-            else:
-                self._serial_compact(group, level)
+            # Read every input run (sequential), write one output run
+            # (sequential) at the next level.
+            for run in group:
+                run.file.read_stream(0, run.data_pages)
+                self._runs.remove(run)
+            # Stable over ``self._runs`` order (see the module docstring).
+            keys, offsets = merge_presorted(
+                [(run.keys, run.offsets) for run in group]
+            )
+            manifest = None
+            if self._wal is not None:
+                manifest = (
+                    "compact",
+                    min(run.off_lo for run in group),
+                    max(run.off_hi for run in group),
+                    [run.wal_lsn for run in group],
+                )
+            self._write_run(keys, offsets, level=level + 1, manifest=manifest)
             self.n_merges += 1
-
-    def _serial_compact(self, group: "list[_Run]", level: int) -> None:
-        # Serial merge: read every input run (sequential), write one
-        # output run (sequential) at the next level.
-        for run in group:
-            run.file.read_stream(0, run.data_pages)
-            self._runs.remove(run)
-        # Stable over ``self._runs`` order, so bit-identical to the
-        # sharded merge (see the module docstring).
-        keys, offsets = merge_presorted(
-            [(run.keys, run.offsets) for run in group]
-        )
-        manifest = None
-        if self._wal is not None:
-            manifest = (
-                "compact",
-                min(run.off_lo for run in group),
-                max(run.off_hi for run in group),
-                [run.wal_lsn for run in group],
-            )
-        self._write_run(keys, offsets, level=level + 1, manifest=manifest)
-
-    def _sharded_compact(self, group: "list[_Run]", level: int) -> None:
-        """Compaction on the sharded storage layer (``workers > 1``).
-
-        Each key-range partition reads its slices of the input run
-        files through its own shard and writes a disjoint extent of
-        the next level's run; the merged record stream — and the run
-        mirrors collected from the partitions — are bit-identical to
-        the serial merge for any worker count or splitter sample.
-        ``pool_kind="serial"`` executes the same plan inline (the
-        serial replay oracle for the reconciled DiskStats).
-        """
-        from ..parallel.spill import sharded_spill_merge
-
-        # Same binary layout as the run files; the merge engines expect
-        # the ("k", "v") field vocabulary.
-        dtype = np.dtype([("k", self.config.key_dtype), ("v", "<i8")])
-        # Serial buffer geometry per partition; see ExternalSorter.
-        buffer_records = max(1, self._buffer_capacity // (len(group) + 1))
-        result = sharded_spill_merge(
-            self.disk,
-            [(run.file, run.n_records, run.keys) for run in group],
-            dtype,
-            n_partitions=self.workers,
-            buffer_records=buffer_records,
-            pool_kind=self.pool_kind,
-            collect="records",
-            out_name=f"lsm-L{level + 1}-run",
-            wrap_device=getattr(self, "_compact_wrap_device", None),
-            heal_policy=self._heal_policy,
-            heal_report=self._heal_report,
-        )
-        new_run = _Run(
-            file=result.file,
-            keys=result.keys,
-            offsets=result.payloads,
-            level=level + 1,
-            data_pages=result.file.n_pages,
-        )
-        if self._wal is not None:
-            # The shards wrote the records; the coordinator appends the
-            # footer and commits the swap on the (detached) parent.
-            payload = self._pack_records(new_run.keys, new_run.offsets)
-            manifest = (
-                "compact",
-                min(run.off_lo for run in group),
-                max(run.off_hi for run in group),
-                [run.wal_lsn for run in group],
-            )
-            self._commit_run(new_run, payload, manifest)
-        for run in group:
-            self._runs.remove(run)
-        self._runs.append(new_run)
 
     # ------------------------------------------------------------------
     # Queries
@@ -669,8 +586,6 @@ class CoconutLSM(SIMSIndex):
         disk: SimulatedDisk,
         raw: RawSeriesFile,
         wal_id: "int | None" = None,
-        workers: int | None = 1,
-        pool_kind: str = "thread",
     ) -> "CoconutLSM":
         """Rebuild a durable index from the device after a crash.
 
@@ -684,9 +599,6 @@ class CoconutLSM(SIMSIndex):
         an index rebuilt from the acknowledged batches alone; see
         ``docs/robustness.md`` for the exact contract.
         """
-        from ..parallel.pool import check_pool_kind
-
-        check_pool_kind(pool_kind)  # before the device is touched
         frames = scavenge_frames(disk, wal_id=wal_id)
         state = replay_manifest(frames)
         config = SAXConfig(
@@ -699,8 +611,6 @@ class CoconutLSM(SIMSIndex):
             state.memory_bytes,
             config=config,
             size_ratio=state.size_ratio,
-            workers=workers,
-            pool_kind=pool_kind,
             durability="wal",
             wal_id=state.wal_id,
         )

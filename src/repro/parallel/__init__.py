@@ -15,19 +15,16 @@ worker pool:
   runs feed :meth:`repro.storage.ExternalSorter.sort_runs` directly,
   so bulk-loading uses every worker while producing bit-identical
   indexes to the serial path.
-* :mod:`repro.parallel.merge` — a range-partitioned parallel merge of
-  *resident* presorted runs: splitter keys sampled from run boundaries
-  cut every run into disjoint key ranges that workers merge
-  independently, with output bit-identical to the serial merge for any
-  worker count.
-* :mod:`repro.parallel.spill` — the same idea for *file-backed* runs
-  on the sharded storage layer: each partition streams its slices of
-  the spilled run files through a private
-  :class:`repro.storage.DiskShard` (own head, own stats) and writes a
-  disjoint extent of the output run — or, on the cascade's final pass,
-  streams straight to the consumer.  Parallelizes the spilled merge
-  cascade of the external sort and Coconut-LSM compaction, with
-  deterministic, serially-replayable I/O accounting.
+* :mod:`repro.parallel.spill` — a range-partitioned merge of
+  *file-backed* runs on the sharded storage layer: splitter keys
+  sampled from run boundaries cut every run into disjoint key ranges,
+  and each partition streams its slices of the spilled run files
+  through a private :class:`repro.storage.DiskShard` (own head, own
+  stats) and writes a disjoint extent of the output run — or, on the
+  cascade's final pass, streams straight to the consumer.  Parallelizes
+  the spilled merge cascade of the external sort, with deterministic,
+  serially-replayable I/O accounting.  Resident runs and Coconut-LSM
+  compactions merge on the calling thread.
 * :mod:`repro.parallel.batch` — a batched exact-kNN executor that
   answers many queries in one skip-sequential SIMS pass, sharing the
   summary scan and every fetched page across the whole batch, plus a
@@ -65,12 +62,6 @@ from .heal import (
     RetryPolicy,
     run_self_healing,
 )
-from .merge import (
-    parallel_merge_runs,
-    partition_runs,
-    run_cut_positions,
-    sample_splitters,
-)
 from .pool import resolve_workers
 from .query import (
     parallel_batched_exact_knn,
@@ -86,6 +77,8 @@ from .sched import (
 )
 from .spill import (
     ShardedMergeResult,
+    run_cut_positions,
+    sample_splitters,
     sharded_spill_merge,
     sharded_stream_merge,
     stream_run_file,
@@ -114,11 +107,9 @@ __all__ = [
     "parallel_batched_exact_knn",
     "parallel_invsax_keys",
     "parallel_lower_bound_scan",
-    "parallel_merge_runs",
     "parallel_serial_scan_batch",
     "parallel_sims_query_batch",
     "partition_ranges",
-    "partition_runs",
     "plan_query_batch",
     "resolve_workers",
     "run_sims_query_batch",

@@ -23,10 +23,9 @@ layers the policy on top:
   :class:`~repro.storage.faults.DeviceCrash`) skip straight to the
   ``fallback`` — retrying a deterministic plan against a deterministic
   fault would fail identically;
-* when the ``fallback`` is ``None`` the last fault propagates and the
-  *caller* degrades (e.g. ``CoconutLSM`` falls back to its serial
-  compaction when :func:`repro.parallel.spill.sharded_spill_merge`
-  gives up).
+* when the ``fallback`` is ``None`` the last fault propagates to the
+  caller (e.g. :func:`repro.parallel.spill.sharded_spill_merge`, whose
+  sort cascade has no serial plan to fall back to mid-pass).
 
 Degradation targets are the serial engines, whose answers, tie order
 and stats are the oracle the parallel engines are property-tested
@@ -77,8 +76,8 @@ class RetryPolicy:
     ``retries`` transient retries (attempts = retries + 1), capped
     exponential backoff starting at ``backoff_s`` and never exceeding
     ``backoff_cap_s`` per sleep.  Frozen so a policy can be shared
-    between the service front-end, the LSM compaction seam and the
-    query engines without aliasing surprises.
+    between the service front-end and the query engines without
+    aliasing surprises.
     """
 
     retries: int = HEAL_RETRIES

@@ -1,7 +1,8 @@
 """The one worker pool: threads, or the same plan mapped inline.
 
-Every parallel path in the repository — chunk summarization, resident
-and spilled merges, the query engines — asks this module for its pool.
+Every parallel path in the repository — chunk summarization, the
+spilled merge cascade, the query engines — asks this module for its
+pool.
 ``"thread"`` runs the work units on a ``ThreadPoolExecutor``: they are
 NumPy kernels that release the GIL and share their arrays (and the
 simulated device) zero-copy.  ``"serial"`` is not a second engine but

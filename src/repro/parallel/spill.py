@@ -1,20 +1,19 @@
 """Sharded parallel merging of file-backed (spilled) sorted runs.
 
-The in-memory range-partitioned merge (:mod:`repro.parallel.merge`)
-cannot touch *spilled* runs: they live on the simulated disk, and a
+Spilled runs live on the simulated disk, and a
 :class:`repro.storage.disk.SimulatedDisk` is a single I/O domain — one
-head, one set of counters, no concurrency.  This module merges spilled
-runs on a worker pool by giving every partition its own I/O domain:
+head, one set of counters, no concurrency.  This module merges the
+external sort's spilled cascade on a worker pool by giving every
+key-range partition its own I/O domain:
 
 1. splitter keys are sampled from the runs' in-memory key mirrors
-   (:func:`repro.parallel.merge.sample_splitters` — the mirrors are the
-   sortable summarizations themselves, which the paper's premise puts
-   in main memory, mirroring how ``CoconutLSM`` already keeps each
-   run's key column resident);
-2. every run is cut at the splitters with the shared ``side="left"``
-   rule (:func:`repro.parallel.merge.run_cut_positions`), so all
-   records of equal key land in one partition and ties keep resolving
-   by (run order, position) — the stable-merge invariant;
+   (:func:`sample_splitters` — the mirrors are the sortable
+   summarizations themselves, which the paper's premise puts in main
+   memory);
+2. every run is cut at the splitters with the ``side="left"`` rule
+   (:func:`run_cut_positions`), so all records of equal key land in
+   one partition and ties keep resolving by (run order, position) —
+   the stable-merge invariant;
 3. a :class:`repro.storage.disk.ShardedDisk` session fences the parent
    device and hands each partition a :class:`~repro.storage.disk.
    DiskShard`; the worker reads its record slices of every source run
@@ -67,8 +66,7 @@ from ..storage.merge import (
     merge_stream,
 )
 from ..storage.pager import PagedFile
-from .heal import HealReport, RetryPolicy, run_self_healing
-from .merge import run_cut_positions, sample_splitters
+from .heal import HealReport, run_self_healing
 from .pool import check_pool_kind, pool_map
 
 #: Pages cached by each worker's shard-scoped read pool.  Source reads
@@ -76,6 +74,56 @@ from .pool import check_pool_kind, pool_map
 #: counter — it exists so every worker's reads go through its own
 #: cache domain, never a shared one.
 SHARD_POOL_PAGES = 8
+
+#: Strided samples taken per run when proposing splitters.
+SPLITTER_SAMPLES_PER_RUN = 16
+
+
+def sample_splitters(
+    key_runs: "list[np.ndarray]", n_parts: int
+) -> np.ndarray:
+    """Choose up to ``n_parts - 1`` ascending splitter keys.
+
+    Samples each run at even strides (always including its tail — the
+    run *boundaries*), pools and sorts the samples, and keeps the
+    pool's ``n_parts``-quantiles, deduplicated.  Returns an ``S<k>``
+    array; it may be shorter than requested (or empty) when the key
+    space has too few distinct values, which simply yields fewer, or
+    one, partitions.  A skewed sample only unbalances the partitions;
+    it can never change the merged output.
+    """
+    if n_parts <= 1:
+        key_runs = [k for k in key_runs if len(k)]
+        dtype = key_runs[0].dtype if key_runs else "S1"
+        return np.empty(0, dtype=dtype)
+    samples = []
+    for keys in key_runs:
+        if not len(keys):
+            continue
+        stride = max(1, len(keys) // SPLITTER_SAMPLES_PER_RUN)
+        samples.append(keys[stride - 1 :: stride])
+        samples.append(keys[-1:])
+    if not samples:
+        return np.empty(0, dtype="S1")
+    pool = np.sort(np.concatenate(samples))
+    positions = (np.arange(1, n_parts) * len(pool)) // n_parts
+    return np.unique(pool[positions])
+
+
+def run_cut_positions(keys: np.ndarray, splitters: np.ndarray) -> np.ndarray:
+    """Record positions cutting one sorted run at the splitters.
+
+    Returns ``len(splitters) + 2`` ascending indices; partition ``p`` of
+    the run is records ``[cuts[p], cuts[p + 1])``.  Cuts use
+    ``side="left"`` — all records sharing a key land in the same
+    partition, so cross-run ties can never straddle a boundary, which
+    is what makes the sharded merges bit-identical to the serial stable
+    merge.
+    """
+    bounds = np.searchsorted(keys, splitters, side="left")
+    return np.concatenate(
+        [[0], bounds, [len(keys)]]
+    ).astype(np.int64)
 
 
 @dataclass
@@ -86,8 +134,7 @@ class ShardedMergeResult:
     n_records: int
     n_partitions: int
     splitters: np.ndarray
-    keys: np.ndarray | None = None  # merged key column (collect="keys"/"records")
-    payloads: np.ndarray | None = None  # merged payloads (collect="records")
+    keys: np.ndarray  # merged key column, for the next cascade pass's cuts
     n_heal_attempts: int = 1  # attempts the healing loop spent on this merge
 
 
@@ -170,16 +217,15 @@ def _merge_partition_to_shard(
     byte_lo: int,
     byte_hi: int,
     out_first: int,
-    collect: str | None,
 ):
     """One partition's work unit: read slices, merge, write the extent.
 
     Every I/O lands on ``shard`` (reads via a shard-scoped buffer
     pool), so the access sequence — and with it the classification —
     is independent of the other partitions and of pool scheduling.
+    Returns the boundary fragments and the partition's merged keys.
     """
     key_parts: list[np.ndarray] = []
-    payload_parts: list[np.ndarray] = []
     with BufferPool(shard, capacity_pages=SHARD_POOL_PAGES) as pool:
         slices = []
         for (file, _, _), cut in zip(sources, cuts):
@@ -194,21 +240,11 @@ def _merge_partition_to_shard(
             block["k"] = chunk_keys
             block["v"] = chunk_payloads
             writer.push(block.tobytes())
-            if collect:
-                key_parts.append(chunk_keys)
-                if collect == "records":
-                    payload_parts.append(chunk_payloads)
+            key_parts.append(chunk_keys)
         writer.close()
-
-    def _concat(parts: "list[np.ndarray]", field: str) -> np.ndarray:
-        if parts:
-            return np.concatenate(parts)
-        empty = np.empty(0, dtype=rec_dtype)
-        return empty[field].copy()
-
-    keys = _concat(key_parts, "k") if collect else None
-    payloads = _concat(payload_parts, "v") if collect == "records" else None
-    return writer.fragments, keys, payloads
+    if key_parts:
+        return writer.fragments, np.concatenate(key_parts)
+    return writer.fragments, np.empty(0, dtype=rec_dtype["k"])
 
 
 def _write_boundary_pages(
@@ -253,13 +289,13 @@ def sharded_spill_merge(
     buffer_records: int,
     pool_kind: str = "thread",
     splitters: np.ndarray | None = None,
-    collect: str | None = None,
     out_name: str = "sharded-merge",
     wrap_device=None,
-    heal_policy: "RetryPolicy | None" = None,
-    heal_report: "HealReport | None" = None,
 ) -> ShardedMergeResult:
     """Merge spilled runs into one new run via per-partition shards.
+
+    Returns the merged run file and its key mirror, which the next
+    cascade pass cuts at its splitters.
 
     Parameters
     ----------
@@ -279,22 +315,17 @@ def sharded_spill_merge(
     splitters:
         Explicit splitter keys (ascending, deduplicated) override the
         sample — the equivalence property is quantified over them.
-    collect:
-        ``"keys"`` returns the merged key column (cascade passes need
-        it to cut the next pass); ``"records"`` returns keys and
-        payloads (LSM compaction mirrors).
     wrap_device:
         Optional ``(shard, partition, attempt) -> device`` fault seam:
         every partition's I/O is routed through its return value.  When
         an attempt raises a device fault the session aborts (parent
         unfenced, output extent untouched) and transients are retried
-        per ``heal_policy`` (default :class:`RetryPolicy`) — a
+        per the default :class:`~repro.parallel.heal.RetryPolicy` — a
         successful retry re-issues the same plan against the same
         pre-allocated extent, so the result and reconciled stats are
         bit-identical to a fault-free run.  Non-transient faults
-        propagate; the caller degrades (e.g. ``CoconutLSM`` falls back
-        to its serial compaction).  Attempt counts land on the result's
-        ``n_heal_attempts`` and, when given, on ``heal_report``.
+        propagate.  Attempt counts land on the result's
+        ``n_heal_attempts``.
     """
     check_pool_kind(pool_kind)
     splitters, cuts = _cut_sources(sources, n_partitions, splitters)
@@ -337,42 +368,27 @@ def sharded_spill_merge(
             return pool_map(
                 lambda p: _merge_partition_to_shard(
                     devices[p], sources, cuts, p, rec_dtype, buffer_records,
-                    *byte_ranges[p], out_first, collect,
+                    *byte_ranges[p], out_first,
                 ),
                 [range(n_parts)],
                 n_parts,
                 pool_kind,
             )
 
-    local_report = HealReport()
-    try:
-        results = run_self_healing(
-            attempt,
-            policy=heal_policy,
-            report=local_report,
-            label=f"sharded spill merge {out_name!r}",
-        )
-    finally:
-        # Merge even when the fault propagates: the caller's degraded
-        # serial compaction still wants the attempts it paid for.
-        if heal_report is not None:
-            heal_report.merge(local_report)
-    fragments = [piece for frags, _, _ in results for piece in frags]
+    report = HealReport()
+    results = run_self_healing(
+        attempt, report=report, label=f"sharded spill merge {out_name!r}"
+    )
+    fragments = [piece for frags, _ in results for piece in frags]
     _write_boundary_pages(disk, out_first, fragments)
-    keys = payloads = None
-    if collect:
-        keys = np.concatenate([k for _, k, _ in results])
-    if collect == "records":
-        payloads = np.concatenate([v for _, _, v in results])
     file = PagedFile.from_extent(disk, out_first, total_pages, name=out_name)
     return ShardedMergeResult(
         file=file,
         n_records=total_records,
         n_partitions=n_parts,
         splitters=splitters,
-        keys=keys,
-        payloads=payloads,
-        n_heal_attempts=local_report.n_attempts,
+        keys=np.concatenate([keys for _, keys in results]),
+        n_heal_attempts=report.n_attempts,
     )
 
 

@@ -4,11 +4,8 @@
 
 * **Ingest** streams ``insert_batch`` calls through a WAL-durable
   :class:`~repro.core.lsm.CoconutLSM` on the journal device (possibly a
-  :class:`~repro.storage.faults.FaultyDevice`); background compaction
-  runs on the sharded merge engine with the service's
-  :class:`~repro.parallel.heal.RetryPolicy` and
-  :class:`~repro.parallel.heal.HealReport` wired into its healing seam.
-  A faulted insert is *recovered in place* — reopen the device, replay
+  :class:`~repro.storage.faults.FaultyDevice`); flushes and compactions
+  run inside the ingest call that fills the memtable.  A faulted insert is *recovered in place* — reopen the device, replay
   the manifest, truncate the raw file to the acknowledged watermark —
   before any retry, so a retried batch can never duplicate rows: either
   the faulted attempt's WAL frame verified (the rows survived; the
@@ -29,7 +26,7 @@
 * **Degradation** is graceful and counted: transient serve faults
   retry on fresh wrappers, other faults fall back to the serial engines
   on the snapshot's pre-attached read-only shard; a concurrent writing
-  session (a compaction mid-commit) fences the parent disk, so the
+  session (any sharded writer on the disk) fences the parent, so the
   multi-worker path degrades onto that same shard — the one read path a
   commit window cannot block.  When the
   journal device crash-latches, ingest rejects with
@@ -55,6 +52,7 @@ from ..core.lsm import CoconutLSM
 from ..summaries.sax import SAXConfig
 from ..indexes.base import BuildReport, QueryBatch, check_k
 from ..parallel.heal import RetryPolicy
+from ..parallel.pool import resolve_workers
 from ..parallel.sched import run_sims_query_batch
 from ..storage.disk import PageError, SimulatedDisk
 from ..storage.faults import (
@@ -109,8 +107,9 @@ class ServiceConfig:
     default_timeout_s: "float | None" = None
     #: Shed a ticket this close to (or past) its deadline at serve time.
     deadline_margin_s: float = 0.0
-    #: Worker count for the serving engines (1 = snapshot serial path).
-    query_workers: int = 1
+    #: Worker count for the serving engines (1 = snapshot serial path;
+    #: ``None`` / ``0`` / negative = all cores, as everywhere else).
+    query_workers: "int | None" = 1
     #: Retry/backoff for ingest recovery and serve-session healing.
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     serve_pool_pages: int = SERVE_POOL_PAGES
@@ -127,6 +126,10 @@ class ServiceConfig:
     #: Page budget per background scrub step — the longest serving can
     #: wait on the ingest lock for the sake of a sweep.
     scrub_pages_per_step: int = 256
+
+    def __post_init__(self):
+        # Refuse a bad worker count here, not on the server thread.
+        resolve_workers(self.query_workers)
 
 
 @dataclass
@@ -160,7 +163,6 @@ class CoconutService:
         config: "ServiceConfig | None" = None,
         device=None,
         size_ratio: int = 4,
-        lsm_workers: int = 1,
         wal_id: int = 1,
         clock=time.monotonic,
         wrap_serve_device=None,
@@ -184,7 +186,6 @@ class CoconutService:
                 disk.enable_integrity()
             if self.config.verified_reads:
                 raw.verified_reads = True
-        self._lsm_workers = lsm_workers
         self.stats = ServiceStats(self.config.latency_capacity)
         self.queue = AdmissionQueue(self.config.queue_capacity, clock)
         self._ingest_lock = threading.Lock()
@@ -201,13 +202,10 @@ class CoconutService:
             size_ratio=size_ratio,
             durability="wal",
             wal_id=wal_id,
-            workers=lsm_workers,
         )
         self._wire_lsm()
 
     def _wire_lsm(self) -> None:
-        self._lsm._heal_policy = self.config.retry
-        self._lsm._heal_report = self.stats.heal
         if self.integrity_armed:
             # Rebind the scrubber whenever the LSM is replaced
             # (recovery): its run targets and rebuild seam must point
@@ -455,9 +453,7 @@ class CoconutService:
             if hasattr(self.device, "reopen"):
                 self.device.reopen()
             try:
-                self._lsm = CoconutLSM.recover(
-                    self.device, self.raw, workers=self._lsm_workers
-                )
+                self._lsm = CoconutLSM.recover(self.device, self.raw)
                 break
             except (TransientIOError, DeviceCrash) as error:
                 last = error
@@ -678,7 +674,7 @@ class CoconutService:
     def _serve_batch(self, snapshot: ServiceSnapshot, batch: QueryBatch):
         """Serve one coalesced batch; returns (ids, distances, degraded, conflict)."""
         workers = self.config.query_workers
-        if workers is None or workers > 1:
+        if resolve_workers(workers) > 1:
             view = snapshot.frozen_view()
             try:
                 report = run_sims_query_batch(
@@ -692,8 +688,8 @@ class CoconutService:
             except FaultError:
                 raise
             except PageError:
-                # A writing session (a compaction mid-commit) fences the
-                # parent: degrade to the serial pass on the snapshot's
+                # A writing session on the disk fences the parent:
+                # degrade to the serial pass on the snapshot's
                 # pre-attached read-only shard, which keeps reading the
                 # snapshot's committed pages through the fence.
                 ids, distances = _serial_answers(snapshot, batch)

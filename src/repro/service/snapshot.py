@@ -25,8 +25,8 @@ Each snapshot also carries a long-lived zero-extent **read-only**
 :class:`~repro.storage.disk.ShardedDisk` session, created at snapshot
 time (under the service's ingest lock, when no writing session can be
 attached).  Read-only sessions never fence the parent, and — the
-crucial half — their reads keep working *while* a writing session (a
-compaction mid-commit) fences it: the shard reads pages committed
+crucial half — their reads keep working *while* a writing session (any
+sharded writer on the same disk) fences it: the shard reads pages committed
 before the session directly, which is exactly the snapshot's content.
 That session is what makes serving immune to the flush/compaction
 commit window; the boundary is pinned by the sharded-storage tests.
@@ -125,8 +125,6 @@ class ServiceSnapshot:
         view.memory_bytes = self.memory_bytes
         view.config = self.config
         view.size_ratio = self.size_ratio
-        view.workers = 1
-        view.pool_kind = "thread"
         view.durability = None
         view.wal_id = 0
         view._wal = None
@@ -138,10 +136,7 @@ class ServiceSnapshot:
         view.n_flushes = 0
         view.n_merges = 0
         view.n_rebuilt_runs = 0
-        view.n_degraded_compactions = 0
         view.state_version = self.state_version
-        view._heal_policy = None
-        view._heal_report = None
         view.raw = self._raw
         view.built = True
         return view

@@ -237,7 +237,6 @@ class ServiceStats:
                 "flushes": lsm.n_flushes,
                 "merges": lsm.n_merges,
                 "rebuilt_runs": lsm.n_rebuilt_runs,
-                "degraded_compactions": lsm.n_degraded_compactions,
                 "state_version": lsm.state_version,
             }
         return out

@@ -65,8 +65,9 @@ Sharding
 --------
 A :class:`SimulatedDisk` is a single I/O domain: one head, one set of
 counters, no concurrency.  Parallel consumers — the range-partitioned
-spilled-run merge, LSM compaction — instead open a :class:`ShardedDisk`
-session, which fences the parent device and hands each worker a
+spilled-run merge, the parallel query fetches — instead open a
+:class:`ShardedDisk` session, which fences the parent device and hands
+each worker a
 :class:`DiskShard`: a private I/O domain with
 
 * a *writable extent* — a contiguous, pre-allocated page range that no

@@ -17,14 +17,10 @@ stream ``sort`` would have produced.
 Spilled runs merge through :func:`repro.storage.merge.merge_stream`,
 which gallops page-sized blocks with NumPy and reproduces the output
 stream, chunk shapes and simulated-I/O trace of a per-record heap
-merge.  Runs that fit the budget merge in memory
-(:func:`repro.storage.merge.merge_presorted`); there
-``merge_workers > 1`` range-partitions the key space and merges the
-disjoint partitions on a worker pool
-(:func:`repro.parallel.merge.parallel_merge_runs`), with bit-identical
-output for any worker count.
+merge.  Runs that fit the budget merge in memory on the calling thread
+(:func:`repro.storage.merge.merge_presorted`) at any worker count.
 
-``merge_workers > 1`` also parallelizes the *spilled* cascade
+``merge_workers > 1`` parallelizes the *spilled* cascade
 (:mod:`repro.parallel.spill`): each cascade group's key space is
 range-partitioned, every partition merges its record slices of the
 group's run files through a private :class:`repro.storage.disk.
@@ -93,14 +89,14 @@ def _record_dtype(keys: np.ndarray, payloads: np.ndarray) -> np.dtype:
 class ExternalSorter:
     """Sorts (key, payload) records under a main-memory budget.
 
-    ``merge_workers > 1`` parallelizes both merges by key-range
-    partitioning: the in-memory merge of resident presorted runs on a
-    worker pool, and the file-backed spilled cascade on per-partition
-    disk shards (:mod:`repro.parallel.spill`).  Both run on the
-    repository's one pool (:mod:`repro.parallel.pool`): threads, or
-    with ``pool_kind="serial"`` the same partition plan inline — the
-    serial replay.  ``merge_workers`` follows the one convention:
-    ``None`` / ``0`` mean all cores.
+    ``merge_workers > 1`` parallelizes the file-backed spilled cascade
+    by key-range partitioning on per-partition disk shards
+    (:mod:`repro.parallel.spill`), on the repository's one pool
+    (:mod:`repro.parallel.pool`): threads, or with
+    ``pool_kind="serial"`` the same partition plan inline — the serial
+    replay.  Resident runs always merge on the calling thread.
+    ``merge_workers`` follows the one convention: ``None`` / ``0`` mean
+    all cores.
     """
 
     def __init__(
@@ -313,7 +309,6 @@ class ExternalSorter:
             n_partitions=self.merge_workers,
             buffer_records=buffer_records,
             pool_kind=self.pool_kind,
-            collect="keys",
             out_name=name,
         )
         return _SpillRun(result.file, result.n_records, result.keys)
@@ -361,7 +356,7 @@ class ExternalSorter:
         )
         mem_records = max(2, self.memory_bytes // rec_dtype.itemsize)
         if n <= mem_records:
-            keys, payloads = self._merge_in_memory(runs)
+            keys, payloads = merge_presorted(runs)
 
             def chunks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
                 for i in range(0, n, mem_records):
@@ -379,19 +374,6 @@ class ExternalSorter:
             files.append(self._spill_run(run, keys))
         self.report.run_pages = sum(run.file.n_pages for run in files)
         return self._merge_spilled(files, rec_dtype, mem_records)
-
-    def _merge_in_memory(
-        self, runs: list[tuple[np.ndarray, np.ndarray]]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Merge resident presorted runs, in parallel when configured."""
-        if self.merge_workers > 1 and len(runs) > 1:
-            # Lazy import: repro.parallel pulls in the index layer.
-            from ..parallel.merge import parallel_merge_runs
-
-            return parallel_merge_runs(
-                runs, workers=self.merge_workers, kind=self.pool_kind
-            )
-        return merge_presorted(runs)
 
 
 def sort_to_arrays(

@@ -100,15 +100,22 @@ class RawSeriesFile:
     def append_batch(self, data: np.ndarray) -> int:
         """Append series to the end of the file (sequential writes).
 
-        Returns the index of the first appended series.
+        Returns the index of the first appended series.  A NaN or
+        infinite value (after the float32 cast) raises ``ValueError``
+        before any page is written — it would zero every lower bound
+        and come back as an answer at distance ``nan``.  Zero rows
+        perform no I/O.
         """
         data = np.asarray(data, dtype=np.float32)
         if data.ndim != 2 or data.shape[1] != self.length:
             raise ValueError(
                 f"expected shape (*, {self.length}), got {data.shape}"
             )
+        if not np.isfinite(data).all():
+            raise ValueError("series contain NaN or infinite values")
         first_idx = self.n_series
-        self._append_full(data, first_idx)
+        if len(data):
+            self._append_full(data, first_idx)
         return first_idx
 
     def _append_full(self, data: np.ndarray, first_idx: int) -> None:

@@ -209,3 +209,36 @@ def test_non_finite_queries_are_refused_not_answered(poison):
         report = index.query_batch(QueryBatch(queries=queries[[0, 2]], k=1))
         for query, result in zip(queries[[0, 2]], report.results):
             assert result.distance == pytest.approx(brute(query, data), rel=1e-6)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+@pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf, 1e39])
+def test_non_finite_rows_are_refused_before_any_page_is_written(poison):
+    """A NaN row used to be indexed and returned: after a 10-row
+    ``CoconutLSM.insert_batch`` holding one NaN, ``exact_knn(row 0, 1)``
+    answered another row at distance ``nan``.  ``RawSeriesFile`` now
+    refuses NaN and infinite values (``1e39`` overflows float32) on
+    every write path."""
+    from repro.core import CoconutLSM
+
+    config = SAXConfig(series_length=64, word_length=8, cardinality=16)
+    data = random_walk(110, length=64, seed=23)
+    bad = data[100:].astype(np.float64)
+    bad[4, 7] = poison
+    disk = SimulatedDisk(page_size=2048)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        RawSeriesFile.create(disk, bad)
+    assert disk.pages_allocated == 0
+    for make in (
+        lambda disk: CoconutTree(disk, 1 << 20, config=config, leaf_size=16),
+        lambda disk: CoconutLSM(disk, 1 << 20, config=config),
+    ):
+        disk = SimulatedDisk(page_size=2048)
+        index = make(disk)
+        index.build(RawSeriesFile.create(disk, data[:100]))
+        before = disk.snapshot()
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            index.insert_batch(bad)
+        assert disk.snapshot() == before and index.raw.n_series == 100
+        outcome = index.exact_knn(data[0].astype(np.float64), 1)
+        assert (list(outcome.answer_ids), list(outcome.distances)) == ([0], [0.0])

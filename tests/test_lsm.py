@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import CoconutLSM, CoconutTree
 from repro.series import euclidean_batch, random_walk
@@ -161,6 +163,18 @@ def test_constructor_validation():
         CoconutLSM(disk, memory_bytes=1024, size_ratio=1)
     with pytest.raises(ValueError):
         CoconutLSM(disk, memory_bytes=0)
+    # ``size_ratio=2.5`` used to tier as 3 in volatile mode and die in
+    # ``build()`` with ``struct.error`` under the WAL, pages allocated.
+    before = disk.snapshot()
+    for durability in (None, "wal"):
+        for size_ratio in (2.5, 4.0, "4", True, None, 0, -3):
+            with pytest.raises(ValueError, match="size_ratio"):
+                CoconutLSM(
+                    disk, memory_bytes=1024, size_ratio=size_ratio,
+                    durability=durability,
+                )
+    assert disk.snapshot() == before and disk.pages_allocated == 0
+    assert CoconutLSM(disk, 1024, size_ratio=np.int64(3)).size_ratio == 3
 
 
 def test_storage_accounts_all_runs():
@@ -246,3 +260,115 @@ def test_kept_summary_column_tracks_every_insert_flush_and_compaction():
     # Memtable-only inserts, flushes without a merge, and compactions.
     assert seen == {(False, False), (True, False), (True, True)}
     assert index.n_merges >= 2
+
+
+@pytest.mark.parametrize("durability", [None, "wal"])
+def test_zero_row_insert_writes_nothing_and_later_flushes_work(durability):
+    """An empty batch used to queue an empty memtable entry (and, under
+    the WAL, a frame): every later flush then raised ``IndexError``
+    reading that entry's offsets, after the rows had reached the raw
+    file."""
+    disk = SimulatedDisk(page_size=2048)
+    data = random_walk(400, length=64, seed=31)
+    index = CoconutLSM(
+        disk, memory_bytes=1 << 11, config=CONFIG, size_ratio=2,
+        durability=durability,
+    )
+    index.build(RawSeriesFile.create(disk, data[:101]))  # partial last page
+    for at in range(2):  # empty memtable, then a non-empty one
+        before, version = disk.snapshot(), index.state_version
+        lsn = index._wal.next_lsn if index._wal is not None else None
+        report = index.insert_batch(np.empty((0, 64)))
+        assert report.n_series == 0 and disk.snapshot() == before
+        assert index.state_version == version
+        assert len(index._mem_keys) == at
+        assert index._wal is None or index._wal.next_lsn == lsn
+        index.insert_batch(data[101 + 10 * at : 111 + 10 * at])
+    for lo in range(121, 400, 20):
+        index.insert_batch(data[lo : lo + 20])
+    assert index.n_flushes and index.n_merges
+    assert sorted(index._summary_column().offsets.tolist()) == list(range(400))
+    query = data[257].astype(np.float64)
+    assert list(index.exact_knn(query, 1).answer_ids) == [257]
+
+
+#: Rows for the property below: enough for 8 batches of the largest size.
+PROPERTY_DATA = random_walk(8 * 130 + 120, length=64, seed=37)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_base=st.integers(min_value=0, max_value=120),
+    sizes=st.lists(
+        st.sampled_from([0, 1, 20, 84, 85, 86, 130]) | st.integers(0, 130),
+        max_size=8,
+    ),
+    size_ratio=st.integers(min_value=2, max_value=4),
+    durability=st.sampled_from([None, "wal"]),
+)
+def test_property_lsm_state_is_the_stable_sort_of_every_row(
+    n_base, sizes, size_ratio, durability
+):
+    """For any insert sequence (empty and single-row batches, batches
+    straddling the 85-record memtable and every compaction boundary):
+
+    * every run is sorted and its data pages hold ``pack_rows`` of its
+      mirrors;
+    * runs then memtable batches, stably sorted, are the stable argsort
+      of every row's key — each (key, offset) pair right, ties in
+      offset order;
+    * the summary column is the runs, then the memtable batches;
+    * under the WAL, ``recover()`` gives back the same runs and
+      memtable.
+    """
+    from repro.core import invsax_keys
+    from repro.core.summary_column import pack_rows
+
+    disk = SimulatedDisk(page_size=2048)
+    index = CoconutLSM(
+        disk, memory_bytes=1 << 11, config=CONFIG, size_ratio=size_ratio,
+        durability=durability,
+    )
+    assert index._buffer_capacity == 85
+    index.build(RawSeriesFile.create(disk, PROPERTY_DATA[:n_base]))
+    n = n_base
+    for size in sizes:
+        index.insert_batch(PROPERTY_DATA[n : n + size])
+        n += size
+    for run in index._runs:
+        assert np.all(run.keys[:-1] <= run.keys[1:])
+        rows = pack_rows(run.keys, run.offsets, CONFIG)
+        assert run.data_pages == -(-len(rows) // 2048)
+        assert bytes(run.file.read_stream(0, run.data_pages))[: len(rows)] == rows
+    keys = np.concatenate(
+        [run.keys for run in index._runs] + index._mem_keys
+        + [np.empty(0, dtype=CONFIG.key_dtype)]
+    )
+    offsets = np.concatenate(
+        [run.offsets for run in index._runs] + index._mem_offsets
+        + [np.empty(0, dtype=np.int64)]
+    )
+    all_keys = invsax_keys(PROPERTY_DATA[:n], CONFIG)
+    want = np.argsort(all_keys, kind="stable")
+    got = np.argsort(keys, kind="stable")
+    assert keys[got].tobytes() == all_keys[want].tobytes()
+    np.testing.assert_array_equal(offsets[got], want)
+    if n:
+        column = index._summary_column()
+        np.testing.assert_array_equal(column.keys, keys)
+        np.testing.assert_array_equal(column.offsets, offsets)
+    if durability == "wal":
+        recovered = CoconutLSM.recover(disk, index.raw)
+
+        def state(lsm):
+            runs = [
+                (run.level, run.keys.tobytes(), run.offsets.tobytes())
+                for run in lsm._runs
+            ]
+            memtable = [
+                (k.tobytes(), o.tobytes())
+                for k, o in zip(lsm._mem_keys, lsm._mem_offsets)
+            ]
+            return runs, memtable, lsm._mem_records
+
+        assert state(recovered) == state(index)

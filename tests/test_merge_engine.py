@@ -1,8 +1,8 @@
-"""Equivalence tests for the vectorized and parallel merges.
+"""Equivalence tests for the vectorized merges.
 
 The merge contract is strict: for any run shapes, key distribution
 (duplicate-heavy included), memory budget and worker count, the
-blockwise ``merge_stream`` and the parallel range-partitioned merge
+blockwise ``merge_stream`` and the resident ``merge_presorted``
 produce *byte-identical* output streams — same records, same chunk
 shapes — and, for the merges that touch disk, an identical simulated
 I/O trace (every sequential/random counter) and identical
@@ -24,7 +24,7 @@ from oracles import argsort_merge, heapq_merge_stream
 from repro import RawSeriesFile, SimulatedDisk, random_walk
 from repro.core import CoconutTree
 from repro.core.lsm import CoconutLSM
-from repro.parallel import parallel_merge_runs, sample_splitters
+from repro.parallel import sample_splitters
 from repro.storage import (
     ExternalSorter,
     LoserTree,
@@ -179,58 +179,7 @@ def test_loser_tree_single_run():
     assert tree.key(tree.winner) is None
 
 
-# ------------------------------------------------------- parallel merge
-@settings(max_examples=40, deadline=None)
-@given(
-    n=st.integers(min_value=1, max_value=300),
-    n_runs=st.integers(min_value=1, max_value=12),
-    alphabet=st.sampled_from([2, 8, 256]),
-    workers=st.integers(min_value=1, max_value=8),
-    kind=st.sampled_from(["serial", "thread"]),
-    seed=st.integers(min_value=0, max_value=2**16),
-)
-def test_property_parallel_merge_bit_identical(
-    n, n_runs, alphabet, workers, kind, seed
-):
-    """Range-partitioned merge equals the serial merge for any pool."""
-    rng = np.random.default_rng(seed)
-    sizes = rng.integers(0, max(1, 2 * n // n_runs + 1), size=n_runs)
-    runs = make_sorted_runs(n, sizes.tolist(), alphabet=alphabet, seed=seed)
-    nonempty = [run for run in runs if len(run[0])]
-    if not nonempty:
-        return
-    want_keys, want_payloads = merge_presorted(list(nonempty))
-    got_keys, got_payloads = parallel_merge_runs(runs, workers=workers, kind=kind)
-    np.testing.assert_array_equal(got_keys, want_keys)
-    np.testing.assert_array_equal(got_payloads, want_payloads)
-
-
-def test_parallel_merge_process_pool():
-    """The process pool is gone: its kinds are rejected, not forgotten."""
-    runs = make_sorted_runs(400, [97, 150, 3, 150], seed=9)
-    for kind in ("process", "auto"):
-        with pytest.raises(ValueError):
-            parallel_merge_runs(runs, workers=2, kind=kind)
-    # The default pool (threads) merges to the serial stream.
-    want = merge_presorted(list(runs))
-    got = parallel_merge_runs(runs, workers=2)
-    np.testing.assert_array_equal(got[0], want[0])
-    np.testing.assert_array_equal(got[1], want[1])
-
-
-def test_parallel_merge_rejects_bad_input():
-    with pytest.raises(ValueError):
-        parallel_merge_runs([], workers=2)
-    with pytest.raises(ValueError):
-        parallel_merge_runs(
-            [(np.array([b"a"], dtype="S1"), np.arange(2))], workers=2
-        )
-    with pytest.raises(ValueError):
-        parallel_merge_runs(
-            [(np.array([b"a"], dtype="S1"), np.arange(1))], kind="gpu"
-        )
-
-
+# ------------------------------------------------------- worker counts
 def test_sample_splitters_are_ascending_and_bounded():
     runs = make_sorted_runs(600, [200, 200, 200], alphabet=16, seed=2)
     splitters = sample_splitters([k for k, _ in runs], 8)
@@ -244,8 +193,9 @@ def test_sample_splitters_are_ascending_and_bounded():
 def test_sorter_merge_workers_bit_identical_spilled_and_resident():
     """Worker counts never change the stream; I/O follows the plan.
 
-    The resident merge performs no I/O, so its stats equal the serial
-    sorter's.  The spilled cascade with ``merge_workers > 1`` runs the
+    Resident runs merge on the calling thread at any worker count and
+    perform no I/O, so their stats equal the serial sorter's.  The
+    spilled cascade with ``merge_workers > 1`` runs the
     *sharded* plan — its stream, chunk shapes and SortReport stay
     bit-identical to the serial sorter, while its DiskStats are pinned
     to the serial replay of the same sharded plan
@@ -304,48 +254,37 @@ def test_tree_build_identical_across_engines(materialized):
 
 
 # --------------------------------------------------- LSM compaction
-def build_lsm(**kwargs):
+def build_lsm():
     disk = SimulatedDisk(page_size=2048)
     raw = RawSeriesFile.create(disk, DATA[:200])
-    lsm = CoconutLSM(
-        disk, memory_bytes=4096, config=CONFIG, size_ratio=2, **kwargs
-    )
+    lsm = CoconutLSM(disk, memory_bytes=4096, config=CONFIG, size_ratio=2)
     lsm.build(raw)
     for i in range(8):
         lsm.insert_batch(random_walk(90, length=32, seed=100 + i))
     return disk, lsm
 
 
-def test_lsm_compaction_identical_across_engines_and_workers():
-    """Vectorized, sharded-parallel and argsort-oracle compaction agree.
+def test_lsm_compaction_identical_to_argsort_oracle():
+    """The compaction merge agrees with the argsort oracle patched in.
 
     Every merge produces the same runs (levels, keys, offsets — and
-    the same on-disk run bytes).  DiskStats: the serial compaction
-    matches itself with the argsort oracle patched in for its merge,
-    and the sharded plan (``workers > 1``) matches its serial replay
-    (``pool_kind="serial"``) bit for bit.
+    the same on-disk run bytes) and the same DiskStats.
     """
     disk_serial, serial = build_lsm()
-    disk_parallel, parallel = build_lsm(workers=3, pool_kind="thread")
-    disk_replay, replay = build_lsm(workers=3, pool_kind="serial")
     with mock.patch("repro.core.lsm.merge_presorted", argsort_merge):
         disk_oracle, oracle = build_lsm()
     # Snapshot before the file-byte comparisons below add reads.
-    stats_serial, stats_parallel = disk_serial.snapshot(), disk_parallel.snapshot()
-    stats_replay, stats_oracle = disk_replay.snapshot(), disk_oracle.snapshot()
-    assert serial.n_merges == parallel.n_merges == oracle.n_merges
-    assert serial.n_merges > 0
-    assert len(serial._runs) == len(parallel._runs) == len(oracle._runs)
-    for run_s, run_p, run_o in zip(serial._runs, parallel._runs, oracle._runs):
-        assert run_s.level == run_p.level == run_o.level
-        for other in (run_p, run_o):
-            np.testing.assert_array_equal(run_s.keys, other.keys)
-            np.testing.assert_array_equal(run_s.offsets, other.offsets)
+    stats_serial, stats_oracle = disk_serial.snapshot(), disk_oracle.snapshot()
+    assert serial.n_merges == oracle.n_merges > 0
+    assert len(serial._runs) == len(oracle._runs)
+    for run_s, run_o in zip(serial._runs, oracle._runs):
+        assert run_s.level == run_o.level
+        np.testing.assert_array_equal(run_s.keys, run_o.keys)
+        np.testing.assert_array_equal(run_s.offsets, run_o.offsets)
         assert run_s.file.read_stream(0, run_s.file.n_pages) == (
-            run_p.file.read_stream(0, run_p.file.n_pages)
+            run_o.file.read_stream(0, run_o.file.n_pages)
         )
     assert stats_serial == stats_oracle
-    assert stats_parallel == stats_replay
 
 
 def test_lsm_rejects_unknown_merge_engine():
@@ -353,14 +292,3 @@ def test_lsm_rejects_unknown_merge_engine():
     for engine in ("bubble", "vectorized", "argsort"):
         with pytest.raises(TypeError):
             CoconutLSM(SimulatedDisk(), 4096, merge_engine=engine)
-
-
-def test_lsm_queries_unchanged_by_parallel_compaction():
-    _, serial = build_lsm()
-    _, parallel = build_lsm(workers=4, pool_kind="thread")
-    for seed in range(5):
-        query = random_walk(1, length=32, seed=500 + seed)[0]
-        result_s = serial.exact_search(query)
-        result_p = parallel.exact_search(query)
-        assert result_s.answer_idx == result_p.answer_idx
-        assert result_s.distance == pytest.approx(result_p.distance)

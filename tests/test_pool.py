@@ -15,12 +15,14 @@
   constructor parameters stay deleted.
 """
 
+import importlib.util
 import inspect
 import os
 
 import numpy as np
 import pytest
 
+import repro
 import repro.parallel
 import repro.storage
 from repro import (
@@ -37,7 +39,7 @@ from repro.core import CoconutLSM, CoconutTrie
 from repro.core.sims import SIMSIndex
 from repro.indexes.base import SeriesIndex
 from repro.indexes.serial import SerialScan
-from repro.parallel import parallel_merge_runs, pool, resolve_workers
+from repro.parallel import parallel_invsax_keys, pool, resolve_workers
 from repro.parallel.sched import plan_query_batch
 from repro.parallel.spill import sharded_spill_merge, sharded_stream_merge
 from repro.storage import ExternalSorter
@@ -84,29 +86,13 @@ def _build_trie(pool_kind, memory):
     return leaves, report.n_leaves, report.io
 
 
-def _build_lsm(pool_kind, memory):
-    """Bulk load plus enough inserts to compact on the sharded layer."""
-    disk = SimulatedDisk(page_size=2048)
-    index = CoconutLSM(
-        disk, memory, config=CONFIG, size_ratio=2, workers=3, pool_kind=pool_kind
-    )
-    index.build(RawSeriesFile.create(disk, DATA[:200]))
-    snapshot = disk.snapshot()
-    for start in range(200, 600, 50):
-        index.insert_batch(DATA[start : start + 50])
-    assert index.n_merges
-    runs = [(run.level, run.keys.tobytes()) for run in index._runs]
-    return runs, index.n_merges, disk.stats_since(snapshot)
-
-
 @pytest.mark.parametrize(
     "build,memory",
     [
-        (_build_tree, 1 << 20),  # resident merge of the presorted runs
+        (_build_tree, 1 << 20),  # resident runs: summarization pool only
         (_build_tree, 2048),  # spilled cascade on shards
         (_build_trie, 1 << 20),
         (_build_trie, 2048),
-        (_build_lsm, 1024),
     ],
 )
 def test_serial_kind_builds_on_no_pool_and_thread_kind_on_some(
@@ -127,8 +113,6 @@ def test_every_constructor_rejects_unknown_and_removed_kinds(kind):
     for construct in (
         lambda: CoconutTree(disk, 4096, config=CONFIG, pool_kind=kind),
         lambda: CoconutTrie(disk, 4096, config=CONFIG, pool_kind=kind),
-        lambda: CoconutLSM(disk, 4096, config=CONFIG, pool_kind=kind),
-        lambda: CoconutLSM.recover(disk, raw, pool_kind=kind),
         lambda: ExternalSorter(disk, 4096, pool_kind=kind),
         lambda: ParallelSummarizer(CONFIG, kind=kind),
     ):
@@ -150,16 +134,23 @@ def test_sharded_merges_reject_unknown_and_removed_kinds(kind):
 # ----------------------------------------------------------------------
 # One ``workers`` convention
 # ----------------------------------------------------------------------
+def _lsm_query_workers(workers):
+    """The LSM compacts serially; its query batch is what takes workers."""
+    disk = SimulatedDisk(page_size=2048)
+    index = CoconutLSM(disk, 4096, config=CONFIG)
+    index.build(RawSeriesFile.create(disk, DATA[:50]))
+    batch = QueryBatch(queries=DATA[:2], k=1)
+    return index.query_batch(batch, query_workers=workers).plan.workers
+
+
 WORKER_ENTRY_POINTS = {
     "resolve_workers": resolve_workers,
     "ParallelSummarizer": lambda w: ParallelSummarizer(CONFIG, workers=w).workers,
+    "CoconutLSM": _lsm_query_workers,
     "CoconutTree": lambda w: CoconutTree(
         SimulatedDisk(), 4096, config=CONFIG, workers=w
     ).workers,
     "CoconutTrie": lambda w: CoconutTrie(
-        SimulatedDisk(), 4096, config=CONFIG, workers=w
-    ).workers,
-    "CoconutLSM": lambda w: CoconutLSM(
         SimulatedDisk(), 4096, config=CONFIG, workers=w
     ).workers,
     "ExternalSorter": lambda w: ExternalSorter(
@@ -186,11 +177,9 @@ def test_one_workers_convention(entry, requested, expected):
 
 @pytest.mark.parametrize("requested", [None, 0, -1, 1, 3])
 def test_workers_convention_reaches_the_engines(executors, requested):
-    """``parallel_merge_runs`` and ``query_batch`` size their pools by it."""
+    """``parallel_invsax_keys`` and ``query_batch`` size their pools by it."""
     expected = resolve_workers(requested)
-    keys = np.sort(np.frombuffer(DATA[:400].tobytes()[:1600], dtype="S4"))
-    runs = [(keys[i::4], np.arange(len(keys[i::4]))) for i in range(4)]
-    parallel_merge_runs(runs, workers=requested)
+    parallel_invsax_keys(DATA[:400], CONFIG, workers=requested, chunk_size=100)
     assert executors == ([expected] if expected > 1 else [])
     disk = SimulatedDisk(page_size=2048)
     index = CoconutTree(disk, 1 << 20, config=CONFIG, leaf_size=40)
@@ -231,8 +220,23 @@ def test_removed_names_fields_and_parameters_stay_removed():
             ServiceConfig(**{field: "thread"})
     disk = SimulatedDisk(page_size=2048)
     raw = RawSeriesFile.create(disk, DATA[:50])
-    with pytest.raises(TypeError):
-        CoconutService(disk, raw, 4096, lsm_pool_kind="thread")
+    # The sharded LSM compaction: the LSM and the service take no pool
+    # knobs, and refuse them before the device is touched.
+    before = disk.snapshot()
+    for knob, value in (("workers", 2), ("pool_kind", "serial")):
+        with pytest.raises(TypeError):
+            CoconutLSM(disk, 4096, config=CONFIG, **{knob: value})
+        with pytest.raises(TypeError):
+            CoconutLSM.recover(disk, raw, **{knob: value})
+        with pytest.raises(TypeError):
+            CoconutService(disk, raw, 4096, **{f"lsm_{knob}": value})
+    assert disk.snapshot() == before
+    # The pooled resident merge: its module and exports are gone.
+    assert importlib.util.find_spec("repro.parallel.merge") is None
+    for module in (repro, repro.parallel):
+        assert [
+            name for name in module.__all__ if name.endswith("_runs")
+        ] in ([], ["summarize_presorted_runs"])
     # Bound sharing, fence-planned cuts and precomputed cuts: deleted.
     index = CoconutTree(disk, 1 << 20, config=CONFIG)
     index.build(raw)

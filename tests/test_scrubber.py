@@ -24,6 +24,7 @@ from oracles import DEVICES
 from repro.core.lsm import CoconutLSM
 from repro.storage import (
     CorruptionError,
+    ExternalSorter,
     FaultError,
     FaultPlan,
     FaultyDevice,
@@ -45,7 +46,7 @@ EXTRA = _rng.standard_normal((250, LENGTH)).astype(np.float32)
 QUERIES = _rng.standard_normal((3, LENGTH))
 
 
-def build_index(store, workers=1, device=None):
+def build_index(store, device=None):
     disk = DEVICES[store](page_size=PAGE, integrity=True)
     raw = RawSeriesFile(disk, LENGTH)
     raw.append_batch(BASE)
@@ -54,7 +55,6 @@ def build_index(store, workers=1, device=None):
         MEM,
         CONFIG,
         durability="wal",
-        workers=workers,
     )
     ix.build(raw)
     for lo in range(0, len(EXTRA), BATCH_ROWS):
@@ -90,12 +90,10 @@ def answers(ix):
 # Clean workloads scrub clean (recording has no gaps)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("store", DEVICES)
-@pytest.mark.parametrize("workers", [1, 2])
-def test_clean_workload_scrubs_clean(store, workers):
-    """Every page the sweep covers was recorded by some consumer —
-    including sharded-compaction interior and boundary pages."""
-    disk, raw, ix = build_index(store, workers=workers)
-    assert ix.n_merges > 0  # compactions (the sharded path when workers=2)
+def test_clean_workload_scrubs_clean(store):
+    """Every page the sweep covers was recorded by some consumer."""
+    disk, raw, ix = build_index(store)
+    assert ix.n_merges > 0
     scrubber = Scrubber(disk, lsm=ix, raw=raw)
     report = scrubber.sweep()
     assert report.complete
@@ -103,6 +101,24 @@ def test_clean_workload_scrubs_clean(store, workers):
     assert report.pages_scanned > 0
     assert report.corrupt_pages == []
     assert scrubber.unrepairable == set()
+
+
+@pytest.mark.parametrize("store", DEVICES)
+def test_sharded_sort_cascade_records_every_page_it_writes(store):
+    """A spilled sort cascade at ``merge_workers=2`` writes runs through
+    disk shards — interior pages on the shards, partition-boundary pages
+    on the parent — and every page on the device verifies."""
+    disk = DEVICES[store](page_size=PAGE, integrity=True)
+    rng = np.random.default_rng(7)
+    keys = rng.integers(0, 256, size=(3000, 8), dtype=np.uint8).view("S8").ravel()
+    sorter = ExternalSorter(disk, 2 * PAGE, merge_workers=2)
+    merged = np.concatenate([k for k, _ in sorter.sort(keys, np.arange(3000))])
+    assert merged.tobytes() == np.sort(keys, kind="stable").tobytes()
+    assert sorter.report.merge_passes > 1  # cascade passes wrote runs
+    assert all(
+        disk.checksums.verify(page, disk.page_view(page))
+        for page in range(disk.pages_allocated)
+    )
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,6 @@ from repro.core.lsm import CoconutLSM
 from repro.indexes.base import QueryBatch
 from repro.indexes.serial import SerialScan
 from repro.parallel.heal import RetryPolicy, run_self_healing
-from repro.parallel.merge import parallel_merge_runs
 from repro.parallel.query import (
     parallel_serial_scan_batch,
     parallel_sims_query_batch,
@@ -186,54 +185,15 @@ def test_scan_heals_and_degrades_with_identical_stats():
 
 
 # ----------------------------------------------------------------------
-# Sharded spill merge + LSM compaction healing
+# Sharded spill merge healing
 # ----------------------------------------------------------------------
-def lsm_content(ix) -> bytes:
-    keys = [np.asarray(run.keys) for run in ix._runs]
-    offs = [np.asarray(run.offsets) for run in ix._runs]
-    keys += [np.atleast_1d(np.asarray(k)) for k in ix._mem_keys]
-    offs += [np.atleast_1d(np.asarray(o)) for o in ix._mem_offsets]
-    k, o = np.concatenate(keys), np.concatenate(offs)
-    order = np.lexsort((o, k))
-    return k[order].tobytes() + o[order].tobytes()
-
-
-def build_compacting_lsm(workers, wrap=None):
-    disk = SimulatedDisk(page_size=PAGE)
-    raw = RawSeriesFile(disk, LENGTH)
-    raw.append_batch(DATA[:200])
-    ix = CoconutLSM(disk, 1 << 10, CONFIG, workers=workers)
-    ix.build(raw)
-    if wrap is not None:
-        ix._compact_wrap_device = wrap
-    for lo in range(200, len(DATA), 50):
-        ix.insert_batch(DATA[lo : lo + 50])
-    return disk, ix
-
-
-def test_sharded_compaction_retries_transients():
-    _, serial = build_compacting_lsm(workers=1)
-    _, healed = build_compacting_lsm(workers=3, wrap=transient_wrap(3, p=0.15))
-    assert healed.n_merges > 0
-    assert healed.n_degraded_compactions == 0
-    assert lsm_content(healed) == lsm_content(serial)
-
-
-def test_sharded_compaction_degrades_to_serial_merge():
-    _, serial = build_compacting_lsm(workers=1)
-    disk, degraded = build_compacting_lsm(workers=3, wrap=permanent_wrap)
-    assert degraded.n_degraded_compactions > 0
-    assert lsm_content(degraded) == lsm_content(serial)
-    disk.allocate(1)  # parent writable after every aborted session
-
-
-def test_spill_merge_fault_mid_merge_unfences_parent():
-    disk = SimulatedDisk(page_size=PAGE)
+def spill_sources(disk, n_runs, n_records, seed):
+    """Sorted ``S8`` runs written to ``disk`` as sharded-merge sources."""
     rec_dtype = np.dtype([("k", "S8"), ("v", "<i8")])
-    rng = np.random.default_rng(5)
+    rng = np.random.default_rng(seed)
     sources = []
-    for _ in range(3):
-        letters = rng.integers(65, 91, size=(300, 8), dtype=np.uint8)
+    for _ in range(n_runs):
+        letters = rng.integers(65, 91, size=(n_records, 8), dtype=np.uint8)
         keys = np.sort(letters.view("S8").ravel())
         block = np.empty(len(keys), dtype=rec_dtype)
         block["k"] = keys
@@ -241,31 +201,23 @@ def test_spill_merge_fault_mid_merge_unfences_parent():
         file = PagedFile(disk, name="src")
         file.write_stream(block.tobytes(), at_page=0)
         sources.append((file, len(keys), block["k"].copy()))
+    return rec_dtype, sources
+
+
+def test_spill_merge_fault_mid_merge_unfences_parent():
+    disk = SimulatedDisk(page_size=PAGE)
+    rec_dtype, sources = spill_sources(disk, 3, 300, seed=5)
     with pytest.raises(PermanentIOError):
         sharded_spill_merge(
-            disk, sources, rec_dtype, 3, 64,
-            wrap_device=permanent_wrap, heal_policy=RetryPolicy(retries=1),
+            disk, sources, rec_dtype, 3, 64, wrap_device=permanent_wrap
         )
     # the failed merge left the parent live and allocatable
     disk.allocate(1)
     disk.write_page(disk.allocate(1), b"still writable")
     # and a fault-free retry on the same disk succeeds outright
-    result = sharded_spill_merge(disk, sources, rec_dtype, 3, 64, collect="keys")
+    result = sharded_spill_merge(disk, sources, rec_dtype, 3, 64)
     assert result.n_records == sum(n for _, n, _ in sources)
     assert bytes(np.sort(np.concatenate([s[2] for s in sources])).tobytes()) == result.keys.tobytes()
-
-
-def test_parallel_merge_runs_unaffected_by_healing_path():
-    rng = np.random.default_rng(1)
-    runs = []
-    for _ in range(4):
-        letters = rng.integers(65, 91, size=(500, 8), dtype=np.uint8)
-        keys = np.sort(letters.view("S8").ravel())
-        runs.append((keys, np.arange(500, dtype=np.int64)))
-    serial_k, serial_v = parallel_merge_runs(runs, workers=1)
-    par_k, par_v = parallel_merge_runs(runs, workers=3, kind="thread")
-    assert serial_k.tobytes() == par_k.tobytes()
-    assert serial_v.tobytes() == par_v.tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -343,11 +295,12 @@ def test_legacy_kwargs_override_policy_fields():
             run_self_healing(
                 attempt, policy=RetryPolicy(retries=5, backoff_s=0.0), **legacy
             )
-    with pytest.raises(TypeError):
-        sharded_spill_merge(
-            SimulatedDisk(page_size=PAGE), [], np.dtype([("k", "S8")]), 2, 64,
-            heal_retries=1,
-        )
+    for legacy in ("heal_retries", "heal_policy", "heal_report"):
+        with pytest.raises(TypeError):
+            sharded_spill_merge(
+                SimulatedDisk(page_size=PAGE), [], np.dtype([("k", "S8")]),
+                2, 64, **{legacy: None},
+            )
     assert calls == []
 
 
@@ -388,35 +341,23 @@ def test_heal_report_accumulates_across_calls():
 
 
 def test_spill_merge_reports_heal_attempts():
-    from repro.parallel.heal import HealReport
+    """A transient fault on the first attempt retries on a clean session:
+    the run bytes and reconciled stats equal a fault-free merge's."""
 
-    disk = SimulatedDisk(page_size=PAGE)
-    rec_dtype = np.dtype([("k", "S8"), ("v", "<i8")])
-    rng = np.random.default_rng(21)
-    sources = []
-    for _ in range(2):
-        letters = rng.integers(65, 91, size=(200, 8), dtype=np.uint8)
-        keys = np.sort(letters.view("S8").ravel())
-        block = np.empty(len(keys), dtype=rec_dtype)
-        block["k"] = keys
-        block["v"] = np.arange(len(keys))
-        file = PagedFile(disk, name="src")
-        file.write_stream(block.tobytes(), at_page=0)
-        sources.append((file, len(keys), block["k"].copy()))
-    report = HealReport()
-    result = sharded_spill_merge(
-        disk, sources, rec_dtype, 2, 64,
-        wrap_device=transient_wrap(9, p=0.2), heal_report=report,
-    )
-    assert result.n_heal_attempts == report.n_attempts >= 1
-    assert report.n_calls == 1
-    # Even when the merge gives up, the attempts are still reported.
-    report2 = HealReport()
-    with pytest.raises(PermanentIOError):
-        sharded_spill_merge(
-            disk, sources, rec_dtype, 2, 64,
-            wrap_device=permanent_wrap, heal_report=report2,
+    def merge(wrap):
+        disk = SimulatedDisk(page_size=PAGE)
+        rec_dtype, sources = spill_sources(disk, 2, 200, seed=21)
+        before = disk.snapshot()
+        result = sharded_spill_merge(
+            disk, sources, rec_dtype, 2, 64, wrap_device=wrap
         )
-    assert report2.n_fatal_faults == 1
-    assert report2.n_degraded == 0  # no fallback at this layer
-    disk.allocate(1)  # parent unfenced either way
+        stats = disk.stats_since(before)
+        data = result.file.read_stream(0, result.file.n_pages)
+        return result, stats, data
+
+    clean, clean_stats, clean_data = merge(None)
+    healed, healed_stats, healed_data = merge(transient_wrap(9, p=0.2))
+    assert clean.n_heal_attempts == 1
+    assert healed.n_heal_attempts > 1  # attempt 0 faulted, a retry healed
+    assert (healed_data, healed_stats) == (clean_data, clean_stats)
+    assert healed.keys.tobytes() == clean.keys.tobytes()

@@ -13,8 +13,8 @@ Unit-level contracts of :class:`repro.service.CoconutService`
   engines over the snapshot watermark the ticket reports;
 * **snapshot isolation** — a snapshot taken before further ingest
   (flushes, compactions) keeps answering bit-identically afterwards;
-* **graceful degradation** — a writing ``ShardedDisk`` session (a
-  compaction mid-commit) fences the parent, yet serving proceeds:
+* **graceful degradation** — a writing ``ShardedDisk`` session (any
+  sharded writer on the disk) fences the parent, yet serving proceeds:
   the single-worker path reads straight through the snapshot's
   pre-attached read-only shard, the multi-worker path degrades onto
   it with ``session_conflicts`` counted;
@@ -42,6 +42,7 @@ from repro.service import (
     serve_snapshot_batch,
 )
 from repro.indexes.base import QueryBatch
+from repro.parallel import resolve_workers
 from repro.storage import (
     FaultPlan,
     FaultyDevice,
@@ -211,6 +212,14 @@ def test_non_integer_k_is_refused_and_the_server_lives():
     finally:
         svc.stop()
     assert_conservation(svc)
+
+
+@pytest.mark.parametrize("workers", [2.5, "2", True])
+def test_non_integer_query_workers_is_refused_by_the_config(workers):
+    """``query_workers=2.5`` used to be accepted and raise on the serving
+    thread at the first batch, killing it with the tickets still queued."""
+    with pytest.raises(ValueError, match="workers"):
+        ServiceConfig(query_workers=workers)
 
 
 def test_deadline_expired_in_queue_is_shed():
@@ -420,8 +429,9 @@ def test_ticket_reports_the_watermark_it_is_exact_over():
 # ----------------------------------------------------------------------
 # Degradation under the parent-disk fence
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 0, -1])
 def test_serving_proceeds_while_a_writing_session_fences_the_parent(workers):
+    """``0`` / ``-1`` mean all cores, as at every other entry point."""
     disk, _, svc = make_service(ServiceConfig(query_workers=workers))
     expected = expected_answers(svc._lsm)
     session = ShardedDisk(disk, [(disk.allocate(4), 4)])
@@ -431,7 +441,7 @@ def test_serving_proceeds_while_a_writing_session_fences_the_parent(workers):
     finally:
         session.abort()
     stats = svc.stats_snapshot()
-    if workers > 1:
+    if resolve_workers(workers) > 1:
         # The engine's own sessions could not attach: every batch
         # degraded onto the snapshot shard, and the conflict was counted.
         assert stats["session_conflicts"] == stats["batches"]
@@ -545,6 +555,40 @@ def test_client_stream_offset_makes_retries_exactly_once():
     # An offset past the watermark is a client-side gap: loud failure.
     with pytest.raises(ValueError):
         svc.ingest(EXTRA[25:50], expected_first=base + 100)
+
+
+def test_zero_row_ingest_does_not_wedge_later_ingests():
+    """One empty ingest used to queue an empty memtable entry: six of
+    the next ten 20-row ingests raised ``IndexError`` at the flush,
+    although all 200 rows had reached the raw file."""
+    _, raw, svc = make_service()
+    base, lsn = raw.n_series, svc._lsm._wal.next_lsn
+    receipt = svc.ingest(np.empty((0, LENGTH), dtype=np.float32))
+    assert (receipt.first_index, receipt.n_rows) == (base, 0)
+    assert raw.n_series == base and svc._lsm._wal.next_lsn == lsn
+    for lo in range(0, 200, 20):
+        assert svc.ingest(EXTRA[lo : lo + 20]).n_rows == 20
+    assert raw.n_series == base + 200 and svc._lsm.n_flushes > 0
+    assert_serves_expected(svc, expected_answers(svc._lsm))
+
+
+def test_non_finite_ingest_is_refused_and_the_service_stays_ready():
+    """A NaN row used to be indexed and served as an answer at distance
+    ``nan``; now it is refused before any page is written."""
+    disk, raw, svc = make_service()
+    base, lsn = raw.n_series, svc._lsm._wal.next_lsn
+    for poison in (np.nan, np.inf, -np.inf):
+        bad = EXTRA[:20].copy()
+        bad[5, 9] = poison
+        before = disk.snapshot()
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            svc.ingest(bad)
+        assert disk.snapshot() == before
+    assert svc.state == "ready"
+    assert raw.n_series == base and svc._lsm._wal.next_lsn == lsn
+    svc.ingest(EXTRA[:20])
+    assert raw.n_series == base + 20
+    assert_serves_expected(svc, expected_answers(svc._lsm))
 
 
 # ----------------------------------------------------------------------
