@@ -130,8 +130,8 @@ class BufferPool(_DerivedVerbs):
     def page_size(self) -> int:
         return self._require_attached().page_size
 
-    def allocate(self, n_pages: int = 1) -> int:
-        return self._require_attached().allocate(n_pages)
+    def allocate(self, n_pages: int = 1, file_end: int | None = None) -> int:
+        return self._require_attached().allocate(n_pages, file_end=file_end)
 
     @property
     def checksums(self):

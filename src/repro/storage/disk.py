@@ -15,10 +15,13 @@ the address space, so their I/O is counted as random.
 
 Page store
 ----------
-Pages live in **contiguous arenas, one per allocation extent**
-(:class:`_ExtentArenas`): every ``allocate`` call reserves one
-``bytearray`` holding its pages back to back, and an extent physically
-adjacent to the tail arena grows it in place.  Reads return zero-copy
+Pages live in **contiguous arenas, each owned by one file**
+(:class:`_ExtentArenas`): every ``allocate`` call reserves a fresh
+``bytearray`` holding its pages back to back, unless the caller says
+the extent continues its file (``file_end``, passed by
+``PagedFile.grow``) and the extent starts exactly where that file's
+arena ends — then the arena grows in place.  A new file never grows,
+and so never copies, another file's arena.  Reads return zero-copy
 read-only ``memoryview`` slices of the arena — :meth:`read_run_bytes`
 of a run inside one arena is a single slice, no join, no copy — and
 :meth:`write_run_bytes` splices a whole run with one buffer
@@ -47,8 +50,8 @@ referenced.  The safe lifetime rules are documented in
 must not outlive the shard's session, and a consumer that needs a
 stable private copy (e.g. to mutate) must copy explicitly — everything
 inside this package already does.  A scatter list pins whole arenas
-(an ``allocate`` next to a pinned tail arena opens a new arena instead
-of growing it), so it never outlives the call that asked for it.
+(a file growing from a pinned tail arena opens a new arena instead of
+growing it), so it never outlives the call that asked for it.
 
 Access traces
 -------------
@@ -203,20 +206,22 @@ class _DerivedVerbs:
 
 
 class _ExtentArenas:
-    """Contiguous page storage: one ``bytearray`` arena per extent run.
+    """Contiguous page storage: ``bytearray`` arenas, each owned by one file.
 
     Arenas are appended in ascending page order (allocation is
-    monotonic).  A freshly allocated extent that is physically adjacent
-    to the tail arena is *coalesced* into it — grown in place — so
-    incrementally built files stay single-arena and their runs stay on
-    the zero-copy path of :meth:`run_view`.  Growing a ``bytearray``
-    with exported memoryviews raises ``BufferError``, so coalescing
-    backs off to a separate arena exactly when a grow could invalidate
-    a live view; an arena with no exports never moves data (``extend``
-    preserves existing offsets), and once created an arena is never
-    removed, so exported views stay valid for the life of the
-    container.  All views handed out are read-only; mutation goes
-    through :meth:`splice`.
+    monotonic).  Each freshly allocated extent gets its own arena,
+    unless it continues the file that owns the tail arena
+    (``grow_tail``): then it is *coalesced* — the tail grows in place —
+    so incrementally grown files stay single-arena and their runs stay
+    on the zero-copy path of :meth:`run_view`.  Only a file's own growth
+    ever extends an arena, so allocating a new file never copies an
+    existing one.  Growing a ``bytearray`` with exported memoryviews
+    raises ``BufferError``, so coalescing backs off to a separate arena
+    exactly when a grow could invalidate a live view; an arena with no
+    exports never moves data (``extend`` preserves existing offsets),
+    and once created an arena is never removed, so exported views stay
+    valid for the life of the container.  All views handed out are
+    read-only; mutation goes through :meth:`splice`.
     """
 
     __slots__ = ("page_size", "starts", "arenas")
@@ -226,10 +231,11 @@ class _ExtentArenas:
         self.starts: list[int] = []  # first page id of each arena
         self.arenas: list[bytearray] = []
 
-    def add(self, first_page: int, n_pages: int) -> None:
-        """Back a freshly allocated extent with zero-filled storage."""
+    def add(self, first_page: int, n_pages: int, grow_tail: bool = False) -> None:
+        """Back a freshly allocated extent with zero-filled storage —
+        grown onto the tail arena when ``grow_tail`` and it is adjacent."""
         grow = n_pages * self.page_size
-        if self.arenas:
+        if grow_tail and self.arenas:
             tail_pages = len(self.arenas[-1]) // self.page_size
             if first_page == self.starts[-1] + tail_pages:
                 try:
@@ -253,10 +259,10 @@ class _ExtentArenas:
     def run_view(self, first_page: int, n_pages: int):
         """A contiguous run as one zero-copy view when it fits one arena.
 
-        Runs spanning an arena boundary (physically adjacent pages from
-        separate ``allocate`` calls, e.g. an incrementally grown file)
-        fall back to a joined ``bytes`` copy — correctness first, the
-        zero-copy fast path where allocation made it possible.
+        Runs spanning an arena boundary (physically adjacent pages of
+        two files, or of a file whose growth backed off from a pinned
+        tail) fall back to a joined ``bytes`` copy — correctness first,
+        the zero-copy fast path where allocation made it possible.
         """
         ps = self.page_size
         i = self._locate(first_page)
@@ -578,20 +584,22 @@ class SimulatedDisk(_PagedDevice):
     # ------------------------------------------------------------------
     # Allocation
     # ------------------------------------------------------------------
-    def allocate(self, n_pages: int = 1) -> int:
+    def allocate(self, n_pages: int = 1, file_end: int | None = None) -> int:
         """Reserve ``n_pages`` physically contiguous pages.
 
         Returns the id of the first page.  Allocation itself performs
         no I/O; pages read as zeros until written.  Each allocation is
         backed by one contiguous arena, so runs inside it stream as
-        single zero-copy views.
+        single zero-copy views.  ``file_end`` is the page just past the
+        calling file's last extent: when the new extent starts exactly
+        there, it grows that file's arena instead of opening a new one.
         """
         if n_pages <= 0:
             raise ValueError(f"n_pages must be positive, got {n_pages}")
         self._check_unsharded("allocate")
         first = self._next_page
         self._next_page += n_pages
-        self._arenas.add(first, n_pages)
+        self._arenas.add(first, n_pages, grow_tail=file_end == first)
         return first
 
     @property
@@ -797,8 +805,12 @@ class DiskShard(_PagedDevice):
     def pages_written(self) -> int:
         return len(self._written)
 
-    def allocate(self, n_pages: int = 1) -> int:
-        """Carve ``n_pages`` from the shard's extent (no parent call)."""
+    def allocate(self, n_pages: int = 1, file_end: int | None = None) -> int:
+        """Carve ``n_pages`` from the shard's extent (no parent call).
+
+        The extent is one private arena already, so ``file_end`` (see
+        :meth:`SimulatedDisk.allocate`) changes nothing here.
+        """
         if n_pages <= 0:
             raise ValueError(f"n_pages must be positive, got {n_pages}")
         self._check_attached()

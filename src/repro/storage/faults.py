@@ -336,10 +336,10 @@ class FaultyDevice(_DerivedVerbs):
     def page_size(self) -> int:
         return self.inner.page_size
 
-    def allocate(self, n_pages: int = 1) -> int:
+    def allocate(self, n_pages: int = 1, file_end: int | None = None) -> int:
         if self.crashed:
             raise DeviceCrash("device halted; reopen before further I/O")
-        return self.inner.allocate(n_pages)
+        return self.inner.allocate(n_pages, file_end=file_end)
 
     def read_page(self, page_id: int):
         self._check_read(page_id, 1)

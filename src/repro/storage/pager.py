@@ -106,18 +106,19 @@ class PagedFile:
 
         Returns the logical page index of the first new page.  The new
         extent is merged with the previous one when it happens to be
-        physically adjacent (no intervening allocation).
+        physically adjacent (no intervening allocation); the device is
+        told where the file ends, so it grows the file's own arena in
+        that case and opens a new one otherwise.
         """
         if n_pages <= 0:
             raise ValueError(f"n_pages must be positive, got {n_pages}")
         first_logical = self._n_pages
-        first_physical = self.disk.allocate(n_pages)
-        if (
-            self._extents
-            and self._extents[-1].first_page + self._extents[-1].n_pages
-            == first_physical
-        ):
+        end = None
+        if self._extents:
             last = self._extents[-1]
+            end = last.first_page + last.n_pages
+        first_physical = self.disk.allocate(n_pages, file_end=end)
+        if first_physical == end:
             self._extents[-1] = Extent(last.first_page, last.n_pages + n_pages)
         else:
             self._extents.append(Extent(first_physical, n_pages))
@@ -205,8 +206,11 @@ class PagedFile:
         The inner loop streams whole extents through the device's
         bytes-level interface (``write_run_bytes``) when it has one;
         content, counters and head movement are bit-identical to the
-        page-at-a-time path either way.
+        page-at-a-time path either way.  A negative ``at_page`` raises
+        :class:`PageError` before anything is grown, written or recorded.
         """
+        if at_page < 0:
+            raise PageError(f"logical page {at_page} is negative")
         page_size = self.disk.page_size
         n_pages = max(1, -(-len(data) // page_size))
         needed = at_page + n_pages - self._n_pages
@@ -240,7 +244,7 @@ class PagedFile:
         it: on arena devices that is one zero-copy ``memoryview``, end
         to end from the page store to the consumer.
         """
-        if first_page < 0 or first_page + n_pages > self._n_pages:
+        if first_page < 0 or n_pages < 0 or first_page + n_pages > self._n_pages:
             raise PageError(
                 f"range [{first_page}, {first_page + n_pages}) out of "
                 f"[0, {self._n_pages})"

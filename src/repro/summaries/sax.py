@@ -97,9 +97,85 @@ class SAXConfig:
         return self.word_length * (2 if self.cardinality > 256 else 1)
 
 
+class SymbolTable:
+    """SAX symbols by table lookup: a uniform grid of cells over the
+    breakpoints, narrower than the closest pair, so a cell holds at most
+    one breakpoint.
+
+    A value's symbol is the number of breakpoints strictly below it
+    (``searchsorted(..., side="left")``).  Its cell gives the count below
+    the cell (``base``) and the one breakpoint inside it (``upper``,
+    ``+inf`` when none), so one compare finishes the count — no binary
+    search, no branch to mispredict.  Exact for every float64: the cell
+    map is monotone (a scale, a shift, two clamps), so a breakpoint in
+    an earlier cell is below the value and one in a later cell is not.
+    NaN and ``+inf`` clamp into a last, empty cell whose base is
+    ``cardinality - 1``, as ``searchsorted`` sorts NaN last; ``-inf``
+    clamps into the first.
+    """
+
+    __slots__ = ("scale", "offset", "n_cells", "base", "upper")
+
+    def __init__(self, cardinality: int):
+        bps = breakpoints(cardinality)
+        # Cardinality 2 has one breakpoint and no width: any span works.
+        span = float(bps[-1] - bps[0]) or 1.0
+        min_gap = float(np.diff(bps).min()) if len(bps) > 1 else span
+        self.n_cells = int(np.ceil(span / min_gap)) + 1
+        # The breakpoints fill the first n_cells - 1/2 cells, so the
+        # last one (for NaN and everything above) stays empty.
+        self.scale = (self.n_cells - 0.5) / span
+        self.offset = bps[0] * self.scale
+        cells = self.cells(bps)
+        counts = np.bincount(cells, minlength=self.n_cells + 1)
+        if counts.max() > 1 or counts[-1]:
+            raise RuntimeError(f"cardinality {cardinality}: cells too wide")
+        self.base = np.searchsorted(
+            cells, np.arange(self.n_cells + 1), side="left"
+        ).astype(np.uint16)
+        self.upper = np.full(self.n_cells + 1, np.inf)
+        self.upper[cells] = bps
+        self.base.flags.writeable = self.upper.flags.writeable = False
+
+    def cells(self, values: np.ndarray) -> np.ndarray:
+        """The cell of each value (``intp``, in ``[0, n_cells]``)."""
+        with np.errstate(over="ignore"):  # |value| near float max: +-inf
+            t = np.multiply(values, self.scale)
+        t -= self.offset
+        np.fmin(t, self.n_cells, out=t)  # NaN and +inf: the last cell
+        np.maximum(t, 0.0, out=t)
+        return t.astype(np.intp)
+
+    def symbols(self, values: np.ndarray) -> np.ndarray:
+        """``searchsorted(breakpoints, values, side="left")`` as uint16."""
+        cells = self.cells(values)
+        out = self.base.take(cells)
+        out += self.upper.take(cells) < values
+        return out
+
+
+@lru_cache(maxsize=None)
+def symbol_table(cardinality: int) -> SymbolTable:
+    """The cached :class:`SymbolTable` of a cardinality."""
+    return SymbolTable(cardinality)
+
+
+#: Fewer values than this take one binary search each: the table's ten
+#: or so whole-array passes cost more than the searches below ~512
+#: values, and a query's single word is 16.
+TABLE_MIN_VALUES = 512
+
+
 def sax_from_paa(paa_values: np.ndarray, cardinality: int) -> np.ndarray:
-    """Quantize PAA values into SAX symbols (uint16)."""
+    """Quantize PAA values into SAX symbols (uint16).
+
+    Bulk inputs go through the cardinality's :class:`SymbolTable`; a
+    handful of values (a query) through ``np.searchsorted``, which
+    produces the same symbols.
+    """
     paa_values = np.asarray(paa_values, dtype=np.float64)
+    if paa_values.size >= TABLE_MIN_VALUES:
+        return symbol_table(cardinality).symbols(paa_values)
     return np.searchsorted(
         breakpoints(cardinality), paa_values, side="left"
     ).astype(np.uint16)

@@ -14,6 +14,7 @@ oracle                     production callable it pins            pinned in
 ``loop_get_many``          ``RawSeriesFile.get_many``             ``test_fetch_oracle.py``
 ``loop_read_pages``        ``read_pages`` (native and adapter)    ``test_fetch_oracle.py``
 ``refine_every_row``       ``repro.core.knn.refine_block``        ``test_refine_order.py``
+``searchsorted_symbols``   ``repro.summaries.sax.sax_from_paa``   ``test_sax.py``
 =========================  =====================================  ======================
 """
 
@@ -25,6 +26,7 @@ from repro.series.distance import early_abandon_euclidean_block
 from repro.storage import SimulatedDisk
 from repro.storage.disk import _DerivedVerbs
 from repro.storage.merge import _open_cursors
+from repro.summaries.sax import breakpoints
 
 
 # ------------------------------------------------------------ page store
@@ -38,8 +40,8 @@ class DictPages:
         self.page_size = page_size
         self.pages: "dict[int, bytes]" = {}
 
-    def add(self, first_page: int, n_pages: int) -> None:
-        pass  # unwritten pages simply have no entry
+    def add(self, first_page: int, n_pages: int, grow_tail: bool = False) -> None:
+        pass  # unwritten pages simply have no entry, whoever owns them
 
     def page(self, page_id: int) -> bytes:
         return self.pages.get(page_id, b"").ljust(self.page_size, b"\x00")
@@ -203,3 +205,14 @@ def refine_every_row(query, series, identifiers, rows, bounds, heap):
         query, series[rows], heap.threshold
     )
     heap.offer_block(distances, identifiers[rows])
+
+
+# ---------------------------------------------------------------- symbols
+def searchsorted_symbols(paa_values, cardinality):
+    """SAX symbols by one binary search per value (same signature as
+    ``sax_from_paa``): the count of breakpoints strictly below each
+    value, NaN sorting above every breakpoint."""
+    return np.searchsorted(
+        breakpoints(cardinality), np.asarray(paa_values, dtype=np.float64),
+        side="left",
+    ).astype(np.uint16)

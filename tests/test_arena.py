@@ -170,74 +170,111 @@ def test_shard_detach_splices_without_per_page_copies():
 
 # ------------------------------------------------- extent coalescing
 def test_adjacent_extents_coalesce_into_one_arena():
-    """Back-to-back allocations grow the tail arena in place."""
+    """A file growing into the pages right after it grows its own arena
+    in place; a new file next to it gets an arena of its own."""
     disk = SimulatedDisk(page_size=64)
-    first = disk.allocate(4)
-    second = disk.allocate(4)
-    assert second == first + 4  # physically adjacent
+    file = PagedFile(disk, n_pages=4)
+    assert file.grow(4) == 4
+    assert file.n_extents == 1  # physically adjacent
     assert len(disk._arenas.arenas) == 1
     payload = bytes(range(256)) * 2
-    disk.write_run_bytes(first, payload, 8)
-    # A run spanning both allocate calls is one zero-copy view.
-    view = disk.read_run_bytes(first, 8)
+    file.write_stream(payload)
+    # A run spanning both grow calls is one zero-copy view.
+    view = file.read_stream(0, 8)
     assert isinstance(view, memoryview) and view.readonly
     assert view.obj is disk._arenas.arenas[0]
     assert bytes(view) == payload
+    # A neighbour is adjacent too, but it is another file: new arena.
+    PagedFile(disk, n_pages=2)
+    assert len(disk._arenas.arenas) == 2
+    assert len(disk._arenas.arenas[0]) == 8 * 64
 
 
 def test_coalescing_backs_off_while_views_are_exported():
     """A live memoryview pins the tail arena; growth must not move it."""
     disk = SimulatedDisk(page_size=64)
-    first = disk.allocate(2)
-    disk.write_page(first, b"pinned")
-    held = disk.read_page(first)  # exported view of the tail arena
-    second = disk.allocate(2)
-    assert second == first + 2
+    file = PagedFile(disk, n_pages=2)
+    file.write(0, b"pinned")
+    held = file.read(0)  # exported view of the tail arena
+    assert file.grow(2) == 2 and file.n_extents == 1
     # BufferError fallback: a separate arena, the held view intact.
     assert len(disk._arenas.arenas) == 2
     assert bytes(held)[:6] == b"pinned"
-    disk.write_page(second, b"new")
-    assert bytes(disk.read_page(second))[:3] == b"new"
+    file.write(2, b"new")
+    assert bytes(file.read(2))[:3] == b"new"
     # Cross-boundary runs still read correctly (joined copy path).
-    assert bytes(disk.read_run_bytes(first, 4))[:6] == b"pinned"
+    assert bytes(file.read_stream(0, 4))[:6] == b"pinned"
     del held
-    # With the export gone the next adjacent extent coalesces again.
-    third = disk.allocate(2)
-    assert third == second + 2
+    # With the export gone the file's next extent coalesces again.
+    assert file.grow(2) == 4 and file.n_extents == 1
     assert len(disk._arenas.arenas) == 2
 
 
 def test_incrementally_grown_file_reads_back_zero_copy():
     """An extent-at-a-time file stays on the zero-copy read path.
 
-    Before coalescing, each ``allocate`` call made its own arena and a
-    whole-file read joined them through a bytes copy; now the read is
+    Without coalescing, each ``grow`` would make its own arena and a
+    whole-file read would join them through a bytes copy; the read is
     a single arena slice, pinned by tracemalloc staying far below the
     file size.
     """
     page_size, n_extents, extent_pages = 1024, 16, 8
     disk = SimulatedDisk(page_size=page_size)
     rng = np.random.default_rng(5)
-    first = None
-    for i in range(n_extents):
-        start = disk.allocate(extent_pages)
-        first = start if first is None else first
-        disk.write_run_bytes(
-            start,
+    file = PagedFile(disk)
+    for _ in range(n_extents):
+        start = file.grow(extent_pages)
+        file.write_stream(
             bytes(rng.integers(0, 256, size=extent_pages * page_size,
                                dtype=np.uint8)),
-            extent_pages,
+            at_page=start,
         )
-    assert len(disk._arenas.arenas) == 1
+    assert len(disk._arenas.arenas) == 1 and file.n_extents == 1
     total_pages = n_extents * extent_pages
     tracemalloc.start()
-    view = disk.read_run_bytes(first, total_pages)
+    view = file.read_stream(0, total_pages)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert isinstance(view, memoryview)
     assert view.obj is disk._arenas.arenas[0]
     # 128 KiB of data read with no materialized copy.
     assert peak < total_pages * page_size // 8
+
+
+def test_a_new_file_never_grows_another_files_arena():
+    """Only a file's own growth extends an arena.  Bare ``allocate``
+    calls — a new file, a baseline leaf, a spill output — open one
+    each, and a file that grows after a neighbour was allocated gets
+    a second extent in a second arena."""
+    disk = SimulatedDisk(page_size=64)
+    a = PagedFile(disk, n_pages=2)
+    first = disk.allocate(3)
+    assert first == 2 and len(disk._arenas.arenas) == 2
+    assert a.grow(1) == 2 and a.n_extents == 2
+    assert len(disk._arenas.arenas) == 3
+    assert [len(arena) // 64 for arena in disk._arenas.arenas] == [2, 3, 1]
+    assert disk._arenas.starts == [0, 2, 5]
+
+
+def test_a_tree_build_leaves_the_raw_files_arena_untouched():
+    """The leaf level is a new file: reserving it used to grow the raw
+    file's arena by the whole leaf level (a copy of the raw file)."""
+    from repro.core import CoconutTree
+    from repro.summaries import SAXConfig
+
+    rng = np.random.default_rng(2)
+    disk = SimulatedDisk(page_size=1024)
+    raw = RawSeriesFile.create(disk, rng.standard_normal((300, 32)).astype(np.float32))
+    arena = disk._arenas.arenas[0]
+    size = len(arena)
+    for materialized in (False, True):
+        tree = CoconutTree(
+            disk, 4096, SAXConfig(series_length=32, word_length=8, cardinality=16),
+            leaf_size=20, materialized=materialized,
+        )
+        tree.build(raw)
+        assert disk._arenas.arenas[0] is arena
+        assert len(arena) == size == raw.file.n_pages * disk.page_size
 
 
 # ------------------------------------------------- cross-store oracle

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import CoconutTree
 from repro.series import euclidean, euclidean_batch, random_walk
@@ -400,3 +402,60 @@ def test_summary_column_mirrors_disk_after_merges_and_splits(materialized):
         )
         np.testing.assert_array_equal(sidecar["k"], keys)
         np.testing.assert_array_equal(sidecar["off"], offsets)
+
+
+#: The pool the property below draws its batches from; a narrow word
+#: (8-bit keys) makes equal keys common, and repeated pool rows make
+#: exact duplicates.
+POOL_CONFIG = SAXConfig(series_length=32, word_length=4, cardinality=4)
+POOL = random_walk(48, length=32, seed=41).astype(np.float32)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    base=st.lists(st.integers(0, len(POOL) - 1), max_size=40),
+    batches=st.lists(
+        st.sampled_from([[], [0], [7]])
+        | st.lists(st.integers(0, len(POOL) - 1), max_size=30),
+        max_size=6,
+    ),
+    materialized=st.booleans(),
+    fill_factor=st.sampled_from([0.5, 1.0]),
+)
+def test_property_tree_column_is_the_stable_sort_of_every_row(
+    base, batches, materialized, fill_factor
+):
+    """After the build and after every ``insert_batch`` (empty and
+    single-row batches, duplicate rows, merges and median splits): the
+    summary column's keys and offsets are the stable sort of every row
+    appended so far — ties in offset order — and each leaf on disk holds
+    exactly its slice of the column (and the rows, when materialized)."""
+    from repro.core import invsax_keys
+
+    disk = SimulatedDisk(page_size=512)
+    tree = CoconutTree(
+        disk, memory_bytes=1 << 11, config=POOL_CONFIG, leaf_size=6,
+        fill_factor=fill_factor, materialized=materialized,
+    )
+    rows = POOL[base]
+    tree.build(RawSeriesFile.create(disk, rows))
+    for batch in [None, *batches]:
+        if batch is not None:
+            tree.insert_batch(POOL[batch])
+            rows = np.concatenate([rows, POOL[batch]])
+        order = np.argsort(invsax_keys(rows, POOL_CONFIG), kind="stable")
+        column = tree._column
+        assert column.offsets.tolist() == order.tolist()
+        assert (
+            column.keys.tobytes()
+            == invsax_keys(rows, POOL_CONFIG)[order].tobytes()
+        )
+        starts = tree._leaf_starts
+        assert starts[-1] == len(rows) == len(column)
+        for i, leaf in enumerate(tree._leaves):
+            records = tree._read_leaf_records(leaf)
+            assert 0 < len(records) <= tree.leaf_size
+            assert records["k"].tobytes() == column.keys[starts[i] : starts[i + 1]].tobytes()
+            assert records["off"].tolist() == column.offsets[starts[i] : starts[i + 1]].tolist()
+            if materialized:
+                assert records["series"].tobytes() == rows[records["off"]].tobytes()

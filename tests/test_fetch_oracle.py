@@ -38,7 +38,7 @@ from oracles import (
     loop_read_pages,
     scatter_pages,
 )
-from repro.storage import BufferPool, RawSeriesFile, SimulatedDisk
+from repro.storage import BufferPool, PagedFile, RawSeriesFile, SimulatedDisk
 from repro.storage.disk import PageError, ShardedDisk
 from repro.storage.faults import FaultPlan, FaultyDevice, TransientIOError
 
@@ -467,9 +467,12 @@ def test_read_pages_refuses_a_fenced_parent_and_a_detached_shard():
 def test_scatter_list_is_zero_copy_read_only_and_pins_its_arena():
     """The lifetime rule of docs/storage.md, observed: entries alias
     live storage (a later write shows through), refuse writes, and pin
-    the arena — an ``allocate`` while one is alive opens a new arena
-    instead of growing the tail."""
-    disk = _paged("arena")
+    the arena — a file growing while one is alive opens a new arena
+    instead of growing its tail."""
+    disk = SimulatedDisk(page_size=64)
+    file = PagedFile(disk, n_pages=6)
+    for page in range(6):
+        file.write(page, bytes([page + 1]) * 64)
     [(buffer, rows)] = disk.read_pages([4, 0])
     assert buffer.shape == (6, 64) and rows.tolist() == [4, 0]
     assert not buffer.flags.writeable
@@ -479,11 +482,12 @@ def test_scatter_list_is_zero_copy_read_only_and_pins_its_arena():
         buffer[0, 0] = 0
     disk.write_page(0, b"\xff" * 64)
     assert bytes(buffer[rows[1]]) == b"\xff" * 64  # a window, not a copy
-    disk.allocate(1)
+    file.grow(1)
     assert len(disk._arenas.arenas) == 2  # pinned tail: new arena
     del buffer
-    disk.allocate(1)
+    file.grow(1)
     assert len(disk._arenas.arenas) == 2  # unpinned: grown in place
+    assert file.n_extents == 1
     # A shard serves extent pages from its private arena, the rest
     # from the parent's — still without copying either.
     shard = ShardedDisk(disk, [(2, 2)]).shards[0]

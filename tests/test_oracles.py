@@ -20,6 +20,7 @@ from oracles import (
     loop_get_many,
     loop_read_pages,
     refine_every_row,
+    searchsorted_symbols,
 )
 from repro import RawSeriesFile, SimulatedDisk
 from repro.core import CoconutTree, CoconutTrie
@@ -28,6 +29,7 @@ from repro.core.lsm import CoconutLSM
 from repro.parallel.spill import sharded_spill_merge, sharded_stream_merge
 from repro.series import euclidean
 from repro.storage import ExternalSorter, PagedFile, merge_stream
+from repro.summaries import breakpoints
 
 REC = np.dtype([("k", "S2"), ("v", "<i8")])
 
@@ -154,6 +156,20 @@ def test_refine_every_row_is_the_per_row_offer_loop(k):
         for row in rows:
             looped.offer(euclidean(query, series[row]), int(identifiers[row]))
         assert refined.sorted_items() == looped.sorted_items()
+
+
+# ------------------------------------------------------------ the symbols
+@pytest.mark.parametrize("cardinality", [2, 4, 256])
+def test_searchsorted_symbols_count_the_breakpoints_below(cardinality):
+    """A symbol is how many breakpoints lie strictly below the value;
+    NaN, which compares below nothing, takes the last symbol."""
+    bps = breakpoints(cardinality).tolist()
+    values = bps + [-np.inf, -3.0, -0.0, 0.0, 0.1, 3.0, np.inf, np.nan]
+    want = [
+        sum(b < v for b in bps) if v == v else cardinality - 1 for v in values
+    ]
+    assert searchsorted_symbols(values, cardinality).tolist() == want
+    assert searchsorted_symbols(values, cardinality).dtype == np.uint16
 
 
 # ------------------------------------------------------------ the device

@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles import DEVICES
 from repro.storage import PagedFile, PageError, SimulatedDisk
 
 
@@ -237,3 +238,39 @@ def test_write_stream_empty_payload_still_touches_one_page():
     f_slow.write(0, b"")
     assert fast.stats == slow.stats
     assert fast.dump_pages() == slow.dump_pages()
+
+
+@pytest.mark.parametrize("store", DEVICES)
+def test_negative_stream_ranges_are_refused_before_any_io(store):
+    """``write_stream(at_page=-1)`` on file ``b`` used to land one page
+    before ``b`` — in file ``a``, CRC recorded — and ``read_stream(0,
+    -1)`` returned ``b""``.  Both raise first: the neighbour's bytes,
+    the counters, the head, the checksums and the extent table stay."""
+    disk = DEVICES[store](page_size=32, integrity=True, trace=True)
+    a = PagedFile(disk, n_pages=2, name="a")
+    a.write_stream(b"A" * 64)
+    b = PagedFile(disk, n_pages=1, name="b")
+    b.write_stream(b"b" * 32)
+
+    def state():
+        return (
+            disk.dump_pages(),
+            disk.stats.copy(),
+            disk.head_position,
+            list(disk.trace),
+            dict(disk.checksums._crcs),
+            disk.pages_allocated,
+            (a.n_pages, a._extents, b.n_pages, b._extents),
+        )
+
+    before = state()
+    for at_page in (-1, -2, -3):
+        with pytest.raises(PageError):
+            b.write_stream(b"B" * 64, at_page=at_page)
+    for first, n in ((0, -1), (1, -1), (-1, -1)):
+        with pytest.raises(PageError):
+            b.read_stream(first, n)
+        with pytest.raises(PageError):
+            a.read_stream(first, n)
+    assert state() == before
+    assert bytes(a.read_stream(0, 2)) == b"A" * 64

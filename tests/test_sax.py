@@ -25,6 +25,9 @@ from repro.summaries import (
     symbol_bounds,
     word_to_text,
 )
+from repro.summaries import sax
+from repro.summaries.sax import TABLE_MIN_VALUES, symbol_table
+from oracles import searchsorted_symbols
 
 
 def test_breakpoints_count_and_monotonicity():
@@ -288,3 +291,113 @@ def test_table_kernel_beats_the_per_cell_evaluation_at_the_default_geometry():
         )
 
     assert best(mindist_paa_to_words) * 2 < best(reference_mindist_paa_to_words)
+
+
+# ----------------------------------------------------------------------
+# Table-driven symbols against one binary search per value
+# ----------------------------------------------------------------------
+ALL_CARDINALITIES = [1 << bits for bits in range(1, 17)]
+
+
+def _edge_values(cardinality):
+    """Every breakpoint, 1 ulp either side of each, and the float64
+    specials: signed zeros and infinities, NaN, the extremes, subnormals."""
+    bps = breakpoints(cardinality)
+    specials = [
+        0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+        np.finfo(np.float64).max, -np.finfo(np.float64).max,
+        np.finfo(np.float64).tiny, -np.finfo(np.float64).tiny, 5e-324, -5e-324,
+        1e300, -1e300, 1e-300,
+    ]
+    return np.concatenate(
+        [bps, np.nextafter(bps, -np.inf), np.nextafter(bps, np.inf), specials]
+    )
+
+
+def _check_symbols(values, cardinality):
+    want = searchsorted_symbols(values, cardinality)
+    got = symbol_table(cardinality).symbols(values)
+    assert got.dtype == want.dtype == np.uint16
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert sax_from_paa(values, cardinality).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cardinality", ALL_CARDINALITIES)
+def test_table_symbols_equal_searchsorted_on_and_around_every_breakpoint(cardinality):
+    values = _edge_values(cardinality)
+    _check_symbols(values, cardinality)
+    # Above the table threshold too, shuffled, as a 2-D block.
+    rng = np.random.default_rng(cardinality)
+    block = rng.permutation(np.resize(values, 16 * max(64, len(values) // 16 + 1)))
+    assert block.size >= TABLE_MIN_VALUES
+    _check_symbols(block.reshape(-1, 16), cardinality)
+    assert searchsorted_symbols([np.nan], cardinality)[0] == cardinality - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bits=st.integers(1, 16),
+    values=st.lists(
+        st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.floats(-5.0, 5.0),
+            st.tuples(st.integers(0, 2**16), st.integers(-2, 2)),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+)
+def test_property_table_symbols_are_byte_identical_to_searchsorted(bits, values):
+    """Arbitrary float64s (NaN, infinities and signed zeros included) and
+    breakpoints nudged by up to 2 ulp, at every cardinality 2 ... 2**16."""
+    cardinality = 1 << bits
+    bps = breakpoints(cardinality)
+    out = []
+    for value in values:
+        if isinstance(value, tuple):
+            at, ulps = value
+            value = bps[at % len(bps)]
+            for _ in range(abs(ulps)):
+                value = np.nextafter(value, np.inf if ulps > 0 else -np.inf)
+        out.append(value)
+    _check_symbols(np.array(out, dtype=np.float64), cardinality)
+
+
+def test_cardinality_two_has_one_breakpoint_and_a_zero_width_table():
+    assert breakpoints(2).tolist() == [0.0]
+    values = np.array([-np.inf, -1.0, -0.0, 0.0, 5e-324, 1.0, np.inf, np.nan])
+    assert symbol_table(2).symbols(values).tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
+
+
+def test_a_query_word_takes_the_search_and_a_scan_block_the_table(monkeypatch):
+    """The probe path summarizes one series — 16 values — per query and
+    must not pay the table's fixed cost; a build's scan block must."""
+
+    def no_table(cardinality):
+        raise AssertionError("a small input reached the table")
+
+    rng = np.random.default_rng(0)
+    small = rng.standard_normal(TABLE_MIN_VALUES - 1)
+    want = searchsorted_symbols(small, 256)
+    monkeypatch.setattr(sax, "symbol_table", no_table)
+    assert sax_from_paa(small, 256).tobytes() == want.tobytes()
+    with pytest.raises(AssertionError, match="small input"):
+        sax_from_paa(rng.standard_normal(TABLE_MIN_VALUES), 256)
+
+
+def test_table_symbols_beat_the_binary_search_at_the_build_geometry():
+    """A 512-series scan block x 16 segments at cardinality 256 — the
+    build's unit of work: measured 10-14x (docs/build.md); the gate is
+    2x so allocator noise cannot fail it while a return to one binary
+    search per value still does."""
+    import timeit
+
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((512, 16)) * 0.8
+    table = symbol_table(256)
+
+    def best(kernel):
+        return min(timeit.repeat(lambda: kernel(values, 256), number=5, repeat=7))
+
+    assert best(lambda v, c: table.symbols(v)) * 2 < best(searchsorted_symbols)
