@@ -1,13 +1,12 @@
-"""The 2-core evidence behind "a worker pool is a thread pool".
+"""The 2-core evidence behind the pooled query batches.
 
-On ``bench_e2e``'s configuration (seed 7), alternating pairs time the three
-``build_rw`` builds at default ``workers=2`` against ``1``, a 64 x k=10
-exact batch and a 64-query approximate batch at ``query_workers=2`` against
-``1``.  A row is ``median serial / median parallel [min, max pair ratio]``;
-a range straddling 1.0 is unresolved.  Every build asserts the same index for
-any worker count and the same ``DiskStats`` as its inline replay, and every
-batch the same answers at either worker count.  Runs unchanged on a parent
-commit and on a change::
+On ``bench_e2e``'s configuration (seed 7), alternating pairs time a 64 x
+k=10 exact batch and a 64-query approximate batch at ``query_workers=2``
+against ``1`` on the ``query_rw`` and ``query_seismic`` trees.  A row is
+``median serial / median parallel [min, max pair ratio]``; a range
+straddling 1.0 is unresolved.  Every batch asserts the same answers at
+either worker count.  (Builds take no workers: they run on the calling
+thread.)  Runs unchanged on a parent commit and on a change::
 
     PYTHONPATH=src python benchmarks/bench_pool_evidence.py [reps]
 """
@@ -39,31 +38,18 @@ def _pairs(serial, parallel, reps):
     return f"{np.median(a) / np.median(b):.2f}x [{min(ratios):.2f}, {max(ratios):.2f}]"
 
 
-def _build(data, materialized, fraction, **pool):
-    """(seconds in ``build``, its report, the tree) on a fresh disk."""
+def _tree(data):
+    """The ``query_*`` workloads' tree: CTree at 5 % memory, built."""
     disk = SimulatedDisk(page_size=8192)
-    tree = CoconutTree(disk, int(data.nbytes * fraction), config=CONFIG,
-                       leaf_size=100, materialized=materialized, **pool)
-    raw = RawSeriesFile.create(disk, data)
-    return *_timed(lambda: tree.build(raw)), tree
+    tree = CoconutTree(disk, int(data.nbytes * 0.05), config=CONFIG, leaf_size=100)
+    tree.build(RawSeriesFile.create(disk, data))
+    return tree
 
 
 def main(reps: int) -> None:
     print(f"nproc={os.cpu_count()} reps={reps}")
-    data = make_dataset("randomwalk", 15_000, length=256, seed=7)
-    for name, materialized, fraction in [
-        ("tree 5%", False, 0.05), ("full spill", True, 0.05), ("full fits", True, 2.0)
-    ]:
-        one = lambda: _build(data, materialized, fraction, workers=1)
-        two = lambda: _build(data, materialized, fraction, workers=2)
-        pooled = two()[1]
-        replay = _build(data, materialized, fraction, workers=2, pool_kind="serial")[1]
-        # Same index for any worker count; same DiskStats as the inline replay.
-        sizes = {(r.n_leaves, r.index_bytes) for r in (one()[1], pooled, replay)}
-        assert len(sizes) == 1 and pooled.io == replay.io, f"build {name}: workers=2 diverged"
-        print(f"build {name:11s} workers=2 vs 1: {_pairs(one, two, reps)}")
     for name, dataset, n in [("query_rw", "randomwalk", 15_000), ("query_seismic", "seismic", 4_000)]:
-        tree = _build(make_dataset(dataset, n, length=256, seed=7), False, 0.05)[2]
+        tree = _tree(make_dataset(dataset, n, length=256, seed=7))
         queries = query_workload(dataset, 64, length=256, seed=7)
         for mode, k in (("exact", 10), ("approximate", 1)):
             batch = QueryBatch(queries, k=k, mode=mode)

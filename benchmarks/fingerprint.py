@@ -6,8 +6,8 @@ and prints one SHA-256 over the disk's access trace, every written page
 (``dump_pages()``), the ``DiskStats`` and the answers — followed by a
 short digest of each of the four, to say which one moved.  Cells: the
 Coconut-Tree, Tree-Full spilling and fitting in memory, and the Trie,
-each at ``workers`` 1 and 2; the LSM through ingest and compaction; a
-served batch at ``query_workers`` 1 and 2.
+each queried at ``query_workers`` 1 (``w1``); the LSM through ingest and
+compaction; a served batch at ``query_workers`` 1 and 2.
 
 Runs unchanged on a parent commit and on a change; equal output is the
 identity evidence::
@@ -77,14 +77,14 @@ def _queries(index, workers: int) -> list:
     return answers
 
 
-def _bulk_cell(cls, workers: int, fraction: float, **kwargs):
+def _bulk_cell(cls, fraction: float, **kwargs):
     disk = SimulatedDisk(page_size=PAGE_SIZE, trace=True)
     raw = RawSeriesFile.create(disk, DATA)
     index = cls(disk, int(DATA.nbytes * fraction), config=CONFIG,
-                leaf_size=100, workers=workers, **kwargs)
+                leaf_size=100, **kwargs)
     report = index.build(raw)
     answers = [(report.n_leaves, report.avg_leaf_fill, report.index_bytes)]
-    return disk, answers + _queries(index, workers)
+    return disk, answers + _queries(index, 1)
 
 
 def _lsm_cell():
@@ -118,17 +118,13 @@ def _served_cell(workers: int):
 
 def cells():
     """``(name, thunk)`` per cell; each thunk returns ``(disk, answers)``."""
-    out = []
-    for workers in (1, 2):
-        out += [
-            (f"tree w{workers}", lambda w=workers: _bulk_cell(CoconutTree, w, 0.05)),
-            (f"tree-full-spill w{workers}",
-             lambda w=workers: _bulk_cell(CoconutTree, w, 0.05, materialized=True)),
-            (f"tree-full-fits w{workers}",
-             lambda w=workers: _bulk_cell(CoconutTree, w, 2.0, materialized=True)),
-            (f"trie w{workers}", lambda w=workers: _bulk_cell(CoconutTrie, w, 0.05)),
-        ]
-    out.append(("lsm ingest+compaction", _lsm_cell))
+    out = [
+        ("tree w1", lambda: _bulk_cell(CoconutTree, 0.05)),
+        ("tree-full-spill w1", lambda: _bulk_cell(CoconutTree, 0.05, materialized=True)),
+        ("tree-full-fits w1", lambda: _bulk_cell(CoconutTree, 2.0, materialized=True)),
+        ("trie w1", lambda: _bulk_cell(CoconutTrie, 0.05)),
+        ("lsm ingest+compaction", _lsm_cell),
+    ]
     out += [(f"served batch w{w}", lambda w=w: _served_cell(w)) for w in (1, 2)]
     return out
 

@@ -43,11 +43,7 @@ from .indexes import (
     SeriesIndex,
     VerticalIndex,
 )
-from .parallel import (
-    ParallelSummarizer,
-    batched_exact_knn,
-    parallel_invsax_keys,
-)
+from .parallel import batched_exact_knn
 from .service import CoconutService, ServiceConfig
 from .series import (
     astronomy,
@@ -90,7 +86,6 @@ __all__ = [
     "ExternalSorter",
     "ISAX2Index",
     "PagedFile",
-    "ParallelSummarizer",
     "QueryBatch",
     "QueryResult",
     "RTreeIndex",
@@ -110,7 +105,6 @@ __all__ = [
     "interleave_words",
     "invsax_keys",
     "make_dataset",
-    "parallel_invsax_keys",
     "query_key",
     "query_workload",
     "random_walk",

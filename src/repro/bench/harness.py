@@ -165,20 +165,13 @@ def _dataset(spec: DatasetSpec) -> np.ndarray:
 
 
 def make_environment(
-    index_key: str, spec: DatasetSpec, memory_bytes: int, workers: int = 1
+    index_key: str, spec: DatasetSpec, memory_bytes: int
 ) -> Environment:
-    """Write the dataset to a fresh raw file, construct the index.
-
-    ``workers > 1`` enables the parallel bulk-loading pipeline on
-    indexes that support it (the Coconut family); other indexes ignore
-    it and build serially.
-    """
+    """Write the dataset to a fresh raw file, construct the index."""
     disk = SimulatedDisk(page_size=PAGE_SIZE)
     raw = RawSeriesFile.create(disk, _dataset(spec))
     disk.reset_stats()  # ingest of the raw file is not index cost
     index = INDEX_FACTORIES[index_key](disk, memory_bytes, spec.length)
-    if workers > 1 and hasattr(index, "workers"):
-        index.workers = int(workers)
     return Environment(disk=disk, raw=raw, index=index)
 
 

@@ -12,15 +12,9 @@ maps to pages.  :class:`BulkLoadedIndex` owns the common stages; a
 subclass supplies ``_bulk_load`` (its split policy), ``_read_leaf_records``
 (its leaf geometry) and whatever only its policy makes possible.
 
-Parallel bulk-loading (``workers > 1``): the summarization scan fans
-page-aligned chunks out to a worker pool
-(:class:`repro.parallel.ParallelSummarizer`), each returned presorted,
-and the runs feed :meth:`repro.storage.ExternalSorter.sort_runs`; the
-same worker count drives the sort's spilled cascade
-(:mod:`repro.parallel.spill`); resident runs merge on the calling
-thread.  The leaf
-level is bit-identical (same keys, same leaf boundaries, same payload
-order) to the serial build for every worker count and chunk size.
+A build runs on the calling thread, the paper's way: one summarize
+pass over the raw file, an external sort whose runs fit the memory
+budget, then one sequential pass that writes the leaf level.
 """
 
 from __future__ import annotations
@@ -42,9 +36,7 @@ from .summary_column import SummaryColumn, row_dtype, window_around
 def payload_dtype(length: int, materialized: bool) -> np.dtype:
     """Rows carried through the external sort: offset [+ the series].
 
-    One definition shared by the serial scan, the parallel presorted
-    runs and leaf merging — the layouts must match byte for byte for
-    the parallel build to be bit-identical to the serial one.
+    One definition shared by the summarize pass and leaf merging.
     """
     if materialized:
         return np.dtype([("off", "<i8"), ("series", "<f4", (length,))])
@@ -67,21 +59,13 @@ class BulkLoadedIndex(SIMSIndex):
         config: SAXConfig | None,
         leaf_size: int,
         materialized: bool,
-        workers: int | None,
-        chunk_series: int | None,
-        pool_kind: str,
     ):
-        from ..parallel.pool import check_pool_kind, resolve_workers
-
         super().__init__(disk, memory_bytes)
         if leaf_size <= 0:
             raise ValueError(f"leaf_size must be positive, got {leaf_size}")
         self.config = config or SAXConfig()
         self.leaf_size = leaf_size
         self.is_materialized = materialized
-        self.workers = resolve_workers(workers)
-        self.chunk_series = chunk_series
-        self.pool_kind = check_pool_kind(pool_kind)
         if materialized:
             self.name = f"{self.name}-Full"
         self._leaves: list = []
@@ -102,24 +86,13 @@ class BulkLoadedIndex(SIMSIndex):
                 self.config, raw.length if self.is_materialized else None
             )
             self._leaf_dtype = rec
-            # ``workers`` also drives the sort's merges.
-            sorter = ExternalSorter(
-                self.disk,
-                self.memory_bytes,
-                merge_workers=self.workers,
-                pool_kind=self.pool_kind,
-            )
-            summarized = self._summarize(raw)
+            sorter = ExternalSorter(self.disk, self.memory_bytes)
+            keys, payloads = self._summarize(raw)
             self._leaf_file = PagedFile(self.disk, name=f"{self.name}-leaves")
             # The sorter spills as soon as it is called, so whatever the
             # split policy preallocates must be on the disk before it.
             self._reserve_leaf_file(raw.n_series)
-            sorted_stream = (
-                sorter.sort_runs(summarized)
-                if self.workers > 1
-                else sorter.sort(*summarized)
-            )
-            self._bulk_load(sorted_stream, rec)
+            self._bulk_load(sorter.sort(keys, payloads), rec)
             self._write_sidecar()
         self.built = True
         n_leaves, fill = self.leaf_stats()
@@ -132,26 +105,11 @@ class BulkLoadedIndex(SIMSIndex):
             index_bytes=self.storage_bytes(),
             n_leaves=n_leaves,
             avg_leaf_fill=fill,
-            extra=self._build_extra(sorter),
+            extra={"sort_runs": sorter.report.n_runs, **self._build_extra()},
         )
 
     def _summarize(self, raw: RawSeriesFile):
-        """Pass over the raw file: sortable keys plus record payloads.
-
-        Serially, one ``(keys, payloads)`` pair in file order; with
-        ``workers > 1``, the list of presorted chunk runs.
-        """
-        if self.workers > 1:
-            from ..parallel.summarize import summarize_presorted_runs
-
-            return summarize_presorted_runs(
-                raw,
-                self.config,
-                self.is_materialized,
-                workers=self.workers,
-                chunk_size=self.chunk_series,
-                kind=self.pool_kind,
-            )
+        """One pass over the raw file: ``(keys, payloads)`` in file order."""
         pay_dtype = payload_dtype(raw.length, self.is_materialized)
         # The typed empty heads keep an empty file's arrays well-formed.
         key_parts = [np.empty(0, dtype=self.config.key_dtype)]
@@ -171,7 +129,7 @@ class BulkLoadedIndex(SIMSIndex):
     def _bulk_load(self, sorted_chunks, rec: np.dtype) -> None:
         """The split policy: cut the sorted ``(keys, payloads)`` stream
         into leaves, write them, and end in :meth:`_set_summary_column`.
-        (``_build_extra(sorter)`` adds its entries to the build report.)"""
+        (``_build_extra()`` adds its entries to the build report.)"""
         raise NotImplementedError
 
     def _pack_leaf(

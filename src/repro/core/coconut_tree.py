@@ -38,7 +38,6 @@ import numpy as np
 
 from ..indexes.base import BuildReport, Measurement, QueryResult, check_k
 from ..storage.disk import SimulatedDisk
-from ..storage.external_sort import ExternalSorter
 from ..summaries.sax import SAXConfig
 from .bulk_index import BulkLoadedIndex, payload_dtype
 from .invsax import invsax_keys, key_bytes, query_key
@@ -69,14 +68,8 @@ class CoconutTree(BulkLoadedIndex):
         materialized: bool = False,
         default_radius: int = 1,
         fanout: int = 32,
-        workers: int | None = 1,
-        chunk_series: int | None = None,
-        pool_kind: str = "thread",
     ):
-        super().__init__(
-            disk, memory_bytes, config, leaf_size, materialized,
-            workers, chunk_series, pool_kind,
-        )
+        super().__init__(disk, memory_bytes, config, leaf_size, materialized)
         if not 0.5 <= fill_factor <= 1.0:
             raise ValueError(
                 f"fill_factor must be in [0.5, 1.0], got {fill_factor}"
@@ -119,8 +112,8 @@ class CoconutTree(BulkLoadedIndex):
         n_leaves_estimate = max(1, -(-n_series // self.target_leaf_records))
         self._leaf_file.grow(n_leaves_estimate * self.pages_per_leaf)
 
-    def _build_extra(self, sorter: ExternalSorter) -> dict:
-        return {"sort_runs": sorter.report.n_runs, "height": self.height}
+    def _build_extra(self) -> dict:
+        return {"height": self.height}
 
     def _bulk_load(self, sorted_chunks, rec: np.dtype) -> None:
         """Pack the sorted stream into leaves at the target fill factor.

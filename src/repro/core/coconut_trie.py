@@ -36,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..storage.disk import SimulatedDisk
-from ..storage.external_sort import ExternalSorter
 from ..summaries.sax import SAXConfig
 from .bulk_index import BulkLoadedIndex, payload_dtype
 from .invsax import key_bytes
@@ -66,21 +65,15 @@ class CoconutTrie(BulkLoadedIndex):
         config: SAXConfig | None = None,
         leaf_size: int = 100,
         materialized: bool = False,
-        workers: int | None = 1,
-        chunk_series: int | None = None,
-        pool_kind: str = "thread",
     ):
-        super().__init__(
-            disk, memory_bytes, config, leaf_size, materialized,
-            workers, chunk_series, pool_kind,
-        )
+        super().__init__(disk, memory_bytes, config, leaf_size, materialized)
         self.n_internal_nodes = 0
         self.max_depth = 0
 
     # ------------------------------------------------------------------
     # Construction (Algorithm 2): split by prefix
     # ------------------------------------------------------------------
-    def _build_extra(self, sorter: ExternalSorter) -> dict:
+    def _build_extra(self) -> dict:
         return {
             "internal_nodes": self.n_internal_nodes,
             "max_depth": self.max_depth,

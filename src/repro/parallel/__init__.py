@@ -1,30 +1,12 @@
-"""Parallel build and batched query execution for the Coconut indexes.
+"""Batched and multi-worker query execution for the Coconut indexes.
 
-The paper's argument is that sortable summarizations make index
-construction "scale with the hardware": summarization is embarrassingly
-parallel per chunk, and an external sort consumes presorted runs from
-any number of producers.  This package supplies both halves, on one
-worker pool:
+Builds run on the calling thread (summarize, external sort, one leaf
+pass); this package is the query side, on one worker pool:
 
 * :mod:`repro.parallel.pool` — the pool itself: a thread pool
   (``"thread"``, the default everywhere) or the same partition plan
   mapped on the calling thread (``"serial"``, the replay reference),
   validated and constructed in this one place.
-* :mod:`repro.parallel.summarize` — a chunked, multi-worker
-  ``series -> PAA -> SAX -> invSAX`` pipeline whose presorted chunk
-  runs feed :meth:`repro.storage.ExternalSorter.sort_runs` directly,
-  so bulk-loading uses every worker while producing bit-identical
-  indexes to the serial path.
-* :mod:`repro.parallel.spill` — a range-partitioned merge of
-  *file-backed* runs on the sharded storage layer: splitter keys
-  sampled from run boundaries cut every run into disjoint key ranges,
-  and each partition streams its slices of the spilled run files
-  through a private :class:`repro.storage.DiskShard` (own head, own
-  stats) and writes a disjoint extent of the output run — or, on the
-  cascade's final pass, streams straight to the consumer.  Parallelizes
-  the spilled merge cascade of the external sort, with deterministic,
-  serially-replayable I/O accounting.  Resident runs and Coconut-LSM
-  compactions merge on the calling thread.
 * :mod:`repro.parallel.batch` — a batched exact-kNN executor that
   answers many queries in one skip-sequential SIMS pass, sharing the
   summary scan and every fetched page across the whole batch, plus a
@@ -48,9 +30,8 @@ worker pool:
   counts and fetch-partition floors per batch and runs approximate
   batches as the serial shared-probe pass.
 
-All are wired into the index classes (``workers=`` on the Coconut
-constructors, ``query_batch(query_workers=)`` on every index) and into
-the benchmark CLI as ``--workers`` / ``--batch``.
+All are wired into the index classes through
+``query_batch(query_workers=)`` on every index.
 """
 
 from .batch import approx_query_batch, batched_exact_knn, build_batch_report
@@ -75,37 +56,18 @@ from .sched import (
     plan_query_batch,
     run_sims_query_batch,
 )
-from .spill import (
-    ShardedMergeResult,
-    run_cut_positions,
-    sample_splitters,
-    sharded_spill_merge,
-    sharded_stream_merge,
-    stream_run_file,
-)
-from .summarize import (
-    DEFAULT_CHUNK_SERIES,
-    ParallelSummarizer,
-    parallel_invsax_keys,
-    summarize_chunk,
-    summarize_presorted_runs,
-)
 
 __all__ = [
-    "DEFAULT_CHUNK_SERIES",
     "HEAL_BACKOFF_CAP_S",
     "HEAL_BACKOFF_S",
     "HEAL_RETRIES",
     "HealReport",
-    "ParallelSummarizer",
     "PlanReport",
     "RetryPolicy",
-    "ShardedMergeResult",
     "approx_query_batch",
     "batched_exact_knn",
     "build_batch_report",
     "parallel_batched_exact_knn",
-    "parallel_invsax_keys",
     "parallel_lower_bound_scan",
     "parallel_serial_scan_batch",
     "parallel_sims_query_batch",
@@ -113,12 +75,5 @@ __all__ = [
     "plan_query_batch",
     "resolve_workers",
     "run_sims_query_batch",
-    "run_cut_positions",
     "run_self_healing",
-    "sample_splitters",
-    "sharded_spill_merge",
-    "sharded_stream_merge",
-    "stream_run_file",
-    "summarize_chunk",
-    "summarize_presorted_runs",
 ]

@@ -1,13 +1,12 @@
 """Self-healing execution of parallel I/O plans.
 
-The parallel engines (:mod:`repro.parallel.query`,
-:mod:`repro.parallel.spill`) run their partitions inside a
-:class:`repro.storage.disk.ShardedDisk` session.  When a worker raises
-an injected device fault (:mod:`repro.storage.faults`), the session
-``__exit__`` *aborts* — every shard's private state is discarded and
-the parent device is unfenced with its head untouched — so a failed
-attempt is invisible: it contributes nothing to the parent's pages or
-reconciled :class:`~repro.storage.cost.DiskStats`.
+The parallel query engines (:mod:`repro.parallel.query`) run their
+partitions inside a read-only :class:`repro.storage.disk.ShardedDisk`
+session.  When a worker raises an injected device fault
+(:mod:`repro.storage.faults`), the session ``__exit__`` *aborts* —
+every shard's counters are discarded and the parent head is left
+untouched — so a failed attempt is invisible: it contributes nothing
+to the parent's reconciled :class:`~repro.storage.cost.DiskStats`.
 
 That abort guarantee is what makes retry sound.  :func:`run_self_healing`
 layers the policy on top:
@@ -24,8 +23,7 @@ layers the policy on top:
   ``fallback`` — retrying a deterministic plan against a deterministic
   fault would fail identically;
 * when the ``fallback`` is ``None`` the last fault propagates to the
-  caller (e.g. :func:`repro.parallel.spill.sharded_spill_merge`, whose
-  sort cascade has no serial plan to fall back to mid-pass).
+  caller.
 
 Degradation targets are the serial engines, whose answers, tie order
 and stats are the oracle the parallel engines are property-tested

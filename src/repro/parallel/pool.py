@@ -1,20 +1,19 @@
 """The one worker pool: threads, or the same plan mapped inline.
 
-Every parallel path in the repository — chunk summarization, the
-spilled merge cascade, the query engines — asks this module for its
-pool.
-``"thread"`` runs the work units on a ``ThreadPoolExecutor``: they are
-NumPy kernels that release the GIL and share their arrays (and the
-simulated device) zero-copy.  ``"serial"`` is not a second engine but
-the same partition plan mapped on the calling thread, the replay
-reference the equivalence suites pin the threaded runs to.
+Every parallel path in the repository — the query engines' scan and
+fetch partitions — asks this module for its pool.  ``"thread"`` runs
+the work units on a ``ThreadPoolExecutor``: they are NumPy kernels
+that release the GIL and share their arrays (and the simulated device)
+zero-copy.  ``"serial"`` is not a second engine but the same partition
+plan mapped on the calling thread, the replay reference the
+equivalence suites pin the threaded runs to.
 """
 
 from __future__ import annotations
 
 import numbers
 import os
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 #: The values every ``pool_kind`` / ``kind`` / ``query_pool_kind`` takes.
 POOL_KINDS = ("thread", "serial")
@@ -42,20 +41,14 @@ def resolve_workers(workers: int | None) -> int:
     return int(workers)
 
 
-def make_executor(workers: int, kind: str) -> Executor | None:
-    """A thread pool of ``workers``, or ``None`` for "run it inline"."""
-    if workers <= 1 or kind == "serial":
-        return None
-    return ThreadPoolExecutor(max_workers=workers)
-
-
 def pool_map(fn, arg_columns: list, workers: int, kind: str) -> list:
     """``fn`` over the rows of ``arg_columns``, results in row order.
 
-    An exception raised by ``fn`` propagates once the pool has drained.
+    Inline for one worker or ``kind="serial"``, else on a thread pool of
+    ``workers``.  An exception raised by ``fn`` propagates once the pool
+    has drained.
     """
-    executor = make_executor(workers, kind)
-    if executor is None:
+    if workers <= 1 or kind == "serial":
         return [fn(*row) for row in zip(*arg_columns)]
-    with executor:
+    with ThreadPoolExecutor(max_workers=workers) as executor:
         return list(executor.map(fn, *arg_columns))

@@ -54,11 +54,10 @@ pool scheduling — and each classifies against its own head.
 Executing the same per-worker plans inline (``pool_kind="serial"``)
 is the *serial replay oracle*: the reconciled
 :class:`repro.storage.cost.DiskStats` of a threaded run are
-bit-identical to it, the same contract the sharded merge established
-(PR 3).  The sharded fetch may read a boundary page once per adjacent
-worker where the serial pass read it once — the usual price of
-partitioned I/O domains; the equivalence suite pins the replay
-contract, and the benchmark reports both costs.
+bit-identical to it.  The sharded fetch may read a boundary page
+once per adjacent worker where the serial pass read it once — the
+usual price of partitioned I/O domains; the equivalence suite pins the
+replay contract, and the benchmark reports both costs.
 """
 
 from __future__ import annotations
@@ -88,7 +87,7 @@ from .pool import check_pool_kind, pool_map, resolve_workers
 #: Pages cached by each fetch worker's shard-scoped buffer pool.  The
 #: skip-sequential fetch never revisits a page, so the pool changes no
 #: counter — it exists so every worker's reads go through a private
-#: cache domain, mirroring the sharded merge.
+#: cache domain.
 QUERY_SHARD_POOL_PAGES = 8
 
 
@@ -160,14 +159,11 @@ def run_on_read_shards(
     inline with ``pool_kind="serial"``; either way the shards reconcile
     into the parent in partition order, so the resulting
     :class:`DiskStats` are a pure function of the plans.  A worker
-    exception aborts the session — parent unfenced, nothing reconciled
-    — which is what makes the callers' retry loops sound.
+    exception aborts the session — nothing reconciled — which is what
+    makes the callers' retry loops sound.
     """
     session = ShardedDisk(
-        disk,
-        [(0, 0)] * n_parts,
-        names=[f"{label}-p{p}" for p in range(n_parts)],
-        read_only=True,
+        disk, n_parts, names=[f"{label}-p{p}" for p in range(n_parts)]
     )
 
     def run(p: int):
@@ -240,8 +236,8 @@ def parallel_batched_exact_knn(
     ``wrap_device(shard, partition, attempt)`` is the self-healing
     fault seam (:mod:`repro.parallel.heal`): each fetch worker's reads
     route through its return value.  When a worker raises an injected
-    device fault the read-only session aborts (parent unfenced, no
-    stats), transients are retried, and anything else degrades the
+    device fault the read-only session aborts (no stats reconciled),
+    transients are retried, and anything else degrades the
     whole batch to the serial engine — answers and tie order are the
     serial oracle's either way.
 

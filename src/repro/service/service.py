@@ -25,10 +25,7 @@
 
 * **Degradation** is graceful and counted: transient serve faults
   retry on fresh wrappers, other faults fall back to the serial engines
-  on the snapshot's pre-attached read-only shard; a concurrent writing
-  session (any sharded writer on the disk) fences the parent, so the
-  multi-worker path degrades onto that same shard — the one read path a
-  commit window cannot block.  When the
+  on the snapshot's pre-attached read-only shard.  When the
   journal device crash-latches, ingest rejects with
   :data:`~repro.service.admission.REJECT_CRASHED` until ``restart()``,
   while queries keep serving the last good snapshot — reads own their
@@ -636,7 +633,7 @@ class CoconutService:
                     np.stack([t.query for t in group]), k=k, mode=mode
                 )
                 try:
-                    ids, distances, degraded, conflict = self._serve_batch(
+                    ids, distances, degraded = self._serve_batch(
                         snapshot, batch
                     )
                     served_watermark = snapshot.n_series
@@ -653,7 +650,7 @@ class CoconutService:
                             self.stats.on_shed(SHED_DEVICE_FAULT)
                         continue
                     ids, distances, served_watermark = healed
-                    degraded, conflict = True, False
+                    degraded = True
                 except FaultError:
                     # Serving faulted beyond every fallback: report it
                     # on each ticket rather than dropping or crashing
@@ -669,32 +666,21 @@ class CoconutService:
                         ids[i], distances[i], served_watermark, now, degraded
                     )
                     self.stats.on_served(ticket.latency_s, degraded)
-                self.stats.on_batch(degraded, conflict)
+                self.stats.on_batch(degraded)
 
     def _serve_batch(self, snapshot: ServiceSnapshot, batch: QueryBatch):
-        """Serve one coalesced batch; returns (ids, distances, degraded, conflict)."""
+        """Serve one coalesced batch; returns (ids, distances, degraded)."""
         workers = self.config.query_workers
         if resolve_workers(workers) > 1:
-            view = snapshot.frozen_view()
-            try:
-                report = run_sims_query_batch(
-                    view,
-                    batch,
-                    query_workers=workers,
-                    wrap_device=self.wrap_serve_device,
-                    heal_report=self.stats.heal,
-                )
-                return report.knn_ids, report.knn_distances, False, False
-            except FaultError:
-                raise
-            except PageError:
-                # A writing session on the disk fences the parent:
-                # degrade to the serial pass on the snapshot's
-                # pre-attached read-only shard, which keeps reading the
-                # snapshot's committed pages through the fence.
-                ids, distances = _serial_answers(snapshot, batch)
-                return ids, distances, True, True
-        ids, distances, degraded = serve_snapshot_batch(
+            report = run_sims_query_batch(
+                snapshot.frozen_view(),
+                batch,
+                query_workers=workers,
+                wrap_device=self.wrap_serve_device,
+                heal_report=self.stats.heal,
+            )
+            return report.knn_ids, report.knn_distances, False
+        return serve_snapshot_batch(
             snapshot,
             batch,
             wrap_device=self.wrap_serve_device,
@@ -703,7 +689,6 @@ class CoconutService:
             pool_pages=self.config.serve_pool_pages,
             verified_reads=self.config.verified_reads,
         )
-        return ids, distances, degraded, False
 
     def _heal_corruption(self, batch: QueryBatch):
         """Serve-path corruption heal: scrub, repair, one serial retry.

@@ -21,15 +21,12 @@ disk, not the LSM's (possibly fault-wrapped) journal device: the read
 path owns its device handle, so queries keep serving the last snapshot
 even while the ingest device sits crash-latched awaiting ``restart()``.
 
-Each snapshot also carries a long-lived zero-extent **read-only**
+Each snapshot also carries a long-lived **read-only**
 :class:`~repro.storage.disk.ShardedDisk` session, created at snapshot
-time (under the service's ingest lock, when no writing session can be
-attached).  Read-only sessions never fence the parent, and — the
-crucial half — their reads keep working *while* a writing session (any
-sharded writer on the same disk) fences it: the shard reads pages committed
-before the session directly, which is exactly the snapshot's content.
-That session is what makes serving immune to the flush/compaction
-commit window; the boundary is pinned by the sharded-storage tests.
+time: its shard reads the pages committed before the session, which is
+exactly the snapshot's content, on its own head and counters, while
+ingest keeps allocating and writing on the parent.  The serial serving
+path and its fallback read through that shard.
 
 Serve-time faults are injected through the service's
 ``wrap_serve_device`` seam and healed by
@@ -61,9 +58,8 @@ SERVE_POOL_PAGES = 64
 class ServiceSnapshot:
     """An immutable view of the LSM's queryable state at one version.
 
-    Must be constructed while no writing session is attached to
-    ``base_disk`` (the service constructs snapshots under its ingest
-    lock, which also serializes flush/compaction).
+    The service constructs snapshots under its ingest lock, which also
+    serializes flush/compaction.
     """
 
     def __init__(self, lsm: CoconutLSM, base_disk):
@@ -86,14 +82,10 @@ class ServiceSnapshot:
         # exact batch served from it and shared by every later one.
         self._column: "SummaryColumn | None" = None
         self._column_lock = threading.Lock()
-        # The fence-proof read path: a floating read-only session whose
-        # shard reads the snapshot's (pre-session) pages even while a
-        # writing session fences the parent.
+        # The serial read path: a floating read-only session whose
+        # shard reads the snapshot's (pre-session) pages.
         self._session = ShardedDisk(
-            base_disk,
-            [(0, 0)],
-            names=[f"serve-v{self.state_version}"],
-            read_only=True,
+            base_disk, 1, names=[f"serve-v{self.state_version}"]
         )
         self.shard = self._session.shards[0]
 

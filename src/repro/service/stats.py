@@ -73,7 +73,6 @@ class ServiceStats:
         self.n_served = 0
         self.n_batches = 0
         self.n_degraded_batches = 0
-        self.n_session_conflicts = 0
         self.shed = Counter()
         self.rejected = Counter()
         # Ingest life cycle.
@@ -121,11 +120,9 @@ class ServiceStats:
             if degraded:
                 self.n_degraded_batches += 1
 
-    def on_batch(self, degraded: bool, session_conflict: bool = False) -> None:
+    def on_batch(self, degraded: bool) -> None:
         with self._lock:
             self.n_batches += 1
-            if session_conflict:
-                self.n_session_conflicts += 1
 
     def on_shed(self, reason: str) -> None:
         with self._lock:
@@ -195,7 +192,9 @@ class ServiceStats:
                 "served": self.n_served,
                 "batches": self.n_batches,
                 "degraded_batches": self.n_degraded_batches,
-                "session_conflicts": self.n_session_conflicts,
+                # Always 0: sessions only read, so none can block a
+                # batch.  Kept for readers of the export (bench_e2e).
+                "session_conflicts": 0,
                 "shed": dict(self.shed),
                 "rejected": dict(self.rejected),
                 "ingest_batches": self.n_ingest_batches,

@@ -64,26 +64,16 @@ privately; detach appends their traces to the parent in partition
 order, keeping the reconciled trace a pure function of the per-shard
 plans.
 
-Sharding
---------
+Read-only sessions
+------------------
 A :class:`SimulatedDisk` is a single I/O domain: one head, one set of
-counters, no concurrency.  Parallel consumers — the range-partitioned
-spilled-run merge, the parallel query fetches — instead open a
-:class:`ShardedDisk` session, which fences the parent device and hands
-each worker a
-:class:`DiskShard`: a private I/O domain with
-
-* a *writable extent* — a contiguous, pre-allocated page range that no
-  other shard may touch;
-* read-only access to every page the parent held when the session was
-  attached (sources written by sibling shards are invisible — snapshot
-  isolation);
-* its own head position and its own :class:`DiskStats`.
-
-The shard's private store is a **private arena covering its extent**,
-seeded with the parent's extent content at attach; detach reconciles
-by splicing whole arenas back into the parent in partition order — one
-buffer assignment per shard, never a per-page loop.
+counters.  Parallel readers — the partitioned exact-batch fetches, a
+served snapshot — instead open a :class:`ShardedDisk` session, which
+hands each worker a :class:`DiskShard`: a private, read-only I/O domain
+over every page the parent held when the session attached, with its
+own head position and its own :class:`DiskStats`.  The parent stays
+live: pages allocated after the attach are beyond the shards' snapshot
+watermark, and the shards refuse every write verb.
 
 Because classification depends only on a shard's *own* access sequence,
 the sequential/random split of a parallel run is independent of thread
@@ -91,13 +81,14 @@ scheduling: executing the same per-shard plans inline, one shard after
 another, reproduces every counter bit for bit — the *serial replay
 oracle* the equivalence suite pins against.  On detach the shards are
 reconciled into the parent deterministically, in partition order:
-pages merge into the parent's store, stats add up shard by shard, and
-the parent head is parked so the first post-session access classifies
-as random no matter how the pool interleaved.
+stats add up shard by shard, traces append, and the parent head is
+parked so the first post-session access classifies as random no matter
+how the pool interleaved.
 """
 
 from __future__ import annotations
 
+import numbers
 from bisect import bisect_right
 
 import numpy as np
@@ -329,11 +320,6 @@ class _ExtentArenas:
             at = 0
             i += 1
 
-    def copy_out(self, first_page: int, n_pages: int) -> bytearray:
-        """A private copy of a page range (shard-arena seeding)."""
-        run = self.run_view(first_page, n_pages)
-        return bytearray(run)
-
 
 class _PagedDevice(_DerivedVerbs):
     """Accounting and streaming helpers shared by disks and shards.
@@ -426,9 +412,8 @@ class _PagedDevice(_DerivedVerbs):
         Returns a **scatter list** ``[(buffer2d, rows), ...]`` whose
         ``rows`` arrays, concatenated, line up with ``pages``:
         ``buffer2d[rows[j]]`` is the page, ``buffer2d`` a read-only
-        ``(n, page_size)`` uint8 view of a whole arena (a shard's
-        private arena for pages inside its extent, the parent's
-        otherwise).  No page is copied.  Entries alias live storage
+        ``(n, page_size)`` uint8 view of a whole arena (the parent's,
+        for a shard).  No page is copied.  Entries alias live storage
         and pin it, so a scatter list must not outlive the call that
         asked for it (``docs/storage.md``).
         """
@@ -530,9 +515,8 @@ class SimulatedDisk(_PagedDevice):
         Record every classified access in :attr:`trace`.
     integrity:
         Attach a :class:`repro.storage.integrity.ChecksumMap` sidecar
-        from page zero.  Consumers (``PagedFile``, ``BufferPool``, the
-        spill ``_ExtentWriter``) record intended payloads into it at
-        write time; ``verified_reads`` and the ``Scrubber`` check
+        from page zero.  Consumers (``PagedFile``, ``BufferPool``)
+        record intended payloads into it at write time; ``verified_reads`` and the ``Scrubber`` check
         against it.  Off by default: with no sidecar every recording
         hook is a single failed attribute lookup.
     """
@@ -558,7 +542,6 @@ class SimulatedDisk(_PagedDevice):
         self._arenas = _ExtentArenas(page_size)
         self._written: set[int] = set()
         self._next_page = 0
-        self._shard_session: "ShardedDisk | None" = None
         self.checksums = None
         self._init_accounting(trace=trace)
         if integrity:
@@ -596,7 +579,6 @@ class SimulatedDisk(_PagedDevice):
         """
         if n_pages <= 0:
             raise ValueError(f"n_pages must be positive, got {n_pages}")
-        self._check_unsharded("allocate")
         first = self._next_page
         self._next_page += n_pages
         self._arenas.add(first, n_pages, grow_tail=file_end == first)
@@ -610,11 +592,6 @@ class SimulatedDisk(_PagedDevice):
     def pages_written(self) -> int:
         return len(self._written)
 
-    @property
-    def sharded(self) -> bool:
-        """Whether a :class:`ShardedDisk` session is currently attached."""
-        return self._shard_session is not None
-
     # ------------------------------------------------------------------
     # I/O
     # ------------------------------------------------------------------
@@ -624,7 +601,6 @@ class SimulatedDisk(_PagedDevice):
         ``data`` (bytes or any buffer) may be shorter than a page; the
         tail reads back as zeros either way.
         """
-        self._check_unsharded("write_page")
         self._check_page(page_id)
         self._check_page_payload(data)
         self._count_write(page_id)
@@ -638,7 +614,6 @@ class SimulatedDisk(_PagedDevice):
         read-only ``memoryview``; never-written pages (and the tail of
         short writes) read as zeros.
         """
-        self._check_unsharded("read_page")
         self._check_page(page_id)
         self._count_read(page_id)
         return self._arenas.page(page_id)
@@ -665,7 +640,6 @@ class SimulatedDisk(_PagedDevice):
         return self._arenas.run_view(first_page, n_pages)
 
     def _check_run_readable(self, first_page: int, n_pages: int) -> None:
-        self._check_unsharded("read_page")
         self._check_page(first_page)
         self._check_page(first_page + n_pages - 1)
 
@@ -690,7 +664,6 @@ class SimulatedDisk(_PagedDevice):
         self._written.update(range(first_page, first_page + n_pages))
 
     def _check_write_run(self, first_page: int, n_pages: int) -> None:
-        self._check_unsharded("write_page")
         self._check_page(first_page)
         self._check_page(first_page + n_pages - 1)
 
@@ -717,13 +690,6 @@ class SimulatedDisk(_PagedDevice):
                 f"page {page_id} is not allocated (allocated: {self._next_page})"
             )
 
-    def _check_unsharded(self, operation: str) -> None:
-        if self._shard_session is not None:
-            raise PageError(
-                f"cannot {operation} while a ShardedDisk session is attached; "
-                "route I/O through the shards and detach first"
-            )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SimulatedDisk(page_size={self.page_size}, "
@@ -732,64 +698,28 @@ class SimulatedDisk(_PagedDevice):
 
 
 class DiskShard(_PagedDevice):
-    """A private I/O domain over a reserved extent of a parent disk.
+    """A private, read-only I/O domain over a parent disk.
 
-    Writes land in a shard-private store restricted to the shard's
-    writable extent; reads prefer the private store and fall back to the
-    parent's pages as they stood when the session attached (snapshot
-    isolation — a sibling shard's concurrent writes are invisible).
-    Head position and :class:`DiskStats` are private, so every access
-    classification depends only on this shard's own sequence, never on
-    how a pool interleaves shards.
-
-    The private store is one contiguous arena covering the extent,
-    seeded with the parent's extent content at attach, so extent reads
-    are zero-copy views and detach splices the whole arena back in one
-    buffer assignment.
+    Reads any page the parent had allocated when the session attached
+    (the snapshot watermark), straight from the parent's arenas; pages
+    allocated later are out of range, so a stale reader cannot see
+    in-flight state.  Head position and :class:`DiskStats` are private,
+    so every access classification depends only on this shard's own
+    sequence, never on how a pool interleaves shards.  The write verbs
+    are defined, keeping the device vocabulary uniform, and refuse.
+    Verified reads check against the parent's checksum sidecar.
 
     Shards are created by :class:`ShardedDisk`, not directly.
     """
 
-    def __init__(
-        self,
-        parent: SimulatedDisk,
-        first_page: int,
-        n_pages: int,
-        shard_id: int,
-        name: str = "",
-    ):
+    def __init__(self, parent: SimulatedDisk, shard_id: int, name: str = ""):
         self.parent = parent
         self.page_size = parent.page_size
         self.cost_model = parent.cost_model
-        self.first_page = first_page
-        self.extent_pages = n_pages
-        self.shard_id = shard_id
         self.name = name or f"shard-{shard_id}"
         self._readable_below = parent.pages_allocated
-        self._next_page = first_page
-        self._written: set[int] = set()
-        # The private store is a single-extent _ExtentArenas covering
-        # the writable range — the same arena mechanics as the parent,
-        # in one place.  Seeded with the parent's extent content so
-        # unwritten pages read (and reconcile) as the snapshot held.
-        self._arenas = _ExtentArenas(self.page_size)
-        if n_pages:
-            self._arenas.starts.append(first_page)
-            if parent._written.isdisjoint(range(first_page, first_page + n_pages)):
-                # Nothing written in the extent yet: zeros, no copy.
-                self._arenas.arenas.append(bytearray(n_pages * self.page_size))
-            else:
-                self._arenas.arenas.append(
-                    parent._arenas.copy_out(first_page, n_pages)
-                )
         self._attached = True
-        # Session-private checksum sidecar: records made through this
-        # shard land here (lookups fall through to the parent chain)
-        # and reconcile into the parent map at detach, exactly like the
-        # pages; an aborted session drops them with the pages.
-        self.checksums = (
-            parent.checksums.child() if parent.checksums is not None else None
-        )
+        self.checksums = parent.checksums
         self._init_accounting(trace=parent._trace is not None)
 
     # ------------------------------------------------------------------
@@ -797,166 +727,49 @@ class DiskShard(_PagedDevice):
     def attached(self) -> bool:
         return self._attached
 
-    @property
-    def pages_allocated(self) -> int:
-        return self._next_page - self.first_page
-
-    @property
-    def pages_written(self) -> int:
-        return len(self._written)
-
-    def allocate(self, n_pages: int = 1, file_end: int | None = None) -> int:
-        """Carve ``n_pages`` from the shard's extent (no parent call).
-
-        The extent is one private arena already, so ``file_end`` (see
-        :meth:`SimulatedDisk.allocate`) changes nothing here.
-        """
-        if n_pages <= 0:
-            raise ValueError(f"n_pages must be positive, got {n_pages}")
-        self._check_attached()
-        if self._next_page + n_pages > self.first_page + self.extent_pages:
-            raise PageError(
-                f"{self.name}: extent of {self.extent_pages} pages exhausted"
-            )
-        first = self._next_page
-        self._next_page += n_pages
-        return first
-
-    # ------------------------------------------------------------------
-    def _in_extent(self, page_id: int) -> bool:
-        return self.first_page <= page_id < self.first_page + self.extent_pages
-
-    def write_page(self, page_id: int, data) -> None:
-        """Write within the shard's extent, classified by its own head."""
-        self._check_attached()
-        if not self._in_extent(page_id):
-            raise PageError(
-                f"{self.name}: page {page_id} outside writable extent "
-                f"[{self.first_page}, {self.first_page + self.extent_pages})"
-            )
-        self._check_page_payload(data)
-        self._count_write(page_id)
-        self._arenas.splice(page_id, data, self.page_size)
-        self._written.add(page_id)
-
     def read_page(self, page_id: int):
-        """Read own pages, or any pre-session parent page (read-only).
-
-        Same padded-page contract as :meth:`SimulatedDisk.read_page`.
-        """
-        self._check_attached()
-        in_extent = self._in_extent(page_id)
-        if not in_extent and not 0 <= page_id < self._readable_below:
-            raise PageError(
-                f"{self.name}: page {page_id} is neither in the shard's "
-                f"extent nor readable from the parent snapshot "
-                f"(< {self._readable_below})"
-            )
+        """Read one pre-session parent page (see SimulatedDisk.read_page)."""
+        self._check_run_readable(page_id, 1)
         self._count_read(page_id)
-        if in_extent:
-            return self._arenas.page(page_id)
-        # Parent pages are immutable while the session is attached
-        # (the parent is fenced and sibling writes stay shard-local),
-        # so this lookup is safe from any thread.
         return self.parent._arenas.page(page_id)
 
-    # ------------------------------------------------------------------
-    # Bytes-level streaming (see SimulatedDisk for the contract)
-    # ------------------------------------------------------------------
-    def _check_run_readable(self, first_page: int, n_pages: int) -> None:
-        """Range check against the snapshot watermark.
+    def read_run_bytes(self, first_page: int, n_pages: int):
+        """Bulk read of a contiguous run (see SimulatedDisk.read_run_bytes)."""
+        if n_pages <= 0:
+            return b""
+        self._check_run_readable(first_page, n_pages)
+        self._count_read_run(first_page, n_pages)
+        return self.parent._arenas.run_view(first_page, n_pages)
 
-        The writable extent is always allocated before the session
-        attaches, so the readable set — ``[0, readable_below)`` plus
-        the extent — collapses to ``[0, readable_below)``: a run is
-        readable iff it stays below the watermark.
-        """
+    def _check_run_readable(self, first_page: int, n_pages: int) -> None:
+        """Range check against the snapshot watermark."""
         self._check_attached()
         last = first_page + n_pages - 1
         if first_page < 0 or last >= self._readable_below:
             bad = first_page if first_page < 0 else last
             raise PageError(
-                f"{self.name}: page {bad} is neither in the shard's "
-                f"extent nor readable from the parent snapshot "
-                f"(< {self._readable_below})"
+                f"{self.name}: page {bad} is not readable from the parent "
+                f"snapshot (< {self._readable_below})"
             )
-
-    def read_run_bytes(self, first_page: int, n_pages: int):
-        """Bulk read of a contiguous run, padded to whole pages.
-
-        Shard-private extent pages take precedence over the parent
-        snapshot, and every counter matches ``n_pages`` single-page
-        reads exactly.  Returns a single zero-copy view when the run
-        lies entirely inside the extent arena or entirely inside one
-        parent arena.
-        """
-        if n_pages <= 0:
-            return b""
-        self._check_run_readable(first_page, n_pages)
-        self._count_read_run(first_page, n_pages)
-        return self._run_parts(first_page, n_pages)
-
-    def _run_parts(self, first_page: int, n_pages: int):
-        """Compose a run from the extent arena and the parent snapshot.
-
-        The extent is one contiguous range, so a run splits into at
-        most three segments: before, inside, after.  Single-segment
-        runs return one zero-copy view.
-        """
-        end = first_page + n_pages
-        lo, hi = self.first_page, self.first_page + self.extent_pages
-        mid_lo, mid_hi = max(first_page, lo), min(end, hi)
-        if mid_lo >= mid_hi:  # entirely outside the extent
-            return self.parent._arenas.run_view(first_page, n_pages)
-        if first_page >= lo and end <= hi:  # entirely inside
-            return self._arenas.run_view(first_page, n_pages)
-        parts = []
-        if first_page < mid_lo:
-            parts.append(self.parent._arenas.run_view(first_page, mid_lo - first_page))
-        parts.append(self._arenas.run_view(mid_lo, mid_hi - mid_lo))
-        if mid_hi < end:
-            parts.append(self.parent._arenas.run_view(mid_hi, end - mid_hi))
-        return b"".join(parts)
 
     def _scatter(self, pages):
-        """Extent pages from the private arena, the rest from the parent."""
-        inside = (pages >= self.first_page) & (
-            pages < self.first_page + self.extent_pages
-        )
-        entries = []
-        for lo, hi in _spans(inside[1:] != inside[:-1]):
-            arenas = self._arenas if inside[lo] else self.parent._arenas
-            entries.extend(arenas.scatter(pages[lo:hi]))
-        return entries
+        return self.parent._arenas.scatter(pages)
+
+    def write_page(self, page_id: int, data) -> None:
+        self._refuse_write()
 
     def write_run_bytes(self, first_page: int, data, n_pages: int) -> None:
-        """Bulk write within the shard's extent (see SimulatedDisk)."""
-        if n_pages <= 0:
-            return
-        self._check_write_run(first_page, n_pages)
-        self._check_run_payload(data, n_pages)
-        self._count_write_run(first_page, n_pages)
-        self._arenas.splice(first_page, data, n_pages * self.page_size)
-        self._written.update(range(first_page, first_page + n_pages))
+        self._refuse_write()
 
     def _check_write_run(self, first_page: int, n_pages: int) -> None:
-        self._check_attached()
-        last = first_page + n_pages - 1
-        if not (
-            self.first_page <= first_page
-            and last < self.first_page + self.extent_pages
-        ):
-            raise PageError(
-                f"{self.name}: pages [{first_page}, {last}] outside writable "
-                f"extent [{self.first_page}, "
-                f"{self.first_page + self.extent_pages})"
-            )
+        self._refuse_write()
+
+    def _refuse_write(self) -> None:
+        raise PageError(f"{self.name} is read-only")
 
     # ------------------------------------------------------------------
     def page_view(self, page_id: int):
         """Diagnostic full-page view (no accounting); see SimulatedDisk."""
-        if self._in_extent(page_id):
-            return self._arenas.page(page_id)
         return self.parent.page_view(page_id)
 
     def _check_attached(self) -> None:
@@ -965,91 +778,50 @@ class DiskShard(_PagedDevice):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"DiskShard({self.name!r}, extent=[{self.first_page}, "
-            f"{self.first_page + self.extent_pages}), "
-            f"written={self.pages_written}, attached={self._attached})"
+            f"DiskShard({self.name!r}, readable_below={self._readable_below}, "
+            f"attached={self._attached})"
         )
 
 
 class ShardedDisk:
-    """A scoped sharding session over one :class:`SimulatedDisk`.
+    """A scoped session of ``n_shards`` read-only shards over one disk.
 
-    ``extents`` lists each shard's writable page range as ``(first_page,
-    n_pages)`` pairs; ranges must already be allocated on the parent and
-    pairwise disjoint (``n_pages == 0`` marks a shard that only reads).
-    While the session is attached the parent rejects direct I/O — the
-    explicit lifecycle that replaces the implicit shared global device —
-    and every shard operates on its private domain.  A ``read_only``
-    session (all extents zero pages) instead leaves the parent live:
-    the shards stream immutable pre-session pages — each still on its
-    own head, with its own counters — while the consumer keeps using
-    the parent (the pipelined final merge pass feeds the bulk loader
-    this way).
+    The parent stays live while the session is attached: its
+    pre-session pages are what every shard reads, each on its own head
+    with its own counters, while the parent may keep allocating and
+    writing (a service keeps ingesting under a served snapshot's
+    session).  Usable as a context manager::
 
-    Usable as a context manager::
-
-        with ShardedDisk(disk, [(first, n), ...]) as shards:
+        with ShardedDisk(disk, n_shards, names=[...]) as shards:
             ...  # hand one shard to each worker
 
-    Detach reconciles deterministically in partition order: shard pages
-    merge into the parent store (each shard's whole extent arena is
-    spliced in one buffer assignment — never page by page) and
-    shard stats add onto the parent counters shard by shard, then the
-    parent head is parked.  The reconciled totals are therefore
-    identical for any pool kind or worker count that executes the same
-    per-shard plans.
+    Detach reconciles deterministically in partition order: shard stats
+    add onto the parent counters and shard traces append to the
+    parent's, shard by shard, then the parent head is parked.  The
+    reconciled totals are therefore identical for any pool kind or
+    worker count that executes the same per-shard plans.
     """
 
     def __init__(
         self,
         disk: SimulatedDisk,
-        extents: "list[tuple[int, int]]",
+        n_shards: int,
         names: "list[str] | None" = None,
-        read_only: bool = False,
     ):
-        if disk.sharded:
-            raise PageError("disk already has an attached ShardedDisk session")
-        if read_only and any(n_pages for _, n_pages in extents):
-            raise ValueError("read_only sessions take zero-page extents")
-        if names and len(names) != len(extents):
-            raise ValueError(f"{len(names)} names for {len(extents)} extents")
-        occupied: list[tuple[int, int]] = []
-        for first, n_pages in extents:
-            if n_pages < 0 or first < 0:
-                raise ValueError(f"invalid extent ({first}, {n_pages})")
-            if first + n_pages > disk.pages_allocated:
-                raise PageError(
-                    f"extent ({first}, {n_pages}) exceeds allocated space "
-                    f"({disk.pages_allocated} pages)"
-                )
-            for other_first, other_n in occupied:
-                if first < other_first + other_n and other_first < first + n_pages:
-                    raise PageError(
-                        f"extent ({first}, {n_pages}) overlaps "
-                        f"({other_first}, {other_n})"
-                    )
-            if n_pages:
-                occupied.append((first, n_pages))
+        if (
+            isinstance(n_shards, bool)
+            or not isinstance(n_shards, numbers.Integral)
+            or n_shards < 1
+        ):
+            raise ValueError(f"n_shards must be a positive integer, got {n_shards!r}")
+        if names is not None and len(names) != n_shards:
+            raise ValueError(f"{len(names)} names for {n_shards} shards")
         self.disk = disk
-        self.read_only = read_only
         self.shards = [
-            DiskShard(
-                disk,
-                first,
-                n_pages,
-                shard_id=i,
-                name=(names[i] if names else ""),
-            )
-            for i, (first, n_pages) in enumerate(extents)
+            DiskShard(disk, i, name=(names[i] if names else ""))
+            for i in range(n_shards)
         ]
         self._attached = True
-        if not read_only:
-            # Writing sessions fence the parent: all I/O goes through
-            # the shards until detach.  Read-only sessions leave the
-            # parent live — its pre-session pages are immutable, so a
-            # consumer may keep appending (e.g. writing index leaves)
-            # while the shards stream the sources.
-            disk._shard_session = self
 
     # ------------------------------------------------------------------
     @property
@@ -1060,32 +832,19 @@ class ShardedDisk:
         """Reconcile shards into the parent; returns the merged delta.
 
         Idempotent.  Reconciliation walks the shards in partition order
-        (shard 0 first), merging pages and adding stats, then parks the
-        parent head — so the session's effect on the parent is a pure,
-        deterministic function of the per-shard plans.  A shard
-        reconciles by splicing its whole extent arena into the parent
-        arena — one buffer assignment, no per-page loop.
+        (shard 0 first), adding stats and appending traces, then parks
+        the parent head — so the session's effect on the parent is a
+        pure, deterministic function of the per-shard plans.
         """
         if not self._attached:
             return DiskStats()
         merged = DiskStats()
         for shard in self.shards:
-            if shard.extent_pages:
-                self.disk._arenas.splice(
-                    shard.first_page,
-                    shard._arenas.arenas[0],
-                    shard.extent_pages * self.disk.page_size,
-                )
-                self.disk._written.update(shard._written)
-            if self.disk.checksums is not None and shard.checksums is not None:
-                self.disk.checksums.absorb(shard.checksums)
             merged = merged + shard._stats
             if self.disk._trace is not None and shard._trace:
                 self.disk._trace.extend(shard._trace)
             shard._attached = False
         self.disk._stats = self.disk._stats + merged
-        if self.disk._shard_session is self:
-            self.disk._shard_session = None
         self.disk.park_head()
         self._attached = False
         return merged
@@ -1093,19 +852,16 @@ class ShardedDisk:
     def abort(self) -> DiskStats:
         """Discard the session without reconciling anything.
 
-        Idempotent.  Shard pages, stats and traces are dropped, the
-        parent is unfenced, and the parent head is left exactly where
-        it was when the session attached — so an aborted attempt (a
-        worker raising an injected device fault, a crashed merge)
-        contributes *nothing* to the parent: a later retry or a serial
-        fallback on the parent replays as if the attempt never ran.
+        Idempotent.  Shard stats and traces are dropped and the parent
+        head is left exactly where it was, so an aborted attempt (a
+        worker raising an injected device fault) contributes *nothing*
+        to the parent: a later retry or a serial fallback on the parent
+        replays as if the attempt never ran.
         """
         if not self._attached:
             return DiskStats()
         for shard in self.shards:
             shard._attached = False
-        if self.disk._shard_session is self:
-            self.disk._shard_session = None
         self._attached = False
         return DiskStats()
 
@@ -1114,8 +870,8 @@ class ShardedDisk:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         # A clean exit reconciles; an exception aborts, so a raise
-        # mid-session can never leave the parent fenced or merge a
-        # half-executed plan into its pages and counters.
+        # mid-session never merges a half-executed plan into the
+        # parent's counters.
         if exc_type is None:
             self.detach()
         else:

@@ -8,30 +8,11 @@ the memory budget no I/O is performed at all — the case the paper
 highlights for non-materialized Coconut variants, whose summarizations
 "in general fit in main memory".
 
-The partition phase can also be fed from outside: ``sort_runs``
-accepts chunk runs that were already stably sorted elsewhere — the
-parallel summarization pipeline (:mod:`repro.parallel.summarize`)
-presorts chunks on pool workers — and merges them into the exact
-stream ``sort`` would have produced.
-
-Spilled runs merge through :func:`repro.storage.merge.merge_stream`,
-which gallops page-sized blocks with NumPy and reproduces the output
-stream, chunk shapes and simulated-I/O trace of a per-record heap
-merge.  Runs that fit the budget merge in memory on the calling thread
-(:func:`repro.storage.merge.merge_presorted`) at any worker count.
-
-``merge_workers > 1`` parallelizes the *spilled* cascade
-(:mod:`repro.parallel.spill`): each cascade group's key space is
-range-partitioned, every partition merges its record slices of the
-group's run files through a private :class:`repro.storage.disk.
-DiskShard` and writes a disjoint extent of the output run; the final
-pass streams its partition merges concurrently through read-only
-shards straight to the consumer.  The merged record stream stays
-bit-identical to the serial merge for any worker count and splitter
-sample; the simulated I/O of the sharded plan is bit-identical to its
-serial replay (``pool_kind="serial"``), though not to the
-single-domain serial plan — partitioned domains classify their seeks
-independently, the price of merging on many devices at once.
+Runs merge through :func:`repro.storage.merge.merge_stream`, which
+gallops page-sized blocks with NumPy and reproduces the output stream,
+chunk shapes and simulated-I/O trace of a per-record heap merge.  When
+there are more runs than input buffers fit in memory, groups of runs
+merge into longer runs first (a cascade), all on the calling thread.
 
 Keys are fixed-width byte strings (NumPy ``S<k>`` arrays); NumPy sorts
 them lexicographically, which for big-endian encoded invSAX words is
@@ -43,13 +24,13 @@ moves through the disk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .disk import SimulatedDisk
-from .merge import merge_presorted, merge_stream
+from .merge import merge_stream
 from .pager import PagedFile
 
 
@@ -67,17 +48,10 @@ class SortReport:
 
 @dataclass
 class _SpillRun:
-    """One file-backed sorted run awaiting the merge cascade.
-
-    ``keys`` is the run's in-memory key mirror, retained only when the
-    sharded parallel cascade needs it for splitter sampling and exact
-    record-level cuts (the sortable summarizations are what "in general
-    fit in main memory"); the serial cascade carries ``None``.
-    """
+    """One file-backed sorted run awaiting the merge cascade."""
 
     file: PagedFile
     n_records: int
-    keys: np.ndarray | None = None
 
 
 def _record_dtype(keys: np.ndarray, payloads: np.ndarray) -> np.dtype:
@@ -87,34 +61,13 @@ def _record_dtype(keys: np.ndarray, payloads: np.ndarray) -> np.dtype:
 
 
 class ExternalSorter:
-    """Sorts (key, payload) records under a main-memory budget.
+    """Sorts (key, payload) records under a main-memory budget."""
 
-    ``merge_workers > 1`` parallelizes the file-backed spilled cascade
-    by key-range partitioning on per-partition disk shards
-    (:mod:`repro.parallel.spill`), on the repository's one pool
-    (:mod:`repro.parallel.pool`): threads, or with
-    ``pool_kind="serial"`` the same partition plan inline — the serial
-    replay.  Resident runs always merge on the calling thread.
-    ``merge_workers`` follows the one convention: ``None`` / ``0`` mean
-    all cores.
-    """
-
-    def __init__(
-        self,
-        disk: SimulatedDisk,
-        memory_bytes: int,
-        merge_workers: int | None = 1,
-        pool_kind: str = "thread",
-    ):
-        # Lazy import: repro.parallel pulls in the index layer.
-        from ..parallel.pool import check_pool_kind, resolve_workers
-
+    def __init__(self, disk: SimulatedDisk, memory_bytes: int):
         if memory_bytes <= 0:
             raise ValueError(f"memory_bytes must be positive, got {memory_bytes}")
         self.disk = disk
         self.memory_bytes = memory_bytes
-        self.merge_workers = resolve_workers(merge_workers)
-        self.pool_kind = check_pool_kind(pool_kind)
         self.report = SortReport()
 
     def sort(
@@ -167,15 +120,6 @@ class ExternalSorter:
         """
         return max(2, self.memory_bytes // (self.disk.page_size * 2))
 
-    @property
-    def _parallel_spill(self) -> bool:
-        """Whether the spilled cascade runs on per-partition shards.
-
-        ``pool_kind="serial"`` keeps the sharded plan but executes it
-        inline — the serial replay oracle with bit-identical counters.
-        """
-        return self.merge_workers > 1
-
     def _sort_spilled(
         self,
         keys: np.ndarray,
@@ -194,17 +138,11 @@ class ExternalSorter:
             block["v"] = payloads[start:stop][order]
             run = PagedFile(self.disk, name=f"sort-run-{len(runs)}")
             run.write_stream(block.tobytes())
-            runs.append(self._spill_run(run, sorted_keys))
+            runs.append(_SpillRun(run, stop - start))
         self.report.n_runs = len(runs)
         self.report.spilled = True
         self.report.run_pages = sum(run.file.n_pages for run in runs)
         return self._merge_spilled(runs, rec_dtype, mem_records)
-
-    def _spill_run(self, file: PagedFile, sorted_keys: np.ndarray) -> _SpillRun:
-        """Wrap a freshly written run, with its key mirror when sharded."""
-        if not self._parallel_spill:
-            return _SpillRun(file, len(sorted_keys))
-        return _SpillRun(file, len(sorted_keys), keys=sorted_keys)
 
     def _merge_spilled(
         self,
@@ -212,56 +150,29 @@ class ExternalSorter:
         rec_dtype: np.dtype,
         mem_records: int,
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        parallel = self._parallel_spill
-        # Cascade until one merge pass suffices.  The grouping — and
-        # with it the SortReport — is the same for the serial and the
-        # sharded cascade.
+        # Cascade until one merge pass suffices.
         while len(runs) > self._fan_in:
             self.report.merge_passes += 1
-            next_runs: list[_SpillRun] = []
-            for start in range(0, len(runs), self._fan_in):
-                group = runs[start : start + self._fan_in]
-                name = f"sort-merge-{len(next_runs)}"
-                if parallel:
-                    next_runs.append(
-                        self._sharded_group_merge(
-                            group, rec_dtype, mem_records, name
-                        )
-                    )
-                else:
-                    next_runs.append(
-                        self._serial_group_merge(
-                            group, rec_dtype, mem_records, name
-                        )
-                    )
-            runs = next_runs
+            runs = [
+                self._group_merge(
+                    runs[start : start + self._fan_in],
+                    rec_dtype,
+                    mem_records,
+                    f"sort-merge-{i}",
+                )
+                for i, start in enumerate(range(0, len(runs), self._fan_in))
+            ]
         self.report.merge_passes += 1
-        if parallel and len(runs) > 1:
-            # Parallel final pass: the per-partition merges stream
-            # concurrently through read-only shards straight to the
-            # consumer (no materialization), re-chunked to the exact
-            # shapes the serial merge would have yielded.
-            from ..parallel.spill import sharded_stream_merge
-
-            buffer_records = max(1, mem_records // (len(runs) + 1))
-            return sharded_stream_merge(
-                self.disk,
-                [(run.file, run.n_records, run.keys) for run in runs],
-                rec_dtype,
-                n_partitions=self.merge_workers,
-                buffer_records=buffer_records,
-                pool_kind=self.pool_kind,
-            )
         return self._merge_runs(runs, rec_dtype, mem_records)
 
-    def _serial_group_merge(
+    def _group_merge(
         self,
         group: list[_SpillRun],
         rec_dtype: np.dtype,
         mem_records: int,
         name: str,
     ) -> _SpillRun:
-        """Stream-merge one cascade group into a new run (one domain)."""
+        """Stream-merge one cascade group into a new run."""
         merged_file = PagedFile(self.disk, name=name)
         total = sum(run.n_records for run in group)
         out_page = 0
@@ -282,37 +193,6 @@ class ExternalSorter:
             merged_file.write_stream(remainder, at_page=out_page)
         return _SpillRun(merged_file, total)
 
-    def _sharded_group_merge(
-        self,
-        group: list[_SpillRun],
-        rec_dtype: np.dtype,
-        mem_records: int,
-        name: str,
-    ) -> _SpillRun:
-        """Merge one cascade group on per-partition disk shards.
-
-        The merged key mirror rides along for the next pass's cuts.
-        """
-        from ..parallel.spill import sharded_spill_merge
-
-        # Each partition streams with the serial merge's buffer
-        # geometry (one buffer per source run plus the output buffer);
-        # aggregate transient memory is n_partitions times the serial
-        # merge's buffers — the standard space-time trade of parallel
-        # merging.  The I/O *plan* therefore depends on the worker
-        # count only through the splitters.
-        buffer_records = max(1, mem_records // (len(group) + 1))
-        result = sharded_spill_merge(
-            self.disk,
-            [(run.file, run.n_records, run.keys) for run in group],
-            rec_dtype,
-            n_partitions=self.merge_workers,
-            buffer_records=buffer_records,
-            pool_kind=self.pool_kind,
-            out_name=name,
-        )
-        return _SpillRun(result.file, result.n_records, result.keys)
-
     def _merge_runs(
         self,
         runs: list[_SpillRun],
@@ -325,55 +205,6 @@ class ExternalSorter:
             rec_dtype,
             buffer_records,
         )
-
-    # ------------------------------------------------------------------
-    def sort_runs(
-        self, runs: list[tuple[np.ndarray, np.ndarray]]
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Merge pre-sorted runs into one globally sorted stream.
-
-        ``runs`` are (keys, payloads) pairs, each internally sorted with
-        a *stable* sort, whose concatenation in list order corresponds
-        to the original input order.  Under those conditions the merged
-        output — ties resolve in run order, then in within-run order —
-        is bit-identical to :meth:`sort` on the unsorted concatenation.
-        This is the entry point of the parallel bulk-loading pipeline:
-        pool workers presort chunks, and the partition phase here is
-        reduced to writing the runs out (or merging them in memory).
-        """
-        runs = [(np.asarray(k), np.asarray(p)) for k, p in runs]
-        for k, p in runs:
-            if len(k) != len(p):
-                raise ValueError(f"{len(k)} keys vs {len(p)} payloads in run")
-        runs = [run for run in runs if len(run[0])]
-        if not runs:
-            self.report = SortReport(n_runs=0)
-            return iter(())
-        rec_dtype = _record_dtype(*runs[0])
-        n = sum(len(k) for k, _ in runs)
-        self.report = SortReport(
-            n_records=n, record_bytes=rec_dtype.itemsize, n_runs=len(runs)
-        )
-        mem_records = max(2, self.memory_bytes // rec_dtype.itemsize)
-        if n <= mem_records:
-            keys, payloads = merge_presorted(runs)
-
-            def chunks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-                for i in range(0, n, mem_records):
-                    yield keys[i : i + mem_records], payloads[i : i + mem_records]
-
-            return chunks()
-        self.report.spilled = True
-        files: list[_SpillRun] = []
-        for keys, payloads in runs:
-            block = np.empty(len(keys), dtype=rec_dtype)
-            block["k"] = keys
-            block["v"] = payloads
-            run = PagedFile(self.disk, name=f"sort-run-{len(files)}")
-            run.write_stream(block.tobytes())
-            files.append(self._spill_run(run, keys))
-        self.report.run_pages = sum(run.file.n_pages for run in files)
-        return self._merge_spilled(files, rec_dtype, mem_records)
 
 
 def sort_to_arrays(

@@ -10,7 +10,6 @@ This module closes that gap end to end:
 * :class:`ChecksumMap` — a per-page CRC32 sidecar keyed by **physical
   page id**.  Checksums are recorded by the *consumers that know the
   intended payload* (:class:`~repro.storage.pager.PagedFile`,
-  :class:`~repro.parallel.spill._ExtentWriter`,
   :class:`~repro.storage.bufferpool.BufferPool`) at write time, **after
   the device acks** — never by the device itself.  That ordering is
   load-bearing twice over: a :class:`~repro.storage.faults.FaultyDevice`
@@ -19,8 +18,7 @@ This module closes that gap end to end:
   before taking effect must not move the expectation off the bytes that
   are actually on the platter.  Keying by physical id makes the sidecar
   immune to arena extent coalescing (``bytearray.extend`` preserves
-  page ids) and lets shard-session maps merge into the parent at detach
-  exactly like the pages themselves.
+  page ids); read-only shards check against their parent's map.
 
 * **Verified reads** — ``verified_reads=True`` on
   :class:`~repro.storage.bufferpool.BufferPool` and
@@ -114,19 +112,10 @@ class ChecksumMap:
     A page with no entry is *expected to be all zeros* — exactly the
     padded-read contract of the page store, so never-written pages
     verify without any bookkeeping and decay on them is still caught.
-
-    ``child()`` builds the sidecar for a :class:`~repro.storage.disk.
-    DiskShard` session: records land in the child's private dict while
-    lookups fall through to the parent chain (read-only sessions read
-    parent pages), and :meth:`absorb` merges the child back at detach —
-    mirroring how the session's pages reconcile.  An aborted session
-    simply drops its child, leaving the parent's expectations on the
-    untouched parent bytes.
     """
 
-    def __init__(self, page_size: int, parent: "ChecksumMap | None" = None):
+    def __init__(self, page_size: int):
         self.page_size = page_size
-        self.parent = parent
         self._crcs: "dict[int, int]" = {}
 
     def __len__(self) -> int:
@@ -160,34 +149,14 @@ class ChecksumMap:
     # Lookup / verification (zero-copy: hashes the given view)
     # ------------------------------------------------------------------
     def expected(self, page_id: int) -> int:
-        node: "ChecksumMap | None" = self
-        while node is not None:
-            crc = node._crcs.get(page_id)
-            if crc is not None:
-                return crc
-            node = node.parent
-        return zero_page_crc(self.page_size)
+        crc = self._crcs.get(page_id)
+        return zero_page_crc(self.page_size) if crc is None else crc
 
     def recorded(self, page_id: int) -> bool:
-        node: "ChecksumMap | None" = self
-        while node is not None:
-            if page_id in node._crcs:
-                return True
-            node = node.parent
-        return False
+        return page_id in self._crcs
 
     def verify(self, page_id: int, view) -> bool:
         return zlib.crc32(view) == self.expected(page_id)
-
-    # ------------------------------------------------------------------
-    # Session lifecycle
-    # ------------------------------------------------------------------
-    def child(self) -> "ChecksumMap":
-        return ChecksumMap(self.page_size, parent=self)
-
-    def absorb(self, child: "ChecksumMap") -> None:
-        """Merge a detaching session's records (parent-side reconcile)."""
-        self._crcs.update(child._crcs)
 
 
 def verify_view(checksums: "ChecksumMap | None", page_id: int, view, source):
@@ -356,7 +325,7 @@ class Scrubber:
     serving for more than a bounded slice; read-only ShardedDisk
     serving sessions are unaffected throughout because scrub reads ride
     the diagnostics plane (``page_view`` — no simulated I/O charge, no
-    head movement, no fence interaction).  Targets are re-snapshotted
+    head movement).  Targets are re-snapshotted
     at the start of each sweep, so runs retired by compaction between
     sweeps simply fall out of scope.
 

@@ -70,20 +70,12 @@ class RunCursor:
         n_records: int,
         rec_dtype: np.dtype,
         buffer_records: int,
-        start_record: int = 0,
     ):
         self.file = file
         self.n_records = n_records
         self.rec_dtype = rec_dtype
         self.buffer_records = max(1, buffer_records)
-        # ``start_record`` opens the cursor on a record *slice* of the
-        # run: reading starts at the page containing the slice's first
-        # byte and the lead-in bytes of that page are discarded.  The
-        # sharded spilled merge uses this to hand each partition worker
-        # its disjoint key range of a shared run file.
-        start_byte = start_record * rec_dtype.itemsize
-        self._next_page = start_byte // file.disk.page_size
-        self._skip_bytes = start_byte - self._next_page * file.disk.page_size
+        self._next_page = 0
         self._records_out = 0
         self._remainder = b""
         self._chunk: np.ndarray | None = None
@@ -127,7 +119,7 @@ class RunCursor:
             return
         want = min(self.buffer_records, left)
         itemsize = self.rec_dtype.itemsize
-        need_bytes = want * itemsize + self._skip_bytes - len(self._remainder)
+        need_bytes = want * itemsize - len(self._remainder)
         page_size = self.file.disk.page_size
         n_pages = max(0, -(-need_bytes // page_size))
         n_pages = min(n_pages, self.file.n_pages - self._next_page)
@@ -144,9 +136,6 @@ class RunCursor:
             )
         else:
             data = self._remainder
-        if self._skip_bytes:
-            data = data[self._skip_bytes :]
-            self._skip_bytes = 0
         n_complete = min(len(data) // itemsize, left)
         if n_complete == 0:
             self._chunk = None
@@ -244,16 +233,10 @@ class _ChunkEmitter:
 def _open_cursors(
     runs: "list[tuple]", rec_dtype: np.dtype, buffer_records: int
 ) -> "list[RunCursor]":
-    """Cursors over ``(file, count)`` pairs or ``(file, count, start)``
-    triples — the latter open record slices of shared run files."""
-    cursors = []
-    for run in runs:
-        file, count = run[0], run[1]
-        start = run[2] if len(run) > 2 else 0
-        cursors.append(
-            RunCursor(file, count, rec_dtype, buffer_records, start_record=start)
-        )
-    return cursors
+    """Cursors over ``(file, count)`` pairs."""
+    return [
+        RunCursor(file, count, rec_dtype, buffer_records) for file, count in runs
+    ]
 
 
 def merge_stream(
@@ -263,10 +246,9 @@ def merge_stream(
 ) -> Iterator[MergeChunk]:
     """Stable k-way merge of sorted runs, one block per run at a time.
 
-    ``runs`` are ``(file, n_records)`` pairs, or ``(file, n_records,
-    start_record)`` triples opening record slices of shared run files;
-    yields ``(keys, payloads)`` chunks of ``buffer_records`` records
-    (the last one partial).  Per round: find the safe horizon L
+    ``runs`` are ``(file, n_records)`` pairs; yields ``(keys,
+    payloads)`` chunks of ``buffer_records`` records (the last one
+    partial).  Per round: find the safe horizon L
     (smallest block-tail key among runs with unread data, via the loser
     tree), gallop every block's safe prefix with one ``searchsorted``
     each, order the union with a stable argsort (concatenation order is

@@ -9,15 +9,13 @@ how top-down-built indexes scatter their leaves.
 
 A file is bound to a *device* — anything exposing ``page_size``,
 ``allocate``, ``read_page`` and ``write_page``: the shared
-:class:`repro.storage.disk.SimulatedDisk`, a
+:class:`repro.storage.disk.SimulatedDisk`, a read-only
 :class:`repro.storage.disk.DiskShard` private to one worker, or a
 :class:`repro.storage.bufferpool.BufferPool` wrapping either.  The
 binding is explicit rather than a global: :meth:`PagedFile.attach`
 yields a view of the same extents on a different device, which is how
-parallel workers read a shared run through their own shard (their own
-head, their own stats) without mutating anybody else's state, and how
-a file written inside a sharded session is re-bound to the parent disk
-after detach.
+parallel workers read a shared file through their own shard (their own
+head, their own stats) without mutating anybody else's state.
 """
 
 from __future__ import annotations
@@ -58,9 +56,8 @@ class PagedFile:
         """Wrap an already-allocated contiguous extent as a file.
 
         No allocation or I/O happens — the pages may already hold data.
-        This is how the sharded merge stitches the output extent it
-        pre-allocated (and that workers filled through their shards)
-        into an ordinary file on the parent device.
+        This is how Coconut-LSM recovery reopens a committed run from
+        its manifest entry.
         """
         file = cls(device, name=name)
         if n_pages:
@@ -76,9 +73,9 @@ class PagedFile:
         performs its I/O on ``device`` — a worker's
         :class:`repro.storage.disk.DiskShard` or per-shard
         :class:`repro.storage.bufferpool.BufferPool` for concurrent
-        read-only access, or the parent disk to re-bind a file after a
-        sharded session detaches.  Views are for I/O on the existing
-        pages; growing a view does not grow the original.
+        read-only access, or the parent disk under a fault-wrapped
+        device.  Views are for I/O on the existing pages; growing a
+        view does not grow the original.
         """
         view = PagedFile(device, name=self.name)
         view._extents = list(self._extents)

@@ -56,9 +56,6 @@ class DictPages:
         for i in range(n_bytes // ps):
             self.pages[first_page + i] = bytes(view[i * ps : (i + 1) * ps])
 
-    def copy_out(self, first_page: int, n_pages: int) -> bytearray:
-        return bytearray(self.run_view(first_page, n_pages))
-
 
 class DictDisk(SimulatedDisk):
     """The copy-level oracle device: a ``SimulatedDisk`` whose pages

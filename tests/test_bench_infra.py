@@ -77,6 +77,19 @@ def test_all_factories_build_and_answer():
         assert got.distance == pytest.approx(want, rel=1e-5), key
 
 
+@pytest.mark.parametrize("key", ["CTree", "CTreeFull", "CTrie", "CTrieFull"])
+def test_coconut_cells_sort_in_memory_sized_runs(key):
+    """An experiment cell's build spills ``ceil(n / M)`` runs, ``M`` the
+    rows its memory budget holds, whatever the index variant."""
+    memory = TINY.raw_bytes // 20
+    env = make_environment(key, TINY, memory)
+    report = env.index.build(env.raw)
+    rec = env.index._leaf_dtype
+    mem_records = max(2, memory // rec.itemsize)
+    assert report.extra["sort_runs"] == -(-TINY.n_series // mem_records) > 1
+    assert report.n_series == TINY.n_series
+
+
 # -------------------------------------------------------------- report
 def test_format_table_alignment_and_values():
     rows = [
@@ -98,10 +111,3 @@ def test_format_table_explicit_columns():
     rows = [{"a": 1, "b": 2}]
     text = format_table(rows, columns=["b"])
     assert "a" not in text.splitlines()[0]
-
-
-def test_make_environment_workers_threaded_through():
-    env = make_environment("CTree", TINY, TINY.raw_bytes, workers=3)
-    assert env.index.workers == 3
-    env = make_environment("Serial", TINY, TINY.raw_bytes, workers=3)  # ignored
-    assert not hasattr(env.index, "workers")

@@ -126,14 +126,12 @@ def test_attach_and_detach_cycle_drops_cache():
 def test_pool_is_shard_scoped_under_the_session_lifecycle():
     """A pool re-bound between I/O domains never leaks cached pages.
 
-    This is the isolation the sharded merge relies on: each worker's
+    This is the isolation the parallel fetch relies on: each worker's
     pool caches only what *its* shard read, a re-bind starts cold, and
     the shard underneath accounts every miss on its own counters.
     """
     disk = make_disk_with_pages(4)
-    extent = disk.allocate(2)
-    disk.reset_stats()
-    with ShardedDisk(disk, [(extent, 1), (extent + 1, 1)]) as (a, b):
+    with ShardedDisk(disk, 2) as (a, b):
         pool_a = BufferPool(a, capacity_pages=4)
         pool_b = BufferPool(b, capacity_pages=4)
         assert pool_a.read(2)[:1] == bytes([2])  # parent snapshot via shard a
@@ -190,18 +188,18 @@ def test_pool_context_manager_detaches_on_error():
 
 
 def test_sharded_session_unfences_parent_on_error():
-    """An exception inside a ``with ShardedDisk`` cannot leave the
-    parent device fenced (the satellite contract for error paths)."""
+    """An exception inside a ``with ShardedDisk`` aborts the session:
+    the pool and the shard detach, the shard's reads are not reconciled,
+    and the parent keeps taking I/O."""
     disk = make_disk_with_pages(2)
-    extent = disk.allocate(2)
     with pytest.raises(RuntimeError):
-        with ShardedDisk(disk, [(extent, 2)]) as (shard,):
+        with ShardedDisk(disk, 1) as (shard,):
             with BufferPool(shard, capacity_pages=2) as pool:
                 pool.read(0)
                 raise RuntimeError("partition failed")
-    assert not disk.sharded
-    assert not pool.attached
-    disk.write_page(0, b"writable again")  # parent accepts I/O again
+    assert not shard.attached and not pool.attached
+    assert disk.stats.total_ios == 0
+    disk.write_page(0, b"writable again")  # parent accepts I/O
     assert disk.read_page(0)[:14] == b"writable again"
 
 

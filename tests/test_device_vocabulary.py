@@ -9,7 +9,8 @@ some layer's bookkeeping:
   forwarding ``__getattr__``;
 * through a :class:`FaultyDevice` it consults the fault plan: the op
   counters move, a bad page raises, a halted device refuses, and in
-  the refusing cases nothing reaches the wrapped device.
+  the refusing cases nothing reaches the wrapped device.  A read-only
+  :class:`DiskShard` refuses every write verb itself, wrapped or not.
 
 Regression: ``read_run`` / ``write_run`` used to fall through
 ``FaultyDevice.__getattr__`` to the wrapped device, so a bad page read
@@ -21,7 +22,7 @@ import pytest
 import repro.storage.faults
 from oracles import DictDisk
 from repro.storage import BufferPool, SimulatedDisk
-from repro.storage.disk import DEVICE_IO_VERBS, DiskShard, ShardedDisk
+from repro.storage.disk import DEVICE_IO_VERBS, DiskShard, PageError, ShardedDisk
 from repro.storage.faults import (
     DeviceCrash,
     FaultPlan,
@@ -48,7 +49,7 @@ def _inner(kind):
     disk = (DictDisk if kind == "DictDisk" else SimulatedDisk)(page_size=64)
     disk.allocate(4)
     if kind == "DiskShard":
-        return ShardedDisk(disk, [(0, 4)]).shards[0], disk
+        return ShardedDisk(disk, 1).shards[0], disk
     if kind == "BufferPool":
         return BufferPool(disk, capacity_pages=2), disk
     if kind == "FaultyDevice":
@@ -81,6 +82,15 @@ def _touched(inner, store):
 @pytest.mark.parametrize("inner_kind", [cls.__name__ for cls in DEVICE_CLASSES])
 def test_every_verb_consults_the_fault_plan(inner_kind, verb):
     kind, call = CALLS[verb]
+    if kind == "w" and inner_kind == "DiskShard":
+        # Read-only: every write is refused, and nothing is stored.
+        inner, store = _inner(inner_kind)
+        before = _touched(inner, store)
+        for device in (inner, FaultyDevice(inner, FaultPlan())):
+            with pytest.raises(PageError, match="read-only"):
+                call(device)
+        assert _touched(inner, store) == before
+        return
     # Clean plan: the op is counted, on the side it belongs to.
     inner, _ = _inner(inner_kind)
     device = FaultyDevice(inner, FaultPlan())

@@ -186,22 +186,21 @@ def test_write_run_is_all_or_nothing_on_the_disk(pages):
 
 
 def test_write_run_is_all_or_nothing_on_a_shard():
+    """A read-only shard writes nothing, whatever the run's shape."""
     disk = SimulatedDisk(page_size=64, trace=True)
-    extent = disk.allocate(4)
-    with ShardedDisk(disk, [(extent + 1, 2)]) as (shard,):
-        shard.write_page(extent + 1, b"kept")
+    first = disk.allocate(4)
+    disk.write_page(first + 1, b"kept")
+    with ShardedDisk(disk, 1) as (shard,):
         before = _device_state(shard, disk)
-        for first, pages in [
-            (extent + 2, [b"a", b"b"]),  # overruns the extent
-            (extent, [b"a", b"b"]),  # starts before it
-            (extent + 1, [b"a", b"x" * 65]),  # oversized payload
+        for at, pages in [
+            (first + 1, [b"a", b"b"]),  # in range
+            (first + 3, [b"a", b"b"]),  # overruns the allocation
+            (first + 1, [b"a", b"x" * 65]),  # oversized payload
         ]:
-            with pytest.raises(PageError):
-                shard.write_run(first, pages)
+            with pytest.raises(PageError, match="read-only"):
+                shard.write_run(at, pages)
             assert _device_state(shard, disk) == before
-            assert shard.pages_written == 1
-        shard.write_run(extent + 1, [b"a", b"b"])
-    assert bytes(disk.page_view(extent + 2))[:1] == b"b"
+    assert bytes(disk.page_view(first + 1))[:4] == b"kept"
 
 
 def test_sharded_disk_rejects_a_short_names_list():
@@ -211,8 +210,7 @@ def test_sharded_disk_rejects_a_short_names_list():
     first = disk.allocate(4)
     for names in (["only-one"], ["a", "b", "c"]):
         with pytest.raises(ValueError, match="names"):
-            ShardedDisk(disk, [(first, 2), (first + 2, 2)], names=names)
-        assert not disk.sharded
-        disk.write_page(first, b"still live")  # parent left unfenced
-    with ShardedDisk(disk, [(first, 2), (first + 2, 2)], names=["a", "b"]) as s:
+            ShardedDisk(disk, 2, names=names)
+        disk.write_page(first, b"still live")
+    with ShardedDisk(disk, 2, names=["a", "b"]) as s:
         assert [shard.name for shard in s] == ["a", "b"]

@@ -1,11 +1,21 @@
 """Tests for external merge sort under a memory budget."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage import ExternalSorter, SimulatedDisk, sort_to_arrays
+from repro import CoconutTree, CoconutTrie, random_walk
+from repro.storage import (
+    ExternalSorter,
+    PagedFile,
+    RawSeriesFile,
+    SimulatedDisk,
+    sort_to_arrays,
+)
+from repro.summaries import SAXConfig
 
 
 def make_records(n, key_bytes=8, payload="offset", seed=0):
@@ -145,56 +155,52 @@ def test_spill_with_single_record_final_run():
     np.testing.assert_array_equal(sorted_values, values[order])
 
 
-# ------------------------------------------------------ presorted runs
-def test_sort_runs_empty_and_single():
-    disk = SimulatedDisk()
-    sorter = ExternalSorter(disk, memory_bytes=1024)
-    assert list(sorter.sort_runs([])) == []
-    assert sorter.report.n_runs == 0
-    keys = np.array([b"zz"], dtype="S2")
-    values = np.array([7], dtype=np.int64)
-    chunks = list(sorter.sort_runs([(keys, values)]))
-    assert len(chunks) == 1
-    assert bytes(chunks[0][0][0]) == b"zz" and chunks[0][1][0] == 7
-    # All-empty runs behave like no runs at all.
-    assert list(sorter.sort_runs([(keys[:0], values[:0])])) == []
+# ------------------------------------------------- the paper's runs
+LENGTH = 32
+CONFIG = SAXConfig(series_length=LENGTH, word_length=4, cardinality=16)
+DATA = random_walk(300, length=LENGTH, seed=5)
 
 
-def test_sort_runs_rejects_mismatched_run():
-    sorter = ExternalSorter(SimulatedDisk(), memory_bytes=1024)
-    with pytest.raises(ValueError):
-        list(sorter.sort_runs([(np.array([b"a"], dtype="S1"), np.arange(2))]))
+class RunSpy(PagedFile):
+    """Counts the bytes the sorter writes into each ``sort-run-*`` file."""
+
+    written: "dict[str, int]" = {}
+
+    def write_stream(self, data, at_page=0):
+        if self.name.startswith("sort-run-"):
+            RunSpy.written[self.name] = RunSpy.written.get(self.name, 0) + len(data)
+        return super().write_stream(data, at_page)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(min_value=0, max_value=300),
-    chunk=st.integers(min_value=1, max_value=128),
-    memory_records=st.integers(min_value=2, max_value=64),
-    seed=st.integers(min_value=0, max_value=2**16),
+    memory_bytes=st.integers(min_value=1, max_value=50_000),
+    materialized=st.booleans(),
+    cls=st.sampled_from([CoconutTree, CoconutTrie]),
 )
-def test_property_sort_runs_equals_sort(n, chunk, memory_records, seed):
-    """Presorted chunk runs merge to exactly what sort() produces.
+def test_property_a_spilled_sort_forms_runs_that_fit_the_budget(
+    n, memory_bytes, materialized, cls
+):
+    """The paper's partition phase: ``ceil(n / M)`` runs of at most ``M``
+    records, ``M`` the records ``memory_bytes`` holds (at least two).
 
-    Runs are contiguous input chunks, each stably presorted — the
-    contract of the parallel summarization pipeline — covering the
-    in-memory merge, the spilled merge, empty input and 1-record runs.
+    A build that presorted chunks of its own size would write fewer,
+    larger runs — over the budget the sort is meant to respect.
     """
-    keys, values = make_records(n, seed=seed)
-    runs = []
-    for at in range(0, n, chunk):
-        chunk_keys = keys[at : at + chunk]
-        chunk_values = values[at : at + chunk]
-        order = np.argsort(chunk_keys, kind="stable")
-        runs.append((chunk_keys[order], chunk_values[order]))
-    sorter = ExternalSorter(SimulatedDisk(page_size=256), 16 * memory_records)
-    parts = list(sorter.sort_runs(runs))
-    reference = ExternalSorter(SimulatedDisk(page_size=256), 16 * memory_records)
-    want_keys, want_values = sort_to_arrays(reference, keys, values)
-    if parts:
-        got_keys = np.concatenate([k for k, _ in parts])
-        got_values = np.concatenate([v for _, v in parts])
-        np.testing.assert_array_equal(got_keys, want_keys)
-        np.testing.assert_array_equal(got_values, want_values)
-    else:
-        assert n == 0
+    record_bytes = CONFIG.key_bytes + 8 + (4 * LENGTH if materialized else 0)
+    mem_records = max(2, memory_bytes // record_bytes)
+    disk = SimulatedDisk(page_size=512)
+    raw = RawSeriesFile.create(disk, DATA[:n]) if n else RawSeriesFile(disk, LENGTH)
+    index = cls(
+        disk, memory_bytes, config=CONFIG, leaf_size=20, materialized=materialized
+    )
+    RunSpy.written = {}
+    with mock.patch("repro.storage.external_sort.PagedFile", RunSpy):
+        report = index.build(raw)
+    assert report.extra["sort_runs"] == -(-n // mem_records)
+    spilled = n > mem_records
+    assert len(RunSpy.written) == (report.extra["sort_runs"] if spilled else 0)
+    for n_bytes in RunSpy.written.values():
+        assert n_bytes % record_bytes == 0
+        assert n_bytes // record_bytes <= mem_records

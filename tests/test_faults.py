@@ -273,13 +273,19 @@ def test_faulty_device_under_paged_file_and_buffer_pool(store):
 
 def test_faulty_shard_fault_aborts_session_parent_stays_live():
     disk = make_disk()
-    out_first = disk.allocate(4)
-    session = ShardedDisk(disk, [(out_first, 2), (out_first + 2, 2)])
+    first = disk.allocate(4)
+    for page in range(first, first + 4):
+        disk.write_page(page, b"x" * PAGE)
+    disk.read_page(first)
+    before, head = disk.snapshot(), disk.head_position
+    session = ShardedDisk(disk, 2)
     with pytest.raises(PermanentIOError):
         with session as shards:
-            dev = FaultyDevice(shards[0], FaultPlan(bad_pages=((out_first, 2),)))
-            dev.write_page(out_first, b"x" * PAGE)
-    # abort on exception: parent unfenced, extent untouched, no stats
-    assert disk.pages_allocated == 4
-    disk.write_page(out_first, b"fine")
+            shards[1].read_run_bytes(first, 4)  # a sibling's clean reads
+            dev = FaultyDevice(shards[0], FaultPlan(bad_pages=((first + 2, 1),)))
+            dev.read_run_bytes(first, 4)
+    # abort on exception: no shard stats, trace or head move reconciled
+    assert not session.attached and not any(s.attached for s in session.shards)
+    assert disk.snapshot() == before and disk.head_position == head
+    disk.write_page(first, b"fine")  # the parent stayed live throughout
     disk.allocate(1)

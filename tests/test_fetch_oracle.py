@@ -226,7 +226,7 @@ def requests(n, spp):
     )
 
 
-def open_raw(kind, layout, extent=(0, 0), capacity=0, plan=None):
+def open_raw(kind, layout, capacity=0, plan=None):
     """A raw file grown as ``layout`` says, bound to a ``kind`` device.
 
     Foreign allocations between appends split the file into several
@@ -251,12 +251,9 @@ def open_raw(kind, layout, extent=(0, 0), capacity=0, plan=None):
         raw.append_batch(blocks[-1])
     device = disk
     if kind == "shard":
-        # A writing session whose private extent covers allocated pages
-        # (the file's own, mostly): those are served from the shard's
-        # arena, the rest from the parent's.
-        first = extent[0] % disk.pages_allocated
-        n_pages = 1 + extent[1] % (disk.pages_allocated - first)
-        session = ShardedDisk(disk, [(first, n_pages)])
+        # A read-only session: every page is served from the parent's
+        # arenas, on the shard's own head and counters.
+        session = ShardedDisk(disk, 1)
         keep.append(session)
         device = session.shards[0]
         raw = raw.view(device)
@@ -295,18 +292,15 @@ def reader(raw):
 @given(
     layout=layouts(),
     kind=st.sampled_from(DEVICE_KINDS),
-    extent=st.tuples(st.integers(0, 200), st.integers(0, 200)),
     capacity=st.integers(0, 8),
     data=st.data(),
 )
-def test_property_gather_equals_oracle_on_every_device(
-    layout, kind, extent, capacity, data
-):
+def test_property_gather_equals_oracle_on_every_device(layout, kind, capacity, data):
     """Payload, DiskStats, head, trace and pool state of ``get_many``
     are the loop oracle's — whatever the geometry, however many extents
     and arenas the file spans, on every device class."""
-    got_raw, got_dev, rows, _k1 = open_raw(kind, layout, extent, capacity)
-    ref_raw, ref_dev, _, _k2 = open_raw(kind, layout, extent, capacity)
+    got_raw, got_dev, rows, _k1 = open_raw(kind, layout, capacity)
+    ref_raw, ref_dev, _, _k2 = open_raw(kind, layout, capacity)
     n = len(rows)
     # Two requests back to back: the second starts from a warm pool
     # and from wherever the first left the head.
@@ -328,18 +322,17 @@ def test_property_gather_equals_oracle_on_every_device(
 @given(
     layout=layouts(),
     kind=st.sampled_from(DEVICE_KINDS),
-    extent=st.tuples(st.integers(0, 200), st.integers(0, 200)),
     capacity=st.integers(0, 8),
     data=st.data(),
 )
 def test_property_read_pages_equals_the_loop_of_single_reads(
-    layout, kind, extent, capacity, data
+    layout, kind, capacity, data
 ):
     """``read_pages`` — native on the page stores, the run-replay
     adapter on everything else — is call for call the loop it replaces:
     any order, repeats, runs, a first page that continues the head."""
-    got_raw, got_dev, _, _k1 = open_raw(kind, layout, extent, capacity)
-    ref_raw, ref_dev, _, _k2 = open_raw(kind, layout, extent, capacity)
+    got_raw, got_dev, _, _k1 = open_raw(kind, layout, capacity)
+    ref_raw, ref_dev, _, _k2 = open_raw(kind, layout, capacity)
     # The file's last page is the device's last allocation.
     allocated = got_raw.file.physical_page(got_raw.file.n_pages - 1) + 1
     page = st.integers(0, allocated - 1)
@@ -414,10 +407,10 @@ def test_property_gather_keeps_every_fault_plan_decision(layout, seed, p, data):
 @pytest.mark.parametrize("kind", ["arena", "shard"])
 def test_gather_across_arenas_and_extents(kind, length, page_size):
     """The assembly path, deterministically: a file in three or more
-    arenas (and, on the shard, a private extent in the middle of it)
-    gathered by a request with repeats, out of order, touching all."""
+    arenas (read directly, or through a read-only shard) gathered by a
+    request with repeats, out of order, touching all."""
     layout = (length, page_size, [(7, 1, True), (6, 2, True), (5, 0, True)])
-    raw, device, rows, _keep = open_raw(kind, layout, extent=(3, 4))
+    raw, device, rows, _keep = open_raw(kind, layout)
     disk = getattr(device, "parent", device)
     assert len(disk._arenas.arenas) >= 3 and raw.file.n_extents >= 2
     idxs = np.array([17, 0, 9, 9, 3, 12, 17, 6, 1])
@@ -436,7 +429,7 @@ def _paged(kind, n_pages=6, page_size=64):
     disk.reset_stats()
     disk.park_head()
     if kind == "shard":
-        return ShardedDisk(disk, [(2, 2)]).shards[0]
+        return ShardedDisk(disk, 1).shards[0]
     return disk
 
 
@@ -452,11 +445,9 @@ def test_read_pages_validates_before_anything_is_counted(kind):
     assert device.head_position is None
 
 
-def test_read_pages_refuses_a_fenced_parent_and_a_detached_shard():
+def test_read_pages_refuses_a_detached_shard():
     disk = _paged("arena")
-    session = ShardedDisk(disk, [(2, 2)])
-    with pytest.raises(PageError, match="ShardedDisk session"):
-        disk.read_pages([0])
+    session = ShardedDisk(disk, 1)
     shard = session.shards[0]
     session.detach()
     with pytest.raises(PageError, match="detached"):
@@ -488,15 +479,14 @@ def test_scatter_list_is_zero_copy_read_only_and_pins_its_arena():
     file.grow(1)
     assert len(disk._arenas.arenas) == 2  # unpinned: grown in place
     assert file.n_extents == 1
-    # A shard serves extent pages from its private arena, the rest
-    # from the parent's — still without copying either.
-    shard = ShardedDisk(disk, [(2, 2)]).shards[0]
-    scatter = shard.read_pages([1, 2, 3, 4])
-    assert [rows.tolist() for _, rows in scatter] == [[1], [0, 1], [4]]
-    assert [len(buffer) for buffer, _ in scatter] == [6, 2, 6]
-    shard.write_page(3, b"\x07" * 64)  # private until detach
+    # A read-only shard serves the parent's arenas — still without
+    # copying — and sees the parent's later writes through them.
+    shard = ShardedDisk(disk, 1).shards[0]
+    scatter = shard.read_pages([1, 2, 3, 4, 6])
+    assert [rows.tolist() for _, rows in scatter] == [[1, 2, 3, 4], [0]]
+    assert [len(buffer) for buffer, _ in scatter] == [6, 2]
+    disk.write_page(3, b"\x07" * 64)
     assert scatter_pages(scatter)[2] == b"\x07" * 64
-    assert scatter_pages(shard.read_pages([3])) == [b"\x07" * 64]
 
 
 # ------------------------------- what makes the gather fast, pinned

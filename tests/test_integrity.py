@@ -5,7 +5,7 @@ Covers the contract ``docs/robustness.md`` documents:
 * :class:`ChecksumMap` semantics — absent entries mean *expected all
   zeros* (the padded-read contract), short payloads hash zero-extended,
   entries are keyed by physical page id and survive arena extent
-  coalescing and shard detach reconciliation;
+  coalescing; a read-only shard verifies against the parent's map;
 * verified reads — :class:`BufferPool` and :class:`RawSeriesFile`
   raise :class:`CorruptionError` with page provenance instead of
   serving flipped bytes, on both the per-page and bulk read paths;
@@ -23,7 +23,6 @@ import pytest
 from oracles import DEVICES
 from repro.storage import (
     BufferPool,
-    ChecksumMap,
     CorruptionError,
     FaultPlan,
     FaultyDevice,
@@ -111,41 +110,18 @@ def test_checksums_survive_arena_coalescing_and_fragmentation(store):
         assert disk.checksums.verify(physical, disk.page_view(physical))
 
 
-def test_shard_records_reconcile_at_detach_and_abort_discards():
-    disk = make_disk()
-    out_first = disk.allocate(4)
-    # -- commit path: child records merge into the parent ------------
-    with ShardedDisk(disk, [(out_first, 4)]) as shards:
-        shard = shards[0]
-        assert shard.checksums is not None
-        file = PagedFile.from_extent(shard, out_first, 4, name="s")
-        file.write(0, b"alpha" * 10)
-        file.write(1, b"beta" * 10)
-        # Recorded privately; lookups fall through the parent chain.
-        assert shard.checksums.recorded(out_first)
-        assert not disk.checksums.recorded(out_first)
-        assert shard.checksums.verify(out_first, shard.page_view(out_first))
-    assert disk.checksums.recorded(out_first)
-    for page in (out_first, out_first + 1):
-        assert disk.checksums.verify(page, disk.page_view(page))
-    # -- abort path: child records vanish with the child's pages -----
-    more = disk.allocate(2)
-    with pytest.raises(RuntimeError):
-        with ShardedDisk(disk, [(more, 2)]) as shards:
-            PagedFile.from_extent(shards[0], more, 2, name="x").write(0, b"doomed")
-            raise RuntimeError("boom")
-    assert not disk.checksums.recorded(more)
-    assert disk.checksums.verify(more, disk.page_view(more))  # still zeros
-
-
 def test_readonly_shard_verifies_against_parent_records():
     disk = make_disk()
     file = PagedFile(disk, name="t")
     file.append_page(b"committed")
     physical = file.physical_page(0)
-    with ShardedDisk(disk, [(0, 0)], read_only=True) as shards:
+    with ShardedDisk(disk, 1) as shards:
+        assert shards[0].checksums is disk.checksums
         pool = BufferPool(shards[0], 4, verified_reads=True)
         assert bytes(pool.read(physical))[:9] == b"committed"
+        decay_bit(disk, physical, bit=5)
+        with pytest.raises(CorruptionError):
+            BufferPool(shards[0], 4, verified_reads=True).read(physical)
 
 
 # ----------------------------------------------------------------------
@@ -314,16 +290,3 @@ def test_find_flipped_bit_locates_any_single_flip():
     double[0] ^= 1
     double[100] ^= 8
     assert find_flipped_bit(double.tobytes(), expected, PAGE) is None
-
-
-def test_child_map_expectations_and_absorb():
-    parent = ChecksumMap(PAGE)
-    parent.record_page(3, b"parent")
-    child = parent.child()
-    assert child.expected(3) == checksum_page(b"parent", PAGE)
-    assert child.expected(9) == zero_page_crc(PAGE)
-    child.record_page(3, b"child")
-    assert child.expected(3) == checksum_page(b"child", PAGE)
-    assert parent.expected(3) == checksum_page(b"parent", PAGE)
-    parent.absorb(child)
-    assert parent.expected(3) == checksum_page(b"child", PAGE)

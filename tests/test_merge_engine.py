@@ -1,12 +1,11 @@
 """Equivalence tests for the vectorized merges.
 
-The merge contract is strict: for any run shapes, key distribution
-(duplicate-heavy included), memory budget and worker count, the
-blockwise ``merge_stream`` and the resident ``merge_presorted``
-produce *byte-identical* output streams — same records, same chunk
-shapes — and, for the merges that touch disk, an identical simulated
-I/O trace (every sequential/random counter) and identical
-``SortReport``.  The oracles these properties pin everything to are
+The merge contract is strict: for any input order, key distribution
+(duplicate-heavy included) and memory budget, the blockwise
+``merge_stream`` and the resident ``merge_presorted`` produce
+*byte-identical* output streams — same records, same chunk shapes —
+and, for the merges that touch disk, an identical simulated I/O trace
+(every sequential/random counter) and identical ``SortReport``.  The oracles these properties pin everything to are
 the per-record heapq loop and the stable argsort in
 ``tests/oracles.py``, substituted by patching the one merge callable
 the sorter (or the LSM compaction) calls.
@@ -24,7 +23,6 @@ from oracles import argsort_merge, heapq_merge_stream
 from repro import RawSeriesFile, SimulatedDisk, random_walk
 from repro.core import CoconutTree
 from repro.core.lsm import CoconutLSM
-from repro.parallel import sample_splitters
 from repro.storage import (
     ExternalSorter,
     LoserTree,
@@ -62,15 +60,15 @@ def heapq_oracle():
     )
 
 
-def drive(
-    runs, memory_bytes, page_size=256, workers=1, pool_kind="thread", oracle=False
-):
+def drive(runs, memory_bytes, page_size=256, oracle=False):
+    """Sort the concatenation of ``runs`` (spilling memory-sized runs of
+    it when it exceeds ``memory_bytes``): stream, shapes, I/O, report."""
     disk = SimulatedDisk(page_size=page_size)
-    sorter = ExternalSorter(
-        disk, memory_bytes, merge_workers=workers, pool_kind=pool_kind
-    )
+    sorter = ExternalSorter(disk, memory_bytes)
+    keys = np.concatenate([k for k, _ in runs])
+    payloads = np.concatenate([p for _, p in runs])
     with heapq_oracle() if oracle else nullcontext():
-        parts = list(sorter.sort_runs(runs))
+        parts = list(sorter.sort(keys, payloads))
     shapes = [len(k) for k, _ in parts]
     if parts:
         keys = np.concatenate([k for k, _ in parts])
@@ -93,7 +91,7 @@ def test_property_blockwise_equals_heapq(n, n_runs, alphabet, memory_records, se
     """Byte-identical stream, chunks, report and I/O trace vs the oracle.
 
     Covers duplicate-heavy keys (tiny alphabets force cross-run ties),
-    empty runs, single-record runs, in-memory and spilled merges, and
+    empty input, short trailing runs, in-memory and spilled merges, and
     cascaded multi-pass merges (tiny budgets push fan-in below the run
     count).
     """
@@ -177,43 +175,6 @@ def test_loser_tree_single_run():
     assert tree.winner == 0 and tree.key(0) == b"k"
     tree.update(0, None)
     assert tree.key(tree.winner) is None
-
-
-# ------------------------------------------------------- worker counts
-def test_sample_splitters_are_ascending_and_bounded():
-    runs = make_sorted_runs(600, [200, 200, 200], alphabet=16, seed=2)
-    splitters = sample_splitters([k for k, _ in runs], 8)
-    assert len(splitters) <= 7
-    assert np.all(splitters[:-1] < splitters[1:])
-    # Degenerate key space: fewer (or no) usable splitters, never a crash.
-    flat = [np.full(50, b"s", dtype="S1")]
-    assert len(sample_splitters(flat, 4)) <= 1
-
-
-def test_sorter_merge_workers_bit_identical_spilled_and_resident():
-    """Worker counts never change the stream; I/O follows the plan.
-
-    Resident runs merge on the calling thread at any worker count and
-    perform no I/O, so their stats equal the serial sorter's.  The
-    spilled cascade with ``merge_workers > 1`` runs the
-    *sharded* plan — its stream, chunk shapes and SortReport stay
-    bit-identical to the serial sorter, while its DiskStats are pinned
-    to the serial replay of the same sharded plan
-    (``pool_kind="serial"``); see tests/test_sharded_storage.py for the
-    property-style version.
-    """
-    runs = make_sorted_runs(900, [220, 180, 300, 200], alphabet=32, seed=4)
-    for memory in (12 * 2000, 12 * 40):  # resident merge, spilled merge
-        base = drive(runs, memory, workers=1)
-        multi = drive(runs, memory, workers=4)
-        np.testing.assert_array_equal(base[0], multi[0])
-        np.testing.assert_array_equal(base[1], multi[1])
-        assert base[2] == multi[2] and base[4] == multi[4]
-        if not base[4].spilled:
-            assert base[3] == multi[3]
-        else:
-            replay = drive(runs, memory, workers=4, pool_kind="serial")
-            assert multi[3] == replay[3]
 
 
 # ----------------------------------------------- index-level equivalence

@@ -26,7 +26,6 @@ from repro import RawSeriesFile, SimulatedDisk
 from repro.core import CoconutTree, CoconutTrie
 from repro.core.knn import _BoundedMaxHeap
 from repro.core.lsm import CoconutLSM
-from repro.parallel.spill import sharded_spill_merge, sharded_stream_merge
 from repro.series import euclidean
 from repro.storage import ExternalSorter, PagedFile, merge_stream
 from repro.summaries import breakpoints
@@ -230,14 +229,9 @@ def test_the_one_page_store_keyword():
         lambda d: CoconutLSM(d, 4096, merge_engine="vectorized"),
         lambda d: CoconutLSM.recover(d, None, merge_engine="argsort"),
         lambda d: ExternalSorter(d, 4096, merge_engine="blockwise"),
-        lambda d: sharded_spill_merge(d, [], REC, 2, 8, engine="blockwise"),
-        lambda d: next(sharded_stream_merge(d, [], REC, 2, 8, engine="heapq")),
         lambda d: next(merge_stream("blockwise", [], REC, 8)),
     ],
-    ids=[
-        "tree", "trie", "lsm", "lsm-recover", "sorter",
-        "spill-merge", "spill-stream", "merge_stream",
-    ],
+    ids=["tree", "trie", "lsm", "lsm-recover", "sorter", "merge_stream"],
 )
 def test_merge_engine_options_are_gone(build):
     with pytest.raises(TypeError):

@@ -160,7 +160,7 @@ def test_parallel_query_leaves_parent_disk_consistent(workload):
     disk, _, queries = workload
     index = _built("CTree", workload)
     index.query_batch(QueryBatch(queries=queries, k=1), query_workers=2)
-    assert not disk.sharded
+    assert disk.head_position is None  # the session detached: head parked
     page = disk.allocate()
     disk.write_page(page, b"still-writable")
     assert disk.read_page(page)[:14] == b"still-writable"

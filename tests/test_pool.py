@@ -1,25 +1,19 @@
 """The one worker pool (``repro.parallel.pool``) and the knobs it replaced.
 
-* **One pool, honoured everywhere** — ``pool_kind`` reaches every layer
-  of a build: ``"serial"`` constructs no executor at all (it is the
-  replay reference, so it must not quietly run on a pool), ``"thread"``
-  constructs at least one, and both leave the same index and the same
-  ``DiskStats``.
-* **One vocabulary** — every constructor and entry point accepts
+* **One vocabulary** — every entry point that takes a pool kind accepts
   exactly ``("thread", "serial")`` and refuses the deleted ``"process"``
   / ``"auto"`` (and nonsense) with ``ValueError`` up front.
 * **One ``workers`` convention** — ``None`` / ``0`` / negative mean all
   cores at every entry point, ``n >= 1`` means ``n``, and a value that
   is not an integer (``2.5``, ``"2"``) is a ``ValueError``.
-* **Negative pins** — the deleted choosers, config fields and
-  constructor parameters stay deleted.
+* **Negative pins** — the deleted choosers, config fields, constructor
+  parameters and modules stay deleted; builds take no pool at all.
 """
 
 import importlib.util
 import inspect
 import os
 
-import numpy as np
 import pytest
 
 import repro
@@ -28,20 +22,19 @@ import repro.storage
 from repro import (
     CoconutService,
     CoconutTree,
-    ParallelSummarizer,
     QueryBatch,
     RawSeriesFile,
     ServiceConfig,
     SimulatedDisk,
     random_walk,
 )
+from repro.bench.harness import DatasetSpec, make_environment
 from repro.core import CoconutLSM, CoconutTrie
 from repro.core.sims import SIMSIndex
 from repro.indexes.base import SeriesIndex
 from repro.indexes.serial import SerialScan
-from repro.parallel import parallel_invsax_keys, pool, resolve_workers
+from repro.parallel import resolve_workers
 from repro.parallel.sched import plan_query_batch
-from repro.parallel.spill import sharded_spill_merge, sharded_stream_merge
 from repro.storage import ExternalSorter
 from repro.summaries import SAXConfig
 
@@ -51,84 +44,28 @@ ALL_CORES = os.cpu_count() or 1
 REMOVED_KINDS = ("bogus", "process", "auto")
 
 
-@pytest.fixture
-def executors(monkeypatch):
-    """Count the thread pools made at the one construction site."""
-    made = []
-
-    class Spy(pool.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            made.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(pool, "ThreadPoolExecutor", Spy)
-    return made
-
-
-def _build_tree(pool_kind, memory, materialized=False):
-    disk = SimulatedDisk(page_size=2048)
-    index = CoconutTree(
-        disk, memory, config=CONFIG, leaf_size=40, materialized=materialized,
-        workers=3, chunk_series=100, pool_kind=pool_kind,
-    )
-    report = index.build(RawSeriesFile.create(disk, DATA))
-    return index._column.keys.tobytes(), [leaf.count for leaf in index._leaves], report.io
-
-
-def _build_trie(pool_kind, memory):
-    disk = SimulatedDisk(page_size=2048)
-    index = CoconutTrie(
-        disk, memory, config=CONFIG, leaf_size=40, workers=3,
-        chunk_series=100, pool_kind=pool_kind,
-    )
-    report = index.build(RawSeriesFile.create(disk, DATA))
-    leaves = [(leaf.first_key, leaf.count) for leaf in index._leaves]
-    return leaves, report.n_leaves, report.io
-
-
-@pytest.mark.parametrize(
-    "build,memory",
-    [
-        (_build_tree, 1 << 20),  # resident runs: summarization pool only
-        (_build_tree, 2048),  # spilled cascade on shards
-        (_build_trie, 1 << 20),
-        (_build_trie, 2048),
-    ],
-)
-def test_serial_kind_builds_on_no_pool_and_thread_kind_on_some(
-    executors, build, memory
-):
-    serial = build("serial", memory)
-    assert executors == []  # the replay reference never touched a pool
-    threaded = build("thread", memory)
-    assert executors and all(n and n > 1 for n in executors)
-    assert serial == threaded  # same leaves / keys / DiskStats
+def _built(cls, disk):
+    index = cls(disk, 4096, config=CONFIG)
+    index.build(RawSeriesFile.create(disk, DATA[:50]))
+    return index
 
 
 @pytest.mark.parametrize("kind", REMOVED_KINDS)
 def test_every_constructor_rejects_unknown_and_removed_kinds(kind):
+    """Every entry point left that takes a pool kind: the query batches."""
     disk = SimulatedDisk(page_size=2048)
-    raw = RawSeriesFile.create(disk, DATA[:50])
+    indexes = [_built(cls, disk) for cls in (CoconutTree, CoconutTrie, CoconutLSM)]
+    scan = SerialScan(disk, 4096)
+    scan.build(RawSeriesFile.create(disk, DATA[:50]))
+    batch = QueryBatch(queries=DATA[:2], k=1)
     before = disk.snapshot()
-    for construct in (
-        lambda: CoconutTree(disk, 4096, config=CONFIG, pool_kind=kind),
-        lambda: CoconutTrie(disk, 4096, config=CONFIG, pool_kind=kind),
-        lambda: ExternalSorter(disk, 4096, pool_kind=kind),
-        lambda: ParallelSummarizer(CONFIG, kind=kind),
-    ):
-        with pytest.raises(ValueError, match="pool kind"):
-            construct()
+    for index in indexes + [scan]:
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="pool kind"):
+                index.query_batch(
+                    batch, query_workers=workers, query_pool_kind=kind
+                )
     assert disk.snapshot() == before  # refused before the device was read
-
-
-@pytest.mark.parametrize("kind", REMOVED_KINDS)
-def test_sharded_merges_reject_unknown_and_removed_kinds(kind):
-    disk = SimulatedDisk(page_size=2048)
-    rec_dtype = np.dtype([("k", "S4"), ("v", "<i8")])
-    with pytest.raises(ValueError, match="pool kind"):
-        sharded_spill_merge(disk, [], rec_dtype, 2, 16, pool_kind=kind)
-    with pytest.raises(ValueError, match="pool kind"):
-        next(sharded_stream_merge(disk, [], rec_dtype, 2, 16, pool_kind=kind))
 
 
 # ----------------------------------------------------------------------
@@ -143,19 +80,30 @@ def _lsm_query_workers(workers):
     return index.query_batch(batch, query_workers=workers).plan.workers
 
 
+def _query_workers(cls):
+    def plan_workers(workers):
+        index = _built(cls, SimulatedDisk(page_size=2048))
+        batch = QueryBatch(queries=DATA[:2], k=1)
+        return index.query_batch(batch, query_workers=workers).plan.workers
+
+    return plan_workers
+
+
+def _scan_query_workers(workers):
+    disk = SimulatedDisk(page_size=2048)
+    scan = SerialScan(disk, 4096)
+    scan.build(RawSeriesFile.create(disk, DATA[:50]))
+    batch = QueryBatch(queries=DATA[:2], k=1)
+    return scan.query_batch(batch, query_workers=workers).plan.workers
+
+
+#: Builds take no workers: what takes them is every query batch.
 WORKER_ENTRY_POINTS = {
     "resolve_workers": resolve_workers,
-    "ParallelSummarizer": lambda w: ParallelSummarizer(CONFIG, workers=w).workers,
     "CoconutLSM": _lsm_query_workers,
-    "CoconutTree": lambda w: CoconutTree(
-        SimulatedDisk(), 4096, config=CONFIG, workers=w
-    ).workers,
-    "CoconutTrie": lambda w: CoconutTrie(
-        SimulatedDisk(), 4096, config=CONFIG, workers=w
-    ).workers,
-    "ExternalSorter": lambda w: ExternalSorter(
-        SimulatedDisk(), 4096, merge_workers=w
-    ).merge_workers,
+    "CoconutTree": _query_workers(CoconutTree),
+    "CoconutTrie": _query_workers(CoconutTrie),
+    "SerialScan": _scan_query_workers,
 }
 
 
@@ -176,11 +124,9 @@ def test_one_workers_convention(entry, requested, expected):
 
 
 @pytest.mark.parametrize("requested", [None, 0, -1, 1, 3])
-def test_workers_convention_reaches_the_engines(executors, requested):
-    """``parallel_invsax_keys`` and ``query_batch`` size their pools by it."""
+def test_workers_convention_reaches_the_engines(requested):
+    """``query_batch`` plans its pool by it."""
     expected = resolve_workers(requested)
-    parallel_invsax_keys(DATA[:400], CONFIG, workers=requested, chunk_size=100)
-    assert executors == ([expected] if expected > 1 else [])
     disk = SimulatedDisk(page_size=2048)
     index = CoconutTree(disk, 1 << 20, config=CONFIG, leaf_size=40)
     index.build(RawSeriesFile.create(disk, DATA))
@@ -234,9 +180,7 @@ def test_removed_names_fields_and_parameters_stay_removed():
     # The pooled resident merge: its module and exports are gone.
     assert importlib.util.find_spec("repro.parallel.merge") is None
     for module in (repro, repro.parallel):
-        assert [
-            name for name in module.__all__ if name.endswith("_runs")
-        ] in ([], ["summarize_presorted_runs"])
+        assert [name for name in module.__all__ if name.endswith("_runs")] == []
     # Bound sharing, fence-planned cuts and precomputed cuts: deleted.
     index = CoconutTree(disk, 1 << 20, config=CONFIG)
     index.build(raw)
@@ -252,8 +196,68 @@ def test_removed_names_fields_and_parameters_stay_removed():
         plan_query_batch(batch, index, bound_sharing="off")
     with pytest.raises(TypeError):
         ExternalSorter(disk, 4096, cut_planning="mirror")
-    rec_dtype = np.dtype([("k", "S4"), ("v", "<i8")])
+
+
+# A build runs one way, on the calling thread: the pooled bulk-load's
+# parameters are refused before the device is touched, and its two
+# modules and their exports are gone.
+POOLED_BUILD_PARAMETERS = {
+    "CoconutTree-workers": (CoconutTree, "workers", 2),
+    "CoconutTree-chunk_series": (CoconutTree, "chunk_series", 100),
+    "CoconutTree-pool_kind": (CoconutTree, "pool_kind", "serial"),
+    "CoconutTrie-workers": (CoconutTrie, "workers", 2),
+    "CoconutTrie-chunk_series": (CoconutTrie, "chunk_series", 100),
+    "CoconutTrie-pool_kind": (CoconutTrie, "pool_kind", "serial"),
+    "ExternalSorter-merge_workers": (ExternalSorter, "merge_workers", 2),
+    "ExternalSorter-pool_kind": (ExternalSorter, "pool_kind", "serial"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POOLED_BUILD_PARAMETERS))
+def test_pooled_build_parameters_are_refused(case):
+    cls, knob, value = POOLED_BUILD_PARAMETERS[case]
+    disk = SimulatedDisk(page_size=2048)
+    RawSeriesFile.create(disk, DATA[:50])
+    before = disk.snapshot()
+    extra = {} if cls is ExternalSorter else {"config": CONFIG}
     with pytest.raises(TypeError):
-        sharded_spill_merge(disk, [], rec_dtype, 2, 16, cuts=[])
+        cls(disk, 4096, **extra, **{knob: value})
+    assert disk.snapshot() == before
+
+
+def test_make_environment_takes_no_workers():
+    spec = DatasetSpec("randomwalk", 20, 32)
     with pytest.raises(TypeError):
-        next(sharded_stream_merge(disk, [], rec_dtype, 2, 16, cuts=[]))
+        make_environment("CTree", spec, spec.raw_bytes, workers=2)
+
+
+def test_sorter_takes_no_presorted_runs():
+    """Every sort forms its own memory-sized runs: ``sort_runs`` is gone."""
+    assert not hasattr(ExternalSorter, "sort_runs")
+
+
+@pytest.mark.parametrize("module", ["repro.parallel.summarize", "repro.parallel.spill"])
+def test_pooled_build_modules_are_gone(module):
+    assert importlib.util.find_spec(module) is None
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "ParallelSummarizer",
+        "parallel_invsax_keys",
+        "summarize_chunk",
+        "summarize_presorted_runs",
+        "DEFAULT_CHUNK_SERIES",
+        "ShardedMergeResult",
+        "sharded_spill_merge",
+        "sharded_stream_merge",
+        "sample_splitters",
+        "run_cut_positions",
+        "stream_run_file",
+    ],
+)
+def test_pooled_build_exports_are_gone(name):
+    for module in (repro, repro.parallel):
+        assert name not in module.__all__
+        assert not hasattr(module, name)

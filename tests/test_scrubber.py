@@ -105,13 +105,12 @@ def test_clean_workload_scrubs_clean(store):
 
 @pytest.mark.parametrize("store", DEVICES)
 def test_sharded_sort_cascade_records_every_page_it_writes(store):
-    """A spilled sort cascade at ``merge_workers=2`` writes runs through
-    disk shards — interior pages on the shards, partition-boundary pages
-    on the parent — and every page on the device verifies."""
+    """A spilled sort cascade writes its runs and merged runs through
+    ``PagedFile``, and every page on the device verifies."""
     disk = DEVICES[store](page_size=PAGE, integrity=True)
     rng = np.random.default_rng(7)
     keys = rng.integers(0, 256, size=(3000, 8), dtype=np.uint8).view("S8").ravel()
-    sorter = ExternalSorter(disk, 2 * PAGE, merge_workers=2)
+    sorter = ExternalSorter(disk, 2 * PAGE)
     merged = np.concatenate([k for k, _ in sorter.sort(keys, np.arange(3000))])
     assert merged.tobytes() == np.sort(keys, kind="stable").tobytes()
     assert sorter.report.merge_passes > 1  # cascade passes wrote runs

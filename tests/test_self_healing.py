@@ -6,9 +6,9 @@ Two contracts from ``docs/robustness.md``:
   reconciled stats under injected worker faults are bit-identical to
   the serial oracle, whether a transient retry succeeds or the engine
   degrades to the serial plan;
-* **a failed session never wedges the parent** — any exception inside
-  a ``ShardedDisk`` session (injected fault or plain bug) aborts it:
-  the parent is unfenced, writable, and saw none of the attempt.
+* **a failed session leaves no trace** — any exception inside a
+  ``ShardedDisk`` session (injected fault or plain bug) aborts it: the
+  parent stays live and saw none of the attempt.
 
 Also pins the PR 6 error paths end-to-end: out-of-bounds ``get_many``
 raises before any I/O *through a shard session*, and a query/series
@@ -27,7 +27,6 @@ from repro.parallel.query import (
     parallel_serial_scan_batch,
     parallel_sims_query_batch,
 )
-from repro.parallel.spill import sharded_spill_merge
 from repro.storage import (
     DeviceCrash,
     FaultPlan,
@@ -37,7 +36,6 @@ from repro.storage import (
     SimulatedDisk,
     TransientIOError,
 )
-from repro.storage.pager import PagedFile
 from repro.storage.seriesfile import RawSeriesFile
 from repro.summaries.sax import SAXConfig
 
@@ -160,7 +158,7 @@ def test_query_fetch_degrades_to_serial_on_permanent_fault():
         wrap_device=permanent_wrap,
     )
     assert report_sig(rep) == oracle
-    disk.allocate(1)  # parent never left fenced
+    disk.allocate(1)  # the parent stays live
 
 
 def test_scan_heals_and_degrades_with_identical_stats():
@@ -185,42 +183,6 @@ def test_scan_heals_and_degrades_with_identical_stats():
 
 
 # ----------------------------------------------------------------------
-# Sharded spill merge healing
-# ----------------------------------------------------------------------
-def spill_sources(disk, n_runs, n_records, seed):
-    """Sorted ``S8`` runs written to ``disk`` as sharded-merge sources."""
-    rec_dtype = np.dtype([("k", "S8"), ("v", "<i8")])
-    rng = np.random.default_rng(seed)
-    sources = []
-    for _ in range(n_runs):
-        letters = rng.integers(65, 91, size=(n_records, 8), dtype=np.uint8)
-        keys = np.sort(letters.view("S8").ravel())
-        block = np.empty(len(keys), dtype=rec_dtype)
-        block["k"] = keys
-        block["v"] = np.arange(len(keys))
-        file = PagedFile(disk, name="src")
-        file.write_stream(block.tobytes(), at_page=0)
-        sources.append((file, len(keys), block["k"].copy()))
-    return rec_dtype, sources
-
-
-def test_spill_merge_fault_mid_merge_unfences_parent():
-    disk = SimulatedDisk(page_size=PAGE)
-    rec_dtype, sources = spill_sources(disk, 3, 300, seed=5)
-    with pytest.raises(PermanentIOError):
-        sharded_spill_merge(
-            disk, sources, rec_dtype, 3, 64, wrap_device=permanent_wrap
-        )
-    # the failed merge left the parent live and allocatable
-    disk.allocate(1)
-    disk.write_page(disk.allocate(1), b"still writable")
-    # and a fault-free retry on the same disk succeeds outright
-    result = sharded_spill_merge(disk, sources, rec_dtype, 3, 64)
-    assert result.n_records == sum(n for _, n, _ in sources)
-    assert bytes(np.sort(np.concatenate([s[2] for s in sources])).tobytes()) == result.keys.tobytes()
-
-
-# ----------------------------------------------------------------------
 # PR 6 error paths, exercised through shard sessions and engines
 # ----------------------------------------------------------------------
 def test_get_many_oob_raises_before_io_through_shard_session():
@@ -228,7 +190,7 @@ def test_get_many_oob_raises_before_io_through_shard_session():
     raw = RawSeriesFile(disk, LENGTH)
     raw.append_batch(DATA[:50])
     before = disk.stats
-    session = ShardedDisk(disk, [(0, 0)], names=["probe"], read_only=True)
+    session = ShardedDisk(disk, 1, names=["probe"])
     with pytest.raises(IndexError):
         with session as shards:
             raw.view(shards[0]).get_many(np.array([0, 50], dtype=np.int64))
@@ -295,12 +257,6 @@ def test_legacy_kwargs_override_policy_fields():
             run_self_healing(
                 attempt, policy=RetryPolicy(retries=5, backoff_s=0.0), **legacy
             )
-    for legacy in ("heal_retries", "heal_policy", "heal_report"):
-        with pytest.raises(TypeError):
-            sharded_spill_merge(
-                SimulatedDisk(page_size=PAGE), [], np.dtype([("k", "S8")]),
-                2, 64, **{legacy: None},
-            )
     assert calls == []
 
 
@@ -338,26 +294,3 @@ def test_heal_report_accumulates_across_calls():
     merged.merge(report)
     assert merged.n_attempts == 8
     assert merged.as_dict()["calls"] == 4
-
-
-def test_spill_merge_reports_heal_attempts():
-    """A transient fault on the first attempt retries on a clean session:
-    the run bytes and reconciled stats equal a fault-free merge's."""
-
-    def merge(wrap):
-        disk = SimulatedDisk(page_size=PAGE)
-        rec_dtype, sources = spill_sources(disk, 2, 200, seed=21)
-        before = disk.snapshot()
-        result = sharded_spill_merge(
-            disk, sources, rec_dtype, 2, 64, wrap_device=wrap
-        )
-        stats = disk.stats_since(before)
-        data = result.file.read_stream(0, result.file.n_pages)
-        return result, stats, data
-
-    clean, clean_stats, clean_data = merge(None)
-    healed, healed_stats, healed_data = merge(transient_wrap(9, p=0.2))
-    assert clean.n_heal_attempts == 1
-    assert healed.n_heal_attempts > 1  # attempt 0 faulted, a retry healed
-    assert (healed_data, healed_stats) == (clean_data, clean_stats)
-    assert healed.keys.tobytes() == clean.keys.tobytes()

@@ -206,7 +206,7 @@ def test_view_reads_through_device_and_leaves_parent_untouched():
     data = rng.standard_normal((40, 24)).astype(np.float32)
     raw = RawSeriesFile.create(disk, data)
     disk.reset_stats()
-    with ShardedDisk(disk, [(0, 0)], read_only=True) as (shard,):
+    with ShardedDisk(disk, 1) as (shard,):
         with BufferPool(shard, capacity_pages=4) as pool:
             view = raw.view(pool)
             np.testing.assert_array_equal(
