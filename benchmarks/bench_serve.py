@@ -2,7 +2,7 @@
 
 Sustained mixed read/write traffic through
 :class:`repro.service.CoconutService` — a feeder thread streaming
-WAL-durable ingest batches while the batch-window server thread
+WAL-durable ingest batches while the serve-on-arrival server thread
 coalesces and serves concurrent queries against snapshot-isolated
 read-only sessions.  The sweep
 (:func:`repro.bench.harness.run_serve_sweep`) *asserts* on every cell

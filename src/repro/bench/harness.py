@@ -599,7 +599,7 @@ def run_serve_sweep(
     """Sustained mixed ingest + query traffic through the service.
 
     Each cell boots a :class:`~repro.service.CoconutService` over the
-    base dataset, starts the batch-window server thread, and runs a
+    base dataset, starts the serve-on-arrival server thread, and runs a
     feeder thread ingesting ``n_batches`` batches of ``batch_rows``
     while the client submits ``n_queries`` queries (an
     ``approx_fraction`` mix of approximate 1-NN among exact k-NN).

@@ -3,8 +3,9 @@
 The "millions of users" composition of the repo's pieces
 (`docs/service.md`): a WAL-durable :class:`~repro.core.lsm.CoconutLSM`
 ingest path with in-place crash recovery, a bounded admission queue
-with per-request deadlines and load shedding, a batch-window scheduler
-coalescing concurrent queries into shared-SIMS batches, and
+with per-request deadlines and load shedding, a server thread that
+serves each query on arrival with whatever else is already queued as
+shared-SIMS batches, and
 snapshot-isolated serving over read-only
 :class:`~repro.storage.disk.ShardedDisk` sessions — with self-healing
 retries, graceful degradation to the serial engines, and a

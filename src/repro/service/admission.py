@@ -148,18 +148,17 @@ class AdmissionQueue:
 
     ``admit`` either enqueues or raises :class:`AdmissionError` — there
     is no blocking producer path, so a flooded service pushes back in
-    O(1) instead of stacking waiters.  ``collect`` is the batch-window
-    consumer: it blocks for the first ticket, then keeps the window
-    open up to ``window_s`` (never past the earliest deadline among the
-    collected tickets) while more arrive, and returns at most
-    ``max_batch`` tickets in arrival order.
+    O(1) instead of stacking waiters.  ``collect`` is the server
+    thread's consumer: it blocks for the first ticket, then returns it
+    with every ticket already waiting, at most ``max_batch`` in arrival
+    order — whatever queued while the previous batch was served forms
+    the next one (group commit), so no ticket waits on a timer.
     """
 
-    def __init__(self, capacity: int, clock):
+    def __init__(self, capacity: int):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._clock = clock
         self._items: "deque[QueryTicket]" = deque()
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
@@ -187,42 +186,22 @@ class AdmissionQueue:
             )
             return [self._items.popleft() for _ in range(n)]
 
-    def drain_all(self) -> "list[QueryTicket]":
-        return self.drain(None)
-
     def collect(
         self,
         max_batch: int,
-        window_s: float,
         stop_event: threading.Event,
         poll_s: float = 0.02,
     ) -> "list[QueryTicket]":
-        """Blocking batch-window collect for the server thread.
+        """Block for the first ticket, then pop what is already queued.
 
         Returns an empty list when ``stop_event`` is set and nothing is
-        queued (the loop's exit signal).  The window closes early at
-        the earliest deadline among the waiting tickets, so a tight
-        deadline is never burned waiting for co-batchable company.
+        queued (the loop's exit signal).  Deadlines are enforced when
+        the batch is served, not here.
         """
         with self._not_empty:
             while not self._items:
                 if stop_event.is_set():
                     return []
                 self._not_empty.wait(poll_s)
-            close_s = self._clock() + window_s
-            while len(self._items) < max_batch and not stop_event.is_set():
-                deadline = min(
-                    (
-                        t.deadline_s
-                        for t in self._items
-                        if t.deadline_s is not None
-                    ),
-                    default=None,
-                )
-                limit_s = close_s if deadline is None else min(close_s, deadline)
-                remaining = limit_s - self._clock()
-                if remaining <= 0:
-                    break
-                self._not_empty.wait(min(remaining, poll_s))
             n = min(max_batch, len(self._items))
             return [self._items.popleft() for _ in range(n)]

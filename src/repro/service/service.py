@@ -14,8 +14,9 @@
 
 * **Queries** enter through a bounded
   :class:`~repro.service.admission.AdmissionQueue` with per-request
-  deadlines, are coalesced into shared-SIMS batches by the batch-window
-  scheduler (grouped by ``(mode, k)``, planned by
+  deadlines, are served as soon as the server thread is free — together
+  with every ticket already queued, as one shared-SIMS batch per
+  ``(mode, k)`` group (planned by
   :func:`~repro.parallel.sched.plan_query_batch` through the engines),
   and are served against :class:`~repro.service.snapshot.ServiceSnapshot`
   state over read-only :class:`~repro.storage.disk.ShardedDisk`
@@ -33,12 +34,13 @@
 
 Two serving modes share all of the above: ``serve_pending()`` pumps the
 queue inline (deterministic tests drive it with a manual clock), and
-``start()``/``stop()`` run the batch-window loop on a server thread
-(the benchmark's mixed read/write traffic).
+``start()``/``stop()`` run the serve-on-arrival loop on a server
+thread (the benchmark's mixed read/write traffic).
 """
 
 from __future__ import annotations
 
+import numbers
 import threading
 import time
 from dataclasses import dataclass, field
@@ -81,6 +83,16 @@ __all__ = [
 
 _UNSET = object()
 
+#: ``ServiceConfig`` integer fields and the least value each accepts.
+_CONFIG_MINIMUMS = (
+    ("queue_capacity", 1),
+    ("max_batch_queries", 1),
+    ("latency_capacity", 1),
+    ("scrub_pages_per_step", 1),
+    ("serve_pool_pages", 0),
+    ("scrub_every_batches", 0),
+)
+
 
 class ServiceUnavailable(RuntimeError):
     """The service cannot take this request; ``reason`` says why."""
@@ -98,8 +110,6 @@ class ServiceConfig:
     queue_capacity: int = 64
     #: Most queries coalesced into one serving batch.
     max_batch_queries: int = 16
-    #: How long the server thread holds a batch window open for company.
-    batch_window_s: float = 0.002
     #: Default per-request deadline (None = no deadline).
     default_timeout_s: "float | None" = None
     #: Shed a ticket this close to (or past) its deadline at serve time.
@@ -125,8 +135,18 @@ class ServiceConfig:
     scrub_pages_per_step: int = 256
 
     def __post_init__(self):
-        # Refuse a bad worker count here, not on the server thread.
+        # Refuse bad numbers here, not on the server thread.
         resolve_workers(self.query_workers)
+        for name, least in _CONFIG_MINIMUMS:
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Integral)
+                or value < least
+            ):
+                raise ValueError(
+                    f"{name} must be an integer >= {least}, got {value!r}"
+                )
 
 
 @dataclass
@@ -184,7 +204,7 @@ class CoconutService:
             if self.config.verified_reads:
                 raw.verified_reads = True
         self.stats = ServiceStats(self.config.latency_capacity)
-        self.queue = AdmissionQueue(self.config.queue_capacity, clock)
+        self.queue = AdmissionQueue(self.config.queue_capacity)
         self._ingest_lock = threading.Lock()
         self._serve_lock = threading.Lock()
         self._state = "ready"  # "ready" | "crashed" | "stopped"
@@ -232,7 +252,7 @@ class CoconutService:
         return report
 
     def start(self) -> None:
-        """Run the batch-window serving loop on a server thread."""
+        """Run the serve-on-arrival loop on a server thread."""
         if self._thread is not None:
             raise RuntimeError("service already started")
         if self._state == "stopped":
@@ -594,9 +614,7 @@ class CoconutService:
     def _serve_loop(self) -> None:
         while True:
             tickets = self.queue.collect(
-                self.config.max_batch_queries,
-                self.config.batch_window_s,
-                self._stop_event,
+                self.config.max_batch_queries, self._stop_event
             )
             if tickets:
                 self._serve_once(tickets)
@@ -665,7 +683,7 @@ class CoconutService:
                     ticket._serve(
                         ids[i], distances[i], served_watermark, now, degraded
                     )
-                    self.stats.on_served(ticket.latency_s, degraded)
+                    self.stats.on_served(ticket.latency_s)
                 self.stats.on_batch(degraded)
 
     def _serve_batch(self, snapshot: ServiceSnapshot, batch: QueryBatch):
@@ -713,7 +731,7 @@ class CoconutService:
 
     def _shed_queued(self, reason: str) -> None:
         now = self.clock()
-        for ticket in self.queue.drain_all():
+        for ticket in self.queue.drain():
             ticket._shed(reason, now)
             self.stats.on_shed(reason)
 

@@ -113,16 +113,15 @@ class ServiceStats:
             self.n_submitted += 1
             self.rejected[reason] += 1
 
-    def on_served(self, latency_s: float, degraded: bool) -> None:
+    def on_served(self, latency_s: float) -> None:
         with self._lock:
             self.n_served += 1
             self.query_latency.record(latency_s)
-            if degraded:
-                self.n_degraded_batches += 1
 
     def on_batch(self, degraded: bool) -> None:
         with self._lock:
             self.n_batches += 1
+            self.n_degraded_batches += degraded
 
     def on_shed(self, reason: str) -> None:
         with self._lock:

@@ -161,7 +161,12 @@ def test_removed_names_fields_and_parameters_stay_removed():
     ):
         assert name not in repro.storage.__all__
         assert not hasattr(repro.storage, name)
-    for field in ("query_pool_kind", "scheduler", "bound_sharing"):
+    for field in (
+        "query_pool_kind",
+        "scheduler",
+        "bound_sharing",
+        "batch_window_s",
+    ):
         with pytest.raises(TypeError):
             ServiceConfig(**{field: "thread"})
     disk = SimulatedDisk(page_size=2048)

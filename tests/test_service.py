@@ -166,7 +166,7 @@ def test_wrong_length_or_non_finite_query_is_refused_and_the_server_lives():
     """A malformed query used to reach ``np.stack`` on the server
     thread, outside its ``try``: the thread died, the ticket stayed
     ``queued`` and every later ticket hung."""
-    _, _, svc = make_service(ServiceConfig(batch_window_s=0.001))
+    _, _, svc = make_service()
     svc.start()
     try:
         before = svc.stats_snapshot()
@@ -193,7 +193,7 @@ def test_wrong_length_or_non_finite_query_is_refused_and_the_server_lives():
 def test_non_integer_k_is_refused_and_the_server_lives():
     """``k=2.5`` used to be admitted and kill the serving thread in
     ``np.partition``: every later ticket stayed ``queued`` forever."""
-    _, _, svc = make_service(ServiceConfig(batch_window_s=0.001))
+    _, _, svc = make_service()
     svc.start()
     try:
         for bad in (2.5, 3.0):
@@ -217,6 +217,47 @@ def test_non_integer_query_workers_is_refused_by_the_config(workers):
     thread at the first batch, killing it with the tickets still queued."""
     with pytest.raises(ValueError, match="workers"):
         ServiceConfig(query_workers=workers)
+
+
+@pytest.mark.parametrize(
+    "field, least",
+    [
+        ("max_batch_queries", 1),
+        ("queue_capacity", 1),
+        ("latency_capacity", 1),
+        ("scrub_pages_per_step", 1),
+        ("serve_pool_pages", 0),
+        ("scrub_every_batches", 0),
+    ],
+)
+def test_config_numbers_are_checked_by_the_config(field, least):
+    """``max_batch_queries=0`` used to leave an inline ticket ``queued``
+    forever, and ``serve_pool_pages=-1`` killed the server thread at its
+    first batch: bad numbers are refused before a service exists."""
+    assert getattr(ServiceConfig(**{field: np.int64(least)}), field) == least
+    for bad in (least - 1, -3, least + 0.5, str(least + 1), True, False):
+        with pytest.raises(ValueError, match=field):
+            ServiceConfig(**{field: bad})
+
+
+def test_a_degraded_batch_counts_once_whatever_its_size():
+    """``degraded_batches`` counts batches: one batch of three tickets
+    whose every attempt hits a permanent fault reads 1, not 3."""
+    _, _, svc = make_service()
+    svc.wrap_serve_device = lambda shard, part, attempt: FaultyDevice(
+        shard, FaultPlan(seed=1, bad_pages=((0, 10**9),))
+    )
+    tickets = [svc.submit(q, k=2) for q in QUERIES[:3]]
+    assert svc.serve_pending() == 1
+    stats = svc.stats_snapshot()
+    assert stats["batches"] == 1
+    assert stats["degraded_batches"] == 1
+    for q, ticket in zip(QUERIES, tickets):
+        assert ticket.status == "served" and ticket.degraded
+        oracle = svc._lsm.exact_knn(q, 2)
+        assert list(ticket.knn_ids) == list(oracle.answer_ids)
+        assert ticket.knn_distances == list(oracle.distances)
+    assert_conservation(svc)
 
 
 def test_deadline_expired_in_queue_is_shed():

@@ -19,7 +19,7 @@ oracles:
   is ever silently dropped.
 
 The threaded variant runs the same checks with the server thread's
-batch-window loop serving while a feeder thread ingests concurrently —
+serve-on-arrival loop serving while a feeder thread ingests concurrently —
 snapshots taken under the ingest lock mean every reported watermark is
 a batch boundary.
 """
@@ -301,7 +301,6 @@ def test_threaded_ingest_and_serving_stay_exact():
     dev, svc = fresh_service(
         ServiceConfig(
             query_workers=2,
-            batch_window_s=0.005,
             max_batch_queries=8,
             queue_capacity=128,
         )
