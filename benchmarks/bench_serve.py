@@ -5,7 +5,7 @@ Sustained mixed read/write traffic through
 WAL-durable ingest batches while the serve-on-arrival server thread
 coalesces and serves concurrent queries against snapshot-isolated
 read-only sessions.  The sweep
-(:func:`repro.bench.harness.run_serve_sweep`) *asserts* on every cell
+(:func:`repro.bench.harness.run_serve_sweep`) *asserts* on its cell
 before any number is reported:
 
 * every served exact ticket is bit-identical to a fault-free oracle
@@ -16,7 +16,7 @@ before any number is reported:
 * ticket accounting conserves: ``submitted == served + shed +
   rejected`` — nothing is silently dropped.
 
-The reported cells are the service's own health surface: sustained
+The reported cell is the service's own health surface: sustained
 ingest rows/s and queries/s over the same wall-clock window, with
 p50/p95/p99 end-to-end query latency and the degradation counters
 (shed, degraded batches, session conflicts).  There is no speedup
@@ -24,8 +24,7 @@ gate; the throughput numbers are reported, not bounded.
 
 Run standalone with::
 
-    PYTHONPATH=src python benchmarks/bench_serve.py \
-        [--n N] [--queries Q] [--workers W ...]
+    PYTHONPATH=src python benchmarks/bench_serve.py [--n N] [--queries Q]
 """
 
 import argparse
@@ -52,7 +51,6 @@ def main(argv: list) -> int:
     parser.add_argument("--n", type=int, default=4000, help="base series")
     parser.add_argument("--queries", type=int, default=64)
     parser.add_argument("--length", type=int, default=128)
-    parser.add_argument("--workers", type=int, nargs="+", default=[1, 2])
     parser.add_argument("--batch-rows", type=int, default=200)
     parser.add_argument("--batches", type=int, default=10)
     parser.add_argument("--k", type=int, default=3)
@@ -63,7 +61,6 @@ def main(argv: list) -> int:
     rows = run_serve_sweep(
         spec,
         n_queries=args.queries,
-        workers_list=args.workers,
         batch_rows=args.batch_rows,
         n_batches=args.batches,
         k=args.k,
@@ -73,7 +70,7 @@ def main(argv: list) -> int:
         "online service: concurrent ingest + query serving",
         rows,
         columns=[
-            "workers", "cores", "n_series", "ingest_rows_per_s",
+            "cores", "n_series", "ingest_rows_per_s",
             "queries_per_s", "p50_ms", "p95_ms", "p99_ms", "served",
             "shed", "degraded_batches", "session_conflicts", "flushes",
             "merges", "identical",

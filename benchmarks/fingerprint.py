@@ -7,7 +7,8 @@ and prints one SHA-256 over the disk's access trace, every written page
 short digest of each of the four, to say which one moved.  Cells: the
 Coconut-Tree, Tree-Full spilling and fitting in memory, and the Trie,
 each queried at ``query_workers`` 1 (``w1``); the LSM through ingest and
-compaction; a served batch at ``query_workers`` 1 and 2.
+compaction; a served batch at ``query_workers`` 1 and 2.  ``query_workers``
+is inert, so the two served cells print the same digest.
 
 Runs unchanged on a parent commit and on a change; equal output is the
 identity evidence::

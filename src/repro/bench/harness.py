@@ -588,7 +588,6 @@ def run_scrub_sweep(
 def run_serve_sweep(
     spec: DatasetSpec,
     n_queries: int = 64,
-    workers_list: "list[int] | None" = None,
     batch_rows: int = 200,
     n_batches: int = 10,
     k: int = 3,
@@ -598,17 +597,17 @@ def run_serve_sweep(
 ) -> list[dict]:
     """Sustained mixed ingest + query traffic through the service.
 
-    Each cell boots a :class:`~repro.service.CoconutService` over the
+    One cell: it boots a :class:`~repro.service.CoconutService` over the
     base dataset, starts the serve-on-arrival server thread, and runs a
     feeder thread ingesting ``n_batches`` batches of ``batch_rows``
     while the client submits ``n_queries`` queries (an
     ``approx_fraction`` mix of approximate 1-NN among exact k-NN).
-    Reported per cell: sustained ingest and query throughput, the
+    Reported: sustained ingest and query throughput, the
     p50/p95/p99 end-to-end query latency from the service's own
     :class:`~repro.service.stats.ServiceStats` surface, and every
     robustness counter (shed, degraded, session conflicts).
 
-    Every cell is also *checked*: each served exact ticket is verified
+    The cell is also *checked*: each served exact ticket is verified
     bit-identical to a fault-free oracle index built over exactly the
     first ``snapshot_series`` rows the ticket reports, each served
     approximate ticket must name an in-watermark row, and the ticket
@@ -621,8 +620,6 @@ def run_serve_sweep(
     from ..core.lsm import CoconutLSM
     from ..service import CoconutService, ServiceConfig
 
-    if workers_list is None:
-        workers_list = [1, 2]
     config = default_config(spec.length)
     base = spec.generate()
     rng = np.random.default_rng(seed)
@@ -646,121 +643,116 @@ def run_serve_sweep(
             oracles[watermark] = index
         return oracles[watermark]
 
-    rows = []
     cores = _os_cores()
-    for workers in workers_list:
-        disk = SimulatedDisk(page_size=PAGE_SIZE)
-        raw = RawSeriesFile(disk, spec.length)
-        raw.append_batch(base)
-        service = CoconutService(
-            disk,
-            raw,
-            memory,
-            sax_config=config,
-            config=ServiceConfig(
-                query_workers=workers,
-                queue_capacity=max(64, n_queries),
-                default_timeout_s=timeout_s,
-            ),
-        )
-        service.bootstrap()
-        service.start()
-        feeder_error: list[Exception] = []
+    disk = SimulatedDisk(page_size=PAGE_SIZE)
+    raw = RawSeriesFile(disk, spec.length)
+    raw.append_batch(base)
+    service = CoconutService(
+        disk,
+        raw,
+        memory,
+        sax_config=config,
+        config=ServiceConfig(
+            queue_capacity=max(64, n_queries),
+            default_timeout_s=timeout_s,
+        ),
+    )
+    service.bootstrap()
+    service.start()
+    feeder_error: list[Exception] = []
 
-        def feed():
-            try:
-                for i in range(n_batches):
-                    lo = i * batch_rows
-                    service.ingest(
-                        stream[lo : lo + batch_rows],
-                        expected_first=len(base) + lo,
-                    )
-            except Exception as error:  # pragma: no cover - surfaced below
-                feeder_error.append(error)
-
-        t0 = _time.perf_counter()
-        feeder = threading.Thread(target=feed)
-        feeder.start()
-        tickets = []
-        mode_draws = rng.random(n_queries)
-        for qi in range(n_queries):
-            query = queries[qi]
-            if mode_draws[qi] < approx_fraction:
-                tickets.append(
-                    (query, service.submit(query, mode="approximate"))
+    def feed():
+        try:
+            for i in range(n_batches):
+                lo = i * batch_rows
+                service.ingest(
+                    stream[lo : lo + batch_rows],
+                    expected_first=len(base) + lo,
                 )
-            else:
-                tickets.append((query, service.submit(query, k=k)))
-        feeder.join()
-        for _, ticket in tickets:
-            ticket.wait(timeout=60.0)
-        wall_s = _time.perf_counter() - t0
-        service.stop(drain=True)
-        if feeder_error:
-            raise feeder_error[0]
-        stats = service.stats_snapshot()
-        terminal = (
-            stats["served"]
-            + sum(stats["shed"].values())
-            + sum(stats["rejected"].values())
-        )
-        if stats["submitted"] != terminal:
-            raise AssertionError(
-                f"ticket accounting leak: submitted={stats['submitted']} "
-                f"!= served+shed+rejected={terminal}"
+        except Exception as error:  # pragma: no cover - surfaced below
+            feeder_error.append(error)
+
+    t0 = _time.perf_counter()
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    tickets = []
+    mode_draws = rng.random(n_queries)
+    for qi in range(n_queries):
+        query = queries[qi]
+        if mode_draws[qi] < approx_fraction:
+            tickets.append(
+                (query, service.submit(query, mode="approximate"))
             )
-        n_exact = 0
-        for query, ticket in tickets:
-            if ticket.status != "served":
-                continue
-            watermark = ticket.snapshot_series
-            if ticket.mode == "exact":
-                n_exact += 1
-                expected = oracle_at(watermark).exact_knn(query, ticket.k)
-                if list(ticket.knn_ids) != list(expected.answer_ids) or (
-                    ticket.knn_distances != list(expected.distances)
-                ):
-                    raise AssertionError(
-                        f"served answer diverged from the oracle at "
-                        f"watermark {watermark}: {ticket.knn_ids} vs "
-                        f"{list(expected.answer_ids)}"
-                    )
-            else:
-                (idx,) = ticket.knn_ids
-                if not 0 <= idx < watermark:
-                    raise AssertionError(
-                        f"approximate answer {idx} outside snapshot "
-                        f"watermark {watermark}"
-                    )
-        latency = stats["query_latency_s"]
-        rows.append(
-            {
-                "workers": workers,
-                "cores": cores,
-                "n_series": int(raw.n_series),
-                "n_queries": n_queries,
-                "k": k,
-                "wall_s": wall_s,
-                "ingest_rows_per_s": (
-                    stats["ingest_rows"] / wall_s if wall_s else 0.0
-                ),
-                "queries_per_s": stats["served"] / wall_s if wall_s else 0.0,
-                "p50_ms": latency["p50"] * 1e3,
-                "p95_ms": latency["p95"] * 1e3,
-                "p99_ms": latency["p99"] * 1e3,
-                "submitted": stats["submitted"],
-                "served": stats["served"],
-                "shed": sum(stats["shed"].values()),
-                "rejected": sum(stats["rejected"].values()),
-                "degraded_batches": stats["degraded_batches"],
-                "session_conflicts": stats["session_conflicts"],
-                "flushes": stats["lsm"]["flushes"],
-                "merges": stats["lsm"]["merges"],
-                "exact_verified": n_exact,
-                "identical": True,  # a divergence raises above
-            }
+        else:
+            tickets.append((query, service.submit(query, k=k)))
+    feeder.join()
+    for _, ticket in tickets:
+        ticket.wait(timeout=60.0)
+    wall_s = _time.perf_counter() - t0
+    service.stop(drain=True)
+    if feeder_error:
+        raise feeder_error[0]
+    stats = service.stats_snapshot()
+    terminal = (
+        stats["served"]
+        + sum(stats["shed"].values())
+        + sum(stats["rejected"].values())
+    )
+    if stats["submitted"] != terminal:
+        raise AssertionError(
+            f"ticket accounting leak: submitted={stats['submitted']} "
+            f"!= served+shed+rejected={terminal}"
         )
-    return rows
+    n_exact = 0
+    for query, ticket in tickets:
+        if ticket.status != "served":
+            continue
+        watermark = ticket.snapshot_series
+        if ticket.mode == "exact":
+            n_exact += 1
+            expected = oracle_at(watermark).exact_knn(query, ticket.k)
+            if list(ticket.knn_ids) != list(expected.answer_ids) or (
+                ticket.knn_distances != list(expected.distances)
+            ):
+                raise AssertionError(
+                    f"served answer diverged from the oracle at "
+                    f"watermark {watermark}: {ticket.knn_ids} vs "
+                    f"{list(expected.answer_ids)}"
+                )
+        else:
+            (idx,) = ticket.knn_ids
+            if not 0 <= idx < watermark:
+                raise AssertionError(
+                    f"approximate answer {idx} outside snapshot "
+                    f"watermark {watermark}"
+                )
+    latency = stats["query_latency_s"]
+    return [
+        {
+            "cores": cores,
+            "n_series": int(raw.n_series),
+            "n_queries": n_queries,
+            "k": k,
+            "wall_s": wall_s,
+            "ingest_rows_per_s": (
+                stats["ingest_rows"] / wall_s if wall_s else 0.0
+            ),
+            "queries_per_s": stats["served"] / wall_s if wall_s else 0.0,
+            "p50_ms": latency["p50"] * 1e3,
+            "p95_ms": latency["p95"] * 1e3,
+            "p99_ms": latency["p99"] * 1e3,
+            "submitted": stats["submitted"],
+            "served": stats["served"],
+            "shed": sum(stats["shed"].values()),
+            "rejected": sum(stats["rejected"].values()),
+            "degraded_batches": stats["degraded_batches"],
+            "session_conflicts": stats["session_conflicts"],
+            "flushes": stats["lsm"]["flushes"],
+            "merges": stats["lsm"]["merges"],
+            "exact_verified": n_exact,
+            "identical": True,  # a divergence raises above
+        }
+    ]
 
 
 def _os_cores() -> int:

@@ -243,9 +243,8 @@ class BulkLoadedIndex(SIMSIndex):
         ``read_leaf(i)`` overrides how directory entry ``i`` is read —
         the batched approximate path passes a caching reader so queries
         landing in the same leaves share each read.  ``raw`` overrides
-        the raw series file the secondary variant fetches from (the
-        parallel approximate path passes a view bound to a worker's
-        device).
+        the raw series file the secondary variant fetches from (a view
+        bound to another device).
         """
         lo = max(0, target - (radius - 1) // 2)
         hi = min(len(self._leaves), lo + radius)
@@ -306,12 +305,10 @@ class BulkLoadedIndex(SIMSIndex):
         """Answer the queries in ``order`` with a fresh leaf cache.
 
         ``device=None`` reads on the parent device — one subset over
-        the full order is exactly the serial batched pass.  A worker's
-        device (a shard-scoped buffer pool) binds every leaf and
-        raw-file read to that worker's private I/O domain.  Returns
+        the full order is exactly the serial batched pass.  Another
+        device binds every leaf and raw-file read to it.  Returns
         ``(query_index, QueryResult)`` pairs; a query's answer never
-        depends on the cache (only its I/O charging does), which pins
-        the partitioned path to the serial per-batch cache oracle.
+        depends on the cache (only its I/O charging does).
         """
         keys, targets = ctx
         cache: dict[int, np.ndarray] = {}
@@ -340,39 +337,22 @@ class BulkLoadedIndex(SIMSIndex):
     # The SIMS pair (Algorithm 5's inputs)
     # ------------------------------------------------------------------
     def _prepare_sims(self):
-        """(column, fetch): the loaded summary column, for the engines."""
+        """(column, fetch): the loaded summary column and its fetch —
+        raw pages, or the leaves when materialized."""
         self._ensure_summaries()
-        return self._column, self._sims_fetch()
-
-    def _prepare_sims_parallel(self):
-        """(column, make_fetch) for the multi-worker engine.
-
-        ``make_fetch(device)`` binds the index's fetch to a worker's
-        private device (a shard-scoped buffer pool); ``make_fetch(None)``
-        is the ordinary parent-device fetch.
-        """
-        self._ensure_summaries()
-        return self._column, self._sims_fetch
-
-    def _sims_fetch(self, device=None):
-        """The SIMS fetch with every read — leaf or raw pages — on ``device``."""
         if not self.is_materialized:
-            raw = self.raw if device is None else self.raw.view(device)
-            return self._column.raw_fetch(raw)
-        leaf_file = None if device is None else self._leaf_file.attach(device)
-        return lambda positions: self._fetch_from_leaves(positions, leaf_file)
+            return self._column, self._column.raw_fetch(self.raw)
+        return self._column, self._fetch_from_leaves
 
     def _fetch_from_leaves(
-        self, positions: np.ndarray, leaf_file=None
+        self, positions: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Read the leaves containing ``positions``, forward-only."""
         leaf_ids = np.searchsorted(self._leaf_starts, positions, side="right") - 1
         series = np.empty((len(positions), self.raw.length), dtype=np.float64)
         offsets = np.empty(len(positions), dtype=np.int64)
         for leaf_id in np.unique(leaf_ids):
-            records = self._read_leaf_records(
-                self._leaves[int(leaf_id)], leaf_file=leaf_file
-            )
+            records = self._read_leaf_records(self._leaves[int(leaf_id)])
             mask = leaf_ids == leaf_id
             local = positions[mask] - self._leaf_starts[leaf_id]
             series[mask] = records["series"][local]

@@ -45,11 +45,9 @@ class _BoundedMaxHeap:
     The retained set is a pure function of the *multiset* of offered
     pairs — k smallest under ``(distance, identifier)`` order, one
     entry per identifier — never of the order they were offered in.
-    That order-independence is what lets the parallel query engine
-    merge per-worker heaps into exactly the heap a serial pass over
-    the union would have produced, ties included: offers commute, so
-    partitioning the offer stream across workers cannot change the
-    outcome.
+    Offers commute, so merging heaps built over disjoint parts of an
+    offer stream gives exactly the heap of one pass over the union,
+    ties included.
     """
 
     def __init__(self, k: int):

@@ -485,8 +485,9 @@ class CoconutLSM(SIMSIndex):
 
         ``device=None`` probes run files and fetches records on the
         parent device — one subset spanning the batch is exactly the
-        serial batched pass.  A worker's device binds each run file
-        and the raw series file to its private I/O domain.  The window
+        serial batched pass.  Another device (a served snapshot's shard
+        or buffer pool) binds each run file and the raw series file to
+        it.  The window
         cache only dedupes the I/O charge of a probed page range;
         answers are a pure function of the query.
         """
@@ -567,7 +568,9 @@ class CoconutLSM(SIMSIndex):
         return column, column.raw_fetch(self.raw)
 
     def _prepare_sims_parallel(self):
-        """(column, make_fetch) for the multi-worker engine."""
+        """(column, make_fetch): ``make_fetch(device)`` binds the fetch's
+        raw reads to ``device`` (a served snapshot's shard or buffer
+        pool); ``make_fetch(None)`` reads the parent device."""
         column = self._summary_column()
 
         def make_fetch(device=None):

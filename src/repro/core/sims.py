@@ -112,11 +112,10 @@ class SIMSIndex(SeriesIndex):
     """Exact search, exact k-NN and batches over a summary column.
 
     A subclass supplies :meth:`approximate_search` (the pruning seed),
-    ``_prepare_sims()`` -> ``(column, fetch)`` and, for the multi-worker
-    engine, ``_prepare_sims_parallel()`` -> ``(column, make_fetch)`` —
-    both load whatever the column needs, charging its I/O to the
-    caller's measurement — plus the two halves of its batched
-    approximate pass, ``_approx_visit_order(queries)`` and
+    ``_prepare_sims()`` -> ``(column, fetch)`` — loading whatever the
+    column needs, charging its I/O to the caller's measurement — plus
+    the two halves of its batched approximate pass,
+    ``_approx_visit_order(queries)`` and
     ``_approx_answer_subset(queries, ctx, order, device=None)``: the
     visit order plus context, and the answers of a slice of that order
     with every read bound to ``device`` (the parent when ``None``).
@@ -161,7 +160,7 @@ class SIMSIndex(SeriesIndex):
 
         return seeded_sims_knn(self, query, check_k(k), self._prepare_sims)
 
-    def query_batch(self, batch, query_workers=1, query_pool_kind="thread"):
+    def query_batch(self, batch, query_workers=1):
         """Batched queries sharing work across the batch (repro.parallel).
 
         Exact batches share one SIMS pass: the summary column is loaded
@@ -171,24 +170,14 @@ class SIMSIndex(SeriesIndex):
         read once.  Either way, answers are identical to issuing the
         queries one at a time.
 
-        ``query_workers > 1`` (or ``None``/``0`` for all cores) runs
-        exact batches on the multi-worker engine: the lower-bound scan
-        is range-partitioned and record fetches stream through
-        per-worker read-only shards — answers (ids, distances, tie
-        order) stay bit-identical to the serial batched engine.
-        Approximate batches run the serial shared-probe pass at any
-        ``query_workers``.  ``query_pool_kind="serial"`` replays the
-        parallel plan inline (the I/O-determinism oracle).  Planning
-        is documented on :func:`repro.parallel.sched.run_sims_query_batch`.
+        ``query_workers`` is checked (an integer or ``None``) and
+        otherwise ignored: every batch runs on the calling thread.  The
+        batch's predicted cost is attached as ``report.plan``
+        (:func:`repro.parallel.sched.run_sims_query_batch`).
         """
         from ..parallel.sched import run_sims_query_batch
 
-        return run_sims_query_batch(
-            self,
-            batch,
-            query_workers=query_workers,
-            query_pool_kind=query_pool_kind,
-        )
+        return run_sims_query_batch(self, batch, query_workers=query_workers)
 
     def _approximate_batch(self, queries: np.ndarray) -> list[QueryResult]:
         """Per-query approximate answers sharing the probe's reads.

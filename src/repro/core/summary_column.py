@@ -16,8 +16,8 @@ from the key and offset pieces they wrote and hand the engines
 The scans themselves live on :class:`WordColumn`, the part of a column
 that needs only the words (all ADS+ keeps, in raw-file order): the
 words' :class:`~repro.summaries.sax.CellIndex` is built by the first
-scan, shared by every later one — single queries, blocks, the ranges
-the parallel engine hands its workers — and freed with the column.
+scan, shared by every later one — single queries, blocks, ranges,
+concurrent served batches — and freed with the column.
 
 The ``(key, offset)`` row a column packs to is also the on-disk record
 of the Tree / Trie sidecars and of every LSM run: one layout, defined
@@ -80,7 +80,7 @@ class WordColumn:
 
     def _cell_index(self) -> CellIndex:
         """The words' gather index: built by whoever scans first, once —
-        scan workers arriving together wait for the one building it."""
+        scans arriving together wait for the one building it."""
         if self._cells is None:
             with self._cells_lock:
                 if self._cells is None:

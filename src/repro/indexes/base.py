@@ -55,8 +55,8 @@ class QueryResult:
     pruned_fraction: float = 0.0
     #: ``(ids, distances)`` of every record a batched approximate probe
     #: refined, when the index hands them over (``CoconutLSM``): seeds
-    #: for an exact k-NN heap.  Travels with the result because probes
-    #: run on pool workers; not part of a result's identity.
+    #: for an exact k-NN heap.  Travels with the result so each query
+    #: carries its own probe; not part of a result's identity.
     probed: "tuple[np.ndarray, np.ndarray] | None" = field(
         default=None, compare=False, repr=False
     )
@@ -128,7 +128,7 @@ class BatchReport:
     io: DiskStats = field(default_factory=DiskStats)
     simulated_io_ms: float = 0.0
     wall_s: float = 0.0
-    #: The planner's recorded decision for this batch
+    #: The planner's predicted cost of this batch
     #: (:class:`repro.parallel.sched.PlanReport`), when an engine that
     #: plans produced the report; ``None`` for unplanned paths.
     plan: object | None = None
@@ -249,29 +249,20 @@ class SeriesIndex(abc.ABC):
         )
 
     def query_batch(
-        self,
-        batch: QueryBatch,
-        query_workers: int = 1,
-        query_pool_kind: str = "thread",
+        self, batch: QueryBatch, query_workers: int | None = 1
     ) -> BatchReport:
         """Answer a :class:`QueryBatch`; default is a per-query loop.
 
         Subclasses that can share work across queries override this;
         the contract is that the returned (id, distance) answers are
-        identical to issuing every query individually.
-        ``query_workers`` requests the multi-worker engine on indexes
-        that support it (the Coconut family and the serial scan; ``1``
-        is the serial path, ``None``/``0`` means all cores); indexes
-        without a parallel path accept and ignore it, answering
-        serially with the same results.  ``query_pool_kind`` is
-        ``"thread"`` or ``"serial"`` (:mod:`repro.parallel.pool`) — the
-        latter replays the parallel plan inline, the I/O oracle.
-        Indexes without a parallel path validate the pool kind and
-        otherwise ignore it.
+        identical to issuing every query individually.  Every batch
+        runs on the calling thread: ``query_workers`` is accepted and
+        checked on every index (an integer or ``None``, else
+        ``ValueError``) and changes nothing.
         """
-        from ..parallel.pool import check_pool_kind
+        from ..parallel.sched import resolve_workers
 
-        check_pool_kind(query_pool_kind)
+        resolve_workers(query_workers)
         queries = np.atleast_2d(np.asarray(batch.queries, dtype=np.float64))
         results: list[QueryResult] = []
         ids: list[list[int]] = []

@@ -70,40 +70,22 @@ class SerialScan(SeriesIndex):
     def exact_search(self, query: np.ndarray) -> QueryResult:
         return self._scan(query)
 
-    def query_batch(self, batch, query_workers=1, query_pool_kind="thread"):
+    def query_batch(self, batch, query_workers=1):
         """Answer the whole batch in a single pass over the raw file.
 
         The serial scan is where batching pays the most: Q queries cost
         one sequential read of the data instead of Q, with the distance
         work vectorized per block.  Results are identical to per-query
-        scans.  ``query_workers > 1`` splits the file into contiguous
-        page-aligned ranges scanned concurrently through read-only
-        shards (:func:`repro.parallel.query.parallel_serial_scan_batch`)
-        with bit-identical answers for any worker count.
-
-        The planner prices the pass — the cost model clamps the fan-out
-        when the file is too small to amortize its pool tasks — and the
-        decision is recorded on ``report.plan``.
+        scans.  ``query_workers`` is checked and otherwise ignored; the
+        batch's predicted cost is recorded on ``report.plan``.
         """
         from ..core.knn import KNNOutcome, _BoundedMaxHeap
         from ..parallel.batch import build_batch_report
-        from ..parallel.pool import check_pool_kind
-        from ..parallel.sched import plan_query_batch
+        from ..parallel.sched import plan_query_batch, resolve_workers
 
         queries = self._query_matrix(batch.queries)
-        check_pool_kind(query_pool_kind)
-        plan = plan_query_batch(batch, self, query_workers=query_workers)
-        if plan.scan_workers > 1:
-            # Approximate and exact scans are the same full pass here,
-            # so the parallel path serves both modes.
-            from ..parallel.query import parallel_serial_scan_batch
-
-            report = parallel_serial_scan_batch(
-                self, batch, plan.scan_workers, pool_kind=query_pool_kind
-            )
-            report.plan = plan
-            return report
-
+        resolve_workers(query_workers)
+        plan = plan_query_batch(batch, self)
         heaps = [_BoundedMaxHeap(batch.k) for _ in queries]
         with Measurement(self.disk) as measure:
             for start, block in self.raw.scan():

@@ -52,18 +52,16 @@ class VerticalIndex(SeriesIndex):
         self.raw = raw
         self._level_slices = level_slices(raw.length)
         with Measurement(self.disk) as measure:
-            for level, columns in enumerate(self._level_slices):
+            # An empty index stores no level files and reads none.
+            for level, columns in enumerate(
+                self._level_slices if raw.n_series else []
+            ):
                 # One sequential pass over the raw data per level.
-                parts = []
-                for _, block in raw.scan():
-                    coefficients = haar_transform(block)
-                    parts.append(
-                        coefficients[:, columns].astype(np.float32)
-                    )
-                level_data = (
-                    np.concatenate(parts)
-                    if parts
-                    else np.empty((0, columns.stop - columns.start), np.float32)
+                level_data = np.concatenate(
+                    [
+                        haar_transform(block)[:, columns].astype(np.float32)
+                        for _, block in raw.scan()
+                    ]
                 )
                 file = PagedFile(self.disk, name=f"vertical-L{level}")
                 file.write_stream(level_data.tobytes())
@@ -181,7 +179,7 @@ class VerticalIndex(SeriesIndex):
         return QueryResult(
             answer_idx=answer,
             distance=bsf,
-            visited_records=visited + 1,
+            visited_records=visited + (1 if n else 0),  # + the seed refine
             visited_leaves=len(self._level_files),
             io=measure.io,
             simulated_io_ms=measure.simulated_io_ms,

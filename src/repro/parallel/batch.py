@@ -109,10 +109,7 @@ def walk_candidate_blocks(
     survivors is fetched once.  Each query's rows are then refined by
     :func:`repro.core.knn.refine_block`: lowest bounds first while the
     query's heap is short of k, then only the rows that can still
-    enter.  Both the serial batched engine and each worker of the
-    parallel engine execute exactly this loop — sharing it is what
-    keeps their pruning rules in lockstep, which the bit-identical-
-    answers contract rests on.
+    enter.
     """
     n_queries = len(queries)
     visited = np.zeros(n_queries, dtype=np.int64)

@@ -1,15 +1,13 @@
-"""Self-healing execution of parallel I/O plans.
+"""Self-healing execution of the online service's served snapshots.
 
-The parallel query engines (:mod:`repro.parallel.query`) run their
-partitions inside a read-only :class:`repro.storage.disk.ShardedDisk`
-session.  When a worker raises an injected device fault
-(:mod:`repro.storage.faults`), the session ``__exit__`` *aborts* —
-every shard's counters are discarded and the parent head is left
-untouched — so a failed attempt is invisible: it contributes nothing
-to the parent's reconciled :class:`~repro.storage.cost.DiskStats`.
+The service answers every served batch on a read-only
+:class:`repro.storage.disk.ShardedDisk` shard taken with its snapshot
+(:mod:`repro.service.snapshot`).  Read-only shards have nothing to roll
+back: a failed attempt leaves the parent device and its reconciled
+:class:`~repro.storage.cost.DiskStats` untouched.
 
-That abort guarantee is what makes retry sound.  :func:`run_self_healing`
-layers the policy on top:
+That is what makes retry sound.  :func:`run_self_healing` layers the
+policy on top:
 
 * **transient** faults (:class:`~repro.storage.faults.TransientIOError`)
   are retried up to the :class:`RetryPolicy`'s ``retries`` times with
@@ -25,24 +23,24 @@ layers the policy on top:
 * when the ``fallback`` is ``None`` the last fault propagates to the
   caller.
 
-Degradation targets are the serial engines, whose answers, tie order
-and stats are the oracle the parallel engines are property-tested
-against — so healing never changes *what* is computed, only *how*.
+The fallback is the same serial pass on the unwrapped snapshot shard,
+so healing never changes *what* is computed, only *how*.  The same
+policy drives the service's in-place ingest recovery.
 
-Fault seams
------------
-The engines accept a ``wrap_device(shard, partition, attempt)``
-callable and route every partition's I/O through its return value.
-Tests pass a factory building :class:`~repro.storage.faults.
-FaultyDevice` wrappers; because the factory is called afresh per
-attempt, each attempt's fault plans restart at operation index zero —
-the final reconciled stats are a pure function of the *successful*
-attempt's plan, identical under any pool interleaving.
+Fault seam
+----------
+The service's ``wrap_serve_device(shard, partition, attempt)`` routes
+each attempt's reads through its return value.  Tests pass a factory
+building :class:`~repro.storage.faults.FaultyDevice` wrappers; because
+it is called afresh per attempt, each attempt's fault plan restarts at
+operation index zero.
 """
 
 from __future__ import annotations
 
 import logging
+import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -74,8 +72,8 @@ class RetryPolicy:
     ``retries`` transient retries (attempts = retries + 1), capped
     exponential backoff starting at ``backoff_s`` and never exceeding
     ``backoff_cap_s`` per sleep.  Frozen so a policy can be shared
-    between the service front-end and the query engines without
-    aliasing surprises.
+    between the service's ingest and serving paths without aliasing
+    surprises.
     """
 
     retries: int = HEAL_RETRIES
@@ -83,10 +81,26 @@ class RetryPolicy:
     backoff_cap_s: float = HEAL_BACKOFF_CAP_S
 
     def __post_init__(self) -> None:
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
-        if self.backoff_s < 0 or self.backoff_cap_s < 0:
-            raise ValueError("backoff delays must be >= 0")
+        # Refuse bad numbers here, not at the first transient fault on
+        # the server or ingest path (``range(2.5)``, ``sleep(inf)``).
+        retries = self.retries
+        if (
+            isinstance(retries, bool)
+            or not isinstance(retries, numbers.Integral)
+            or retries < 0
+        ):
+            raise ValueError(f"retries must be an integer >= 0, got {retries!r}")
+        for name in ("backoff_s", "backoff_cap_s"):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+                or value < 0
+            ):
+                raise ValueError(
+                    f"{name} must be a finite number >= 0, got {value!r}"
+                )
 
     def delay(self, retry_index: int) -> float:
         """Sleep before retry ``retry_index`` (0-based): capped doubling."""
@@ -97,7 +111,7 @@ class RetryPolicy:
 class HealReport:
     """Mutable accumulator of healing activity across calls.
 
-    Engines add to a caller-provided report so a long-lived consumer
+    Callers add to a report they own so a long-lived consumer
     (the online service's :class:`~repro.service.stats.ServiceStats`)
     can export attempt counts without re-deriving them from logs.
     """
@@ -138,7 +152,7 @@ class HealReport:
 def run_self_healing(
     attempt,
     fallback=None,
-    label: str = "parallel plan",
+    label: str = "healed call",
     policy: "RetryPolicy | None" = None,
     report: "HealReport | None" = None,
 ):

@@ -16,17 +16,15 @@
   :class:`~repro.service.admission.AdmissionQueue` with per-request
   deadlines, are served as soon as the server thread is free — together
   with every ticket already queued, as one shared-SIMS batch per
-  ``(mode, k)`` group (planned by
-  :func:`~repro.parallel.sched.plan_query_batch` through the engines),
-  and are served against :class:`~repro.service.snapshot.ServiceSnapshot`
+  ``(mode, k)`` group on the server thread, and are served against :class:`~repro.service.snapshot.ServiceSnapshot`
   state over read-only :class:`~repro.storage.disk.ShardedDisk`
   sessions — readers never observe a half-flushed run, and answers are
   exact over the snapshot's raw watermark, which every served ticket
   reports.
 
 * **Degradation** is graceful and counted: transient serve faults
-  retry on fresh wrappers, other faults fall back to the serial engines
-  on the snapshot's pre-attached read-only shard.  When the
+  retry on fresh wrappers, other faults fall back to the same serial
+  pass on the snapshot's pre-attached read-only shard.  When the
   journal device crash-latches, ingest rejects with
   :data:`~repro.service.admission.REJECT_CRASHED` until ``restart()``,
   while queries keep serving the last good snapshot — reads own their
@@ -51,8 +49,7 @@ from ..core.lsm import CoconutLSM
 from ..summaries.sax import SAXConfig
 from ..indexes.base import BuildReport, QueryBatch, check_k
 from ..parallel.heal import RetryPolicy
-from ..parallel.pool import resolve_workers
-from ..parallel.sched import run_sims_query_batch
+from ..parallel.sched import resolve_workers
 from ..storage.disk import PageError, SimulatedDisk
 from ..storage.faults import (
     CorruptionError,
@@ -114,8 +111,8 @@ class ServiceConfig:
     default_timeout_s: "float | None" = None
     #: Shed a ticket this close to (or past) its deadline at serve time.
     deadline_margin_s: float = 0.0
-    #: Worker count for the serving engines (1 = snapshot serial path;
-    #: ``None`` / ``0`` / negative = all cores, as everywhere else).
+    #: Accepted and checked like every ``query_workers``, and inert:
+    #: every batch is served on the server thread.
     query_workers: "int | None" = 1
     #: Retry/backoff for ingest recovery and serve-session healing.
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -688,16 +685,6 @@ class CoconutService:
 
     def _serve_batch(self, snapshot: ServiceSnapshot, batch: QueryBatch):
         """Serve one coalesced batch; returns (ids, distances, degraded)."""
-        workers = self.config.query_workers
-        if resolve_workers(workers) > 1:
-            report = run_sims_query_batch(
-                snapshot.frozen_view(),
-                batch,
-                query_workers=workers,
-                wrap_device=self.wrap_serve_device,
-                heal_report=self.stats.heal,
-            )
-            return report.knn_ids, report.knn_distances, False
         return serve_snapshot_batch(
             snapshot,
             batch,

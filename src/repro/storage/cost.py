@@ -44,11 +44,10 @@ class QueryCostModel:
     """CPU-side costs of the batched query engine.
 
     The disk access model (:class:`CostModel`) prices page transfers;
-    this model prices the *compute* the query planner
-    (:func:`repro.parallel.sched.plan_query_batch`) trades those
-    transfers against: lower-bound cells, record refinement, and the
-    fixed overhead of fanning work out to the thread pool.  Defaults
-    are conservative laptop-class numbers.
+    this model prices the *compute* of a batch, which the query planner
+    (:func:`repro.parallel.sched.plan_query_batch`) records as a
+    prediction: lower-bound cells and record refinement.  Defaults are
+    conservative laptop-class numbers.
     """
 
     #: One ``mindist_paa_to_words`` cell — a (query, record) lower
@@ -56,14 +55,11 @@ class QueryCostModel:
     mindist_cell_us: float = 0.02
     #: One fetched record pushed through the refine kernel.
     refine_record_us: float = 1.0
-    #: Spawning + joining one task on a thread pool.
-    thread_task_us: float = 200.0
 
     def as_dict(self) -> dict:
         return {
             "mindist_cell_us": self.mindist_cell_us,
             "refine_record_us": self.refine_record_us,
-            "thread_task_us": self.thread_task_us,
         }
 
 

@@ -192,11 +192,10 @@ class RawSeriesFile:
 
         Same geometry, same extents, same records — but every read is
         classified against ``device``'s own head and charged to its own
-        counters.  This is how parallel query workers stream their
-        record fetches through a private shard (or a shard-scoped
-        buffer pool) without touching the parent device or each other:
-        one view per worker, no shared mutable state.  Views must not
-        be appended to.
+        counters.  This is how a served snapshot streams its record
+        fetches through its read-only shard (or a shard-scoped buffer
+        pool) without touching the parent device: no shared mutable
+        state.  Views must not be appended to.
         """
         view = RawSeriesFile.__new__(RawSeriesFile)
         view.disk = device
@@ -399,9 +398,7 @@ class RawSeriesFile:
         ``chunk_series`` bounds the size of each yielded block; reads
         are always whole pages, streamed through the bytes-level device
         interface.  The default arguments scan the entire file; a
-        contiguous sub-range is how parallel scan workers split the
-        file between them (each worker's reads ascend within its own
-        range, preserving per-domain skip-sequential access).
+        sub-range reads only the pages that hold it, ascending.
         """
         stop = self.n_series if stop is None else min(stop, self.n_series)
         start = max(0, start)

@@ -240,17 +240,12 @@ def test_empty_index_answers_no_match(name, style):
     length = _length(name)
     queries = query_workload("randomwalk", 2, length=length, seed=5)
     index = _index_over(name, np.empty((0, length)))
-    # VerticalIndex writes a page for each of its (empty) level files and
-    # counts the levels it scans as visited leaves, plus its seed refine
-    # as one visited record, so only its answers are pinned here.
-    counted = name != "Vertical"
-    if counted:
-        assert index.storage_bytes() == 0
+    assert index.storage_bytes() == 0
     for query in queries:
         for result in (index.approximate_search(query), index.exact_search(query)):
             assert result.answer_idx == -1 and result.distance == float("inf")
-            if counted:
-                assert result.visited_leaves == 0 and result.visited_records == 0
+            assert result.visited_leaves == 0 and result.visited_records == 0
+            assert result.io.total_ios == 0
     assert STYLES[style](index, queries, 5) == ([[], []], [[], []])
     if style != "per_query":
         kwargs = {"query_workers": 2} if style.endswith("2") else {}

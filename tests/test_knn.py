@@ -319,8 +319,8 @@ def test_exact_batches_visit_and_answer_as_the_reference_kernels_do(name):
     hold the same pairs after every block, so no engine decision moves.
     """
     disk = SimulatedDisk(page_size=2048)
-    # More than one refine block per fetch worker, so thresholds
-    # tighten between blocks in every cell.
+    # More than one refine block, so thresholds tighten between blocks
+    # in every cell.
     data = make_dataset("randomwalk", 9300, length=48, seed=17)
     raw = RawSeriesFile.create(disk, data[:9000])
     index = ENGINE_MAKERS[name](disk)
@@ -332,13 +332,9 @@ def test_exact_batches_visit_and_answer_as_the_reference_kernels_do(name):
     queries = query_workload("randomwalk", 6, length=48, seed=19)
     index.query_batch(QueryBatch(queries=queries, k=1))  # summary-load warmup
 
-    def run(k, workers):
+    def run(k):
         disk.park_head()
-        report = index.query_batch(
-            QueryBatch(queries=queries, k=k),
-            query_workers=workers,
-            query_pool_kind="serial",
-        )
+        report = index.query_batch(QueryBatch(queries=queries, k=k))
         return (
             report.knn_ids,
             report.knn_distances,
@@ -346,11 +342,11 @@ def test_exact_batches_visit_and_answer_as_the_reference_kernels_do(name):
             report.io,
         )
 
-    cells = [(k, workers) for k in (1, 3, 10) for workers in (1, 2)]
-    got = [run(k, workers) for k, workers in cells]
+    cells = (1, 3, 10)
+    got = [run(k) for k in cells]
     with pytest.MonkeyPatch.context() as monkeypatch:
         _use_reference_kernels(monkeypatch)
-        want = [run(k, workers) for k, workers in cells]
+        want = [run(k) for k in cells]
     for cell, new, reference in zip(cells, got, want):
         assert new == reference, (name, cell)
     for _, _, visited, io in got:

@@ -4,15 +4,13 @@ Every reference in ``tests/oracles.py`` is checked here against an
 independent definition (Python's stable ``sorted``, plain fancy
 indexing, a flat ``bytearray`` page model), so a reference cannot rot
 unnoticed while the equivalence suites keep passing against it.  The
-second half pins the removals: the knobs that selected these
-implementations inside ``src/`` are gone, not merely defaulted.
+removals of the knobs that selected these implementations inside
+``src/`` are rows of ``tests/test_removed_names.py``.
 """
 
 import numpy as np
 import pytest
 
-import repro.core.lsm
-import repro.storage
 from oracles import (
     DEVICES,
     argsort_merge,
@@ -23,11 +21,9 @@ from oracles import (
     searchsorted_symbols,
 )
 from repro import RawSeriesFile, SimulatedDisk
-from repro.core import CoconutTree, CoconutTrie
 from repro.core.knn import _BoundedMaxHeap
-from repro.core.lsm import CoconutLSM
 from repro.series import euclidean
-from repro.storage import ExternalSorter, PagedFile, merge_stream
+from repro.storage import PagedFile
 from repro.summaries import breakpoints
 
 REC = np.dtype([("k", "S2"), ("v", "<i8")])
@@ -219,33 +215,3 @@ def test_the_one_page_store_keyword():
     for store in ("dict", "mmap", None):
         with pytest.raises(ValueError, match="tests/oracles.py"):
             SimulatedDisk(store=store)
-
-
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda d: CoconutTree(d, 4096, merge_engine="blockwise"),
-        lambda d: CoconutTrie(d, 4096, merge_engine="heapq"),
-        lambda d: CoconutLSM(d, 4096, merge_engine="vectorized"),
-        lambda d: CoconutLSM.recover(d, None, merge_engine="argsort"),
-        lambda d: ExternalSorter(d, 4096, merge_engine="blockwise"),
-        lambda d: next(merge_stream("blockwise", [], REC, 8)),
-    ],
-    ids=["tree", "trie", "lsm", "lsm-recover", "sorter", "merge_stream"],
-)
-def test_merge_engine_options_are_gone(build):
-    with pytest.raises(TypeError):
-        build(SimulatedDisk())
-
-
-def test_oracle_names_left_the_package():
-    for name in (
-        "PAGE_STORES", "MERGE_ENGINES", "heapq_merge_stream",
-        "blockwise_merge_stream",
-    ):
-        assert name not in repro.storage.__all__
-        assert not hasattr(repro.storage, name)
-        assert not hasattr(repro.storage.merge, name)
-        assert not hasattr(repro.storage.disk, name)
-    assert not hasattr(RawSeriesFile, "get_many_loop")
-    assert not hasattr(repro.core.lsm, "LSM_MERGE_ENGINES")

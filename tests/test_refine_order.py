@@ -5,9 +5,8 @@ rows first while a heap is short of k entries, then only the rows whose
 bound can still enter it.  ``tests/oracles.py::refine_every_row`` is the
 step it replaced: one distance per fetched row.  Pinned here:
 
-* **Same heaps** — ``walk_candidate_blocks`` (serially and split into
-  fetch-worker chunks, each from its own short heap) and
-  ``sims_knn_scan`` keep the same ``(distance, id)`` pairs, bit for
+* **Same heaps** — ``walk_candidate_blocks`` (from ``seeded_heaps``)
+  and ``sims_knn_scan`` keep the same ``(distance, id)`` pairs, bit for
   bit and in the same tie order, visit the same rows and fetch the same
   positions as the oracle, over random walks with duplicated and
   constant rows, any ``k``, seed lists and block size.
@@ -17,12 +16,7 @@ step it replaced: one distance per fetched row.  Pinned here:
 * **The saving** — with a short heap the distance kernel sees fewer
   than half the fetched rows; with a heap the seeds already fill, it
   sees exactly the oracle's rows in one call per query per block.
-
-Worker counts can be widened via ``REPRO_QUERY_WORKERS``
-(comma-separated), like ``tests/test_parallel_query.py``.
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -37,16 +31,9 @@ from repro import QueryBatch, RawSeriesFile, SimulatedDisk, make_dataset
 from repro.core import CoconutLSM, CoconutTree, CoconutTrie
 from repro.core.knn import sims_knn_scan
 from repro.core.summary_column import WordColumn
-from repro.parallel.batch import batched_exact_knn, seeded_heaps
-from repro.parallel.query import _fetch_partition
+from repro.parallel.batch import batched_exact_knn, seeded_heaps, walk_candidate_blocks
 from repro.series import euclidean_batch, query_workload, random_walk
 from repro.summaries import SAXConfig, paa, sax_words
-
-WORKER_COUNTS = [
-    int(w)
-    for w in os.environ.get("REPRO_QUERY_WORKERS", "2,3").split(",")
-]
-
 
 def use_refine(monkeypatch, refine):
     """Route both callers of ``refine_block`` to ``refine``."""
@@ -115,20 +102,13 @@ def test_property_bound_ordered_refine_matches_refine_oracle(
             return data[positions], positions
         return fetch
 
-    def walk(workers):
-        """The parallel engine's fetch phase: one short heap set per
-        chunk, merged into the seeded heaps (one chunk = serial)."""
+    def walk():
+        """The batched engine's fetch phase over the candidate union."""
         heaps = seeded_heaps(n_queries, k, seeds)
-        visited = np.zeros(n_queries, dtype=np.int64)
         log = []
-        for chunk in np.array_split(union, workers):
-            if len(chunk):
-                worker_heaps, worker_visited = _fetch_partition(
-                    queries, k, mindists, chunk, seeds, fetching(log), block_records
-                )
-                for heap, worker_heap in zip(heaps, worker_heaps):
-                    heap.merge(worker_heap)
-                visited += worker_visited
+        visited = walk_candidate_blocks(
+            queries, heaps, mindists, union, fetching(log), block_records
+        )
         return [exact_pairs(h) for h in heaps], visited.tolist(), log
 
     def scan(query, query_seeds):
@@ -141,9 +121,7 @@ def test_property_bound_ordered_refine_matches_refine_oracle(
         return pairs, outcome.visited_records, log
 
     def run():
-        walks = [walk(workers) for workers in [1] + WORKER_COUNTS]
-        scans = [scan(query, s) for query, s in zip(queries, seeds)]
-        return walks, scans
+        return walk(), [scan(query, s) for query, s in zip(queries, seeds)]
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(repro.core.knn, "REFINE_FIRST_ROWS", first_rows)
@@ -162,9 +140,8 @@ TABLE_MAKERS = {
 }
 
 
-@pytest.mark.parametrize("workers", [1] + WORKER_COUNTS)
 @pytest.mark.parametrize("name", sorted(TABLE_MAKERS))
-def test_exact_knn_and_batches_equal_the_refine_oracle(name, workers, monkeypatch):
+def test_exact_knn_and_batches_equal_the_refine_oracle(name, monkeypatch):
     """k = 10 over 6 000 records: two refine blocks, so thresholds
     tighten between blocks as well as inside the first one."""
     disk = SimulatedDisk(page_size=2048)
@@ -190,7 +167,7 @@ def test_exact_knn_and_batches_equal_the_refine_oracle(name, workers, monkeypatc
                 outcome.io,
             ))
         disk.park_head()
-        report = index.query_batch(batch, query_workers=workers)
+        report = index.query_batch(batch)
         return outcomes, (
             report.knn_ids,
             [[d.hex() for d in row] for row in report.knn_distances],

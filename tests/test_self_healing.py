@@ -1,77 +1,33 @@
-"""Self-healing parallel pools: retry, degradation, exception safety.
+"""Self-healing: the retry policy, its report, and shard sessions.
 
-Two contracts from ``docs/robustness.md``:
+``run_self_healing`` retries transient faults with capped backoff and
+degrades on anything else; ``RetryPolicy`` refuses bad numbers when it
+is built.  The served-snapshot side of the contract — healed and
+degraded batches answer like the oracle — is pinned in
+``tests/test_service.py`` and ``tests/test_service_chaos.py``.
 
-* **healing never changes the result** — answers, tie order and
-  reconciled stats under injected worker faults are bit-identical to
-  the serial oracle, whether a transient retry succeeds or the engine
-  degrades to the serial plan;
-* **a failed session leaves no trace** — any exception inside a
-  ``ShardedDisk`` session (injected fault or plain bug) aborts it: the
-  parent stays live and saw none of the attempt.
-
-Also pins the PR 6 error paths end-to-end: out-of-bounds ``get_many``
-raises before any I/O *through a shard session*, and a query/series
-shape mismatch propagates through the parallel scan engine — both
-leaving the parent device live.
+Also pins that a failed ``ShardedDisk`` session leaves no trace: an
+out-of-bounds ``get_many`` raises before any I/O through a shard
+session, and the parent device stays live.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.lsm import CoconutLSM
-from repro.indexes.base import QueryBatch
-from repro.indexes.serial import SerialScan
 from repro.parallel.heal import RetryPolicy, run_self_healing
-from repro.parallel.query import (
-    parallel_serial_scan_batch,
-    parallel_sims_query_batch,
-)
+from repro.service import ServiceConfig
 from repro.storage import (
     DeviceCrash,
-    FaultPlan,
-    FaultyDevice,
     PermanentIOError,
     ShardedDisk,
     SimulatedDisk,
     TransientIOError,
 )
 from repro.storage.seriesfile import RawSeriesFile
-from repro.summaries.sax import SAXConfig
 
 LENGTH = 64
-CONFIG = SAXConfig(series_length=LENGTH, word_length=8, cardinality=16)
 PAGE = 2048
-
-_rng = np.random.default_rng(99)
-DATA = _rng.standard_normal((400, LENGTH)).astype(np.float32)
-QUERIES = _rng.standard_normal((3, LENGTH))
-BATCH = QueryBatch(queries=QUERIES, k=4)
-
-
-def transient_wrap(seed, p=0.25):
-    """Faults on attempt 0 only — a retry must heal."""
-
-    def wrap(shard, part, attempt):
-        plan = FaultPlan(
-            seed=seed * 131 + part,
-            p_transient_read=p if attempt == 0 else 0.0,
-            p_transient_write=p if attempt == 0 else 0.0,
-        )
-        return FaultyDevice(shard, plan)
-
-    return wrap
-
-
-def permanent_wrap(shard, part, attempt):
-    return FaultyDevice(shard, FaultPlan(seed=1, bad_pages=((0, 10**9),)))
-
-
-def report_sig(rep):
-    return (
-        [list(ids) for ids in rep.knn_ids],
-        [list(map(float, d)) for d in rep.knn_distances],
-    )
+DATA = np.random.default_rng(99).standard_normal((50, LENGTH)).astype(np.float32)
 
 
 # ----------------------------------------------------------------------
@@ -117,73 +73,7 @@ def test_non_fault_exceptions_are_not_masked():
 
 
 # ----------------------------------------------------------------------
-# Parallel query engines under injected faults
-# ----------------------------------------------------------------------
-def make_lsm():
-    disk = SimulatedDisk(page_size=PAGE)
-    raw = RawSeriesFile(disk, LENGTH)
-    raw.append_batch(DATA)
-    ix = CoconutLSM(disk, 1 << 16, CONFIG)
-    ix.build(raw)
-    return disk, ix
-
-
-def make_scan():
-    disk = SimulatedDisk(page_size=PAGE)
-    raw = RawSeriesFile(disk, LENGTH)
-    raw.append_batch(DATA)
-    ix = SerialScan(disk, 1 << 16)
-    ix.build(raw)
-    return disk, ix
-
-
-def test_query_fetch_heals_transients_bit_identical():
-    _, ix0 = make_lsm()
-    oracle = report_sig(ix0.query_batch(BATCH, query_workers=1))
-    for seed in range(4):
-        _, ix = make_lsm()
-        rep = parallel_sims_query_batch(
-            ix, BATCH, ix._prepare_sims_parallel, 3, "thread",
-            wrap_device=transient_wrap(seed),
-        )
-        assert report_sig(rep) == oracle
-
-
-def test_query_fetch_degrades_to_serial_on_permanent_fault():
-    _, ix0 = make_lsm()
-    oracle = report_sig(ix0.query_batch(BATCH, query_workers=1))
-    disk, ix = make_lsm()
-    rep = parallel_sims_query_batch(
-        ix, BATCH, ix._prepare_sims_parallel, 3, "thread",
-        wrap_device=permanent_wrap,
-    )
-    assert report_sig(rep) == oracle
-    disk.allocate(1)  # the parent stays live
-
-
-def test_scan_heals_and_degrades_with_identical_stats():
-    _, ix0 = make_scan()
-    oracle = parallel_serial_scan_batch(ix0, BATCH, 1)
-    # clean inline replay = the stats oracle for the healed run
-    _, ix1 = make_scan()
-    clean = parallel_serial_scan_batch(ix1, BATCH, 3, "serial")
-    _, ix2 = make_scan()
-    healed = parallel_serial_scan_batch(
-        ix2, BATCH, 3, "serial", wrap_device=transient_wrap(7)
-    )
-    assert report_sig(healed) == report_sig(clean) == report_sig(oracle)
-    assert healed.io == clean.io  # aborted attempt reconciled nothing
-    disk3, ix3 = make_scan()
-    degraded = parallel_serial_scan_batch(
-        ix3, BATCH, 3, "thread", wrap_device=permanent_wrap
-    )
-    assert report_sig(degraded) == report_sig(oracle)
-    assert degraded.io == oracle.io  # the fallback IS the serial plan
-    disk3.allocate(1)
-
-
-# ----------------------------------------------------------------------
-# PR 6 error paths, exercised through shard sessions and engines
+# Shard sessions
 # ----------------------------------------------------------------------
 def test_get_many_oob_raises_before_io_through_shard_session():
     disk = SimulatedDisk(page_size=PAGE)
@@ -198,36 +88,47 @@ def test_get_many_oob_raises_before_io_through_shard_session():
     disk.allocate(1)  # session aborted, parent live
 
 
-def test_shape_mismatch_propagates_through_parallel_scan():
-    disk, ix = make_scan()
-    bad = QueryBatch(queries=_rng.standard_normal((2, LENGTH // 2)), k=2)
-    with pytest.raises(ValueError):
-        parallel_serial_scan_batch(ix, bad, 3, "thread")
-    disk.allocate(1)  # no fence left behind
-
-
-def test_shape_mismatch_is_not_healed_into_silence():
-    # healing covers device faults only: a ValueError from user input
-    # must surface even with a wrap_device seam active
-    disk, ix = make_scan()
-    bad = QueryBatch(queries=_rng.standard_normal((2, LENGTH // 2)), k=2)
-    with pytest.raises(ValueError):
-        parallel_serial_scan_batch(
-            ix, bad, 3, "thread", wrap_device=transient_wrap(1, p=0.0)
-        )
-    disk.allocate(1)
-
-
 # ----------------------------------------------------------------------
 # RetryPolicy + HealReport (the service's healing surface)
 # ----------------------------------------------------------------------
 def test_retry_policy_delay_is_capped_doubling():
     policy = RetryPolicy(retries=5, backoff_s=0.01, backoff_cap_s=0.03)
     assert [policy.delay(i) for i in range(4)] == [0.01, 0.02, 0.03, 0.03]
-    with pytest.raises(ValueError):
-        RetryPolicy(retries=-1)
-    with pytest.raises(ValueError):
-        RetryPolicy(backoff_s=-0.1)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("retries", -1),
+        ("retries", 2.5),  # range(2.5) at the first transient fault
+        ("retries", True),  # silently one retry
+        ("retries", "2"),
+        ("retries", None),
+        ("backoff_s", -0.1),
+        ("backoff_s", float("inf")),  # time.sleep(inf) overflows
+        ("backoff_s", float("nan")),
+        ("backoff_s", "0.1"),
+        ("backoff_s", True),
+        ("backoff_cap_s", -1),
+        ("backoff_cap_s", float("inf")),
+        ("backoff_cap_s", None),
+    ],
+)
+def test_retry_policy_refuses_bad_numbers_when_built(field, value):
+    """A bad number used to be accepted here and raise on the server or
+    ingest path at the first transient fault."""
+    with pytest.raises(ValueError, match=field):
+        RetryPolicy(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        ServiceConfig(retry=RetryPolicy(**{field: value}))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("retries", 0), ("retries", np.int64(3)), ("backoff_s", 0), ("backoff_cap_s", 1)],
+)
+def test_retry_policy_accepts_integers_and_finite_numbers(field, value):
+    assert getattr(RetryPolicy(**{field: value}), field) == value
 
 
 def test_explicit_policy_drives_attempt_budget():

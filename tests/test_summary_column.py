@@ -17,7 +17,6 @@ from repro import QueryBatch, make_dataset
 from repro.core import CoconutLSM, CoconutTree, CoconutTrie
 from repro.core.summary_column import WordColumn
 from repro.indexes.ads import ADSIndex
-from repro.parallel import parallel_lower_bound_scan
 from repro.series import query_workload
 from repro.service import CoconutService
 from repro.storage import RawSeriesFile, SimulatedDisk
@@ -60,11 +59,8 @@ def test_the_cell_index_is_built_once_per_column_and_dies_with_it(index_builds):
         index.exact_search(query)
     index.exact_knn(queries[3], 5)
     index.query_batch(QueryBatch(queries=queries, k=3))
-    index.query_batch(QueryBatch(queries=queries, k=3), query_workers=2)
-    # The planner may keep a scan this small on one worker; fan it out.
-    parallel_lower_bound_scan(
-        paa(queries, CONFIG.word_length), index._column, np.full(6, np.inf), 3
-    )
+    # A range scan reads the same cell index.
+    index._column.lower_bounds(paa(queries, CONFIG.word_length), 100, 2000)
     assert len(index_builds) == 1
     cells = index_builds.pop().cells
     assert cells is index._column._cell_index().cells
@@ -170,13 +166,10 @@ def test_every_engines_scan_passes_through_the_binding_the_tracer_patches(
         index.build(RawSeriesFile.create(disk, data))
         fired(f"{name}.exact_search", lambda: index.exact_search(queries[0]))
         fired(f"{name}.exact_knn", lambda: index.exact_knn(queries[1], 3))
-        for workers in (1, 2):
-            fired(
-                f"{name}.query_batch workers={workers}",
-                lambda: index.query_batch(
-                    QueryBatch(queries=queries, k=3), query_workers=workers
-                ),
-            )
+        fired(
+            f"{name}.query_batch",
+            lambda: index.query_batch(QueryBatch(queries=queries, k=3)),
+        )
     disk = SimulatedDisk(page_size=4096)
     ads = ADSIndex(disk, 1 << 20, config=CONFIG, leaf_size=64)
     ads.build(RawSeriesFile.create(disk, data))
