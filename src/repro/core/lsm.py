@@ -52,7 +52,13 @@ from ..storage.seriesfile import RawSeriesFile
 from ..summaries.sax import SAXConfig
 from .invsax import invsax_keys, query_key
 from .sims import SIMSIndex
-from .summary_column import SummaryColumn, pack_rows, row_dtype, window_around
+from .summary_column import (
+    PieceWords,
+    SummaryColumn,
+    pack_rows,
+    row_dtype,
+    window_around,
+)
 from .wal import (
     RunMeta,
     WriteAheadLog,
@@ -138,6 +144,9 @@ class CoconutLSM(SIMSIndex):
         self._mem_records = 0
         # (key pieces, their SummaryColumn): see ``_summary_column``.
         self._column_of: "tuple[list[np.ndarray], SummaryColumn] | None" = None
+        # Words of every live key piece, converted once; served
+        # snapshots of this index share it.
+        self._piece_words = PieceWords(self.config)
         self.n_flushes = 0
         self.n_merges = 0
         self.n_rebuilt_runs = 0
@@ -430,15 +439,13 @@ class CoconutLSM(SIMSIndex):
             offsets, _ = self._probe_run(run, key, window, read_window)
             offset_parts.append(offsets)
         if self._mem_records:
-            mem_keys = np.concatenate(self._mem_keys)
-            mem_offsets = np.concatenate(self._mem_offsets)
-            order = np.argsort(mem_keys, kind="stable")
+            mem_keys, mem_offsets = self._sorted_memtable()
             probe = np.array([key], dtype=self.config.key_dtype)
-            position = int(np.searchsorted(mem_keys[order], probe[0]))
+            position = int(np.searchsorted(mem_keys, probe[0]))
             # Not ``window_around``: a memtable probe near the top end
             # is not pulled back to a full window, and answers pin that.
             start = max(0, position - window // 2)
-            offset_parts.append(mem_offsets[order][start : start + window])
+            offset_parts.append(mem_offsets[start : start + window])
         offsets = (
             np.unique(np.concatenate(offset_parts))
             if offset_parts
@@ -451,6 +458,12 @@ class CoconutLSM(SIMSIndex):
         )
         j = int(np.argmin(distances))
         return int(offsets[j]), float(distances[j]), offsets, distances
+
+    def _sorted_memtable(self) -> tuple[np.ndarray, np.ndarray]:
+        """The memtable's ``(keys, offsets)`` in stable key order."""
+        keys = np.concatenate(self._mem_keys)
+        order = np.argsort(keys, kind="stable")
+        return keys[order], np.concatenate(self._mem_offsets)[order]
 
     def approximate_search(self, query: np.ndarray) -> QueryResult:
         """Probe every run (and the memtable) around the query key."""
@@ -486,13 +499,16 @@ class CoconutLSM(SIMSIndex):
         ``device=None`` probes run files and fetches records on the
         parent device — one subset spanning the batch is exactly the
         serial batched pass.  Another device (a served snapshot's shard
-        or buffer pool) binds each run file and the raw series file to
-        it.  The window
-        cache only dedupes the I/O charge of a probed page range;
+        or its fault wrapper) binds each run file and the raw series
+        file to it, and the run windows are hashed against the checksum
+        sidecar whenever the raw file's records are (``verified_reads``),
+        so a served probe never reads a page it has not verified.  The
+        window cache only dedupes the I/O charge of a probed page range;
         answers are a pure function of the query.
         """
         seen: set[tuple[int, int, int]] = set()
         raw = self.raw if device is None else self.raw.view(device)
+        verified = device is not None and raw.hashes_reads_from(device)
         files: dict[int, object] = {}
 
         def read_window(run: _Run, first_page: int, n_pages: int) -> None:
@@ -507,7 +523,7 @@ class CoconutLSM(SIMSIndex):
                 if file is None:
                     file = run.file.attach(device)
                     files[id(run)] = file
-            file.read_stream(first_page, n_pages)
+            file.read_stream(first_page, n_pages, verified=verified)
 
         pairs = []
         for qi in order:
@@ -535,11 +551,13 @@ class CoconutLSM(SIMSIndex):
         return [run.keys for run in self._runs] + self._mem_keys
 
     def _build_summary_column(self) -> SummaryColumn:
-        """The column of the current state (one key conversion)."""
+        """The column of the current state; only key pieces no earlier
+        column converted are converted."""
         return SummaryColumn(
             self.config,
             self._key_pieces(),
             [run.offsets for run in self._runs] + self._mem_offsets,
+            self._piece_words,
         )
 
     def _summary_column(self) -> SummaryColumn:
@@ -569,8 +587,8 @@ class CoconutLSM(SIMSIndex):
 
     def _prepare_sims_parallel(self):
         """(column, make_fetch): ``make_fetch(device)`` binds the fetch's
-        raw reads to ``device`` (a served snapshot's shard or buffer
-        pool); ``make_fetch(None)`` reads the parent device."""
+        raw reads to ``device`` (a served snapshot's shard or its fault
+        wrapper); ``make_fetch(None)`` reads the parent device."""
         column = self._summary_column()
 
         def make_fetch(device=None):

@@ -19,6 +19,11 @@ words' :class:`~repro.summaries.sax.CellIndex` is built by the first
 scan, shared by every later one — single queries, blocks, ranges,
 concurrent served batches — and freed with the column.
 
+An LSM's key pieces (runs, memtable batches) are immutable, so a column
+over them may take each piece's words from a :class:`PieceWords`
+cache: a piece is converted once, however many states (the live index,
+served snapshots) hold it.
+
 The ``(key, offset)`` row a column packs to is also the on-disk record
 of the Tree / Trie sidecars and of every LSM run: one layout, defined
 here.
@@ -27,6 +32,7 @@ here.
 from __future__ import annotations
 
 import threading
+import weakref
 
 import numpy as np
 
@@ -101,6 +107,40 @@ class WordColumn:
         return dtw_mindist_to_words(upper, lower, self._cell_index(), self.config)
 
 
+class PieceWords:
+    """The SAX words of immutable key pieces, each converted once.
+
+    A piece's words are a pure function of the piece, and an LSM never
+    mutates a run's keys or a memtable batch — it appends, removes or
+    replaces them whole — so the words are kept per piece *object*.
+    An entry holds its piece by weak reference and is dropped when the
+    piece is freed: nothing is kept for a piece no state references.
+    """
+
+    def __init__(self, config: SAXConfig):
+        self.config = config
+        self._entries: "dict[int, tuple[weakref.ref, np.ndarray]]" = {}
+        self._lock = threading.Lock()
+
+    def words(self, pieces: list[np.ndarray]) -> list[np.ndarray]:
+        """Each piece's words, converting only the pieces not seen yet."""
+        with self._lock:
+            return [self._words_of(piece) for piece in pieces]
+
+    def _words_of(self, piece: np.ndarray) -> np.ndarray:
+        key = id(piece)
+        entry = self._entries.get(key)
+        if entry is not None and entry[0]() is piece:
+            return entry[1]
+        words = deinterleave_keys(piece, self.config)
+        entries = self._entries
+        # The callback runs as the piece is freed, before its id can be
+        # reused, so a later piece at the same address starts afresh.
+        ref = weakref.ref(piece, lambda _, key=key: entries.pop(key, None))
+        entries[key] = (ref, words)
+        return words
+
+
 class SummaryColumn(WordColumn):
     """``keys``, ``offsets`` and ``words`` of N records, in on-disk order."""
 
@@ -109,8 +149,10 @@ class SummaryColumn(WordColumn):
         config: SAXConfig,
         key_parts: list[np.ndarray],
         offset_parts: list[np.ndarray],
+        piece_words: "PieceWords | None" = None,
     ):
-        """Adopt the pieces in order; convert keys to words once."""
+        """Adopt the pieces in order; convert keys to words once — all
+        keys in one call, or piece by piece through ``piece_words``."""
         # The typed empty heads keep a column of no pieces well-formed.
         self.keys = np.concatenate(
             [np.empty(0, dtype=config.key_dtype), *key_parts]
@@ -118,7 +160,12 @@ class SummaryColumn(WordColumn):
         self.offsets = np.concatenate(
             [np.empty(0, dtype=np.int64), *offset_parts]
         )
-        super().__init__(config, deinterleave_keys(self.keys, config))
+        if piece_words is None or not key_parts:
+            words = deinterleave_keys(self.keys, config)
+        else:
+            parts = piece_words.words(key_parts)
+            words = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        super().__init__(config, words)
 
     def packed(self) -> bytes:
         """The column as ``(key, offset)`` rows — the sidecar's content."""

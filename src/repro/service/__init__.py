@@ -28,7 +28,7 @@ from .service import (
     ServiceConfig,
     ServiceUnavailable,
 )
-from .snapshot import SERVE_POOL_PAGES, ServiceSnapshot, serve_snapshot_batch
+from .snapshot import ServiceSnapshot, serve_snapshot_batch
 from .stats import LatencyWindow, ServiceStats
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "REJECT_DEADLINE",
     "REJECT_QUEUE_FULL",
     "REJECT_SHUTDOWN",
-    "SERVE_POOL_PAGES",
     "SHED_DEVICE_FAULT",
     "AdmissionError",
     "AdmissionQueue",

@@ -16,11 +16,20 @@
   :class:`~repro.service.admission.AdmissionQueue` with per-request
   deadlines, are served as soon as the server thread is free — together
   with every ticket already queued, as one shared-SIMS batch per
-  ``(mode, k)`` group on the server thread, and are served against :class:`~repro.service.snapshot.ServiceSnapshot`
-  state over read-only :class:`~repro.storage.disk.ShardedDisk`
-  sessions — readers never observe a half-flushed run, and answers are
-  exact over the snapshot's raw watermark, which every served ticket
-  reports.
+  ``(mode, k)`` group on the server thread — against
+  :class:`~repro.service.snapshot.ServiceSnapshot` state, reading
+  straight off the snapshot's read-only
+  :class:`~repro.storage.disk.ShardedDisk` shard: readers never observe
+  a half-flushed run, and answers are exact over the snapshot's raw
+  watermark, which every served ticket reports.  A new snapshot
+  converts only the key pieces no earlier state converted (in practice
+  the newest memtable batch or run).
+
+* **Integrity**: with ``verified_reads`` every page a served batch
+  reads — record pages and probed run windows — is hashed against the
+  checksum sidecar before use; a flipped page raises
+  :class:`~repro.storage.faults.CorruptionError`, and the service
+  scrubs, repairs and answers again on the repaired state.
 
 * **Degradation** is graceful and counted: transient serve faults
   retry on fresh wrappers, other faults fall back to the same serial
@@ -38,6 +47,7 @@ thread (the benchmark's mixed read/write traffic).
 
 from __future__ import annotations
 
+import math
 import numbers
 import threading
 import time
@@ -68,7 +78,7 @@ from .admission import (
     AdmissionQueue,
     QueryTicket,
 )
-from .snapshot import SERVE_POOL_PAGES, ServiceSnapshot, serve_snapshot_batch
+from .snapshot import ServiceSnapshot, serve_snapshot_batch
 from .stats import ServiceStats
 
 __all__ = [
@@ -86,9 +96,17 @@ _CONFIG_MINIMUMS = (
     ("max_batch_queries", 1),
     ("latency_capacity", 1),
     ("scrub_pages_per_step", 1),
-    ("serve_pool_pages", 0),
     ("scrub_every_batches", 0),
 )
+
+
+def _is_seconds(value) -> bool:
+    """A real number of seconds: not a bool, not NaN."""
+    return (
+        not isinstance(value, bool)
+        and isinstance(value, numbers.Real)
+        and not math.isnan(value)
+    )
 
 
 class ServiceUnavailable(RuntimeError):
@@ -116,7 +134,6 @@ class ServiceConfig:
     query_workers: "int | None" = 1
     #: Retry/backoff for ingest recovery and serve-session healing.
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    serve_pool_pages: int = SERVE_POOL_PAGES
     latency_capacity: int = 4096
     #: Hash every serve-path page against the disk's checksum sidecar
     #: (:mod:`repro.storage.integrity`); a corrupt page raises — and
@@ -134,6 +151,20 @@ class ServiceConfig:
     def __post_init__(self):
         # Refuse bad numbers here, not on the server thread.
         resolve_workers(self.query_workers)
+        # A NaN deadline never sheds, and a default <= 0 would reject
+        # every request on arrival.
+        timeout = self.default_timeout_s
+        if timeout is not None and not (_is_seconds(timeout) and timeout > 0):
+            raise ValueError(
+                f"default_timeout_s must be None or seconds > 0, got {timeout!r}"
+            )
+        margin = self.deadline_margin_s
+        if not (_is_seconds(margin) and margin >= 0):
+            raise ValueError(f"deadline_margin_s must be seconds >= 0, got {margin!r}")
+        if not isinstance(self.verified_reads, bool):
+            raise ValueError(
+                f"verified_reads must be True or False, got {self.verified_reads!r}"
+            )
         for name, least in _CONFIG_MINIMUMS:
             value = getattr(self, name)
             if (
@@ -556,6 +587,13 @@ class CoconutService:
         k = check_k(k)
         if mode == "approximate" and k != 1:
             raise ValueError("approximate requests answer 1-NN only")
+        timeout = (
+            self.config.default_timeout_s if timeout_s is _UNSET else timeout_s
+        )
+        # A deadline at or before now is a ``deadline_expired`` rejection
+        # below; a NaN one would never shed.
+        if timeout is not None and not _is_seconds(timeout):
+            raise ValueError(f"timeout_s must be None or seconds, got {timeout!r}")
         query = np.asarray(query, dtype=np.float64).ravel()
         if len(query) != self.raw.length:
             raise ValueError(
@@ -567,9 +605,6 @@ class CoconutService:
         if self._state == "stopped":
             self.stats.on_rejected(REJECT_SHUTDOWN)
             raise AdmissionError(REJECT_SHUTDOWN, "service is stopped")
-        timeout = (
-            self.config.default_timeout_s if timeout_s is _UNSET else timeout_s
-        )
         deadline = None if timeout is None else now + timeout
         if deadline is not None and deadline <= now:
             self.stats.on_rejected(REJECT_DEADLINE)
@@ -691,8 +726,6 @@ class CoconutService:
             wrap_device=self.wrap_serve_device,
             policy=self.config.retry,
             heal_report=self.stats.heal,
-            pool_pages=self.config.serve_pool_pages,
-            verified_reads=self.config.verified_reads,
         )
 
     def _heal_corruption(self, batch: QueryBatch):

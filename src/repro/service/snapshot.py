@@ -16,6 +16,12 @@ are cheap shallow copies, and they stay valid forever:
   copies ``n_series`` at creation — rows appended later are invisible
   to the view's bounds checks and scans.
 
+Because every piece is immutable, a snapshot converts little: its
+summary column takes each run's and memtable batch's SAX words from
+the LSM's :class:`~repro.core.summary_column.PieceWords`, so a piece
+an earlier state converted is not converted again, and the memtable is
+sorted once per snapshot, not once per served probe.
+
 ``frozen_view`` rebases everything onto the *underlying* simulated
 disk, not the LSM's (possibly fault-wrapped) journal device: the read
 path owns its device handle, so queries keep serving the last snapshot
@@ -25,14 +31,16 @@ Each snapshot also carries a long-lived **read-only**
 :class:`~repro.storage.disk.ShardedDisk` session, created at snapshot
 time: its shard reads the pages committed before the session, which is
 exactly the snapshot's content, on its own head and counters, while
-ingest keeps allocating and writing on the parent.  The serial serving
-path and its fallback read through that shard.
+ingest keeps allocating and writing on the parent.  A served batch
+reads straight off that shard — the record gather through its native
+vectored ``read_pages`` — and, when the raw file verifies reads, hashes
+every page it reads, raw pages and probed run windows alike.
 
 Serve-time faults are injected through the service's
 ``wrap_serve_device`` seam and healed by
-:func:`repro.parallel.heal.run_self_healing` — transients retry with a
-fresh wrapper and buffer pool, anything else degrades to a serial pass
-on the unwrapped snapshot shard, answers bit-identical either way.
+:func:`repro.parallel.heal.run_self_healing` — transients retry on a
+fresh wrapper, anything else degrades to a serial pass on the
+unwrapped snapshot shard, answers bit-identical either way.
 """
 
 from __future__ import annotations
@@ -46,13 +54,9 @@ from ..core.lsm import CoconutLSM
 from ..core.summary_column import SummaryColumn
 from ..parallel.batch import batched_exact_knn
 from ..parallel.heal import RetryPolicy, run_self_healing
-from ..storage.bufferpool import BufferPool
 from ..storage.disk import ShardedDisk
 
-__all__ = ["SERVE_POOL_PAGES", "ServiceSnapshot", "serve_snapshot_batch"]
-
-#: Buffer-pool pages per serving attempt (matches the query engines).
-SERVE_POOL_PAGES = 64
+__all__ = ["ServiceSnapshot", "serve_snapshot_batch"]
 
 
 class ServiceSnapshot:
@@ -78,10 +82,11 @@ class ServiceSnapshot:
         self._mem_offsets = list(lsm._mem_offsets)
         self._mem_records = lsm._mem_records
         self._raw = lsm.raw.view(base_disk)  # pins n_series
-        # The SIMS summary column of this state, converted by the first
-        # exact batch served from it and shared by every later one.
-        self._column: "SummaryColumn | None" = None
-        self._column_lock = threading.Lock()
+        self._piece_words = lsm._piece_words
+        # What this state derives once, on first use, for every later
+        # batch: the SIMS summary column and the sorted memtable.
+        self._kept: dict = {}
+        self._kept_lock = threading.Lock()
         # The serial read path: a floating read-only session whose
         # shard reads the snapshot's (pre-session) pages.
         self._session = ShardedDisk(
@@ -89,17 +94,18 @@ class ServiceSnapshot:
         )
         self.shard = self._session.shards[0]
 
-    def column(self, build) -> SummaryColumn:
-        """The summary column of the frozen runs and memtable.
+    def kept(self, name: str, build):
+        """``build()``, run once per snapshot under ``name``.
 
-        The state never changes, so ``build()`` runs — keys
-        concatenated and converted — once per snapshot instead of once
-        per served batch.
+        The state never changes, so what is derived from it — the
+        summary column, the sorted memtable — is built by the first
+        batch that needs it and shared by every later one.
         """
-        with self._column_lock:
-            if self._column is None:
-                self._column = build()
-            return self._column
+        with self._kept_lock:
+            value = self._kept.get(name)
+            if value is None:
+                value = self._kept[name] = build()
+            return value
 
     def frozen_view(self, device=None) -> CoconutLSM:
         """A read-only ``CoconutLSM`` facade over the frozen state.
@@ -125,6 +131,7 @@ class ServiceSnapshot:
         view._mem_offsets = self._mem_offsets
         view._mem_lsns = []
         view._mem_records = self._mem_records
+        view._piece_words = self._piece_words
         view.n_flushes = 0
         view.n_merges = 0
         view.n_rebuilt_runs = 0
@@ -135,10 +142,13 @@ class ServiceSnapshot:
 
 
 class _FrozenLSM(CoconutLSM):
-    """A ``CoconutLSM`` over a snapshot's state, sharing its column."""
+    """A ``CoconutLSM`` over a snapshot's state, sharing what it keeps."""
 
     def _summary_column(self) -> SummaryColumn:
-        return self._snapshot.column(self._build_summary_column)
+        return self._snapshot.kept("column", self._build_summary_column)
+
+    def _sorted_memtable(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._snapshot.kept("memtable", super()._sorted_memtable)
 
 
 def _answer_on(view: CoconutLSM, batch, device):
@@ -187,24 +197,23 @@ def serve_snapshot_batch(
     wrap_device=None,
     policy: "RetryPolicy | None" = None,
     heal_report=None,
-    pool_pages: int = SERVE_POOL_PAGES,
-    verified_reads: bool = False,
 ):
     """Serve one coalesced batch against a snapshot, self-healing.
 
-    Each attempt routes the snapshot shard through
-    ``wrap_device(shard, 0, attempt)`` when the fault seam is armed and
-    streams reads through a fresh private buffer pool.  Transient
-    faults retry on a fresh wrapper; any other fault degrades to the
-    same serial pass on the unwrapped shard.  Read-only shards have
-    nothing to roll back, so a faulted attempt leaves no trace.
+    Each attempt reads straight off the snapshot shard, routed through
+    ``wrap_device(shard, 0, attempt)`` when the fault seam is armed.
+    Transient faults retry on a fresh wrapper; any other fault degrades
+    to the same serial pass on the unwrapped shard.  Read-only shards
+    have nothing to roll back, so a faulted attempt leaves no trace.
 
-    ``verified_reads`` arms the attempt pools' checksum verification
-    (:mod:`repro.storage.integrity`): a run page flipped at rest raises
-    :class:`~repro.storage.faults.CorruptionError` out of the whole
-    call — past the serial fallback, which reads the same pages — so
-    the service can scrub-repair and retry rather than serve from a
-    corrupt page.
+    When the snapshot's raw file verifies reads (the service arms
+    ``verified_reads`` from its config), every page an attempt reads —
+    record pages and probed run windows — is hashed against the
+    checksum sidecar first (:mod:`repro.storage.integrity`): a page
+    flipped at rest raises :class:`~repro.storage.faults.CorruptionError`
+    out of the whole call — past the serial fallback, which reads the
+    same pages — so the service can scrub-repair and retry rather than
+    serve from a corrupt page.
 
     Returns ``(ids, distances, degraded)``.
     """
@@ -216,8 +225,7 @@ def serve_snapshot_batch(
             if wrap_device is None
             else wrap_device(snapshot.shard, 0, attempt_index)
         )
-        with BufferPool(device, pool_pages, verified_reads=verified_reads) as pool:
-            return _answer_on(view, batch, pool)
+        return _answer_on(view, batch, device)
 
     outcome = run_self_healing(
         attempt,

@@ -66,6 +66,7 @@ __all__ = [
     "checksum_page",
     "decay_bit",
     "single_bit_syndromes",
+    "verify_pages",
     "verify_view",
 ]
 
@@ -191,6 +192,31 @@ def verify_view(checksums: "ChecksumMap | None", page_id: int, view, source):
     error.actual_crc = actual
     error.source = source
     raise error
+
+
+def verify_pages(
+    checksums: "ChecksumMap | None",
+    first_page: int,
+    data,
+    n_pages: int,
+    page_size: int,
+    source,
+):
+    """:func:`verify_view` every page slice of a page-padded stream.
+
+    ``data`` holds ``n_pages`` consecutive physical pages from
+    ``first_page`` on; each slice is hashed in place (zero-copy).
+    Returns ``data`` unchanged.
+    """
+    view = data if isinstance(data, memoryview) else memoryview(data)
+    for i in range(n_pages):
+        verify_view(
+            checksums,
+            first_page + i,
+            view[i * page_size : (i + 1) * page_size],
+            source,
+        )
+    return data
 
 
 # ----------------------------------------------------------------------

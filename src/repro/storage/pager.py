@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disk import PageError, SimulatedDisk
+from .integrity import verify_pages
 
 
 @dataclass(frozen=True)
@@ -230,7 +231,7 @@ class PagedFile:
             at += take
         return n_pages
 
-    def read_stream(self, first_page: int, n_pages: int):
+    def read_stream(self, first_page: int, n_pages: int, verified: bool = False):
         """Read consecutive logical pages as one byte stream.
 
         Short pages are zero-padded, so the result is always exactly
@@ -239,7 +240,11 @@ class PagedFile:
         counters as reading page by page — and a range inside a single
         physical run is handed upward exactly as the device returned
         it: on arena devices that is one zero-copy ``memoryview``, end
-        to end from the page store to the consumer.
+        to end from the page store to the consumer.  ``verified``
+        hashes every page against the device's checksum sidecar
+        (:func:`~repro.storage.integrity.verify_pages`) before it is
+        handed upward: a page flipped at rest raises
+        :class:`~repro.storage.faults.CorruptionError`.
         """
         if first_page < 0 or n_pages < 0 or first_page + n_pages > self._n_pages:
             raise PageError(
@@ -248,17 +253,29 @@ class PagedFile:
             )
         reader = getattr(self.disk, "read_run_bytes", None)
         if reader is None:  # pragma: no cover - non-bulk devices
-            return b"".join(
-                bytes(self.read(i)).ljust(self.disk.page_size, b"\x00")
-                for i in range(first_page, first_page + n_pages)
-            )
-        parts = [
-            reader(first_physical, run_pages)
-            for first_physical, run_pages in self._physical_runs(
-                first_page, n_pages
-            )
-        ]
+            reader = self._read_run_paged
+        parts = []
+        for first_physical, run_pages in self._physical_runs(first_page, n_pages):
+            part = reader(first_physical, run_pages)
+            if verified:
+                verify_pages(
+                    getattr(self.disk, "checksums", None),
+                    first_physical,
+                    part,
+                    run_pages,
+                    self.disk.page_size,
+                    f"PagedFile({self.name!r})",
+                )
+            parts.append(part)
         return parts[0] if len(parts) == 1 else b"".join(parts)
+
+    def _read_run_paged(self, first_physical: int, n_pages: int) -> bytes:
+        """``read_run_bytes`` for devices without it: page by page."""
+        page_size = self.disk.page_size
+        return b"".join(
+            bytes(self.disk.read_page(page)).ljust(page_size, b"\x00")
+            for page in range(first_physical, first_physical + n_pages)
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -18,7 +18,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .bufferpool import BufferPool
 from .disk import SimulatedDisk
-from .integrity import verify_view
+from .integrity import verify_pages, verify_view
 from .pager import PagedFile
 
 
@@ -210,27 +210,12 @@ class RawSeriesFile:
         view._pool = None
         return view
 
-    def _hashes_reads_from(self, device) -> bool:
+    def hashes_reads_from(self, device) -> bool:
         """Whether this file must hash what ``device`` hands it (a
         verifying pool read from directly already has)."""
         return self.verified_reads and not (
             isinstance(device, BufferPool) and device.verified_reads
         )
-
-    def _verify_run(self, device, first_physical: int, data, n_pages: int):
-        """Hash ``n_pages`` page slices of a padded stream (zero-copy)."""
-        checksums = getattr(device, "checksums", None)
-        page_size = self.disk.page_size
-        view = data if isinstance(data, memoryview) else memoryview(data)
-        source = f"RawSeriesFile({self.name!r})"
-        for i in range(n_pages):
-            verify_view(
-                checksums,
-                first_physical + i,
-                view[i * page_size : (i + 1) * page_size],
-                source,
-            )
-        return data
 
     def _read_logical(self, logical_page: int) -> bytes:
         physical = self.file.physical_page(logical_page)
@@ -238,7 +223,7 @@ class RawSeriesFile:
             device, data = self._pool, self._pool.read(physical)
         else:
             device, data = self.disk, self.disk.read_page(physical)
-        if self._hashes_reads_from(device):
+        if self.hashes_reads_from(device):
             verify_view(
                 getattr(device, "checksums", None),
                 physical,
@@ -264,13 +249,20 @@ class RawSeriesFile:
                 for i in range(n_pages)
             )
         parts = []
-        verify = self._hashes_reads_from(device)
+        verify = self.hashes_reads_from(device)
         for first_physical, run_pages in self.file._physical_runs(
             first_page, n_pages
         ):
             part = reader(first_physical, run_pages)
             if verify:
-                self._verify_run(device, first_physical, part, run_pages)
+                verify_pages(
+                    getattr(device, "checksums", None),
+                    first_physical,
+                    part,
+                    run_pages,
+                    self.disk.page_size,
+                    f"RawSeriesFile({self.name!r})",
+                )
             parts.append(part)
         return parts[0] if len(parts) == 1 else b"".join(parts)
 
@@ -344,7 +336,7 @@ class RawSeriesFile:
         device = self._pool if self._pool is not None else self.disk
         physical = self.file.physical_pages(plan)
         scatter = device.read_pages(physical)
-        if self._hashes_reads_from(device):
+        if self.hashes_reads_from(device):
             self._verify_scatter(device, physical, scatter)
         # Gather.  Chunk j of a record is its bytes on page head + j: a
         # void cell of ``width`` bytes (the whole record when pps == 1),

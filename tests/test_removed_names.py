@@ -18,6 +18,8 @@ import pytest
 import repro
 import repro.core.lsm
 import repro.parallel
+import repro.service
+import repro.service.snapshot
 import repro.storage
 import repro.storage.disk
 import repro.storage.merge
@@ -34,6 +36,7 @@ from repro.bench.harness import DatasetSpec, make_environment, run_serve_sweep
 from repro.core import CoconutLSM, CoconutTrie
 from repro.indexes import ADSIndex, SerialScan
 from repro.parallel.sched import plan_query_batch
+from repro.service import serve_snapshot_batch
 from repro.storage import ExternalSorter, merge_stream
 from repro.storage.cost import QueryCostModel
 from repro.summaries import SAXConfig
@@ -103,6 +106,9 @@ absent(RawSeriesFile, "get_many_loop")
 absent(repro.core.lsm, "LSM_MERGE_ENGINES")
 absent(ExternalSorter, "sort_runs")  # every sort forms its own runs
 absent(QueryCostModel, "thread_task_us")
+# A served batch reads straight off its snapshot shard: no buffer pool.
+for owner in (repro, repro.service, repro.service.snapshot):
+    absent(owner, "SERVE_POOL_PAGES")
 
 # ------------------------------------------------------------ keywords
 
@@ -165,6 +171,26 @@ for field in ("query_pool_kind", "scheduler", "bound_sharing", "batch_window_s")
     refused(
         f"ServiceConfig-{field}",
         _construct(lambda disk, raw, **kw: ServiceConfig(**kw), **{field: "thread"}),
+    )
+refused(
+    "ServiceConfig-serve_pool_pages",
+    _construct(lambda disk, raw: ServiceConfig(serve_pool_pages=64)),
+)
+
+
+def _served_snapshot(disk, raw):
+    service = CoconutService(disk, raw, 4096, sax_config=CONFIG)
+    service.bootstrap()
+    return service.current_snapshot()
+
+
+# Verification follows the snapshot's raw file, not a pool's flag.
+for knob, value in (("pool_pages", 64), ("verified_reads", True)):
+    refused(
+        f"serve_snapshot_batch-{knob}",
+        _call_on(_served_snapshot,
+                 lambda snapshot, **kw: serve_snapshot_batch(snapshot, BATCH, **kw),
+                 **{knob: value}),
     )
 
 # The sharded LSM compaction: the LSM and the service take no pool knobs.

@@ -226,18 +226,75 @@ def test_non_integer_query_workers_is_refused_by_the_config(workers):
         ("queue_capacity", 1),
         ("latency_capacity", 1),
         ("scrub_pages_per_step", 1),
-        ("serve_pool_pages", 0),
         ("scrub_every_batches", 0),
     ],
 )
 def test_config_numbers_are_checked_by_the_config(field, least):
     """``max_batch_queries=0`` used to leave an inline ticket ``queued``
-    forever, and ``serve_pool_pages=-1`` killed the server thread at its
-    first batch: bad numbers are refused before a service exists."""
+    forever: bad numbers are refused before a service exists."""
     assert getattr(ServiceConfig(**{field: np.int64(least)}), field) == least
     for bad in (least - 1, -3, least + 0.5, str(least + 1), True, False):
         with pytest.raises(ValueError, match=field):
             ServiceConfig(**{field: bad})
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("default_timeout_s", float("nan")),
+        ("default_timeout_s", True),
+        ("default_timeout_s", 0.0),
+        ("default_timeout_s", -1.0),
+        ("default_timeout_s", "5"),
+        ("deadline_margin_s", -1.0),
+        ("deadline_margin_s", float("nan")),
+        ("deadline_margin_s", False),
+        ("deadline_margin_s", None),
+        ("verified_reads", "no"),
+        ("verified_reads", 1),
+        ("verified_reads", None),
+    ],
+)
+def test_config_deadlines_and_flags_are_checked_by_the_config(field, bad):
+    """A NaN timeout or margin used to be accepted, and a NaN deadline
+    never sheds; ``verified_reads="no"`` armed verification."""
+    with pytest.raises(ValueError, match=field):
+        ServiceConfig(**{field: bad})
+
+
+@pytest.mark.parametrize(
+    "field, good",
+    [
+        ("default_timeout_s", None),
+        ("default_timeout_s", 0.25),
+        ("default_timeout_s", np.float64(2)),
+        ("default_timeout_s", 3),
+        ("deadline_margin_s", 0),
+        ("deadline_margin_s", np.float32(0.5)),
+        ("verified_reads", True),
+    ],
+)
+def test_config_accepts_good_deadlines_and_flags(field, good):
+    assert getattr(ServiceConfig(**{field: good}), field) == good
+
+
+@pytest.mark.parametrize("timeout", [float("nan"), True, "1.0", [1.0]])
+def test_bad_submit_timeout_is_refused_before_accounting(timeout):
+    """``submit(timeout_s=nan)`` used to be admitted and served with a
+    NaN deadline that never sheds."""
+    clock = ManualClock()
+    _, _, svc = make_service(clock=clock)
+    with pytest.raises(ValueError, match="timeout_s"):
+        svc.submit(QUERIES[0], timeout_s=timeout)
+    stats = svc.stats_snapshot()
+    assert stats["submitted"] == 0 and stats["rejected"] == {}
+    assert svc.queue.depth == 0
+    # A real timeout still works, and an infinite one never sheds.
+    ticket = svc.submit(QUERIES[0], timeout_s=float("inf"))
+    clock.advance(1e9)
+    svc.serve_pending()
+    assert ticket.status == "served"
+    assert_conservation(svc)
 
 
 def test_a_degraded_batch_counts_once_whatever_its_size():
@@ -337,20 +394,24 @@ def _brute_force(rows, query, k):
 
 
 def test_summary_column_is_converted_once_per_snapshot(monkeypatch):
-    """Batches served from one snapshot share one key conversion and
-    one cell index; a snapshot taken after a flush or compaction
-    converts and indexes its own."""
+    """Batches served from one snapshot share one cell index, and every
+    immutable key piece — a run or a memtable batch — is converted once
+    across snapshots: a snapshot taken after ingest (memtable appends,
+    flushes, compactions) converts only the pieces no earlier state
+    did, and nothing is kept for pieces no state references."""
+    import gc
+
     import repro.core.summary_column as column_module
 
-    calls = []
+    converted = []  # every key piece handed to the conversion
     convert = column_module.deinterleave_keys
 
     def spy(keys, config):
-        calls.append(len(keys))
+        converted.append(keys)
         return convert(keys, config)
 
     monkeypatch.setattr(column_module, "deinterleave_keys", spy)
-    indexed = []  # ... and one cell index, built by the first scan
+    indexed = []  # ... and one cell index per snapshot, built by its first scan
 
     class CountedIndex(column_module.CellIndex):
         __slots__ = ()
@@ -363,6 +424,7 @@ def test_summary_column_is_converted_once_per_snapshot(monkeypatch):
     monkeypatch.setattr(column_module, "CellIndex", CountedIndex)
     _, raw, svc = make_service()
     rows = np.concatenate([BASE, EXTRA])
+    served = []  # the key pieces of every snapshot served from
 
     def serve_two_batches():
         for query in QUERIES[:2]:
@@ -372,15 +434,32 @@ def test_summary_column_is_converted_once_per_snapshot(monkeypatch):
             assert list(ticket.knn_ids) == _brute_force(
                 rows[: ticket.snapshot_series], query, 3
             )
+        snapshot = svc.current_snapshot()
+        served.append([run.keys for run in snapshot._runs] + snapshot._mem_keys)
 
     serve_two_batches()
-    assert calls == indexed == [len(BASE)]
+    assert [len(keys) for keys in converted] == indexed == [len(BASE)]
     flushes, merges = svc._lsm.n_flushes, svc._lsm.n_merges
     for lo in range(0, len(EXTRA), 25):
         svc.ingest(EXTRA[lo : lo + 25])
+        serve_two_batches()
     assert svc._lsm.n_flushes > flushes and svc._lsm.n_merges > merges
-    serve_two_batches()
-    assert calls == indexed == [len(BASE), len(BASE) + len(EXTRA)]
+    assert len(served) == 1 + len(range(0, len(EXTRA), 25))
+    # Every piece any snapshot held was converted, and exactly once (the
+    # list keeps each converted piece alive, so ids are distinct).
+    pieces = {id(piece): piece for held in served for piece in held}
+    assert sorted(map(id, converted)) == sorted(pieces)
+    assert sum(map(len, converted)) < sum(len(p) for held in served for p in held)
+    # One cell index per snapshot, over all of its rows.
+    assert indexed == [sum(map(len, held)) for held in served]
+    assert indexed[-1] == len(BASE) + len(EXTRA)
+    # Only the pieces a live state still holds keep their words.
+    converted.clear()
+    served.clear()
+    pieces.clear()
+    gc.collect()
+    live = svc.current_snapshot()
+    assert len(svc._lsm._piece_words._entries) == len(live._runs) + len(live._mem_keys)
 
 
 @pytest.mark.parametrize("memtable_rows", [0, 5])

@@ -15,7 +15,8 @@ import repro
 import repro.core.summary_column as column_module
 from repro import QueryBatch, make_dataset
 from repro.core import CoconutLSM, CoconutTree, CoconutTrie
-from repro.core.summary_column import WordColumn
+from repro.core.invsax import deinterleave_keys
+from repro.core.summary_column import PieceWords, WordColumn
 from repro.indexes.ads import ADSIndex
 from repro.series import query_workload
 from repro.service import CoconutService
@@ -111,6 +112,55 @@ def test_concurrent_first_scans_build_one_index_between_them(index_builds):
                 assert bounds.tobytes() == full[lo:].tobytes()
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_piece_words_convert_each_piece_once_under_concurrent_columns(monkeypatch):
+    """More column builders than cores over overlapping pieces, while
+    pieces are dropped: every live piece is converted exactly once,
+    every builder gets its words, and a dropped piece leaves nothing."""
+    rng = np.random.default_rng(1)
+    pieces = [
+        rng.integers(0, 256, size=(n, CONFIG.key_bytes)).astype(np.uint8)
+        .view(CONFIG.key_dtype).ravel()
+        for n in (300, 1, 40, 0, 1000, 7)
+    ]
+    converted = []
+
+    def spy(keys, config):
+        converted.append(id(keys))
+        return deinterleave_keys(keys, config)
+
+    monkeypatch.setattr(column_module, "deinterleave_keys", spy)
+    cache = PieceWords(CONFIG)
+    n_threads = 8
+    gate = threading.Barrier(n_threads)
+    got = [None] * n_threads
+
+    def build(slot):
+        gate.wait(timeout=30)
+        mine = pieces[slot % 3 :] + [pieces[0]]  # overlapping, repeated
+        got[slot] = (mine, cache.words(mine))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(s,)) for s in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(converted) == sorted(map(id, pieces))
+    for mine, words in got:
+        for piece, piece_words in zip(mine, words):
+            np.testing.assert_array_equal(piece_words, deinterleave_keys(piece, CONFIG))
+    del got, mine, words, piece, piece_words
+    dropped = weakref.ref(pieces.pop(4))
+    gc.collect()
+    assert dropped() is None
+    assert len(cache._entries) == len(pieces)
 
 
 # ----------------------------------------------------------------------
