@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..series.distance import dtw, lb_keogh
+from ..series.distance import check_window, dtw, lb_keogh
 from ..summaries.sax import (
     CellIndex,
     SAXConfig,
@@ -39,8 +39,7 @@ from ..summaries.paa import segment_boundaries
 def query_envelope(query: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
     """The Sakoe-Chiba envelope (upper, lower) of a query series."""
     query = np.asarray(query, dtype=np.float64).ravel()
-    if window < 0:
-        raise ValueError(f"window must be >= 0, got {window}")
+    window = check_window(window)
     n = len(query)
     upper = np.empty(n)
     lower = np.empty(n)

@@ -18,7 +18,7 @@ import numpy as np
 from ..series.distance import early_abandon_euclidean_block
 from ..summaries.paa import paa
 from ..summaries.sax import SAXConfig
-from .sims import SIMS_BLOCK_RECORDS, FetchFn
+from .sims import SIMS_BLOCK_RECORDS, FetchFn, rows_that_can_win
 from .summary_column import WordColumn
 
 
@@ -220,8 +220,10 @@ def sims_knn_scan(
 
     ``seed_distances`` are (distance, id) pairs from an approximate
     pass; they tighten the pruning bound from the start.  Each fetched
-    block is refined by :func:`refine_block`: lowest bounds first while
-    the heap is short of k, then only the rows that can still enter.
+    block loses the rows :func:`repro.core.sims.rows_that_can_win`
+    rules out against the heap's threshold, then is refined by
+    :func:`refine_block`: lowest bounds first while the heap is short
+    of k, then only the rows that can still enter.
     """
     query = np.asarray(query, dtype=np.float64).ravel()
     heap = _BoundedMaxHeap(k)
@@ -237,11 +239,12 @@ def sims_knn_scan(
         if len(block) == 0:
             continue
         series, identifiers = fetch(block)
-        refine_block(
-            query, series, identifiers, np.arange(len(block)),
-            mindists[block], heap,
-        )
         visited += len(block)
+        rows = rows_that_can_win(
+            query, series, np.arange(len(block)), heap.threshold
+        )
+        if len(rows):
+            refine_block(query, series, identifiers, rows, mindists[block], heap)
     items = heap.sorted_items()
     n = len(column)
     return KNNOutcome(

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from ..indexes.base import Measurement, QueryResult, SeriesIndex, check_k
-from ..series.distance import early_abandon_euclidean_block
+from ..series.distance import early_abandon_euclidean_block, euclidean_lower_bounds
 from ..summaries.paa import paa
 from ..summaries.sax import SAXConfig
 from .summary_column import WordColumn
@@ -40,6 +40,34 @@ FetchFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 #: query scheduler as the ceiling on its fetch-partition floor (a
 #: partition never needs to be larger than one refine block).
 SIMS_BLOCK_RECORDS = 4096
+
+#: Elements (rows x length) a fetched block's rows must hold before the
+#: engines bound them ahead of the exact kernel: the measured crossover
+#: below which the Gram bound costs more than the refine it saves
+#: (``docs/fetch.md``, *The second bound*).
+BOUND_MIN_ELEMENTS = 32_768
+
+
+def rows_that_can_win(
+    query: np.ndarray, series: np.ndarray, rows: np.ndarray, threshold: float
+) -> np.ndarray:
+    """The ``rows`` of a fetched block whose distance may be ``<= threshold``.
+
+    ``rows`` are ascending positions into ``series``.  A row is dropped
+    only when its :func:`repro.series.distance.euclidean_lower_bounds`
+    value is strictly above ``threshold``, so its exact distance is
+    too: no engine could have admitted it (an argmin against ``bsf``
+    takes only a strictly smaller distance, a heap only one ``<=`` its
+    threshold).  Below :data:`BOUND_MIN_ELEMENTS` elements in ``rows``,
+    or while ``threshold`` is ``inf``, ``rows`` come back as they are.
+    ``rows`` that cover the whole block bound it in place, without a
+    copy.
+    """
+    length = series.shape[1]
+    if not threshold < float("inf") or len(rows) * length < BOUND_MIN_ELEMENTS:
+        return rows
+    block = series if len(rows) == len(series) else series[rows]
+    return rows[euclidean_lower_bounds(query, block) <= threshold]
 
 
 @dataclass
@@ -90,10 +118,15 @@ def sims_scan(
         if len(block) == 0:
             continue
         series, identifiers = fetch(block)
+        visited += len(block)
+        rows = rows_that_can_win(query, series, np.arange(len(block)), bsf)
+        if len(rows) == 0:
+            continue
+        if len(rows) < len(block):
+            series, identifiers = series[rows], identifiers[rows]
         # A row the kernel abandons (``inf``) provably has distance
         # > bsf, so it could never have won the argmin update below.
         distances = early_abandon_euclidean_block(query, series, bsf)
-        visited += len(block)
         best = int(np.argmin(distances))
         if distances[best] < bsf:
             bsf = float(distances[best])

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.knn import KNNOutcome, _BoundedMaxHeap, refine_block
-from ..core.sims import SIMS_BLOCK_RECORDS
+from ..core.sims import SIMS_BLOCK_RECORDS, rows_that_can_win
 from ..core.summary_column import WordColumn
 from ..indexes.base import BatchReport, Measurement, QueryResult
 from ..summaries.paa import paa
@@ -106,10 +106,11 @@ def walk_candidate_blocks(
     Walks ``candidates`` (ascending positions into ``mindists``
     columns) block by block: thresholds shrink as true distances come
     in, so each block is re-filtered per query before the union of
-    survivors is fetched once.  Each query's rows are then refined by
+    survivors is fetched once.  Each query's rows lose those
+    :func:`repro.core.sims.rows_that_can_win` rules out against its
+    heap's threshold, then are refined by
     :func:`repro.core.knn.refine_block`: lowest bounds first while the
-    query's heap is short of k, then only the rows that can still
-    enter.
+    query's heap is short of k, then only the rows that can still enter.
     """
     n_queries = len(queries)
     visited = np.zeros(n_queries, dtype=np.int64)
@@ -128,9 +129,14 @@ def walk_candidate_blocks(
             if len(rows) == 0:
                 continue
             # Every row fetched for query ``i`` counts as visited, even
-            # one ``refine_block`` proves useless without a distance.
-            refine_block(queries[i], series, identifiers, rows, bounds[i], heaps[i])
+            # one the distance bound or ``refine_block`` proves useless
+            # without an exact distance.
             visited[i] += len(rows)
+            rows = rows_that_can_win(queries[i], series, rows, heaps[i].threshold)
+            if len(rows):
+                refine_block(
+                    queries[i], series, identifiers, rows, bounds[i], heaps[i]
+                )
     return visited
 
 

@@ -7,6 +7,7 @@ from .distance import (
     early_abandon_euclidean_block,
     euclidean,
     euclidean_batch,
+    euclidean_lower_bounds,
     lb_keogh,
     squared_euclidean,
 )
@@ -29,6 +30,7 @@ __all__ = [
     "early_abandon_euclidean_block",
     "euclidean",
     "euclidean_batch",
+    "euclidean_lower_bounds",
     "is_z_normalized",
     "lb_keogh",
     "make_dataset",

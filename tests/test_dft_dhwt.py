@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.series import euclidean, z_normalize
+from repro.series import euclidean, random_walk, z_normalize
 from repro.summaries import (
     dft_features,
     dft_lower_bound,
@@ -127,3 +127,25 @@ def test_property_haar_prefix_bound_monotone(seed, k):
     shorter = haar_lower_bound(ca, cb[None, :k])[0]
     longer = haar_lower_bound(ca, cb[None, : min(32, 2 * k)])[0]
     assert shorter <= longer + 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    length=st.sampled_from([8, 16, 64, 100, 256]),
+    coefficients=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_dft_lower_bound_holds_on_float32_random_walks(
+    length, coefficients, seed
+):
+    """``test_dft_lower_bound_holds`` over searched series: float32-stored
+    random walks, a float64 query, any number of kept coefficients."""
+    n_coefficients = coefficients.draw(st.integers(1, length // 2 - 1))
+    data = random_walk(20, length=length, seed=seed)
+    assert data.dtype == np.float32
+    query = random_walk(1, length=length, seed=seed + 1)[0].astype(np.float64)
+    bounds = dft_lower_bound(
+        dft_features(query, n_coefficients)[0], dft_features(data, n_coefficients)
+    )
+    for i in range(len(data)):
+        assert bounds[i] <= euclidean(query, data[i]) + 1e-6

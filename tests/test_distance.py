@@ -13,6 +13,7 @@ from repro.series import (
     lb_keogh,
     squared_euclidean,
 )
+from repro.series.distance import euclidean_lower_bounds
 
 
 def test_euclidean_known_value():
@@ -179,3 +180,58 @@ def test_property_triangle_inequality(data):
     b = np.array([y for _, y in data])
     c = np.zeros(len(data))
     assert euclidean(a, b) <= euclidean(a, c) + euclidean(c, b) + 1e-6
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: euclidean_batch(np.zeros(1), np.ones((2, 4))),
+        lambda: euclidean_batch(np.zeros(4), np.ones(4)),
+        lambda: euclidean_batch(np.zeros((1, 4)), np.ones((2, 4))),
+        lambda: euclidean_batch(np.zeros(3), np.ones((2, 4))),
+        lambda: squared_euclidean(np.zeros(3), np.ones((2, 3))),
+        lambda: squared_euclidean(np.zeros(3), np.ones(4)),
+        lambda: euclidean_lower_bounds(np.zeros(1), np.ones((2, 4))),
+        lambda: euclidean_lower_bounds(np.zeros(4), np.ones(4)),
+        lambda: euclidean_lower_bounds(np.zeros((1, 4)), np.ones((2, 4))),
+    ],
+    ids=[
+        "batch-length-1-query",
+        "batch-1-d",
+        "batch-2-d-query",
+        "batch-short-query",
+        "squared-broadcast",
+        "squared-lengths",
+        "bound-length-1-query",
+        "bound-1-d",
+        "bound-2-d-query",
+    ],
+)
+def test_distance_shapes_are_checked_not_broadcast(call):
+    """``euclidean_batch(zeros(1), ones((2, 4)))`` used to answer
+    ``[2, 2]``, a 1-D batch failed on tuple unpacking, and
+    ``squared_euclidean`` broadcast a series against a matrix."""
+    with pytest.raises(ValueError, match="shape mismatch"):
+        call()
+
+
+BAD_WINDOWS = [-3, -1, 2.5, float("nan"), True, False, "2", np.float64(2.0)]
+
+
+@pytest.mark.parametrize("window", BAD_WINDOWS, ids=repr)
+@pytest.mark.parametrize("fn", ["dtw", "lb_keogh"])
+def test_bad_window_is_refused(fn, window):
+    """A window must be an integer >= 0 (``dtw``: or ``None``).  ``-3``
+    used to mean a band of width 0, ``2.5`` failed in slicing, and
+    ``lb_keogh(..., -1)`` reduced an empty array."""
+    a, b = np.zeros(8), np.ones(8)
+    with pytest.raises(ValueError, match="window"):
+        dtw(a, b, window=window) if fn == "dtw" else lb_keogh(a, b, window)
+
+
+@pytest.mark.parametrize("window", [0, 2, np.int64(2), 100])
+def test_good_windows_are_accepted(window):
+    rng = np.random.default_rng(6)
+    a, b = rng.standard_normal((2, 8))
+    assert lb_keogh(a, b, window) <= dtw(a, b, window=window) + 1e-9
+    assert dtw(a, b, window=None) <= dtw(a, b, window=window) + 1e-9

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.series import euclidean, random_walk
 from repro.summaries import ISAXPrefix, SAXConfig, paa, sax_words
@@ -106,3 +108,35 @@ def test_choose_split_segment_exhausted():
 def test_str_rendering():
     prefix = ISAXPrefix((0b10, 0), (2, 0))
     assert str(prefix) == "10 *"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    word_length=st.sampled_from([2, 4, 8, 16]),
+    cardinality=st.sampled_from([2, 4, 16, 256]),
+    choices=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_mindist_is_lower_bound_for_members_on_float32_random_walks(
+    word_length, cardinality, choices, seed
+):
+    """``test_mindist_is_lower_bound_for_members`` over searched regions:
+    float32-stored random walks, a float64 query, any prefix depths."""
+    config = SAXConfig(series_length=64, word_length=word_length, cardinality=cardinality)
+    bits = tuple(
+        choices.draw(st.lists(
+            st.integers(0, config.bits_per_symbol),
+            min_size=word_length, max_size=word_length,
+        ))
+    )
+    data = random_walk(100, length=64, seed=seed)
+    assert data.dtype == np.float32
+    words = sax_words(data, config)
+    query = random_walk(1, length=64, seed=seed + 1)[0].astype(np.float64)
+    member = choices.draw(st.integers(0, len(data) - 1))
+    prefix = ISAXPrefix.from_full_word(words[member], config, bits=bits)
+    members = prefix.matches_batch(words, config)
+    assert members[member]
+    bound = prefix.mindist(paa(query, word_length)[0], config)
+    for i in np.nonzero(members)[0]:
+        assert bound <= euclidean(query, data[i]) + 1e-6
