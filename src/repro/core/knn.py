@@ -153,15 +153,16 @@ def refine_block(
     and prunes nothing, so a block of more than
     :data:`REFINE_FIRST_ROWS` rows first refines that many
     lowest-bound rows: their k-th best distance is a threshold the heap
-    will reach, and only the rows whose bound is ``<=`` it are refined
-    and offered (``<=`` keeps a row that may tie the k-th distance at a
-    smaller id).  Otherwise every row is.
+    will reach, and only the rows whose SAX bound and then whose
+    :func:`repro.core.sims.rows_that_can_win` Gram bound are ``<=`` it
+    are refined and offered (``<=`` keeps a row that may tie the k-th
+    distance at a smaller id).  Otherwise every row is.
 
     The heap ends as if every row had been offered: distances are
     row-wise, so a row refined twice gets the same bits; a row whose
-    bound exceeds a threshold the heap reaches has a distance above it
-    and can never be retained; and the rows still go to
-    :meth:`_BoundedMaxHeap.offer_block` together, in storage order.
+    bound (either one) exceeds a threshold the heap reaches has a
+    distance above it and can never be retained; and the rows still go
+    to :meth:`_BoundedMaxHeap.offer_block` together, in storage order.
     """
     if heap.threshold == float("inf") and heap.k <= REFINE_FIRST_ROWS < len(rows):
         row_bounds = bounds[rows]
@@ -170,7 +171,7 @@ def refine_block(
             query, series[rows[first]], float("inf")
         )
         reached = np.partition(distances, heap.k - 1)[heap.k - 1]
-        rows = rows[row_bounds <= reached]
+        rows = rows_that_can_win(query, series, rows[row_bounds <= reached], reached)
     if len(rows) < len(series):  # else ``rows`` is every row, in order
         series, identifiers = series[rows], identifiers[rows]
     # A row the kernel abandons (``inf``) has distance strictly above

@@ -35,10 +35,8 @@ from .summary_column import WordColumn
 FetchFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 #: Records refined per skip-sequential fetch block.  Shared by every
-#: SIMS-style engine (single-query, batched, parallel) so thresholds
-#: are re-consulted on the same cadence everywhere, and used by the
-#: query scheduler as the ceiling on its fetch-partition floor (a
-#: partition never needs to be larger than one refine block).
+#: SIMS-style engine (single-query and batched) so thresholds are
+#: re-consulted on the same cadence everywhere.
 SIMS_BLOCK_RECORDS = 4096
 
 #: Elements (rows x length) a fetched block's rows must hold before the
@@ -58,10 +56,10 @@ def rows_that_can_win(
     value is strictly above ``threshold``, so its exact distance is
     too: no engine could have admitted it (an argmin against ``bsf``
     takes only a strictly smaller distance, a heap only one ``<=`` its
-    threshold).  Below :data:`BOUND_MIN_ELEMENTS` elements in ``rows``,
-    or while ``threshold`` is ``inf``, ``rows`` come back as they are.
-    ``rows`` that cover the whole block bound it in place, without a
-    copy.
+    threshold or any threshold it is bound to reach).  Below
+    :data:`BOUND_MIN_ELEMENTS` elements in ``rows``, or while
+    ``threshold`` is ``inf``, ``rows`` come back as they are.  ``rows``
+    that cover the whole block bound it in place, without a copy.
     """
     length = series.shape[1]
     if not threshold < float("inf") or len(rows) * length < BOUND_MIN_ELEMENTS:

@@ -6,8 +6,8 @@ unpruned records from disk.  A batch shares both.  The engine computes
 every query's lower-bound vector over the same in-memory summaries,
 takes the *union* of unpruned positions, and walks that union once in
 ascending storage order — each fetched block of records is evaluated
-against every query that still needs it, so a page read once serves the
-whole batch (the bufferpool never sees the same page twice in a pass).
+against every query that still needs it, so a page is read once per
+pass and serves the whole batch.
 
 Results are exact and identical to the per-query engine: pruning uses
 per-query thresholds that only ever shrink, so every record that could
@@ -46,12 +46,18 @@ def batched_exact_knn(
 
     Parameters mirror :func:`repro.core.knn.sims_knn_scan`, except that
     ``queries`` is a (Q, n) batch and ``seeds`` holds one (distance,
-    id) seed list per query (ids < 0 are ignored).  ``fetch`` is called
-    with ascending positions exactly once per unpruned block — the same
-    skip-sequential contract as the per-query engine, shared batch-wide.
+    id) seed list per query (ids < 0 are ignored); a ``seeds`` of any
+    other length is refused before anything is fetched.  ``fetch`` is
+    called with ascending positions exactly once per unpruned block —
+    the same skip-sequential contract as the per-query engine, shared
+    batch-wide.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     n_queries = len(queries)
+    if seeds is not None and len(seeds) != n_queries:
+        raise ValueError(
+            f"seeds holds {len(seeds)} seed lists for {n_queries} queries"
+        )
     n = len(column)
     if n_queries > 1 and n_queries * n > MAX_MINDIST_CELLS:
         half = n_queries // 2

@@ -244,6 +244,25 @@ def test_split_preserves_seed_identity_in_answers(monkeypatch):
     assert [o.distances[0] for o in outcomes] == [0.0, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("n_seeds", [0, 2, 4])
+def test_seed_lists_of_another_length_are_refused_before_any_fetch(n_seeds):
+    """Seeds are zipped with their queries: extra ones used to be
+    dropped and missing ones left heaps unseeded, silently."""
+    index = _built("CTree", n_series=300)
+    queries = query_workload("randomwalk", 3, length=48, seed=19)
+    words, fetch = index._prepare_sims()
+    fetched = []
+
+    def logging_fetch(positions):
+        fetched.append(positions)
+        return fetch(positions)
+
+    seeds = [[(1.0, i)] for i in range(n_seeds)]
+    with pytest.raises(ValueError, match="seed"):
+        batched_exact_knn(queries, 2, words, index.config, logging_fetch, seeds)
+    assert fetched == []
+
+
 # ----------------------------------------------------------------------
 # The bounded heap
 # ----------------------------------------------------------------------

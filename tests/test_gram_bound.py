@@ -255,3 +255,44 @@ def test_small_blocks_and_open_thresholds_take_the_old_path():
     exact = euclidean_batch(query, large)
     assert set(np.nonzero(exact <= 15.0)[0]) <= set(kept)
     assert len(kept) < len(rows)
+
+
+
+@pytest.mark.parametrize("k", [10, 100])
+def test_a_short_heap_bounds_its_first_block_at_the_threshold_it_reaches(
+    monkeypatch, kernel_rows, k
+):
+    """Both kNN engines, one seed per heap, one block at an infinite
+    threshold.  k = 10: ``refine_block`` reaches a finite threshold
+    inside the block and the Gram bound drops most rows against it.
+    k = 100 is above ``REFINE_FIRST_ROWS``, so the block is refined at
+    ``inf`` and nothing is bounded."""
+    data, column, queries, fetch = _corpus()
+    assert len(data) < 4096  # the first block is the whole corpus
+    seeds = [
+        [(float(euclidean_batch(q, data[300:301])[0]), 300)] for q in queries
+    ]
+
+    def run():
+        scans = [
+            sims_knn_scan(
+                query, k, column, CONFIG, fetch, seed_distances=query_seeds,
+                block_records=4096,
+            )
+            for query, query_seeds in zip(queries, seeds)
+        ]
+        return scans + batched_exact_knn(
+            queries, k, column, CONFIG, fetch, seeds, block_records=4096
+        )
+
+    a, b, rows_a, rows_b = _run_both(monkeypatch, kernel_rows, run)
+    for one, other in zip(a, b):
+        assert one.answer_ids == other.answer_ids
+        assert np.array(one.distances).tobytes() == np.array(other.distances).tobytes()
+        assert (one.visited_records, one.pruned_fraction) == (
+            other.visited_records, other.pruned_fraction
+        )
+    if k <= knn_module.REFINE_FIRST_ROWS:
+        assert rows_a < rows_b / 4
+    else:
+        assert rows_a == rows_b

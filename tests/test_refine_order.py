@@ -9,7 +9,9 @@ step it replaced: one distance per fetched row.  Pinned here:
   and ``sims_knn_scan`` keep the same ``(distance, id)`` pairs, bit for
   bit and in the same tie order, visit the same rows and fetch the same
   positions as the oracle, over random walks with duplicated and
-  constant rows, any ``k``, seed lists and block size.
+  constant rows, any ``k``, seed lists and block size; and again with
+  the Gram bound run on every block (``BOUND_MIN_ELEMENTS`` = 0) and
+  duplicates tying the k-th distance.
 * **Same reports** — ``exact_knn`` and ``query_batch`` of the Tree,
   Trie and LSM return the ids, distances, visited counts and
   ``DiskStats`` of a run with the oracle patched in.
@@ -25,6 +27,7 @@ from hypothesis import strategies as st
 
 import oracles
 import repro.core.knn
+import repro.core.sims
 import repro.parallel.batch
 from oracles import refine_every_row
 from repro import QueryBatch, RawSeriesFile, SimulatedDisk, make_dataset
@@ -124,6 +127,74 @@ def test_property_bound_ordered_refine_matches_refine_oracle(
         return walk(), [scan(query, s) for query, s in zip(queries, seeds)]
 
     with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(repro.core.knn, "REFINE_FIRST_ROWS", first_rows)
+        got = run()
+        use_refine(monkeypatch, refine_every_row)
+        want = run()
+    assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_walks=st.integers(1, 150),
+    n_ties=st.integers(1, 6),
+    n_queries=st.integers(1, 3),
+    k_choice=st.sampled_from(["1", "2", "10", "n+3"]),
+    block_records=st.sampled_from([7, 64, 4096]),
+    first_rows=st.sampled_from([1, 3, repro.core.knn.REFINE_FIRST_ROWS]),
+    bounds=st.sampled_from(sorted(PROPERTY_CONFIGS)),
+    seed=st.integers(0, 2**16),
+)
+def test_property_gram_bounded_refine_matches_refine_oracle(
+    n_walks, n_ties, n_queries, k_choice, block_records, first_rows, bounds, seed,
+):
+    """With ``BOUND_MIN_ELEMENTS`` at 0 the Gram bound runs on every
+    block with a finite threshold, so at length 16 every short heap's
+    block is bounded at the threshold its lowest-bound rows reach; the
+    heaps still equal the oracle's.  The row at the first query's k-th
+    distance is stored ``n_ties + 1`` times, so the cut at that
+    distance is a tie decided by id."""
+    config = PROPERTY_CONFIGS[bounds]
+    rng = np.random.default_rng(seed)
+    walks = random_walk(n_walks, length=16, seed=seed).astype(np.float32)
+    queries = random_walk(n_queries, length=16, seed=seed + 1).astype(np.float64)
+    queries[0] = walks[rng.integers(0, n_walks)]
+    k = n_walks + n_ties + 3 if k_choice == "n+3" else int(k_choice)
+    ranked = np.argsort(euclidean_batch(queries[0], walks), kind="stable")
+    kth = ranked[min(k, n_walks) - 1]
+    data = np.concatenate([walks, np.repeat(walks[kth : kth + 1], n_ties, axis=0)])
+    data = data[rng.permutation(len(data))]
+    n = len(data)
+    seeds = []
+    for query in queries:
+        ids = rng.choice(n, size=min(int(rng.integers(0, k + 3)), n), replace=False)
+        distances = euclidean_batch(query, data[ids])
+        seeds.append([(float(d), int(i)) for d, i in zip(distances, ids)])
+    column = WordColumn(config, sax_words(data, config))
+    mindists = column.lower_bounds(paa(queries, config.word_length))
+
+    def run():
+        heaps = seeded_heaps(n_queries, k, seeds)
+        union = np.arange(n)
+        visited = walk_candidate_blocks(
+            queries, heaps, mindists, union, lambda p: (data[p], p), block_records
+        )
+        scans = [
+            sims_knn_scan(
+                query, k, column, config, lambda p: (data[p], p),
+                seed_distances=query_seeds, block_records=block_records,
+            )
+            for query, query_seeds in zip(queries, seeds)
+        ]
+        return (
+            [exact_pairs(heap) for heap in heaps],
+            visited.tolist(),
+            [[(d.hex(), i) for d, i in zip(o.distances, o.answer_ids)] for o in scans],
+            [o.visited_records for o in scans],
+        )
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(repro.core.sims, "BOUND_MIN_ELEMENTS", 0)
         monkeypatch.setattr(repro.core.knn, "REFINE_FIRST_ROWS", first_rows)
         got = run()
         use_refine(monkeypatch, refine_every_row)
