@@ -18,7 +18,12 @@ import numpy as np
 from ..series.distance import early_abandon_euclidean_block
 from ..summaries.paa import paa
 from ..summaries.sax import SAXConfig
-from .sims import SIMS_BLOCK_RECORDS, FetchFn, rows_that_can_win
+from .sims import (
+    SIMS_BLOCK_RECORDS,
+    FetchFn,
+    fetch_rows_that_can_win,
+    rows_that_can_win,
+)
 from .summary_column import WordColumn
 
 
@@ -239,13 +244,13 @@ def sims_knn_scan(
         block = block[mindists[block] < heap.threshold]
         if len(block) == 0:
             continue
-        series, identifiers = fetch(block)
-        visited += len(block)
-        rows = rows_that_can_win(
-            query, series, np.arange(len(block)), heap.threshold
+        series, identifiers, (rows,), taken = fetch_rows_that_can_win(
+            fetch, block, [(query, np.arange(len(block)), heap.threshold)]
         )
+        visited += len(block)
         if len(rows):
-            refine_block(query, series, identifiers, rows, mindists[block], heap)
+            bounds = mindists[block if taken is None else block[taken]]
+            refine_block(query, series, identifiers, rows, bounds, heap)
     items = heap.sorted_items()
     n = len(column)
     return KNNOutcome(

@@ -10,7 +10,11 @@ order, so the disk head only moves forward (skip-sequential access).
 The caller provides the summary column (aligned with its on-disk record
 order) and a fetch callback; this module owns the pruning loop, which
 re-filters after every fetched block because the best-so-far keeps
-shrinking as real distances come in.
+shrinking as real distances come in.  Between the fetch and the exact
+kernel, a Gram-form distance bound drops the fetched rows that cannot
+win; a raw-file fetch (:class:`RawFetch`) bounds a dense block on the
+pages it read and copies only those that can
+(:func:`fetch_rows_that_can_win`).
 
 :class:`SIMSIndex` is what the Coconut indexes share *above* that loop:
 given an approximate probe and a ``(column, fetch)`` pair, exact search,
@@ -27,6 +31,7 @@ import numpy as np
 
 from ..indexes.base import Measurement, QueryResult, SeriesIndex, check_k
 from ..series.distance import early_abandon_euclidean_block, euclidean_lower_bounds
+from ..storage.seriesfile import PagedRecords
 from ..summaries.paa import paa
 from ..summaries.sax import SAXConfig
 from .summary_column import WordColumn
@@ -45,9 +50,26 @@ SIMS_BLOCK_RECORDS = 4096
 #: (``docs/fetch.md``, *The second bound*).
 BOUND_MIN_ELEMENTS = 32_768
 
+#: Share of the records on a fetched block's pages that the block must
+#: request to be *dense*: a dense raw-file block that will be bounded
+#: is bounded on the pages it read, where its records lie, and only the
+#: rows that can win are copied (``docs/fetch.md``, *Bound before the
+#: gather*).  The same share decides, per query, whether the query's
+#: own rows are bounded on those pages or on a copy, so bounding every
+#: record on the pages never costs more than twice bounding its rows.
+DENSE_FETCH_SHARE = 0.5
+
+
+def bound_will_run(n_rows: int, length: int, threshold: float) -> bool:
+    """Whether :func:`rows_that_can_win` bounds ``n_rows`` rows."""
+    return threshold < float("inf") and n_rows * length >= BOUND_MIN_ELEMENTS
+
 
 def rows_that_can_win(
-    query: np.ndarray, series: np.ndarray, rows: np.ndarray, threshold: float
+    query: np.ndarray,
+    series: "np.ndarray | PagedRecords",
+    rows: np.ndarray,
+    threshold: float,
 ) -> np.ndarray:
     """The ``rows`` of a fetched block whose distance may be ``<= threshold``.
 
@@ -59,13 +81,110 @@ def rows_that_can_win(
     threshold or any threshold it is bound to reach).  Below
     :data:`BOUND_MIN_ELEMENTS` elements in ``rows``, or while
     ``threshold`` is ``inf``, ``rows`` come back as they are.  ``rows``
-    that cover the whole block bound it in place, without a copy.
+    that cover the whole block bound it in place, without a copy.  A
+    :class:`~repro.storage.seriesfile.PagedRecords` block is bounded on
+    its page views, every record on them, when ``rows`` are at least
+    :data:`DENSE_FETCH_SHARE` of those records, and on a copy of
+    ``rows`` otherwise (one query of a batch may need few rows of a
+    block that is dense for the batch).  The bound is row by row, so a
+    row gets the same bits either way.
     """
-    length = series.shape[1]
-    if not threshold < float("inf") or len(rows) * length < BOUND_MIN_ELEMENTS:
+    if not bound_will_run(len(rows), series.shape[1], threshold):
         return rows
-    block = series if len(rows) == len(series) else series[rows]
+    if isinstance(series, PagedRecords):
+        if len(rows) >= DENSE_FETCH_SHARE * series.on_pages:
+            bounds = series.per_record(lambda run: euclidean_lower_bounds(query, run))
+            return rows[bounds[rows] <= threshold]
+        block = series.take(rows)
+    else:
+        block = series if len(rows) == len(series) else series[rows]
     return rows[euclidean_lower_bounds(query, block) <= threshold]
+
+
+class RawFetch:
+    """The SIMS fetch of records in a raw file: positions -> rows.
+
+    ``offsets[p]`` is the raw-file record at column position ``p`` —
+    a secondary index's column is in key order — or, with ``offsets``
+    ``None``, record ``p`` itself.  Called, it gathers the records
+    (:meth:`~repro.storage.seriesfile.RawSeriesFile.get_many`) and
+    returns ``(series, record ids)``; :meth:`paged` may leave a dense
+    block on its pages instead.
+    """
+
+    def __init__(self, raw, offsets: "np.ndarray | None" = None):
+        self.raw = raw
+        self.offsets = offsets
+
+    def _records(self, positions: np.ndarray) -> np.ndarray:
+        return positions if self.offsets is None else self.offsets[positions]
+
+    def __call__(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        records = self._records(positions)
+        return self.raw.get_many(records), records
+
+    def paged(self, positions: np.ndarray):
+        """Like a call, but a dense block comes back as the
+        :class:`~repro.storage.seriesfile.PagedRecords` of its pages.
+
+        One plan decides, before any I/O: the block is dense when its
+        records are at least :data:`DENSE_FETCH_SHARE` of the records
+        on the pages it reads and those pages hold records back to back
+        (no tail padding, one page or fewer per record).  Any other
+        block is gathered from that plan, exactly as a call would.
+        """
+        records = self._records(positions)
+        plan = self.raw.plan_fetch(records)
+        if plan.share >= DENSE_FETCH_SHARE and self.raw.records_fill_pages:
+            return self.raw.read_records(plan), records
+        return self.raw.get_many(plan), records
+
+
+def fetch_rows_that_can_win(
+    fetch: FetchFn,
+    positions: np.ndarray,
+    wants: "list[tuple[np.ndarray, np.ndarray, float]]",
+):
+    """Fetch a block and keep, per query, the rows that can win.
+
+    ``wants`` holds one ``(query, rows, threshold)`` per query the
+    block ``positions`` is fetched for, ``rows`` ascending positions
+    into the block.  Returns ``(series, identifiers, kept, taken)``:
+    ``kept[i]`` are the rows of ``series`` :func:`rows_that_can_win`
+    keeps for want ``i``.
+
+    When some want will be bounded (:func:`bound_will_run`) and
+    ``fetch`` is a :class:`RawFetch`, the block is read
+    :meth:`RawFetch.paged`.  A dense block is then bounded on the page
+    views and only the union of the kept rows is copied out:
+    ``series`` and ``identifiers`` hold those rows, ``taken`` their
+    positions in the block, and no view outlives this call.  Otherwise
+    ``series`` is the whole gathered block and ``taken`` is ``None``.
+    """
+    if isinstance(fetch, RawFetch) and any(
+        bound_will_run(len(rows), len(query), threshold)
+        for query, rows, threshold in wants
+    ):
+        series, identifiers = fetch.paged(positions)
+    else:
+        series, identifiers = fetch(positions)
+    kept = [
+        rows_that_can_win(query, series, rows, threshold)
+        for query, rows, threshold in wants
+    ]
+    if not isinstance(series, PagedRecords):
+        return series, identifiers, kept, None
+    union = np.zeros(len(positions), dtype=bool)
+    for rows in kept:
+        union[rows] = True
+    taken = np.flatnonzero(union)
+    copied = series.take(taken)
+    return (
+        copied,
+        identifiers[taken],
+        [np.searchsorted(taken, rows) for rows in kept],
+        taken,
+    )
 
 
 @dataclass
@@ -97,7 +216,8 @@ def sims_scan(
     fetch:
         Callback that reads raw series for ascending positions and
         returns (series rows, identifier per row).  It is responsible
-        for charging I/O to the simulated disk.
+        for charging I/O to the simulated disk.  A :class:`RawFetch`
+        may also read a block paged (:func:`fetch_rows_that_can_win`).
     initial_bsf / initial_answer:
         Best-so-far seeded by a preceding approximate search; the
         better the seed, the more records are pruned (paper Fig. 9d-f).
@@ -115,12 +235,13 @@ def sims_scan(
         block = block[mindists[block] < bsf]
         if len(block) == 0:
             continue
-        series, identifiers = fetch(block)
+        series, identifiers, (rows,), _ = fetch_rows_that_can_win(
+            fetch, block, [(query, np.arange(len(block)), bsf)]
+        )
         visited += len(block)
-        rows = rows_that_can_win(query, series, np.arange(len(block)), bsf)
         if len(rows) == 0:
             continue
-        if len(rows) < len(block):
+        if len(rows) < len(series):  # else ``rows`` is every row, in order
             series, identifiers = series[rows], identifiers[rows]
         # A row the kernel abandons (``inf``) provably has distance
         # > bsf, so it could never have won the argmin update below.

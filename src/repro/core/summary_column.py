@@ -172,11 +172,8 @@ class SummaryColumn(WordColumn):
         return pack_rows(self.keys, self.offsets, self.config)
 
     def raw_fetch(self, raw):
-        """The secondary-index SIMS fetch: positions -> rows of ``raw``."""
-        all_offsets = self.offsets
+        """The secondary-index SIMS fetch: positions -> rows of ``raw``
+        (a :class:`repro.core.sims.RawFetch` over the column's offsets)."""
+        from .sims import RawFetch  # deferred: sims imports this module
 
-        def fetch(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            offsets = all_offsets[positions]
-            return raw.get_many(offsets), offsets
-
-        return fetch
+        return RawFetch(raw, self.offsets)

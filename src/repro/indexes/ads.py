@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.sims import sims_scan
+from ..core.sims import RawFetch, sims_scan
 from ..core.summary_column import WordColumn
 from ..series.distance import early_abandon_euclidean_block
 from ..storage.disk import SimulatedDisk
@@ -231,15 +231,11 @@ class ADSIndex(SeriesIndex):
         query = self._query_array(query)
         with Measurement(self.disk) as measure:
             seed = self.approximate_search(query)
-
-            def fetch(positions: np.ndarray):
-                return self.raw.get_many(positions), positions
-
             outcome = sims_scan(
                 query,
                 self._column,
                 self.config,
-                fetch,
+                RawFetch(self.raw),
                 initial_bsf=seed.distance,
                 initial_answer=seed.answer_idx,
             )

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.knn import KNNOutcome, _BoundedMaxHeap, refine_block
-from ..core.sims import SIMS_BLOCK_RECORDS, rows_that_can_win
+from ..core.sims import SIMS_BLOCK_RECORDS, fetch_rows_that_can_win
 from ..core.summary_column import WordColumn
 from ..indexes.base import BatchReport, Measurement, QueryResult
 from ..summaries.paa import paa
@@ -129,16 +129,20 @@ def walk_candidate_blocks(
         block, bounds, need = block[alive], bounds[:, alive], need[:, alive]
         if len(block) == 0:
             continue
-        series, identifiers = fetch(block)
-        for i in range(n_queries):
-            rows = np.nonzero(need[i])[0]
-            if len(rows) == 0:
-                continue
-            # Every row fetched for query ``i`` counts as visited, even
-            # one the distance bound or ``refine_block`` proves useless
-            # without an exact distance.
-            visited[i] += len(rows)
-            rows = rows_that_can_win(queries[i], series, rows, heaps[i].threshold)
+        wanted = np.flatnonzero(need.any(axis=1))
+        wants = [
+            (queries[i], np.flatnonzero(need[i]), heaps[i].threshold) for i in wanted
+        ]
+        # Every row fetched for a query counts as visited, even one the
+        # distance bound or ``refine_block`` proves useless without an
+        # exact distance.
+        visited += need.sum(axis=1)
+        series, identifiers, kept, taken = fetch_rows_that_can_win(
+            fetch, block, wants
+        )
+        if taken is not None:
+            bounds = bounds[:, taken]
+        for i, rows in zip(wanted.tolist(), kept):
             if len(rows):
                 refine_block(
                     queries[i], series, identifiers, rows, bounds[i], heaps[i]

@@ -11,13 +11,14 @@ in memory for distance computations once a fetch has paid its I/O.
 
 from __future__ import annotations
 
-from typing import Iterator
+import operator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .bufferpool import BufferPool
-from .disk import SimulatedDisk
+from .disk import SimulatedDisk, _opens_run, _spans
 from .integrity import verify_pages, verify_view
 from .pager import PagedFile
 
@@ -37,6 +38,77 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     if not (diffs >= 0).all():
         values = np.sort(values)
     return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
+def _index_array(idxs) -> np.ndarray:
+    """``idxs`` as a flat int64 array; any other non-empty dtype is a
+    :class:`TypeError` (a float would be truncated to a record id, a
+    boolean mask read as ids 0 and 1)."""
+    idxs = np.asarray(idxs)
+    if idxs.size and idxs.dtype.kind not in "iu":
+        raise TypeError(f"series indices must be integers, got dtype {idxs.dtype}")
+    return idxs.astype(np.int64, copy=False).ravel()
+
+
+def _index(idx) -> int:
+    """One series index as an ``int``; a bool or a non-integer is a
+    :class:`TypeError` (``True`` would read record 1)."""
+    if not isinstance(idx, bool):
+        try:
+            return operator.index(idx)
+        except TypeError:
+            pass
+    raise TypeError(f"series index must be an integer, got {type(idx).__name__}")
+
+
+class FetchPlan(NamedTuple):
+    """Where the records of one fetch lie, built before any I/O."""
+
+    physical: np.ndarray  # the pages to read, once each, in file order
+    rank: np.ndarray  # per record: its first page's position in ``physical``
+    slots: np.ndarray  # per record: its slot on that page
+    share: float  # records requested / records on the pages read
+
+
+class PagedRecords:
+    """The records on the pages one fetch read and hashed, in place.
+
+    ``runs`` are read-only ``(records, length)`` float32 views, one per
+    maximal run of consecutive pages the read returned: every record
+    on those pages (``on_pages`` of them), requested or not, and no
+    byte between them.  Requested record ``j`` is row ``where[j]`` of
+    the runs, concatenated.
+    The views alias the device's arenas and pin them
+    (``docs/storage.md``, *Lifetime rule*): drop this object before the
+    fetched block's work moves on, keeping only :meth:`take` copies.
+    """
+
+    def __init__(self, runs: "list[np.ndarray]", where: np.ndarray, length: int):
+        self.runs = runs
+        self.where = where
+        self.shape = (len(where), length)
+        self.on_pages = sum(len(run) for run in runs)
+        self._firsts = np.cumsum([0] + [len(run) for run in runs[:-1]])
+
+    def per_record(self, fn) -> np.ndarray:
+        """``fn(run)`` — one value per row — over every run, picked for
+        each requested record in request order."""
+        values = [fn(run) for run in self.runs]
+        values = values[0] if len(values) == 1 else np.concatenate(values)
+        return values[self.where]
+
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        """A private copy of requested records ``rows``, in that order."""
+        where = self.where[rows]
+        if len(self.runs) == 1:
+            return self.runs[0][where]
+        out = np.empty((len(where), self.shape[1]), dtype=np.float32)
+        run_of = np.searchsorted(self._firsts, where, side="right") - 1
+        order = np.argsort(run_of, kind="stable")
+        cuts = np.searchsorted(run_of[order], np.arange(1, len(self.runs)))
+        for run, first, mine in zip(self.runs, self._firsts, np.split(order, cuts)):
+            out[mine] = run[where[mine] - first]
+        return out
 
 
 class RawSeriesFile:
@@ -272,7 +344,11 @@ class RawSeriesFile:
         return idx * self.pages_per_series
 
     def get(self, idx: int) -> np.ndarray:
-        """Fetch one series by index (random I/O unless cached/adjacent)."""
+        """Fetch one series by index (random I/O unless cached/adjacent).
+
+        A bool or a non-integer index is a :class:`TypeError`, raised
+        before any I/O."""
+        idx = _index(idx)
         if not 0 <= idx < self.n_series:
             raise IndexError(f"series {idx} out of range [0, {self.n_series})")
         if self.pages_per_series == 1:
@@ -300,7 +376,54 @@ class RawSeriesFile:
             bad = lo if lo < 0 else hi
             raise IndexError(f"series {bad} out of range [0, {self.n_series})")
 
-    def get_many(self, idxs: np.ndarray) -> np.ndarray:
+    @property
+    def records_fill_pages(self) -> bool:
+        """Whether records tile every page with no padding, so that a run
+        of consecutive pages is a ``(records, length)`` float32 array."""
+        return (
+            self.pages_per_series == 1
+            and self.series_per_page * self.record_bytes == self.disk.page_size
+        )
+
+    def plan_fetch(self, idxs) -> "FetchPlan":
+        """Where the records ``idxs`` lie: the pages to read, once each.
+
+        No I/O.  Page and slot are computed per requested record; only
+        the page list is sorted and deduplicated.  A record starts on
+        page ``(idx // spp) * pps`` at slot ``idx % spp`` and owns the
+        ``pps - 1`` pages after it (one of ``spp`` and ``pps`` is always
+        1, so the same two lines cover both layouts).  Raises
+        :class:`TypeError` for an index array that is not of integers
+        (floats would be truncated, a boolean mask read as ids 0 and
+        1) and :class:`IndexError` for one out of range.
+        """
+        idxs = _index_array(idxs)
+        if len(idxs):
+            self._check_idxs(idxs)
+        spp, pps = self.series_per_page, self.pages_per_series
+        heads = idxs // spp * pps
+        distinct = _sorted_unique(heads)
+        plan = (distinct[:, None] + np.arange(pps)).ravel()
+        return FetchPlan(
+            self.file.physical_pages(plan),
+            np.searchsorted(distinct, heads) * pps,
+            idxs % spp,
+            len(idxs) / max(1, len(distinct) * spp),
+        )
+
+    def _read(self, plan: "FetchPlan"):
+        """The plan's pages in one vectored read — ``read_pages`` of the
+        device, or of the attached pool — each page hashed once before
+        anything parses it.  Returns the scatter list."""
+        if len(plan.physical) == 0:
+            return []
+        device = self._pool if self._pool is not None else self.disk
+        scatter = device.read_pages(plan.physical)
+        if self.hashes_reads_from(device):
+            self._verify_scatter(device, plan.physical, scatter)
+        return scatter
+
+    def get_many(self, idxs) -> np.ndarray:
         """Fetch many series, visiting each page once in ascending order.
 
         This is the skip-sequential access pattern of the SIMS exact
@@ -308,36 +431,23 @@ class RawSeriesFile:
         order so the disk head only moves forward, duplicates and
         unsorted input included, and series spanning several pages are
         folded into the same one-visit-per-page plan.  Three steps, no
-        per-record and no per-run Python work: *plan* (page and slot of
-        every requested record; only the page list is sorted and
-        deduplicated), *one vectored read* (``read_pages`` of the
-        device, or of the attached pool) and *one gather* of
+        per-record and no per-run Python work: *plan*
+        (:meth:`plan_fetch`), *one vectored read* of the planned pages,
+        hashed when reads are verified, and *one gather* of
         record-sized cells from the scatter list straight into the
         output rows, in request order — no page is joined or copied on
-        the way when the device is a page store.  Raises
-        :class:`IndexError` on any out-of-range index before any I/O is
+        the way when the device is a page store.  ``idxs`` may also be
+        the plan of a :meth:`plan_fetch` call, which is not planned
+        again.  Raises :class:`TypeError` for non-integer indices and
+        :class:`IndexError` for out-of-range ones before any I/O is
         performed.
         """
-        idxs = np.asarray(idxs, dtype=np.int64).ravel()
-        shape = (len(idxs), self.length)
-        if len(idxs) == 0:
-            return np.empty(shape, dtype=np.float32)
-        self._check_idxs(idxs)
+        plan = idxs if isinstance(idxs, FetchPlan) else self.plan_fetch(idxs)
+        rank, slots = plan.rank, plan.slots
+        shape = (len(slots), self.length)
+        scatter = self._read(plan)
         page_size = self.disk.page_size
         spp, pps = self.series_per_page, self.pages_per_series
-        # Plan.  A record starts on page (idx // spp) * pps at slot
-        # idx % spp and owns the pps - 1 pages after it (one of spp and
-        # pps is always 1, so the same two lines cover both layouts).
-        heads = idxs // spp * pps
-        slots = idxs % spp
-        distinct = _sorted_unique(heads)
-        plan = (distinct[:, None] + np.arange(pps)).ravel()
-        rank = np.searchsorted(distinct, heads) * pps  # of heads, in plan
-        device = self._pool if self._pool is not None else self.disk
-        physical = self.file.physical_pages(plan)
-        scatter = device.read_pages(physical)
-        if self.hashes_reads_from(device):
-            self._verify_scatter(device, physical, scatter)
         # Gather.  Chunk j of a record is its bytes on page head + j: a
         # void cell of ``width`` bytes (the whole record when pps == 1),
         # so every element moved below is one C memcpy of a record's
@@ -369,6 +479,29 @@ class RawSeriesFile:
                 chunk.view(cell)[mine, 0] = taken
             lo = hi
         return out
+
+    def read_records(self, plan: "FetchPlan") -> "PagedRecords":
+        """The records on the plan's pages, read and hashed, in place.
+
+        The same vectored read and the same hashes as :meth:`get_many`
+        of the plan — same ``DiskStats``, head and trace — but nothing
+        is gathered: each maximal run of consecutive pages in the
+        scatter list becomes one zero-copy ``(records, length)`` view.
+        Only for files whose records fill their pages
+        (:attr:`records_fill_pages`); the views pin their arenas, so
+        the result must not outlive the block it was read for
+        (``docs/storage.md``, *Lifetime rule*).
+        """
+        if not self.records_fill_pages:
+            raise ValueError("records do not tile this file's pages")
+        runs = []
+        for buffer, rows in self._read(plan):
+            for lo, hi in _spans(_opens_run(rows)):
+                first = int(rows[lo])
+                pages = buffer[first : first + hi - lo]
+                runs.append(pages.view(np.float32).reshape(-1, self.length))
+        where = plan.rank * self.series_per_page + plan.slots
+        return PagedRecords(runs, where, self.length)
 
     def _verify_scatter(self, device, physical: np.ndarray, scatter) -> None:
         """Hash every page of a scatter list once (zero-copy rows)."""

@@ -114,6 +114,39 @@ def test_get_many_out_of_range_raises_before_io(store, n, length, page_size):
             assert disk.stats_since(snap).total_reads == 0
 
 
+NON_INTEGER_INDICES = [
+    # (call, argument): each used to return a record instead of failing.
+    ("get_many", [2.7]),  # truncated to record 2
+    ("get_many", np.array([True, False, True])),  # read as records 1, 0, 1
+    ("get_many", np.array([1, 2], dtype=object)),
+    ("get_many", np.array([1.0, 2.0])),
+    ("get", True),  # read as record 1
+    ("get", np.True_),
+    ("get", 2.7),
+    ("get", np.float64(1.0)),
+    ("get", "1"),
+]
+
+
+@pytest.mark.parametrize("store", DEVICES)
+@pytest.mark.parametrize(
+    "call,argument",
+    NON_INTEGER_INDICES,
+    ids=[f"{call}-{i}" for i, (call, _) in enumerate(NON_INTEGER_INDICES)],
+)
+def test_non_integer_indices_are_refused_before_io(store, call, argument):
+    disk, raw, data = make_raw(50, 32, 512, store)
+    snap = disk.snapshot()
+    with pytest.raises(TypeError, match="integer"):
+        getattr(raw, call)(argument)
+    assert disk.stats_since(snap).total_reads == 0
+    # Integer indices of any width still read, and an empty request of
+    # any dtype reads nothing.
+    np.testing.assert_array_equal(raw.get(np.int32(2)), data[2])
+    np.testing.assert_array_equal(raw.get_many(np.array([2], np.uint8)), data[[2]])
+    assert raw.get_many([]).shape == (0, 32)
+
+
 @pytest.mark.parametrize("store", DEVICES)
 @pytest.mark.parametrize("n,length,page_size", GEOMETRIES)
 def test_scan_matches_data_everywhere(store, n, length, page_size):
