@@ -57,14 +57,12 @@ from .series import (
     z_normalize,
 )
 from .storage import (
-    BufferPool,
     CostModel,
     DiskShard,
     DiskStats,
     ExternalSorter,
     PagedFile,
     RawSeriesFile,
-    ShardedDisk,
     SimulatedDisk,
 )
 from .summaries import SAXConfig
@@ -74,7 +72,6 @@ __version__ = "1.0.0"
 __all__ = [
     "ADSIndex",
     "BatchReport",
-    "BufferPool",
     "BuildReport",
     "CoconutService",
     "CoconutTree",
@@ -94,7 +91,6 @@ __all__ = [
     "SerialScan",
     "SeriesIndex",
     "ServiceConfig",
-    "ShardedDisk",
     "SimulatedDisk",
     "VerticalIndex",
     "astronomy",

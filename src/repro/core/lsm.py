@@ -508,7 +508,7 @@ class CoconutLSM(SIMSIndex):
         """
         seen: set[tuple[int, int, int]] = set()
         raw = self.raw if device is None else self.raw.view(device)
-        verified = device is not None and raw.hashes_reads_from(device)
+        verified = device is not None and raw.verified_reads
         files: dict[int, object] = {}
 
         def read_window(run: _Run, first_page: int, n_pages: int) -> None:

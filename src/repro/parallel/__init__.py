@@ -16,7 +16,7 @@ thread.  The package name is historical; nothing in it runs a pool.
   ``query_batch`` still accepts and ignores.
 * :mod:`repro.parallel.heal` — self-healing execution for the online
   service's served snapshots: transient injected device faults retry
-  with capped backoff on a fresh read session, everything else
+  with capped backoff on a fresh fault wrapper, everything else
   degrades to a serial pass on the unwrapped snapshot shard, so
   healing never changes the result.
 """

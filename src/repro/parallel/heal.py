@@ -1,9 +1,9 @@
 """Self-healing execution of the online service's served snapshots.
 
-The service answers every served batch on a read-only
-:class:`repro.storage.disk.ShardedDisk` shard taken with its snapshot
-(:mod:`repro.service.snapshot`).  Read-only shards have nothing to roll
-back: a failed attempt leaves the parent device and its reconciled
+The service answers every served batch on the read-only
+:class:`repro.storage.disk.DiskShard` taken with its snapshot
+(:mod:`repro.service.snapshot`).  A read-only shard has nothing to roll
+back: a failed attempt leaves the parent device and its
 :class:`~repro.storage.cost.DiskStats` untouched.
 
 That is what makes retry sound.  :func:`run_self_healing` layers the
@@ -29,7 +29,7 @@ policy drives the service's in-place ingest recovery.
 
 Fault seam
 ----------
-The service's ``wrap_serve_device(shard, partition, attempt)`` routes
+The service's ``wrap_serve_device(device, attempt)`` routes
 each attempt's reads through its return value.  Tests pass a factory
 building :class:`~repro.storage.faults.FaultyDevice` wrappers; because
 it is called afresh per attempt, each attempt's fault plan restarts at
@@ -159,8 +159,8 @@ def run_self_healing(
     """Run ``attempt(attempt_index)``, retrying transients, else degrade.
 
     ``attempt`` must be restartable: each call re-executes the full
-    plan from scratch against a clean parent (the aborted session of a
-    failed attempt leaves no trace).  ``fallback()`` — when given — is
+    plan from scratch against a clean parent (a failed attempt on a
+    read-only device leaves no trace).  ``fallback()`` — when given — is
     invoked after a non-transient fault or once transient retries are
     exhausted; with no fallback the last fault is re-raised.
 

@@ -6,8 +6,8 @@ ingest path with in-place crash recovery, a bounded admission queue
 with per-request deadlines and load shedding, a server thread that
 serves each query on arrival with whatever else is already queued as
 shared-SIMS batches, and
-snapshot-isolated serving over read-only
-:class:`~repro.storage.disk.ShardedDisk` sessions — with self-healing
+snapshot-isolated serving through read-only
+:class:`~repro.storage.disk.DiskShard` devices — with self-healing
 retries, graceful degradation to the serial engines, and a
 :class:`~repro.service.stats.ServiceStats` health surface.
 """

@@ -19,7 +19,7 @@
   ``(mode, k)`` group on the server thread — against
   :class:`~repro.service.snapshot.ServiceSnapshot` state, reading
   straight off the snapshot's read-only
-  :class:`~repro.storage.disk.ShardedDisk` shard: readers never observe
+  :class:`~repro.storage.disk.DiskShard`: readers never observe
   a half-flushed run, and answers are exact over the snapshot's raw
   watermark, which every served ticket reports.  A new snapshot
   converts only the key pieces no earlier state converted (in practice
@@ -33,7 +33,7 @@
 
 * **Degradation** is graceful and counted: transient serve faults
   retry on fresh wrappers, other faults fall back to the same serial
-  pass on the snapshot's pre-attached read-only shard.  When the
+  pass on the snapshot's read-only shard.  When the
   journal device crash-latches, ingest rejects with
   :data:`~repro.service.admission.REJECT_CRASHED` until ``restart()``,
   while queries keep serving the last good snapshot — reads own their
@@ -132,7 +132,7 @@ class ServiceConfig:
     #: Accepted and checked like every ``query_workers``, and inert:
     #: every batch is served on the server thread.
     query_workers: "int | None" = 1
-    #: Retry/backoff for ingest recovery and serve-session healing.
+    #: Retry/backoff for ingest recovery and served-batch healing.
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     latency_capacity: int = 4096
     #: Hash every serve-path page against the disk's checksum sidecar
@@ -461,7 +461,7 @@ class CoconutService:
     def _scrub_locked(self, full: bool) -> ScrubReport:
         """One bounded step (or a whole sweep) under the ingest lock.
 
-        Read-only serving sessions are never stalled: scrub reads ride
+        Served snapshots are never stalled: scrub reads ride
         the diagnostics plane, and holding the ingest lock only keeps
         flushes and compactions from moving the targets mid-scan.
         """

@@ -28,10 +28,10 @@ path owns its device handle, so queries keep serving the last snapshot
 even while the ingest device sits crash-latched awaiting ``restart()``.
 
 Each snapshot also carries a long-lived **read-only**
-:class:`~repro.storage.disk.ShardedDisk` session, created at snapshot
-time: its shard reads the pages committed before the session, which is
-exactly the snapshot's content, on its own head and counters, while
-ingest keeps allocating and writing on the parent.  A served batch
+:class:`~repro.storage.disk.DiskShard`, taken at snapshot time: it
+reads the pages allocated before it was taken, which hold exactly the
+snapshot's content, on its own head and counters, while ingest keeps
+allocating and writing on the parent.  A served batch
 reads straight off that shard — the record gather through its native
 vectored ``read_pages`` — and, when the raw file verifies reads, hashes
 every page it reads, raw pages and probed run windows alike.
@@ -54,7 +54,7 @@ from ..core.lsm import CoconutLSM
 from ..core.summary_column import SummaryColumn
 from ..parallel.batch import batched_exact_knn
 from ..parallel.heal import RetryPolicy, run_self_healing
-from ..storage.disk import ShardedDisk
+from ..storage.disk import DiskShard
 
 __all__ = ["ServiceSnapshot", "serve_snapshot_batch"]
 
@@ -87,12 +87,9 @@ class ServiceSnapshot:
         # batch: the SIMS summary column and the sorted memtable.
         self._kept: dict = {}
         self._kept_lock = threading.Lock()
-        # The serial read path: a floating read-only session whose
-        # shard reads the snapshot's (pre-session) pages.
-        self._session = ShardedDisk(
-            base_disk, 1, names=[f"serve-v{self.state_version}"]
-        )
-        self.shard = self._session.shards[0]
+        # The read path: a read-only device over the pages allocated
+        # so far, which hold the snapshot's content.
+        self.shard = DiskShard(base_disk, name=f"serve-v{self.state_version}")
 
     def kept(self, name: str, build):
         """``build()``, run once per snapshot under ``name``.
@@ -201,7 +198,7 @@ def serve_snapshot_batch(
     """Serve one coalesced batch against a snapshot, self-healing.
 
     Each attempt reads straight off the snapshot shard, routed through
-    ``wrap_device(shard, 0, attempt)`` when the fault seam is armed.
+    ``wrap_device(shard, attempt)`` when the fault seam is armed.
     Transient faults retry on a fresh wrapper; any other fault degrades
     to the same serial pass on the unwrapped shard.  Read-only shards
     have nothing to roll back, so a faulted attempt leaves no trace.
@@ -223,7 +220,7 @@ def serve_snapshot_batch(
         device = (
             snapshot.shard
             if wrap_device is None
-            else wrap_device(snapshot.shard, 0, attempt_index)
+            else wrap_device(snapshot.shard, attempt_index)
         )
         return _answer_on(view, batch, device)
 

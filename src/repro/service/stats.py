@@ -191,8 +191,8 @@ class ServiceStats:
                 "served": self.n_served,
                 "batches": self.n_batches,
                 "degraded_batches": self.n_degraded_batches,
-                # Always 0: sessions only read, so none can block a
-                # batch.  Kept for readers of the export (bench_e2e).
+                # Always 0: a snapshot's shard only reads, so nothing
+                # can block a batch.  Kept for readers of the export (bench_e2e).
                 "session_conflicts": 0,
                 "shed": dict(self.shed),
                 "rejected": dict(self.rejected),

@@ -1,15 +1,14 @@
 """Storage substrate: a simulated disk in the disk access model.
 
-Provides the block device, paged files, buffer pool, the raw data
-series file, and external merge sort — everything the paper's
-algorithms need from an I/O subsystem, with sequential/random access
-classification so construction and query costs can be compared in the
-same cost model the paper uses.
+Provides the block device, paged files, the raw data series file and
+external merge sort — everything the paper's algorithms need from an
+I/O subsystem, with sequential/random access classification so
+construction and query costs can be compared in the same cost model
+the paper uses.
 """
 
-from .bufferpool import BufferPool
 from .cost import SSD_COST, UNIFORM_COST, CostModel, DiskStats
-from .disk import DiskShard, PageError, ShardedDisk, SimulatedDisk
+from .disk import DiskShard, PageError, SimulatedDisk
 from .external_sort import ExternalSorter, SortReport, sort_to_arrays
 from .faults import (
     CorruptionError,
@@ -42,7 +41,6 @@ from .pager import Extent, PagedFile
 from .seriesfile import RawSeriesFile
 
 __all__ = [
-    "BufferPool",
     "ChecksumMap",
     "CorruptionError",
     "CostModel",
@@ -55,7 +53,6 @@ __all__ = [
     "FaultyDevice",
     "InjectedFault",
     "PermanentIOError",
-    "ShardedDisk",
     "TornWrite",
     "TransientIOError",
     "ExternalSorter",

@@ -46,10 +46,9 @@ Zero-copy view lifetime
 Views returned by the device alias live storage: they observe
 later writes to the same pages, and they pin the arena's memory while
 referenced.  The safe lifetime rules are documented in
-``docs/storage.md``; in short, a view taken from a :class:`DiskShard`
-must not outlive the shard's session, and a consumer that needs a
-stable private copy (e.g. to mutate) must copy explicitly — everything
-inside this package already does.  A scatter list pins whole arenas
+``docs/storage.md``; in short, a consumer that needs a stable private
+copy (e.g. to mutate) must copy explicitly — everything inside this
+package already does.  A scatter list pins whole arenas
 (a file growing from a pinned tail arena opens a new arena instead of
 growing it), so it never outlives the call that asked for it.
 
@@ -59,36 +58,24 @@ Access traces
 n_pages)`` tuples (``op`` is ``"r"`` or ``"w"``) in :attr:`trace`.
 Bulk accesses record one tuple — exactly the granularity the
 classification happens at — so two devices driven by the same plan
-produce bit-identical traces.  Shards of a tracing parent trace
-privately; detach appends their traces to the parent in partition
-order, keeping the reconciled trace a pure function of the per-shard
-plans.
+produce bit-identical traces.  A :class:`DiskShard` of a tracing
+parent traces privately.
 
-Read-only sessions
-------------------
+The read-only reader
+--------------------
 A :class:`SimulatedDisk` is a single I/O domain: one head, one set of
-counters.  Parallel readers — the partitioned exact-batch fetches, a
-served snapshot — instead open a :class:`ShardedDisk` session, which
-hands each worker a :class:`DiskShard`: a private, read-only I/O domain
-over every page the parent held when the session attached, with its
-own head position and its own :class:`DiskStats`.  The parent stays
-live: pages allocated after the attach are beyond the shards' snapshot
-watermark, and the shards refuse every write verb.
-
-Because classification depends only on a shard's *own* access sequence,
-the sequential/random split of a parallel run is independent of thread
-scheduling: executing the same per-shard plans inline, one shard after
-another, reproduces every counter bit for bit — the *serial replay
-oracle* the equivalence suite pins against.  On detach the shards are
-reconciled into the parent deterministically, in partition order:
-stats add up shard by shard, traces append, and the parent head is
-parked so the first post-session access classifies as random no matter
-how the pool interleaved.
+counters.  A served snapshot reads through a :class:`DiskShard`
+instead: a private, read-only I/O domain over every page the parent
+had allocated when the shard was taken, with its own head position,
+its own :class:`DiskStats` and its own trace.  The parent stays live —
+ingest keeps allocating and writing on it — and the shard's reads
+never move the parent's head, counters or trace.  Pages allocated
+after the shard was taken are beyond its snapshot watermark on every
+read verb and on ``page_view``, and the shard refuses every write verb.
 """
 
 from __future__ import annotations
 
-import numbers
 from bisect import bisect_right
 
 import numpy as np
@@ -132,11 +119,10 @@ class _DerivedVerbs:
 
     Anything exposing ``page_size``, ``read_page``, ``write_page``,
     ``read_run_bytes`` and the two write checks gets the list API and
-    the vectored read by inheriting this — the page stores, and every
-    device that wraps another (``BufferPool``, ``FaultyDevice``).  Each
-    verb is spelled in the primitives *of ``self``*, so a wrapper's
-    cache decisions, checksum verification and fault-plan op indices
-    are those of the primitive sequence by construction.
+    the vectored read by inheriting this — the page stores, and a
+    device that wraps another (``FaultyDevice``).  Each verb is spelled
+    in the primitives *of ``self``*, so a wrapper's fault-plan op
+    indices are those of the primitive sequence by construction.
     """
 
     def read_run(self, first_page: int, n_pages: int) -> list:
@@ -401,9 +387,9 @@ class _PagedDevice(_DerivedVerbs):
     def read_pages(self, pages) -> "list[tuple[np.ndarray, np.ndarray]]":
         """Read ``pages`` (any order, repeats allowed) in one call.
 
-        Validated once — device state and both ends of the id range —
-        before anything is counted, then classified in one vectorized
-        step that is bit-identical to issuing :meth:`read_page` /
+        Validated once — both ends of the id range — before anything
+        is counted, then classified in one vectorized step that is
+        bit-identical to issuing :meth:`read_page` /
         :meth:`read_run_bytes` per maximal consecutive run in request
         order: page *i* is sequential iff it is its predecessor + 1
         (the head, for the first), the head ends on the last page, and
@@ -490,8 +476,7 @@ class _PagedDevice(_DerivedVerbs):
 
         Parking is idempotent and deterministic — there is no sentinel
         page id that a later access could accidentally be "adjacent" to,
-        so interleaved pools can never perturb a parked device's next
-        classification.
+        so nothing before the park can perturb the next classification.
         """
         self._head = None
 
@@ -515,8 +500,8 @@ class SimulatedDisk(_PagedDevice):
         Record every classified access in :attr:`trace`.
     integrity:
         Attach a :class:`repro.storage.integrity.ChecksumMap` sidecar
-        from page zero.  Consumers (``PagedFile``, ``BufferPool``)
-        record intended payloads into it at write time; ``verified_reads`` and the ``Scrubber`` check
+        from page zero.  ``PagedFile`` records intended payloads into
+        it at write time; ``verified_reads`` and the ``Scrubber`` check
         against it.  Off by default: with no sidecar every recording
         hook is a single failed attribute lookup.
     """
@@ -673,9 +658,8 @@ class SimulatedDisk(_PagedDevice):
     def page_view(self, page_id: int):
         """A full zero-padded page without touching head or counters.
 
-        Zero-copy; used by :class:`repro.storage.bufferpool.BufferPool`
-        to admit views instead of copies, by the maintenance plane
-        (scrub, WAL scavenging) and by the equivalence suites.
+        Zero-copy; used by the maintenance plane (scrub repair, WAL
+        scavenging, integrity blessing) and by the equivalence suites.
         """
         self._check_page(page_id)
         return self._arenas.page(page_id)
@@ -700,35 +684,30 @@ class SimulatedDisk(_PagedDevice):
 class DiskShard(_PagedDevice):
     """A private, read-only I/O domain over a parent disk.
 
-    Reads any page the parent had allocated when the session attached
-    (the snapshot watermark), straight from the parent's arenas; pages
-    allocated later are out of range, so a stale reader cannot see
-    in-flight state.  Head position and :class:`DiskStats` are private,
-    so every access classification depends only on this shard's own
-    sequence, never on how a pool interleaves shards.  The write verbs
-    are defined, keeping the device vocabulary uniform, and refuse.
+    Reads any page the parent had allocated at construction (the
+    snapshot watermark), straight from the parent's arenas, on every
+    read verb and on :meth:`page_view`; pages allocated later are out
+    of range, so a stale reader cannot see in-flight state.  Head
+    position, :class:`DiskStats` and trace are private: reads never
+    move the parent's, and the parent stays live.  The write verbs are
+    defined, keeping the device vocabulary uniform, and refuse.
     Verified reads check against the parent's checksum sidecar.
-
-    Shards are created by :class:`ShardedDisk`, not directly.
+    ``name`` is keyword-only, so a positional argument after the parent
+    is a :class:`TypeError` rather than a silently accepted name.
     """
 
-    def __init__(self, parent: SimulatedDisk, shard_id: int, name: str = ""):
+    def __init__(self, parent: SimulatedDisk, *, name: str = ""):
         self.parent = parent
         self.page_size = parent.page_size
         self.cost_model = parent.cost_model
-        self.name = name or f"shard-{shard_id}"
+        self.name = name or "shard"
         self._readable_below = parent.pages_allocated
-        self._attached = True
         self.checksums = parent.checksums
         self._init_accounting(trace=parent._trace is not None)
 
     # ------------------------------------------------------------------
-    @property
-    def attached(self) -> bool:
-        return self._attached
-
     def read_page(self, page_id: int):
-        """Read one pre-session parent page (see SimulatedDisk.read_page)."""
+        """Read one page below the watermark (see SimulatedDisk.read_page)."""
         self._check_run_readable(page_id, 1)
         self._count_read(page_id)
         return self.parent._arenas.page(page_id)
@@ -743,7 +722,6 @@ class DiskShard(_PagedDevice):
 
     def _check_run_readable(self, first_page: int, n_pages: int) -> None:
         """Range check against the snapshot watermark."""
-        self._check_attached()
         last = first_page + n_pages - 1
         if first_page < 0 or last >= self._readable_below:
             bad = first_page if first_page < 0 else last
@@ -769,115 +747,10 @@ class DiskShard(_PagedDevice):
 
     # ------------------------------------------------------------------
     def page_view(self, page_id: int):
-        """Diagnostic full-page view (no accounting); see SimulatedDisk."""
-        return self.parent.page_view(page_id)
-
-    def _check_attached(self) -> None:
-        if not self._attached:
-            raise PageError(f"{self.name} is detached; its session has ended")
+        """A page below the watermark, with no accounting (see
+        SimulatedDisk.page_view)."""
+        self._check_run_readable(page_id, 1)
+        return self.parent._arenas.page(page_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"DiskShard({self.name!r}, readable_below={self._readable_below}, "
-            f"attached={self._attached})"
-        )
-
-
-class ShardedDisk:
-    """A scoped session of ``n_shards`` read-only shards over one disk.
-
-    The parent stays live while the session is attached: its
-    pre-session pages are what every shard reads, each on its own head
-    with its own counters, while the parent may keep allocating and
-    writing (a service keeps ingesting under a served snapshot's
-    session).  Usable as a context manager::
-
-        with ShardedDisk(disk, n_shards, names=[...]) as shards:
-            ...  # hand one shard to each worker
-
-    Detach reconciles deterministically in partition order: shard stats
-    add onto the parent counters and shard traces append to the
-    parent's, shard by shard, then the parent head is parked.  The
-    reconciled totals are therefore identical for any pool kind or
-    worker count that executes the same per-shard plans.
-    """
-
-    def __init__(
-        self,
-        disk: SimulatedDisk,
-        n_shards: int,
-        names: "list[str] | None" = None,
-    ):
-        if (
-            isinstance(n_shards, bool)
-            or not isinstance(n_shards, numbers.Integral)
-            or n_shards < 1
-        ):
-            raise ValueError(f"n_shards must be a positive integer, got {n_shards!r}")
-        if names is not None and len(names) != n_shards:
-            raise ValueError(f"{len(names)} names for {n_shards} shards")
-        self.disk = disk
-        self.shards = [
-            DiskShard(disk, i, name=(names[i] if names else ""))
-            for i in range(n_shards)
-        ]
-        self._attached = True
-
-    # ------------------------------------------------------------------
-    @property
-    def attached(self) -> bool:
-        return self._attached
-
-    def detach(self) -> DiskStats:
-        """Reconcile shards into the parent; returns the merged delta.
-
-        Idempotent.  Reconciliation walks the shards in partition order
-        (shard 0 first), adding stats and appending traces, then parks
-        the parent head — so the session's effect on the parent is a
-        pure, deterministic function of the per-shard plans.
-        """
-        if not self._attached:
-            return DiskStats()
-        merged = DiskStats()
-        for shard in self.shards:
-            merged = merged + shard._stats
-            if self.disk._trace is not None and shard._trace:
-                self.disk._trace.extend(shard._trace)
-            shard._attached = False
-        self.disk._stats = self.disk._stats + merged
-        self.disk.park_head()
-        self._attached = False
-        return merged
-
-    def abort(self) -> DiskStats:
-        """Discard the session without reconciling anything.
-
-        Idempotent.  Shard stats and traces are dropped and the parent
-        head is left exactly where it was, so an aborted attempt (a
-        worker raising an injected device fault) contributes *nothing*
-        to the parent: a later retry or a serial fallback on the parent
-        replays as if the attempt never ran.
-        """
-        if not self._attached:
-            return DiskStats()
-        for shard in self.shards:
-            shard._attached = False
-        self._attached = False
-        return DiskStats()
-
-    def __enter__(self) -> "list[DiskShard]":
-        return self.shards
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        # A clean exit reconciles; an exception aborts, so a raise
-        # mid-session never merges a half-executed plan into the
-        # parent's counters.
-        if exc_type is None:
-            self.detach()
-        else:
-            self.abort()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ShardedDisk(shards={len(self.shards)}, attached={self._attached})"
-        )
+        return f"DiskShard({self.name!r}, readable_below={self._readable_below})"

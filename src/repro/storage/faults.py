@@ -18,14 +18,13 @@ The fault model mirrors the failure taxonomy of real block devices
 
 Everything is driven by a :class:`FaultPlan`: a frozen, seeded
 schedule whose decisions depend only on ``(seed, op kind, op index)``
-via an avalanche mix — no RNG state — so a schedule replays bit-identically
-regardless of thread interleaving, and per-partition plans stay
-deterministic under any pool kind.
+via an avalanche mix — no RNG state — so a schedule replays
+bit-identically regardless of thread interleaving.
 
 :class:`FaultyDevice` wraps any object speaking the paged-device
-vocabulary (``SimulatedDisk``, ``DiskShard``, ``BufferPool``) and
-forwards everything else untouched, so it slots under ``PagedFile``,
-``BufferPool`` and ``RawSeriesFile`` unchanged.  With ``plan=None``
+vocabulary (``SimulatedDisk``, ``DiskShard``) and forwards everything
+else untouched, so it slots under ``PagedFile`` and ``RawSeriesFile``
+unchanged.  With ``plan=None``
 the wrapper is pure forwarding — the disabled hook whose transparency
 ``benchmarks/bench_faults.py`` asserts and whose overhead it reports.
 """
@@ -202,7 +201,7 @@ class FaultyDevice(_DerivedVerbs):
     ``page_view`` and every other attribute (``cost_model``, ``stats``,
     ``snapshot``, ``stats_since``, ``head_position`` …) pass straight
     through, so the wrapper is transparent to ``PagedFile``,
-    ``BufferPool``, ``RawSeriesFile`` and ``Measurement`` alike —
+    ``RawSeriesFile`` and ``Measurement`` alike —
     except the names in ``DEVICE_IO_VERBS``, which are never forwarded:
     an I/O verb this class does not define would bypass the plan.
     """
@@ -395,23 +394,6 @@ class FaultyDevice(_DerivedVerbs):
         if len(pages):
             self.reads_issued += 1 + int(np.count_nonzero(_opens_run(pages)))
         return self.inner.read_pages(pages)
-
-    # BufferPool's single-page interface (so a FaultyDevice can wrap a
-    # pool as well as sit underneath one).
-    def read(self, page_id: int):
-        self._check_read(page_id, 1)
-        return self.inner.read(page_id)
-
-    def write(self, page_id: int, data) -> None:
-        index = self.writes_issued
-        mode = self._check_write(page_id, 1, len(data) * 8)
-        if mode == "torn":
-            self.inner.write(page_id, self._torn_payload(data, page_id, 1, index))
-            self.crashed = True
-            raise TornWrite(f"injected torn write on page {page_id} (op {index})")
-        if mode == "flip":
-            data = self._flipped_payload(data, index)
-        self.inner.write(page_id, data)
 
     def page_view(self, page_id: int):
         # Diagnostic path: no accounting on the inner device, no faults.

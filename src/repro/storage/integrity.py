@@ -8,20 +8,19 @@ data pages (Coconut run payloads, the raw series file) had nothing.
 This module closes that gap end to end:
 
 * :class:`ChecksumMap` — a per-page CRC32 sidecar keyed by **physical
-  page id**.  Checksums are recorded by the *consumers that know the
-  intended payload* (:class:`~repro.storage.pager.PagedFile`,
-  :class:`~repro.storage.bufferpool.BufferPool`) at write time, **after
-  the device acks** — never by the device itself.  That ordering is
-  load-bearing twice over: a :class:`~repro.storage.faults.FaultyDevice`
+  page id**.  Checksums are recorded by the *consumer that knows the
+  intended payload* (:class:`~repro.storage.pager.PagedFile`) at write
+  time, **after the device acks** — never by the device itself.  That
+  ordering is load-bearing twice over: a :class:`~repro.storage.faults.FaultyDevice`
   corrupts the payload *before* forwarding it to the real store, so a
   device-level hook would bless the corruption; and a write that faults
   before taking effect must not move the expectation off the bytes that
   are actually on the platter.  Keying by physical id makes the sidecar
   immune to arena extent coalescing (``bytearray.extend`` preserves
-  page ids); read-only shards check against their parent's map.
+  page ids); a read-only :class:`~repro.storage.disk.DiskShard` checks
+  against its parent's map.
 
 * **Verified reads** — ``verified_reads=True`` on
-  :class:`~repro.storage.bufferpool.BufferPool` and
   :class:`~repro.storage.seriesfile.RawSeriesFile` hashes every page
   view fetched from the device (``zlib.crc32`` accepts memoryviews, so
   the zero-copy discipline survives — verification never copies) and
@@ -164,19 +163,15 @@ def verify_view(checksums: "ChecksumMap | None", page_id: int, view, source):
     """Hash ``view`` against the sidecar; raise with provenance on mismatch.
 
     Returns ``view`` unchanged so callers can verify inline on the
-    zero-copy path.  ``source`` names the reader (pool, file) so a
+    zero-copy path.  ``source`` names the reader (the file) so a
     raised :class:`CorruptionError` pinpoints *where* the corrupt page
-    was about to be served, not just which page it was; a per-page
-    caller may pass a zero-argument callable instead of the string, so
-    the label is only built when something is raised.
+    was about to be served, not just which page it was.
     """
     if checksums is not None:
         actual = zlib.crc32(view)
         expected = checksums.expected(page_id)
         if actual == expected:
             return view
-    if callable(source):
-        source = source()
     if checksums is None:
         raise PageError(
             f"{source}: verified_reads requires a ChecksumMap on the device "
@@ -348,9 +343,9 @@ class Scrubber:
 
     ``step()`` scans at most ``pages_per_step`` pages and returns, so a
     caller holding the ingest lock (the online service) never blocks
-    serving for more than a bounded slice; read-only ShardedDisk
-    serving sessions are unaffected throughout because scrub reads ride
-    the diagnostics plane (``page_view`` — no simulated I/O charge, no
+    serving for more than a bounded slice; a served snapshot's
+    read-only ``DiskShard`` is unaffected throughout because scrub reads
+    ride the diagnostics plane (``page_view`` — no simulated I/O charge, no
     head movement).  Targets are re-snapshotted
     at the start of each sweep, so runs retired by compaction between
     sweeps simply fall out of scope.

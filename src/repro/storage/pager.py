@@ -8,14 +8,14 @@ mirroring how real filesystems fragment incrementally grown files and
 how top-down-built indexes scatter their leaves.
 
 A file is bound to a *device* — anything exposing ``page_size``,
-``allocate``, ``read_page`` and ``write_page``: the shared
-:class:`repro.storage.disk.SimulatedDisk`, a read-only
-:class:`repro.storage.disk.DiskShard` private to one worker, or a
-:class:`repro.storage.bufferpool.BufferPool` wrapping either.  The
+``allocate`` and the verbs of ``DEVICE_IO_VERBS``: the shared
+:class:`repro.storage.disk.SimulatedDisk`, the read-only
+:class:`repro.storage.disk.DiskShard` a served snapshot reads through,
+or a :class:`repro.storage.faults.FaultyDevice` wrapping either.  The
 binding is explicit rather than a global: :meth:`PagedFile.attach`
 yields a view of the same extents on a different device, which is how
-parallel workers read a shared file through their own shard (their own
-head, their own stats) without mutating anybody else's state.
+a served snapshot reads a shared file through its shard (its own head,
+its own stats) without mutating anybody else's state.
 """
 
 from __future__ import annotations
@@ -71,12 +71,10 @@ class PagedFile:
         """A view of this file bound to ``device``, same extent table.
 
         The view maps logical pages to the same physical pages but
-        performs its I/O on ``device`` — a worker's
-        :class:`repro.storage.disk.DiskShard` or per-shard
-        :class:`repro.storage.bufferpool.BufferPool` for concurrent
-        read-only access, or the parent disk under a fault-wrapped
-        device.  Views are for I/O on the existing pages; growing a
-        view does not grow the original.
+        performs its I/O on ``device`` — a served snapshot's read-only
+        :class:`repro.storage.disk.DiskShard`, or the parent disk
+        under a fault-wrapped device.  Views are for I/O on the
+        existing pages; growing a view does not grow the original.
         """
         view = PagedFile(device, name=self.name)
         view._extents = list(self._extents)
@@ -251,12 +249,9 @@ class PagedFile:
                 f"range [{first_page}, {first_page + n_pages}) out of "
                 f"[0, {self._n_pages})"
             )
-        reader = getattr(self.disk, "read_run_bytes", None)
-        if reader is None:  # pragma: no cover - non-bulk devices
-            reader = self._read_run_paged
         parts = []
         for first_physical, run_pages in self._physical_runs(first_page, n_pages):
-            part = reader(first_physical, run_pages)
+            part = self.disk.read_run_bytes(first_physical, run_pages)
             if verified:
                 verify_pages(
                     getattr(self.disk, "checksums", None),
@@ -268,14 +263,6 @@ class PagedFile:
                 )
             parts.append(part)
         return parts[0] if len(parts) == 1 else b"".join(parts)
-
-    def _read_run_paged(self, first_physical: int, n_pages: int) -> bytes:
-        """``read_run_bytes`` for devices without it: page by page."""
-        page_size = self.disk.page_size
-        return b"".join(
-            bytes(self.disk.read_page(page)).ljust(page_size, b"\x00")
-            for page in range(first_physical, first_physical + n_pages)
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -17,7 +17,6 @@ from typing import Iterator, NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .bufferpool import BufferPool
 from .disk import SimulatedDisk, _opens_run, _spans
 from .integrity import verify_pages, verify_view
 from .pager import PagedFile
@@ -118,16 +117,13 @@ class RawSeriesFile:
     in a page, and span ``pages_per_series`` consecutive pages when it
     does not (e.g. very long series on small pages).
 
-    With ``verified_reads=True`` every page this file fetches — direct
-    from the device or through an attached pool — is hashed against the
-    device's :class:`repro.storage.integrity.ChecksumMap` before its
-    bytes are parsed, raising :class:`repro.storage.faults.
-    CorruptionError` with page provenance instead of returning records
-    from a flipped page.  The raw file is the queries' source of truth,
-    so this is the last line of defence between silent media decay and
-    a wrong answer.  Each page is hashed once: reads through a pool
-    that is itself verifying are hashed by the pool (on a miss, before
-    admission — its hits are verified views) and not again here.
+    With ``verified_reads=True`` every page this file fetches is hashed
+    once against the device's :class:`repro.storage.integrity.
+    ChecksumMap` before its bytes are parsed, raising
+    :class:`repro.storage.faults.CorruptionError` with page provenance
+    instead of returning records from a flipped page.  The raw file is
+    the queries' source of truth, so this is the last line of defence
+    between silent media decay and a wrong answer.
     """
 
     def __init__(
@@ -152,7 +148,7 @@ class RawSeriesFile:
             self.pages_per_series = -(-self.record_bytes // disk.page_size)
         self.file = PagedFile(disk, name=name)
         self.n_series = 0
-        self._pool: BufferPool | None = None
+        self._is_view = False
 
     # ------------------------------------------------------------------
     # Construction
@@ -176,8 +172,10 @@ class RawSeriesFile:
         infinite value (after the float32 cast) raises ``ValueError``
         before any page is written — it would zero every lower bound
         and come back as an answer at distance ``nan``.  Zero rows
-        perform no I/O.
+        perform no I/O.  A :meth:`view` refuses with ``ValueError``
+        before any I/O.
         """
+        self._refuse_view("append to")
         data = np.asarray(data, dtype=np.float32)
         if data.ndim != 2 or data.shape[1] != self.length:
             raise ValueError(
@@ -244,30 +242,36 @@ class RawSeriesFile:
         that were never acknowledged: like a real filesystem truncate,
         only the length changes — pages past the new end keep whatever
         bytes they held, and a later append overwrites them through the
-        normal partial-last-page path.
+        normal partial-last-page path.  A bool or a non-integer is a
+        :class:`TypeError`; a :meth:`view` refuses with ``ValueError``.
         """
+        self._refuse_view("truncate")
+        n_series = _index(n_series)
         if not 0 <= n_series <= self.n_series:
             raise ValueError(
                 f"cannot truncate to {n_series} (file holds {self.n_series})"
             )
         self.n_series = n_series
 
+    def _refuse_view(self, verb: str) -> None:
+        if self._is_view:
+            raise ValueError(
+                f"cannot {verb} RawSeriesFile({self.name!r}): it is a read-only view"
+            )
+
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
-    def attach_pool(self, pool: BufferPool | None) -> None:
-        """Route subsequent reads through a buffer pool (or detach)."""
-        self._pool = pool
-
     def view(self, device) -> "RawSeriesFile":
         """A read-only view of this file performing its I/O on ``device``.
 
-        Same geometry, same extents, same records — but every read is
-        classified against ``device``'s own head and charged to its own
-        counters.  This is how a served snapshot streams its record
-        fetches through its read-only shard (or a shard-scoped buffer
-        pool) without touching the parent device: no shared mutable
-        state.  Views must not be appended to.
+        Same geometry, same extents, same records up to the row count
+        at the time of the call — but every read is classified against
+        ``device``'s own head and charged to its own counters.  This is
+        how a served snapshot fetches its records through its read-only
+        :class:`~repro.storage.disk.DiskShard` without touching the
+        parent device.  A view refuses :meth:`append_batch` and
+        :meth:`truncate`: its tail page is the live file's.
         """
         view = RawSeriesFile.__new__(RawSeriesFile)
         view.disk = device
@@ -279,25 +283,15 @@ class RawSeriesFile:
         view.file = self.file.attach(device)
         view.n_series = self.n_series
         view.verified_reads = self.verified_reads
-        view._pool = None
+        view._is_view = True
         return view
-
-    def hashes_reads_from(self, device) -> bool:
-        """Whether this file must hash what ``device`` hands it (a
-        verifying pool read from directly already has)."""
-        return self.verified_reads and not (
-            isinstance(device, BufferPool) and device.verified_reads
-        )
 
     def _read_logical(self, logical_page: int) -> bytes:
         physical = self.file.physical_page(logical_page)
-        if self._pool is not None:
-            device, data = self._pool, self._pool.read(physical)
-        else:
-            device, data = self.disk, self.disk.read_page(physical)
-        if self.hashes_reads_from(device):
+        data = self.disk.read_page(physical)
+        if self.verified_reads:
             verify_view(
-                getattr(device, "checksums", None),
+                getattr(self.disk, "checksums", None),
                 physical,
                 data,
                 f"RawSeriesFile({self.name!r})",
@@ -308,27 +302,16 @@ class RawSeriesFile:
         """Read consecutive logical pages as one page-padded stream.
 
         Streams whole extents through the device's bytes-level
-        interface when available (same counters as page-at-a-time).
+        interface (same counters as page-at-a-time).
         """
-        device = self._pool if self._pool is not None else self.disk
-        reader = getattr(device, "read_run_bytes", None)
-        if reader is None:  # pragma: no cover - non-bulk devices
-            page_size = self.disk.page_size
-            return b"".join(
-                bytes(self._read_logical(first_page + i)).ljust(
-                    page_size, b"\x00"
-                )
-                for i in range(n_pages)
-            )
         parts = []
-        verify = self.hashes_reads_from(device)
         for first_physical, run_pages in self.file._physical_runs(
             first_page, n_pages
         ):
-            part = reader(first_physical, run_pages)
-            if verify:
+            part = self.disk.read_run_bytes(first_physical, run_pages)
+            if self.verified_reads:
                 verify_pages(
-                    getattr(device, "checksums", None),
+                    getattr(self.disk, "checksums", None),
                     first_physical,
                     part,
                     run_pages,
@@ -412,15 +395,14 @@ class RawSeriesFile:
         )
 
     def _read(self, plan: "FetchPlan"):
-        """The plan's pages in one vectored read — ``read_pages`` of the
-        device, or of the attached pool — each page hashed once before
-        anything parses it.  Returns the scatter list."""
+        """The plan's pages in one vectored ``read_pages`` of the
+        device, each page hashed once before anything parses it.
+        Returns the scatter list."""
         if len(plan.physical) == 0:
             return []
-        device = self._pool if self._pool is not None else self.disk
-        scatter = device.read_pages(plan.physical)
-        if self.hashes_reads_from(device):
-            self._verify_scatter(device, plan.physical, scatter)
+        scatter = self.disk.read_pages(plan.physical)
+        if self.verified_reads:
+            self._verify_scatter(plan.physical, scatter)
         return scatter
 
     def get_many(self, idxs) -> np.ndarray:
@@ -503,9 +485,9 @@ class RawSeriesFile:
         where = plan.rank * self.series_per_page + plan.slots
         return PagedRecords(runs, where, self.length)
 
-    def _verify_scatter(self, device, physical: np.ndarray, scatter) -> None:
+    def _verify_scatter(self, physical: np.ndarray, scatter) -> None:
         """Hash every page of a scatter list once (zero-copy rows)."""
-        checksums = getattr(device, "checksums", None)
+        checksums = getattr(self.disk, "checksums", None)
         source = f"RawSeriesFile({self.name!r})"
         page_ids = iter(physical.tolist())
         for buffer, rows in scatter:

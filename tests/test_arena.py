@@ -9,7 +9,7 @@ dict device it replaced is the copy-level oracle
   page, on ``read_page`` and ``read_run_bytes`` alike, on the product
   device and on the oracle);
 * the zero-copy invariants (views alias the arena; scan blocks share
-  arena memory; the buffer pool caches views);
+  arena memory);
 * the cross-device equivalence oracle: the same op sequence produces
   identical contents, counters, head movement and access traces.
 """
@@ -21,11 +21,10 @@ import pytest
 
 from oracles import DEVICES, DictDisk
 from repro.storage import (
-    BufferPool,
+    DiskShard,
     ExternalSorter,
     PagedFile,
     RawSeriesFile,
-    ShardedDisk,
     SimulatedDisk,
 )
 
@@ -56,13 +55,13 @@ def test_shard_reads_are_zero_filled_full_pages(store):
     disk.allocate(2)
     disk.write_page(0, b"parent")
     disk.allocate(2)  # a second extent, never written
-    with ShardedDisk(disk, 1) as (shard,):
-        assert bytes(shard.read_page(0)) == b"parent".ljust(32, b"\x00")
-        assert bytes(shard.read_page(1)) == bytes(32)  # never written
-        assert bytes(shard.read_page(3)) == bytes(32)  # across extents
-        assert bytes(shard.read_run_bytes(0, 4)) == (
-            b"parent".ljust(32, b"\x00") + bytes(96)
-        )
+    shard = DiskShard(disk)
+    assert bytes(shard.read_page(0)) == b"parent".ljust(32, b"\x00")
+    assert bytes(shard.read_page(1)) == bytes(32)  # never written
+    assert bytes(shard.read_page(3)) == bytes(32)  # across extents
+    assert bytes(shard.read_run_bytes(0, 4)) == (
+        b"parent".ljust(32, b"\x00") + bytes(96)
+    )
 
 
 # ------------------------------------------------- zero-copy invariants
@@ -112,25 +111,6 @@ def test_scan_blocks_share_arena_memory():
     np.testing.assert_array_equal(
         np.concatenate([b for _, b in blocks]), data
     )
-
-
-def test_buffer_pool_caches_views_not_copies():
-    disk = SimulatedDisk(page_size=256)
-    file = PagedFile(disk, n_pages=6)
-    file.write_stream(b"x" * 1400)
-    arena = disk._arenas.arenas[0]
-    pool = BufferPool(disk, capacity_pages=8)
-    blob = pool.read_run_bytes(0, 6)  # cold cache: one bulk device read
-    assert isinstance(blob, memoryview) and blob.obj is arena
-    for page_id, cached in pool._cache.items():
-        assert isinstance(cached, memoryview) and cached.obj is arena
-    hit = pool.read(2)
-    assert isinstance(hit, memoryview) and hit.obj is arena
-    assert pool.hits == 1 and pool.misses == 6
-    # Write-through admits the device's own page view, not a copy.
-    pool.write(1, b"fresh")
-    assert pool._cache[1].obj is arena
-    assert bytes(pool.read(1)) == b"fresh".ljust(256, b"\x00")
 
 
 def test_arena_views_observe_later_writes():

@@ -21,8 +21,8 @@ import pytest
 
 import repro.storage.faults
 from oracles import DictDisk
-from repro.storage import BufferPool, SimulatedDisk
-from repro.storage.disk import DEVICE_IO_VERBS, DiskShard, PageError, ShardedDisk
+from repro.storage import SimulatedDisk
+from repro.storage.disk import DEVICE_IO_VERBS, DiskShard, PageError
 from repro.storage.faults import (
     DeviceCrash,
     FaultPlan,
@@ -30,7 +30,7 @@ from repro.storage.faults import (
     PermanentIOError,
 )
 
-DEVICE_CLASSES = [SimulatedDisk, DiskShard, BufferPool, FaultyDevice, DictDisk]
+DEVICE_CLASSES = [SimulatedDisk, DiskShard, FaultyDevice, DictDisk]
 
 #: verb -> (op kind, a call that touches page 1 of a 4-page device).
 CALLS = {
@@ -49,9 +49,7 @@ def _inner(kind):
     disk = (DictDisk if kind == "DictDisk" else SimulatedDisk)(page_size=64)
     disk.allocate(4)
     if kind == "DiskShard":
-        return ShardedDisk(disk, 1).shards[0], disk
-    if kind == "BufferPool":
-        return BufferPool(disk, capacity_pages=2), disk
+        return DiskShard(disk), disk
     if kind == "FaultyDevice":
         return FaultyDevice(disk), disk
     return disk, disk

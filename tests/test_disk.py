@@ -4,9 +4,9 @@ import pytest
 
 from repro.storage import (
     CostModel,
+    DiskShard,
     DiskStats,
     PageError,
-    ShardedDisk,
     SimulatedDisk,
 )
 
@@ -190,27 +190,14 @@ def test_write_run_is_all_or_nothing_on_a_shard():
     disk = SimulatedDisk(page_size=64, trace=True)
     first = disk.allocate(4)
     disk.write_page(first + 1, b"kept")
-    with ShardedDisk(disk, 1) as (shard,):
-        before = _device_state(shard, disk)
-        for at, pages in [
-            (first + 1, [b"a", b"b"]),  # in range
-            (first + 3, [b"a", b"b"]),  # overruns the allocation
-            (first + 1, [b"a", b"x" * 65]),  # oversized payload
-        ]:
-            with pytest.raises(PageError, match="read-only"):
-                shard.write_run(at, pages)
-            assert _device_state(shard, disk) == before
+    shard = DiskShard(disk)
+    before = _device_state(shard, disk)
+    for at, pages in [
+        (first + 1, [b"a", b"b"]),  # in range
+        (first + 3, [b"a", b"b"]),  # overruns the allocation
+        (first + 1, [b"a", b"x" * 65]),  # oversized payload
+    ]:
+        with pytest.raises(PageError, match="read-only"):
+            shard.write_run(at, pages)
+        assert _device_state(shard, disk) == before
     assert bytes(disk.page_view(first + 1))[:4] == b"kept"
-
-
-def test_sharded_disk_rejects_a_short_names_list():
-    """Regression: died with a bare IndexError halfway through building
-    the shards."""
-    disk = SimulatedDisk(page_size=64)
-    first = disk.allocate(4)
-    for names in (["only-one"], ["a", "b", "c"]):
-        with pytest.raises(ValueError, match="names"):
-            ShardedDisk(disk, 2, names=names)
-        disk.write_page(first, b"still live")
-    with ShardedDisk(disk, 2, names=["a", "b"]) as s:
-        assert [shard.name for shard in s] == ["a", "b"]

@@ -4,7 +4,7 @@ Covers the contract ``docs/robustness.md`` documents:
 
 * :class:`FaultPlan` decisions are pure functions of (seed, op kind,
   op index) — replayable from any thread, no RNG state;
-* :class:`FaultyDevice` slots under ``PagedFile`` / ``BufferPool`` /
+* :class:`FaultyDevice` slots under ``PagedFile`` and over a
   ``DiskShard`` unchanged, and with ``plan=None`` is byte- and
   stats-transparent;
 * each fault kind's semantics: transient (no effect, retry works),
@@ -18,13 +18,12 @@ import pytest
 
 from oracles import DEVICES
 from repro.storage import (
-    BufferPool,
     DeviceCrash,
+    DiskShard,
     FaultPlan,
     FaultyDevice,
     PagedFile,
     PermanentIOError,
-    ShardedDisk,
     TornWrite,
     TransientIOError,
 )
@@ -250,7 +249,7 @@ def test_plan_none_is_fully_transparent(store):
 
 
 @pytest.mark.parametrize("store", DEVICES)
-def test_faulty_device_under_paged_file_and_buffer_pool(store):
+def test_faulty_device_under_paged_file_retries_transients(store):
     disk = make_disk(store)
     dev = FaultyDevice(
         disk, FaultPlan(seed=8, p_transient_read=1.0, max_faults=3)
@@ -261,9 +260,7 @@ def test_faulty_device_under_paged_file_and_buffer_pool(store):
     failures = 0
     while True:
         try:
-            with BufferPool(dev, capacity_pages=2) as pool:
-                view = file.attach(pool)
-                got = bytes(view.read_stream(0, file.n_pages))[: len(blob)]
+            got = bytes(file.read_stream(0, file.n_pages))[: len(blob)]
             break
         except TransientIOError:
             failures += 1
@@ -271,21 +268,18 @@ def test_faulty_device_under_paged_file_and_buffer_pool(store):
     assert failures == dev.faults_injected == 3
 
 
-def test_faulty_shard_fault_aborts_session_parent_stays_live():
+def test_faulty_shard_fault_leaves_the_parent_untouched():
     disk = make_disk()
     first = disk.allocate(4)
     for page in range(first, first + 4):
         disk.write_page(page, b"x" * PAGE)
     disk.read_page(first)
     before, head = disk.snapshot(), disk.head_position
-    session = ShardedDisk(disk, 2)
+    DiskShard(disk).read_run_bytes(first, 4)  # a sibling's clean reads
+    dev = FaultyDevice(DiskShard(disk), FaultPlan(bad_pages=((first + 2, 1),)))
     with pytest.raises(PermanentIOError):
-        with session as shards:
-            shards[1].read_run_bytes(first, 4)  # a sibling's clean reads
-            dev = FaultyDevice(shards[0], FaultPlan(bad_pages=((first + 2, 1),)))
-            dev.read_run_bytes(first, 4)
-    # abort on exception: no shard stats, trace or head move reconciled
-    assert not session.attached and not any(s.attached for s in session.shards)
+        dev.read_run_bytes(first, 4)
+    # Shards read on their own head and counters: nothing moved upstream.
     assert disk.snapshot() == before and disk.head_position == head
     disk.write_page(first, b"fine")  # the parent stayed live throughout
     disk.allocate(1)

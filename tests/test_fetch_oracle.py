@@ -3,9 +3,9 @@
 The vectorized ``RawSeriesFile.get_many`` / ``scan`` paths must be
 indistinguishable from the loop-level oracle
 (``tests/oracles.py::loop_get_many``) — same float32 payloads, same
-classified :class:`DiskStats`, same head movement, same buffer-pool
-hit/miss counts — on the product device (zero-copy views) and on the
-dict oracle device (every read a ``bytes`` copy), for every layout the file supports: page-divisor and
+classified :class:`DiskStats`, same head movement — on the product
+device (zero-copy views) and on the dict oracle device (every read a
+``bytes`` copy), for every layout the file supports: page-divisor and
 non-divisor record sizes, records spanning multiple pages, duplicate /
 unsorted / empty / out-of-range index arrays.  The vectored read under
 the gather, ``read_pages``, is pinned the same way on every device
@@ -38,8 +38,8 @@ from oracles import (
     loop_read_pages,
     scatter_pages,
 )
-from repro.storage import BufferPool, PagedFile, RawSeriesFile, SimulatedDisk
-from repro.storage.disk import PageError, ShardedDisk
+from repro.storage import PagedFile, RawSeriesFile, SimulatedDisk
+from repro.storage.disk import DiskShard, PageError
 from repro.storage.faults import FaultPlan, FaultyDevice, TransientIOError
 
 # (n_series, length, page_size): divisor and non-divisor single-page
@@ -99,6 +99,32 @@ def test_get_many_stats_match_oracle(store, n, length, page_size):
         np.testing.assert_array_equal(r1.get_many(idxs), loop_get_many(r2, idxs))
         assert d1.stats == d2.stats
         assert d1.head_position == d2.head_position
+
+
+@pytest.mark.parametrize("n,length,page_size", GEOMETRIES)
+def test_get_many_through_a_shard_costs_what_the_parent_would(n, length, page_size):
+    """A view on a read-only shard gathers the same records, and its
+    classified I/O, head and trace on the shard equal what the same
+    request costs directly on the parent — so a served fetch is charged
+    exactly what the cost model charges the disk."""
+    for pattern in INDEX_PATTERNS:
+        idxs = pattern(n)
+        _, _, data = make_raw(n, length, page_size, "arena")
+        disk = SimulatedDisk(page_size=page_size, trace=True)
+        direct = SimulatedDisk(page_size=page_size, trace=True)
+        raw, twin = RawSeriesFile.create(disk, data), RawSeriesFile.create(direct, data)
+        shard = DiskShard(disk)
+        view = raw.view(shard)
+        direct.reset_stats()
+        direct.park_head()
+        before = disk.snapshot()
+        got = view.get_many(idxs)
+        np.testing.assert_array_equal(got, twin.get_many(idxs))
+        np.testing.assert_array_equal(got, data[idxs].reshape(-1, length))
+        assert shard.stats == direct.stats
+        assert shard.head_position == direct.head_position
+        assert shard.trace == direct.trace
+        assert disk.snapshot() == before
 
 
 @pytest.mark.parametrize("store", DEVICES)
@@ -177,26 +203,6 @@ def test_multipage_get_many_visits_each_page_once(store):
     assert disk.stats.total_reads == 3 * raw.pages_per_series
 
 
-@pytest.mark.parametrize("store", DEVICES)
-def test_get_many_through_pool_matches_and_counts_like_oracle(store):
-    n, length, page_size = 60, 12, 256
-    disk, raw, data = make_raw(n, length, page_size, store)
-    idxs = np.array([0, 7, 7, 30, 2, 59])
-    pools = []
-    results = []
-    for fn in (RawSeriesFile.get_many, loop_get_many):
-        d, r, _ = make_raw(n, length, page_size, store)
-        pool = BufferPool(d, capacity_pages=4)
-        r.attach_pool(pool)
-        results.append(fn(r, idxs))
-        results.append(fn(r, idxs))  # second pass: warm cache
-        pools.append(pool)
-    np.testing.assert_array_equal(results[0], data[idxs])
-    np.testing.assert_array_equal(results[0], results[2])
-    np.testing.assert_array_equal(results[1], results[3])
-    assert (pools[0].hits, pools[0].misses) == (pools[1].hits, pools[1].misses)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     idxs=st.lists(st.integers(min_value=0, max_value=24), max_size=60),
@@ -220,7 +226,7 @@ def test_property_gather_equals_oracle(idxs, geometry, store):
 
 
 # ------------------------------------------- the gather, on every device
-DEVICE_KINDS = ["arena", "dict", "shard", "pool", "faulty"]
+DEVICE_KINDS = ["arena", "dict", "shard", "faulty"]
 
 
 @st.composite
@@ -259,14 +265,14 @@ def requests(n, spp):
     )
 
 
-def open_raw(kind, layout, capacity=0, plan=None):
+def open_raw(kind, layout, plan=None):
     """A raw file grown as ``layout`` says, bound to a ``kind`` device.
 
     Foreign allocations between appends split the file into several
     extents; a page view held across an append pins the tail arena, so
     the next extent opens a new arena.  Returns ``(raw, device, data,
     keep)``: ``device`` is where the counters move, ``keep`` what must
-    stay referenced (the pins, the shard session).  Deterministic, so
+    stay referenced (the pins).  Deterministic, so
     two calls build twins.
     """
     length, page_size, appends = layout
@@ -284,14 +290,10 @@ def open_raw(kind, layout, capacity=0, plan=None):
         raw.append_batch(blocks[-1])
     device = disk
     if kind == "shard":
-        # A read-only session: every page is served from the parent's
+        # The read-only device: every page is served from the parent's
         # arenas, on the shard's own head and counters.
-        session = ShardedDisk(disk, 1)
-        keep.append(session)
-        device = session.shards[0]
+        device = DiskShard(disk)
         raw = raw.view(device)
-    elif kind == "pool":
-        raw.attach_pool(BufferPool(disk, capacity_pages=capacity))
     elif kind == "faulty":
         raw = raw.view(FaultyDevice(disk, plan))
     device.reset_stats()
@@ -299,44 +301,31 @@ def open_raw(kind, layout, capacity=0, plan=None):
     return raw, device, np.concatenate(blocks), keep
 
 
-def io_state(raw, device, per_page=False):
-    """Counters, head, trace and pool state after some reads.  The
-    loop oracle reads page by page and the gather run by run — the
-    same pages in the same order — so those two compare their traces
-    ``per_page``."""
+def io_state(device, per_page=False):
+    """Counters, head and trace after some reads.  The loop oracle
+    reads page by page and the gather run by run — the same pages in
+    the same order — so those two compare their traces ``per_page``."""
     trace = device.trace
     if per_page:
         trace = [(op, first + i, 1) for op, first, n in trace for i in range(n)]
-    pool = raw._pool
-    return (
-        device.stats.copy(),
-        device.head_position,
-        trace,
-        pool and (pool.hits, pool.misses, list(pool._cache)),
-    )
-
-
-def reader(raw):
-    """The device a gather on ``raw`` reads from."""
-    return raw._pool if raw._pool is not None else raw.disk
+    return device.stats.copy(), device.head_position, trace
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     layout=layouts(),
     kind=st.sampled_from(DEVICE_KINDS),
-    capacity=st.integers(0, 8),
     data=st.data(),
 )
-def test_property_gather_equals_oracle_on_every_device(layout, kind, capacity, data):
-    """Payload, DiskStats, head, trace and pool state of ``get_many``
-    are the loop oracle's — whatever the geometry, however many extents
-    and arenas the file spans, on every device class."""
-    got_raw, got_dev, rows, _k1 = open_raw(kind, layout, capacity)
-    ref_raw, ref_dev, _, _k2 = open_raw(kind, layout, capacity)
+def test_property_gather_equals_oracle_on_every_device(layout, kind, data):
+    """Payload, DiskStats, head and trace of ``get_many`` are the loop
+    oracle's — whatever the geometry, however many extents and arenas
+    the file spans, on every device class."""
+    got_raw, got_dev, rows, _k1 = open_raw(kind, layout)
+    ref_raw, ref_dev, _, _k2 = open_raw(kind, layout)
     n = len(rows)
-    # Two requests back to back: the second starts from a warm pool
-    # and from wherever the first left the head.
+    # Two requests back to back: the second starts from wherever the
+    # first left the head.
     for _ in range(2):
         idxs = data.draw(requests(n, got_raw.series_per_page))
         idxs = np.array(idxs, dtype=np.int64)
@@ -346,26 +335,21 @@ def test_property_gather_equals_oracle_on_every_device(layout, kind, capacity, d
         assert got.flags.writeable and got.flags.c_contiguous
         np.testing.assert_array_equal(got, ref)
         np.testing.assert_array_equal(got, rows[idxs])
-        assert io_state(got_raw, got_dev, per_page=True) == io_state(
-            ref_raw, ref_dev, per_page=True
-        )
+        assert io_state(got_dev, per_page=True) == io_state(ref_dev, per_page=True)
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     layout=layouts(),
     kind=st.sampled_from(DEVICE_KINDS),
-    capacity=st.integers(0, 8),
     data=st.data(),
 )
-def test_property_read_pages_equals_the_loop_of_single_reads(
-    layout, kind, capacity, data
-):
+def test_property_read_pages_equals_the_loop_of_single_reads(layout, kind, data):
     """``read_pages`` — native on the page stores, the run-replay
     adapter on everything else — is call for call the loop it replaces:
     any order, repeats, runs, a first page that continues the head."""
-    got_raw, got_dev, _, _k1 = open_raw(kind, layout, capacity)
-    ref_raw, ref_dev, _, _k2 = open_raw(kind, layout, capacity)
+    got_raw, got_dev, _, _k1 = open_raw(kind, layout)
+    ref_raw, ref_dev, _, _k2 = open_raw(kind, layout)
     # The file's last page is the device's last allocation.
     allocated = got_raw.file.physical_page(got_raw.file.n_pages - 1) + 1
     page = st.integers(0, allocated - 1)
@@ -382,12 +366,12 @@ def test_property_read_pages_equals_the_loop_of_single_reads(
         head = got_dev.head_position
         if head is not None and head + 1 < allocated and data.draw(st.booleans()):
             pages = [head + 1] + pages  # continues the head: sequential
-        scatter = reader(got_raw).read_pages(pages)
+        scatter = got_raw.disk.read_pages(pages)
         assert all(not buffer.flags.writeable for buffer, _ in scatter)
-        assert scatter_pages(scatter) == loop_read_pages(reader(ref_raw), pages)
+        assert scatter_pages(scatter) == loop_read_pages(ref_raw.disk, pages)
         del scatter
         # Run for run, not merely page for page — fault-plan ops too.
-        assert io_state(got_raw, got_dev) == io_state(ref_raw, ref_dev)
+        assert io_state(got_dev) == io_state(ref_dev)
         if kind == "faulty":
             assert got_raw.disk.reads_issued == ref_raw.disk.reads_issued
 
@@ -429,7 +413,7 @@ def test_property_gather_keeps_every_fault_plan_decision(layout, seed, p, data):
         assert outcomes[0] == outcomes[1]
         assert got_raw.disk.reads_issued == ref_raw.disk.reads_issued
         assert got_raw.disk.injected == ref_raw.disk.injected
-        assert io_state(got_raw, got_disk) == io_state(ref_raw, ref_disk)
+        assert io_state(got_disk) == io_state(ref_disk)
 
 
 @pytest.mark.parametrize(
@@ -462,7 +446,7 @@ def _paged(kind, n_pages=6, page_size=64):
     disk.reset_stats()
     disk.park_head()
     if kind == "shard":
-        return ShardedDisk(disk, 1).shards[0]
+        return DiskShard(disk)
     return disk
 
 
@@ -476,16 +460,6 @@ def test_read_pages_validates_before_anything_is_counted(kind):
             device.read_pages(bad)  # the loop would have counted a run first
     assert device.stats.total_reads == 0 and device.stats.bytes_read == 0
     assert device.head_position is None
-
-
-def test_read_pages_refuses_a_detached_shard():
-    disk = _paged("arena")
-    session = ShardedDisk(disk, 1)
-    shard = session.shards[0]
-    session.detach()
-    with pytest.raises(PageError, match="detached"):
-        shard.read_pages([0])
-    assert disk.stats.total_reads == 0
 
 
 def test_scatter_list_is_zero_copy_read_only_and_pins_its_arena():
@@ -514,7 +488,7 @@ def test_scatter_list_is_zero_copy_read_only_and_pins_its_arena():
     assert file.n_extents == 1
     # A read-only shard serves the parent's arenas — still without
     # copying — and sees the parent's later writes through them.
-    shard = ShardedDisk(disk, 1).shards[0]
+    shard = DiskShard(disk)
     scatter = shard.read_pages([1, 2, 3, 4, 6])
     assert [rows.tolist() for _, rows in scatter] == [[1, 2, 3, 4], [0]]
     assert [len(buffer) for buffer, _ in scatter] == [6, 2]

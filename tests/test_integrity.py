@@ -6,9 +6,10 @@ Covers the contract ``docs/robustness.md`` documents:
   zeros* (the padded-read contract), short payloads hash zero-extended,
   entries are keyed by physical page id and survive arena extent
   coalescing; a read-only shard verifies against the parent's map;
-* verified reads — :class:`BufferPool` and :class:`RawSeriesFile`
+* verified reads — :class:`PagedFile` and :class:`RawSeriesFile`
   raise :class:`CorruptionError` with page provenance instead of
-  serving flipped bytes, on both the per-page and bulk read paths;
+  serving flipped bytes, on the per-page, bulk and vectored read
+  paths, each page hashed once;
 * recording placement — consumers record the *intended* payload after
   the device acks, so a :class:`FaultyDevice` write-time flip can
   never bless itself;
@@ -22,14 +23,13 @@ import pytest
 
 from oracles import DEVICES
 from repro.storage import (
-    BufferPool,
     CorruptionError,
+    DiskShard,
     FaultPlan,
     FaultyDevice,
     PageError,
     PagedFile,
     RawSeriesFile,
-    ShardedDisk,
     SimulatedDisk,
     checksum_page,
     decay_bit,
@@ -114,51 +114,47 @@ def test_readonly_shard_verifies_against_parent_records():
     disk = make_disk()
     file = PagedFile(disk, name="t")
     file.append_page(b"committed")
-    physical = file.physical_page(0)
-    with ShardedDisk(disk, 1) as shards:
-        assert shards[0].checksums is disk.checksums
-        pool = BufferPool(shards[0], 4, verified_reads=True)
-        assert bytes(pool.read(physical))[:9] == b"committed"
-        decay_bit(disk, physical, bit=5)
-        with pytest.raises(CorruptionError):
-            BufferPool(shards[0], 4, verified_reads=True).read(physical)
+    shard = DiskShard(disk)
+    assert shard.checksums is disk.checksums
+    view = file.attach(shard)
+    assert bytes(view.read_stream(0, 1, verified=True))[:9] == b"committed"
+    decay_bit(disk, file.physical_page(0), bit=5)
+    with pytest.raises(CorruptionError):
+        view.read_stream(0, 1, verified=True)
 
 
 # ----------------------------------------------------------------------
 # Verified reads
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("store", DEVICES)
-def test_verified_pool_raises_with_page_provenance(store):
+def test_verified_read_raises_with_page_provenance(store):
     disk = make_disk(store)
     file = PagedFile(disk, name="t")
     file.append_page(b"x" * PAGE)
     physical = file.physical_page(0)
     decay_bit(disk, physical, bit=2047)
-    pool = BufferPool(disk, 4, verified_reads=True)
     with pytest.raises(CorruptionError) as exc:
-        pool.read(physical)
+        file.read_stream(0, 1, verified=True)
     assert exc.value.page_id == physical
     assert exc.value.expected_crc != exc.value.actual_crc
-    assert "BufferPool" in exc.value.source
+    assert exc.value.source == "PagedFile('t')"
     assert f"page {physical}" in str(exc.value)
-    # The unverified pool serves the flipped bytes silently — the
+    # The unverified read serves the flipped bytes silently — the
     # contrast that makes verified_reads the contract, not a default.
-    assert BufferPool(disk, 4).read(physical) is not None
+    assert file.read_stream(0, 1) is not None
 
 
-def test_verified_pool_bulk_read_raises_and_clean_bulk_passes():
+def test_verified_bulk_read_raises_and_clean_bulk_passes():
     disk = make_disk()
     file = PagedFile(disk, name="t")
     blob = bytes(range(256)) * ((PAGE * 3) // 256)
     file.grow(3)
     file.write_stream(blob, at_page=0)
     first = file.physical_page(0)
-    with BufferPool(disk, 8, verified_reads=True) as pool:
-        assert bytes(pool.read_run_bytes(first, 3)) == blob
+    assert bytes(file.read_stream(0, 3, verified=True)) == blob
     decay_bit(disk, first + 1, bit=0)
-    with BufferPool(disk, 8, verified_reads=True) as pool:
-        with pytest.raises(CorruptionError) as exc:
-            pool.read_run_bytes(first, 3)
+    with pytest.raises(CorruptionError) as exc:
+        file.read_stream(0, 3, verified=True)
     assert exc.value.page_id == first + 1
 
 
@@ -181,10 +177,11 @@ def test_raw_seriesfile_verified_reads_refuse_flipped_records():
     assert np.array_equal(raw.get(other), data[other])
 
 
-def test_raw_pages_under_a_verifying_pool_are_hashed_once(monkeypatch):
-    """A verifying pool hashes on a miss; the raw file reading through
-    it does not hash again — and a flip at rest is still refused with
-    the pool's provenance."""
+def test_raw_pages_are_hashed_once_per_read(monkeypatch):
+    """A verifying raw file hashes every page a read returns exactly
+    once — single pages, multi-page runs, a full scan, on the disk and
+    through a read-only shard — and a flip at rest is refused with the
+    file's provenance on every path."""
     disk = make_disk()
     rng = np.random.default_rng(5)
     data = rng.standard_normal((200, 16)).astype(np.float32)  # 8 per page
@@ -198,55 +195,43 @@ def test_raw_pages_under_a_verifying_pool_are_hashed_once(monkeypatch):
         return crc32(*args)
 
     monkeypatch.setattr(zlib, "crc32", counting_crc32)
-    # Single pages, multi-page runs, a full scan, and hits on all of it.
     wanted = np.array([3, 4, 90, 16, 17, 18, 24, 25, 199, 3])
-    with BufferPool(disk, 64, verified_reads=True) as pool:
-        view = raw.view(pool)
+    for view in (raw, raw.view(DiskShard(disk))):
         assert view.verified_reads
-        for _ in range(2):
-            assert np.array_equal(view.get_many(wanted), data[wanted])
-            assert np.array_equal(view.get(90), data[90])
+        del hashed[:]
+        assert np.array_equal(view.get_many(wanted), data[wanted])
+        assert len(hashed) == len(set((wanted // 8).tolist()))
+        del hashed[:]
+        assert np.array_equal(view.get(90), data[90])
+        assert len(hashed) == 1
+        del hashed[:]
         scanned = np.concatenate([block for _, block in view.scan()])
         assert np.array_equal(scanned, data)
-        assert pool.hits > 0
-        assert len(hashed) == pool.misses == raw.file.n_pages
-    # Without a verifying device underneath the file hashes for itself:
-    # directly on the disk, and through a pool that does not verify.
-    del hashed[:]
-    assert np.array_equal(raw.get_many(wanted), data[wanted])
-    assert len(hashed) == len(set((wanted // 8).tolist()))
-    del hashed[:]
-    with BufferPool(disk, 64) as pool:
-        raw.view(pool).get_many(wanted)
-        assert len(hashed) == pool.hits + pool.misses
+        assert len(hashed) == raw.file.n_pages
     # A page flipped at rest: same refusal, same provenance.
     bad_physical = raw.file.physical_page(raw._page_of(17))
     decay_bit(disk, bad_physical, bit=77)
-    for fetch in (
-        lambda view: view.get_many(wanted),
-        lambda view: view.get(17),
-        lambda view: list(view.scan()),
-    ):
-        with BufferPool(disk, 64, verified_reads=True) as pool:
+    for view in (raw, raw.view(DiskShard(disk))):
+        for fetch in (
+            lambda: view.get_many(wanted),
+            lambda: view.get(17),
+            lambda: list(view.scan()),
+        ):
             with pytest.raises(CorruptionError) as exc:
-                fetch(raw.view(pool))
+                fetch()
             assert exc.value.page_id == bad_physical
-            assert exc.value.source == f"BufferPool({disk!r})"
+            assert exc.value.source == "RawSeriesFile('raw')"
             assert str(exc.value).startswith(
-                f"BufferPool({disk!r}): checksum mismatch on page {bad_physical} "
+                f"RawSeriesFile('raw'): checksum mismatch on page {bad_physical} "
             )
-    with pytest.raises(CorruptionError) as exc:
-        raw.get(17)
-    assert exc.value.source == "RawSeriesFile('raw')"
 
 
 def test_verified_reads_without_sidecar_fail_loudly():
     disk = SimulatedDisk(page_size=PAGE)  # integrity not enabled
-    first = disk.allocate(1)
-    disk.write_page(first, b"x")
-    pool = BufferPool(disk, 2, verified_reads=True)
+    raw = RawSeriesFile.create(disk, np.zeros((4, 16), dtype=np.float32))
+    raw.verified_reads = True
     with pytest.raises(PageError, match="ChecksumMap"):
-        pool.read(first)
+        raw.get(0)
 
 
 def test_write_time_flip_is_detected_not_blessed():
@@ -265,7 +250,7 @@ def test_write_time_flip_is_detected_not_blessed():
     assert dev.n_flips_injected == 1
     assert not disk.checksums.verify(physical, disk.page_view(physical))
     with pytest.raises(CorruptionError):
-        BufferPool(disk, 2, verified_reads=True).read(physical)
+        file.attach(disk).read_stream(0, 1, verified=True)
 
 
 # ----------------------------------------------------------------------

@@ -7,9 +7,9 @@ whose records fill their pages.  A dense block is read and hashed
 exactly as ``get_many`` reads it, bounded on zero-copy views of the
 pages it read, and only the rows that can win are copied; any other
 block is gathered as before.  The answer must not notice: the same
-surviving rows with the same bits, and the same ``DiskStats``, head,
-trace and pool state as ``get_many`` followed by ``rows_that_can_win``
-on the copy.
+surviving rows with the same bits, and the same ``DiskStats``, head
+and trace as ``get_many`` followed by ``rows_that_can_win`` on the
+copy.
 """
 
 import tracemalloc
@@ -31,8 +31,7 @@ from repro.core.sims import (
 )
 from repro.core.summary_column import SummaryColumn
 from repro.series import euclidean_batch, make_dataset
-from repro.storage import BufferPool, RawSeriesFile, SimulatedDisk
-from repro.storage.disk import ShardedDisk
+from repro.storage import DiskShard, RawSeriesFile, SimulatedDisk
 from repro.storage.seriesfile import PagedRecords
 from repro.summaries import SAXConfig
 
@@ -84,26 +83,16 @@ def open_raw(kind, layout):
         raw.append_batch(blocks[-1])
     device = disk
     if kind == "shard":
-        session = ShardedDisk(disk, 1)
-        keep.append(session)
-        device = session.shards[0]
+        device = DiskShard(disk)
         raw = raw.view(device)
-    elif kind == "pool":
-        raw.attach_pool(BufferPool(disk, capacity_pages=4))
     device.reset_stats()
     device.park_head()
     return raw, device, np.concatenate(blocks), keep
 
 
-def io_state(raw, device):
-    """Counters, head, trace and pool state of the device under ``raw``."""
-    pool = raw._pool
-    return (
-        device.stats.copy(),
-        device.head_position,
-        list(device.trace),
-        pool and (pool.hits, pool.misses, list(pool._cache)),
-    )
+def io_state(device):
+    """Counters, head and trace of the device under a raw file."""
+    return device.stats.copy(), device.head_position, list(device.trace)
 
 
 def requests(n):
@@ -119,7 +108,7 @@ def requests(n):
 @settings(max_examples=150, deadline=None)
 @given(
     layout=layouts(),
-    kind=st.sampled_from(["arena", "shard", "pool", "dict"]),
+    kind=st.sampled_from(["arena", "shard", "dict"]),
     data=st.data(),
 )
 def test_property_paged_bound_equals_gather_then_bound(layout, kind, data):
@@ -163,7 +152,7 @@ def test_property_paged_bound_equals_gather_then_bound(layout, kind, data):
         np.testing.assert_array_equal(in_block, rows_expected)
         assert series[rows_kept].tobytes() == reference[rows_expected].tobytes()
         np.testing.assert_array_equal(identifiers[rows_kept], ids[rows_expected])
-    assert io_state(got_raw, got_dev) == io_state(ref_raw, ref_dev)
+    assert io_state(got_dev) == io_state(ref_dev)
 
 
 # ---------------------------------------------------------------- routing

@@ -182,7 +182,7 @@ def test_stream_fast_path_matches_per_page_on_fragmented_files():
 
 def test_stream_fast_path_on_shards_matches_per_page():
     """The bulk interface of DiskShard classifies like its page loop."""
-    from repro.storage import ShardedDisk
+    from repro.storage import DiskShard
 
     def build():
         disk = SimulatedDisk(page_size=32)
@@ -197,18 +197,14 @@ def test_stream_fast_path_on_shards_matches_per_page():
 
     d1, s1 = build()
     d2, s2 = build()
-    with ShardedDisk(d1, 1) as (shard1,):
-        got_bulk = s1.attach(shard1).read_stream(0, 6)
-        stats1 = shard1.snapshot()
-    with ShardedDisk(d2, 1) as (shard2,):
-        view = s2.attach(shard2)
-        got_pages = b"".join(bytes(view.read(i)) for i in range(6))
-        stats2 = shard2.snapshot()
+    shard1, shard2 = DiskShard(d1), DiskShard(d2)
+    got_bulk = s1.attach(shard1).read_stream(0, 6)
+    view = s2.attach(shard2)
+    got_pages = b"".join(bytes(view.read(i)) for i in range(6))
     assert got_bulk == got_pages
     assert got_bulk == bytes(range(100)).ljust(128, b"\x00") + b"y" * 64
-    assert stats1 == stats2  # two extents: two seeks either way
-    assert stats1.random_reads == 2 and stats1.sequential_reads == 4
-    assert d1.stats == d2.stats  # reconciled at detach
+    assert shard1.stats == shard2.stats  # two extents: two seeks either way
+    assert shard1.stats.random_reads == 2 and shard1.stats.sequential_reads == 4
 
 
 def test_read_stream_empty_range_and_bounds():

@@ -37,7 +37,7 @@ from repro.core import CoconutLSM, CoconutTrie
 from repro.indexes import ADSIndex, SerialScan
 from repro.parallel.sched import plan_query_batch
 from repro.service import serve_snapshot_batch
-from repro.storage import ExternalSorter, merge_stream
+from repro.storage import DiskShard, ExternalSorter, merge_stream
 from repro.storage.cost import QueryCostModel
 from repro.summaries import SAXConfig
 
@@ -69,6 +69,7 @@ for name in (
     "repro.parallel.spill",
     "repro.parallel.query",  # the pooled exact batch and serial scan
     "repro.parallel.pool",  # the worker pool itself
+    "repro.storage.bufferpool",  # the LRU page cache
 ):
     module(name)
 
@@ -109,6 +110,13 @@ absent(QueryCostModel, "thread_task_us")
 # A served batch reads straight off its snapshot shard: no buffer pool.
 for owner in (repro, repro.service, repro.service.snapshot):
     absent(owner, "SERVE_POOL_PAGES")
+# One read path under the raw file: no page cache, no n-shard session.
+for owner in (repro, repro.storage):
+    absent(owner, "BufferPool", "ShardedDisk")
+absent(repro.storage.disk, "ShardedDisk")
+absent(RawSeriesFile, "attach_pool", "hashes_reads_from")
+# No session, so no end of one to guard, and no slot in one to number.
+absent(DiskShard, "attached", "_check_attached")
 
 # ------------------------------------------------------------ keywords
 
@@ -245,6 +253,16 @@ refused(
 refused(
     "merge_stream-engine",
     _construct(lambda disk, raw: merge_stream("blockwise", [], None, 8)),
+)
+
+# The read-only device is built alone; its name is a keyword.
+refused(
+    "DiskShard-positional-shard_id",  # was DiskShard(parent, shard_id, name)
+    _construct(lambda disk, raw: DiskShard(disk, 0)),
+)
+refused(
+    "DiskShard-shard_id",
+    _construct(lambda disk, raw: DiskShard(disk, shard_id=0)),
 )
 
 # The harness: builds take no workers, the service sweep is one cell.

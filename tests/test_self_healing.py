@@ -1,4 +1,4 @@
-"""Self-healing: the retry policy, its report, and shard sessions.
+"""Self-healing: the retry policy, its report, and the read-only shard.
 
 ``run_self_healing`` retries transient faults with capped backoff and
 degrades on anything else; ``RetryPolicy`` refuses bad numbers when it
@@ -6,9 +6,9 @@ is built.  The served-snapshot side of the contract — healed and
 degraded batches answer like the oracle — is pinned in
 ``tests/test_service.py`` and ``tests/test_service_chaos.py``.
 
-Also pins that a failed ``ShardedDisk`` session leaves no trace: an
-out-of-bounds ``get_many`` raises before any I/O through a shard
-session, and the parent device stays live.
+Also pins that a failed read through a ``DiskShard`` leaves no trace:
+an out-of-bounds ``get_many`` raises before any I/O through the shard,
+and the parent device stays live.
 """
 
 import numpy as np
@@ -18,8 +18,8 @@ from repro.parallel.heal import RetryPolicy, run_self_healing
 from repro.service import ServiceConfig
 from repro.storage import (
     DeviceCrash,
+    DiskShard,
     PermanentIOError,
-    ShardedDisk,
     SimulatedDisk,
     TransientIOError,
 )
@@ -73,19 +73,19 @@ def test_non_fault_exceptions_are_not_masked():
 
 
 # ----------------------------------------------------------------------
-# Shard sessions
+# The read-only shard
 # ----------------------------------------------------------------------
-def test_get_many_oob_raises_before_io_through_shard_session():
+def test_get_many_oob_raises_before_io_through_a_shard():
     disk = SimulatedDisk(page_size=PAGE)
     raw = RawSeriesFile(disk, LENGTH)
     raw.append_batch(DATA[:50])
-    before = disk.stats
-    session = ShardedDisk(disk, 1, names=["probe"])
+    before = disk.snapshot()
+    shard = DiskShard(disk, name="probe")
     with pytest.raises(IndexError):
-        with session as shards:
-            raw.view(shards[0]).get_many(np.array([0, 50], dtype=np.int64))
-    assert disk.stats == before  # validation fired before any I/O
-    disk.allocate(1)  # session aborted, parent live
+        raw.view(shard).get_many(np.array([0, 50], dtype=np.int64))
+    # Validation fired before any I/O, on the shard and the parent.
+    assert disk.snapshot() == before and shard.stats.total_reads == 0
+    disk.allocate(1)  # the parent stays live
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.storage import BufferPool, RawSeriesFile, SimulatedDisk
+from repro.storage import DiskShard, DiskStats, RawSeriesFile, SimulatedDisk
 
 
 def make_raw(n=50, length=32, page_size=512, seed=0):
@@ -136,19 +136,6 @@ def test_scan_with_multipage_series():
     np.testing.assert_array_equal(np.concatenate(blocks), data)
 
 
-def test_buffer_pool_attachment_caches_reads():
-    disk, raw, _ = make_raw(n=20, length=16, page_size=256)
-    pool = BufferPool(disk, capacity_pages=8)
-    raw.attach_pool(pool)
-    raw.get(0)
-    disk.reset_stats()
-    raw.get(0)
-    assert disk.stats.total_reads == 0
-    raw.attach_pool(None)
-    raw.get(0)
-    assert disk.stats.total_reads == 1
-
-
 def test_scan_with_page_unaligned_records():
     """Regression: records that do not divide the page size evenly.
 
@@ -196,27 +183,78 @@ def test_range_scan_matches_full_scan_slices():
 
 
 def test_view_reads_through_device_and_leaves_parent_untouched():
-    import numpy as np
-
-    from repro.storage import ShardedDisk, SimulatedDisk
-    from repro.storage.bufferpool import BufferPool
-
     rng = np.random.default_rng(11)
     disk = SimulatedDisk(page_size=512)
     data = rng.standard_normal((40, 24)).astype(np.float32)
     raw = RawSeriesFile.create(disk, data)
     disk.reset_stats()
-    with ShardedDisk(disk, 1) as (shard,):
-        with BufferPool(shard, capacity_pages=4) as pool:
-            view = raw.view(pool)
-            np.testing.assert_array_equal(
-                view.get_many(np.array([3, 17, 3, 29])),
-                data[[3, 17, 3, 29]],
-            )
-            got = np.concatenate([b for _, b in view.scan(start=10, stop=30)])
-            np.testing.assert_array_equal(got, data[10:30])
-            assert shard.stats.total_reads > 0
-    # Every read went through the shard: the parent saw none of it
-    # (the reconciled session stats land on the parent only at detach).
-    assert disk.stats.total_reads == shard.stats.total_reads
-    assert disk.stats.bytes_written == 0
+    shard = DiskShard(disk)
+    view = raw.view(shard)
+    np.testing.assert_array_equal(
+        view.get_many(np.array([3, 17, 3, 29])), data[[3, 17, 3, 29]]
+    )
+    got = np.concatenate([b for _, b in view.scan(start=10, stop=30)])
+    np.testing.assert_array_equal(got, data[10:30])
+    assert shard.stats.total_reads > 0
+    # Every read went through the shard: the parent saw none of it.
+    assert disk.stats == DiskStats()
+
+
+def _rows(n):
+    return np.random.default_rng(1).standard_normal((n, 16)).astype(np.float32)
+
+
+# A view shares the live file's tail page: writing through it would
+# overwrite rows the live file appends next.  A truncate to a bool or a
+# non-integer used to become the row count itself.
+REFUSED_WRITES = {
+    "view-append_batch": (
+        ValueError,
+        lambda raw: raw.view(raw.disk).append_batch(_rows(5)),
+    ),
+    "view-append_batch-empty": (
+        ValueError,
+        lambda raw: raw.view(raw.disk).append_batch(_rows(0)),
+    ),
+    "shard-view-append_batch": (
+        ValueError,
+        lambda raw: raw.view(DiskShard(raw.disk)).append_batch(_rows(5)),
+    ),
+    "view-of-view-append_batch": (
+        ValueError,
+        lambda raw: raw.view(raw.disk).view(raw.disk).append_batch(_rows(5)),
+    ),
+    "view-truncate": (ValueError, lambda raw: raw.view(raw.disk).truncate(5)),
+    "shard-view-truncate": (
+        ValueError,
+        lambda raw: raw.view(DiskShard(raw.disk)).truncate(5),
+    ),
+    "truncate-negative": (ValueError, lambda raw: raw.truncate(-1)),
+    "truncate-grow": (ValueError, lambda raw: raw.truncate(11)),
+    "truncate-None": (TypeError, lambda raw: raw.truncate(None)),
+    "truncate-np.float64": (TypeError, lambda raw: raw.truncate(np.float64(2.0))),
+    "truncate-True": (TypeError, lambda raw: raw.truncate(True)),
+    "truncate-False": (TypeError, lambda raw: raw.truncate(False)),
+    "truncate-2.5": (TypeError, lambda raw: raw.truncate(2.5)),
+    "truncate-2.0": (TypeError, lambda raw: raw.truncate(2.0)),
+    "truncate-str": (TypeError, lambda raw: raw.truncate("3")),
+}
+
+
+@pytest.mark.parametrize("row", sorted(REFUSED_WRITES))
+def test_views_and_non_integer_truncates_are_refused_before_io(row):
+    error, call = REFUSED_WRITES[row]
+    disk, raw, data = make_raw(n=10, length=16, page_size=512)  # 8 per page
+    before, pages = disk.snapshot(), disk.dump_pages()
+    with pytest.raises(error):
+        call(raw)
+    assert disk.snapshot() == before and disk.dump_pages() == pages
+    assert raw.n_series == 10 and type(raw.n_series) is int
+    # The live file's tail is still its own, and an integer-like count
+    # truncates to a plain int.
+    raw.append_batch(data[:3])
+    np.testing.assert_array_equal(
+        raw.get_many(np.arange(13)), np.concatenate([data, data[:3]])
+    )
+    raw.truncate(np.int64(4))
+    assert raw.n_series == 4 and type(raw.n_series) is int

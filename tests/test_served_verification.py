@@ -1,6 +1,7 @@
-"""Served tickets verify every page they read, with no buffer pool.
+"""Served tickets verify every page they read, off the snapshot's shard.
 
-A served batch reads straight off its snapshot's read-only shard.  With
+A served batch reads straight off its snapshot's read-only shard and
+never touches the parent device's counters, head or trace.  With
 ``ServiceConfig(verified_reads=True)`` each page it reads — record
 pages the SIMS gather fetches and run windows the approximate probe
 reads — is hashed against the checksum sidecar before it is used.  A
@@ -90,6 +91,7 @@ def test_served_exact_ticket_hashes_every_page_it_reads(monkeypatch, k):
     run_pages, raw_pages = page_kinds(snapshot, raw)
     verified = spy_on_verification(monkeypatch)
     mark, parent_mark = len(snapshot.shard.trace), len(disk.trace)
+    parent_stats, parent_head = disk.snapshot(), disk.head_position
     for query in QUERIES:
         ticket = svc.query(query, mode="exact", k=k)
         assert ticket.status == "served" and not ticket.degraded
@@ -102,7 +104,10 @@ def test_served_exact_ticket_hashes_every_page_it_reads(monkeypatch, k):
     assert read & run_pages and read & raw_pages
     assert read <= run_pages | raw_pages
     assert read <= verified
+    # The parent device never sees a served read: trace, counters, head.
     assert len(disk.trace) == parent_mark
+    assert disk.snapshot() == parent_stats
+    assert disk.head_position == parent_head
 
 
 @pytest.mark.parametrize("kind", ["raw", "run"])

@@ -41,9 +41,9 @@ from repro.service import (
 )
 from repro.indexes.base import QueryBatch
 from repro.storage import (
+    DiskShard,
     FaultPlan,
     FaultyDevice,
-    ShardedDisk,
     SimulatedDisk,
 )
 from repro.storage.seriesfile import RawSeriesFile
@@ -301,7 +301,7 @@ def test_a_degraded_batch_counts_once_whatever_its_size():
     """``degraded_batches`` counts batches: one batch of three tickets
     whose every attempt hits a permanent fault reads 1, not 3."""
     _, _, svc = make_service()
-    svc.wrap_serve_device = lambda shard, part, attempt: FaultyDevice(
+    svc.wrap_serve_device = lambda shard, attempt: FaultyDevice(
         shard, FaultPlan(seed=1, bad_pages=((0, 10**9),))
     )
     tickets = [svc.submit(q, k=2) for q in QUERIES[:3]]
@@ -548,7 +548,7 @@ def test_ticket_reports_the_watermark_it_is_exact_over():
 @pytest.mark.parametrize("workers", [1, 2, 0, -1])
 def test_serving_never_conflicts_at_any_worker_count(workers):
     """Nothing fences the parent disk, so no batch degrades for want of
-    a session; the export keeps its ``session_conflicts`` key at 0.
+    a reader; the export keeps its ``session_conflicts`` key at 0.
     ``0`` / ``-1`` mean all cores, as at every other entry point."""
     _, _, svc = make_service(ServiceConfig(query_workers=workers))
     assert_serves_expected(svc, expected_answers(svc._lsm))
@@ -559,16 +559,16 @@ def test_serving_never_conflicts_at_any_worker_count(workers):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 0, -1])
-def test_serving_proceeds_beside_another_read_only_session(workers):
-    """Read-only sessions coexist: one held open on the disk by another
-    reader neither blocks nor perturbs the service's own, and keeps its
-    counters to itself until it detaches."""
+def test_serving_proceeds_beside_another_read_only_shard(workers):
+    """Read-only shards coexist: ones held open on the disk by another
+    reader neither block nor perturb the service's own, and keep their
+    counters to themselves."""
     disk, _, svc = make_service(ServiceConfig(query_workers=workers))
     expected = expected_answers(svc._lsm)
-    with ShardedDisk(disk, 2, names=["a", "b"]) as (a, b):
-        a.read_page(0)
-        assert_serves_expected(svc, expected)
-        assert b.stats.total_ios == 0
+    a, b = DiskShard(disk, name="a"), DiskShard(disk, name="b")
+    a.read_page(0)
+    assert_serves_expected(svc, expected)
+    assert a.stats.total_ios == 1 and b.stats.total_ios == 0
     stats = svc.stats_snapshot()
     assert stats["session_conflicts"] == 0
     assert stats["degraded_batches"] == 0
