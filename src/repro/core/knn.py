@@ -16,14 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..series.distance import early_abandon_euclidean_block
-from ..summaries.paa import paa
 from ..summaries.sax import SAXConfig
-from .sims import (
-    SIMS_BLOCK_RECORDS,
-    FetchFn,
-    fetch_rows_that_can_win,
-    rows_that_can_win,
-)
+from .sims import SIMS_BLOCK_RECORDS, FetchFn, rows_that_can_win
 from .summary_column import WordColumn
 
 
@@ -224,38 +218,17 @@ def sims_knn_scan(
 ) -> KNNOutcome:
     """Exact k-NN via the skip-sequential summary scan.
 
-    ``seed_distances`` are (distance, id) pairs from an approximate
-    pass; they tighten the pruning bound from the start.  Each fetched
-    block loses the rows :func:`repro.core.sims.rows_that_can_win`
-    rules out against the heap's threshold, then is refined by
-    :func:`refine_block`: lowest bounds first while the heap is short
-    of k, then only the rows that can still enter.
+    The one-query case of
+    :func:`repro.parallel.batch.batched_exact_knn`: the same prime pass
+    and block walk, so every index's ``exact_knn`` refines as its
+    batches do.  ``seed_distances`` are (distance, id) pairs from an
+    approximate pass (ids < 0 are ignored); they tighten the pruning
+    bound from the start.
     """
+    from ..parallel.batch import batched_exact_knn  # deferred: batch imports knn
+
     query = np.asarray(query, dtype=np.float64).ravel()
-    heap = _BoundedMaxHeap(k)
-    for distance, identifier in seed_distances or []:
-        heap.offer(float(distance), int(identifier))
-    query_paa = paa(query, config.word_length)[0]
-    mindists = column.lower_bounds(query_paa)
-    candidates = np.nonzero(mindists < heap.threshold)[0]
-    visited = 0
-    for start in range(0, len(candidates), block_records):
-        block = candidates[start : start + block_records]
-        block = block[mindists[block] < heap.threshold]
-        if len(block) == 0:
-            continue
-        series, identifiers, (rows,), taken = fetch_rows_that_can_win(
-            fetch, block, [(query, np.arange(len(block)), heap.threshold)]
-        )
-        visited += len(block)
-        if len(rows):
-            bounds = mindists[block if taken is None else block[taken]]
-            refine_block(query, series, identifiers, rows, bounds, heap)
-    items = heap.sorted_items()
-    n = len(column)
-    return KNNOutcome(
-        answer_ids=[i for _, i in items],
-        distances=[d for d, _ in items],
-        visited_records=visited,
-        pruned_fraction=1.0 - (visited / n) if n else 0.0,
+    (outcome,) = batched_exact_knn(
+        query[None], k, column, config, fetch, [seed_distances or []], block_records
     )
+    return outcome

@@ -7,7 +7,10 @@ every query's lower-bound vector over the same in-memory summaries,
 takes the *union* of unpruned positions, and walks that union once in
 ascending storage order — each fetched block of records is evaluated
 against every query that still needs it, so a page is read once per
-pass and serves the whole batch.
+pass and serves the whole batch.  When that union spans more than one
+block, a prime pass first refines each short heap's lowest-bound rows
+(:func:`prime_short_heaps`), so the walk starts at thresholds close to
+the final ones.
 
 Results are exact and identical to the per-query engine: pruning uses
 per-query thresholds that only ever shrink, so every record that could
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.knn import KNNOutcome, _BoundedMaxHeap, refine_block
+from ..core.knn import REFINE_FIRST_ROWS, KNNOutcome, _BoundedMaxHeap, refine_block
 from ..core.sims import SIMS_BLOCK_RECORDS, fetch_rows_that_can_win
 from ..core.summary_column import WordColumn
 from ..indexes.base import BatchReport, Measurement, QueryResult
@@ -50,7 +53,9 @@ def batched_exact_knn(
     other length is refused before anything is fetched.  ``fetch`` is
     called with ascending positions exactly once per unpruned block —
     the same skip-sequential contract as the per-query engine, shared
-    batch-wide.
+    batch-wide — in two passes when the candidate union spans more
+    than one block: the prime pass (:func:`prime_short_heaps`), then
+    the walk over the union recomputed at the primed thresholds.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     n_queries = len(queries)
@@ -74,9 +79,12 @@ def batched_exact_knn(
         ]
     query_paa = paa(queries, config.word_length)
     mindists = column.lower_bounds(query_paa)
-    thresholds = np.array([heap.threshold for heap in heaps])
-    union = np.nonzero((mindists < thresholds[:, None]).any(axis=0))[0]
-    visited = walk_candidate_blocks(
+    union = candidate_union(mindists, heaps)
+    visited = np.zeros(n_queries, dtype=np.int64)
+    if len(union) > block_records:
+        visited += prime_short_heaps(queries, heaps, mindists, fetch, block_records)
+        union = candidate_union(mindists, heaps)
+    visited += walk_candidate_blocks(
         queries, heaps, mindists, union, fetch, block_records
     )
     return [
@@ -97,6 +105,66 @@ def seeded_heaps(
             if identifier >= 0:
                 heap.offer(float(distance), int(identifier))
     return heaps
+
+
+def candidate_union(mindists: np.ndarray, heaps: list[_BoundedMaxHeap]) -> np.ndarray:
+    """Ascending positions whose bound beats some query's threshold."""
+    thresholds = np.array([heap.threshold for heap in heaps])
+    return np.nonzero((mindists < thresholds[:, None]).any(axis=0))[0]
+
+
+def prime_short_heaps(
+    queries: np.ndarray,
+    heaps: list[_BoundedMaxHeap],
+    mindists: np.ndarray,
+    fetch,
+    block_records: int,
+) -> np.ndarray:
+    """Refine each short heap's lowest-bound rows; returns visited counts.
+
+    A heap is short while its threshold is ``inf`` (fewer than k
+    entries); one of ``k <= REFINE_FIRST_ROWS`` takes its
+    :data:`~repro.core.knn.REFINE_FIRST_ROWS` lowest-bound positions,
+    which usually hold its k nearest neighbors.  The union of those
+    positions is fetched in ascending order, block by block, and each
+    short query refines only its own rows
+    (:func:`repro.core.knn.refine_block`).  Its heap is then full at a
+    threshold near the final one, where the walk that follows prunes
+    almost everything.
+
+    Exact: the primed distances are exact and a threshold only shrinks.
+    A primed row has been offered to its query's heap, so its bound in
+    ``mindists`` is set to ``inf``: the walk never fetches it for that
+    query again, and each row counts once in ``visited_records``.
+    """
+    visited = np.zeros(len(heaps), dtype=np.int64)
+    short = np.array(
+        [
+            i
+            for i, heap in enumerate(heaps)
+            if heap.threshold == float("inf") and heap.k <= REFINE_FIRST_ROWS
+        ],
+        dtype=np.int64,
+    )
+    if len(short) == 0:
+        return visited
+    n_first = min(REFINE_FIRST_ROWS, mindists.shape[1])
+    own = np.argpartition(mindists[short], n_first - 1, axis=1)[:, :n_first]
+    positions = np.unique(own)
+    member = np.zeros((len(short), len(positions)), dtype=bool)
+    member[np.arange(len(short))[:, None], np.searchsorted(positions, own)] = True
+    for start in range(0, len(positions), block_records):
+        block = positions[start : start + block_records]
+        series, identifiers = fetch(block)
+        for j, i in enumerate(short.tolist()):
+            rows = np.flatnonzero(member[j, start : start + len(block)])
+            if len(rows):
+                refine_block(
+                    queries[i], series, identifiers, rows, mindists[i, block], heaps[i]
+                )
+    visited[short] = n_first
+    mindists[short[:, None], own] = float("inf")
+    return visited
 
 
 def walk_candidate_blocks(
@@ -166,15 +234,17 @@ def sims_query_batch(index, batch, prepare) -> BatchReport:
     ``prepare`` runs inside the measurement and returns the (column,
     fetch) pair of the index — loading summaries there charges their
     I/O to the batch, shared across all queries.  Each query is seeded
-    with its approximate answer, exactly as the per-query engines do.
+    with its approximate answer, exactly as the per-query engines do,
+    from one shared probe pass (``index._approximate_batch``: the
+    answers of ``approximate_search``, each distinct leaf read once).
     """
     queries = np.atleast_2d(np.asarray(batch.queries, dtype=np.float64))
     with Measurement(index.disk) as measure:
         column, fetch = prepare()
-        seeds = []
-        for query in queries:
-            approx = index.approximate_search(query)
-            seeds.append([(approx.distance, approx.answer_idx)])
+        seeds = [
+            [(approx.distance, approx.answer_idx)]
+            for approx in index._approximate_batch(queries)
+        ]
         outcomes = batched_exact_knn(
             queries, batch.k, column, index.config, fetch, seeds
         )
