@@ -399,14 +399,14 @@ class CoconutLSM(SIMSIndex):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Offsets near the query key in one run, charging its I/O.
 
-        ``read_window`` overrides how the probed page range is read —
+        ``read_window`` overrides how the window's page range is read —
         the batched approximate path passes a caching reader so queries
         probing the same page window of the same run share one read.
         """
         start, stop = window_around(run.keys, key, window, self.config)
         if stop <= start:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        # Charge the page range of the probed records.
+        # Charge the page range of the window's records.
         rec = self._record_bytes
         first_page = start * rec // self.disk.page_size
         last_page = min(
@@ -420,16 +420,14 @@ class CoconutLSM(SIMSIndex):
 
     def _approximate_one(
         self, query: np.ndarray, read_window=None, raw=None
-    ) -> tuple[int, float, np.ndarray, np.ndarray]:
-        """One approximate probe: (answer_idx, distance, offsets, distances).
+    ) -> tuple[int, float, np.ndarray]:
+        """One approximate probe: (answer_idx, distance, offsets).
 
         ``offsets`` (ascending, distinct) are the records the probe
-        refined and ``distances`` their true distances — every one a
-        free seed for an exact k-NN heap.  Shared between
-        :meth:`approximate_search` and the batched paths; only
-        ``read_window`` (how run page windows are charged) and ``raw``
-        (which device the record fetch lands on) vary, so per-query
-        answers are identical by construction.
+        refined.  Shared between :meth:`approximate_search` and the
+        batched paths; only ``read_window`` (how run page windows are
+        charged) and ``raw`` (which device the record fetch lands on)
+        vary, so per-query answers are identical by construction.
         """
         raw = raw if raw is not None else self.raw
         key = query_key(query, self.config)
@@ -452,12 +450,12 @@ class CoconutLSM(SIMSIndex):
             else np.empty(0, dtype=np.int64)
         )
         if len(offsets) == 0:
-            return -1, float("inf"), offsets, np.empty(0)
+            return -1, float("inf"), offsets
         distances = early_abandon_euclidean_block(
             query, raw.get_many(offsets), float("inf")
         )
         j = int(np.argmin(distances))
-        return int(offsets[j]), float(distances[j]), offsets, distances
+        return int(offsets[j]), float(distances[j]), offsets
 
     def _sorted_memtable(self) -> tuple[np.ndarray, np.ndarray]:
         """The memtable's ``(keys, offsets)`` in stable key order."""
@@ -469,7 +467,7 @@ class CoconutLSM(SIMSIndex):
         """Probe every run (and the memtable) around the query key."""
         query = self._query_array(query)
         with Measurement(self.disk) as measure:
-            best_idx, best_dist, offsets, _ = self._approximate_one(query)
+            best_idx, best_dist, offsets = self._approximate_one(query)
         return QueryResult(
             answer_idx=best_idx,
             distance=best_dist,
@@ -503,7 +501,7 @@ class CoconutLSM(SIMSIndex):
         file to it, and the run windows are hashed against the checksum
         sidecar whenever the raw file's records are (``verified_reads``),
         so a served probe never reads a page it has not verified.  The
-        window cache only dedupes the I/O charge of a probed page range;
+        window cache only dedupes the I/O charge of a run's page window;
         answers are a pure function of the query.
         """
         seen: set[tuple[int, int, int]] = set()
@@ -528,7 +526,7 @@ class CoconutLSM(SIMSIndex):
         pairs = []
         for qi in order:
             qi = int(qi)
-            best_idx, best_dist, offsets, distances = self._approximate_one(
+            best_idx, best_dist, offsets = self._approximate_one(
                 queries[qi], read_window, raw=raw
             )
             pairs.append(
@@ -539,7 +537,6 @@ class CoconutLSM(SIMSIndex):
                         distance=best_dist,
                         visited_records=len(offsets),
                         visited_leaves=self.n_runs,
-                        probed=(offsets, distances),
                     ),
                 )
             )

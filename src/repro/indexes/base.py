@@ -53,13 +53,6 @@ class QueryResult:
     simulated_io_ms: float = 0.0
     wall_s: float = 0.0
     pruned_fraction: float = 0.0
-    #: ``(ids, distances)`` of every record a batched approximate probe
-    #: refined, when the index hands them over (``CoconutLSM``): seeds
-    #: for an exact k-NN heap.  Travels with the result so each query
-    #: carries its own probe; not part of a result's identity.
-    probed: "tuple[np.ndarray, np.ndarray] | None" = field(
-        default=None, compare=False, repr=False
-    )
 
     @property
     def total_cost_s(self) -> float:

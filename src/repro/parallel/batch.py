@@ -7,10 +7,10 @@ every query's lower-bound vector over the same in-memory summaries,
 takes the *union* of unpruned positions, and walks that union once in
 ascending storage order — each fetched block of records is evaluated
 against every query that still needs it, so a page is read once per
-pass and serves the whole batch.  When that union spans more than one
-block, a prime pass first refines each short heap's lowest-bound rows
-(:func:`prime_short_heaps`), so the walk starts at thresholds close to
-the final ones.
+pass and serves the whole batch.  When that union holds more than
+:data:`~repro.core.knn.REFINE_FIRST_ROWS` rows, a prime pass first
+refines each short heap's lowest-bound rows (:func:`prime_short_heaps`),
+so the walk starts at thresholds close to the final ones.
 
 Results are exact and identical to the per-query engine: pruning uses
 per-query thresholds that only ever shrink, so every record that could
@@ -53,9 +53,10 @@ def batched_exact_knn(
     other length is refused before anything is fetched.  ``fetch`` is
     called with ascending positions exactly once per unpruned block —
     the same skip-sequential contract as the per-query engine, shared
-    batch-wide — in two passes when the candidate union spans more
-    than one block: the prime pass (:func:`prime_short_heaps`), then
-    the walk over the union recomputed at the primed thresholds.
+    batch-wide — in two passes when the candidate union holds more
+    than :data:`~repro.core.knn.REFINE_FIRST_ROWS` rows: the prime pass
+    (:func:`prime_short_heaps`), then the walk over the union
+    recomputed at the primed thresholds.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     n_queries = len(queries)
@@ -81,7 +82,7 @@ def batched_exact_knn(
     mindists = column.lower_bounds(query_paa)
     union = candidate_union(mindists, heaps)
     visited = np.zeros(n_queries, dtype=np.int64)
-    if len(union) > block_records:
+    if len(union) > REFINE_FIRST_ROWS:
         visited += prime_short_heaps(queries, heaps, mindists, fetch, block_records)
         union = candidate_union(mindists, heaps)
     visited += walk_candidate_blocks(

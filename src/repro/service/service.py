@@ -26,10 +26,10 @@
   the newest memtable batch or run).
 
 * **Integrity**: with ``verified_reads`` every page a served batch
-  reads — record pages and probed run windows — is hashed against the
-  checksum sidecar before use; a flipped page raises
-  :class:`~repro.storage.faults.CorruptionError`, and the service
-  scrubs, repairs and answers again on the repaired state.
+  reads — record pages, and the run windows of an approximate batch's
+  probe — is hashed against the checksum sidecar before use; a flipped
+  page raises :class:`~repro.storage.faults.CorruptionError`, and the
+  service scrubs, repairs and answers again on the repaired state.
 
 * **Degradation** is graceful and counted: transient serve faults
   retry on fresh wrappers, other faults fall back to the same serial

@@ -34,7 +34,9 @@ snapshot's content, on its own head and counters, while ingest keeps
 allocating and writing on the parent.  A served batch
 reads straight off that shard — the record gather through its native
 vectored ``read_pages`` — and, when the raw file verifies reads, hashes
-every page it reads, raw pages and probed run windows alike.
+every page it reads: raw pages, and the run windows an approximate
+batch's probe reads (an exact batch reads no run page; its heaps are
+primed from the in-memory summaries).
 
 Serve-time faults are injected through the service's
 ``wrap_serve_device`` seam and healed by
@@ -152,18 +154,20 @@ def _answer_on(view: CoconutLSM, batch, device):
     """Answer ``batch`` on the frozen view with all reads on ``device``.
 
     The serial batched engines on one device: approximate batches are
-    the shared-window probe pass; exact batches seed each query's
-    heap with every distance its approximate probe computed — so a
-    ``k > 1`` threshold is finite from the first block — and run the
-    shared SIMS kNN scan.  Returns ``(ids, distances)`` — per query,
-    ascending ``(distance, id)``.
+    the shared-window probe pass; exact batches run the shared SIMS kNN
+    scan unseeded, so every heap starts short and the prime pass seeds
+    it from its lowest-bound rows
+    (:func:`~repro.parallel.batch.prime_short_heaps`) — no run window
+    is read and no probe record gathered.  Returns ``(ids,
+    distances)`` — per query, ascending ``(distance, id)``.
     """
     queries = np.atleast_2d(np.asarray(batch.queries, dtype=np.float64))
-    order, ctx = view._approx_visit_order(queries)
-    pairs = view._approx_answer_subset(queries, ctx, order, device=device)
     if batch.mode == "approximate":
+        order, ctx = view._approx_visit_order(queries)
         results = [None] * len(queries)
-        for qi, result in pairs:
+        for qi, result in view._approx_answer_subset(
+            queries, ctx, order, device=device
+        ):
             results[qi] = result
         ids = [
             [r.answer_idx] if r is not None and r.answer_idx >= 0 else []
@@ -174,13 +178,9 @@ def _answer_on(view: CoconutLSM, batch, device):
             for r in results
         ]
         return ids, distances
-    seeds: "list[list[tuple[float, int]]]" = [[] for _ in range(len(queries))]
-    for qi, result in pairs:
-        offsets, probe_distances = result.probed
-        seeds[qi] = list(zip(probe_distances.tolist(), offsets.tolist()))
     column, make_fetch = view._prepare_sims_parallel()
     outcomes = batched_exact_knn(
-        queries, batch.k, column, view.config, make_fetch(device), seeds
+        queries, batch.k, column, view.config, make_fetch(device)
     )
     return (
         [list(outcome.answer_ids) for outcome in outcomes],
@@ -205,12 +205,13 @@ def serve_snapshot_batch(
 
     When the snapshot's raw file verifies reads (the service arms
     ``verified_reads`` from its config), every page an attempt reads —
-    record pages and probed run windows — is hashed against the
-    checksum sidecar first (:mod:`repro.storage.integrity`): a page
-    flipped at rest raises :class:`~repro.storage.faults.CorruptionError`
-    out of the whole call — past the serial fallback, which reads the
-    same pages — so the service can scrub-repair and retry rather than
-    serve from a corrupt page.
+    record pages and an approximate probe's run windows — is hashed
+    against the checksum sidecar first (:mod:`repro.storage.integrity`):
+    a page flipped at rest raises
+    :class:`~repro.storage.faults.CorruptionError` out of the whole call
+    — past the serial fallback, which reads the same pages — so the
+    service can scrub-repair and retry rather than serve from a corrupt
+    page.
 
     Returns ``(ids, distances, degraded)``.
     """

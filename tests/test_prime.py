@@ -1,9 +1,9 @@
 """The prime pass of the exact kNN engines.
 
-When the candidate union spans more than one fetch block, every short
-heap (threshold ``inf``, ``k <= REFINE_FIRST_ROWS``) first refines its
-``REFINE_FIRST_ROWS`` lowest-bound rows, and the walk runs over the
-union recomputed at the primed thresholds
+When the candidate union holds more than ``REFINE_FIRST_ROWS`` rows,
+every short heap (threshold ``inf``, ``k <= REFINE_FIRST_ROWS``) first
+refines its ``REFINE_FIRST_ROWS`` lowest-bound rows, and the walk runs
+over the union recomputed at the primed thresholds
 (``repro.parallel.batch.prime_short_heaps``).  Pinned here:
 
 * **Exact** — the primed batch and the one-query scan behind every

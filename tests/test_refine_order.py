@@ -17,7 +17,11 @@ step it replaced: one distance per fetched row.  Pinned here:
   ``DiskStats`` of a run with the oracle patched in.
 * **The saving** — with a short heap the distance kernel sees fewer
   than half the fetched rows; with a heap the seeds already fill, it
-  sees exactly the oracle's rows in one call per query per block.
+  sees exactly the oracle's rows in one call per query per block.  A
+  one-block union of more than ``REFINE_FIRST_ROWS`` rows is primed
+  (``repro.parallel.batch.prime_short_heaps``), so the short-heap rows
+  are pinned with the prime switched off, and the prime's own saving
+  beside them.
 """
 
 import numpy as np
@@ -37,6 +41,7 @@ from repro.core.summary_column import WordColumn
 from repro.parallel.batch import batched_exact_knn, seeded_heaps, walk_candidate_blocks
 from repro.series import euclidean_batch, query_workload, random_walk
 from repro.summaries import SAXConfig, paa, sax_words
+from test_prime import unprimed
 
 def use_refine(monkeypatch, refine):
     """Route both callers of ``refine_block`` to ``refine``."""
@@ -314,8 +319,9 @@ ENGINES = {"sims_knn_scan": scan_all, "batched_exact_knn": batch_all}
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_a_short_heap_refines_under_half_the_fetched_rows(probed, engine, monkeypatch):
-    """k = 10 from one probe seed: the heap is short for the first
-    block, which holds every record."""
+    """k = 10 from one probe seed, the prime off: the heap is short for
+    the first block, which holds every record."""
+    unprimed(monkeypatch)
     run = ENGINES[engine](*probed, k=10)
     calls, fetched = kernel_rows(monkeypatch, None, run)
     want_calls, want_fetched = kernel_rows(monkeypatch, refine_every_row, run)
@@ -335,3 +341,20 @@ def test_a_full_heap_refines_as_the_oracle_in_one_call_per_block(
     want_calls, _ = kernel_rows(monkeypatch, refine_every_row, run)
     assert calls == want_calls
     assert len(calls) == len(queries)  # 2 000 records: one block
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_a_one_block_union_of_more_than_64_rows_is_primed(probed, engine, monkeypatch):
+    """k = 10 from one probe seed over 2 000 rows, one block: the prime
+    refines each heap's 64 lowest-bound rows first, and the walk after
+    it fetches a few hundred rows per query where the unprimed walk
+    fetches every record."""
+    data, queries, _, _ = probed
+    run = ENGINES[engine](*probed, k=10)
+    primed = [0]
+    run(primed)
+    unprimed(monkeypatch)
+    walked = [0]
+    run(walked)
+    assert walked[0] == len(queries) * len(data)
+    assert primed[0] < 1_000 * len(queries)

@@ -35,6 +35,7 @@ from repro import (
 from repro.bench.harness import DatasetSpec, make_environment, run_serve_sweep
 from repro.core import CoconutLSM, CoconutTrie
 from repro.indexes import ADSIndex, SerialScan
+from repro.indexes.base import QueryResult
 from repro.parallel.sched import plan_query_batch
 from repro.service import serve_snapshot_batch
 from repro.storage import DiskShard, ExternalSorter, merge_stream
@@ -117,6 +118,9 @@ absent(repro.storage.disk, "ShardedDisk")
 absent(RawSeriesFile, "attach_pool", "hashes_reads_from")
 # No session, so no end of one to guard, and no slot in one to number.
 absent(DiskShard, "attached", "_check_attached")
+# A served exact ticket is primed, not seeded from the probe: a result
+# carries no probe hand-over.
+absent(QueryResult, "probed")
 
 # ------------------------------------------------------------ keywords
 
@@ -253,6 +257,11 @@ refused(
 refused(
     "merge_stream-engine",
     _construct(lambda disk, raw: merge_stream("blockwise", [], None, 8)),
+)
+
+refused(
+    "QueryResult-probed",
+    _construct(lambda disk, raw: QueryResult(probed=None)),
 )
 
 # The read-only device is built alone; its name is a keyword.

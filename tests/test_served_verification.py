@@ -2,12 +2,15 @@
 
 A served batch reads straight off its snapshot's read-only shard and
 never touches the parent device's counters, head or trace.  With
-``ServiceConfig(verified_reads=True)`` each page it reads — record
-pages the SIMS gather fetches and run windows the approximate probe
-reads — is hashed against the checksum sidecar before it is used.  A
-page flipped at rest (:func:`repro.storage.integrity.decay_bit`)
-raises :class:`CorruptionError` inside serving; the service scrubs,
-repairs the page and still answers the ticket exactly.
+``ServiceConfig(verified_reads=True)`` each page it reads is hashed
+against the checksum sidecar before it is used: an exact ticket reads
+only raw record pages (its heaps are primed from the in-memory
+summaries, so it reads no run page), an approximate ticket reads the
+run windows its probe covers and the raw pages of the records it
+gathers.  A page flipped at rest
+(:func:`repro.storage.integrity.decay_bit`) raises
+:class:`CorruptionError` inside serving; the service scrubs, repairs
+the page and still answers the ticket as it did before the flip.
 """
 
 import numpy as np
@@ -86,6 +89,8 @@ def spy_on_verification(monkeypatch) -> set:
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_served_exact_ticket_hashes_every_page_it_reads(monkeypatch, k):
+    """Exact tickets read and hash raw pages only; approximate tickets
+    read and hash the run windows of their probes as well."""
     disk, raw, svc = make_service()
     snapshot = svc.current_snapshot()
     run_pages, raw_pages = page_kinds(snapshot, raw)
@@ -100,6 +105,13 @@ def test_served_exact_ticket_hashes_every_page_it_reads(monkeypatch, k):
         )
     assert svc.current_snapshot() is snapshot
     read = pages_read(snapshot.shard.trace[mark:])
+    # Raw pages only, only off the shard, and each one is hashed.
+    assert read & raw_pages and not read & run_pages
+    assert read <= verified
+    mark = len(snapshot.shard.trace)
+    tickets = [svc.query(query, mode="approximate") for query in QUERIES]
+    assert all(t.status == "served" and not t.degraded for t in tickets)
+    read = pages_read(snapshot.shard.trace[mark:])
     # Both kinds are read, only off the shard, and each one is hashed.
     assert read & run_pages and read & raw_pages
     assert read <= run_pages | raw_pages
@@ -108,18 +120,27 @@ def test_served_exact_ticket_hashes_every_page_it_reads(monkeypatch, k):
     assert len(disk.trace) == parent_mark
     assert disk.snapshot() == parent_stats
     assert disk.head_position == parent_head
+    view = snapshot.frozen_view()  # reads on the parent from here on
+    for query, ticket in zip(QUERIES, tickets):
+        assert (ticket.knn_ids[0], ticket.knn_distances[0]) == (
+            view._approximate_one(query)[:2]
+        )
 
 
 @pytest.mark.parametrize("kind", ["raw", "run"])
 def test_a_page_flipped_at_rest_is_refused_healed_and_answered_exactly(
     monkeypatch, kind
 ):
+    """A raw page flipped under an exact ticket, or a run page under an
+    approximate one (only a probe reads run pages): refused, repaired,
+    and the ticket answered as before the flip."""
     disk, raw, svc = make_service()
     query = QUERIES[1]
+    mode, k = ("exact", 3) if kind == "raw" else ("approximate", 1)
     snapshot = svc.current_snapshot()
     run_pages, raw_pages = page_kinds(snapshot, raw)
     mark = len(snapshot.shard.trace)
-    clean = svc.query(query, mode="exact", k=3)
+    clean = svc.query(query, mode=mode, k=k)
     assert clean.status == "served" and not clean.degraded
     read = sorted(pages_read(snapshot.shard.trace[mark:]) & (
         raw_pages if kind == "raw" else run_pages
@@ -138,7 +159,7 @@ def test_a_page_flipped_at_rest_is_refused_healed_and_answered_exactly(
 
     monkeypatch.setattr(svc, "_serve_batch", watched)
     before = svc.stats_snapshot()["scrub"]
-    ticket = svc.query(query, mode="exact", k=3)
+    ticket = svc.query(query, mode=mode, k=k)
     after = svc.stats_snapshot()["scrub"]
     assert refused == [page]
     assert after["corruption_heals"] == before["corruption_heals"] + 1
@@ -146,9 +167,14 @@ def test_a_page_flipped_at_rest_is_refused_healed_and_answered_exactly(
     assert disk.checksums.verify(page, disk.page_view(page))
     assert ticket.status == "served" and ticket.degraded
     assert ticket.snapshot_series == clean.snapshot_series
-    assert (list(ticket.knn_ids), ticket.knn_distances) == brute_force(
-        query, 3, ticket.snapshot_series
-    )
+    if mode == "exact":
+        assert (list(ticket.knn_ids), ticket.knn_distances) == brute_force(
+            query, k, ticket.snapshot_series
+        )
+    else:
+        assert (ticket.knn_ids[0], ticket.knn_distances[0]) == (
+            snapshot.frozen_view()._approximate_one(query)[:2]
+        )
     assert (ticket.knn_ids, ticket.knn_distances) == (
         clean.knn_ids,
         clean.knn_distances,

@@ -464,8 +464,9 @@ def test_summary_column_is_converted_once_per_snapshot(monkeypatch):
 
 @pytest.mark.parametrize("memtable_rows", [0, 5])
 def test_served_heaps_are_seeded_with_every_probe_distance(memtable_rows):
-    """Seeding with the whole probe == seeding with its best == brute
-    force, for any ``k`` — duplicate series (distance ties) included."""
+    """A served heap, primed and never seeded, == seeding with the
+    probe's best == brute force, for any ``k`` around the probe's size —
+    duplicate series (distance ties) included."""
     from repro.parallel.batch import batched_exact_knn
     from repro.service.snapshot import _answer_on
 
@@ -486,7 +487,7 @@ def test_served_heaps_are_seeded_with_every_probe_distance(memtable_rows):
     queries = np.concatenate([QUERIES, BASE[3:4].astype(np.float64)])
     order, ctx = view._approx_visit_order(queries)
     probes = dict(view._approx_answer_subset(queries, ctx, order))
-    probe_size = len(probes[0].probed[0])
+    probe_size = len(view._approximate_one(queries[0])[2])
     assert probe_size > 3
     words, make_fetch = view._prepare_sims_parallel()
     for k in (1, 3, probe_size, probe_size + 1, len(rows) + 1):
@@ -510,9 +511,10 @@ def test_served_heaps_are_seeded_with_every_probe_distance(memtable_rows):
 
 
 def test_probe_hand_over_is_per_query_on_pool_workers():
-    """Each result carries its own probe's arrays — nothing shared —
-    when the batch is asked for at ``query_workers = 2`` (inert: every
-    batch runs the one shared-probe pass)."""
+    """Each result is its own query's probe — answer, distance and the
+    records it refined — when the batch is asked for at
+    ``query_workers = 2`` (inert: every batch runs the one shared-probe
+    pass)."""
     _, _, svc = make_service(ServiceConfig(query_workers=2))
     svc.ingest(EXTRA[:60])
     view = svc.current_snapshot().frozen_view()
@@ -520,11 +522,12 @@ def test_probe_hand_over_is_per_query_on_pool_workers():
     batch = QueryBatch(queries=queries, k=1, mode="approximate")
     report = view.query_batch(batch, query_workers=2)
     for query, result in zip(queries, report.results):
-        best_idx, best_dist, offsets, distances = view._approximate_one(query)
-        assert (result.answer_idx, result.distance) == (best_idx, best_dist)
-        assert np.array_equal(result.probed[0], offsets)
-        assert np.array_equal(result.probed[1], distances)
-        assert result.visited_records == len(offsets)
+        best_idx, best_dist, offsets = view._approximate_one(query)
+        assert (result.answer_idx, result.distance, result.visited_records) == (
+            best_idx,
+            best_dist,
+            len(offsets),
+        )
     # And the two-worker service answers exact tickets like brute force.
     rows = np.concatenate([BASE, EXTRA[:60]])
     ticket = svc.query(QUERIES[0], mode="exact", k=3)
