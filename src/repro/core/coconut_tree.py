@@ -36,11 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..indexes.base import BuildReport, Measurement, QueryResult, check_k
+from ..indexes.base import BuildReport, Measurement, QueryResult
 from ..storage.disk import SimulatedDisk
 from ..summaries.sax import SAXConfig
 from .bulk_index import BulkLoadedIndex, payload_dtype
-from .invsax import invsax_keys, key_bytes, query_key
+from .invsax import invsax_keys, key_bytes
 from .summary_column import row_dtype
 
 
@@ -209,35 +209,9 @@ class CoconutTree(BulkLoadedIndex):
     def exact_knn(
         self, query: np.ndarray, k: int, radius_leaves: int | None = None
     ):
-        """Exact k nearest neighbors (SIMS generalized; see core.knn).
-
-        Unlike the Trie and the LSM, which seed the heap with the
-        probe's best answer, every distance the probe computed is
-        offered.  Returns a :class:`repro.core.knn.KNNOutcome` plus I/O
-        stats via the ``io``/``simulated_io_ms`` attributes attached to
-        it.
-        """
-        from .knn import sims_knn_scan
-
-        k = check_k(k)
-        query = self._query_array(query)
-        radius = self._radius(radius_leaves)
-        with Measurement(self.disk) as measure:
-            column, fetch = self._prepare_sims()
-            key = query_key(query, self.config)
-            identifiers, distances, _ = self._probe(
-                query, key, self._locate_leaf(key), radius
-            )
-            seeds = list(zip(distances.tolist(), identifiers.tolist()))
-            outcome = sims_knn_scan(
-                query, k, column, self.config, fetch,
-                seed_distances=seeds,
-            )
-        outcome.visited_records += len(identifiers)
-        outcome.io = measure.io
-        outcome.simulated_io_ms = measure.simulated_io_ms
-        outcome.wall_s = measure.wall_s
-        return outcome
+        """Exact k nearest neighbors, seeded by a probe of
+        ``radius_leaves`` leaves (:meth:`SIMSIndex.exact_knn`)."""
+        return self._sims_exact_knn(query, k, self._radius(radius_leaves))
 
     # ------------------------------------------------------------------
     # Updates (Fig. 10a)

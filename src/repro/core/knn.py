@@ -17,7 +17,7 @@ import numpy as np
 
 from ..series.distance import early_abandon_euclidean_block
 from ..summaries.sax import SAXConfig
-from .sims import SIMS_BLOCK_RECORDS, FetchFn, rows_that_can_win
+from .sims import SIMS_BLOCK_RECORDS, FetchFn
 from .summary_column import WordColumn
 
 
@@ -75,9 +75,7 @@ class _BoundedMaxHeap:
         """Offer one refined block; same heap as offering it row by row.
 
         Rows above the current threshold cannot enter a full heap
-        (thresholds only shrink); a block offered to a short heap has
-        already lost, in :func:`refine_block`, the rows whose bound
-        rules them out.  Of the rest, only the
+        (thresholds only shrink).  Of the rest, only the
         ``k + len(heap)`` lexicographically smallest ``(distance, id)``
         pairs are offered, in block order: at most ``len(heap)`` of
         them revisit an identifier the heap holds, which leaves the
@@ -88,24 +86,24 @@ class _BoundedMaxHeap:
         distinct positions).  The heap then equals the per-row loop's
         whenever a revisit changes nothing in that loop: the identifier
         is still held, or comes back no better than what evicted it.
-        The engines' only revisits are approximate-probe seeds (the
-        best one, or on the served path all of them), each at its own
-        distance up to the rounding of a different distance kernel —
-        which is why the cut keeps slack for held identifiers instead
-        of assuming a revisit ranks where the held pair does.
+        The engines' only revisit is the approximate probe's seed, its
+        best answer, at its own distance up to the rounding of a
+        different distance kernel — which is why the cut keeps slack
+        for held identifiers instead of assuming a revisit ranks where
+        the held pair does.
         """
         distances = np.asarray(distances, dtype=np.float64)
         identifiers = np.asarray(identifiers)
-        rows = np.nonzero(distances <= self.threshold)[0]
+        rows = (distances <= self.threshold).nonzero()[0]
+        if len(rows) == 0:
+            return
         cut = self.k + len(self._heap)
         if len(rows) > cut:
-            candidates = distances[rows]
-            last = np.partition(candidates, cut - 1)[cut - 1]
-            below = rows[candidates < last]
-            # Distance ties at the cut are ranked by identifier.
-            tied = rows[candidates == last]
-            tied = tied[np.argsort(identifiers[tied], kind="stable")]
-            rows = np.sort(np.concatenate([below, tied[: cut - len(below)]]))
+            bar = np.partition(distances[rows], cut - 1)[cut - 1]
+            rows = rows[distances[rows] <= bar]
+            if len(rows) > cut:  # distance ties at the cut are ranked by identifier
+                ranked = np.lexsort((identifiers[rows], distances[rows]))
+                rows = np.sort(rows[ranked[:cut]])
         for distance, identifier in zip(
             distances[rows].tolist(), identifiers[rows].tolist()
         ):
@@ -131,8 +129,9 @@ class _BoundedMaxHeap:
         return sorted((-d, -i) for d, i in self._heap)
 
 
-#: Lowest-bound rows :func:`refine_block` refines to find a threshold
-#: while the heap it feeds is short of k entries.
+#: Lowest-bound rows the prime pass
+#: (:func:`repro.parallel.batch.prime_short_heaps`) refines for each
+#: heap that is short of k entries.
 REFINE_FIRST_ROWS = 64
 
 
@@ -141,36 +140,15 @@ def refine_block(
     series: np.ndarray,
     identifiers: np.ndarray,
     rows: np.ndarray,
-    bounds: np.ndarray,
     heap: _BoundedMaxHeap,
 ) -> None:
     """Offer the distances of ``series[rows]`` to ``heap`` in one offer.
 
-    ``rows`` are ascending distinct positions into ``series``,
-    ``identifiers`` and ``bounds``, the lower bound of every fetched
-    row.  While the heap is short of k entries its threshold is ``inf``
-    and prunes nothing, so a block of more than
-    :data:`REFINE_FIRST_ROWS` rows first refines that many
-    lowest-bound rows: their k-th best distance is a threshold the heap
-    will reach, and only the rows whose SAX bound and then whose
-    :func:`repro.core.sims.rows_that_can_win` Gram bound are ``<=`` it
-    are refined and offered (``<=`` keeps a row that may tie the k-th
-    distance at a smaller id).  Otherwise every row is.
-
-    The heap ends as if every row had been offered: distances are
-    row-wise, so a row refined twice gets the same bits; a row whose
-    bound (either one) exceeds a threshold the heap reaches has a
-    distance above it and can never be retained; and the rows still go
-    to :meth:`_BoundedMaxHeap.offer_block` together, in storage order.
+    ``rows`` are ascending distinct positions into ``series`` and
+    ``identifiers``; they go to :meth:`_BoundedMaxHeap.offer_block`
+    together, in storage order, so the heap ends as if each row had
+    been offered on its own.
     """
-    if heap.threshold == float("inf") and heap.k <= REFINE_FIRST_ROWS < len(rows):
-        row_bounds = bounds[rows]
-        first = np.argpartition(row_bounds, REFINE_FIRST_ROWS)[:REFINE_FIRST_ROWS]
-        distances = early_abandon_euclidean_block(
-            query, series[rows[first]], float("inf")
-        )
-        reached = np.partition(distances, heap.k - 1)[heap.k - 1]
-        rows = rows_that_can_win(query, series, rows[row_bounds <= reached], reached)
     if len(rows) < len(series):  # else ``rows`` is every row, in order
         series, identifiers = series[rows], identifiers[rows]
     # A row the kernel abandons (``inf``) has distance strictly above
@@ -178,33 +156,6 @@ def refine_block(
     # shrink).
     distances = early_abandon_euclidean_block(query, series, heap.threshold)
     heap.offer_block(distances, identifiers)
-
-
-def seeded_sims_knn(index, query: np.ndarray, k: int, prepare) -> KNNOutcome:
-    """Shared exact-kNN wrapper for SIMS-backed indexes.
-
-    Runs the approximate search as a pruning seed, then the kNN scan
-    over whatever column/fetch the index's ``prepare`` callback
-    yields — all inside one measurement so I/O (including any summary
-    load ``prepare`` performs) is charged to the query.
-    """
-    from ..indexes.base import Measurement  # deferred: base imports core
-
-    query = index._query_array(query)
-    with Measurement(index.disk) as measure:
-        column, fetch = prepare()
-        seed = index.approximate_search(query)
-        seeds = (
-            [(seed.distance, seed.answer_idx)] if seed.answer_idx >= 0 else []
-        )
-        outcome = sims_knn_scan(
-            query, k, column, index.config, fetch, seed_distances=seeds
-        )
-    outcome.visited_records += seed.visited_records
-    outcome.io = measure.io
-    outcome.simulated_io_ms = measure.simulated_io_ms
-    outcome.wall_s = measure.wall_s
-    return outcome
 
 
 def sims_knn_scan(

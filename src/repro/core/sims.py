@@ -8,7 +8,9 @@ bound beats the best-so-far answer are fetched from disk — in storage
 order, so the disk head only moves forward (skip-sequential access).
 
 The caller provides the summary column (aligned with its on-disk record
-order) and a fetch callback; this module owns the pruning loop, which
+order) and a fetch callback.  Every exact answer comes from one
+engine, :func:`repro.parallel.batch.batched_exact_knn`; the 1-NN
+:func:`sims_scan` is its seeded ``k = 1`` one-query call.  Its walk
 re-filters after every fetched block because the best-so-far keeps
 shrinking as real distances come in.  Between the fetch and the exact
 kernel, a Gram-form distance bound drops the fetched rows that cannot
@@ -16,7 +18,7 @@ win; a raw-file fetch (:class:`RawFetch`) bounds a dense block on the
 pages it read and copies only those that can
 (:func:`fetch_rows_that_can_win`).
 
-:class:`SIMSIndex` is what the Coconut indexes share *above* that loop:
+:class:`SIMSIndex` is what the Coconut indexes share *above* that engine:
 given an approximate probe and a ``(column, fetch)`` pair, exact search,
 exact k-NN and the batched entry points are the same code whether the
 records sit in median-split leaves, prefix-split leaves or LSM runs.
@@ -30,9 +32,8 @@ from typing import Callable
 import numpy as np
 
 from ..indexes.base import Measurement, QueryResult, SeriesIndex, check_k
-from ..series.distance import early_abandon_euclidean_block, euclidean_lower_bounds
+from ..series.distance import euclidean_lower_bounds
 from ..storage.seriesfile import PagedRecords
-from ..summaries.paa import paa
 from ..summaries.sax import SAXConfig
 from .summary_column import WordColumn
 
@@ -76,9 +77,8 @@ def rows_that_can_win(
     ``rows`` are ascending positions into ``series``.  A row is dropped
     only when its :func:`repro.series.distance.euclidean_lower_bounds`
     value is strictly above ``threshold``, so its exact distance is
-    too: no engine could have admitted it (an argmin against ``bsf``
-    takes only a strictly smaller distance, a heap only one ``<=`` its
-    threshold or any threshold it is bound to reach).  Below
+    too: no heap could have admitted it (a heap admits only a distance
+    ``<=`` its threshold, and thresholds only shrink).  Below
     :data:`BOUND_MIN_ELEMENTS` elements in ``rows``, or while
     ``threshold`` is ``inf``, ``rows`` come back as they are.  ``rows``
     that cover the whole block bound it in place, without a copy.  A
@@ -149,17 +149,17 @@ def fetch_rows_that_can_win(
 
     ``wants`` holds one ``(query, rows, threshold)`` per query the
     block ``positions`` is fetched for, ``rows`` ascending positions
-    into the block.  Returns ``(series, identifiers, kept, taken)``:
+    into the block.  Returns ``(series, identifiers, kept)``:
     ``kept[i]`` are the rows of ``series`` :func:`rows_that_can_win`
-    keeps for want ``i``.
+    keeps for want ``i``, ascending.
 
     When some want will be bounded (:func:`bound_will_run`) and
     ``fetch`` is a :class:`RawFetch`, the block is read
     :meth:`RawFetch.paged`.  A dense block is then bounded on the page
     views and only the union of the kept rows is copied out:
-    ``series`` and ``identifiers`` hold those rows, ``taken`` their
-    positions in the block, and no view outlives this call.  Otherwise
-    ``series`` is the whole gathered block and ``taken`` is ``None``.
+    ``series`` and ``identifiers`` hold those rows in block order, and
+    no view outlives this call.  Otherwise ``series`` is the whole
+    gathered block.
     """
     if isinstance(fetch, RawFetch) and any(
         bound_will_run(len(rows), len(query), threshold)
@@ -173,17 +173,15 @@ def fetch_rows_that_can_win(
         for query, rows, threshold in wants
     ]
     if not isinstance(series, PagedRecords):
-        return series, identifiers, kept, None
+        return series, identifiers, kept
     union = np.zeros(len(positions), dtype=bool)
     for rows in kept:
         union[rows] = True
     taken = np.flatnonzero(union)
-    copied = series.take(taken)
     return (
-        copied,
+        series.take(taken),
         identifiers[taken],
         [np.searchsorted(taken, rows) for rows in kept],
-        taken,
     )
 
 
@@ -221,42 +219,33 @@ def sims_scan(
     initial_bsf / initial_answer:
         Best-so-far seeded by a preceding approximate search; the
         better the seed, the more records are pruned (paper Fig. 9d-f).
+        A finite ``initial_bsf`` needs the ``initial_answer`` at that
+        distance: ``ValueError`` otherwise, before anything is read.
+
+    The ``k = 1`` one-query call of
+    :func:`repro.parallel.batch.batched_exact_knn`, its heap seeded
+    with ``(initial_bsf, initial_answer)``; unseeded, the heap is
+    primed from the lowest bounds.  The answer is the smallest
+    ``(distance, id)`` pair: a record whose bound ties ``bsf`` is
+    still fetched, and distance ties go to the smaller identifier.
     """
-    query = np.asarray(query, dtype=np.float64).ravel()
-    query_paa = paa(query, config.word_length)[0]
-    mindists = column.lower_bounds(query_paa)
-    bsf = float(initial_bsf)
-    answer = int(initial_answer)
-    candidates = np.nonzero(mindists < bsf)[0]
-    visited = 0
-    for start in range(0, len(candidates), block_records):
-        block = candidates[start : start + block_records]
-        # bsf may have shrunk since the candidate list was computed.
-        block = block[mindists[block] < bsf]
-        if len(block) == 0:
-            continue
-        series, identifiers, (rows,), _ = fetch_rows_that_can_win(
-            fetch, block, [(query, np.arange(len(block)), bsf)]
+    if initial_answer < 0 and initial_bsf < float("inf"):
+        raise ValueError(
+            f"initial_bsf {initial_bsf!r} needs the initial_answer at that distance"
         )
-        visited += len(block)
-        if len(rows) == 0:
-            continue
-        if len(rows) < len(series):  # else ``rows`` is every row, in order
-            series, identifiers = series[rows], identifiers[rows]
-        # A row the kernel abandons (``inf``) provably has distance
-        # > bsf, so it could never have won the argmin update below.
-        distances = early_abandon_euclidean_block(query, series, bsf)
-        best = int(np.argmin(distances))
-        if distances[best] < bsf:
-            bsf = float(distances[best])
-            answer = int(identifiers[best])
-    n = len(column)
-    pruned = 1.0 - (visited / n) if n else 0.0
+    from ..parallel.batch import batched_exact_knn  # deferred: batch imports sims
+
+    query = np.asarray(query, dtype=np.float64).ravel()
+    (outcome,) = batched_exact_knn(
+        query[None], 1, column, config, fetch,
+        [[(initial_bsf, initial_answer)]], block_records,
+    )
+    found = bool(outcome.answer_ids)
     return SIMSOutcome(
-        answer_id=answer,
-        distance=bsf,
-        visited_records=visited,
-        pruned_fraction=pruned,
+        answer_id=outcome.answer_ids[0] if found else -1,
+        distance=outcome.distances[0] if found else float("inf"),
+        visited_records=outcome.visited_records,
+        pruned_fraction=outcome.pruned_fraction,
     )
 
 
@@ -303,14 +292,32 @@ class SIMSIndex(SeriesIndex):
         )
 
     def exact_knn(self, query: np.ndarray, k: int):
-        """Exact k nearest neighbors via the SIMS kNN scan (core.knn).
+        """Exact k nearest neighbors via the SIMS kNN scan (core.knn),
+        seeded by the probe's best answer.
 
-        The heap is seeded with the probe's best answer; returns a
-        :class:`repro.core.knn.KNNOutcome` carrying the query's I/O.
+        Returns a :class:`repro.core.knn.KNNOutcome` carrying the
+        query's I/O, the probe's and any summary load included.
         """
-        from .knn import seeded_sims_knn
+        return self._sims_exact_knn(query, k)
 
-        return seeded_sims_knn(self, query, check_k(k), self._prepare_sims)
+    def _sims_exact_knn(self, query: np.ndarray, k: int, *probe_args):
+        """``exact_knn`` with ``probe_args`` passed on to the probe."""
+        from .knn import sims_knn_scan  # deferred: knn imports sims
+
+        k = check_k(k)
+        query = self._query_array(query)
+        with Measurement(self.disk) as measure:
+            column, fetch = self._prepare_sims()
+            seed = self.approximate_search(query, *probe_args)
+            outcome = sims_knn_scan(
+                query, k, column, self.config, fetch,
+                seed_distances=[(seed.distance, seed.answer_idx)],
+            )
+        outcome.visited_records += seed.visited_records
+        outcome.io = measure.io
+        outcome.simulated_io_ms = measure.simulated_io_ms
+        outcome.wall_s = measure.wall_s
+        return outcome
 
     def query_batch(self, batch, query_workers=1):
         """Batched queries sharing work across the batch (repro.parallel).

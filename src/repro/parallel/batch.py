@@ -12,11 +12,15 @@ pass and serves the whole batch.  When that union holds more than
 refines each short heap's lowest-bound rows (:func:`prime_short_heaps`),
 so the walk starts at thresholds close to the final ones.
 
-Results are exact and identical to the per-query engine: pruning uses
-per-query thresholds that only ever shrink, so every record that could
-beat a query's k-th best distance is visited on that query's behalf.
-The cross-index equivalence suite asserts this against the serial-scan
-oracle and the per-query path for every index variant.
+It is the one exact engine: :func:`repro.core.knn.sims_knn_scan` is
+its one-query call and the 1-NN :func:`repro.core.sims.sims_scan` its
+seeded ``k = 1`` one-query call.
+Results are exact: pruning uses per-query thresholds that only ever
+shrink, and keeps every record whose bound reaches one (``<=``), so
+every record that could beat or tie a query's k-th best distance is
+visited on that query's behalf, and each heap keeps the smallest
+``(distance, id)`` pairs.  The cross-index equivalence suite asserts
+this against the serial-scan oracle for every index variant.
 """
 
 from __future__ import annotations
@@ -53,8 +57,9 @@ def batched_exact_knn(
     other length is refused before anything is fetched.  ``fetch`` is
     called with ascending positions exactly once per unpruned block —
     the same skip-sequential contract as the per-query engine, shared
-    batch-wide — in two passes when the candidate union holds more
-    than :data:`~repro.core.knn.REFINE_FIRST_ROWS` rows: the prime pass
+    batch-wide — in two passes when some heap is short of k and the
+    candidate union holds more than
+    :data:`~repro.core.knn.REFINE_FIRST_ROWS` rows: the prime pass
     (:func:`prime_short_heaps`), then the walk over the union
     recomputed at the primed thresholds.
     """
@@ -81,15 +86,14 @@ def batched_exact_knn(
     query_paa = paa(queries, config.word_length)
     mindists = column.lower_bounds(query_paa)
     union = candidate_union(mindists, heaps)
-    visited = np.zeros(n_queries, dtype=np.int64)
-    if len(union) > REFINE_FIRST_ROWS:
-        visited += prime_short_heaps(queries, heaps, mindists, fetch, block_records)
+    primed = [0] * n_queries
+    short = [i for i, heap in enumerate(heaps) if heap.threshold == float("inf")]
+    if short and k <= REFINE_FIRST_ROWS < len(union):
+        primed = prime_short_heaps(queries, heaps, short, mindists, fetch, block_records)
         union = candidate_union(mindists, heaps)
-    visited += walk_candidate_blocks(
-        queries, heaps, mindists, union, fetch, block_records
-    )
+    walked = walk_candidate_blocks(queries, heaps, mindists, union, fetch, block_records)
     return [
-        _outcome(heap, visited=int(visited[i]), n_records=n)
+        _outcome(heap, visited=primed[i] + walked[i], n_records=n)
         for i, heap in enumerate(heaps)
     ]
 
@@ -109,22 +113,28 @@ def seeded_heaps(
 
 
 def candidate_union(mindists: np.ndarray, heaps: list[_BoundedMaxHeap]) -> np.ndarray:
-    """Ascending positions whose bound beats some query's threshold."""
-    thresholds = np.array([heap.threshold for heap in heaps])
-    return np.nonzero((mindists < thresholds[:, None]).any(axis=0))[0]
+    """Ascending positions whose bound reaches some query's threshold.
+
+    ``<=``, not ``<``: a row whose bound equals the k-th distance may
+    tie it at a smaller id, and ties are ranked by id.
+    """
+    thresholds = np.array([[heap.threshold] for heap in heaps])
+    return np.logical_or.reduce(mindists <= thresholds).nonzero()[0]
 
 
 def prime_short_heaps(
     queries: np.ndarray,
     heaps: list[_BoundedMaxHeap],
+    short: list[int],
     mindists: np.ndarray,
     fetch,
     block_records: int,
-) -> np.ndarray:
+) -> list[int]:
     """Refine each short heap's lowest-bound rows; returns visited counts.
 
     A heap is short while its threshold is ``inf`` (fewer than k
-    entries); one of ``k <= REFINE_FIRST_ROWS`` takes its
+    entries); ``short`` lists the short heaps, of ``k <=
+    REFINE_FIRST_ROWS``.  Each takes its
     :data:`~repro.core.knn.REFINE_FIRST_ROWS` lowest-bound positions,
     which usually hold its k nearest neighbors.  The union of those
     positions is fetched in ascending order, block by block, and each
@@ -136,35 +146,27 @@ def prime_short_heaps(
     Exact: the primed distances are exact and a threshold only shrinks.
     A primed row has been offered to its query's heap, so its bound in
     ``mindists`` is set to ``inf``: the walk never fetches it for that
-    query again, and each row counts once in ``visited_records``.
+    query again, and each row counts once in ``visited_records``.  The
+    caller primes only a union of more than ``REFINE_FIRST_ROWS`` rows,
+    so every primed heap is full and its threshold finite, and no
+    ``inf`` bound reaches it.
     """
-    visited = np.zeros(len(heaps), dtype=np.int64)
-    short = np.array(
-        [
-            i
-            for i, heap in enumerate(heaps)
-            if heap.threshold == float("inf") and heap.k <= REFINE_FIRST_ROWS
-        ],
-        dtype=np.int64,
-    )
-    if len(short) == 0:
-        return visited
-    n_first = min(REFINE_FIRST_ROWS, mindists.shape[1])
-    own = np.argpartition(mindists[short], n_first - 1, axis=1)[:, :n_first]
+    visited = [0] * len(heaps)
+    own = np.argpartition(mindists[short], REFINE_FIRST_ROWS - 1, axis=1)
+    own = own[:, :REFINE_FIRST_ROWS]
     positions = np.unique(own)
     member = np.zeros((len(short), len(positions)), dtype=bool)
     member[np.arange(len(short))[:, None], np.searchsorted(positions, own)] = True
     for start in range(0, len(positions), block_records):
         block = positions[start : start + block_records]
         series, identifiers = fetch(block)
-        for j, i in enumerate(short.tolist()):
+        for j, i in enumerate(short):
             rows = np.flatnonzero(member[j, start : start + len(block)])
             if len(rows):
-                refine_block(
-                    queries[i], series, identifiers, rows, mindists[i, block], heaps[i]
-                )
-    visited[short] = n_first
-    mindists[short[:, None], own] = float("inf")
+                refine_block(queries[i], series, identifiers, rows, heaps[i])
+    for j, i in enumerate(short):
+        visited[i] = REFINE_FIRST_ROWS
+        mindists[i, own[j]] = float("inf")
     return visited
 
 
@@ -175,47 +177,42 @@ def walk_candidate_blocks(
     candidates: np.ndarray,
     fetch,
     block_records: int,
-) -> np.ndarray:
+) -> list[int]:
     """The shared SIMS fetch loop; returns per-query visited counts.
 
     Walks ``candidates`` (ascending positions into ``mindists``
     columns) block by block: thresholds shrink as true distances come
-    in, so each block is re-filtered per query before the union of
+    in, so each block is re-filtered per query (bound ``<=``
+    threshold, as in :func:`candidate_union`) before the union of
     survivors is fetched once.  Each query's rows lose those
     :func:`repro.core.sims.rows_that_can_win` rules out against its
     heap's threshold, then are refined by
-    :func:`repro.core.knn.refine_block`: lowest bounds first while the
-    query's heap is short of k, then only the rows that can still enter.
+    :func:`repro.core.knn.refine_block`.
     """
-    n_queries = len(queries)
-    visited = np.zeros(n_queries, dtype=np.int64)
+    visited = [0] * len(queries)
     for start in range(0, len(candidates), block_records):
         block = candidates[start : start + block_records]
-        thresholds = np.array([heap.threshold for heap in heaps])
-        bounds = mindists[:, block]
-        need = bounds < thresholds[:, None]
-        alive = need.any(axis=0)
-        block, bounds, need = block[alive], bounds[:, alive], need[:, alive]
-        if len(block) == 0:
-            continue
-        wanted = np.flatnonzero(need.any(axis=1))
-        wants = [
-            (queries[i], np.flatnonzero(need[i]), heaps[i].threshold) for i in wanted
-        ]
-        # Every row fetched for a query counts as visited, even one the
-        # distance bound or ``refine_block`` proves useless without an
-        # exact distance.
-        visited += need.sum(axis=1)
-        series, identifiers, kept, taken = fetch_rows_that_can_win(
-            fetch, block, wants
-        )
-        if taken is not None:
-            bounds = bounds[:, taken]
-        for i, rows in zip(wanted.tolist(), kept):
+        thresholds = [heap.threshold for heap in heaps]
+        need = mindists[:, block] <= np.array(thresholds)[:, None]
+        alive = np.logical_or.reduce(need).nonzero()[0]
+        if len(alive) < len(block):
+            if len(alive) == 0:
+                continue
+            block, need = block[alive], need[:, alive]
+        wanted, wants = [], []
+        for i, threshold in enumerate(thresholds):
+            rows = need[i].nonzero()[0]
             if len(rows):
-                refine_block(
-                    queries[i], series, identifiers, rows, bounds[i], heaps[i]
-                )
+                # Every row fetched for a query counts as visited, even
+                # one the distance bound proves useless without an
+                # exact distance.
+                visited[i] += len(rows)
+                wanted.append(i)
+                wants.append((queries[i], rows, threshold))
+        series, identifiers, kept = fetch_rows_that_can_win(fetch, block, wants)
+        for i, rows in zip(wanted, kept):
+            if len(rows):
+                refine_block(queries[i], series, identifiers, rows, heaps[i])
     return visited
 
 

@@ -204,12 +204,12 @@ def early_abandon_euclidean_block(
     Contract: each returned value is the bitwise
     :func:`euclidean_batch` distance of its row, or ``inf`` only for a
     row whose distance is provably above ``best_so_far`` — with no
-    obligation to abandon anything.  Every consumer takes an ``argmin``
-    against its bound or feeds ``offer_block``, which drops rows above
-    the threshold itself, so answers and tie order cannot depend on
-    which rows come back ``inf``.  ``best_so_far`` is the caller's
-    threshold at the call; :func:`repro.core.knn.refine_block` may call
-    twice for one fetched block, first on its lowest-bound rows.
+    obligation to abandon anything.  Every consumer either takes an
+    ``argmin`` against its bound (the index probes) or feeds
+    ``offer_block`` (the SIMS walk), which drops rows above the
+    threshold itself, so answers and tie order cannot depend on which
+    rows come back ``inf``.  ``best_so_far`` is the caller's threshold at the call;
+    :func:`repro.core.knn.refine_block` calls once per fetched block.
 
     The body is one :func:`euclidean_batch` pass that abandons nothing:
     the rows that reach it and lose cross the threshold only near full

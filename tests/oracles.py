@@ -193,15 +193,16 @@ def loop_get_many(raw, idxs):
 
 
 # ------------------------------------------------------------------ refine
-def refine_every_row(query, series, identifiers, rows, bounds, heap):
-    """Refine of a fetched block that ignores the lower bounds (same
-    signature as ``refine_block``): one distance per row in ``rows``,
-    against the threshold the heap has before the block, offered in
-    one call in storage order."""
+def refine_every_row(query, series, identifiers, rows, heap):
+    """Refine of a fetched block (same signature as ``refine_block``):
+    one distance per row in ``rows``, against the threshold the heap
+    has before the block, each offered on its own in storage order —
+    the per-row loop that ``offer_block``'s cut must end equal to."""
     distances = early_abandon_euclidean_block(
         query, series[rows], heap.threshold
     )
-    heap.offer_block(distances, identifiers[rows])
+    for distance, identifier in zip(distances.tolist(), identifiers[rows].tolist()):
+        heap.offer(distance, identifier)
 
 
 # ---------------------------------------------------------------- symbols

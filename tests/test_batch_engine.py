@@ -14,8 +14,8 @@ Pinned here:
   at 1.
 * **It is still checked** — anything but an integer or ``None`` raises
   ``ValueError`` on every index before a page is read
-  (``ServiceConfig``: ``tests/test_service.py``), and so does a batch
-  of the wrong length.
+  (``ServiceConfig``: ``tests/test_service.py``), and so do a batch
+  of the wrong length and seeds no heap can hold, before any fetch.
 * **The engine's plumbing** — the ``MAX_MINDIST_CELLS`` sub-batch split
   (odd sizes, seed routing) and the offer-order-independent heap.
 """
@@ -37,6 +37,7 @@ from repro import (
 )
 from repro.core import CoconutLSM, CoconutTree, CoconutTrie
 from repro.core.knn import _BoundedMaxHeap
+from repro.core.sims import sims_scan
 from repro.indexes import ADSIndex, DSTree, ISAX2Index, RTreeIndex, VerticalIndex
 from repro.parallel import resolve_workers
 from repro.parallel import batch as batch_module
@@ -244,10 +245,29 @@ def test_split_preserves_seed_identity_in_answers(monkeypatch):
     assert [o.distances[0] for o in outcomes] == [0.0, 0.0, 0.0]
 
 
-@pytest.mark.parametrize("n_seeds", [0, 2, 4])
-def test_seed_lists_of_another_length_are_refused_before_any_fetch(n_seeds):
-    """Seeds are zipped with their queries: extra ones used to be
-    dropped and missing ones left heaps unseeded, silently."""
+def _seed_lists(n_seeds):
+    seeds = [[(1.0, i)] for i in range(n_seeds)]
+    return lambda queries, words, config, fetch: batched_exact_knn(
+        queries, 2, words, config, fetch, seeds
+    )
+
+
+#: Seeds no heap can hold, each once silently dropped.  Seed lists are
+#: zipped with their queries: extra ones were dropped and missing ones
+#: left heaps unseeded.  A ``sims_scan`` bound with no answer id let
+#: the scan answer ``-1`` at a finite distance.
+REFUSED_SEEDS = {
+    "0": _seed_lists(0),
+    "2": _seed_lists(2),
+    "4": _seed_lists(4),
+    "bound-without-answer": lambda queries, words, config, fetch: sims_scan(
+        queries[0], words, config, fetch, initial_bsf=1.0
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_SEEDS))
+def test_seeds_no_heap_can_hold_are_refused_before_any_fetch(case):
     index = _built("CTree", n_series=300)
     queries = query_workload("randomwalk", 3, length=48, seed=19)
     words, fetch = index._prepare_sims()
@@ -257,9 +277,8 @@ def test_seed_lists_of_another_length_are_refused_before_any_fetch(n_seeds):
         fetched.append(positions)
         return fetch(positions)
 
-    seeds = [[(1.0, i)] for i in range(n_seeds)]
-    with pytest.raises(ValueError, match="seed"):
-        batched_exact_knn(queries, 2, words, index.config, logging_fetch, seeds)
+    with pytest.raises(ValueError, match="seed|initial_answer"):
+        REFUSED_SEEDS[case](queries, words, index.config, logging_fetch)
     assert fetched == []
 
 

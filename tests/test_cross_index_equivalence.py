@@ -291,30 +291,40 @@ def _tying_datasets(length):
     }
 
 
+#: Exact answers on these come from heaps that rank ``(distance, id)``
+#: and prune only rows whose bound is above the threshold, so they
+#: name brute force's smallest tying ids.
+SMALLEST_TIES = COCONUT + ["ADS+", "Serial"]
+
+
 @pytest.mark.parametrize("style", STYLES)
 @pytest.mark.parametrize("dataset", ["identical", "constant", "duplicates"])
 @pytest.mark.parametrize("name", EDGE)
 def test_tying_series_give_k_distinct_nearest(name, dataset, style):
-    """``k`` distinct ids at the brute-force k-NN distances (all 0 here).
+    """``k`` distinct ids at the brute-force k-NN distances (all 0 here),
+    for ``k`` of 1 and 3.
 
-    *Which* of the tying ids win is deliberately not pinned.  When every
-    probe seed already ties at the threshold, strict-``<`` pruning
-    visits nothing further, so the answer is whatever the probe saw:
-    ``CoconutTree.exact_knn`` (seeded with every probe distance) names
-    different ids than the same tree's ``query_batch``, the Trie, the
-    LSM and ``SerialScan`` (seeded with the best one).  That is the tie
-    boundary ``docs/queries.md`` documents, and ROADMAP lead (iii)'s to
-    decide.
+    On the SIMS-backed indexes and ``SerialScan`` the ids are brute
+    force's smallest, in every style: however the probe seeds the heap,
+    every row whose bound ties the threshold is still fetched, and the
+    heap keeps the smallest ``(distance, id)`` pairs.  ``exact_search``
+    (``repro.core.sims.sims_scan``, the engine's seeded ``k = 1`` call)
+    names the smallest id too.  The other baselines run their own exact
+    search and are held to distinct ids at the right distances.
     """
     rows, query = _tying_datasets(_length(name))[dataset]
     index = _index_over(name, rows)
     query = np.asarray(query, dtype=np.float64)
-    k = 3
-    ids, distances = STYLES[style](index, query[None, :], k)
-    want = np.sort(_true_distances(query, rows))[:k]
-    assert len(set(ids[0])) == k
-    np.testing.assert_allclose(
-        _true_distances(query, rows)[ids[0]], want, atol=1e-6
-    )
-    np.testing.assert_allclose(distances[0], want, atol=1e-6)
-    assert np.all(want == 0.0)
+    distances_all = _true_distances(query, rows)
+    for k in (1, 3):
+        ids, distances = STYLES[style](index, query[None, :], k)
+        want = np.sort(distances_all)[:k]
+        assert len(set(ids[0])) == k
+        if name in SMALLEST_TIES:
+            smallest = np.argsort(distances_all, kind="stable")[:k].tolist()
+            assert ids[0] == smallest
+            if k == 1:
+                assert index.exact_search(query).answer_idx == smallest[0]
+        np.testing.assert_allclose(distances_all[ids[0]], want, atol=1e-6)
+        np.testing.assert_allclose(distances[0], want, atol=1e-6)
+        assert np.all(want == 0.0)

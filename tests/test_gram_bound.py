@@ -134,7 +134,7 @@ def _corpus(n=1200, seed=4):
 
 @pytest.fixture
 def kernel_rows(monkeypatch):
-    """Rows each engine hands the exact kernel, per call."""
+    """Rows the engine hands the exact kernel, per call."""
     seen = []
     real = distance_module.early_abandon_euclidean_block
 
@@ -142,8 +142,7 @@ def kernel_rows(monkeypatch):
         seen.append(len(block))
         return real(query, block, best_so_far)
 
-    for module in (sims_module, knn_module):
-        monkeypatch.setattr(module, "early_abandon_euclidean_block", counting)
+    monkeypatch.setattr(knn_module, "early_abandon_euclidean_block", counting)
     return seen
 
 
@@ -188,10 +187,9 @@ def test_sims_scan_answers_as_without_the_bound(
         )
         assert np.float64(a.distance).tobytes() == np.float64(b.distance).tobytes()
         into_kernel += (rows_a, rows_b)
-    if seeded or block_records < len(data):
-        assert into_kernel[0] < into_kernel[1] / 1.5
-    else:  # one block at an infinite threshold: nothing to bound against
-        assert into_kernel[0] == into_kernel[1]
+    # An unseeded scan is primed from its 64 lowest-bound rows, so even
+    # its one-block walk has a finite threshold to bound against.
+    assert into_kernel[0] < into_kernel[1] / 1.5
 
 
 @pytest.mark.parametrize("k", [1, 3, 50])
@@ -263,10 +261,11 @@ def test_a_short_heap_bounds_its_first_block_at_the_threshold_it_reaches(
     monkeypatch, kernel_rows, k
 ):
     """Both kNN engines, one seed per heap, one block at an infinite
-    threshold.  k = 10: ``refine_block`` reaches a finite threshold
-    inside the block and the Gram bound drops most rows against it.
-    k = 100 is above ``REFINE_FIRST_ROWS``, so the block is refined at
-    ``inf`` and nothing is bounded."""
+    threshold.  k = 10: the prime pass reaches a finite threshold on
+    the heap's 64 lowest-bound rows before the block is walked, and the
+    Gram bound drops most rows against it.  k = 100 is above
+    ``REFINE_FIRST_ROWS``, so the heap is not primed, the block is
+    refined at ``inf`` and nothing is bounded."""
     data, column, queries, fetch = _corpus()
     assert len(data) < 4096  # the first block is the whole corpus
     seeds = [

@@ -271,6 +271,20 @@ def test_knn_with_k_exceeding_dataset():
     assert outcome.distances == sorted(outcome.distances)
 
 
+@pytest.mark.parametrize("make", [CoconutTrie, CoconutLSM])
+def test_an_extra_argument_to_exact_knn_is_refused_before_anything_is_read(make):
+    """Only the Tree's ``exact_knn`` takes a probe argument (its
+    radius); the Trie and the LSM refuse one at the call."""
+    disk = SimulatedDisk(page_size=2048)
+    index = make(disk, 1 << 20, config=CONFIG)
+    index.build(RawSeriesFile.create(disk, random_walk(300, length=64, seed=13)))
+    query = random_walk(1, length=64, seed=14)[0]
+    before = disk.snapshot()
+    with pytest.raises(TypeError):
+        index.exact_knn(query, 3, 2)
+    assert disk.snapshot() == before
+
+
 # ------------------------------------------------- exact-path identity
 ENGINE_CONFIG = SAXConfig(series_length=48, word_length=8, cardinality=64)
 ENGINE_MAKERS = {

@@ -147,7 +147,7 @@ def test_refine_every_row_is_the_per_row_offer_loop(k):
         refined, looped = _BoundedMaxHeap(k), _BoundedMaxHeap(k)
         refined.offer(0.5, 7)  # a seed outside the block
         looped.offer(0.5, 7)
-        refine_every_row(query, series, identifiers, rows, None, refined)
+        refine_every_row(query, series, identifiers, rows, refined)
         for row in rows:
             looped.offer(euclidean(query, series[row]), int(identifiers[row]))
         assert refined.sorted_items() == looped.sorted_items()

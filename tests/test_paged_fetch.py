@@ -136,7 +136,7 @@ def test_property_paged_bound_equals_gather_then_bound(layout, kind, data):
         wants.append((query, mine, threshold))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sims_module, "BOUND_MIN_ELEMENTS", 0)
-        series, identifiers, kept, taken = fetch_rows_that_can_win(
+        series, identifiers, kept = fetch_rows_that_can_win(
             RawFetch(got_raw, ids), positions, wants
         )
         reference = ref_raw.get_many(ids)
@@ -146,10 +146,13 @@ def test_property_paged_bound_equals_gather_then_bound(layout, kind, data):
         and any(t < float("inf") for _, _, t in wants)
         and got_raw.plan_fetch(ids).share >= DENSE_FETCH_SHARE
     )
-    assert (taken is not None) == paged
+    # A paged block copies only the union of the kept rows, in block
+    # order; a gathered one is the whole block.
+    copied = np.unique(np.concatenate(expected)) if paged else positions
+    assert len(series) == len(copied)
     for rows_kept, rows_expected in zip(kept, expected):
-        in_block = rows_kept if taken is None else taken[rows_kept]
-        np.testing.assert_array_equal(in_block, rows_expected)
+        assert np.all(np.diff(rows_kept) > 0)
+        np.testing.assert_array_equal(copied[rows_kept], rows_expected)
         assert series[rows_kept].tobytes() == reference[rows_expected].tobytes()
         np.testing.assert_array_equal(identifiers[rows_kept], ids[rows_expected])
     assert io_state(got_dev) == io_state(ref_dev)
@@ -197,20 +200,21 @@ def _route(monkeypatch, raw, ids, threshold):
     seen = _spy(monkeypatch, raw)
     query = np.zeros(raw.length)
     positions = np.arange(len(ids))
-    series, _, (rows,), taken = fetch_rows_that_can_win(
+    series, identifiers, (rows,) = fetch_rows_that_can_win(
         RawFetch(raw, ids), positions, [(query, positions, threshold)]
     )
-    return seen, series, rows, taken
+    return seen, series, identifiers, rows
 
 
 def test_a_dense_block_at_a_finite_threshold_is_bounded_on_its_pages(monkeypatch):
     _, raw, data = _raw()
     ids = np.arange(40, 240)[::-1]  # 25 whole pages, unsorted
-    seen, series, rows, taken = _route(monkeypatch, raw, ids, 4.0)
+    seen, series, identifiers, rows = _route(monkeypatch, raw, ids, 4.0)
     assert seen["paged"] == 1 and seen["gathered"] == 0
     assert seen["bound_views"] == [True]
-    assert len(taken) == len(rows) < len(ids)
-    np.testing.assert_array_equal(series, data[ids[taken]])
+    assert len(series) == len(rows) < len(ids)  # only the kept rows are copied
+    np.testing.assert_array_equal(rows, np.arange(len(series)))
+    np.testing.assert_array_equal(series, data[identifiers])
     assert series.flags.writeable and series.flags.owndata
 
 
@@ -225,15 +229,15 @@ def test_a_query_needing_few_rows_of_a_dense_block_bounds_a_copy(monkeypatch):
         (data[50].astype(np.float64), positions, 4.0),
         (np.zeros(LENGTH), few, 4.0),
     ]
-    series, _, kept, taken = fetch_rows_that_can_win(
+    series, identifiers, kept = fetch_rows_that_can_win(
         RawFetch(raw, np.arange(40, 240)), positions, wants
     )
-    assert seen["paged"] == 1 and taken is not None
+    assert seen["paged"] == 1
     assert seen["bound_views"] == [True, False]
     reference = data[40:240]
     for (query, rows, threshold), rows_kept in zip(wants, kept):
         expected = rows_that_can_win(query, reference, rows, threshold)
-        np.testing.assert_array_equal(taken[rows_kept], expected)
+        np.testing.assert_array_equal(identifiers[rows_kept], 40 + expected)
         np.testing.assert_array_equal(series[rows_kept], reference[expected])
 
 
@@ -248,8 +252,8 @@ def test_a_query_needing_few_rows_of_a_dense_block_bounds_a_copy(monkeypatch):
 )
 def test_sparse_and_unbounded_blocks_take_the_gather(monkeypatch, ids, threshold):
     _, raw, data = _raw()
-    seen, series, rows, taken = _route(monkeypatch, raw, ids, threshold)
-    assert seen["paged"] == 0 and seen["gathered"] == 1 and taken is None
+    seen, series, _, _ = _route(monkeypatch, raw, ids, threshold)
+    assert seen["paged"] == 0 and seen["gathered"] == 1
     assert all(not view for view in seen["bound_views"])
     np.testing.assert_array_equal(series, data[ids])
 
@@ -261,9 +265,9 @@ def test_sparse_and_unbounded_blocks_take_the_gather(monkeypatch, ids, threshold
 )
 def test_other_layouts_take_the_gather(monkeypatch, page_size, length):
     _, raw, data = _raw(page_size, n=120, length=length)
-    seen, _, _, taken = _route(monkeypatch, raw, np.arange(len(data)), 4.0)
+    seen, series, _, _ = _route(monkeypatch, raw, np.arange(len(data)), 4.0)
     assert not raw.records_fill_pages
-    assert seen["paged"] == 0 and seen["gathered"] == 1 and taken is None
+    assert seen["paged"] == 0 and seen["gathered"] == 1 and len(series) == len(data)
 
 
 def test_a_plain_fetch_is_called_as_it_is():
@@ -274,10 +278,10 @@ def test_a_plain_fetch_is_called_as_it_is():
         calls.append(positions)
         return data[positions], positions
 
-    series, _, _, taken = fetch_rows_that_can_win(
+    series, _, _ = fetch_rows_that_can_win(
         fetch, np.arange(64), [(np.zeros(LENGTH), np.arange(64), 1.0)]
     )
-    assert len(calls) == 1 and taken is None and series.shape == (64, LENGTH)
+    assert len(calls) == 1 and series.shape == (64, LENGTH)
 
 
 def test_no_view_outlives_the_call(monkeypatch):
@@ -286,12 +290,12 @@ def test_no_view_outlives_the_call(monkeypatch):
     monkeypatch.setattr(sims_module, "BOUND_MIN_ELEMENTS", 0)
     disk, raw, data = _raw()
     assert len(disk._arenas.arenas) == 1
-    outcome = fetch_rows_that_can_win(
+    series, _, _ = fetch_rows_that_can_win(
         RawFetch(raw),
         np.arange(len(data)),
         [(data[3].astype(np.float64), np.arange(len(data)), 5.0)],
     )
-    assert outcome[3] is not None  # the paged path ran
+    assert len(series) < len(data)  # the paged path ran: only kept rows copied
     raw.append_batch(data[:100])
     assert len(disk._arenas.arenas) == 1 and raw.file.n_extents == 1
     records = raw.read_records(raw.plan_fetch(np.arange(8)))
@@ -334,12 +338,14 @@ def test_a_dense_exact_block_copies_only_the_rows_that_can_win():
         config, [invsax_keys(data, config)], [np.arange(n, dtype=np.int64)]
     )
     query = data[17].astype(np.float64) + 0.05
-    threshold = float(np.sort(euclidean_batch(query, data))[3])
+    distances = euclidean_batch(query, data)
+    fourth = int(np.argsort(distances, kind="stable")[3])
+    seed = dict(initial_bsf=float(distances[fourth]), initial_answer=fourth)
     fetch = column.raw_fetch(raw)
-    sims_scan(query, column, config, fetch, initial_bsf=threshold)  # warm caches
+    sims_scan(query, column, config, fetch, **seed)  # warm caches
     tracemalloc.start()
     try:
-        outcome = sims_scan(query, column, config, fetch, initial_bsf=threshold)
+        outcome = sims_scan(query, column, config, fetch, **seed)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -6,14 +6,17 @@ refines its ``REFINE_FIRST_ROWS`` lowest-bound rows, and the walk runs
 over the union recomputed at the primed thresholds
 (``repro.parallel.batch.prime_short_heaps``).  Pinned here:
 
-* **Exact** — the primed batch and the one-query scan behind every
-  ``exact_knn`` keep the brute-force ``(distance, id)`` pairs, bit for
-  bit and in tie order by id, equal the refine-every-row oracle and the
-  unprimed walk, and fetch ascending positions only; duplicates tie the
-  k-th distance and ``k`` runs from 1 past ``n``.
-* **Counted once** — a primed row is not fetched again for its query,
-  so ``visited_records <= n`` and ``0 <= pruned_fraction <= 1`` even on
-  an unprunable corpus.
+* **Exact** — the primed batch, the one-query scan behind every
+  ``exact_knn`` and, at ``k = 1``, ``exact_search``'s ``sims_scan``
+  keep the brute-force ``(distance, id)`` pairs, bit for bit and in
+  tie order by id, seeded or not and with the Gram bound on every
+  block or at its cutoff; they equal the refine-every-row oracle and
+  the unprimed walk, and fetch ascending positions only; duplicates
+  tie the k-th distance and ``k`` runs from 1 past ``n``.
+* **Counted once** — a primed heap is full, so a primed row (its bound
+  set to ``inf``) is not fetched again for its query:
+  ``visited_records <= n`` and ``0 <= pruned_fraction <= 1`` even on an
+  unprunable corpus.
 * **The saving** — a 64-query ``k = 10`` batch over 15 000 random-walk
   rows fetches under 1 000 rows per query (over 4 000 unprimed), with
   no more random reads.
@@ -24,16 +27,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.knn
+import repro.core.sims
 import repro.parallel.batch
 from oracles import refine_every_row
 from repro import CoconutTree, QueryBatch, RawSeriesFile, SimulatedDisk, make_dataset
 from repro.core import CoconutLSM, CoconutTrie
 from repro.core.knn import sims_knn_scan
+from repro.core.sims import sims_scan
 from repro.core.summary_column import WordColumn
 from repro.parallel.batch import (
     batched_exact_knn,
     candidate_union,
+    prime_short_heaps,
     seeded_heaps,
     walk_candidate_blocks,
 )
@@ -50,12 +55,21 @@ def outcome_pairs(outcome):
     return [(d.hex(), i) for d, i in zip(outcome.distances, outcome.answer_ids)]
 
 
+def primed_heaps_are_full(queries, heaps, short, *rest):
+    """The prime pass, checked: every heap it primes leaves it full, so
+    the ``inf`` bound it gives a primed row meets a finite threshold
+    and ``inf <= threshold`` never fetches that row again."""
+    visited = prime_short_heaps(queries, heaps, short, *rest)
+    assert short and all(heaps[i].threshold < float("inf") for i in short)
+    return visited
+
+
 def unprimed(monkeypatch):
     """Switch the prime pass off: the walk covers the seeded union."""
     monkeypatch.setattr(
         repro.parallel.batch,
         "prime_short_heaps",
-        lambda queries, heaps, *rest: np.zeros(len(heaps), dtype=np.int64),
+        lambda queries, heaps, *rest: [0] * len(heaps),
     )
 
 
@@ -68,10 +82,11 @@ def unprimed(monkeypatch):
     block_records=st.sampled_from([1, 7, 32]),
     bounds=st.sampled_from(sorted(CONFIGS)),
     seeded=st.booleans(),
+    gram=st.booleans(),
     seed=st.integers(0, 2**16),
 )
 def test_property_primed_engines_equal_the_refine_oracle_and_brute_force(
-    n_walks, n_ties, n_queries, k_choice, block_records, bounds, seeded, seed
+    n_walks, n_ties, n_queries, k_choice, block_records, bounds, seeded, gram, seed
 ):
     config = CONFIGS[bounds]
     rng = np.random.default_rng(seed)
@@ -110,29 +125,38 @@ def test_property_primed_engines_equal_the_refine_oracle_and_brute_force(
             )
             for query, query_seeds in zip(queries, seeds)
         ]
+        nearest = [  # exact_search's engine, at k = 1
+            sims_scan(
+                query, column, config, fetch,
+                *(query_seeds[0] if query_seeds else ()),
+                block_records=block_records,
+            )
+            for query, query_seeds in zip(queries, seeds)
+            if k == 1
+        ]
         return (
-            [outcome_pairs(o) for o in batch + single],
-            [(o.visited_records, o.pruned_fraction) for o in batch + single],
+            [outcome_pairs(o) for o in batch + single]
+            + [[(o.distance.hex(), o.answer_id)] for o in nearest],
+            [(o.visited_records, o.pruned_fraction) for o in batch + single + nearest],
             logs,
         )
 
-    got = run()
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(repro.core.knn, "refine_block", refine_every_row)
+        if gram:  # the Gram bound on every block at a finite threshold
+            monkeypatch.setattr(repro.core.sims, "BOUND_MIN_ELEMENTS", 0)
+        monkeypatch.setattr(
+            repro.parallel.batch, "prime_short_heaps", primed_heaps_are_full
+        )
+        got = run()
         monkeypatch.setattr(repro.parallel.batch, "refine_block", refine_every_row)
         assert run() == got
     pairs, counts, logs = got
     for qi, query in enumerate(queries):
         distances = euclidean_batch(query, data).tolist()
         brute = sorted(zip(distances, range(n)))[:k]
-        want = [(d.hex(), i) for d, i in brute]
-        assert pairs[qi] == pairs[n_queries + qi]
-        if not seeded:
-            assert pairs[qi] == want
-        # A seed whose distance ties the k-th may keep its place over a
-        # smaller id whose bound equals that distance (pruning is strict).
-        assert [d for d, _ in pairs[qi]] == [d for d, _ in want]
-        assert all(distances[i].hex() == d for d, i in pairs[qi])
+        assert pairs[qi] == pairs[n_queries + qi] == [(d.hex(), i) for d, i in brute]
+        if k == 1:
+            assert pairs[2 * n_queries + qi] == pairs[qi]
     for visited, pruned in counts:
         assert 0 <= visited <= n
         assert 0.0 <= pruned <= 1.0

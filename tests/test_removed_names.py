@@ -16,6 +16,7 @@ import importlib.util
 import pytest
 
 import repro
+import repro.core.knn
 import repro.core.lsm
 import repro.parallel
 import repro.service
@@ -121,6 +122,8 @@ absent(DiskShard, "attached", "_check_attached")
 # A served exact ticket is primed, not seeded from the probe: a result
 # carries no probe hand-over.
 absent(QueryResult, "probed")
+# One seeding rule: every SIMSIndex seeds its exact k-NN in exact_knn.
+absent(repro.core.knn, "seeded_sims_knn")
 
 # ------------------------------------------------------------ keywords
 

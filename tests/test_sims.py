@@ -33,20 +33,30 @@ def test_finds_exact_nearest_neighbor():
 
 
 def test_good_seed_reduces_visits():
+    """The nearer the seed, the more records are pruned (Fig. 9d-f).
+
+    Both scans are seeded: an unseeded one is primed from its 64
+    lowest-bound rows instead, which on this corpus beats a poor seed.
+    """
     data, words, fetch, _ = make_corpus(seed=2)
     query = random_walk(1, length=64, seed=3)[0]
-    cold = sims_scan(query, words, CONFIG, fetch)
     true = euclidean_batch(query.astype(np.float64), data.astype(np.float64))
-    seeded = sims_scan(
-        query,
-        words,
-        CONFIG,
-        fetch,
-        initial_bsf=float(np.partition(true, 3)[3]),
-        initial_answer=int(np.argsort(true)[3]),
-    )
-    assert seeded.visited_records <= cold.visited_records
-    assert seeded.distance == pytest.approx(cold.distance, rel=1e-9)
+    order = np.argsort(true, kind="stable")
+
+    def seeded_at(rank):
+        return sims_scan(
+            query,
+            words,
+            CONFIG,
+            fetch,
+            initial_bsf=float(true[order[rank]]),
+            initial_answer=int(order[rank]),
+        )
+
+    good, poor = seeded_at(3), seeded_at(len(true) // 2)
+    assert good.visited_records < poor.visited_records
+    assert good.distance == poor.distance == float(true[order[0]])
+    assert good.answer_id == poor.answer_id == int(order[0])
 
 
 def test_perfect_seed_visits_almost_nothing():
@@ -59,6 +69,25 @@ def test_perfect_seed_visits_almost_nothing():
     # Only the query's own summary can tie the zero bound.
     assert outcome.visited_records <= 1
     assert outcome.pruned_fraction == pytest.approx(1.0, abs=0.01)
+
+
+@pytest.mark.parametrize("block_records", [16, 4096])
+def test_distance_ties_go_to_the_smallest_identifier(block_records):
+    """Three copies of the nearest record, stored against identifier
+    order: the smallest identifier wins, unseeded or seeded at the tie
+    with a larger one, as in the k-NN heap."""
+    data = random_walk(300, length=64, seed=11)
+    data[[150, 260]] = data[40]
+    words = WordColumn(CONFIG, sax_words(data, CONFIG))
+
+    def fetch(positions):
+        return data[positions].astype(np.float64), 1000 - positions
+
+    for seed in ({}, {"initial_bsf": 0.0, "initial_answer": 960}):
+        outcome = sims_scan(
+            data[40], words, CONFIG, fetch, block_records=block_records, **seed
+        )
+        assert (outcome.answer_id, outcome.distance) == (740, 0.0)
 
 
 def test_fetch_receives_ascending_positions():
