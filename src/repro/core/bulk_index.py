@@ -218,15 +218,17 @@ class BulkLoadedIndex(SIMSIndex):
         step ("usually a disk page", Sec. 4.3).
         """
         query = self._query_array(query)
-        radius = self._radius(radius_leaves)
         with Measurement(self.disk) as measure:
-            key = query_key(query, self.config)
-            probe = self._probe(query, key, self._locate_leaf(key), radius)
+            result = self._seed(query, radius_leaves)
+        return measure.stamp(result)
+
+    def _seed(self, query: np.ndarray, radius_leaves=None) -> QueryResult:
+        """:meth:`_approximate`'s answer, unmeasured, for a query already
+        checked: the probe that seeds an exact search."""
+        radius = self._radius(radius_leaves)
+        key = query_key(query, self.config)
         return self._probe_result(
-            probe,
-            io=measure.io,
-            simulated_io_ms=measure.simulated_io_ms,
-            wall_s=measure.wall_s,
+            self._probe(query, key, self._locate_leaf(key), radius)
         )
 
     def _probe(
@@ -236,21 +238,17 @@ class BulkLoadedIndex(SIMSIndex):
         target: int,
         radius: int,
         read_leaf=None,
-        raw=None,
     ) -> tuple[np.ndarray, np.ndarray, int]:
         """One probe: (candidate identifiers, their distances, leaves read).
 
         ``read_leaf(i)`` overrides how directory entry ``i`` is read —
         the batched approximate path passes a caching reader so queries
-        landing in the same leaves share each read.  ``raw`` overrides
-        the raw series file the secondary variant fetches from (a view
-        bound to another device).
+        landing in the same leaves share each read.
         """
         lo = max(0, target - (radius - 1) // 2)
         hi = min(len(self._leaves), lo + radius)
         lo = max(0, hi - radius)
         read_leaf = read_leaf or self._read_leaf
-        raw = raw if raw is not None else self.raw
         parts = [read_leaf(i) for i in range(lo, hi)]
         parts = [records for records in parts if len(records)]
         if not parts:
@@ -259,26 +257,24 @@ class BulkLoadedIndex(SIMSIndex):
         if self.is_materialized:
             series = records["series"].astype(np.float64)
         else:
-            window = max(4, raw.series_per_page) * radius
+            window = max(4, self.raw.series_per_page) * radius
             start, stop = window_around(records["k"], key, window, self.config)
             records = records[start:stop]
-            series = raw.get_many(records["off"])
+            series = self.raw.get_many(records["off"])
         identifiers = records["off"].astype(np.int64)
         # No running bound at the approximate probe.
         distances = early_abandon_euclidean_block(query, series, float("inf"))
         return identifiers, distances, hi - lo
 
     @staticmethod
-    def _probe_result(probe, **measured) -> QueryResult:
+    def _probe_result(probe) -> QueryResult:
         """The best candidate of a probe, as the approximate answer."""
         identifiers, distances, n_leaves = probe
         best_idx, best_dist = -1, float("inf")
         if len(identifiers):
             best = int(np.argmin(distances))
             best_idx, best_dist = int(identifiers[best]), float(distances[best])
-        return QueryResult(
-            best_idx, best_dist, len(identifiers), n_leaves, **measured
-        )
+        return QueryResult(best_idx, best_dist, len(identifiers), n_leaves)
 
     def _read_leaf(self, i: int) -> np.ndarray:
         return self._read_leaf_records(self._leaves[i])
@@ -299,28 +295,20 @@ class BulkLoadedIndex(SIMSIndex):
         order = np.argsort(targets, kind="stable").astype(np.int64)
         return order, (keys, targets)
 
-    def _approx_answer_subset(
-        self, queries: np.ndarray, ctx, order: np.ndarray, device=None
-    ):
+    def _approx_answer_subset(self, queries: np.ndarray, ctx, order: np.ndarray):
         """Answer the queries in ``order`` with a fresh leaf cache.
 
-        ``device=None`` reads on the parent device — one subset over
-        the full order is exactly the serial batched pass.  Another
-        device binds every leaf and raw-file read to it.  Returns
-        ``(query_index, QueryResult)`` pairs; a query's answer never
-        depends on the cache (only its I/O charging does).
+        One subset over the full order is exactly the serial batched
+        pass.  Returns ``(query_index, QueryResult)`` pairs; a query's
+        answer never depends on the cache (only its I/O charging does).
         """
         keys, targets = ctx
         cache: dict[int, np.ndarray] = {}
-        leaf_file = None if device is None else self._leaf_file.attach(device)
-        raw = self.raw if device is None else self.raw.view(device)
 
         def read_leaf(i: int) -> np.ndarray:
             records = cache.get(i)
             if records is None:
-                records = cache[i] = self._read_leaf_records(
-                    self._leaves[i], leaf_file=leaf_file
-                )
+                records = cache[i] = self._read_leaf(i)
             return records
 
         pairs = []
@@ -328,7 +316,7 @@ class BulkLoadedIndex(SIMSIndex):
             qi = int(qi)
             probe = self._probe(
                 queries[qi], keys[qi], int(targets[qi]), self._radius(),
-                read_leaf=read_leaf, raw=raw,
+                read_leaf=read_leaf,
             )
             pairs.append((qi, self._probe_result(probe)))
         return pairs

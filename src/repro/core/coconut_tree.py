@@ -172,11 +172,12 @@ class CoconutTree(BulkLoadedIndex):
         )
         return _Leaf(slot, len(records), key_bytes(records["k"][0], self.config))
 
-    def _read_leaf_records(self, leaf: _Leaf, leaf_file=None) -> np.ndarray:
-        file = self._leaf_file if leaf_file is None else leaf_file
+    def _read_leaf_records(self, leaf: _Leaf) -> np.ndarray:
         n_bytes = leaf.count * self._leaf_dtype.itemsize
         n_pages = max(1, -(-n_bytes // self.disk.page_size))
-        data = file.read_stream(leaf.slot * self.pages_per_leaf, n_pages)
+        data = self._leaf_file.read_stream(
+            leaf.slot * self.pages_per_leaf, n_pages
+        )
         return np.frombuffer(data[:n_bytes], dtype=self._leaf_dtype)
 
     # ------------------------------------------------------------------

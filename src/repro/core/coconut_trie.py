@@ -159,9 +159,8 @@ class CoconutTrie(BulkLoadedIndex):
             )
         )
 
-    def _read_leaf_records(self, leaf: _TrieLeaf, leaf_file=None) -> np.ndarray:
-        file = self._leaf_file if leaf_file is None else leaf_file
-        data = file.read_stream(leaf.start_page, leaf.n_pages)
+    def _read_leaf_records(self, leaf: _TrieLeaf) -> np.ndarray:
+        data = self._leaf_file.read_stream(leaf.start_page, leaf.n_pages)
         return np.frombuffer(
             data[: leaf.count * self._leaf_dtype.itemsize], dtype=self._leaf_dtype
         )

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..summaries.paa import paa
 from ..summaries.sax import SAXConfig, sax_words
 from .zorder import deinterleave_codes, interleave_codes
 
@@ -91,8 +90,3 @@ def int_to_key(value: int, config: SAXConfig) -> bytes:
 def sortable_summary_size(config: SAXConfig) -> int:
     """Bytes per sortable summarization (same information as SAX)."""
     return config.key_bytes
-
-
-def paa_of(batch: np.ndarray, config: SAXConfig) -> np.ndarray:
-    """PAA values under the index configuration (query-side helper)."""
-    return paa(np.asarray(batch, dtype=np.float64), config.word_length)

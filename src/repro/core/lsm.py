@@ -467,15 +467,18 @@ class CoconutLSM(SIMSIndex):
         """Probe every run (and the memtable) around the query key."""
         query = self._query_array(query)
         with Measurement(self.disk) as measure:
-            best_idx, best_dist, offsets = self._approximate_one(query)
+            result = self._seed(query)
+        return measure.stamp(result)
+
+    def _seed(self, query: np.ndarray, read_window=None, raw=None) -> QueryResult:
+        """:meth:`_approximate_one` as an unmeasured result, for a query
+        already checked: the probe that seeds an exact search."""
+        best_idx, best_dist, offsets = self._approximate_one(query, read_window, raw)
         return QueryResult(
             answer_idx=best_idx,
             distance=best_dist,
             visited_records=len(offsets),
             visited_leaves=self.n_runs,
-            io=measure.io,
-            simulated_io_ms=measure.simulated_io_ms,
-            wall_s=measure.wall_s,
         )
 
     def _approx_visit_order(self, queries: np.ndarray):
@@ -523,24 +526,7 @@ class CoconutLSM(SIMSIndex):
                     files[id(run)] = file
             file.read_stream(first_page, n_pages, verified=verified)
 
-        pairs = []
-        for qi in order:
-            qi = int(qi)
-            best_idx, best_dist, offsets = self._approximate_one(
-                queries[qi], read_window, raw=raw
-            )
-            pairs.append(
-                (
-                    qi,
-                    QueryResult(
-                        answer_idx=best_idx,
-                        distance=best_dist,
-                        visited_records=len(offsets),
-                        visited_leaves=self.n_runs,
-                    ),
-                )
-            )
-        return pairs
+        return [(int(qi), self._seed(queries[qi], read_window, raw)) for qi in order]
 
     def _key_pieces(self) -> list[np.ndarray]:
         """Key arrays of the current state: runs in list order, then the

@@ -252,14 +252,14 @@ def sims_scan(
 class SIMSIndex(SeriesIndex):
     """Exact search, exact k-NN and batches over a summary column.
 
-    A subclass supplies :meth:`approximate_search` (the pruning seed),
-    ``_prepare_sims()`` -> ``(column, fetch)`` — loading whatever the
-    column needs, charging its I/O to the caller's measurement — plus
-    the two halves of its batched approximate pass,
+    A subclass supplies ``_seed(query, *probe_args)`` — the approximate
+    probe's unmeasured :class:`QueryResult` for a query already checked,
+    the pruning seed — ``_prepare_sims()`` -> ``(column, fetch)`` —
+    loading whatever the column needs, charging its I/O to the caller's
+    measurement — plus the two halves of its batched approximate pass,
     ``_approx_visit_order(queries)`` and
-    ``_approx_answer_subset(queries, ctx, order, device=None)``: the
-    visit order plus context, and the answers of a slice of that order
-    with every read bound to ``device`` (the parent when ``None``).
+    ``_approx_answer_subset(queries, ctx, order)``: the visit order plus
+    context, and the answers of a slice of that order.
     """
 
     def exact_search(self, query: np.ndarray) -> QueryResult:
@@ -271,7 +271,7 @@ class SIMSIndex(SeriesIndex):
         query = self._query_array(query)
         with Measurement(self.disk) as measure:
             column, fetch = self._prepare_sims()
-            seed = self.approximate_search(query, *probe_args)
+            seed = self._seed(query, *probe_args)
             outcome = sims_scan(
                 query,
                 column,
@@ -308,16 +308,13 @@ class SIMSIndex(SeriesIndex):
         query = self._query_array(query)
         with Measurement(self.disk) as measure:
             column, fetch = self._prepare_sims()
-            seed = self.approximate_search(query, *probe_args)
+            seed = self._seed(query, *probe_args)
             outcome = sims_knn_scan(
                 query, k, column, self.config, fetch,
                 seed_distances=[(seed.distance, seed.answer_idx)],
             )
         outcome.visited_records += seed.visited_records
-        outcome.io = measure.io
-        outcome.simulated_io_ms = measure.simulated_io_ms
-        outcome.wall_s = measure.wall_s
-        return outcome
+        return measure.stamp(outcome)
 
     def query_batch(self, batch, query_workers=1):
         """Batched queries sharing work across the batch (repro.parallel).

@@ -199,38 +199,39 @@ class ADSIndex(SeriesIndex):
     def approximate_search(self, query: np.ndarray) -> QueryResult:
         query = self._query_array(query)
         with Measurement(self.disk) as measure:
-            word = sax_words(query[None, :], self.config)[0]
-            leaf = self.tree.route(word, create=False)
-            best_idx, best_dist, visited = -1, float("inf"), 0
-            if leaf is not None and leaf.count:
-                if self.plus:
-                    leaf = self._materialize_leaf(leaf, word)
-                records = self.tree._leaf_records_in_memory(leaf)
-                if self.plus or not self.is_materialized:
-                    series = self.raw.get_many(records["off"])
-                else:
-                    series = records["series"].astype(np.float64)
-                distances = early_abandon_euclidean_block(
-                    query, series, float("inf")
-                )
-                visited = len(records)
-                j = int(np.argmin(distances))
-                best_idx, best_dist = int(records["off"][j]), float(distances[j])
+            result = self._seed(query)
+        return measure.stamp(result)
+
+    def _seed(self, query: np.ndarray) -> QueryResult:
+        """The approximate answer, unmeasured, for a query already
+        checked: the probe that seeds an exact search."""
+        word = sax_words(query[None, :], self.config)[0]
+        leaf = self.tree.route(word, create=False)
+        best_idx, best_dist, visited = -1, float("inf"), 0
+        if leaf is not None and leaf.count:
+            if self.plus:
+                leaf = self._materialize_leaf(leaf, word)
+            records = self.tree._leaf_records_in_memory(leaf)
+            if self.plus or not self.is_materialized:
+                series = self.raw.get_many(records["off"])
+            else:
+                series = records["series"].astype(np.float64)
+            distances = early_abandon_euclidean_block(query, series, float("inf"))
+            visited = len(records)
+            j = int(np.argmin(distances))
+            best_idx, best_dist = int(records["off"][j]), float(distances[j])
         return QueryResult(
             answer_idx=best_idx,
             distance=best_dist,
             visited_records=visited,
             visited_leaves=1 if visited else 0,
-            io=measure.io,
-            simulated_io_ms=measure.simulated_io_ms,
-            wall_s=measure.wall_s,
         )
 
     def exact_search(self, query: np.ndarray) -> QueryResult:
         """SIMS: summaries in raw-file order + skip-sequential scan."""
         query = self._query_array(query)
         with Measurement(self.disk) as measure:
-            seed = self.approximate_search(query)
+            seed = self._seed(query)
             outcome = sims_scan(
                 query,
                 self._column,

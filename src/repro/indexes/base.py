@@ -153,6 +153,13 @@ class Measurement:
         self.io = self.disk.stats_since(self._snapshot)
         self.simulated_io_ms = self.disk.cost_model.io_ms(self.io)
 
+    def stamp(self, report):
+        """``report``, carrying this step's I/O and wall time."""
+        report.io = self.io
+        report.simulated_io_ms = self.simulated_io_ms
+        report.wall_s = self.wall_s
+        return report
+
 
 class SeriesIndex(abc.ABC):
     """Interface shared by the Coconut indexes and all baselines.

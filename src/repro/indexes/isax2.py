@@ -267,16 +267,8 @@ class ISAXTree:
         raise AssertionError("node not found in tree")  # pragma: no cover
 
     # ------------------------------------------------------------------
-    # Traversal / stats
+    # Stats
     # ------------------------------------------------------------------
-    def iter_nodes(self):
-        stack = list(self.root.values())
-        while stack:
-            node = stack.pop()
-            yield node
-            if isinstance(node, _Internal):
-                stack.extend(node.children.values())
-
     def storage_bytes(self) -> int:
         live = sum(leaf.n_pages for leaf in self.leaves)
         return (live + self.dead_pages) * self.disk.page_size

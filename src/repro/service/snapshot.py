@@ -106,19 +106,19 @@ class ServiceSnapshot:
                 value = self._kept[name] = build()
             return value
 
-    def frozen_view(self, device=None) -> CoconutLSM:
+    def frozen_view(self) -> CoconutLSM:
         """A read-only ``CoconutLSM`` facade over the frozen state.
 
         Quacks like a built LSM for every query entry point (the
         per-query searches, ``_prepare_sims*``, the batched engines,
         ``plan_query_batch``), but shares no mutable state with the
         live index: updating methods are unreachable because the
-        service never calls them on a view.  ``device`` rebinds the
-        facade's own reads (default: the parent disk).
+        service never calls them on a view.  The facade's own reads
+        land on the parent disk.
         """
         view = _FrozenLSM.__new__(_FrozenLSM)
         view._snapshot = self
-        view.disk = device if device is not None else self.base_disk
+        view.disk = self.base_disk
         view.memory_bytes = self.memory_bytes
         view.config = self.config
         view.size_ratio = self.size_ratio

@@ -26,7 +26,8 @@ vocabulary (``SimulatedDisk``, ``DiskShard``) and forwards everything
 else untouched, so it slots under ``PagedFile`` and ``RawSeriesFile``
 unchanged.  With ``plan=None``
 the wrapper is pure forwarding — the disabled hook whose transparency
-``benchmarks/bench_faults.py`` asserts and whose overhead it reports.
+``tests/test_faults.py`` pins on page streams and on the raw file's
+gather.
 """
 
 from __future__ import annotations
@@ -382,9 +383,8 @@ class FaultyDevice(_DerivedVerbs):
         """One plan decision per run: replayed through the adapter.
 
         With no plan there is nothing to decide and the wrapper stays
-        the pure forwarder ``benchmarks/bench_faults.py`` measures: the
-        request goes to the inner device whole, numbered as the runs
-        it stands for.
+        a pure forwarder: the request goes to the inner device whole,
+        numbered as the runs it stands for.
         """
         if self.plan is not None:
             return super().read_pages(pages)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
 
 @lru_cache(maxsize=None)
@@ -32,7 +32,7 @@ def breakpoints(cardinality: int) -> np.ndarray:
     if cardinality & (cardinality - 1):
         raise ValueError(f"cardinality must be a power of two, got {cardinality}")
     quantiles = np.linspace(0.0, 1.0, cardinality + 1)[1:-1]
-    result = stats.norm.ppf(quantiles)
+    result = ndtri(quantiles)
     result.flags.writeable = False
     return result
 
@@ -90,11 +90,6 @@ class SAXConfig:
     @property
     def segment_size(self) -> float:
         return self.series_length / self.word_length
-
-    @property
-    def summary_bytes(self) -> int:
-        """Bytes to store one full-cardinality word."""
-        return self.word_length * (2 if self.cardinality > 256 else 1)
 
 
 class SymbolTable:

@@ -1,11 +1,17 @@
-"""Tests for the benchmark harness, workloads and reporting."""
+"""Tests for the experiment rig (``tests/rig.py``): workloads, index
+factories and tables."""
 
 import numpy as np
 import pytest
 
-from repro.bench.harness import INDEX_FACTORIES, default_config, make_environment
-from repro.bench.report import format_table
-from repro.bench.workloads import DatasetSpec, mixed_workload
+from rig import (
+    INDEX_FACTORIES,
+    DatasetSpec,
+    default_config,
+    format_table,
+    make_environment,
+    mixed_workload,
+)
 
 TINY = DatasetSpec("randomwalk", n_series=300, length=64, seed=1)
 

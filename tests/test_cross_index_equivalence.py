@@ -18,6 +18,8 @@ from repro.indexes import ADSIndex, DSTree, ISAX2Index, RTreeIndex, VerticalInde
 from repro.series import query_workload
 from repro.summaries import SAXConfig
 
+from rig import default_config
+
 CONFIG = SAXConfig(series_length=48, word_length=8, cardinality=64)
 N_SERIES = 700
 N_QUERIES = 6
@@ -134,8 +136,6 @@ def test_query_batch_validation():
 
 def test_default_loop_fallback_agrees(workload):
     """Indexes without a shared-scan override use the per-query loop."""
-    from repro.bench.harness import default_config
-
     disk, raw, queries, oracle = workload
     index = ADSIndex(disk, MEMORY, config=default_config(48), leaf_size=32)
     index.build(raw)
@@ -149,8 +149,6 @@ def test_default_loop_fallback_agrees(workload):
 def test_default_knn_fallback_matches_oracle(workload):
     """Indexes without a SIMS k-NN override fall back to a ground-truth
     scan of the raw file (regression: they used to raise for k > 1)."""
-    from repro.bench.harness import default_config
-
     disk, raw, queries, oracle = workload
     index = ADSIndex(disk, MEMORY, config=default_config(48), leaf_size=32)
     index.build(raw)

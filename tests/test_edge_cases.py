@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import CoconutTree, CoconutTrie
+from repro.core import CoconutLSM, CoconutTree, CoconutTrie
+from repro.indexes import ADSIndex
+from repro.indexes.base import SeriesIndex
 from repro.series import euclidean_batch, random_walk, z_normalize
 from repro.storage import RawSeriesFile, SimulatedDisk
 from repro.summaries import SAXConfig
@@ -176,7 +178,6 @@ def test_non_finite_queries_are_refused_not_answered(poison):
     poisons the heap threshold: the answer used to be arbitrary ids at
     ``nan`` distance.  Every query entry point refuses instead."""
     from repro import QueryBatch, SerialScan
-    from repro.core import CoconutLSM
 
     disk = SimulatedDisk(page_size=2048)
     data = random_walk(120, length=64, seed=21)
@@ -209,6 +210,46 @@ def test_non_finite_queries_are_refused_not_answered(poison):
         report = index.query_batch(QueryBatch(queries=queries[[0, 2]], k=1))
         for query, result in zip(queries[[0, 2]], report.results):
             assert result.distance == pytest.approx(brute(query, data), rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda disk, config: CoconutTree(disk, 1 << 20, config=config, leaf_size=16),
+        lambda disk, config: CoconutTree(
+            disk, 1 << 20, config=config, leaf_size=16, materialized=True
+        ),
+        lambda disk, config: CoconutTrie(disk, 1 << 20, config=config, leaf_size=16),
+        lambda disk, config: CoconutLSM(disk, 1 << 20, config=config),
+        lambda disk, config: ADSIndex(disk, 1 << 20, config=config, leaf_size=16),
+        lambda disk, config: ADSIndex(
+            disk, 1 << 20, config=config, leaf_size=16, plus=False
+        ),
+    ],
+    ids=["CTree", "CTreeFull", "CTrie", "LSM", "ADS+", "ADSFull"],
+)
+def test_an_exact_query_is_checked_once(make, monkeypatch):
+    """An exact search or k-NN checks its query once and seeds from a
+    probe that does not check it again."""
+    checked = []
+    real = SeriesIndex._check_queries
+    monkeypatch.setattr(
+        SeriesIndex, "_check_queries",
+        lambda self, queries: checked.append(queries) or real(self, queries),
+    )
+    disk = SimulatedDisk(page_size=2048)
+    data = random_walk(120, length=64, seed=21)
+    index = make(disk, SAXConfig(series_length=64, word_length=8, cardinality=16))
+    index.build(RawSeriesFile.create(disk, data))
+    query = random_walk(1, length=64, seed=22)[0]
+    for call in (
+        lambda: index.exact_search(query),
+        lambda: index.exact_knn(query, 1),
+        lambda: index.exact_knn(query, 3),
+    ):
+        checked.clear()
+        call()
+        assert len(checked) == 1
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in cast")

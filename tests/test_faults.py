@@ -6,7 +6,9 @@ Covers the contract ``docs/robustness.md`` documents:
   op index) — replayable from any thread, no RNG state;
 * :class:`FaultyDevice` slots under ``PagedFile`` and over a
   ``DiskShard`` unchanged, and with ``plan=None`` is byte- and
-  stats-transparent;
+  stats-transparent, under ``PagedFile`` streams and under the raw
+  file's skip-sequential gather alike (where verified reads must be
+  transparent too);
 * each fault kind's semantics: transient (no effect, retry works),
   permanent (bad ranges always fail), torn (prefix + old tail +
   halt), bit flip (silent single-bit corruption), crash (halt before
@@ -16,6 +18,7 @@ Covers the contract ``docs/robustness.md`` documents:
 import numpy as np
 import pytest
 
+import repro.storage.seriesfile as seriesfile
 from oracles import DEVICES
 from repro.storage import (
     DeviceCrash,
@@ -24,6 +27,8 @@ from repro.storage import (
     FaultyDevice,
     PagedFile,
     PermanentIOError,
+    RawSeriesFile,
+    SimulatedDisk,
     TornWrite,
     TransientIOError,
 )
@@ -246,6 +251,47 @@ def test_plan_none_is_fully_transparent(store):
     assert bare.stats == wrapped_disk.stats
     assert bare.head_position == wrapped_disk.head_position
     assert dev.faults_injected == 0
+
+
+def _gather(way):
+    """A skip-sequential ``get_many`` of 30 % of 4 000 rows, read bare,
+    through a disabled fault hook, or with verified reads: the records,
+    ``DiskStats`` and head position."""
+    disk = SimulatedDisk(page_size=8192, integrity=way == "verified")
+    rng = np.random.default_rng(7)
+    raw = RawSeriesFile.create(
+        disk, rng.standard_normal((4_000, 128)).astype(np.float32)
+    )
+    rows = np.sort(rng.choice(4_000, size=1_200, replace=False))
+    if way == "hooked":
+        raw = raw.view(FaultyDevice(disk, plan=None))
+    raw.verified_reads = way == "verified"
+    disk.reset_stats()
+    disk.park_head()
+    return raw.get_many(rows), disk.stats, disk.head_position
+
+
+@pytest.mark.parametrize("way", ["bare", "hooked", "verified"])
+def test_a_gather_is_transparent_to_the_hook_and_to_verification(
+    way, monkeypatch
+):
+    """The raw file's gather returns the same records, ``DiskStats`` and
+    head position bare, through ``FaultyDevice(plan=None)`` and with
+    ``verified_reads=True`` on an integrity disk, which hashes pages."""
+    hashed = []
+    for name in ("verify_view", "verify_pages"):
+        real = getattr(seriesfile, name)
+        monkeypatch.setattr(
+            seriesfile, name,
+            lambda *args, real=real: hashed.append(args) or real(*args),
+        )
+    bare_records, bare_stats, bare_head = _gather("bare")
+    assert not hashed
+    records, stats, head = _gather(way)
+    assert records.tobytes() == bare_records.tobytes()
+    assert stats == bare_stats
+    assert head == bare_head
+    assert bool(hashed) == (way == "verified")
 
 
 @pytest.mark.parametrize("store", DEVICES)

@@ -28,12 +28,19 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from repro.bench.harness import INDEX_FACTORIES, PAGE_SIZE, default_config, make_environment
-from repro.bench.workloads import DatasetSpec, mixed_workload
 from repro.core import CoconutLSM, CoconutTree, interleave_words
 from repro.series import euclidean, random_walk
 from repro.storage import UNIFORM_COST, RawSeriesFile, SimulatedDisk
 from repro.summaries import SAXConfig, sax_words
+
+from rig import (
+    INDEX_FACTORIES,
+    PAGE_SIZE,
+    DatasetSpec,
+    default_config,
+    make_environment,
+    mixed_workload,
+)
 
 RW = DatasetSpec("randomwalk", n_series=10_000, length=128, seed=7)
 RW_8A = DatasetSpec("randomwalk", n_series=4_000, length=128, seed=7)

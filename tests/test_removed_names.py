@@ -16,6 +16,7 @@ import importlib.util
 import pytest
 
 import repro
+import repro.core.invsax
 import repro.core.knn
 import repro.core.lsm
 import repro.parallel
@@ -33,15 +34,17 @@ from repro import (
     SimulatedDisk,
     random_walk,
 )
-from repro.bench.harness import DatasetSpec, make_environment, run_serve_sweep
 from repro.core import CoconutLSM, CoconutTrie
 from repro.indexes import ADSIndex, SerialScan
 from repro.indexes.base import QueryResult
+from repro.indexes.isax2 import ISAXTree
 from repro.parallel.sched import plan_query_batch
 from repro.service import serve_snapshot_batch
 from repro.storage import DiskShard, ExternalSorter, merge_stream
 from repro.storage.cost import QueryCostModel
 from repro.summaries import SAXConfig
+
+from rig import DatasetSpec, make_environment
 
 CONFIG = SAXConfig(series_length=32, word_length=4, cardinality=16)
 DATA = random_walk(50, length=32, seed=11)
@@ -72,6 +75,7 @@ for name in (
     "repro.parallel.query",  # the pooled exact batch and serial scan
     "repro.parallel.pool",  # the worker pool itself
     "repro.storage.bufferpool",  # the LRU page cache
+    "repro.bench",  # the operational sweeps; the rest is tests/rig.py
 ):
     module(name)
 
@@ -124,6 +128,10 @@ absent(DiskShard, "attached", "_check_attached")
 absent(QueryResult, "probed")
 # One seeding rule: every SIMSIndex seeds its exact k-NN in exact_knn.
 absent(repro.core.knn, "seeded_sims_knn")
+# Helpers nothing called.
+absent(ISAXTree, "iter_nodes")
+absent(repro.core.invsax, "paa_of")
+absent(SAXConfig, "summary_bytes")
 
 # ------------------------------------------------------------ keywords
 
@@ -277,15 +285,37 @@ refused(
     _construct(lambda disk, raw: DiskShard(disk, shard_id=0)),
 )
 
-# The harness: builds take no workers, the service sweep is one cell.
+# Only the LSM is served: no other index rebinds its reads to a device.
+def _approx_subset(index, **kwargs):
+    order, ctx = index._approx_visit_order(BATCH.queries)
+    return index._approx_answer_subset(BATCH.queries, ctx, order, **kwargs)
+
+
+def _first_leaf(index, **kwargs):
+    return index._read_leaf_records(index._leaves[0], **kwargs)
+
+
+for index_name in ("CoconutTree", "CoconutTrie"):
+    make = QUERY_BATCH_INDEXES[index_name]
+    refused(
+        f"{index_name}._approx_answer_subset-device",
+        _call_on(make, _approx_subset, device=None),
+    )
+    refused(
+        f"{index_name}._read_leaf_records-leaf_file",
+        _call_on(make, _first_leaf, leaf_file=None),
+    )
+refused(
+    "ServiceSnapshot.frozen_view-device",
+    _call_on(_served_snapshot, lambda snapshot, **kw: snapshot.frozen_view(**kw),
+             device=None),
+)
+
+# The experiment rig: builds take no workers.
 SPEC = DatasetSpec("randomwalk", 20, 32)
 refused(
     "make_environment-workers",
     _construct(lambda disk, raw: make_environment("CTree", SPEC, 1 << 16, workers=2)),
-)
-refused(
-    "run_serve_sweep-workers_list",
-    _construct(lambda disk, raw: run_serve_sweep(SPEC, workers_list=[1, 2])),
 )
 
 

@@ -1,10 +1,15 @@
 """Tests for SAX symbols, breakpoints and mindist bounds."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.series import (
     euclidean,
     euclidean_batch,
@@ -48,6 +53,27 @@ def test_breakpoints_validation():
         breakpoints(3)
     with pytest.raises(ValueError):
         breakpoints(1)
+
+
+def test_breakpoints_equal_scipy_stats_norm_ppf_bit_for_bit():
+    """``scipy.special.ndtri`` is the inverse normal CDF ``norm.ppf``
+    evaluates, so every power-of-two table is the same bits."""
+    from scipy.stats import norm
+
+    for bits in range(1, 17):
+        cardinality = 1 << bits
+        quantiles = np.linspace(0.0, 1.0, cardinality + 1)[1:-1]
+        expected = norm.ppf(quantiles)
+        assert breakpoints(cardinality).tobytes() == expected.tobytes()
+
+
+def test_import_repro_leaves_scipy_stats_unloaded():
+    """``scipy.stats`` costs about a second to import; nothing in the
+    package needs it."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, repro; assert 'scipy.stats' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_extended_breakpoints_sentinels():
