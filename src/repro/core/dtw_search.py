@@ -104,15 +104,18 @@ def dtw_exact_search(
 
     ``index`` is any built SIMS-backed Coconut index (Tree, Trie or
     LSM, either variant); the scan reuses its summary column and fetch
-    path, so I/O is charged to the same simulated disk.
+    path, so I/O is charged to the same simulated disk.  The query
+    (its length, NaN / inf) and ``window`` are checked once, before
+    anything is read: ``ValueError`` leaves ``DiskStats`` untouched.
     """
-    query = np.asarray(query, dtype=np.float64).ravel()
+    query = index._query_array(query)
+    window = check_window(window)
     column, fetch = index._prepare_sims()
     upper, lower = query_envelope(query, window)
     bounds = column.dtw_lower_bounds(upper, lower)
 
     # Seed: DTW distance to the best ED approximate answer.
-    seed = index.approximate_search(query)
+    seed = index._seed(query)
     bsf = float("inf")
     answer = -1
     if seed.answer_idx >= 0:

@@ -58,12 +58,38 @@ BOUND_MIN_ELEMENTS = 32_768
 #: gather*).  The same share decides, per query, whether the query's
 #: own rows are bounded on those pages or on a copy, so bounding every
 #: record on the pages never costs more than twice bounding its rows.
+#: Every query of a batch that bounds the whole block shares one
+#: ``(Q, N)`` bound per page run, its products one GEMM: on the 64-query
+#: ``query_seismic`` batch that is one call per run instead of 64
+#: (``docs/fetch.md``, *One bound per block in a batch*).
 DENSE_FETCH_SHARE = 0.5
 
 
 def bound_will_run(n_rows: int, length: int, threshold: float) -> bool:
     """Whether :func:`rows_that_can_win` bounds ``n_rows`` rows."""
     return threshold < float("inf") and n_rows * length >= BOUND_MIN_ELEMENTS
+
+
+def bounds_every_record(series: "np.ndarray | PagedRecords", rows: np.ndarray) -> bool:
+    """Whether :func:`rows_that_can_win` bounds ``rows`` of ``series``
+    by bounding every record in place (:func:`block_bounds`): the rows
+    are the whole array, or at least :data:`DENSE_FETCH_SHARE` of the
+    records on a :class:`~repro.storage.seriesfile.PagedRecords`' pages."""
+    if isinstance(series, PagedRecords):
+        return len(rows) >= DENSE_FETCH_SHARE * series.on_pages
+    return len(rows) == len(series)
+
+
+def block_bounds(
+    queries: np.ndarray, series: "np.ndarray | PagedRecords"
+) -> np.ndarray:
+    """:func:`~repro.series.distance.euclidean_lower_bounds` of one query
+    or a ``(Q, n)`` block of them against every row of ``series``,
+    without a copy: a :class:`~repro.storage.seriesfile.PagedRecords`
+    block is bounded one page run at a time, every record on its pages."""
+    if isinstance(series, PagedRecords):
+        return series.per_record(lambda run: euclidean_lower_bounds(queries, run))
+    return euclidean_lower_bounds(queries, series)
 
 
 def rows_that_can_win(
@@ -80,24 +106,18 @@ def rows_that_can_win(
     too: no heap could have admitted it (a heap admits only a distance
     ``<=`` its threshold, and thresholds only shrink).  Below
     :data:`BOUND_MIN_ELEMENTS` elements in ``rows``, or while
-    ``threshold`` is ``inf``, ``rows`` come back as they are.  ``rows``
-    that cover the whole block bound it in place, without a copy.  A
-    :class:`~repro.storage.seriesfile.PagedRecords` block is bounded on
-    its page views, every record on them, when ``rows`` are at least
-    :data:`DENSE_FETCH_SHARE` of those records, and on a copy of
-    ``rows`` otherwise (one query of a batch may need few rows of a
-    block that is dense for the batch).  The bound is row by row, so a
-    row gets the same bits either way.
+    ``threshold`` is ``inf``, ``rows`` come back as they are.  When
+    :func:`bounds_every_record` holds, the whole block is bounded in
+    place (a :class:`~repro.storage.seriesfile.PagedRecords` block on
+    its page views); otherwise a copy of ``rows`` is (one query of a
+    batch may need few rows of a block that is dense for the batch).
+    The bound is row by row, so a row gets the same bits either way.
     """
     if not bound_will_run(len(rows), series.shape[1], threshold):
         return rows
-    if isinstance(series, PagedRecords):
-        if len(rows) >= DENSE_FETCH_SHARE * series.on_pages:
-            bounds = series.per_record(lambda run: euclidean_lower_bounds(query, run))
-            return rows[bounds[rows] <= threshold]
-        block = series.take(rows)
-    else:
-        block = series if len(rows) == len(series) else series[rows]
+    if bounds_every_record(series, rows):
+        return rows[block_bounds(query, series)[rows] <= threshold]
+    block = series.take(rows) if isinstance(series, PagedRecords) else series[rows]
     return rows[euclidean_lower_bounds(query, block) <= threshold]
 
 
@@ -160,6 +180,12 @@ def fetch_rows_that_can_win(
     ``series`` and ``identifiers`` hold those rows in block order, and
     no view outlives this call.  Otherwise ``series`` is the whole
     gathered block.
+
+    Two or more wants that bound the whole block
+    (:func:`bounds_every_record`) are bounded together: one ``(Q, N)``
+    :func:`block_bounds` call, so one kernel call per page run, and
+    each query keeps its rows at its own threshold.  Any other want is
+    bounded alone, exactly as :func:`rows_that_can_win` bounds it.
     """
     if isinstance(fetch, RawFetch) and any(
         bound_will_run(len(rows), len(query), threshold)
@@ -168,9 +194,23 @@ def fetch_rows_that_can_win(
         series, identifiers = fetch.paged(positions)
     else:
         series, identifiers = fetch(positions)
+    shared = [
+        i
+        for i, (query, rows, threshold) in enumerate(wants)
+        if bound_will_run(len(rows), len(query), threshold)
+        and bounds_every_record(series, rows)
+    ]
+    together = {}
+    if len(shared) > 1:
+        bounds = block_bounds(np.stack([wants[i][0] for i in shared]), series)
+        for i, query_bounds in zip(shared, bounds):
+            _, rows, threshold = wants[i]
+            together[i] = rows[query_bounds[rows] <= threshold]
     kept = [
-        rows_that_can_win(query, series, rows, threshold)
-        for query, rows, threshold in wants
+        together[i]
+        if i in together
+        else rows_that_can_win(query, series, rows, threshold)
+        for i, (query, rows, threshold) in enumerate(wants)
     ]
     if not isinstance(series, PagedRecords):
         return series, identifiers, kept

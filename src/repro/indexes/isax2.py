@@ -377,22 +377,25 @@ class ISAX2Index(SeriesIndex):
     def approximate_search(self, query: np.ndarray) -> QueryResult:
         query = self._query_array(query)
         with Measurement(self.disk) as measure:
-            word = sax_words(query[None, :], self.config)[0]
-            leaf = self.tree.route(word, create=False)
-            best_idx, best_dist, visited = -1, float("inf"), 0
-            if leaf is not None and leaf.count:
-                distances, offsets = self._leaf_distances(query, leaf)
-                visited = len(offsets)
-                j = int(np.argmin(distances))
-                best_idx, best_dist = int(offsets[j]), float(distances[j])
+            result = self._seed(query)
+        return measure.stamp(result)
+
+    def _seed(self, query: np.ndarray) -> QueryResult:
+        """The approximate answer, unmeasured, for a query already
+        checked: the probe that seeds an exact search."""
+        word = sax_words(query[None, :], self.config)[0]
+        leaf = self.tree.route(word, create=False)
+        best_idx, best_dist, visited = -1, float("inf"), 0
+        if leaf is not None and leaf.count:
+            distances, offsets = self._leaf_distances(query, leaf)
+            visited = len(offsets)
+            j = int(np.argmin(distances))
+            best_idx, best_dist = int(offsets[j]), float(distances[j])
         return QueryResult(
             answer_idx=best_idx,
             distance=best_dist,
             visited_records=visited,
             visited_leaves=1 if visited else 0,
-            io=measure.io,
-            simulated_io_ms=measure.simulated_io_ms,
-            wall_s=measure.wall_s,
         )
 
     def exact_search(self, query: np.ndarray) -> QueryResult:
@@ -400,7 +403,7 @@ class ISAX2Index(SeriesIndex):
         query = self._query_array(query)
         with Measurement(self.disk) as measure:
             query_paa = paa(query, self.config.word_length)[0]
-            seed = self.approximate_search(query)
+            seed = self._seed(query)
             bsf, answer = seed.distance, seed.answer_idx
             visited, leaves_read = seed.visited_records, seed.visited_leaves
             heap = []

@@ -208,35 +208,38 @@ class RTreeIndex(SeriesIndex):
         """Greedy descent to the closest leaf MBR."""
         query = self._query_array(query)
         with Measurement(self.disk) as measure:
-            best_idx, best_dist, visited = -1, float("inf"), 0
-            if self.root is not None:
-                query_paa = paa(query, self.n_dimensions)[0]
-                node = self.root
-                while isinstance(node, _RNode):
-                    node = min(
-                        node.children,
-                        key=lambda c: _mbr_mindist(
-                            query_paa, c.low, c.high, self.segment_size
-                        ),
-                    )
-                distances, offsets = self._leaf_distances(query, node)
-                visited = len(offsets)
-                j = int(np.argmin(distances))
-                best_idx, best_dist = int(offsets[j]), float(distances[j])
+            result = self._seed(query)
+        return measure.stamp(result)
+
+    def _seed(self, query: np.ndarray) -> QueryResult:
+        """The approximate answer, unmeasured, for a query already
+        checked: the probe that seeds an exact search."""
+        best_idx, best_dist, visited = -1, float("inf"), 0
+        if self.root is not None:
+            query_paa = paa(query, self.n_dimensions)[0]
+            node = self.root
+            while isinstance(node, _RNode):
+                node = min(
+                    node.children,
+                    key=lambda c: _mbr_mindist(
+                        query_paa, c.low, c.high, self.segment_size
+                    ),
+                )
+            distances, offsets = self._leaf_distances(query, node)
+            visited = len(offsets)
+            j = int(np.argmin(distances))
+            best_idx, best_dist = int(offsets[j]), float(distances[j])
         return QueryResult(
             answer_idx=best_idx,
             distance=best_dist,
             visited_records=visited,
             visited_leaves=1 if visited else 0,
-            io=measure.io,
-            simulated_io_ms=measure.simulated_io_ms,
-            wall_s=measure.wall_s,
         )
 
     def exact_search(self, query: np.ndarray) -> QueryResult:
         query = self._query_array(query)
         with Measurement(self.disk) as measure:
-            seed = self.approximate_search(query)
+            seed = self._seed(query)
             bsf, answer = seed.distance, seed.answer_idx
             visited, leaves_read = seed.visited_records, seed.visited_leaves
             if self.root is not None:

@@ -90,11 +90,11 @@ class PagedRecords:
         self._firsts = np.cumsum([0] + [len(run) for run in runs[:-1]])
 
     def per_record(self, fn) -> np.ndarray:
-        """``fn(run)`` — one value per row — over every run, picked for
-        each requested record in request order."""
+        """``fn(run)`` — one value per row along its last axis — over
+        every run, picked for each requested record in request order."""
         values = [fn(run) for run in self.runs]
-        values = values[0] if len(values) == 1 else np.concatenate(values)
-        return values[self.where]
+        values = values[0] if len(values) == 1 else np.concatenate(values, axis=-1)
+        return values[..., self.where]
 
     def take(self, rows: np.ndarray) -> np.ndarray:
         """A private copy of requested records ``rows``, in that order."""

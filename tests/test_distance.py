@@ -193,7 +193,8 @@ def test_property_triangle_inequality(data):
         lambda: squared_euclidean(np.zeros(3), np.ones(4)),
         lambda: euclidean_lower_bounds(np.zeros(1), np.ones((2, 4))),
         lambda: euclidean_lower_bounds(np.zeros(4), np.ones(4)),
-        lambda: euclidean_lower_bounds(np.zeros((1, 4)), np.ones((2, 4))),
+        lambda: euclidean_lower_bounds(np.zeros((2, 3)), np.ones((2, 4))),
+        lambda: euclidean_lower_bounds(np.zeros((1, 1, 4)), np.ones((2, 4))),
     ],
     ids=[
         "batch-length-1-query",
@@ -205,12 +206,15 @@ def test_property_triangle_inequality(data):
         "bound-length-1-query",
         "bound-1-d",
         "bound-2-d-query",
+        "bound-3-d-query",
     ],
 )
 def test_distance_shapes_are_checked_not_broadcast(call):
     """``euclidean_batch(zeros(1), ones((2, 4)))`` used to answer
     ``[2, 2]``, a 1-D batch failed on tuple unpacking, and
-    ``squared_euclidean`` broadcast a series against a matrix."""
+    ``squared_euclidean`` broadcast a series against a matrix.  The
+    bound takes a ``(Q, n)`` query block, but only of the block's
+    length."""
     with pytest.raises(ValueError, match="shape mismatch"):
         call()
 

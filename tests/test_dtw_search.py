@@ -232,3 +232,31 @@ def test_property_dtw_table_bound_is_byte_identical_to_the_per_cell_reference(
     cells = column._cell_index()
     column.lower_bounds(np.zeros(word_length))
     assert column._cell_index() is cells
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_refused_dtw_query_reads_nothing(variant):
+    """The query (length, NaN / inf) and the window are checked before
+    the summary column is loaded: each refusal leaves ``DiskStats`` as
+    a fresh index had them, and a valid query then loads and reads."""
+    disk = SimulatedDisk(page_size=2048)
+    data = random_walk(200, length=64, seed=12)
+    index = VARIANTS[variant](disk)
+    index.build(RawSeriesFile.create(disk, data))
+    query = random_walk(1, length=64, seed=13)[0].astype(np.float64)
+    poisoned = query.copy()
+    poisoned[5] = np.nan
+    before = disk.snapshot()
+    for bad_query, window in [
+        (query[:63], WINDOW),
+        (poisoned, WINDOW),
+        (np.full(64, np.inf), WINDOW),
+        (query, -1),
+        (query, 2.5),
+        (query, True),
+    ]:
+        with pytest.raises(ValueError):
+            dtw_exact_search(index, bad_query, window=window)
+        assert disk.snapshot() == before
+    dtw_exact_search(index, query, window=WINDOW)
+    assert disk.snapshot() != before

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import CoconutLSM, CoconutTree, CoconutTrie
-from repro.indexes import ADSIndex
+from repro.indexes import ADSIndex, DSTree, ISAX2Index, RTreeIndex
 from repro.indexes.base import SeriesIndex
 from repro.series import euclidean_batch, random_walk, z_normalize
 from repro.storage import RawSeriesFile, SimulatedDisk
@@ -225,8 +225,16 @@ def test_non_finite_queries_are_refused_not_answered(poison):
         lambda disk, config: ADSIndex(
             disk, 1 << 20, config=config, leaf_size=16, plus=False
         ),
+        lambda disk, config: DSTree(disk, 1 << 20, leaf_size=16),
+        lambda disk, config: ISAX2Index(
+            disk, 1 << 20, config=config, leaf_size=16, materialized=False
+        ),
+        lambda disk, config: RTreeIndex(disk, 1 << 20, leaf_size=16),
     ],
-    ids=["CTree", "CTreeFull", "CTrie", "LSM", "ADS+", "ADSFull"],
+    ids=[
+        "CTree", "CTreeFull", "CTrie", "LSM", "ADS+", "ADSFull",
+        "DSTree", "iSAX2+", "R-tree",
+    ],
 )
 def test_an_exact_query_is_checked_once(make, monkeypatch):
     """An exact search or k-NN checks its query once and seeds from a

@@ -101,17 +101,106 @@ def test_gram_bound_refuses_other_dtypes(dtype):
         euclidean_lower_bounds(np.zeros(4), np.zeros((2, 4), dtype=dtype))
 
 
-def test_gram_bound_makes_no_blas_call():
-    """An unpinned multi-threaded BLAS is slower than ``np.einsum`` on
-    a block of this size by an order of magnitude, and library callers
-    do not pin threads: no ``@``, ``dot``, ``matmul`` and no einsum
-    ``optimize`` (which may dispatch to BLAS)."""
+def _blas_calls(nodes):
+    """``@``, a BLAS-backed numpy call, or an einsum ``optimize`` (which
+    may dispatch to BLAS) among ``nodes``."""
     banned = {"dot", "vdot", "matmul", "inner", "tensordot", "outer"}
+    return [
+        node
+        for node in nodes
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))
+        or (isinstance(node, ast.Attribute) and node.attr in banned)
+        or (isinstance(node, ast.keyword) and node.arg == "optimize")
+    ]
+
+
+def _walk(statements):
+    return [node for statement in statements for node in ast.walk(statement)]
+
+
+def test_gram_bound_makes_no_blas_call():
+    """One query's bound makes no BLAS call: a lone matrix-vector
+    product is too small to repay an unpinned multi-threaded BLAS, and
+    library callers do not pin threads.  A query block's products are
+    one GEMM, and the kernel's only BLAS call is that ``@`` in the
+    branch a 2-D query block takes."""
     tree = ast.parse(inspect.getsource(distance_module.euclidean_lower_bounds))
-    for node in ast.walk(tree):
-        assert not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))
-        assert not (isinstance(node, ast.Attribute) and node.attr in banned)
-        assert not (isinstance(node, ast.keyword) and node.arg == "optimize")
+
+    def tests_one_query(test):
+        return (
+            isinstance(test, ast.Compare)
+            and isinstance(test.left, ast.Attribute)
+            and test.left.attr == "ndim"
+            and isinstance(test.ops[0], ast.Eq)
+            and getattr(test.comparators[0], "value", None) == 1
+        )
+
+    (branch,) = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and tests_one_query(node.test)
+    ]
+    assert not _blas_calls(_walk(branch.body))
+    (gemm,) = _blas_calls(ast.walk(tree))
+    assert isinstance(gemm, ast.BinOp) and isinstance(gemm.op, ast.MatMult)
+    assert any(node is gemm for node in _walk(branch.orelse))
+    # Both branches run: one query returns (N,), a query block (Q, N).
+    rng = np.random.default_rng(2)
+    block = rng.standard_normal((6, 8)).astype(np.float32)
+    queries = rng.standard_normal((3, 8))
+    assert euclidean_lower_bounds(queries[0], block).shape == (6,)
+    assert euclidean_lower_bounds(queries, block).shape == (3, 6)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@settings(max_examples=40, deadline=None)
+@given(
+    n_queries=st.integers(2, 8),
+    length=st.integers(1, 1000),
+    n_rows=st.integers(1, 24),
+    scale_exp=st.floats(-3, 5),
+    constant_query=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_a_query_block_bound_never_exceeds_the_exact_distance(
+    kind, dtype, n_queries, length, n_rows, scale_exp, constant_query, seed
+):
+    """The ``(Q, N)`` bound of a query block: every value is ``<=``
+    ``euclidean_batch`` for its own query and row, non-finite rows get
+    0, and the shape is ``(Q, N)``, the empty block included.  The
+    block is built around the first query, and one query may be a
+    stored row, so equal and near rows meet several queries.
+
+    Against the 1-D call of each query, the GEMM only reorders the
+    sums of the products: each errs by at most ``γ_n·‖x‖‖q̃‖``, so the
+    squared bounds differ by at most ``4γ_n·‖x‖‖q̃‖ <= 2γ_n(‖x‖ + ‖q̃‖)²``
+    with room for the float64 roundings."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0**scale_exp
+    queries = rng.standard_normal((n_queries, length)) * scale
+    if constant_query:
+        queries[0] = rng.standard_normal() * scale
+    block = _block(kind, rng, queries[0], n_rows, scale).astype(dtype)
+    finite = np.isfinite(block).all(axis=1)
+    if finite.any() and rng.random() < 0.5:
+        queries[-1] = block[np.flatnonzero(finite)[0]]
+    bounds = euclidean_lower_bounds(queries, block)
+    assert bounds.shape == (n_queries, len(block)) and bounds.dtype == np.float64
+    unit = float(np.finfo(dtype).eps) / 2
+    gamma = length * unit / (1 - length * unit)
+    with np.errstate(invalid="ignore", over="ignore"):
+        row_norms = np.sqrt(np.sum(block.astype(np.float64) ** 2, axis=1))
+    for query, query_bounds in zip(queries, bounds):
+        with np.errstate(invalid="ignore", over="ignore"):
+            exact = euclidean_batch(query, block)
+        assert np.all(query_bounds[finite] <= exact[finite])
+        assert np.all(query_bounds[~finite] == 0.0)
+        alone = euclidean_lower_bounds(query, block)
+        query_norm = np.linalg.norm(query.astype(dtype).astype(np.float64))
+        spread = 2 * gamma * (row_norms[finite] + query_norm) ** 2
+        gap = np.abs(query_bounds[finite] ** 2 - alone[finite] ** 2)
+        assert np.all(gap <= spread)
 
 
 # ------------------------------------------------------------ engines

@@ -30,7 +30,7 @@ from repro.core.sims import (
     sims_scan,
 )
 from repro.core.summary_column import SummaryColumn
-from repro.series import euclidean_batch, make_dataset
+from repro.series import euclidean_batch, euclidean_lower_bounds, make_dataset
 from repro.storage import DiskShard, RawSeriesFile, SimulatedDisk
 from repro.storage.seriesfile import PagedRecords
 from repro.summaries import SAXConfig
@@ -105,6 +105,16 @@ def requests(n):
     )
 
 
+def one_query_at_a_time(queries, block):
+    """The bound with a query block replaced by the 1-D calls it stands
+    for.  A block's GEMM may round differently from those calls (each
+    is rigorous: ``tests/test_gram_bound.py``), so with it the kept rows
+    of a shared bound could differ from the reference at the margin."""
+    if np.ndim(queries) == 1:
+        return euclidean_lower_bounds(queries, block)
+    return np.stack([euclidean_lower_bounds(query, block) for query in queries])
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     layout=layouts(),
@@ -136,6 +146,7 @@ def test_property_paged_bound_equals_gather_then_bound(layout, kind, data):
         wants.append((query, mine, threshold))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sims_module, "BOUND_MIN_ELEMENTS", 0)
+        patch.setattr(sims_module, "euclidean_lower_bounds", one_query_at_a_time)
         series, identifiers, kept = fetch_rows_that_can_win(
             RawFetch(got_raw, ids), positions, wants
         )
@@ -239,6 +250,42 @@ def test_a_query_needing_few_rows_of_a_dense_block_bounds_a_copy(monkeypatch):
         expected = rows_that_can_win(query, reference, rows, threshold)
         np.testing.assert_array_equal(identifiers[rows_kept], 40 + expected)
         np.testing.assert_array_equal(series[rows_kept], reference[expected])
+
+
+def test_dense_wants_share_one_bound_call_per_page_run(monkeypatch):
+    """Every want that bounds a dense block whole is bounded in one call
+    per page run, with the ``(Q, n)`` query block, on the read-only page
+    views; each keeps its rows at its own threshold.  A want needing few
+    rows still bounds its own copy."""
+    _, raw, data = _raw()
+    calls = []
+    real_bound = sims_module.euclidean_lower_bounds
+
+    def bound(queries, block):
+        calls.append((np.shape(queries), block.flags.writeable, len(block)))
+        return real_bound(queries, block)
+
+    monkeypatch.setattr(sims_module, "euclidean_lower_bounds", bound)
+    monkeypatch.setattr(sims_module, "BOUND_MIN_ELEMENTS", 0)
+    # Pages 5..14 and 20..29: every record of two runs of pages.
+    ids = np.concatenate([np.arange(40, 120), np.arange(160, 240)])
+    positions = np.arange(len(ids))
+    rng = np.random.default_rng(6)
+    wants = []
+    few = positions[::10]
+    for j, rows in [(3, positions), (90, positions), (150, positions), (7, few)]:
+        query = data[ids[j]].astype(np.float64) + 0.01 * rng.standard_normal(LENGTH)
+        threshold = float(np.sort(euclidean_batch(query, data[ids[rows]]))[4])
+        wants.append((query, rows, threshold))
+    series, identifiers, kept = fetch_rows_that_can_win(
+        RawFetch(raw, ids), positions, wants
+    )
+    assert calls == [((3, LENGTH), False, 80)] * 2 + [((LENGTH,), True, 16)]
+    for (query, rows, threshold), rows_kept in zip(wants, kept):
+        winners = ids[rows][euclidean_batch(query, data[ids[rows]]) <= threshold]
+        assert set(winners) <= set(identifiers[rows_kept])
+        assert len(winners) <= len(rows_kept) < len(rows) / 2
+        np.testing.assert_array_equal(series[rows_kept], data[identifiers[rows_kept]])
 
 
 @pytest.mark.parametrize(

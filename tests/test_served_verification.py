@@ -274,6 +274,44 @@ def test_a_dense_served_block_is_bounded_on_pages_it_read_and_hashed(monkeypatch
     assert set().union(*seen["paged"]) <= read <= verified
 
 
+def test_dense_tickets_served_together_bound_their_block_once_per_run(monkeypatch):
+    """Two dense exact tickets queued before ``serve_pending()`` are one
+    served batch: its block is bounded once per page run for both
+    tickets, with the ``(2, n)`` query block, on read-only views of
+    pages that were read and hashed; answers equal brute force in id
+    order."""
+    disk, raw, svc = make_dense_service()
+    snapshot = svc.current_snapshot()
+    verified = spy_on_verification(monkeypatch)
+    seen = spy_on_reads(monkeypatch)
+    calls, runs = [], []
+    bound, read_records = sims_module.euclidean_lower_bounds, RawSeriesFile.read_records
+
+    def shared_bound(queries, block):
+        calls.append((np.shape(queries), block.flags.writeable))
+        return bound(queries, block)
+
+    def counted(self, plan):
+        records = read_records(self, plan)
+        runs.append(len(records.runs))
+        return records
+
+    monkeypatch.setattr(sims_module, "euclidean_lower_bounds", shared_bound)
+    monkeypatch.setattr(RawSeriesFile, "read_records", counted)
+    mark = len(snapshot.shard.trace)
+    tickets = [svc.submit(query, mode="exact", k=3) for query in DENSE_QUERIES[:2]]
+    assert svc.serve_pending() == 1
+    for query, ticket in zip(DENSE_QUERIES, tickets):
+        assert ticket.status == "served" and not ticket.degraded
+        assert (list(ticket.knn_ids), ticket.knn_distances) == dense_brute_force(
+            query, 3
+        )
+    assert len(seen["paged"]) == 1 and runs[0] > 1
+    assert calls == [((2, LENGTH), False)] * runs[0]
+    read = pages_read(snapshot.shard.trace[mark:])
+    assert seen["paged"][0] <= read <= verified
+
+
 def test_a_flip_inside_a_dense_block_is_refused_before_the_bound_reads_it(
     monkeypatch,
 ):
