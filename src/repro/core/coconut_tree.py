@@ -44,6 +44,18 @@ from .invsax import invsax_keys, key_bytes
 from .summary_column import row_dtype
 
 
+def _leaf_radius(value, name: str) -> int:
+    """A probe radius in leaves: an integer >= 0 (0 = the default),
+    never a ``bool``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or value < 0
+    ):
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class _Leaf:
     """Directory entry for one leaf, kept in key order."""
@@ -75,7 +87,7 @@ class CoconutTree(BulkLoadedIndex):
                 f"fill_factor must be in [0.5, 1.0], got {fill_factor}"
             )
         self.fill_factor = fill_factor
-        self.default_radius = max(1, default_radius)
+        self.default_radius = max(1, _leaf_radius(default_radius, "default_radius"))
         self.fanout = max(2, fanout)
 
     # ------------------------------------------------------------------
@@ -187,12 +199,7 @@ class CoconutTree(BulkLoadedIndex):
         """The radius a caller asked for; ``None``/``0`` = the default."""
         if radius_leaves is None:
             return self.default_radius
-        if not isinstance(radius_leaves, numbers.Integral) or radius_leaves < 0:
-            raise ValueError(
-                "radius_leaves must be a positive integer (or None / 0 for "
-                f"the default), got {radius_leaves!r}"
-            )
-        return int(radius_leaves) or self.default_radius
+        return _leaf_radius(radius_leaves, "radius_leaves") or self.default_radius
 
     def approximate_search(
         self, query: np.ndarray, radius_leaves: int | None = None

@@ -563,23 +563,16 @@ class CoconutLSM(SIMSIndex):
             kept = self._column_of = (pieces, self._build_summary_column())
         return kept[1]
 
-    def _prepare_sims(self):
-        """(column, fetch) over the union of runs, for the shared engines."""
+    def _prepare_sims(self, device=None):
+        """(column, fetch) over the union of runs, for the shared engines.
+
+        The fetch reads the raw file on ``device`` (a served snapshot's
+        shard, or a wrapper around it) or, by default, on the device
+        the raw file was created on.
+        """
         column = self._summary_column()
-        return column, column.raw_fetch(self.raw)
-
-    def _prepare_sims_parallel(self):
-        """(column, make_fetch): ``make_fetch(device)`` binds the fetch's
-        raw reads to ``device`` (a served snapshot's shard or its fault
-        wrapper); ``make_fetch(None)`` reads the parent device."""
-        column = self._summary_column()
-
-        def make_fetch(device=None):
-            return column.raw_fetch(
-                self.raw if device is None else self.raw.view(device)
-            )
-
-        return column, make_fetch
+        raw = self.raw if device is None else self.raw.view(device)
+        return column, column.raw_fetch(raw)
 
     # ------------------------------------------------------------------
     # Crash recovery

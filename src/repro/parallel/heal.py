@@ -31,7 +31,7 @@ Fault seam
 ----------
 The service's ``wrap_serve_device(device, attempt)`` routes
 each attempt's reads through its return value.  Tests pass a factory
-building :class:`~repro.storage.faults.FaultyDevice` wrappers; because
+building fault-injecting wrappers (``tests/fault_injection.py``); because
 it is called afresh per attempt, each attempt's fault plan restarts at
 operation index zero.
 """
@@ -103,8 +103,16 @@ class RetryPolicy:
                 )
 
     def delay(self, retry_index: int) -> float:
-        """Sleep before retry ``retry_index`` (0-based): capped doubling."""
-        return min(self.backoff_cap_s, self.backoff_s * (2 ** retry_index))
+        """Sleep before retry ``retry_index`` (0-based): capped doubling.
+
+        A doubling too large for a float is past any finite cap, so a
+        late retry of a long policy sleeps the cap instead of raising.
+        """
+        try:
+            doubled = math.ldexp(self.backoff_s, retry_index)
+        except OverflowError:
+            return self.backoff_cap_s
+        return min(self.backoff_cap_s, doubled)
 
 
 @dataclass

@@ -4,8 +4,9 @@
 
 * **Ingest** streams ``insert_batch`` calls through a WAL-durable
   :class:`~repro.core.lsm.CoconutLSM` on the journal device (possibly a
-  :class:`~repro.storage.faults.FaultyDevice`); flushes and compactions
-  run inside the ingest call that fills the memtable.  A faulted insert is *recovered in place* — reopen the device, replay
+  fault-injecting wrapper); flushes and compactions run inside the
+  ingest call that fills the memtable.  A faulted insert is *recovered
+  in place* — reopen the device (when it has ``reopen``), replay
   the manifest, truncate the raw file to the acknowledged watermark —
   before any retry, so a retried batch can never duplicate rows: either
   the faulted attempt's WAL frame verified (the rows survived; the

@@ -110,7 +110,7 @@ class ServiceSnapshot:
         """A read-only ``CoconutLSM`` facade over the frozen state.
 
         Quacks like a built LSM for every query entry point (the
-        per-query searches, ``_prepare_sims*``, the batched engines,
+        per-query searches, ``_prepare_sims``, the batched engines,
         ``plan_query_batch``), but shares no mutable state with the
         live index: updating methods are unreachable because the
         service never calls them on a view.  The facade's own reads
@@ -178,10 +178,8 @@ def _answer_on(view: CoconutLSM, batch, device):
             for r in results
         ]
         return ids, distances
-    column, make_fetch = view._prepare_sims_parallel()
-    outcomes = batched_exact_knn(
-        queries, batch.k, column, view.config, make_fetch(device)
-    )
+    column, fetch = view._prepare_sims(device)
+    outcomes = batched_exact_knn(queries, batch.k, column, view.config, fetch)
     return (
         [list(outcome.answer_ids) for outcome in outcomes],
         [list(outcome.distances) for outcome in outcomes],

@@ -14,9 +14,6 @@ from .faults import (
     CorruptionError,
     DeviceCrash,
     FaultError,
-    FaultPlan,
-    FaultyDevice,
-    InjectedFault,
     PermanentIOError,
     TornWrite,
     TransientIOError,
@@ -26,7 +23,6 @@ from .integrity import (
     Scrubber,
     ScrubReport,
     checksum_page,
-    decay_bit,
     single_bit_syndromes,
     verify_view,
 )
@@ -49,9 +45,6 @@ __all__ = [
     "DiskStats",
     "Extent",
     "FaultError",
-    "FaultPlan",
-    "FaultyDevice",
-    "InjectedFault",
     "PermanentIOError",
     "TornWrite",
     "TransientIOError",
@@ -68,7 +61,6 @@ __all__ = [
     "SSD_COST",
     "UNIFORM_COST",
     "checksum_page",
-    "decay_bit",
     "merge_pair",
     "merge_presorted",
     "merge_stream",

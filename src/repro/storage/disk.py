@@ -37,9 +37,7 @@ list validated once, classified in one vectorized step (bit-identical
 to one ``read_page`` / ``read_run_bytes`` per maximal consecutive
 run) and answered with a *scatter list* of read-only 2-D views over
 whole arenas — no page is copied.  ``RawSeriesFile.get_many`` gathers
-records straight out of it.  Devices that wrap another device answer
-the same verb by replaying the per-run reads on themselves
-(:class:`_DerivedVerbs`).
+records straight out of it.
 
 Zero-copy view lifetime
 -----------------------
@@ -115,14 +113,14 @@ def _opens_run(pages: np.ndarray) -> np.ndarray:
 
 
 class _DerivedVerbs:
-    """The verbs a device composes from its primitive ones.
+    """The list verbs a device composes from its primitive ones.
 
     Anything exposing ``page_size``, ``read_page``, ``write_page``,
-    ``read_run_bytes`` and the two write checks gets the list API and
-    the vectored read by inheriting this — the page stores, and a
-    device that wraps another (``FaultyDevice``).  Each verb is spelled
-    in the primitives *of ``self``*, so a wrapper's fault-plan op
-    indices are those of the primitive sequence by construction.
+    ``read_run_bytes`` and the two write checks gets ``read_run`` and
+    ``write_run`` by inheriting this — the page stores, and a device
+    that wraps another.  Each verb is spelled in the primitives *of
+    ``self``*, so a wrapper that numbers its primitive ops numbers
+    these by construction.
     """
 
     def read_run(self, first_page: int, n_pages: int) -> list:
@@ -154,32 +152,6 @@ class _DerivedVerbs:
             self._check_page_payload(data)
         for i, data in enumerate(pages):
             self.write_page(first_page + i, data)
-
-    def read_pages(self, pages) -> "list[tuple[np.ndarray, np.ndarray]]":
-        """Vectored read of ``pages``, replayed run by run on ``self``.
-
-        The adapter behind every device that is not itself a page
-        store: each maximal run of consecutive ids becomes one
-        :meth:`read_page` (single page) or :meth:`read_run_bytes` call,
-        in request order — exactly the sequence a caller without a
-        vectored read would issue — and the joined stream comes back as
-        a one-entry scatter list (see :meth:`_PagedDevice.read_pages`
-        for the shape).  The pages *are* copied here; what the wrapper
-        keeps is its own semantics, call for call.
-        """
-        pages = np.asarray(pages, dtype=np.int64).ravel()
-        if len(pages) == 0:
-            return []
-        parts = [
-            self.read_page(int(pages[lo]))
-            if hi - lo == 1
-            else self.read_run_bytes(int(pages[lo]), hi - lo)
-            for lo, hi in _spans(_opens_run(pages))
-        ]
-        stream = parts[0] if len(parts) == 1 else b"".join(parts)
-        buffer = np.frombuffer(stream, dtype=np.uint8)
-        buffer.flags.writeable = False
-        return [(buffer.reshape(len(pages), self.page_size), np.arange(len(pages)))]
 
 
 class _ExtentArenas:
@@ -328,58 +300,28 @@ class _PagedDevice(_DerivedVerbs):
     # ------------------------------------------------------------------
     # Classification
     # ------------------------------------------------------------------
-    def _count_read(self, page_id: int) -> None:
-        if self._head is not None and page_id == self._head + 1:
-            self._stats.sequential_reads += 1
-        else:
-            self._stats.random_reads += 1
-        self._stats.bytes_read += self.page_size
-        self._head = page_id
-        if self._trace is not None:
-            self._trace.append(("r", page_id, 1))
+    def _count(self, op: str, first_page: int, n_pages: int) -> None:
+        """Classify ``n_pages`` consecutive ``op`` accesses in one step.
 
-    def _count_write(self, page_id: int) -> None:
-        if self._head is not None and page_id == self._head + 1:
-            self._stats.sequential_writes += 1
-        else:
-            self._stats.random_writes += 1
-        self._stats.bytes_written += self.page_size
-        self._head = page_id
-        if self._trace is not None:
-            self._trace.append(("w", page_id, 1))
-
-    # ------------------------------------------------------------------
-    # Bulk classification (the bytes-level fast path)
-    # ------------------------------------------------------------------
-    def _count_read_run(self, first_page: int, n_pages: int) -> None:
-        """Classify ``n_pages`` consecutive reads in one step.
-
-        Bit-identical to calling :meth:`_count_read` page by page: the
-        first access is sequential iff it lands right after the head,
-        every following access within the run is sequential by
-        construction, and the head ends on the run's last page.
+        ``op`` is ``"r"`` or ``"w"``.  Bit-identical to classifying the
+        run page by page: the first access is sequential iff it lands
+        right after the head, every following access within the run is
+        sequential by construction, and the head ends on the run's last
+        page.  The trace gets one ``(op, first_page, n_pages)`` tuple.
         """
-        if self._head is not None and first_page == self._head + 1:
-            self._stats.sequential_reads += n_pages
+        random = int(self._head is None or first_page != self._head + 1)
+        stats = self._stats
+        if op == "r":
+            stats.random_reads += random
+            stats.sequential_reads += n_pages - random
+            stats.bytes_read += n_pages * self.page_size
         else:
-            self._stats.random_reads += 1
-            self._stats.sequential_reads += n_pages - 1
-        self._stats.bytes_read += n_pages * self.page_size
+            stats.random_writes += random
+            stats.sequential_writes += n_pages - random
+            stats.bytes_written += n_pages * self.page_size
         self._head = first_page + n_pages - 1
         if self._trace is not None:
-            self._trace.append(("r", first_page, n_pages))
-
-    def _count_write_run(self, first_page: int, n_pages: int) -> None:
-        """Write-side twin of :meth:`_count_read_run`."""
-        if self._head is not None and first_page == self._head + 1:
-            self._stats.sequential_writes += n_pages
-        else:
-            self._stats.random_writes += 1
-            self._stats.sequential_writes += n_pages - 1
-        self._stats.bytes_written += n_pages * self.page_size
-        self._head = first_page + n_pages - 1
-        if self._trace is not None:
-            self._trace.append(("w", first_page, n_pages))
+            self._trace.append((op, first_page, n_pages))
 
     # ------------------------------------------------------------------
     # Vectored read (the gather's one device call)
@@ -588,7 +530,7 @@ class SimulatedDisk(_PagedDevice):
         """
         self._check_page(page_id)
         self._check_page_payload(data)
-        self._count_write(page_id)
+        self._count("w", page_id, 1)
         self._arenas.splice(page_id, data, self.page_size)
         self._written.add(page_id)
 
@@ -600,7 +542,7 @@ class SimulatedDisk(_PagedDevice):
         short writes) read as zeros.
         """
         self._check_page(page_id)
-        self._count_read(page_id)
+        self._count("r", page_id, 1)
         return self._arenas.page(page_id)
 
     # ------------------------------------------------------------------
@@ -621,7 +563,7 @@ class SimulatedDisk(_PagedDevice):
         if n_pages <= 0:
             return b""
         self._check_run_readable(first_page, n_pages)
-        self._count_read_run(first_page, n_pages)
+        self._count("r", first_page, n_pages)
         return self._arenas.run_view(first_page, n_pages)
 
     def _check_run_readable(self, first_page: int, n_pages: int) -> None:
@@ -644,7 +586,7 @@ class SimulatedDisk(_PagedDevice):
             return
         self._check_write_run(first_page, n_pages)
         self._check_run_payload(data, n_pages)
-        self._count_write_run(first_page, n_pages)
+        self._count("w", first_page, n_pages)
         self._arenas.splice(first_page, data, n_pages * self.page_size)
         self._written.update(range(first_page, first_page + n_pages))
 
@@ -709,7 +651,7 @@ class DiskShard(_PagedDevice):
     def read_page(self, page_id: int):
         """Read one page below the watermark (see SimulatedDisk.read_page)."""
         self._check_run_readable(page_id, 1)
-        self._count_read(page_id)
+        self._count("r", page_id, 1)
         return self.parent._arenas.page(page_id)
 
     def read_run_bytes(self, first_page: int, n_pages: int):
@@ -717,7 +659,7 @@ class DiskShard(_PagedDevice):
         if n_pages <= 0:
             return b""
         self._check_run_readable(first_page, n_pages)
-        self._count_read_run(first_page, n_pages)
+        self._count("r", first_page, n_pages)
         return self.parent._arenas.run_view(first_page, n_pages)
 
     def _check_run_readable(self, first_page: int, n_pages: int) -> None:

@@ -1,18 +1,19 @@
 """End-to-end page integrity: CRC sidecar, verified reads, scrub + repair.
 
-The fault layer (:mod:`repro.storage.faults`) can flip a single bit in
-a write *silently* — the op acks, the corrupt bytes land, and the
-zero-copy arena path propagates the flipped view all the way to query
-answers.  WAL frames and run footers already carry their own CRCs, but
-data pages (Coconut run payloads, the raw series file) had nothing.
+A device can flip a single bit of a write *silently* — the op acks,
+the corrupt bytes land, and the zero-copy arena path propagates the
+flipped view all the way to query answers — and a page written
+correctly can decay at rest.  WAL frames and run footers already carry
+their own CRCs, but data pages (Coconut run payloads, the raw series
+file) had nothing.
 This module closes that gap end to end:
 
 * :class:`ChecksumMap` — a per-page CRC32 sidecar keyed by **physical
   page id**.  Checksums are recorded by the *consumer that knows the
   intended payload* (:class:`~repro.storage.pager.PagedFile`) at write
   time, **after the device acks** — never by the device itself.  That
-  ordering is load-bearing twice over: a :class:`~repro.storage.faults.FaultyDevice`
-  corrupts the payload *before* forwarding it to the real store, so a
+  ordering is load-bearing twice over: a device that corrupts the
+  payload in flight has already stored the flipped bytes, so a
   device-level hook would bless the corruption; and a write that faults
   before taking effect must not move the expectation off the bytes that
   are actually on the platter.  Keying by physical id makes the sidecar
@@ -63,7 +64,6 @@ __all__ = [
     "ScrubReport",
     "Scrubber",
     "checksum_page",
-    "decay_bit",
     "single_bit_syndromes",
     "verify_pages",
     "verify_view",
@@ -223,8 +223,7 @@ def single_bit_syndromes(page_size: int) -> "dict[int, int]":
     Built once per page size by extending the eight 1-byte error
     messages one zero byte at a time (``zlib.crc32`` resumes from a
     running value, so each step is O(1)); maps syndrome -> bit index in
-    the :class:`~repro.storage.faults.FaultyDevice` convention
-    (``raw[bit >> 3] ^= 1 << (bit & 7)``).
+    the convention ``raw[bit >> 3] ^= 1 << (bit & 7)``.
     """
     table = _SYNDROMES.get(page_size)
     if table is not None:
@@ -261,7 +260,7 @@ def find_flipped_bit(view, expected_crc: int, page_size: int) -> "int | None":
 
 
 # ----------------------------------------------------------------------
-# At-rest corruption injection + in-place patching (store internals)
+# In-place patching (store internals)
 # ----------------------------------------------------------------------
 def _store_page(disk, page_id: int, data: bytes) -> None:
     """Patch a page directly in the backing store: no stats, no head
@@ -273,25 +272,6 @@ def _store_page(disk, page_id: int, data: bytes) -> None:
     if len(data) != page_size:
         raise PageError(f"patch must be a full page ({page_size} bytes)")
     disk._arenas.splice(page_id, data, page_size)
-
-
-def decay_bit(disk, page_id: int, bit: int) -> None:
-    """Flip one bit of a page *at rest* — silent media decay.
-
-    Unlike :class:`~repro.storage.faults.FaultyDevice` (which corrupts
-    payloads in flight, during an op), this models the platter rotting
-    underneath a page that was written correctly: no op fires, nothing
-    acks, no stats move, and the checksum sidecar still holds the
-    original expectation.  Integrity tests and the scrub bench inject
-    with it because detection accounting is then exact by construction:
-    every decayed page is corrupt, nothing else is.
-    """
-    page_size = disk.page_size
-    if not 0 <= bit < page_size * 8:
-        raise PageError(f"bit {bit} out of range for a {page_size}-byte page")
-    raw = bytearray(disk.page_view(page_id))
-    raw[bit >> 3] ^= 1 << (bit & 7)
-    _store_page(disk, page_id, bytes(raw))
 
 
 # ----------------------------------------------------------------------

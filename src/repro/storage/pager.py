@@ -11,7 +11,7 @@ A file is bound to a *device* — anything exposing ``page_size``,
 ``allocate`` and the verbs of ``DEVICE_IO_VERBS``: the shared
 :class:`repro.storage.disk.SimulatedDisk`, the read-only
 :class:`repro.storage.disk.DiskShard` a served snapshot reads through,
-or a :class:`repro.storage.faults.FaultyDevice` wrapping either.  The
+or a device wrapping either (the test suite's fault injector).  The
 binding is explicit rather than a global: :meth:`PagedFile.attach`
 yields a view of the same extents on a different device, which is how
 a served snapshot reads a shared file through its shard (its own head,
@@ -176,7 +176,7 @@ class PagedFile:
     def write(self, logical: int, data: bytes) -> None:
         # Integrity sidecar: record the *intended* payload, and only
         # after the device acks.  Recording above the device is what
-        # catches an in-flight FaultyDevice bit flip (the device would
+        # catches a bit the device flips in flight (the device would
         # checksum the already-flipped bytes); recording after the ack
         # keeps a write that faulted before taking effect from moving
         # the expectation off the bytes actually in the store.

@@ -16,7 +16,100 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtri
+
+#: The 255 interior breakpoints of cardinality 256, ``ndtri(s / 256)``
+#: for ``s = 1 .. 255``, as hex floats: bit-exact, and ``import repro``
+#: needs no scipy.  Every smaller power-of-two table is a stride of it
+#: (``s / c == (s * 256 / c) / 256`` exactly), the same bits ``ndtri``
+#: returns (``tests/test_sax.py`` pins every table against scipy).
+_BREAKPOINTS_256 = np.array([float.fromhex(h) for h in """
+    -0x1.547d173f6ec88p+1  -0x1.357292e7715f6p+1  -0x1.2213b8576fdbap+1
+    -0x1.13b22a7d5685ep+1  -0x1.0821aea2d370ep+1  -0x1.fcc812ed3a31cp+0
+    -0x1.ebdda4f3bc592p+0  -0x1.dcdbfee3cb022p+0  -0x1.cf5519058ef66p+0
+    -0x1.c2fcd4fed71c2p+0  -0x1.b79c430c75742p+0  -0x1.ad0a62bb61166p+0
+    -0x1.a327c19be646bp+0  -0x1.99dbb4304c5eap+0  -0x1.911280d02e294p+0
+    -0x1.88bc1fbe1dabep+0  -0x1.80cb5abf42f6fp+0  -0x1.79352bd2ffc71p+0
+    -0x1.71f046ceaa3c0p+0  -0x1.6af4c0d40e6e0p+0  -0x1.643bcd0219b2cp+0
+    -0x1.5dbf8886fd11bp+0  -0x1.577ad207e6402p+0  -0x1.51692983b0b7ep+0
+    -0x1.4b8696a46380dp+0  -0x1.45cf940193b5ap+0  -0x1.4040fe397a838p+0
+    -0x1.3ad8060d88cdbp+0  -0x1.359224e282f19p+0  -0x1.306d1329acdccp+0
+    -0x1.2b66c054507b0p+0  -0x1.267d4c07b0566p+0  -0x1.21af0057305c8p+0
+    -0x1.1cfa4cd68023ep+0  -0x1.185dc25ed274cp+0  -0x1.13d80f695e703p+0
+    -0x1.0f67fce7084ebp+0  -0x1.0b0c6b8181421p+0  -0x1.06c45135b5deap+0
+    -0x1.028eb73a355dap+0  -0x1.fcd5704d039b0p-1  -0x1.f4aefca4206f7p-1
+    -0x1.eca884c67e2f1p-1  -0x1.e4c0940f865dap-1  -0x1.dcf5cda2197aap-1
+    -0x1.d546ea5ff88ecp-1  -0x1.cdb2b717de135p-1  -0x1.c63812e37d717p-1
+    -0x1.bed5edaf97491p-1  -0x1.b78b46e920380p-1  -0x1.b0572c4b26eebp-1
+    -0x1.a938b8c9ba967p-1  -0x1.a22f139690790p-1  -0x1.9b396f3c932f8p-1
+    -0x1.945708cfe1646p-1  -0x1.8d87273010eefp-1  -0x1.86c91a5acec53p-1
+    -0x1.801c3acd2ead4p-1  -0x1.797fe8f2301f7p-1  -0x1.72f38c9d29a1bp-1
+    -0x1.6c76948ef1fc7p-1  -0x1.66087604bfe6ep-1  -0x1.5fa8ac4fd5c9bp-1
+    -0x1.5956b87528a49p-1  -0x1.531220d447709p-1  -0x1.4cda70d4dbf64p-1
+    -0x1.46af389a2f5b2p-1  -0x1.40900cbc2beb4p-1  -0x1.3a7c860563298p-1
+    -0x1.34744135ab273p-1  -0x1.2e76dec8f0c94p-1  -0x1.288402c1e614fp-1
+    -0x1.229b54783c0c1p-1  -0x1.1cbc7e6a1f29dp-1  -0x1.16e72e10b447dp-1
+    -0x1.111b13b759bcap-1  -0x1.0b57e25575e9dp-1  -0x1.059d4f6aa14b8p-1
+    -0x1.ffd625b9fcee7p-2  -0x1.f481cdb32cce8p-2  -0x1.e93d0f6d25f47p-2
+    -0x1.de0767ae69873p-2  -0x1.d2e05722c859cp-2  -0x1.c7c7622981109p-2
+    -0x1.bcbc10a624286p-2  -0x1.b1bdedd40c2e3p-2  -0x1.a6cc881c3c628p-2
+    -0x1.9be770ed7b920p-2  -0x1.910e3c96842b8p-2  -0x1.8640822225902p-2
+    -0x1.7b7ddb35354c6p-2  -0x1.70c5e3ee31608p-2  -0x1.66183ac676fc4p-2
+    -0x1.5b748074f3236p-2  -0x1.50da57d23490fp-2  -0x1.464965bdc7eafp-2
+    -0x1.3bc15104c8ebfp-2  -0x1.3141c249949c9p-2  -0x1.26ca63ec8a0d5p-2
+    -0x1.1c5ae1f5c8389p-2  -0x1.11f2e9ffd8d7ap-2  -0x1.07922b2338fcfp-2
+    -0x1.fa70abc56274ep-3  -0x1.e5ca3830dff7fp-3  -0x1.d13061c7b3170p-3
+    -0x1.bca2913003e73p-3  -0x1.a82031558b4a5p-3  -0x1.93a8af48ecc97p-3
+    -0x1.7f3b7a2025340p-3  -0x1.6ad802d7fb488p-3  -0x1.567dbc3660aa1p-3
+    -0x1.422c1aadb2493p-3  -0x1.2de29440c83fep-3  -0x1.19a0a067c5e03p-3
+    -0x1.0565b7f59b6a1p-3  -0x1.e262a9fc56fbap-4  -0x1.ba05e57a0df13p-4
+    -0x1.91b41af964dc7p-4  -0x1.696c44fcd1de6p-4  -0x1.412d5fc4a071ap-4
+    -0x1.18f6692025a3bp-4  -0x1.e18cc07f53b76p-5  -0x1.91388b0de5074p-5
+    -0x1.40ee34c0ace25p-5  -0x1.e1578441218c4p-6  -0x1.40de72250d347p-6
+    -0x1.40da82002404bp-7               0x0.0p+0   0x1.40da82002404bp-7
+     0x1.40de72250d347p-6   0x1.e1578441218c4p-6   0x1.40ee34c0ace25p-5
+     0x1.91388b0de5074p-5   0x1.e18cc07f53b76p-5   0x1.18f6692025a3bp-4
+     0x1.412d5fc4a071ap-4   0x1.696c44fcd1de6p-4   0x1.91b41af964dc7p-4
+     0x1.ba05e57a0df13p-4   0x1.e262a9fc56fbap-4   0x1.0565b7f59b6a1p-3
+     0x1.19a0a067c5e03p-3   0x1.2de29440c83fep-3   0x1.422c1aadb2493p-3
+     0x1.567dbc3660aa1p-3   0x1.6ad802d7fb488p-3   0x1.7f3b7a2025340p-3
+     0x1.93a8af48ecc97p-3   0x1.a82031558b4a5p-3   0x1.bca2913003e73p-3
+     0x1.d13061c7b3170p-3   0x1.e5ca3830dff7fp-3   0x1.fa70abc56274ep-3
+     0x1.07922b2338fcfp-2   0x1.11f2e9ffd8d7ap-2   0x1.1c5ae1f5c8389p-2
+     0x1.26ca63ec8a0d5p-2   0x1.3141c249949c9p-2   0x1.3bc15104c8ebfp-2
+     0x1.464965bdc7eafp-2   0x1.50da57d23490fp-2   0x1.5b748074f3236p-2
+     0x1.66183ac676fc4p-2   0x1.70c5e3ee31608p-2   0x1.7b7ddb35354c6p-2
+     0x1.8640822225902p-2   0x1.910e3c96842b8p-2   0x1.9be770ed7b920p-2
+     0x1.a6cc881c3c628p-2   0x1.b1bdedd40c2e3p-2   0x1.bcbc10a624286p-2
+     0x1.c7c7622981109p-2   0x1.d2e05722c859cp-2   0x1.de0767ae69873p-2
+     0x1.e93d0f6d25f47p-2   0x1.f481cdb32cce8p-2   0x1.ffd625b9fcee7p-2
+     0x1.059d4f6aa14b8p-1   0x1.0b57e25575e9dp-1   0x1.111b13b759bcap-1
+     0x1.16e72e10b447dp-1   0x1.1cbc7e6a1f29dp-1   0x1.229b54783c0c1p-1
+     0x1.288402c1e614fp-1   0x1.2e76dec8f0c94p-1   0x1.34744135ab273p-1
+     0x1.3a7c860563298p-1   0x1.40900cbc2beb4p-1   0x1.46af389a2f5b2p-1
+     0x1.4cda70d4dbf64p-1   0x1.531220d447709p-1   0x1.5956b87528a49p-1
+     0x1.5fa8ac4fd5c9bp-1   0x1.66087604bfe6ep-1   0x1.6c76948ef1fc7p-1
+     0x1.72f38c9d29a1bp-1   0x1.797fe8f2301f7p-1   0x1.801c3acd2ead4p-1
+     0x1.86c91a5acec53p-1   0x1.8d87273010eefp-1   0x1.945708cfe1646p-1
+     0x1.9b396f3c932f8p-1   0x1.a22f139690790p-1   0x1.a938b8c9ba967p-1
+     0x1.b0572c4b26eebp-1   0x1.b78b46e920380p-1   0x1.bed5edaf97491p-1
+     0x1.c63812e37d717p-1   0x1.cdb2b717de135p-1   0x1.d546ea5ff88ecp-1
+     0x1.dcf5cda2197aap-1   0x1.e4c0940f865dap-1   0x1.eca884c67e2f1p-1
+     0x1.f4aefca4206f7p-1   0x1.fcd5704d039b0p-1   0x1.028eb73a355dap+0
+     0x1.06c45135b5deap+0   0x1.0b0c6b8181421p+0   0x1.0f67fce7084ebp+0
+     0x1.13d80f695e703p+0   0x1.185dc25ed274cp+0   0x1.1cfa4cd68023ep+0
+     0x1.21af0057305c8p+0   0x1.267d4c07b0566p+0   0x1.2b66c054507b0p+0
+     0x1.306d1329acdccp+0   0x1.359224e282f19p+0   0x1.3ad8060d88cdbp+0
+     0x1.4040fe397a838p+0   0x1.45cf940193b5ap+0   0x1.4b8696a46380dp+0
+     0x1.51692983b0b7ep+0   0x1.577ad207e6402p+0   0x1.5dbf8886fd11bp+0
+     0x1.643bcd0219b2cp+0   0x1.6af4c0d40e6e0p+0   0x1.71f046ceaa3c0p+0
+     0x1.79352bd2ffc71p+0   0x1.80cb5abf42f6fp+0   0x1.88bc1fbe1dabep+0
+     0x1.911280d02e294p+0   0x1.99dbb4304c5eap+0   0x1.a327c19be646bp+0
+     0x1.ad0a62bb61166p+0   0x1.b79c430c75742p+0   0x1.c2fcd4fed71c2p+0
+     0x1.cf5519058ef66p+0   0x1.dcdbfee3cb022p+0   0x1.ebdda4f3bc592p+0
+     0x1.fcc812ed3a31cp+0   0x1.0821aea2d370ep+1   0x1.13b22a7d5685ep+1
+     0x1.2213b8576fdbap+1   0x1.357292e7715f6p+1   0x1.547d173f6ec88p+1
+""".split()])
+_BREAKPOINTS_256.flags.writeable = False
 
 
 @lru_cache(maxsize=None)
@@ -26,13 +119,20 @@ def breakpoints(cardinality: int) -> np.ndarray:
     Region ``s`` (symbol value ``s``) covers
     ``(breakpoints[s-1], breakpoints[s]]`` with the conventions
     ``breakpoints[-1] = -inf`` and ``breakpoints[c-1] = +inf``.
+    Cardinalities up to 256 read the committed table; above it, scipy
+    is imported to compute the quantiles.
     """
     if cardinality < 2:
         raise ValueError(f"cardinality must be >= 2, got {cardinality}")
     if cardinality & (cardinality - 1):
         raise ValueError(f"cardinality must be a power of two, got {cardinality}")
-    quantiles = np.linspace(0.0, 1.0, cardinality + 1)[1:-1]
-    result = ndtri(quantiles)
+    if cardinality <= 256:
+        stride = 256 // cardinality
+        result = _BREAKPOINTS_256[stride - 1 :: stride].copy()
+    else:
+        from scipy.special import ndtri
+
+        result = ndtri(np.linspace(0.0, 1.0, cardinality + 1)[1:-1])
     result.flags.writeable = False
     return result
 

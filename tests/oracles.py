@@ -22,9 +22,9 @@ import heapq
 
 import numpy as np
 
+from fault_injection import replay_read_pages
 from repro.series.distance import early_abandon_euclidean_block
 from repro.storage import SimulatedDisk
-from repro.storage.disk import _DerivedVerbs
 from repro.storage.merge import _open_cursors
 from repro.summaries.sax import breakpoints
 
@@ -61,12 +61,13 @@ class DictDisk(SimulatedDisk):
     """The copy-level oracle device: a ``SimulatedDisk`` whose pages
     live in :class:`DictPages` instead of extent arenas.  Checks,
     classification, counters and traces are the production code, so
-    only storage differs.  ``read_pages`` is the run-replay adapter —
-    one classified ``read_page`` / ``read_run_bytes`` per maximal run —
+    only storage differs.  ``read_pages`` is the run replay of
+    ``fault_injection.replay_read_pages`` — one classified
+    ``read_page`` / ``read_run_bytes`` per maximal run —
     which makes this device the oracle for the arena device's
     vectorized classification as well."""
 
-    read_pages = _DerivedVerbs.read_pages
+    read_pages = replay_read_pages
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)

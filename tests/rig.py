@@ -5,15 +5,15 @@ benchmark shape (``tests/test_paper_figures.py`` sweeps them for the
 paper's Figs. 8-10), and :func:`make_environment` gives an experiment
 cell a fresh disk, raw file and index.  :class:`DatasetSpec` names a
 reproducible dataset, :func:`mixed_workload` is Fig. 10a's interleaved
-insert / query schedule, and :func:`format_table` renders dict-rows as
-an aligned table.  ``tests/test_bench_infra.py`` pins each of them.
+insert / query schedule.  ``tests/test_bench_infra.py`` pins each of
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -258,37 +258,3 @@ def make_environment(
     disk.reset_stats()  # ingest of the raw file is not index cost
     index = INDEX_FACTORIES[index_key](disk, memory_bytes, spec.length)
     return Environment(disk=disk, raw=raw, index=index)
-
-
-# ------------------------------------------------------------ tables
-def format_value(value) -> str:
-    if isinstance(value, float):
-        if value == 0:
-            return "0"
-        if abs(value) >= 1000:
-            return f"{value:,.0f}"
-        if abs(value) >= 10:
-            return f"{value:.1f}"
-        return f"{value:.3f}"
-    return str(value)
-
-
-def format_table(rows: Iterable[dict], columns: list[str] | None = None) -> str:
-    """Render dict-rows as an aligned ASCII table."""
-    rows = list(rows)
-    if not rows:
-        return "(no rows)"
-    if columns is None:
-        columns = list(rows[0].keys())
-    cells = [[format_value(row.get(col, "")) for col in columns] for row in rows]
-    widths = [
-        max(len(col), *(len(line[i]) for line in cells))
-        for i, col in enumerate(columns)
-    ]
-    header = "  ".join(col.ljust(widths[i]) for i, col in enumerate(columns))
-    rule = "  ".join("-" * w for w in widths)
-    body = "\n".join(
-        "  ".join(line[i].ljust(widths[i]) for i in range(len(columns)))
-        for line in cells
-    )
-    return f"{header}\n{rule}\n{body}"

@@ -1,5 +1,5 @@
-"""Tests for the experiment rig (``tests/rig.py``): workloads, index
-factories and tables."""
+"""Tests for the experiment rig (``tests/rig.py``): workloads and index
+factories."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from rig import (
     INDEX_FACTORIES,
     DatasetSpec,
     default_config,
-    format_table,
     make_environment,
     mixed_workload,
 )
@@ -94,26 +93,3 @@ def test_coconut_cells_sort_in_memory_sized_runs(key):
     mem_records = max(2, memory // rec.itemsize)
     assert report.extra["sort_runs"] == -(-TINY.n_series // mem_records) > 1
     assert report.n_series == TINY.n_series
-
-
-# -------------------------------------------------------------- report
-def test_format_table_alignment_and_values():
-    rows = [
-        {"name": "a", "value": 1.5, "count": 10},
-        {"name": "bbb", "value": 1234.5678, "count": 2},
-    ]
-    text = format_table(rows)
-    lines = text.splitlines()
-    assert lines[0].startswith("name")
-    assert "1,235" in text  # thousands formatting
-    assert "1.500" in text
-
-
-def test_format_table_empty():
-    assert format_table([]) == "(no rows)"
-
-
-def test_format_table_explicit_columns():
-    rows = [{"a": 1, "b": 2}]
-    text = format_table(rows, columns=["b"])
-    assert "a" not in text.splitlines()[0]

@@ -125,7 +125,7 @@ ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("radius", [-1, -3, 2.5])
+@pytest.mark.parametrize("radius", [-1, -3, 2.5, True])
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_bad_radius_is_refused_before_anything_is_read(entry, radius):
     """A negative radius used to answer "no match, -1 leaves visited"
@@ -136,6 +136,21 @@ def test_bad_radius_is_refused_before_anything_is_read(entry, radius):
     with pytest.raises(ValueError, match="radius_leaves"):
         ENTRY_POINTS[entry](index, query, radius)
     assert disk.snapshot() == before
+
+
+@pytest.mark.parametrize("radius", [2.5, True, False, "2", None, -1])
+def test_a_bad_default_radius_is_refused_at_construction(radius):
+    """A fractional default radius used to build, then fail every
+    query: ``TypeError`` in the probe, ``ValueError`` in the scan."""
+    with pytest.raises(ValueError, match="default_radius"):
+        CoconutTree(SimulatedDisk(), 1 << 20, CONFIG, default_radius=radius)
+
+
+@pytest.mark.parametrize("radius", [0, 1, 3, np.int64(2)])
+def test_an_integer_default_radius_is_kept(radius):
+    index = CoconutTree(SimulatedDisk(), 1 << 20, CONFIG, default_radius=radius)
+    assert index.default_radius == max(1, int(radius))
+    assert type(index.default_radius) is int
 
 
 @pytest.mark.parametrize("materialized", [False, True])

@@ -19,16 +19,12 @@ back data and a halted device kept writing.
 
 import pytest
 
-import repro.storage.faults
+import fault_injection
+from fault_injection import FaultPlan, FaultyDevice
 from oracles import DictDisk
 from repro.storage import SimulatedDisk
 from repro.storage.disk import DEVICE_IO_VERBS, DiskShard, PageError
-from repro.storage.faults import (
-    DeviceCrash,
-    FaultPlan,
-    FaultyDevice,
-    PermanentIOError,
-)
+from repro.storage.faults import DeviceCrash, PermanentIOError
 
 DEVICE_CLASSES = [SimulatedDisk, DiskShard, FaultyDevice, DictDisk]
 
@@ -129,7 +125,7 @@ def test_getattr_refuses_a_verb_the_class_does_not_define(monkeypatch):
     device = FaultyDevice(inner)
     assert len(device.read_scattered([0, 1])) == 2  # not a verb: forwarded
     monkeypatch.setattr(
-        repro.storage.faults,
+        fault_injection,
         "DEVICE_IO_VERBS",
         DEVICE_IO_VERBS + ("read_scattered",),
     )

@@ -1,4 +1,5 @@
-"""Fault-injection device layer: plans, wrapper semantics, transparency.
+"""Fault-injection device layer (``tests/fault_injection.py``): plans,
+wrapper semantics, transparency.
 
 Covers the contract ``docs/robustness.md`` documents:
 
@@ -19,12 +20,11 @@ import numpy as np
 import pytest
 
 import repro.storage.seriesfile as seriesfile
+from fault_injection import _READ, _WRITE, FaultPlan, FaultyDevice
 from oracles import DEVICES
 from repro.storage import (
     DeviceCrash,
     DiskShard,
-    FaultPlan,
-    FaultyDevice,
     PagedFile,
     PermanentIOError,
     RawSeriesFile,
@@ -32,7 +32,6 @@ from repro.storage import (
     TornWrite,
     TransientIOError,
 )
-from repro.storage.faults import _READ, _WRITE
 
 PAGE = 512
 

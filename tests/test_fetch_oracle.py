@@ -31,6 +31,7 @@ from repro.series.distance import (
     early_abandon_euclidean_block,
     euclidean_batch,
 )
+from fault_injection import FaultPlan, FaultyDevice
 from oracles import (
     DEVICES,
     DictDisk,
@@ -40,7 +41,7 @@ from oracles import (
 )
 from repro.storage import PagedFile, RawSeriesFile, SimulatedDisk
 from repro.storage.disk import DiskShard, PageError
-from repro.storage.faults import FaultPlan, FaultyDevice, TransientIOError
+from repro.storage.faults import TransientIOError
 
 # (n_series, length, page_size): divisor and non-divisor single-page
 # layouts, a page_size that is not a float32 multiple, and multi-page

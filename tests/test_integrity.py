@@ -21,18 +21,16 @@ import zlib
 import numpy as np
 import pytest
 
+from fault_injection import FaultPlan, FaultyDevice, decay_bit
 from oracles import DEVICES
 from repro.storage import (
     CorruptionError,
     DiskShard,
-    FaultPlan,
-    FaultyDevice,
     PageError,
     PagedFile,
     RawSeriesFile,
     SimulatedDisk,
     checksum_page,
-    decay_bit,
     single_bit_syndromes,
 )
 from repro.storage.integrity import find_flipped_bit, zero_page_crc

@@ -15,9 +15,10 @@ run and WAL page goes through the fault layer.
 import numpy as np
 import pytest
 
+from fault_injection import FaultPlan, FaultyDevice
 from oracles import DEVICES
 from repro.core.lsm import CoconutLSM
-from repro.storage import CorruptionError, FaultError, FaultPlan, FaultyDevice
+from repro.storage import CorruptionError, FaultError
 from repro.storage.seriesfile import RawSeriesFile
 from repro.summaries.sax import SAXConfig
 

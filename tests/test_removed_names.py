@@ -24,6 +24,8 @@ import repro.service
 import repro.service.snapshot
 import repro.storage
 import repro.storage.disk
+import repro.storage.faults
+import repro.storage.integrity
 import repro.storage.merge
 from repro import (
     CoconutService,
@@ -132,6 +134,15 @@ absent(repro.core.knn, "seeded_sims_knn")
 absent(ISAXTree, "iter_nodes")
 absent(repro.core.invsax, "paa_of")
 absent(SAXConfig, "summary_bytes")
+# The fault injector is test rig (tests/fault_injection.py): the
+# package keeps only the error taxonomy it raises and handles.
+for owner in (repro.storage, repro.storage.faults):
+    absent(owner, "FaultPlan", "FaultyDevice", "InjectedFault")
+for owner in (repro.storage, repro.storage.integrity):
+    absent(owner, "decay_bit")
+absent(repro.storage.disk._DerivedVerbs, "read_pages")
+# Nothing in the package is parallel: one summary-column preparation.
+absent(CoconutLSM, "_prepare_sims_parallel")
 
 # ------------------------------------------------------------ keywords
 

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -56,8 +57,10 @@ def test_breakpoints_validation():
 
 
 def test_breakpoints_equal_scipy_stats_norm_ppf_bit_for_bit():
-    """``scipy.special.ndtri`` is the inverse normal CDF ``norm.ppf``
-    evaluates, so every power-of-two table is the same bits."""
+    """Every power-of-two table is the bits of ``norm.ppf``: up to 256
+    the strides of the committed cardinality-256 table, above it
+    ``scipy.special.ndtri`` (the inverse normal CDF ``norm.ppf``
+    evaluates)."""
     from scipy.stats import norm
 
     for bits in range(1, 17):
@@ -68,11 +71,21 @@ def test_breakpoints_equal_scipy_stats_norm_ppf_bit_for_bit():
 
 
 def test_import_repro_leaves_scipy_stats_unloaded():
-    """``scipy.stats`` costs about a second to import; nothing in the
-    package needs it."""
+    """``import repro`` loads no scipy module at all: ``scipy.stats``
+    costs about a second to import and ``scipy.special`` a third of
+    one, and the breakpoints of every default cardinality are
+    committed.  Only a cardinality above 256 imports ``ndtri``."""
     src = os.path.dirname(os.path.dirname(repro.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, repro; assert 'scipy.stats' not in sys.modules"
+    code = textwrap.dedent("""
+        import sys, repro
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        assert not scipy_modules(), scipy_modules()
+        data = repro.series.random_walk(4, 256, seed=0)
+        repro.summaries.sax_words(data, repro.summaries.SAXConfig())
+        assert not scipy_modules(), scipy_modules()
+    """)
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 

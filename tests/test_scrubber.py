@@ -20,17 +20,15 @@ dict oracle device (``tests/oracles.py``),
 import numpy as np
 import pytest
 
+from fault_injection import FaultPlan, FaultyDevice, decay_bit
 from oracles import DEVICES
 from repro.core.lsm import CoconutLSM
 from repro.storage import (
     CorruptionError,
     ExternalSorter,
     FaultError,
-    FaultPlan,
-    FaultyDevice,
     RawSeriesFile,
     Scrubber,
-    decay_bit,
 )
 from repro.summaries.sax import SAXConfig
 

@@ -14,7 +14,7 @@ and the parent device stays live.
 import numpy as np
 import pytest
 
-from repro.parallel.heal import RetryPolicy, run_self_healing
+from repro.parallel.heal import HEAL_BACKOFF_CAP_S, RetryPolicy, run_self_healing
 from repro.service import ServiceConfig
 from repro.storage import (
     DeviceCrash,
@@ -94,6 +94,16 @@ def test_get_many_oob_raises_before_io_through_a_shard():
 def test_retry_policy_delay_is_capped_doubling():
     policy = RetryPolicy(retries=5, backoff_s=0.01, backoff_cap_s=0.03)
     assert [policy.delay(i) for i in range(4)] == [0.01, 0.02, 0.03, 0.03]
+
+
+def test_a_late_retry_sleeps_the_cap_instead_of_overflowing():
+    """``0.002 * 2 ** 1100`` cannot become a float: every retry from
+    1024 on used to raise ``OverflowError`` out of the healing loop."""
+    policy = RetryPolicy(retries=5000)
+    assert policy.delay(1023) == policy.delay(1024) == HEAL_BACKOFF_CAP_S
+    assert policy.delay(4999) == HEAL_BACKOFF_CAP_S
+    assert RetryPolicy(backoff_s=0.0).delay(10**6) == 0.0
+    assert [policy.delay(i) for i in range(3)] == [0.002, 0.004, 0.008]
 
 
 @pytest.mark.parametrize(

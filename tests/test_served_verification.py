@@ -8,7 +8,7 @@ only raw record pages (its heaps are primed from the in-memory
 summaries, so it reads no run page), an approximate ticket reads the
 run windows its probe covers and the raw pages of the records it
 gathers.  A page flipped at rest
-(:func:`repro.storage.integrity.decay_bit`) raises
+(``tests/fault_injection.py::decay_bit``) raises
 :class:`CorruptionError` inside serving; the service scrubs, repairs
 the page and still answers the ticket as it did before the flip.
 """
@@ -19,9 +19,9 @@ import pytest
 import repro.core.sims as sims_module
 import repro.storage.integrity as integrity_module
 import repro.storage.seriesfile as seriesfile_module
+from fault_injection import decay_bit
 from repro.service import CoconutService, ServiceConfig
 from repro.storage import CorruptionError, SimulatedDisk
-from repro.storage.integrity import decay_bit
 from repro.storage.seriesfile import FetchPlan, RawSeriesFile
 from repro.summaries.sax import SAXConfig
 

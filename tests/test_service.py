@@ -27,6 +27,7 @@ Unit-level contracts of :class:`repro.service.CoconutService`
 import numpy as np
 import pytest
 
+from fault_injection import FaultPlan, FaultyDevice
 from repro.core.lsm import CoconutLSM
 from repro.service import (
     REJECT_CRASHED,
@@ -40,12 +41,7 @@ from repro.service import (
     serve_snapshot_batch,
 )
 from repro.indexes.base import QueryBatch
-from repro.storage import (
-    DiskShard,
-    FaultPlan,
-    FaultyDevice,
-    SimulatedDisk,
-)
+from repro.storage import DiskShard, SimulatedDisk
 from repro.storage.seriesfile import RawSeriesFile
 from repro.summaries.sax import SAXConfig
 
@@ -489,7 +485,7 @@ def test_served_heaps_are_seeded_with_every_probe_distance(memtable_rows):
     probes = dict(view._approx_answer_subset(queries, ctx, order))
     probe_size = len(view._approximate_one(queries[0])[2])
     assert probe_size > 3
-    words, make_fetch = view._prepare_sims_parallel()
+    words, fetch = view._prepare_sims(snapshot.shard)
     for k in (1, 3, probe_size, probe_size + 1, len(rows) + 1):
         batch = QueryBatch(queries=queries, k=k, mode="exact")
         ids, distances = _answer_on(view, batch, snapshot.shard)
@@ -498,7 +494,7 @@ def test_served_heaps_are_seeded_with_every_probe_distance(memtable_rows):
             k,
             words,
             view.config,
-            make_fetch(snapshot.shard),
+            fetch,
             [[(probes[qi].distance, probes[qi].answer_idx)] for qi in order],
         )
         for qi, query in enumerate(queries):

@@ -29,18 +29,14 @@ import threading
 import numpy as np
 import pytest
 
+from fault_injection import FaultPlan, FaultyDevice
 from repro.core.lsm import CoconutLSM
 from repro.service import (
     CoconutService,
     ServiceConfig,
     ServiceUnavailable,
 )
-from repro.storage import (
-    FaultError,
-    FaultPlan,
-    FaultyDevice,
-    SimulatedDisk,
-)
+from repro.storage import FaultError, SimulatedDisk
 from repro.storage.seriesfile import RawSeriesFile
 from repro.summaries.sax import SAXConfig
 
