@@ -217,8 +217,13 @@ class CoconutTree(BulkLoadedIndex):
     def exact_knn(
         self, query: np.ndarray, k: int, radius_leaves: int | None = None
     ):
-        """Exact k nearest neighbors, seeded by a probe of
-        ``radius_leaves`` leaves (:meth:`SIMSIndex.exact_knn`)."""
+        """Exact k nearest neighbors (:meth:`SIMSIndex.exact_knn`).
+
+        At ``k = 1`` the scan is seeded by a probe of ``radius_leaves``
+        leaves; at ``k > 1`` no probe runs, so the radius applies only
+        at ``k = 1``.  A bad radius is refused before anything is read
+        at every ``k``.
+        """
         return self._sims_exact_knn(query, k, self._radius(radius_leaves))
 
     # ------------------------------------------------------------------

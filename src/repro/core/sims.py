@@ -302,6 +302,19 @@ class SIMSIndex(SeriesIndex):
     context, and the answers of a slice of that order.
     """
 
+    @staticmethod
+    def _probe_seeds(k: int) -> bool:
+        """Whether an exact search for ``k`` neighbors seeds from the probe.
+
+        Only at ``k = 1``: the probe's one answer fills a 1-NN heap, so
+        the walk starts at a finite threshold.  A heap of ``k > 1`` would
+        still be short after it, and the engine primes a short heap from
+        its lowest-bound rows anyway
+        (:func:`repro.parallel.batch.prime_short_heaps`), so a ``k > 1``
+        search runs unseeded, as a served exact ticket does.
+        """
+        return k == 1
+
     def exact_search(self, query: np.ndarray) -> QueryResult:
         """Algorithm 5: SIMS over the column, seeded by the probe."""
         return self._sims_exact_search(query)
@@ -332,11 +345,15 @@ class SIMSIndex(SeriesIndex):
         )
 
     def exact_knn(self, query: np.ndarray, k: int):
-        """Exact k nearest neighbors via the SIMS kNN scan (core.knn),
-        seeded by the probe's best answer.
+        """Exact k nearest neighbors via the SIMS kNN scan (core.knn).
+
+        At ``k = 1`` the scan is seeded by the probe's best answer; at
+        ``k > 1`` it runs unseeded and primes its heap
+        (:meth:`_probe_seeds`), so no probe runs and ``visited_records``
+        counts no probe rows, only the rows the scan fetched.
 
         Returns a :class:`repro.core.knn.KNNOutcome` carrying the
-        query's I/O, the probe's and any summary load included.
+        query's I/O, any probe's and summary load included.
         """
         return self._sims_exact_knn(query, k)
 
@@ -348,12 +365,14 @@ class SIMSIndex(SeriesIndex):
         query = self._query_array(query)
         with Measurement(self.disk) as measure:
             column, fetch = self._prepare_sims()
-            seed = self._seed(query, *probe_args)
+            seeds, probed = None, 0
+            if self._probe_seeds(k):
+                seed = self._seed(query, *probe_args)
+                seeds, probed = [(seed.distance, seed.answer_idx)], seed.visited_records
             outcome = sims_knn_scan(
-                query, k, column, self.config, fetch,
-                seed_distances=[(seed.distance, seed.answer_idx)],
+                query, k, column, self.config, fetch, seed_distances=seeds
             )
-        outcome.visited_records += seed.visited_records
+        outcome.visited_records += probed
         return measure.stamp(outcome)
 
     def query_batch(self, batch, query_workers=1):

@@ -14,7 +14,11 @@ so the walk starts at thresholds close to the final ones.
 
 It is the one exact engine: :func:`repro.core.knn.sims_knn_scan` is
 its one-query call and the 1-NN :func:`repro.core.sims.sims_scan` its
-seeded ``k = 1`` one-query call.
+seeded ``k = 1`` one-query call.  Only a ``k = 1`` search is seeded
+from the approximate probe: one probe answer fills a 1-NN heap, while a
+``k > 1`` heap would stay short and be primed anyway, so library
+``k > 1`` batches and ``exact_knn`` calls run unseeded, as served
+exact tickets do.
 Results are exact: pruning uses per-query thresholds that only ever
 shrink, and keeps every record whose bound reaches one (``<=``), so
 every record that could beat or tie a query's k-th best distance is
@@ -231,18 +235,23 @@ def sims_query_batch(index, batch, prepare) -> BatchReport:
 
     ``prepare`` runs inside the measurement and returns the (column,
     fetch) pair of the index — loading summaries there charges their
-    I/O to the batch, shared across all queries.  Each query is seeded
-    with its approximate answer, exactly as the per-query engines do,
-    from one shared probe pass (``index._approximate_batch``: the
-    answers of ``approximate_search``, each distinct leaf read once).
+    I/O to the batch, shared across all queries.  Seeding follows the
+    per-query engines (``index._probe_seeds``): a ``k = 1`` batch seeds
+    each query with its approximate answer from one shared probe pass
+    (``index._approximate_batch``: the answers of
+    ``approximate_search``, each distinct leaf read once); a ``k > 1``
+    batch runs unseeded, its short heaps primed, and reads no leaf or
+    run page.
     """
     queries = np.atleast_2d(np.asarray(batch.queries, dtype=np.float64))
     with Measurement(index.disk) as measure:
         column, fetch = prepare()
-        seeds = [
-            [(approx.distance, approx.answer_idx)]
-            for approx in index._approximate_batch(queries)
-        ]
+        seeds = None
+        if index._probe_seeds(batch.k):
+            seeds = [
+                [(approx.distance, approx.answer_idx)]
+                for approx in index._approximate_batch(queries)
+            ]
         outcomes = batched_exact_knn(
             queries, batch.k, column, index.config, fetch, seeds
         )

@@ -122,6 +122,8 @@ ENTRY_POINTS = {
     "approximate_search": lambda index, q, r: index.approximate_search(q, r),
     "exact_search": lambda index, q, r: index.exact_search(q, r),
     "exact_knn": lambda index, q, r: index.exact_knn(q, 3, r),
+    # The radius reaches the probe only at k = 1, but is checked at any k.
+    "exact_knn_k1": lambda index, q, r: index.exact_knn(q, 1, r),
 }
 
 

@@ -235,7 +235,7 @@ def test_an_unprunable_multi_block_corpus_counts_each_row_once(name):
 def test_a_primed_batch_fetches_under_a_thousand_rows_per_query(monkeypatch):
     """The ``query_rw`` geometry: 15 000 random-walk rows of length 256,
     100-record leaves, 8 KiB pages, memory 5 % of the raw bytes, and a
-    64-query ``k = 10`` batch seeded by one probe answer per heap.  The
+    64-query ``k = 10`` batch (unseeded: only a 1-NN search probes).  The
     parent's walk fetched ~5 500 rows per query here (5 239 on the
     benchmark's queries); the primed batch fetches ~300."""
     config = SAXConfig(series_length=256, word_length=16, cardinality=256)
