@@ -16,17 +16,17 @@ the address space, so their I/O is counted as random.
 Page store
 ----------
 Pages live in **contiguous arenas, each owned by one file**
-(:class:`_ExtentArenas`): every ``allocate`` call reserves a fresh
-``bytearray`` holding its pages back to back, unless the caller says
-the extent continues its file (``file_end``, passed by
-``PagedFile.grow``) and the extent starts exactly where that file's
-arena ends — then the arena grows in place.  A new file never grows,
-and so never copies, another file's arena.  Reads return zero-copy
-read-only ``memoryview`` slices of the arena — :meth:`read_run_bytes`
-of a run inside one arena is a single slice, no join, no copy — and
-:meth:`write_run_bytes` splices a whole run with one buffer
-assignment.  An arena never moves while a view of it is exported, so
-views stay valid for the life of the device.
+(:class:`_ExtentArenas`).  A file's arena holds its extents back to
+back, whatever page ids were allocated between them: ``PagedFile.grow``
+passes ``file_end`` and the extent is stored right after that file's
+last page.  Any other ``allocate`` opens a fresh ``bytearray``, so a
+new file never grows, and so never copies, another file's arena.  A
+sorted segment table maps page ids to arena rows.  Reads return
+zero-copy read-only ``memoryview`` slices of the arena —
+:meth:`read_run_bytes` of a run inside one segment is a single slice,
+no join, no copy — and :meth:`write_run_bytes` splices a whole run
+with one buffer assignment.  An arena never moves while a view of it
+is exported, so views stay valid for the life of the device.
 
 **A page read always returns exactly ``page_size`` bytes.**  Pages
 never written — and the tail of pages written short — read as zeros,
@@ -46,9 +46,9 @@ later writes to the same pages, and they pin the arena's memory while
 referenced.  The safe lifetime rules are documented in
 ``docs/storage.md``; in short, a consumer that needs a stable private
 copy (e.g. to mutate) must copy explicitly — everything inside this
-package already does.  A scatter list pins whole arenas
-(a file growing from a pinned tail arena opens a new arena instead of
-growing it), so it never outlives the call that asked for it.
+package already does.  A scatter list pins whole arenas (a file
+growing from a pinned arena opens a new arena instead of growing it),
+so it never outlives the call that asked for it.
 
 Access traces
 -------------
@@ -112,123 +112,103 @@ def _opens_run(pages: np.ndarray) -> np.ndarray:
     return pages[1:] != pages[:-1] + 1
 
 
-class _DerivedVerbs:
-    """The list verbs a device composes from its primitive ones.
-
-    Anything exposing ``page_size``, ``read_page``, ``write_page``,
-    ``read_run_bytes`` and the two write checks gets ``read_run`` and
-    ``write_run`` by inheriting this — the page stores, and a device
-    that wraps another.  Each verb is spelled in the primitives *of
-    ``self``*, so a wrapper that numbers its primitive ops numbers
-    these by construction.
-    """
-
-    def read_run(self, first_page: int, n_pages: int) -> list:
-        """Read ``n_pages`` consecutive pages (one seek, then streaming).
-
-        Rides the bytes-level fast path: one :meth:`read_run_bytes`
-        call sliced at page boundaries, so the list API gets the
-        arena's zero-copy reads (the slices are sub-views of the same
-        buffer) and the same bulk-classified counters.
-        """
-        if n_pages <= 0:
-            return []
-        blob = self.read_run_bytes(first_page, n_pages)
-        view = blob if isinstance(blob, memoryview) else memoryview(blob)
-        ps = self.page_size
-        return [view[i * ps : (i + 1) * ps] for i in range(n_pages)]
-
-    def write_run(self, first_page: int, pages: list) -> None:
-        """Write consecutive pages (one seek, then streaming).
-
-        All or nothing, like ``write_run_bytes``: the whole range and
-        every payload length are validated before the first page is
-        counted or stored.
-        """
-        if not pages:
-            return
-        self._check_write_run(first_page, len(pages))
-        for data in pages:
-            self._check_page_payload(data)
-        for i, data in enumerate(pages):
-            self.write_page(first_page + i, data)
-
-
 class _ExtentArenas:
     """Contiguous page storage: ``bytearray`` arenas, each owned by one file.
 
-    Arenas are appended in ascending page order (allocation is
-    monotonic).  Each freshly allocated extent gets its own arena,
-    unless it continues the file that owns the tail arena
-    (``grow_tail``): then it is *coalesced* — the tail grows in place —
-    so incrementally grown files stay single-arena and their runs stay
-    on the zero-copy path of :meth:`run_view`.  Only a file's own growth
-    ever extends an arena, so allocating a new file never copies an
-    existing one.  Growing a ``bytearray`` with exported memoryviews
-    raises ``BufferError``, so coalescing backs off to a separate arena
-    exactly when a grow could invalidate a live view; an arena with no
-    exports never moves data (``extend`` preserves existing offsets),
-    and once created an arena is never removed, so exported views stay
-    valid for the life of the container.  All views handed out are
-    read-only; mutation goes through :meth:`splice`.
+    An arena holds one file's extents back to back, whatever page ids
+    were allocated between them: :meth:`add` grows the arena whose last
+    stored page is ``file_end - 1`` — the calling file's last page — so
+    an incrementally grown file stays in one arena and its runs stay on
+    the zero-copy paths.  Any other extent opens a new arena: a new
+    file's first, one whose file's last page no longer ends its arena,
+    and one whose arena live exports pin (growing a ``bytearray`` with
+    exported memoryviews raises ``BufferError``).  So allocating a file never
+    copies another file's arena, an arena with no exports never moves
+    data (``extend`` keeps existing offsets), and once created an arena
+    is never removed: exported views stay valid for the life of the
+    container.
+
+    The *segment table* maps page ids to storage.  Segment ``i`` holds
+    pages ``[starts[i], starts[i + 1])`` back to back from row ``row``
+    of arena ``arena`` (``segments[i] == (arena, row)``); ``starts``
+    ends with the page past the last backed one.  Allocation is
+    monotonic, so a segment is one ``append`` to each list — the
+    segment before its start, so a reader on another thread never
+    finds a start without its segment — and an extent that continues
+    the last segment in page ids and in its arena only moves the end.
+    All views handed out are read-only; mutation goes through
+    :meth:`splice`.
     """
 
-    __slots__ = ("page_size", "starts", "arenas")
+    __slots__ = ("page_size", "arenas", "starts", "segments", "_index", "_zeros")
 
     def __init__(self, page_size: int):
         self.page_size = page_size
-        self.starts: list[int] = []  # first page id of each arena
         self.arenas: list[bytearray] = []
+        self.starts: list[int] = [0]
+        self.segments: list[tuple[int, int]] = []
+        self._index = None  # the table as arrays, for scatter
+        # The zeros an arena grows by, kept between grows: a fresh
+        # temporary per grow cost ~4 % of ingest throughput.
+        self._zeros = b""
 
-    def add(self, first_page: int, n_pages: int, grow_tail: bool = False) -> None:
+    def add(self, first_page: int, n_pages: int, file_end: int | None = None) -> None:
         """Back a freshly allocated extent with zero-filled storage —
-        grown onto the tail arena when ``grow_tail`` and it is adjacent."""
-        grow = n_pages * self.page_size
-        if grow_tail and self.arenas:
-            tail_pages = len(self.arenas[-1]) // self.page_size
-            if first_page == self.starts[-1] + tail_pages:
+        right after ``file_end - 1`` in its arena, when that page ends one."""
+        grow, arena = n_pages * self.page_size, None
+        if file_end is not None:
+            i = self._locate(file_end - 1)
+            owner, row = self.segments[i]
+            row += file_end - self.starts[i]  # the arena row after file_end - 1
+            if row == len(self.arenas[owner]) // self.page_size:  # it ends there
+                if len(self._zeros) < grow:
+                    self._zeros = bytes(grow)
                 try:
-                    self.arenas[-1].extend(bytes(grow))
-                    return
+                    self.arenas[owner].extend(memoryview(self._zeros)[:grow])
+                    arena = owner
                 except BufferError:
-                    pass  # live exports pin the tail: new arena instead
-        self.starts.append(first_page)
-        self.arenas.append(bytearray(grow))
+                    pass  # live exports pin it: new arena instead
+        if arena is None:
+            arena, row = len(self.arenas), 0
+            self.arenas.append(bytearray(grow))
+        if row and first_page == file_end:  # grown in place, page-adjacent
+            self.starts[-1] = first_page + n_pages  # the last segment grows
+        else:
+            self.segments.append((arena, row))
+            self.starts.append(first_page + n_pages)
 
     def _locate(self, page_id: int) -> int:
-        """Index of the arena containing ``page_id`` (must be backed)."""
+        """Index of the segment containing ``page_id`` (must be backed)."""
         return bisect_right(self.starts, page_id) - 1
 
     def page(self, page_id: int) -> memoryview:
         """Zero-copy read-only view of one full page."""
         i = self._locate(page_id)
-        at = (page_id - self.starts[i]) * self.page_size
-        return memoryview(self.arenas[i]).toreadonly()[at : at + self.page_size]
+        arena, row = self.segments[i]
+        at = (row + page_id - self.starts[i]) * self.page_size
+        return memoryview(self.arenas[arena]).toreadonly()[at : at + self.page_size]
 
     def run_view(self, first_page: int, n_pages: int):
-        """A contiguous run as one zero-copy view when it fits one arena.
+        """A contiguous run as one zero-copy view when it fits one segment.
 
-        Runs spanning an arena boundary (physically adjacent pages of
+        Runs spanning a segment boundary (physically adjacent pages of
         two files, or of a file whose growth backed off from a pinned
-        tail) fall back to a joined ``bytes`` copy — correctness first,
+        arena) fall back to a joined ``bytes`` copy — correctness first,
         the zero-copy fast path where allocation made it possible.
         """
-        ps = self.page_size
+        ps, starts = self.page_size, self.starts
         i = self._locate(first_page)
-        at = (first_page - self.starts[i]) * ps
-        want = n_pages * ps
-        arena = self.arenas[i]
-        if at + want <= len(arena):
-            return memoryview(arena).toreadonly()[at : at + want]
         parts = []
-        while want > 0:
-            arena = self.arenas[i]
-            take = min(want, len(arena) - at)
-            parts.append(memoryview(arena)[at : at + take])
-            want -= take
-            at = 0
+        while n_pages > 0:
+            arena, row = self.segments[i]
+            at = (row + first_page - starts[i]) * ps
+            take = min(n_pages, starts[i + 1] - first_page)
+            view = memoryview(self.arenas[arena]).toreadonly()
+            parts.append(view[at : at + take * ps])
+            n_pages -= take
             i += 1
-        return b"".join(parts)
+            first_page = starts[i]
+        return parts[0] if len(parts) == 1 else b"".join(parts)
 
     def scatter(self, pages: np.ndarray) -> "list[tuple[np.ndarray, np.ndarray]]":
         """Where ``pages`` (all backed) live: ``(buffer2d, rows)`` entries.
@@ -239,54 +219,67 @@ class _ExtentArenas:
         arena, so an ascending request yields one entry per arena
         touched.  Nothing is copied.
         """
-        which = np.searchsorted(self.starts, pages, side="right") - 1
+        index = self._index  # one reference: ingest may replace it
+        if index is None or len(index[0]) != len(self.segments):
+            index = self._index = self._table()
+        starts, arena_of, shift = index
+        which = np.searchsorted(starts, pages, side="right") - 1
+        owner = arena_of[which]
+        rows = pages + shift[which]
         entries = []
-        for lo, hi in _spans(which[1:] != which[:-1]):
-            i = int(which[lo])
-            arena = np.frombuffer(
-                memoryview(self.arenas[i]).toreadonly(), dtype=np.uint8
-            )
-            entries.append(
-                (arena.reshape(-1, self.page_size), pages[lo:hi] - self.starts[i])
-            )
+        for lo, hi in _spans(owner[1:] != owner[:-1]):
+            arena = memoryview(self.arenas[int(owner[lo])]).toreadonly()
+            buffer = np.frombuffer(arena, dtype=np.uint8).reshape(-1, self.page_size)
+            entries.append((buffer, rows[lo:hi]))
         return entries
+
+    def _table(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """The segment table as arrays: first page, arena, row - page."""
+        starts = self.starts[:-1]  # one copy; each start has its segment
+        segments = np.array(self.segments[: len(starts)], dtype=np.int64)
+        first = np.array(starts, dtype=np.int64)
+        return first, segments[:, 0], segments[:, 1] - first
 
     def splice(self, first_page: int, data, n_bytes: int) -> None:
         """Write ``data`` at ``first_page``, zero-filling up to ``n_bytes``.
 
-        One buffer assignment per arena touched (one, for runs inside a
-        single arena) — the write-side twin of :meth:`run_view`.
+        One buffer assignment per segment touched (one, for runs inside
+        a single segment) — the write-side twin of :meth:`run_view`.
         """
         view = memoryview(data)
         fill = len(view)
-        i = self._locate(first_page)
-        at = (first_page - self.starts[i]) * self.page_size
+        ps, starts = self.page_size, self.starts
+        i = bisect_right(starts, first_page) - 1
         pos = 0
         while pos < n_bytes:
             # Assign through a memoryview of the arena: memoryview-to-
             # memoryview slice assignment copies buffer to buffer with
             # no intermediate bytes object (bytearray slice assignment
             # from a view would materialize one).
-            arena = memoryview(self.arenas[i])
-            take = min(n_bytes - pos, len(arena) - at)
+            arena, row = self.segments[i]
+            at = (row + first_page - starts[i]) * ps
+            take = min(n_bytes - pos, (starts[i + 1] - first_page) * ps)
+            target = memoryview(self.arenas[arena])
             src_take = min(take, max(0, fill - pos))
             if src_take:
-                arena[at : at + src_take] = view[pos : pos + src_take]
+                target[at : at + src_take] = view[pos : pos + src_take]
             if src_take < take:
-                arena[at + src_take : at + take] = bytes(take - src_take)
+                target[at + src_take : at + take] = bytes(take - src_take)
             pos += take
-            at = 0
             i += 1
+            first_page = starts[i]
 
 
-class _PagedDevice(_DerivedVerbs):
+class _PagedDevice:
     """Accounting and streaming helpers shared by disks and shards.
 
     Subclasses provide ``page_size``, ``cost_model``, ``read_page``,
     ``write_page``, ``read_run_bytes``, ``_check_write_run``,
     ``_check_run_readable`` and ``_scatter``; this base owns the head
     position (``None`` while parked — the next access is always
-    random), the live counters and the optional access trace.
+    random), the live counters and the optional access trace, and
+    composes the list verbs ``read_run`` / ``write_run`` from the
+    primitives.
     """
 
     page_size: int
@@ -322,6 +315,39 @@ class _PagedDevice(_DerivedVerbs):
         self._head = first_page + n_pages - 1
         if self._trace is not None:
             self._trace.append((op, first_page, n_pages))
+
+    # ------------------------------------------------------------------
+    # List verbs (composed from the primitives)
+    # ------------------------------------------------------------------
+    def read_run(self, first_page: int, n_pages: int) -> list:
+        """Read ``n_pages`` consecutive pages (one seek, then streaming).
+
+        Rides the bytes-level fast path: one :meth:`read_run_bytes`
+        call sliced at page boundaries, so the list API gets the
+        arena's zero-copy reads (the slices are sub-views of the same
+        buffer) and the same bulk-classified counters.
+        """
+        if n_pages <= 0:
+            return []
+        blob = self.read_run_bytes(first_page, n_pages)
+        view = blob if isinstance(blob, memoryview) else memoryview(blob)
+        ps = self.page_size
+        return [view[i * ps : (i + 1) * ps] for i in range(n_pages)]
+
+    def write_run(self, first_page: int, pages: list) -> None:
+        """Write consecutive pages (one seek, then streaming).
+
+        All or nothing, like ``write_run_bytes``: the whole range and
+        every payload length are validated before the first page is
+        counted or stored.
+        """
+        if not pages:
+            return
+        self._check_write_run(first_page, len(pages))
+        for data in pages:
+            self._check_page_payload(data)
+        for i, data in enumerate(pages):
+            self.write_page(first_page + i, data)
 
     # ------------------------------------------------------------------
     # Vectored read (the gather's one device call)
@@ -498,17 +524,17 @@ class SimulatedDisk(_PagedDevice):
         """Reserve ``n_pages`` physically contiguous pages.
 
         Returns the id of the first page.  Allocation itself performs
-        no I/O; pages read as zeros until written.  Each allocation is
-        backed by one contiguous arena, so runs inside it stream as
-        single zero-copy views.  ``file_end`` is the page just past the
-        calling file's last extent: when the new extent starts exactly
-        there, it grows that file's arena instead of opening a new one.
+        no I/O; pages read as zeros until written.  ``file_end`` is the
+        page just past the calling file's last extent: the new extent
+        is stored right after that page in the file's arena, wherever
+        its page ids lie.  Without it, or when that arena cannot grow,
+        the extent opens a new arena.
         """
         if n_pages <= 0:
             raise ValueError(f"n_pages must be positive, got {n_pages}")
         first = self._next_page
         self._next_page += n_pages
-        self._arenas.add(first, n_pages, grow_tail=file_end == first)
+        self._arenas.add(first, n_pages, file_end)
         return first
 
     @property

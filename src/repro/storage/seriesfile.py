@@ -209,6 +209,7 @@ class RawSeriesFile:
                 )
                 take = min(spp - in_page, len(data))
                 merged = np.concatenate([existing, data[:take].ravel()])
+                del existing  # a live view would pin the arena `grow` extends
                 self.file.write(page, merged.astype(np.float32).tobytes())
                 data = data[take:]
                 start += take

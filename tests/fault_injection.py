@@ -43,8 +43,8 @@ import numpy as np
 from repro.storage.disk import (
     DEVICE_IO_VERBS,
     PageError,
-    _DerivedVerbs,
     _opens_run,
+    _PagedDevice,
     _spans,
 )
 from repro.storage.faults import (
@@ -196,14 +196,25 @@ class FaultPlan:
         return _pick(self.seed, kind, _S_POS, index, n)
 
 
-class FaultyDevice(_DerivedVerbs):
+class RunVerbs:
+    """The list verbs ``read_run`` / ``write_run`` of the device base.
+
+    Each is spelled in the primitives *of ``self``* (``read_run_bytes``,
+    ``write_page`` and the write checks), so a wrapper that numbers its
+    primitive ops numbers these by construction.
+    """
+
+    read_run = _PagedDevice.read_run
+    write_run = _PagedDevice.write_run
+
+
+class FaultyDevice(RunVerbs):
     """A paged device that injects faults from a :class:`FaultPlan`.
 
     Wraps any device speaking the paged vocabulary and forwards
     ``allocate`` / ``read_page`` / ``write_page`` / ``read_run_bytes``
     / ``write_run_bytes`` with fault checks; ``read_run`` /
-    ``write_run`` are the derived verbs of
-    :class:`repro.storage.disk._DerivedVerbs` over those and
+    ``write_run`` are the list verbs of :class:`RunVerbs` over those and
     ``read_pages`` is :func:`replay_read_pages` over them, so each
     consults the plan at the op granularity of the inner method it
     shadows (one read op per run, one write op per page; only a

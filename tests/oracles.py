@@ -40,7 +40,7 @@ class DictPages:
         self.page_size = page_size
         self.pages: "dict[int, bytes]" = {}
 
-    def add(self, first_page: int, n_pages: int, grow_tail: bool = False) -> None:
+    def add(self, first_page: int, n_pages: int, file_end: int | None = None) -> None:
         pass  # unwritten pages simply have no entry, whoever owns them
 
     def page(self, page_id: int) -> bytes:

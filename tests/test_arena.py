@@ -1,8 +1,8 @@
 """Arena page store: zero-copy invariants and the dict-device oracle.
 
-The page store keeps one contiguous ``bytearray`` per allocation
-extent and serves reads as read-only memoryview slices; the per-page
-dict device it replaced is the copy-level oracle
+The page store keeps one contiguous ``bytearray`` per file, its
+extents back to back, and serves reads as read-only memoryview slices;
+the per-page dict device it replaced is the copy-level oracle
 (``tests/oracles.py::DictDisk``).  These tests pin
 
 * the hardened read semantics (never-written pages read as a full zero
@@ -199,16 +199,49 @@ def test_incrementally_grown_file_reads_back_zero_copy():
 def test_a_new_file_never_grows_another_files_arena():
     """Only a file's own growth extends an arena.  Bare ``allocate``
     calls — a new file, a baseline leaf, a spill output — open one
-    each, and a file that grows after a neighbour was allocated gets
-    a second extent in a second arena."""
+    each, and a file that grows after a neighbour was allocated gets a
+    second extent, stored right after its first in its own arena: the
+    neighbour's arena is neither grown nor copied."""
     disk = SimulatedDisk(page_size=64)
     a = PagedFile(disk, n_pages=2)
     first = disk.allocate(3)
     assert first == 2 and len(disk._arenas.arenas) == 2
+    neighbour = disk._arenas.arenas[1]
+    assert len(disk.read_pages([0, 2])) == 2  # caches the segment table
     assert a.grow(1) == 2 and a.n_extents == 2
-    assert len(disk._arenas.arenas) == 3
-    assert [len(arena) // 64 for arena in disk._arenas.arenas] == [2, 3, 1]
-    assert disk._arenas.starts == [0, 2, 5]
+    assert len(disk._arenas.arenas) == 2
+    assert disk._arenas.arenas[1] is neighbour and len(neighbour) == 3 * 64
+    assert [len(arena) // 64 for arena in disk._arenas.arenas] == [3, 3]
+    # Segment table: a's pages 0-1, the neighbour's 2-4, a's page 5
+    # back to back after a's first extent.
+    assert disk._arenas.starts == [0, 2, 5, 6]
+    assert disk._arenas.segments == [(0, 0), (1, 0), (0, 2)]
+    disk.write_run_bytes(0, b"A" * 128, 2)
+    disk.write_run_bytes(2, b"N" * 192, 3)
+    disk.write_page(5, b"B" * 64)
+    assert bytes(disk._arenas.arenas[0]) == b"A" * 128 + b"B" * 64
+    assert bytes(neighbour) == b"N" * 192
+    assert bytes(a.read_stream(0, 3)) == b"A" * 128 + b"B" * 64
+    assert bytes(disk.read_run_bytes(1, 5)) == b"A" * 64 + b"N" * 192 + b"B" * 64
+    # The gather sees the new segment: a's three pages are one entry.
+    (ours, rows), (theirs, row) = disk.read_pages([0, 1, 5, 2])
+    assert rows.tolist() == [0, 1, 2] and row.tolist() == [0]
+    assert bytes(ours[rows]) == b"A" * 128 + b"B" * 64
+    assert bytes(theirs[row]) == b"N" * 64
+
+
+def test_a_file_whose_arena_ends_in_another_files_page_opens_a_new_one():
+    """A grown ``attach`` view stores its extent after the file's last
+    page first; the file's own next extent must not land after it."""
+    disk = SimulatedDisk(page_size=64)
+    file = PagedFile(disk, n_pages=2)
+    view = file.attach(disk)
+    assert view.grow(1) == 2 and len(disk._arenas.arenas) == 1
+    assert file.grow(1) == 2 and file.physical_page(2) == 3
+    assert len(disk._arenas.arenas) == 2
+    view.write(2, b"view")
+    file.write(2, b"file")
+    assert bytes(view.read(2))[:4] == b"view" and bytes(file.read(2))[:4] == b"file"
 
 
 def test_a_tree_build_leaves_the_raw_files_arena_untouched():
@@ -230,6 +263,47 @@ def test_a_tree_build_leaves_the_raw_files_arena_untouched():
         tree.build(raw)
         assert disk._arenas.arenas[0] is arena
         assert len(arena) == size == raw.file.n_pages * disk.page_size
+
+
+def _arenas_of(disk, file) -> "set[int]":
+    """The arenas holding ``file``'s pages, found through the segment table."""
+    starts, arena_of, _ = disk._arenas._table()
+    pages = file.physical_pages(np.arange(file.n_pages))
+    return set(arena_of[np.searchsorted(starts, pages, side="right") - 1].tolist())
+
+
+def test_lone_appends_keep_a_raw_file_in_one_arena():
+    """An append onto a partial last page reads that page first; the
+    view must be gone before the file grows, or it pins the arena and
+    every such append opens a new one (31 arenas here, not 1)."""
+    rng = np.random.default_rng(4)
+    disk = SimulatedDisk()
+    base = rng.standard_normal((5_000, 128)).astype(np.float32)
+    raw = RawSeriesFile.create(disk, base)
+    for _ in range(40):
+        raw.append_batch(rng.standard_normal((500, 128)).astype(np.float32))
+    assert raw.file.n_extents == 1 and len(disk._arenas.arenas) == 1
+
+
+def test_a_served_raw_file_stays_in_one_or_two_arenas():
+    """A service's WAL and run files allocate between the raw file's
+    appends; the raw file's extents still lie back to back in its own
+    arena (41 arenas when an arena grew only page-adjacent)."""
+    from repro.service import CoconutService
+    from repro.summaries import SAXConfig
+
+    rng = np.random.default_rng(6)
+    disk = SimulatedDisk()
+    base = rng.standard_normal((5_000, 128)).astype(np.float32)
+    raw = RawSeriesFile.create(disk, base)
+    config = SAXConfig(series_length=128, word_length=16, cardinality=256)
+    svc = CoconutService(disk, raw, 1 << 16, sax_config=config)
+    svc.bootstrap()
+    for _ in range(40):
+        svc.ingest(rng.standard_normal((500, 128)).astype(np.float32))
+    assert raw.file.n_extents > 20  # other files allocated in between
+    assert len(_arenas_of(disk, raw.file)) <= 2
+    assert raw.n_series == 25_000
 
 
 # ------------------------------------------------- cross-store oracle

@@ -193,7 +193,10 @@ DENSE_ROWS = np.concatenate([DENSE_BASE, DENSE_EXTRA])
 DENSE_QUERIES = _dense_rng.standard_normal((3, LENGTH))
 
 
-def make_dense_service():
+def make_dense_service(split: bool = False):
+    """The dense service; ``split`` pins the raw file's arena during
+    its first ingest, so the file's later rows live in a second arena
+    and a dense read of them returns more than one run."""
     disk = SimulatedDisk(page_size=PAGE, trace=True)
     raw = RawSeriesFile(disk, LENGTH)
     raw.append_batch(DENSE_BASE)
@@ -202,7 +205,9 @@ def make_dense_service():
     )
     svc.bootstrap()
     for lo in range(0, len(DENSE_EXTRA), 100):
+        pin = disk.page_view(raw.file.physical_page(0)) if split and lo == 0 else None
         svc.ingest(DENSE_EXTRA[lo : lo + 100])
+        del pin
     assert len(DENSE_ROWS) * LENGTH >= sims_module.BOUND_MIN_ELEMENTS
     assert raw.records_fill_pages
     return disk, raw, svc
@@ -246,7 +251,8 @@ def tail_arena_can_grow(disk, raw) -> bool:
     place now: no live view pins it (probed by growing it one byte)."""
     arenas = disk._arenas
     last = raw.file.physical_page(raw.file.n_pages - 1)
-    arena = arenas.arenas[arenas._locate(last)]
+    arena, _ = arenas.segments[arenas._locate(last)]  # through the segment table
+    arena = arenas.arenas[arena]
     try:
         arena.extend(b"\0")
     except BufferError:
@@ -280,7 +286,7 @@ def test_dense_tickets_served_together_bound_their_block_once_per_run(monkeypatc
     tickets, with the ``(2, n)`` query block, on read-only views of
     pages that were read and hashed; answers equal brute force in id
     order."""
-    disk, raw, svc = make_dense_service()
+    disk, raw, svc = make_dense_service(split=True)
     snapshot = svc.current_snapshot()
     verified = spy_on_verification(monkeypatch)
     seen = spy_on_reads(monkeypatch)
