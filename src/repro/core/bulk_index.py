@@ -279,30 +279,17 @@ class BulkLoadedIndex(SIMSIndex):
     def _read_leaf(self, i: int) -> np.ndarray:
         return self._read_leaf_records(self._leaves[i])
 
-    def _approx_visit_order(self, queries: np.ndarray):
-        """The batch's shared visit order: ascending target leaf.
+    def _approximate_batch(self, queries: np.ndarray) -> list[QueryResult]:
+        """:meth:`approximate_search`'s answers for a checked batch,
+        unmeasured, in batch order, each distinct leaf read once.
 
-        Returns ``(order, ctx)`` — query indices sorted stably by
-        target leaf (so shared reads walk the leaf file forward, and
-        any contiguous slice of the order visits a contiguous leaf
-        range) plus the per-query keys/targets reused by
-        :meth:`_approx_answer_subset`.
+        The queries are visited in ascending target leaf (a stable
+        sort), so the shared reads walk the leaf file forward, through
+        one per-batch leaf cache.  A query's answer never depends on
+        the cache; only the I/O charge does.
         """
         keys = [query_key(query, self.config) for query in queries]
-        targets = np.array(
-            [self._locate_leaf(key) for key in keys], dtype=np.int64
-        )
-        order = np.argsort(targets, kind="stable").astype(np.int64)
-        return order, (keys, targets)
-
-    def _approx_answer_subset(self, queries: np.ndarray, ctx, order: np.ndarray):
-        """Answer the queries in ``order`` with a fresh leaf cache.
-
-        One subset over the full order is exactly the serial batched
-        pass.  Returns ``(query_index, QueryResult)`` pairs; a query's
-        answer never depends on the cache (only its I/O charging does).
-        """
-        keys, targets = ctx
+        targets = [self._locate_leaf(key) for key in keys]
         cache: dict[int, np.ndarray] = {}
 
         def read_leaf(i: int) -> np.ndarray:
@@ -311,15 +298,15 @@ class BulkLoadedIndex(SIMSIndex):
                 records = cache[i] = self._read_leaf(i)
             return records
 
-        pairs = []
-        for qi in order:
-            qi = int(qi)
+        order = np.argsort(np.array(targets, dtype=np.int64), kind="stable")
+        results: list = [None] * len(queries)
+        for qi in order.tolist():
             probe = self._probe(
-                queries[qi], keys[qi], int(targets[qi]), self._radius(),
+                queries[qi], keys[qi], targets[qi], self._radius(),
                 read_leaf=read_leaf,
             )
-            pairs.append((qi, self._probe_result(probe)))
-        return pairs
+            results[qi] = self._probe_result(probe)
+        return results
 
     # ------------------------------------------------------------------
     # The SIMS pair (Algorithm 5's inputs)

@@ -41,6 +41,7 @@ from ..storage.disk import SimulatedDisk
 from ..summaries.sax import SAXConfig
 from .bulk_index import BulkLoadedIndex, payload_dtype
 from .invsax import invsax_keys, key_bytes
+from .sims import seeded_sims_search
 from .summary_column import row_dtype
 
 
@@ -212,7 +213,8 @@ class CoconutTree(BulkLoadedIndex):
         self, query: np.ndarray, radius_leaves: int | None = None
     ) -> QueryResult:
         """Algorithm 5, seeded by a probe of ``radius_leaves`` leaves."""
-        return self._sims_exact_search(query, self._radius(radius_leaves))
+        radius = self._radius(radius_leaves)
+        return seeded_sims_search(self, query, self._prepare_sims, radius)
 
     def exact_knn(
         self, query: np.ndarray, k: int, radius_leaves: int | None = None

@@ -44,9 +44,8 @@ class _BoundedMaxHeap:
     The retained set is a pure function of the *multiset* of offered
     pairs — k smallest under ``(distance, identifier)`` order, one
     entry per identifier — never of the order they were offered in.
-    Offers commute, so merging heaps built over disjoint parts of an
-    offer stream gives exactly the heap of one pass over the union,
-    ties included.
+    Offers commute, ties included, so an engine may offer a block's
+    rows in any order it likes.
     """
 
     def __init__(self, k: int):
@@ -109,11 +108,6 @@ class _BoundedMaxHeap:
         ):
             self.offer(distance, identifier)
 
-    def merge(self, other: "_BoundedMaxHeap") -> None:
-        """Offer every pair another heap retained (coordinator merge)."""
-        for distance, identifier in other.items():
-            self.offer(distance, identifier)
-
     def items(self) -> list[tuple[float, int]]:
         """Retained (distance, id) pairs in arbitrary order."""
         return [(-d, -i) for d, i in self._heap]
@@ -127,6 +121,17 @@ class _BoundedMaxHeap:
 
     def sorted_items(self) -> list[tuple[float, int]]:
         return sorted((-d, -i) for d, i in self._heap)
+
+    def outcome(self, visited: int, n_records: int) -> KNNOutcome:
+        """The retained answers, ascending, as a :class:`KNNOutcome` of a
+        search that refined ``visited`` of ``n_records`` records."""
+        items = self.sorted_items()
+        return KNNOutcome(
+            answer_ids=[identifier for _, identifier in items],
+            distances=[distance for distance, _ in items],
+            visited_records=visited,
+            pruned_fraction=1.0 - (visited / n_records) if n_records else 0.0,
+        )
 
 
 #: Lowest-bound rows the prime pass
@@ -156,6 +161,25 @@ def refine_block(
     # shrink).
     distances = early_abandon_euclidean_block(query, series, heap.threshold)
     heap.offer_block(distances, identifiers)
+
+
+def scan_knn(raw, queries: np.ndarray, k: int) -> list[KNNOutcome]:
+    """Brute force: the exact k nearest neighbors of every query in
+    ``queries`` (a checked ``(Q, n)`` batch) in one pass over ``raw``.
+
+    ``raw.scan()`` is streamed once; each block is refined for each
+    query against that query's k-th best at the block's start.  A row
+    the kernel abandons (``inf``) sits strictly above it, so every heap
+    retains exactly what a full-distance scan would, ties ranked by id.
+    Every record counts as visited.
+    """
+    heaps = [_BoundedMaxHeap(k) for _ in queries]
+    for start, block in raw.scan():
+        identifiers = np.arange(start, start + len(block))
+        for heap, query in zip(heaps, queries):
+            distances = early_abandon_euclidean_block(query, block, heap.threshold)
+            heap.offer_block(distances, identifiers)
+    return [heap.outcome(raw.n_series, raw.n_series) for heap in heaps]
 
 
 def sims_knn_scan(

@@ -481,31 +481,22 @@ class CoconutLSM(SIMSIndex):
             visited_leaves=self.n_runs,
         )
 
-    def _approx_visit_order(self, queries: np.ndarray):
-        """Visit order for batched probes: batch order, no context.
+    def _approximate_batch(
+        self, queries: np.ndarray, device=None
+    ) -> list[QueryResult]:
+        """:meth:`approximate_search`'s answers for a checked batch,
+        unmeasured, in batch order, sharing one window cache.
 
-        Every query probes every run around its own key, so there is
-        no cross-query sort to exploit — the shared resource is the
-        window cache, which :meth:`_approx_answer_subset` keeps per
-        subset.  Batch order makes the serial path trivially identical
-        to the per-query loop.
-        """
-        return np.arange(len(queries), dtype=np.int64), None
-
-    def _approx_answer_subset(
-        self, queries: np.ndarray, ctx, order: np.ndarray, device=None
-    ):
-        """Answer the queries in ``order`` with a fresh window cache.
-
-        ``device=None`` probes run files and fetches records on the
-        parent device — one subset spanning the batch is exactly the
-        serial batched pass.  Another device (a served snapshot's shard
-        or its fault wrapper) binds each run file and the raw series
-        file to it, and the run windows are hashed against the checksum
-        sidecar whenever the raw file's records are (``verified_reads``),
-        so a served probe never reads a page it has not verified.  The
-        window cache only dedupes the I/O charge of a run's page window;
-        answers are a pure function of the query.
+        Every query probes every run around its own key, so there is no
+        cross-query order to exploit: the queries go in batch order and
+        the cache only dedupes the I/O charge of a run's page window;
+        answers are a pure function of the query.  ``device=None``
+        probes run files and fetches records on the parent device.
+        Another device (a served snapshot's shard or its fault wrapper)
+        binds each run file and the raw series file to it, and the run
+        windows are hashed against the checksum sidecar whenever the
+        raw file's records are (``verified_reads``), so a served probe
+        never reads a page it has not verified.
         """
         seen: set[tuple[int, int, int]] = set()
         raw = self.raw if device is None else self.raw.view(device)
@@ -526,7 +517,7 @@ class CoconutLSM(SIMSIndex):
                     files[id(run)] = file
             file.read_stream(first_page, n_pages, verified=verified)
 
-        return [(int(qi), self._seed(queries[qi], read_window, raw)) for qi in order]
+        return [self._seed(query, read_window, raw) for query in queries]
 
     def _key_pieces(self) -> list[np.ndarray]:
         """Key arrays of the current state: runs in list order, then the

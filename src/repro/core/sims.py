@@ -20,8 +20,10 @@ pages it read and copies only those that can
 
 :class:`SIMSIndex` is what the Coconut indexes share *above* that engine:
 given an approximate probe and a ``(column, fetch)`` pair, exact search,
-exact k-NN and the batched entry points are the same code whether the
-records sit in median-split leaves, prefix-split leaves or LSM runs.
+exact k-NN and ``query_batch`` are the same code whether the records sit
+in median-split leaves, prefix-split leaves or LSM runs; ``query_batch``
+calls the engine itself.  :func:`seeded_sims_search`, the measured,
+probe-seeded 1-NN search, is also ADS's exact search.
 """
 
 from __future__ import annotations
@@ -31,7 +33,13 @@ from typing import Callable
 
 import numpy as np
 
-from ..indexes.base import Measurement, QueryResult, SeriesIndex, check_k
+from ..indexes.base import (
+    BatchReport,
+    Measurement,
+    QueryResult,
+    SeriesIndex,
+    check_k,
+)
 from ..series.distance import euclidean_lower_bounds
 from ..storage.seriesfile import PagedRecords
 from ..summaries.sax import SAXConfig
@@ -289,6 +297,41 @@ def sims_scan(
     )
 
 
+def seeded_sims_search(
+    index, query: np.ndarray, prepare, *probe_args
+) -> QueryResult:
+    """Algorithm 5 on ``index``: one exact 1-NN search, measured.
+
+    The query is checked first.  Then, inside one measurement,
+    ``prepare()`` yields the ``(column, fetch)`` pair, the probe
+    ``index._seed(query, *probe_args)`` seeds the best-so-far, and
+    :func:`sims_scan` finishes the search.  The probe's records count
+    as visited.  Shared by every :class:`SIMSIndex` and by ADS, whose
+    column is in raw-file order.
+    """
+    query = index._query_array(query)
+    with Measurement(index.disk) as measure:
+        column, fetch = prepare()
+        seed = index._seed(query, *probe_args)
+        outcome = sims_scan(
+            query,
+            column,
+            index.config,
+            fetch,
+            initial_bsf=seed.distance,
+            initial_answer=seed.answer_idx,
+        )
+    return measure.stamp(
+        QueryResult(
+            answer_idx=outcome.answer_id,
+            distance=outcome.distance,
+            visited_records=outcome.visited_records + seed.visited_records,
+            visited_leaves=seed.visited_leaves,
+            pruned_fraction=outcome.pruned_fraction,
+        )
+    )
+
+
 class SIMSIndex(SeriesIndex):
     """Exact search, exact k-NN and batches over a summary column.
 
@@ -296,10 +339,9 @@ class SIMSIndex(SeriesIndex):
     probe's unmeasured :class:`QueryResult` for a query already checked,
     the pruning seed — ``_prepare_sims()`` -> ``(column, fetch)`` —
     loading whatever the column needs, charging its I/O to the caller's
-    measurement — plus the two halves of its batched approximate pass,
-    ``_approx_visit_order(queries)`` and
-    ``_approx_answer_subset(queries, ctx, order)``: the visit order plus
-    context, and the answers of a slice of that order.
+    measurement — and ``_approximate_batch(queries)``: the unmeasured
+    answers of :meth:`approximate_search` for a checked batch, sharing
+    the probe's reads across it.
     """
 
     @staticmethod
@@ -317,32 +359,7 @@ class SIMSIndex(SeriesIndex):
 
     def exact_search(self, query: np.ndarray) -> QueryResult:
         """Algorithm 5: SIMS over the column, seeded by the probe."""
-        return self._sims_exact_search(query)
-
-    def _sims_exact_search(self, query: np.ndarray, *probe_args) -> QueryResult:
-        """``exact_search`` with ``probe_args`` passed on to the probe."""
-        query = self._query_array(query)
-        with Measurement(self.disk) as measure:
-            column, fetch = self._prepare_sims()
-            seed = self._seed(query, *probe_args)
-            outcome = sims_scan(
-                query,
-                column,
-                self.config,
-                fetch,
-                initial_bsf=seed.distance,
-                initial_answer=seed.answer_idx,
-            )
-        return QueryResult(
-            answer_idx=outcome.answer_id,
-            distance=outcome.distance,
-            visited_records=outcome.visited_records + seed.visited_records,
-            visited_leaves=seed.visited_leaves,
-            io=measure.io,
-            simulated_io_ms=measure.simulated_io_ms,
-            wall_s=measure.wall_s,
-            pruned_fraction=outcome.pruned_fraction,
-        )
+        return seeded_sims_search(self, query, self._prepare_sims)
 
     def exact_knn(self, query: np.ndarray, k: int):
         """Exact k nearest neighbors via the SIMS kNN scan (core.knn).
@@ -376,33 +393,41 @@ class SIMSIndex(SeriesIndex):
         return measure.stamp(outcome)
 
     def query_batch(self, batch, query_workers=1):
-        """Batched queries sharing work across the batch (repro.parallel).
+        """Batched queries sharing work across the batch.
 
-        Exact batches share one SIMS pass: the summary column is loaded
-        once and every fetched record block serves all queries that
-        still need it.  Approximate batches share probe reads: a leaf
-        (or, on the LSM, a run page window) several queries land in is
-        read once.  Either way, answers are identical to issuing the
-        queries one at a time.
-
-        ``query_workers`` is checked (an integer or ``None``) and
-        otherwise ignored: every batch runs on the calling thread.  The
-        batch's predicted cost is attached as ``report.plan``
-        (:func:`repro.parallel.sched.run_sims_query_batch`).
+        The queries are checked, then ``query_workers`` (an integer or
+        ``None``; it changes nothing, every batch runs on the calling
+        thread).  Exact batches are one call of the shared engine
+        (:func:`repro.parallel.batch.batched_exact_knn`): the summary
+        column is loaded once and every fetched record block serves all
+        queries that still need it; a ``k = 1`` batch is seeded from
+        one probe pass (:meth:`_probe_seeds`).  Approximate batches are
+        that probe pass (``_approximate_batch``): a leaf — or, on the
+        LSM, a run page window — several queries land in is read once.
+        Either way, answers are identical to issuing the queries one at
+        a time.  The batch's predicted cost
+        (:func:`repro.parallel.sched.plan_query_batch`) is attached as
+        ``report.plan``.
         """
-        from ..parallel.sched import run_sims_query_batch
+        from ..parallel import batch as engine, sched  # deferred: they import sims
 
-        return run_sims_query_batch(self, batch, query_workers=query_workers)
-
-    def _approximate_batch(self, queries: np.ndarray) -> list[QueryResult]:
-        """Per-query approximate answers sharing the probe's reads.
-
-        Mirrors :meth:`approximate_search` exactly (same candidates,
-        same answers): one subset spanning the whole visit order, on
-        the parent device, with one cache.
-        """
-        order, ctx = self._approx_visit_order(queries)
-        results: list[QueryResult | None] = [None] * len(queries)
-        for qi, result in self._approx_answer_subset(queries, ctx, order):
-            results[qi] = result
-        return results
+        queries = self._query_matrix(batch.queries)
+        sched.resolve_workers(query_workers)
+        plan = sched.plan_query_batch(batch, self)
+        with Measurement(self.disk) as measure:
+            if batch.mode == "approximate":
+                answers = self._approximate_batch(queries)
+            else:
+                column, fetch = self._prepare_sims()
+                seeds = None
+                if self._probe_seeds(batch.k):
+                    seeds = [
+                        [(probe.distance, probe.answer_idx)]
+                        for probe in self._approximate_batch(queries)
+                    ]
+                answers = engine.batched_exact_knn(
+                    queries, batch.k, column, self.config, fetch, seeds
+                )
+        report = BatchReport.of(answers, measure)
+        report.plan = plan
+        return report

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.sims import RawFetch, sims_scan
+from ..core.sims import RawFetch, seeded_sims_search
 from ..core.summary_column import WordColumn
 from ..series.distance import early_abandon_euclidean_block
 from ..storage.disk import SimulatedDisk
@@ -229,26 +229,8 @@ class ADSIndex(SeriesIndex):
 
     def exact_search(self, query: np.ndarray) -> QueryResult:
         """SIMS: summaries in raw-file order + skip-sequential scan."""
-        query = self._query_array(query)
-        with Measurement(self.disk) as measure:
-            seed = self._seed(query)
-            outcome = sims_scan(
-                query,
-                self._column,
-                self.config,
-                RawFetch(self.raw),
-                initial_bsf=seed.distance,
-                initial_answer=seed.answer_idx,
-            )
-        return QueryResult(
-            answer_idx=outcome.answer_id,
-            distance=outcome.distance,
-            visited_records=outcome.visited_records + seed.visited_records,
-            visited_leaves=seed.visited_leaves,
-            io=measure.io,
-            simulated_io_ms=measure.simulated_io_ms,
-            wall_s=measure.wall_s,
-            pruned_fraction=outcome.pruned_fraction,
+        return seeded_sims_search(
+            self, query, lambda: (self._column, RawFetch(self.raw))
         )
 
     # ------------------------------------------------------------------

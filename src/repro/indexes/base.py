@@ -133,6 +133,50 @@ class BatchReport:
     def __len__(self) -> int:
         return len(self.results)
 
+    @classmethod
+    def of(cls, answers: list, measure: "Measurement") -> "BatchReport":
+        """The report of one answer per query — a
+        :class:`~repro.core.knn.KNNOutcome` or a :class:`QueryResult` —
+        carrying ``measure``'s totals."""
+        ids, distances = knn_lists(answers)
+        results = [
+            answer if isinstance(answer, QueryResult) else best_of(answer)
+            for answer in answers
+        ]
+        return measure.stamp(
+            cls(results=results, knn_ids=ids, knn_distances=distances)
+        )
+
+
+def best_of(outcome) -> QueryResult:
+    """The 1-NN view of a :class:`~repro.core.knn.KNNOutcome`: its best
+    answer, or none (``-1`` at ``inf``)."""
+    found = bool(outcome.answer_ids)
+    return QueryResult(
+        answer_idx=outcome.answer_ids[0] if found else -1,
+        distance=outcome.distances[0] if found else float("inf"),
+        visited_records=outcome.visited_records,
+        pruned_fraction=outcome.pruned_fraction,
+    )
+
+
+def knn_lists(answers: list) -> tuple[list[list[int]], list[list[float]]]:
+    """Per answer, its ids and its distances in ascending order: all k of
+    a :class:`~repro.core.knn.KNNOutcome`, the one of a
+    :class:`QueryResult` (none when it found none)."""
+    ids, distances = [], []
+    for answer in answers:
+        if not isinstance(answer, QueryResult):
+            ids.append(list(answer.answer_ids))
+            distances.append(list(answer.distances))
+        elif answer.answer_idx >= 0:
+            ids.append([answer.answer_idx])
+            distances.append([answer.distance])
+        else:
+            ids.append([])
+            distances.append([])
+    return ids, distances
+
 
 class Measurement:
     """Context manager capturing wall time and I/O deltas of one step."""
@@ -207,7 +251,7 @@ class SeriesIndex(abc.ABC):
         ground-truth scan of the raw file — exact but unindexed, so
         SIMS-backed indexes override it with a pruned k-NN scan.
         """
-        from ..core.knn import KNNOutcome, _BoundedMaxHeap  # deferred
+        from ..core.knn import KNNOutcome, scan_knn  # deferred
 
         k = check_k(k)
         if k == 1:
@@ -222,31 +266,10 @@ class SeriesIndex(abc.ABC):
                 simulated_io_ms=result.simulated_io_ms,
                 wall_s=result.wall_s,
             )
-        from ..series.distance import early_abandon_euclidean_block
-
         query = self._query_array(query)
-        heap = _BoundedMaxHeap(k)
         with Measurement(self.disk) as measure:
-            for start, block in self._require_built().scan():
-                # Refine against the block-start k-th best: a row at
-                # ``inf`` sits strictly above it, so the heap retains
-                # exactly what the full-distance scan would.
-                distances = early_abandon_euclidean_block(
-                    query, block, heap.threshold
-                )
-                heap.offer_block(
-                    distances, np.arange(start, start + len(distances))
-                )
-        items = heap.sorted_items()
-        return KNNOutcome(
-            answer_ids=[identifier for _, identifier in items],
-            distances=[distance for distance, _ in items],
-            visited_records=self._require_built().n_series,
-            pruned_fraction=0.0,
-            io=measure.io,
-            simulated_io_ms=measure.simulated_io_ms,
-            wall_s=measure.wall_s,
-        )
+            (outcome,) = scan_knn(self._require_built(), query[None], k)
+        return measure.stamp(outcome)
 
     def query_batch(
         self, batch: QueryBatch, query_workers: int | None = 1
@@ -264,48 +287,16 @@ class SeriesIndex(abc.ABC):
 
         resolve_workers(query_workers)
         queries = np.atleast_2d(np.asarray(batch.queries, dtype=np.float64))
-        results: list[QueryResult] = []
-        ids: list[list[int]] = []
-        distances: list[list[float]] = []
+        answers = []
         with Measurement(self.disk) as measure:
             for query in queries:
                 if batch.mode == "approximate":
-                    result = self.approximate_search(query)
+                    answers.append(self.approximate_search(query))
                 elif batch.k == 1:
-                    result = self.exact_search(query)
+                    answers.append(self.exact_search(query))
                 else:
-                    outcome = self.exact_knn(query, batch.k)
-                    results.append(
-                        QueryResult(
-                            answer_idx=(
-                                outcome.answer_ids[0]
-                                if outcome.answer_ids
-                                else -1
-                            ),
-                            distance=(
-                                outcome.distances[0]
-                                if outcome.distances
-                                else float("inf")
-                            ),
-                            visited_records=outcome.visited_records,
-                            pruned_fraction=outcome.pruned_fraction,
-                        )
-                    )
-                    ids.append(list(outcome.answer_ids))
-                    distances.append(list(outcome.distances))
-                    continue
-                results.append(result)
-                answered = result.answer_idx >= 0
-                ids.append([result.answer_idx] if answered else [])
-                distances.append([result.distance] if answered else [])
-        return BatchReport(
-            results=results,
-            knn_ids=ids,
-            knn_distances=distances,
-            io=measure.io,
-            simulated_io_ms=measure.simulated_io_ms,
-            wall_s=measure.wall_s,
-        )
+                    answers.append(self.exact_knn(query, batch.k))
+        return BatchReport.of(answers, measure)
 
     # ------------------------------------------------------------------
     def storage_bytes(self) -> int:

@@ -10,9 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..series.distance import early_abandon_euclidean_block
+from ..core.knn import scan_knn
 from ..storage.seriesfile import RawSeriesFile
-from .base import BuildReport, Measurement, QueryResult, SeriesIndex
+from .base import (
+    BatchReport,
+    BuildReport,
+    Measurement,
+    QueryResult,
+    SeriesIndex,
+    best_of,
+)
 
 
 class SerialScan(SeriesIndex):
@@ -41,28 +48,8 @@ class SerialScan(SeriesIndex):
     def _scan(self, query: np.ndarray) -> QueryResult:
         query = self._query_array(query)
         with Measurement(self.disk) as measure:
-            best_idx, best_dist = -1, float("inf")
-            for start, block in self.raw.scan():
-                # A row the kernel abandons (``inf``) has distance
-                # strictly above best_dist: the argmin update below
-                # sees the same winners.
-                distances = early_abandon_euclidean_block(
-                    query, block, best_dist
-                )
-                j = int(np.argmin(distances))
-                if distances[j] < best_dist:
-                    best_dist = float(distances[j])
-                    best_idx = start + j
-        return QueryResult(
-            answer_idx=best_idx,
-            distance=best_dist,
-            visited_records=self.raw.n_series,
-            visited_leaves=0,
-            io=measure.io,
-            simulated_io_ms=measure.simulated_io_ms,
-            wall_s=measure.wall_s,
-            pruned_fraction=0.0,
-        )
+            (outcome,) = scan_knn(self.raw, query[None], 1)
+        return measure.stamp(best_of(outcome))
 
     def approximate_search(self, query: np.ndarray) -> QueryResult:
         return self._scan(query)
@@ -79,33 +66,13 @@ class SerialScan(SeriesIndex):
         scans.  ``query_workers`` is checked and otherwise ignored; the
         batch's predicted cost is recorded on ``report.plan``.
         """
-        from ..core.knn import KNNOutcome, _BoundedMaxHeap
-        from ..parallel.batch import build_batch_report
         from ..parallel.sched import plan_query_batch, resolve_workers
 
         queries = self._query_matrix(batch.queries)
         resolve_workers(query_workers)
         plan = plan_query_batch(batch, self)
-        heaps = [_BoundedMaxHeap(batch.k) for _ in queries]
         with Measurement(self.disk) as measure:
-            for start, block in self.raw.scan():
-                identifiers = np.arange(start, start + len(block))
-                for heap, query in zip(heaps, queries):
-                    distances = early_abandon_euclidean_block(
-                        query, block, heap.threshold
-                    )
-                    heap.offer_block(distances, identifiers)
-        outcomes = []
-        for heap in heaps:
-            items = heap.sorted_items()
-            outcomes.append(
-                KNNOutcome(
-                    answer_ids=[identifier for _, identifier in items],
-                    distances=[distance for distance, _ in items],
-                    visited_records=self.raw.n_series,
-                    pruned_fraction=0.0,
-                )
-            )
-        report = build_batch_report(outcomes, measure)
+            outcomes = scan_knn(self.raw, queries, batch.k)
+        report = BatchReport.of(outcomes, measure)
         report.plan = plan
         return report

@@ -1,15 +1,17 @@
-"""Batched query execution for the Coconut indexes.
+"""The exact engine, the planner and self-healing for the Coconut indexes.
 
 Builds run on the calling thread (summarize, external sort, one leaf
 pass), and so do queries: every batch is one pass on the calling
 thread.  The package name is historical; nothing in it runs a pool.
+What is left is what the query path calls, ready to move in one step:
 
-* :mod:`repro.parallel.batch` — a batched exact-kNN executor that
-  answers many queries in one skip-sequential SIMS pass, sharing the
-  summary scan and every fetched page across the whole batch, plus a
-  batched *approximate* executor that groups queries by target leaf so
-  each leaf is read once per batch.
-* :mod:`repro.parallel.sched` — the planner on top
+* :mod:`repro.parallel.batch` — the one exact engine,
+  :func:`~repro.parallel.batch.batched_exact_knn`: it answers many
+  queries in one skip-sequential SIMS pass, sharing the summary scan
+  and every fetched page across the whole batch.  Every exact search,
+  k-NN and batch of a SIMS-backed index calls it; a batch's
+  ``query_batch`` (``repro.core.sims.SIMSIndex``) calls it directly.
+* :mod:`repro.parallel.sched` — the planner
   (:func:`repro.parallel.sched.plan_query_batch`): it records each
   batch's predicted scan and refine time on a :class:`PlanReport`, and
   :func:`resolve_workers` checks the ``query_workers`` every
@@ -21,7 +23,7 @@ thread.  The package name is historical; nothing in it runs a pool.
   healing never changes the result.
 """
 
-from .batch import approx_query_batch, batched_exact_knn, build_batch_report
+from .batch import batched_exact_knn
 from .heal import (
     HEAL_BACKOFF_CAP_S,
     HEAL_BACKOFF_S,
@@ -30,12 +32,7 @@ from .heal import (
     RetryPolicy,
     run_self_healing,
 )
-from .sched import (
-    PlanReport,
-    plan_query_batch,
-    resolve_workers,
-    run_sims_query_batch,
-)
+from .sched import PlanReport, plan_query_batch, resolve_workers
 
 __all__ = [
     "HEAL_BACKOFF_CAP_S",
@@ -44,11 +41,8 @@ __all__ = [
     "HealReport",
     "PlanReport",
     "RetryPolicy",
-    "approx_query_batch",
     "batched_exact_knn",
-    "build_batch_report",
     "plan_query_batch",
     "resolve_workers",
-    "run_sims_query_batch",
     "run_self_healing",
 ]

@@ -34,7 +34,6 @@ import numpy as np
 from ..core.knn import REFINE_FIRST_ROWS, KNNOutcome, _BoundedMaxHeap, refine_block
 from ..core.sims import SIMS_BLOCK_RECORDS, fetch_rows_that_can_win
 from ..core.summary_column import WordColumn
-from ..indexes.base import BatchReport, Measurement, QueryResult
 from ..summaries.paa import paa
 from ..summaries.sax import SAXConfig
 
@@ -84,9 +83,7 @@ def batched_exact_knn(
         )
     heaps = seeded_heaps(n_queries, k, seeds)
     if n == 0 or n_queries == 0:
-        return [
-            _outcome(heap, visited=0, n_records=n) for heap in heaps
-        ]
+        return [heap.outcome(0, n) for heap in heaps]
     query_paa = paa(queries, config.word_length)
     mindists = column.lower_bounds(query_paa)
     union = candidate_union(mindists, heaps)
@@ -97,8 +94,7 @@ def batched_exact_knn(
         union = candidate_union(mindists, heaps)
     walked = walk_candidate_blocks(queries, heaps, mindists, union, fetch, block_records)
     return [
-        _outcome(heap, visited=primed[i] + walked[i], n_records=n)
-        for i, heap in enumerate(heaps)
+        heap.outcome(primed[i] + walked[i], n) for i, heap in enumerate(heaps)
     ]
 
 
@@ -218,94 +214,3 @@ def walk_candidate_blocks(
             if len(rows):
                 refine_block(queries[i], series, identifiers, rows, heaps[i])
     return visited
-
-
-def _outcome(heap: _BoundedMaxHeap, visited: int, n_records: int) -> KNNOutcome:
-    items = heap.sorted_items()
-    return KNNOutcome(
-        answer_ids=[identifier for _, identifier in items],
-        distances=[distance for distance, _ in items],
-        visited_records=visited,
-        pruned_fraction=1.0 - (visited / n_records) if n_records else 0.0,
-    )
-
-
-def sims_query_batch(index, batch, prepare) -> BatchReport:
-    """Shared ``query_batch`` implementation for SIMS-backed indexes.
-
-    ``prepare`` runs inside the measurement and returns the (column,
-    fetch) pair of the index — loading summaries there charges their
-    I/O to the batch, shared across all queries.  Seeding follows the
-    per-query engines (``index._probe_seeds``): a ``k = 1`` batch seeds
-    each query with its approximate answer from one shared probe pass
-    (``index._approximate_batch``: the answers of
-    ``approximate_search``, each distinct leaf read once); a ``k > 1``
-    batch runs unseeded, its short heaps primed, and reads no leaf or
-    run page.
-    """
-    queries = np.atleast_2d(np.asarray(batch.queries, dtype=np.float64))
-    with Measurement(index.disk) as measure:
-        column, fetch = prepare()
-        seeds = None
-        if index._probe_seeds(batch.k):
-            seeds = [
-                [(approx.distance, approx.answer_idx)]
-                for approx in index._approximate_batch(queries)
-            ]
-        outcomes = batched_exact_knn(
-            queries, batch.k, column, index.config, fetch, seeds
-        )
-    return build_batch_report(outcomes, measure)
-
-
-def approx_query_batch(index, batch) -> BatchReport:
-    """Shared-leaf-read approximate batch (one read per distinct leaf).
-
-    Indexes whose approximate search inspects a leaf (or a small range
-    of physically adjacent leaves) around the query's key implement
-    ``_approximate_batch(queries)``: the batch is answered in ascending
-    target-leaf order with a per-batch leaf cache, so a leaf shared by
-    several queries is read once and the visits walk the leaf file
-    forward.  Answers — indexes, distances, visited counts — are
-    identical to issuing :meth:`approximate_search` per query; only the
-    I/O totals shrink.
-    """
-    queries = np.atleast_2d(np.asarray(batch.queries, dtype=np.float64))
-    with Measurement(index.disk) as measure:
-        results = index._approximate_batch(queries)
-    ids = [[r.answer_idx] if r.answer_idx >= 0 else [] for r in results]
-    distances = [[r.distance] if r.answer_idx >= 0 else [] for r in results]
-    return BatchReport(
-        results=results,
-        knn_ids=ids,
-        knn_distances=distances,
-        io=measure.io,
-        simulated_io_ms=measure.simulated_io_ms,
-        wall_s=measure.wall_s,
-    )
-
-
-def build_batch_report(
-    outcomes: list[KNNOutcome], measure: Measurement
-) -> BatchReport:
-    """Package per-query kNN outcomes as the uniform batch report."""
-    results = []
-    for outcome in outcomes:
-        results.append(
-            QueryResult(
-                answer_idx=outcome.answer_ids[0] if outcome.answer_ids else -1,
-                distance=(
-                    outcome.distances[0] if outcome.distances else float("inf")
-                ),
-                visited_records=outcome.visited_records,
-                pruned_fraction=outcome.pruned_fraction,
-            )
-        )
-    return BatchReport(
-        results=results,
-        knn_ids=[list(outcome.answer_ids) for outcome in outcomes],
-        knn_distances=[list(outcome.distances) for outcome in outcomes],
-        io=measure.io,
-        simulated_io_ms=measure.simulated_io_ms,
-        wall_s=measure.wall_s,
-    )

@@ -136,15 +136,6 @@ class HealReport:
     n_corruption_faults: int = 0
     n_degraded: int = 0
 
-    def merge(self, other: "HealReport") -> None:
-        self.n_calls += other.n_calls
-        self.n_attempts += other.n_attempts
-        self.n_retries += other.n_retries
-        self.n_transient_faults += other.n_transient_faults
-        self.n_fatal_faults += other.n_fatal_faults
-        self.n_corruption_faults += other.n_corruption_faults
-        self.n_degraded += other.n_degraded
-
     def as_dict(self) -> dict:
         return {
             "calls": self.n_calls,

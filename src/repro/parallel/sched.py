@@ -21,9 +21,7 @@ import numbers
 import os
 from dataclasses import asdict, dataclass
 
-from ..indexes.base import BatchReport
 from ..storage.cost import DEFAULT_QUERY_COST
-from .batch import approx_query_batch, sims_query_batch
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -78,26 +76,3 @@ def plan_query_batch(batch, index) -> PlanReport:
         est_scan_ms=n_queries * n_records * cell_us / 1000.0,
         est_refine_ms=n_records * cost.refine_record_us / 1000.0,
     )
-
-
-def run_sims_query_batch(
-    index, batch, query_workers: int | None = 1
-) -> BatchReport:
-    """Plan and execute one batch on a SIMS-backed Coconut index.
-
-    The shared ``query_batch`` implementation of CoconutTree,
-    CoconutTrie and CoconutLSM: the serial batched engine for exact
-    batches, the shared-probe pass for approximate ones, with the
-    :class:`PlanReport` attached as ``report.plan``.  Wrong-length and
-    non-finite queries, then a ``query_workers`` that is not an integer
-    or ``None``, raise ``ValueError`` before anything is read.
-    """
-    index._query_matrix(batch.queries)
-    resolve_workers(query_workers)
-    plan = plan_query_batch(batch, index)
-    if batch.mode == "approximate":
-        report = approx_query_batch(index, batch)
-    else:
-        report = sims_query_batch(index, batch, index._prepare_sims)
-    report.plan = plan
-    return report

@@ -54,6 +54,7 @@ import numpy as np
 
 from ..core.lsm import CoconutLSM
 from ..core.summary_column import SummaryColumn
+from ..indexes.base import knn_lists
 from ..parallel.batch import batched_exact_knn
 from ..parallel.heal import RetryPolicy, run_self_healing
 from ..storage.disk import DiskShard
@@ -153,37 +154,19 @@ class _FrozenLSM(CoconutLSM):
 def _answer_on(view: CoconutLSM, batch, device):
     """Answer ``batch`` on the frozen view with all reads on ``device``.
 
-    The serial batched engines on one device: approximate batches are
-    the shared-window probe pass; exact batches run the shared SIMS kNN
-    scan unseeded, so every heap starts short and the prime pass seeds
-    it from its lowest-bound rows
+    Approximate batches are the shared-window probe pass; exact batches
+    run the shared SIMS kNN engine unseeded, so every heap starts short
+    and the prime pass seeds it from its lowest-bound rows
     (:func:`~repro.parallel.batch.prime_short_heaps`) — no run window
     is read and no probe record gathered.  Returns ``(ids,
     distances)`` — per query, ascending ``(distance, id)``.
     """
     queries = np.atleast_2d(np.asarray(batch.queries, dtype=np.float64))
     if batch.mode == "approximate":
-        order, ctx = view._approx_visit_order(queries)
-        results = [None] * len(queries)
-        for qi, result in view._approx_answer_subset(
-            queries, ctx, order, device=device
-        ):
-            results[qi] = result
-        ids = [
-            [r.answer_idx] if r is not None and r.answer_idx >= 0 else []
-            for r in results
-        ]
-        distances = [
-            [r.distance] if r is not None and r.answer_idx >= 0 else []
-            for r in results
-        ]
-        return ids, distances
+        return knn_lists(view._approximate_batch(queries, device=device))
     column, fetch = view._prepare_sims(device)
     outcomes = batched_exact_knn(queries, batch.k, column, view.config, fetch)
-    return (
-        [list(outcome.answer_ids) for outcome in outcomes],
-        [list(outcome.distances) for outcome in outcomes],
-    )
+    return knn_lists(outcomes)
 
 
 def serve_snapshot_batch(

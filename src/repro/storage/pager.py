@@ -199,10 +199,10 @@ class PagedFile:
         """Write a byte stream across consecutive logical pages.
 
         The file is grown as needed.  Returns the number of pages used.
-        The inner loop streams whole extents through the device's
-        bytes-level interface (``write_run_bytes``) when it has one;
-        content, counters and head movement are bit-identical to the
-        page-at-a-time path either way.  A negative ``at_page`` raises
+        Whole extents stream through the device's bytes-level interface
+        (``write_run_bytes``): content, counters and head movement are
+        bit-identical to writing page by page, and each extent is one
+        ``("w", first, n)`` trace tuple.  A negative ``at_page`` raises
         :class:`PageError` before anything is grown, written or recorded.
         """
         if at_page < 0:
@@ -212,20 +212,15 @@ class PagedFile:
         needed = at_page + n_pages - self._n_pages
         if needed > 0:
             self.grow(needed)
-        writer = getattr(self.disk, "write_run_bytes", None)
-        if writer is None:  # pragma: no cover - non-bulk devices
-            for i in range(n_pages):
-                chunk = data[i * page_size : (i + 1) * page_size]
-                self.write(at_page + i, chunk)
-            return n_pages
         view = memoryview(data)
         checksums = getattr(self.disk, "checksums", None)
         at = 0
         for first_physical, run_pages in self._physical_runs(at_page, n_pages):
             take = min(len(data) - at, run_pages * page_size)
-            writer(first_physical, view[at : at + take], run_pages)
+            chunk = view[at : at + take]
+            self.disk.write_run_bytes(first_physical, chunk, run_pages)
             if checksums is not None:
-                checksums.record_run(first_physical, view[at : at + take], run_pages)
+                checksums.record_run(first_physical, chunk, run_pages)
             at += take
         return n_pages
 

@@ -189,52 +189,38 @@ class RawSeriesFile:
         return first_idx
 
     def _append_full(self, data: np.ndarray, first_idx: int) -> None:
-        total = first_idx + len(data)
-        if self.pages_per_series == 1:
-            spp = self.series_per_page
-            # Rewrite partial last page if needed.
-            start = first_idx
-            if start % spp:
-                page = start // spp
-                in_page = start % spp
-                # count= bounds the parse to the resident records: the
-                # padded page may not be a float32 multiple in length.
-                # Routed through _read_logical so verified_reads hashes
-                # the page first — a read-modify-write over a corrupt
-                # page would otherwise re-record (bless) the damage.
-                existing = np.frombuffer(
-                    self._read_logical(page),
-                    dtype=np.float32,
-                    count=in_page * self.length,
-                )
-                take = min(spp - in_page, len(data))
-                merged = np.concatenate([existing, data[:take].ravel()])
-                del existing  # a live view would pin the arena `grow` extends
-                self.file.write(page, merged.astype(np.float32).tobytes())
-                data = data[take:]
-                start += take
-            if len(data):
-                n_new_pages = -(-len(data) // spp)
-                first_new = start // spp
-                if first_new + n_new_pages > self.file.n_pages:
-                    self.file.grow(first_new + n_new_pages - self.file.n_pages)
-                for i in range(n_new_pages):
-                    chunk = data[i * spp : (i + 1) * spp]
-                    self.file.write(first_new + i, chunk.ravel().tobytes())
-        else:
-            pps = self.pages_per_series
-            needed = total * pps - self.file.n_pages
-            if needed > 0:
-                self.file.grow(needed)
-            for i, row in enumerate(data):
-                blob = row.astype(np.float32).tobytes()
-                base = (first_idx + i) * pps
-                for j in range(pps):
-                    self.file.write(
-                        base + j,
-                        blob[j * self.disk.page_size : (j + 1) * self.disk.page_size],
-                    )
-        self.n_series = total
+        """Lay the batch out page by page and write it as one stream.
+
+        A page holds ``series_per_page`` records (one, spanning
+        ``pages_per_series`` pages, when a record outgrows a page) and
+        zeros after them, so the stream starts at the page of record
+        ``first_idx`` and carries the records already on it in front.
+        Those are read through :meth:`_read_logical`, so
+        ``verified_reads`` hashes the page first: a read-modify-write
+        over a corrupt page would otherwise re-record (bless) the
+        damage.
+        """
+        spp, pps = self.series_per_page, self.pages_per_series
+        resident = first_idx % spp
+        slots = -(-(resident + len(data)) // spp)
+        records = np.zeros((slots * spp, self.length), dtype=np.float32)
+        if resident:
+            # count= bounds the parse to the resident records: the
+            # padded page may not be a float32 multiple in length.
+            existing = np.frombuffer(
+                self._read_logical(first_idx // spp),
+                dtype=np.float32,
+                count=resident * self.length,
+            )
+            records[:resident] = existing.reshape(resident, self.length)
+            del existing  # a live view would pin the arena the write grows
+        records[resident : resident + len(data)] = data
+        stream = np.zeros((slots, pps * self.disk.page_size), dtype=np.uint8)
+        stream[:, : spp * self.record_bytes] = records.view(np.uint8).reshape(
+            slots, -1
+        )
+        self.file.write_stream(stream.reshape(-1), at_page=first_idx // spp * pps)
+        self.n_series = first_idx + len(data)
 
     def truncate(self, n_series: int) -> None:
         """Logically truncate the file to its first ``n_series`` records.

@@ -13,6 +13,7 @@ oracle                     production callable it pins            pinned in
 ``argsort_merge``          ``repro.storage.merge.merge_presorted``  ``test_merge_engine.py``
 ``loop_get_many``          ``RawSeriesFile.get_many``             ``test_fetch_oracle.py``
 ``loop_read_pages``        ``read_pages`` (native and adapter)    ``test_fetch_oracle.py``
+``per_page_append``        ``RawSeriesFile.append_batch``         ``test_seriesfile.py``
 ``refine_every_row``       ``repro.core.knn.refine_block``        ``test_refine_order.py``
 ``searchsorted_symbols``   ``repro.summaries.sax.sax_from_paa``   ``test_sax.py``
 =========================  =====================================  ======================
@@ -191,6 +192,57 @@ def loop_get_many(raw, idxs):
     for pos, idx in enumerate(idxs):
         out[pos] = assembled[int(idx)]
     return out
+
+
+def per_page_append(raw, data):
+    """Page-at-a-time append to a ``RawSeriesFile``; returns the first
+    new record's index.
+
+    The body ``RawSeriesFile._append_full`` had before an append became
+    one ``PagedFile.write_stream``: the partial last page is read (so
+    ``verified_reads`` hashes it) and rewritten with its resident
+    records, then every new page is written on its own through
+    ``PagedFile.write``, one CRC record each; a record that spans pages
+    is written one page at a time.  Input checks are not repeated.
+    """
+    data = np.asarray(data, dtype=np.float32)
+    first_idx = raw.n_series
+    total = first_idx + len(data)
+    if raw.pages_per_series == 1:
+        spp = raw.series_per_page
+        start = first_idx
+        if start % spp:
+            page, in_page = start // spp, start % spp
+            existing = np.frombuffer(
+                raw._read_logical(page),
+                dtype=np.float32,
+                count=in_page * raw.length,
+            )
+            take = min(spp - in_page, len(data))
+            merged = np.concatenate([existing, data[:take].ravel()])
+            del existing
+            raw.file.write(page, merged.tobytes())
+            data, start = data[take:], start + take
+        if len(data):
+            n_new_pages = -(-len(data) // spp)
+            first_new = start // spp
+            if first_new + n_new_pages > raw.file.n_pages:
+                raw.file.grow(first_new + n_new_pages - raw.file.n_pages)
+            for i in range(n_new_pages):
+                chunk = data[i * spp : (i + 1) * spp]
+                raw.file.write(first_new + i, chunk.tobytes())
+    else:
+        pps, ps = raw.pages_per_series, raw.disk.page_size
+        needed = total * pps - raw.file.n_pages
+        if needed > 0:
+            raw.file.grow(needed)
+        for i, row in enumerate(data):
+            blob = row.tobytes()
+            for j in range(pps):
+                chunk = blob[j * ps : (j + 1) * ps]
+                raw.file.write((first_idx + i) * pps + j, chunk)
+    raw.n_series = total
+    return first_idx
 
 
 # ------------------------------------------------------------------ refine

@@ -25,6 +25,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     CoconutService,
@@ -300,18 +302,26 @@ def test_bounded_heap_is_offer_order_independent():
     assert reference == [(3.0, 4), (3.0, 9), (5.0, 1)]
 
 
-def test_bounded_heap_merge_equals_union_offers():
-    rng = np.random.default_rng(0)
-    distances = rng.integers(0, 6, size=40).astype(float)
-    ids = rng.permutation(40)
-    pairs = list(zip(distances.tolist(), ids.tolist()))
-    whole = _BoundedMaxHeap(5)
-    for d, i in pairs:
-        whole.offer(d, i)
-    left, right = _BoundedMaxHeap(5), _BoundedMaxHeap(5)
-    for d, i in pairs[:23]:
-        left.offer(d, i)
-    for d, i in pairs[23:]:
-        right.offer(d, i)
-    left.merge(right)
-    assert left.sorted_items() == whole.sorted_items()
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(1, 8),
+    pairs=st.lists(
+        st.tuples(st.integers(0, 5).map(float), st.integers(0, 60)),
+        unique_by=lambda pair: pair[1],
+        max_size=40,
+    ),
+    data=st.data(),
+)
+def test_any_permutation_of_the_same_offers_leaves_the_same_heap(k, pairs, data):
+    """The engines rely on it: a heap is a function of the multiset of
+    offers, never of their order — the k smallest ``(distance, id)``
+    pairs, distance ties ranked by id, a repeated offer counted once."""
+    offers = list(pairs)
+    if pairs:
+        offers += data.draw(st.lists(st.sampled_from(pairs), max_size=10))
+    permuted = data.draw(st.permutations(offers))
+    heaps = [_BoundedMaxHeap(k), _BoundedMaxHeap(k)]
+    for heap, stream in zip(heaps, (offers, permuted)):
+        for distance, identifier in stream:
+            heap.offer(distance, identifier)
+    assert heaps[0].sorted_items() == heaps[1].sorted_items() == sorted(pairs)[:k]

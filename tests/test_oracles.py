@@ -17,6 +17,7 @@ from oracles import (
     heapq_merge_stream,
     loop_get_many,
     loop_read_pages,
+    per_page_append,
     refine_every_row,
     searchsorted_symbols,
 )
@@ -168,6 +169,35 @@ def test_searchsorted_symbols_count_the_breakpoints_below(cardinality):
 
 
 # ------------------------------------------------------------ the device
+@pytest.mark.parametrize(
+    "length,page_size",
+    [(8, 128), (12, 256), (64, 128), (96, 100)],
+    ids=["divisor", "padded", "two-page", "multi-page-padded"],
+)
+def test_per_page_append_lays_records_out_at_their_offsets(length, page_size):
+    """Every record at ``idx // spp * pps`` pages plus its slot, and
+    nothing but zeros between records, across uneven appends."""
+    rng = np.random.default_rng(length)
+    disk = SimulatedDisk(page_size=page_size)
+    raw = RawSeriesFile(disk, length)
+    blocks = [
+        rng.standard_normal((rows, length)).astype(np.float32) for rows in (3, 1, 7)
+    ]
+    for block in blocks:
+        disk.allocate(1)  # a foreign page between appends
+        per_page_append(raw, block)
+    data = np.concatenate(blocks)
+    spp, pps = raw.series_per_page, raw.pages_per_series
+    slot = pps * page_size
+    model = bytearray(raw.file.n_pages * page_size)
+    for idx, row in enumerate(data):
+        at = idx // spp * slot + idx % spp * raw.record_bytes
+        model[at : at + raw.record_bytes] = row.tobytes()
+    assert raw.file.n_pages == -(-len(data) // spp) * pps
+    assert bytes(raw.file.read_stream(0, raw.file.n_pages)) == bytes(model)
+    np.testing.assert_array_equal(raw.get_many(np.arange(len(data))), data)
+
+
 @pytest.mark.parametrize("store", DEVICES)
 @pytest.mark.parametrize("seed", range(4))
 def test_device_reads_equal_a_flat_zero_filled_model(store, seed):

@@ -20,6 +20,8 @@ import repro.core.invsax
 import repro.core.knn
 import repro.core.lsm
 import repro.parallel
+import repro.parallel.batch
+import repro.parallel.sched
 import repro.service
 import repro.service.snapshot
 import repro.storage
@@ -37,9 +39,13 @@ from repro import (
     random_walk,
 )
 from repro.core import CoconutLSM, CoconutTrie
+from repro.core.bulk_index import BulkLoadedIndex
+from repro.core.knn import _BoundedMaxHeap
+from repro.core.sims import SIMSIndex
 from repro.indexes import ADSIndex, SerialScan
 from repro.indexes.base import QueryResult
 from repro.indexes.isax2 import ISAXTree
+from repro.parallel.heal import HealReport
 from repro.parallel.sched import plan_query_batch
 from repro.service import serve_snapshot_batch
 from repro.storage import DiskShard, ExternalSorter, merge_stream
@@ -145,6 +151,21 @@ for owner in (repro.storage, repro.storage.integrity):
 absent(repro.storage.disk, "_DerivedVerbs")
 # Nothing in the package is parallel: one summary-column preparation.
 absent(CoconutLSM, "_prepare_sims_parallel")
+# One path from query_batch to the engine: no worker-era layers, one
+# approximate-batch hook, no merge of heaps or heal reports.
+absent(
+    repro.parallel,
+    "approx_query_batch", "build_batch_report", "run_sims_query_batch",
+    "sims_query_batch",
+)
+absent(repro.parallel.batch, "approx_query_batch", "build_batch_report",
+       "sims_query_batch", "_outcome")
+absent(repro.parallel.sched, "run_sims_query_batch")
+for owner in (BulkLoadedIndex, CoconutLSM, SIMSIndex):
+    absent(owner, "_approx_visit_order", "_approx_answer_subset")
+absent(SIMSIndex, "_approximate_batch", "_sims_exact_search")
+absent(_BoundedMaxHeap, "merge")
+absent(HealReport, "merge")
 
 # ------------------------------------------------------------ keywords
 
@@ -299,9 +320,8 @@ refused(
 )
 
 # Only the LSM is served: no other index rebinds its reads to a device.
-def _approx_subset(index, **kwargs):
-    order, ctx = index._approx_visit_order(BATCH.queries)
-    return index._approx_answer_subset(BATCH.queries, ctx, order, **kwargs)
+def _approximate_batch(index, **kwargs):
+    return index._approximate_batch(BATCH.queries, **kwargs)
 
 
 def _first_leaf(index, **kwargs):
@@ -311,8 +331,8 @@ def _first_leaf(index, **kwargs):
 for index_name in ("CoconutTree", "CoconutTrie"):
     make = QUERY_BATCH_INDEXES[index_name]
     refused(
-        f"{index_name}._approx_answer_subset-device",
-        _call_on(make, _approx_subset, device=None),
+        f"{index_name}._approximate_batch-device",
+        _call_on(make, _approximate_batch, device=None),
     )
     refused(
         f"{index_name}._read_leaf_records-leaf_file",

@@ -200,8 +200,3 @@ def test_heal_report_accumulates_across_calls():
     assert report.n_transient_faults == 2
     assert report.n_fatal_faults == 1
     assert report.n_degraded == 1
-    merged = HealReport()
-    merged.merge(report)
-    merged.merge(report)
-    assert merged.n_attempts == 8
-    assert merged.as_dict()["calls"] == 4

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from oracles import per_page_append
 from repro.storage import DiskShard, DiskStats, RawSeriesFile, SimulatedDisk
 
 
@@ -258,3 +261,84 @@ def test_views_and_non_integer_truncates_are_refused_before_io(row):
     )
     raw.truncate(np.int64(4))
     assert raw.n_series == 4 and type(raw.n_series) is int
+
+
+# ------------------------------------------- the append, one stream
+@st.composite
+def append_plans(draw):
+    """(length, page_size, integrity, appends): 1..16 records per page
+    with or without tail padding, or records spanning 2..3 pages; 1..6
+    appends of ``(rows, foreign pages allocated first, rows truncated
+    first)``, aligned or not, with or without the CRC sidecar armed."""
+    length = draw(st.integers(min_value=2, max_value=12))
+    record = 4 * length
+    pps = draw(st.integers(min_value=1, max_value=3))
+    if pps == 1:
+        spp = draw(st.integers(min_value=1, max_value=16))
+        page_size = spp * record + draw(st.integers(0, record - 1))
+    else:
+        page_size = -(-record // pps)
+        assume(-(-record // page_size) == pps)
+    appends = draw(
+        st.lists(
+            st.tuples(st.integers(1, 40), st.integers(0, 3), st.integers(0, 3)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return length, page_size, draw(st.booleans()), appends
+
+
+def grow_raw(plan, append):
+    """A raw file grown by ``plan`` with ``append(raw, block)``."""
+    length, page_size, integrity, appends = plan
+    disk = SimulatedDisk(page_size=page_size, trace=True)
+    if integrity:
+        disk.enable_integrity()
+    raw = RawSeriesFile(disk, length, verified_reads=integrity)
+    rng = np.random.default_rng(3)
+    for rows, foreign, cut in appends:
+        if foreign:
+            disk.allocate(foreign)
+        raw.truncate(max(0, raw.n_series - cut))
+        first = raw.n_series
+        block = rng.standard_normal((rows, length)).astype(np.float32)
+        assert append(raw, block) == first
+    return disk, raw
+
+
+@settings(max_examples=150, deadline=None)
+@given(plan=append_plans())
+def test_property_an_append_writes_what_the_per_page_loop_writes(plan):
+    """One ``write_stream`` per append leaves the pages, the CRC map,
+    the counters, the head and the file's extents of the page-at-a-time
+    loop (``tests/oracles.py::per_page_append``), and writes the same
+    pages in the same order."""
+    disk, raw = grow_raw(plan, RawSeriesFile.append_batch)
+    want_disk, want_raw = grow_raw(plan, per_page_append)
+    assert disk.dump_pages() == want_disk.dump_pages()
+    if disk.checksums is not None:
+        assert disk.checksums._crcs == want_disk.checksums._crcs
+    assert disk.stats == want_disk.stats
+    assert disk.head_position == want_disk.head_position
+    assert raw.file._extents == want_raw.file._extents
+    assert raw.n_series == want_raw.n_series
+
+    def per_page(trace):
+        return [(op, first + i) for op, first, n in trace for i in range(n)]
+
+    assert per_page(disk.trace) == per_page(want_disk.trace)
+    np.testing.assert_array_equal(
+        raw.get_many(np.arange(raw.n_series)),
+        want_raw.get_many(np.arange(want_raw.n_series)),
+    )
+
+
+def test_an_append_is_one_device_write_per_extent():
+    """An unaligned append onto a partial page, inside one extent, is
+    one ``("w", first, n)`` run: the partial page and every new page."""
+    disk = SimulatedDisk(page_size=512, trace=True)
+    raw = RawSeriesFile.create(disk, np.ones((5, 32), dtype=np.float32))  # 4 per page
+    del disk.trace[:]
+    raw.append_batch(np.zeros((10, 32), dtype=np.float32))
+    assert [op for op in disk.trace if op[0] == "w"] == [("w", 1, 3)]

@@ -481,8 +481,7 @@ def test_served_heaps_are_seeded_with_every_probe_distance(memtable_rows):
     view = snapshot.frozen_view()
     # A query sitting on a duplicated series: the k nearest tie in pairs.
     queries = np.concatenate([QUERIES, BASE[3:4].astype(np.float64)])
-    order, ctx = view._approx_visit_order(queries)
-    probes = dict(view._approx_answer_subset(queries, ctx, order))
+    probes = view._approximate_batch(queries)
     probe_size = len(view._approximate_one(queries[0])[2])
     assert probe_size > 3
     words, fetch = view._prepare_sims(snapshot.shard)
@@ -495,7 +494,7 @@ def test_served_heaps_are_seeded_with_every_probe_distance(memtable_rows):
             words,
             view.config,
             fetch,
-            [[(probes[qi].distance, probes[qi].answer_idx)] for qi in order],
+            [[(probe.distance, probe.answer_idx)] for probe in probes],
         )
         for qi, query in enumerate(queries):
             want_ids, want_distances = _lex_knn(rows, query, k)
