@@ -20,7 +20,7 @@ from .invsax import (
 )
 from .knn import KNNOutcome, sims_knn_scan
 from .lsm import CoconutLSM
-from .sims import SIMSOutcome, sims_scan
+from .sims import sims_scan
 from .zorder import (
     Quantizer,
     deinterleave_codes,
@@ -35,7 +35,6 @@ __all__ = [
     "DTWSearchResult",
     "KNNOutcome",
     "Quantizer",
-    "SIMSOutcome",
     "deinterleave_codes",
     "dtw_exact_search",
     "dtw_mindist_to_words",

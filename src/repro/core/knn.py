@@ -146,14 +146,37 @@ def refine_block(
     identifiers: np.ndarray,
     rows: np.ndarray,
     heap: _BoundedMaxHeap,
+    bounds: np.ndarray | None = None,
 ) -> None:
-    """Offer the distances of ``series[rows]`` to ``heap`` in one offer.
+    """Offer the distances of ``series[rows]`` that can enter ``heap``.
 
     ``rows`` are ascending distinct positions into ``series`` and
-    ``identifiers``; they go to :meth:`_BoundedMaxHeap.offer_block`
-    together, in storage order, so the heap ends as if each row had
-    been offered on its own.
+    ``identifiers``.  Without ``bounds`` they are refined in one call
+    and go to :meth:`_BoundedMaxHeap.offer_block` together, in storage
+    order, so the heap ends as if each row had been offered on its own.
+
+    ``bounds`` holds a lower bound of each row's distance
+    (:func:`repro.core.sims.fetch_rows_that_can_win`).  With more rows
+    than ``heap.k``, the refine takes the lowest bound first: the
+    ``k`` rows with the lowest bounds are refined and offered, then
+    only the other rows whose bound is ``<=`` the threshold the heap
+    has after them.  A row left out has a bound, so a distance,
+    strictly above a threshold that only shrinks: no offer could have
+    admitted it.  Offers commute, so the heap ends as the one-call
+    refine leaves it.
     """
+    if bounds is not None and len(rows) > heap.k:
+        first = np.zeros(len(rows), dtype=bool)
+        first[np.argpartition(bounds, heap.k - 1)[: heap.k]] = True
+        _refine(query, series, identifiers, rows[first], heap)
+        rows = rows[~first & (bounds <= heap.threshold)]
+        if len(rows) == 0:
+            return
+    _refine(query, series, identifiers, rows, heap)
+
+
+def _refine(query, series, identifiers, rows, heap) -> None:
+    """Refine ``series[rows]`` in one kernel call and one offer."""
     if len(rows) < len(series):  # else ``rows`` is every row, in order
         series, identifiers = series[rows], identifiers[rows]
     # A row the kernel abandons (``inf``) has distance strictly above

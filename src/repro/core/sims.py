@@ -16,7 +16,8 @@ shrinking as real distances come in.  Between the fetch and the exact
 kernel, a Gram-form distance bound drops the fetched rows that cannot
 win; a raw-file fetch (:class:`RawFetch`) bounds a dense block on the
 pages it read and copies only those that can
-(:func:`fetch_rows_that_can_win`).
+(:func:`fetch_rows_that_can_win`), and the kept rows' bounds go on to
+the refine, which takes the lowest first.
 
 :class:`SIMSIndex` is what the Coconut indexes share *above* that engine:
 given an approximate probe and a ``(column, fetch)`` pair, exact search,
@@ -28,7 +29,6 @@ probe-seeded 1-NN search, is also ADS's exact search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,6 +38,7 @@ from ..indexes.base import (
     Measurement,
     QueryResult,
     SeriesIndex,
+    best_of,
     check_k,
 )
 from ..series.distance import euclidean_lower_bounds
@@ -120,13 +121,38 @@ def rows_that_can_win(
     its page views); otherwise a copy of ``rows`` is (one query of a
     batch may need few rows of a block that is dense for the batch).
     The bound is row by row, so a row gets the same bits either way.
+    :func:`fetch_rows_that_can_win` takes the same step, keeping the
+    kept rows' bounds.
+    """
+    return _bound_rows(query, series, rows, threshold)[0]
+
+
+def _bound_rows(
+    query: np.ndarray,
+    series: "np.ndarray | PagedRecords",
+    rows: np.ndarray,
+    threshold: float,
+    bounds: "np.ndarray | None" = None,
+) -> "tuple[np.ndarray, np.ndarray | None]":
+    """:func:`rows_that_can_win` and the bounds of the rows it keeps.
+
+    Returns ``(kept, kept_bounds)``: ``kept_bounds[j]`` is the bound of
+    row ``kept[j]``, or ``kept_bounds`` is ``None`` (and ``kept`` is
+    ``rows`` itself) where no bound runs.  ``bounds``, when given, is
+    the query's :func:`block_bounds` over every record of ``series``,
+    already computed (a batch's shared call).
     """
     if not bound_will_run(len(rows), series.shape[1], threshold):
-        return rows
-    if bounds_every_record(series, rows):
-        return rows[block_bounds(query, series)[rows] <= threshold]
-    block = series.take(rows) if isinstance(series, PagedRecords) else series[rows]
-    return rows[euclidean_lower_bounds(query, block) <= threshold]
+        return rows, None
+    if bounds is not None:
+        bounds = bounds[rows]
+    elif bounds_every_record(series, rows):
+        bounds = block_bounds(query, series)[rows]
+    else:
+        block = series.take(rows) if isinstance(series, PagedRecords) else series[rows]
+        bounds = euclidean_lower_bounds(query, block)
+    keep = bounds <= threshold
+    return rows[keep], bounds[keep]
 
 
 class RawFetch:
@@ -177,9 +203,13 @@ def fetch_rows_that_can_win(
 
     ``wants`` holds one ``(query, rows, threshold)`` per query the
     block ``positions`` is fetched for, ``rows`` ascending positions
-    into the block.  Returns ``(series, identifiers, kept)``:
+    into the block.  Returns ``(series, identifiers, kept, bounds)``:
     ``kept[i]`` are the rows of ``series`` :func:`rows_that_can_win`
-    keeps for want ``i``, ascending.
+    keeps for want ``i``, ascending, and ``bounds[i]`` their bounds in
+    the same order, or ``None`` where no bound ran for want ``i``
+    (:func:`bound_will_run`; ``kept[i]`` is then every row of the want).
+    The bounds let the refine take the lowest-bound rows first
+    (:func:`repro.core.knn.refine_block`).
 
     When some want will be bounded (:func:`bound_will_run`) and
     ``fetch`` is a :class:`RawFetch`, the block is read
@@ -211,17 +241,15 @@ def fetch_rows_that_can_win(
     together = {}
     if len(shared) > 1:
         bounds = block_bounds(np.stack([wants[i][0] for i in shared]), series)
-        for i, query_bounds in zip(shared, bounds):
-            _, rows, threshold = wants[i]
-            together[i] = rows[query_bounds[rows] <= threshold]
-    kept = [
-        together[i]
-        if i in together
-        else rows_that_can_win(query, series, rows, threshold)
+        together = dict(zip(shared, bounds))
+    pairs = [
+        _bound_rows(query, series, rows, threshold, together.get(i))
         for i, (query, rows, threshold) in enumerate(wants)
     ]
+    kept = [rows for rows, _ in pairs]
+    bounds = [row_bounds for _, row_bounds in pairs]
     if not isinstance(series, PagedRecords):
-        return series, identifiers, kept
+        return series, identifiers, kept, bounds
     union = np.zeros(len(positions), dtype=bool)
     for rows in kept:
         union[rows] = True
@@ -230,15 +258,8 @@ def fetch_rows_that_can_win(
         series.take(taken),
         identifiers[taken],
         [np.searchsorted(taken, rows) for rows in kept],
+        bounds,
     )
-
-
-@dataclass
-class SIMSOutcome:
-    answer_id: int
-    distance: float
-    visited_records: int
-    pruned_fraction: float
 
 
 def sims_scan(
@@ -249,7 +270,7 @@ def sims_scan(
     initial_bsf: float = float("inf"),
     initial_answer: int = -1,
     block_records: int = SIMS_BLOCK_RECORDS,
-) -> SIMSOutcome:
+) -> QueryResult:
     """Exact nearest neighbor via lower-bound scan + skip-sequential fetch.
 
     Parameters
@@ -276,6 +297,9 @@ def sims_scan(
     primed from the lowest bounds.  The answer is the smallest
     ``(distance, id)`` pair: a record whose bound ties ``bsf`` is
     still fetched, and distance ties go to the smaller identifier.
+    Returned as the engine's outcome's unmeasured
+    :func:`~repro.indexes.base.best_of` (``-1`` at ``inf`` when the
+    column is empty).
     """
     if initial_answer < 0 and initial_bsf < float("inf"):
         raise ValueError(
@@ -288,13 +312,7 @@ def sims_scan(
         query[None], 1, column, config, fetch,
         [[(initial_bsf, initial_answer)]], block_records,
     )
-    found = bool(outcome.answer_ids)
-    return SIMSOutcome(
-        answer_id=outcome.answer_ids[0] if found else -1,
-        distance=outcome.distances[0] if found else float("inf"),
-        visited_records=outcome.visited_records,
-        pruned_fraction=outcome.pruned_fraction,
-    )
+    return best_of(outcome)
 
 
 def seeded_sims_search(
@@ -313,7 +331,7 @@ def seeded_sims_search(
     with Measurement(index.disk) as measure:
         column, fetch = prepare()
         seed = index._seed(query, *probe_args)
-        outcome = sims_scan(
+        result = sims_scan(
             query,
             column,
             index.config,
@@ -321,15 +339,9 @@ def seeded_sims_search(
             initial_bsf=seed.distance,
             initial_answer=seed.answer_idx,
         )
-    return measure.stamp(
-        QueryResult(
-            answer_idx=outcome.answer_id,
-            distance=outcome.distance,
-            visited_records=outcome.visited_records + seed.visited_records,
-            visited_leaves=seed.visited_leaves,
-            pruned_fraction=outcome.pruned_fraction,
-        )
-    )
+    result.visited_records += seed.visited_records
+    result.visited_leaves = seed.visited_leaves
+    return measure.stamp(result)
 
 
 class SIMSIndex(SeriesIndex):

@@ -187,7 +187,9 @@ def walk_candidate_blocks(
     survivors is fetched once.  Each query's rows lose those
     :func:`repro.core.sims.rows_that_can_win` rules out against its
     heap's threshold, then are refined by
-    :func:`repro.core.knn.refine_block`.
+    :func:`repro.core.knn.refine_block` lowest bound first: the k
+    lowest-bound kept rows, then only the others whose bound reaches
+    the threshold they leave, which is usually none of them.
     """
     visited = [0] * len(queries)
     for start in range(0, len(candidates), block_records):
@@ -209,8 +211,12 @@ def walk_candidate_blocks(
                 visited[i] += len(rows)
                 wanted.append(i)
                 wants.append((queries[i], rows, threshold))
-        series, identifiers, kept = fetch_rows_that_can_win(fetch, block, wants)
-        for i, rows in zip(wanted, kept):
+        series, identifiers, kept, bounds = fetch_rows_that_can_win(
+            fetch, block, wants
+        )
+        for i, rows, row_bounds in zip(wanted, kept, bounds):
             if len(rows):
-                refine_block(queries[i], series, identifiers, rows, heaps[i])
+                refine_block(
+                    queries[i], series, identifiers, rows, heaps[i], row_bounds
+                )
     return visited

@@ -227,7 +227,10 @@ def early_abandon_euclidean_block(
     ``offer_block`` (the SIMS walk), which drops rows above the
     threshold itself, so answers and tie order cannot depend on which
     rows come back ``inf``.  ``best_so_far`` is the caller's threshold at the call;
-    :func:`repro.core.knn.refine_block` calls once per fetched block.
+    :func:`repro.core.knn.refine_block` calls once per fetched block for
+    each query, or, where the Gram bound ran, once for the query's k
+    lowest-bound rows and once more for the rows the threshold they
+    leave still lets in (usually none).
 
     The body is one :func:`euclidean_batch` pass that abandons nothing:
     the rows that reach it and lose cross the threshold only near full

@@ -15,6 +15,7 @@ oracle                     production callable it pins            pinned in
 ``loop_read_pages``        ``read_pages`` (native and adapter)    ``test_fetch_oracle.py``
 ``per_page_append``        ``RawSeriesFile.append_batch``         ``test_seriesfile.py``
 ``refine_every_row``       ``repro.core.knn.refine_block``        ``test_refine_order.py``
+``refine_kept_rows``       ``repro.core.knn.refine_block``        ``test_refine_lowest_bound_first.py``
 ``searchsorted_symbols``   ``repro.summaries.sax.sax_from_paa``   ``test_sax.py``
 =========================  =====================================  ======================
 """
@@ -246,16 +247,28 @@ def per_page_append(raw, data):
 
 
 # ------------------------------------------------------------------ refine
-def refine_every_row(query, series, identifiers, rows, heap):
+def refine_every_row(query, series, identifiers, rows, heap, bounds=None):
     """Refine of a fetched block (same signature as ``refine_block``):
     one distance per row in ``rows``, against the threshold the heap
     has before the block, each offered on its own in storage order —
-    the per-row loop that ``offer_block``'s cut must end equal to."""
+    the per-row loop that ``offer_block``'s cut must end equal to.
+    ``bounds`` is ignored: every row is refined."""
     distances = early_abandon_euclidean_block(
         query, series[rows], heap.threshold
     )
     for distance, identifier in zip(distances.tolist(), identifiers[rows].tolist()):
         heap.offer(distance, identifier)
+
+
+def refine_kept_rows(query, series, identifiers, rows, heap, bounds=None):
+    """Refine of a fetched block (same signature as ``refine_block``)
+    that ignores ``bounds``: every row in ``rows`` is refined in one
+    kernel call against the threshold the heap has before the block,
+    and offered in one ``offer_block`` — the refine that lowest bound
+    first (the k lowest-bound rows, then those the new threshold still
+    lets in) must leave the same heap as."""
+    distances = early_abandon_euclidean_block(query, series[rows], heap.threshold)
+    heap.offer_block(distances, identifiers[rows])
 
 
 # ---------------------------------------------------------------- symbols

@@ -271,8 +271,8 @@ def test_sims_scan_answers_as_without_the_bound(
                 query, column, CONFIG, fetch, block_records=block_records, **seed
             ),
         )
-        assert (a.answer_id, a.visited_records, a.pruned_fraction) == (
-            b.answer_id, b.visited_records, b.pruned_fraction
+        assert (a.answer_idx, a.visited_records, a.pruned_fraction) == (
+            b.answer_idx, b.visited_records, b.pruned_fraction
         )
         assert np.float64(a.distance).tobytes() == np.float64(b.distance).tobytes()
         into_kernel += (rows_a, rows_b)

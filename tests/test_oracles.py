@@ -19,6 +19,7 @@ from oracles import (
     loop_read_pages,
     per_page_append,
     refine_every_row,
+    refine_kept_rows,
     searchsorted_symbols,
 )
 from repro import RawSeriesFile, SimulatedDisk
@@ -139,6 +140,17 @@ def test_loop_read_pages_is_page_at_a_time_reads(store):
 def test_refine_every_row_is_the_per_row_offer_loop(k):
     """Every selected row offered at its plain ``euclidean`` distance,
     one ``offer`` at a time; duplicated rows tie at the k-th place."""
+    _assert_per_row_offer_loop(refine_every_row, k)
+
+
+@pytest.mark.parametrize("k", [1, 3, 40])
+def test_refine_kept_rows_is_the_per_row_offer_loop(k):
+    """The one-call reference leaves the same heap, and ignores the
+    ``bounds`` the production refine takes its lowest rows by."""
+    _assert_per_row_offer_loop(refine_kept_rows, k)
+
+
+def _assert_per_row_offer_loop(refine, k):
     rng = np.random.default_rng(k)
     series = rng.standard_normal((30, 16)).astype(np.float32)
     series[10:20] = series[0]
@@ -148,7 +160,8 @@ def test_refine_every_row_is_the_per_row_offer_loop(k):
         refined, looped = _BoundedMaxHeap(k), _BoundedMaxHeap(k)
         refined.offer(0.5, 7)  # a seed outside the block
         looped.offer(0.5, 7)
-        refine_every_row(query, series, identifiers, rows, refined)
+        bounds = np.zeros(len(rows))  # rules nothing out; ignored
+        refine(query, series, identifiers, rows, refined, bounds)
         for row in rows:
             looped.offer(euclidean(query, series[row]), int(identifiers[row]))
         assert refined.sorted_items() == looped.sorted_items()

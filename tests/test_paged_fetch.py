@@ -9,7 +9,8 @@ pages it read, and only the rows that can win are copied; any other
 block is gathered as before.  The answer must not notice: the same
 surviving rows with the same bits, and the same ``DiskStats``, head
 and trace as ``get_many`` followed by ``rows_that_can_win`` on the
-copy.
+copy.  Each kept row comes back with its bound, bit for bit the
+bound of that row, or with ``None`` for a want no bound ran for.
 """
 
 import tracemalloc
@@ -25,6 +26,7 @@ from repro.core.invsax import invsax_keys
 from repro.core.sims import (
     DENSE_FETCH_SHARE,
     RawFetch,
+    bound_will_run,
     fetch_rows_that_can_win,
     rows_that_can_win,
     sims_scan,
@@ -115,6 +117,20 @@ def one_query_at_a_time(queries, block):
     return np.stack([euclidean_lower_bounds(query, block) for query in queries])
 
 
+def assert_kept_bounds(wants, series, kept, bounds, bound=euclidean_lower_bounds):
+    """Per want, ``None`` where :func:`bound_will_run` is false, else
+    bit for bit ``bound(query, kept rows)``: the bound of each kept row.
+    Call it while the module's ``BOUND_MIN_ELEMENTS`` is as the fetch
+    saw it."""
+    assert len(bounds) == len(kept) == len(wants)
+    for (query, rows, threshold), rows_kept, row_bounds in zip(wants, kept, bounds):
+        if not bound_will_run(len(rows), series.shape[1], threshold):
+            assert row_bounds is None
+            continue
+        assert row_bounds.dtype == np.float64 and len(row_bounds) == len(rows_kept)
+        assert row_bounds.tobytes() == bound(query, series[rows_kept]).tobytes()
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     layout=layouts(),
@@ -147,11 +163,12 @@ def test_property_paged_bound_equals_gather_then_bound(layout, kind, data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sims_module, "BOUND_MIN_ELEMENTS", 0)
         patch.setattr(sims_module, "euclidean_lower_bounds", one_query_at_a_time)
-        series, identifiers, kept = fetch_rows_that_can_win(
+        series, identifiers, kept, bounds = fetch_rows_that_can_win(
             RawFetch(got_raw, ids), positions, wants
         )
         reference = ref_raw.get_many(ids)
         expected = [rows_that_can_win(q, reference, r, t) for q, r, t in wants]
+        assert_kept_bounds(wants, series, kept, bounds)
     paged = (
         got_raw.records_fill_pages
         and any(t < float("inf") for _, _, t in wants)
@@ -207,14 +224,17 @@ def _spy(monkeypatch, raw):
 
 
 def _route(monkeypatch, raw, ids, threshold):
-    """Which read served one single-query fetch, and what the bound saw."""
+    """Which read served one single-query fetch, and what the bound saw;
+    the kept rows' bounds are checked on the way."""
     seen = _spy(monkeypatch, raw)
     query = np.zeros(raw.length)
     positions = np.arange(len(ids))
-    series, identifiers, (rows,) = fetch_rows_that_can_win(
-        RawFetch(raw, ids), positions, [(query, positions, threshold)]
+    wants = [(query, positions, threshold)]
+    series, identifiers, kept, bounds = fetch_rows_that_can_win(
+        RawFetch(raw, ids), positions, wants
     )
-    return seen, series, identifiers, rows
+    assert_kept_bounds(wants, series, kept, bounds)
+    return seen, series, identifiers, kept[0]
 
 
 def test_a_dense_block_at_a_finite_threshold_is_bounded_on_its_pages(monkeypatch):
@@ -240,11 +260,12 @@ def test_a_query_needing_few_rows_of_a_dense_block_bounds_a_copy(monkeypatch):
         (data[50].astype(np.float64), positions, 4.0),
         (np.zeros(LENGTH), few, 4.0),
     ]
-    series, identifiers, kept = fetch_rows_that_can_win(
+    series, identifiers, kept, bounds = fetch_rows_that_can_win(
         RawFetch(raw, np.arange(40, 240)), positions, wants
     )
     assert seen["paged"] == 1
     assert seen["bound_views"] == [True, False]
+    assert_kept_bounds(wants, series, kept, bounds)
     reference = data[40:240]
     for (query, rows, threshold), rows_kept in zip(wants, kept):
         expected = rows_that_can_win(query, reference, rows, threshold)
@@ -277,10 +298,20 @@ def test_dense_wants_share_one_bound_call_per_page_run(monkeypatch):
         query = data[ids[j]].astype(np.float64) + 0.01 * rng.standard_normal(LENGTH)
         threshold = float(np.sort(euclidean_batch(query, data[ids[rows]]))[4])
         wants.append((query, rows, threshold))
-    series, identifiers, kept = fetch_rows_that_can_win(
+    series, identifiers, kept, bounds = fetch_rows_that_can_win(
         RawFetch(raw, ids), positions, wants
     )
     assert calls == [((3, LENGTH), False, 80)] * 2 + [((LENGTH,), True, 16)]
+    # The shared wants' bounds are the (Q, n) call's, one page run at a
+    # time; the last want's are its own copy's.
+    shared = np.stack([query for query, _, _ in wants[:3]])
+    together = np.concatenate(
+        [real_bound(shared, data[40:120]), real_bound(shared, data[160:240])], axis=1
+    )
+    for i, rows_kept in enumerate(kept[:3]):
+        in_block = np.searchsorted(ids, identifiers[rows_kept])  # ``ids`` ascend
+        assert bounds[i].tobytes() == together[i][in_block].tobytes()
+    assert_kept_bounds(wants[3:], series, kept[3:], bounds[3:])
     for (query, rows, threshold), rows_kept in zip(wants, kept):
         winners = ids[rows][euclidean_batch(query, data[ids[rows]]) <= threshold]
         assert set(winners) <= set(identifiers[rows_kept])
@@ -325,10 +356,11 @@ def test_a_plain_fetch_is_called_as_it_is():
         calls.append(positions)
         return data[positions], positions
 
-    series, _, _ = fetch_rows_that_can_win(
+    series, _, _, bounds = fetch_rows_that_can_win(
         fetch, np.arange(64), [(np.zeros(LENGTH), np.arange(64), 1.0)]
     )
     assert len(calls) == 1 and series.shape == (64, LENGTH)
+    assert bounds == [None]  # 64 x 16 elements: below BOUND_MIN_ELEMENTS
 
 
 def test_no_view_outlives_the_call(monkeypatch):
@@ -337,12 +369,12 @@ def test_no_view_outlives_the_call(monkeypatch):
     monkeypatch.setattr(sims_module, "BOUND_MIN_ELEMENTS", 0)
     disk, raw, data = _raw()
     assert len(disk._arenas.arenas) == 1
-    series, _, _ = fetch_rows_that_can_win(
-        RawFetch(raw),
-        np.arange(len(data)),
-        [(data[3].astype(np.float64), np.arange(len(data)), 5.0)],
+    wants = [(data[3].astype(np.float64), np.arange(len(data)), 5.0)]
+    series, _, kept, bounds = fetch_rows_that_can_win(
+        RawFetch(raw), np.arange(len(data)), wants
     )
     assert len(series) < len(data)  # the paged path ran: only kept rows copied
+    assert_kept_bounds(wants, series, kept, bounds)
     raw.append_batch(data[:100])
     assert len(disk._arenas.arenas) == 1 and raw.file.n_extents == 1
     records = raw.read_records(raw.plan_fetch(np.arange(8)))
@@ -397,5 +429,5 @@ def test_a_dense_exact_block_copies_only_the_rows_that_can_win():
     finally:
         tracemalloc.stop()
     assert outcome.visited_records >= n // 2  # the block really is dense
-    assert outcome.answer_id == 17
+    assert outcome.answer_idx == 17
     assert peak < data.nbytes / 4, peak

@@ -136,7 +136,7 @@ def test_property_primed_engines_equal_the_refine_oracle_and_brute_force(
         ]
         return (
             [outcome_pairs(o) for o in batch + single]
-            + [[(o.distance.hex(), o.answer_id)] for o in nearest],
+            + [[(o.distance.hex(), o.answer_idx)] for o in nearest],
             [(o.visited_records, o.pruned_fraction) for o in batch + single + nearest],
             logs,
         )

@@ -12,8 +12,10 @@ Pinned here:
 * **Same reports** — ``exact_knn`` and ``query_batch`` of the Tree,
   Trie and LSM return the ids, distances, visited counts and
   ``DiskStats`` of a run with the oracle patched in.
-* **The saving** — with a heap the seeds already fill, the kernel sees
-  exactly the oracle's rows in one call per query per block; a
+* **The saving** — with a heap the seeds already fill, the refine
+  gets exactly the oracle's rows in one call per query per block, and
+  the kernel sees them in one call, or, where the Gram bound ran, the
+  lowest-bound row first and then at most the rest; a
   one-block union of more than ``REFINE_FIRST_ROWS`` rows is primed,
   and the walk after the prime fetches a few hundred rows per query
   where the unprimed walk fetches every record.
@@ -153,18 +155,51 @@ def batch_all(data, queries, seeds, column, k):
 ENGINES = {"sims_knn_scan": scan_all, "batched_exact_knn": batch_all}
 
 
+def refines(monkeypatch, run):
+    """Per ``refine_block`` call of the engine while ``run()``: its rows,
+    whether it got their bounds, and the rows of each kernel call it
+    made."""
+    seen = []
+    refine = repro.parallel.batch.refine_block
+    kernel = repro.core.knn.early_abandon_euclidean_block
+
+    def counting_refine(query, series, identifiers, rows, heap, bounds=None):
+        seen.append((len(rows), bounds is not None, []))
+        refine(query, series, identifiers, rows, heap, bounds)
+
+    def counting_kernel(query, block, best_so_far):
+        seen[-1][2].append(len(block))
+        return kernel(query, block, best_so_far)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(repro.parallel.batch, "refine_block", counting_refine)
+        patch.setattr(repro.core.knn, "early_abandon_euclidean_block", counting_kernel)
+        run([0])
+    return seen
+
+
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_a_full_heap_refines_as_the_oracle_in_one_call_per_block(
     probed, engine, monkeypatch
 ):
     """k = 1 from one probe seed: the heap starts full, so every block
-    is refined in the one call the oracle makes, with the same rows."""
+    is handed to the refine in one call, with the oracle's rows.  A
+    refine without bounds is the oracle's one kernel call; one with
+    bounds refines its lowest-bound row first and then at most the rows
+    its new threshold lets in, never more than the oracle."""
     _, queries, _, _ = probed
     run = ENGINES[engine](*probed, k=1)
-    calls, _ = kernel_rows(monkeypatch, None, run)
+    seen = refines(monkeypatch, run)
     want_calls, _ = kernel_rows(monkeypatch, refine_every_row, run)
-    assert calls == want_calls
-    assert len(calls) == len(queries)  # 2 000 records: one block
+    assert [rows for rows, _, _ in seen] == want_calls
+    assert len(want_calls) == len(queries)  # 2 000 records: one block
+    for rows, bounded, calls in seen:
+        if bounded and rows > 1:
+            assert calls[0] == 1 and len(calls) <= 2 and sum(calls) <= rows
+        else:
+            assert calls == [rows]
+    assert any(bounded for _, bounded, _ in seen)
+    assert sum(sum(calls) for _, _, calls in seen) < sum(want_calls)
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))

@@ -16,9 +16,11 @@ import importlib.util
 import pytest
 
 import repro
+import repro.core
 import repro.core.invsax
 import repro.core.knn
 import repro.core.lsm
+import repro.core.sims
 import repro.parallel
 import repro.parallel.batch
 import repro.parallel.sched
@@ -166,6 +168,9 @@ for owner in (BulkLoadedIndex, CoconutLSM, SIMSIndex):
 absent(SIMSIndex, "_approximate_batch", "_sims_exact_search")
 absent(_BoundedMaxHeap, "merge")
 absent(HealReport, "merge")
+# The 1-NN scan answers a QueryResult (best_of): no fourth 1-NN type.
+absent(repro.core, "SIMSOutcome")
+absent(repro.core.sims, "SIMSOutcome")
 
 # ------------------------------------------------------------ keywords
 

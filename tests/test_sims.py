@@ -29,7 +29,7 @@ def test_finds_exact_nearest_neighbor():
     outcome = sims_scan(query, words, CONFIG, fetch)
     true = euclidean_batch(query.astype(np.float64), data.astype(np.float64))
     assert outcome.distance == pytest.approx(float(true.min()), rel=1e-9)
-    assert outcome.answer_id == int(np.argmin(true))
+    assert outcome.answer_idx == int(np.argmin(true))
 
 
 def test_good_seed_reduces_visits():
@@ -56,7 +56,7 @@ def test_good_seed_reduces_visits():
     good, poor = seeded_at(3), seeded_at(len(true) // 2)
     assert good.visited_records < poor.visited_records
     assert good.distance == poor.distance == float(true[order[0]])
-    assert good.answer_id == poor.answer_id == int(order[0])
+    assert good.answer_idx == poor.answer_idx == int(order[0])
 
 
 def test_perfect_seed_visits_almost_nothing():
@@ -65,7 +65,7 @@ def test_perfect_seed_visits_almost_nothing():
     outcome = sims_scan(
         query, words, CONFIG, fetch, initial_bsf=1e-9, initial_answer=17
     )
-    assert outcome.answer_id == 17
+    assert outcome.answer_idx == 17
     # Only the query's own summary can tie the zero bound.
     assert outcome.visited_records <= 1
     assert outcome.pruned_fraction == pytest.approx(1.0, abs=0.01)
@@ -87,7 +87,7 @@ def test_distance_ties_go_to_the_smallest_identifier(block_records):
         outcome = sims_scan(
             data[40], words, CONFIG, fetch, block_records=block_records, **seed
         )
-        assert (outcome.answer_id, outcome.distance) == (740, 0.0)
+        assert (outcome.answer_idx, outcome.distance) == (740, 0.0)
 
 
 def test_fetch_receives_ascending_positions():
@@ -118,6 +118,6 @@ def test_empty_corpus():
 
     query = random_walk(1, length=64, seed=9)[0]
     outcome = sims_scan(query, words, CONFIG, fetch)
-    assert outcome.answer_id == -1
+    assert outcome.answer_idx == -1
     assert outcome.distance == float("inf")
     assert outcome.visited_records == 0
