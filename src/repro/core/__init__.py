@@ -18,7 +18,7 @@ from .invsax import (
     query_key,
     sortable_summary_size,
 )
-from .knn import KNNOutcome, sims_knn_scan
+from .knn import KNNOutcome
 from .lsm import CoconutLSM
 from .sims import sims_scan
 from .zorder import (
@@ -40,7 +40,6 @@ __all__ = [
     "dtw_mindist_to_words",
     "interleave_codes",
     "query_envelope",
-    "sims_knn_scan",
     "zorder_keys_for_features",
     "deinterleave_keys",
     "int_to_key",

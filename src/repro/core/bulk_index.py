@@ -202,12 +202,9 @@ class BulkLoadedIndex(SIMSIndex):
         one, unless the split policy lets a caller ask for more."""
         return 1
 
-    def approximate_search(self, query: np.ndarray) -> QueryResult:
-        """Algorithm 4 at the default radius; see :meth:`_approximate`."""
-        return self._approximate(query)
-
-    def _approximate(self, query: np.ndarray, radius_leaves=None) -> QueryResult:
-        """Inspect the query's would-be position ± a radius of leaves.
+    def _seed(self, query: np.ndarray, radius_leaves=None) -> QueryResult:
+        """Algorithm 4, unmeasured, for a query already checked: inspect
+        the query's would-be position ± a radius of leaves.
 
         The target leaf (plus ``radius - 1`` physically adjacent
         leaves, which are sequential on disk) is read.  A materialized
@@ -217,14 +214,6 @@ class BulkLoadedIndex(SIMSIndex):
         query's insertion point, about one raw-file page per radius
         step ("usually a disk page", Sec. 4.3).
         """
-        query = self._query_array(query)
-        with Measurement(self.disk) as measure:
-            result = self._seed(query, radius_leaves)
-        return measure.stamp(result)
-
-    def _seed(self, query: np.ndarray, radius_leaves=None) -> QueryResult:
-        """:meth:`_approximate`'s answer, unmeasured, for a query already
-        checked: the probe that seeds an exact search."""
         radius = self._radius(radius_leaves)
         key = query_key(query, self.config)
         return self._probe_result(
@@ -280,8 +269,8 @@ class BulkLoadedIndex(SIMSIndex):
         return self._read_leaf_records(self._leaves[i])
 
     def _approximate_batch(self, queries: np.ndarray) -> list[QueryResult]:
-        """:meth:`approximate_search`'s answers for a checked batch,
-        unmeasured, in batch order, each distinct leaf read once.
+        """:meth:`_seed`'s answers for a checked batch at the default
+        radius, unmeasured, in batch order, each distinct leaf read once.
 
         The queries are visited in ascending target leaf (a stable
         sort), so the shared reads walk the leaf file forward, through

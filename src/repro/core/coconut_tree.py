@@ -9,12 +9,13 @@ whole leaf level is physically contiguous: queries read neighboring
 leaves with streaming I/O instead of seeks.
 
 Everything but the split policy — the summarize and sort stages, the
-summary column and its sidecar, the approximate probe (Algorithm 4),
-SIMS exact search (Algorithm 5) and the batched entry points — is
-:class:`repro.core.bulk_index.BulkLoadedIndex`, shared with
-Coconut-Trie.  What rank-based splitting adds is here: fixed-size leaf
-slots packed to a fill factor, a probe radius wider than one leaf (the
-neighbors are adjacent on disk), and updates.
+summary column and its sidecar, the approximate probe (Algorithm 4) —
+is :class:`repro.core.bulk_index.BulkLoadedIndex`, shared with
+Coconut-Trie; the query entry points, SIMS exact search (Algorithm 5)
+included, are :class:`repro.core.sims.SIMSIndex`'s.  What rank-based
+splitting adds is here: fixed-size leaf slots packed to a fill factor,
+a probe radius wider than one leaf (the neighbors are adjacent on
+disk), and updates.
 
 Two variants, as in the paper:
 
@@ -41,7 +42,6 @@ from ..storage.disk import SimulatedDisk
 from ..summaries.sax import SAXConfig
 from .bulk_index import BulkLoadedIndex, payload_dtype
 from .invsax import invsax_keys, key_bytes
-from .sims import seeded_sims_search
 from .summary_column import row_dtype
 
 
@@ -202,31 +202,30 @@ class CoconutTree(BulkLoadedIndex):
             return self.default_radius
         return _leaf_radius(radius_leaves, "radius_leaves") or self.default_radius
 
+    def _probe_args(self, radius_leaves=None) -> tuple:
+        """A one-query call's probe argument: its radius, checked."""
+        return (self._radius(radius_leaves),)
+
     def approximate_search(
         self, query: np.ndarray, radius_leaves: int | None = None
     ) -> QueryResult:
         """Algorithm 4 over ``radius_leaves`` leaves (default: the
-        constructor's ``default_radius``); see ``_approximate``."""
-        return self._approximate(query, radius_leaves)
+        constructor's ``default_radius``)."""
+        return super().approximate_search(query, radius_leaves)
 
     def exact_search(
         self, query: np.ndarray, radius_leaves: int | None = None
     ) -> QueryResult:
         """Algorithm 5, seeded by a probe of ``radius_leaves`` leaves."""
-        radius = self._radius(radius_leaves)
-        return seeded_sims_search(self, query, self._prepare_sims, radius)
+        return super().exact_search(query, radius_leaves)
 
     def exact_knn(
         self, query: np.ndarray, k: int, radius_leaves: int | None = None
     ):
-        """Exact k nearest neighbors (:meth:`SIMSIndex.exact_knn`).
-
-        At ``k = 1`` the scan is seeded by a probe of ``radius_leaves``
-        leaves; at ``k > 1`` no probe runs, so the radius applies only
-        at ``k = 1``.  A bad radius is refused before anything is read
-        at every ``k``.
-        """
-        return self._sims_exact_knn(query, k, self._radius(radius_leaves))
+        """Exact k nearest neighbors; the probe, and so ``radius_leaves``,
+        runs only at ``k = 1``, but a bad radius is refused at every ``k``
+        before anything is read."""
+        return super().exact_knn(query, k, radius_leaves)
 
     # ------------------------------------------------------------------
     # Updates (Fig. 10a)

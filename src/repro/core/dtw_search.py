@@ -107,6 +107,8 @@ def dtw_exact_search(
     path, so I/O is charged to the same simulated disk.  The query
     (its length, NaN / inf) and ``window`` are checked once, before
     anything is read: ``ValueError`` leaves ``DiskStats`` untouched.
+    The answer is the smallest ``(distance, id)`` pair, so among tying
+    series it names brute force's smallest id.
     """
     query = index._query_array(query)
     window = check_window(window)
@@ -123,22 +125,24 @@ def dtw_exact_search(
         bsf = dtw(query, candidate, window=window)
         answer = seed.answer_idx
 
-    order = np.nonzero(bounds < bsf)[0]
+    # A bound equal to ``bsf`` may still tie it at a smaller id, so only
+    # a bound strictly above it prunes, and ties go to the smaller id.
+    order = np.nonzero(bounds <= bsf)[0]
     visited = refined = 0
     for start in range(0, len(order), block_records):
         block = order[start : start + block_records]
-        block = block[bounds[block] < bsf]
+        block = block[bounds[block] <= bsf]
         if len(block) == 0:
             continue
         series, identifiers = fetch(block)
         visited += len(block)
         for row, identifier in zip(series, identifiers):
             row = row.astype(np.float64)
-            if lb_keogh(query, row, window) >= bsf:
+            if lb_keogh(query, row, window) > bsf:
                 continue
             refined += 1
             distance = dtw(query, row, window=window)
-            if distance < bsf:
+            if (distance, int(identifier)) < (bsf, answer):
                 bsf = distance
                 answer = int(identifier)
     n = len(column)

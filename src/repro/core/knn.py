@@ -2,10 +2,13 @@
 
 The paper defines similarity search as 1-NN (Definition 2) but the
 data mining tasks it motivates (classification, clustering, deviation
-detection) consume k nearest neighbors; this module generalizes the
-SIMS engine accordingly.  The scan keeps a bounded max-heap of the k
-best answers and prunes against the k-th best distance — with k = 1 it
-degenerates to Algorithm 5 exactly.
+detection) consume k nearest neighbors.  This module holds what every
+k-NN search refines with: the bounded max-heap of the k best
+``(distance, id)`` pairs whose k-th distance is the pruning threshold,
+the refine of one fetched block into it, the :class:`KNNOutcome` it
+answers, and the brute-force scan (:func:`scan_knn`).  The SIMS engine
+over them is :func:`repro.parallel.batch.batched_exact_knn`; with
+k = 1 it is Algorithm 5 exactly.
 """
 
 from __future__ import annotations
@@ -16,9 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..series.distance import early_abandon_euclidean_block
-from ..summaries.sax import SAXConfig
-from .sims import SIMS_BLOCK_RECORDS, FetchFn
-from .summary_column import WordColumn
 
 
 @dataclass
@@ -204,29 +204,3 @@ def scan_knn(raw, queries: np.ndarray, k: int) -> list[KNNOutcome]:
             heap.offer_block(distances, identifiers)
     return [heap.outcome(raw.n_series, raw.n_series) for heap in heaps]
 
-
-def sims_knn_scan(
-    query: np.ndarray,
-    k: int,
-    column: WordColumn,
-    config: SAXConfig,
-    fetch: FetchFn,
-    seed_distances: list[tuple[float, int]] | None = None,
-    block_records: int = SIMS_BLOCK_RECORDS,
-) -> KNNOutcome:
-    """Exact k-NN via the skip-sequential summary scan.
-
-    The one-query case of
-    :func:`repro.parallel.batch.batched_exact_knn`: the same prime pass
-    and block walk, so every index's ``exact_knn`` refines as its
-    batches do.  ``seed_distances`` are (distance, id) pairs from an
-    approximate pass (ids < 0 are ignored); they tighten the pruning
-    bound from the start.
-    """
-    from ..parallel.batch import batched_exact_knn  # deferred: batch imports knn
-
-    query = np.asarray(query, dtype=np.float64).ravel()
-    (outcome,) = batched_exact_knn(
-        query[None], k, column, config, fetch, [seed_distances or []], block_records
-    )
-    return outcome

@@ -418,16 +418,22 @@ class CoconutLSM(SIMSIndex):
             read_window(run, first_page, last_page - first_page + 1)
         return run.offsets[start:stop], np.arange(start, stop)
 
-    def _approximate_one(
-        self, query: np.ndarray, read_window=None, raw=None
-    ) -> tuple[int, float, np.ndarray]:
-        """One approximate probe: (answer_idx, distance, offsets).
+    def _sorted_memtable(self) -> tuple[np.ndarray, np.ndarray]:
+        """The memtable's ``(keys, offsets)`` in stable key order."""
+        keys = np.concatenate(self._mem_keys)
+        order = np.argsort(keys, kind="stable")
+        return keys[order], np.concatenate(self._mem_offsets)[order]
 
-        ``offsets`` (ascending, distinct) are the records the probe
-        refined.  Shared between :meth:`approximate_search` and the
-        batched paths; only ``read_window`` (how run page windows are
-        charged) and ``raw`` (which device the record fetch lands on)
-        vary, so per-query answers are identical by construction.
+    def _seed(self, query: np.ndarray, read_window=None, raw=None) -> QueryResult:
+        """One approximate probe, unmeasured, for a query already checked:
+        every run (and the memtable) around the query key.
+
+        The records it refined (distinct offsets) count as visited, and
+        every run as a visited leaf.  Shared between the one-query entry
+        points and the batched paths; only ``read_window`` (how run page
+        windows are charged) and ``raw`` (which device the record fetch
+        lands on) vary, so per-query answers are identical by
+        construction.
         """
         raw = raw if raw is not None else self.raw
         key = query_key(query, self.config)
@@ -449,31 +455,13 @@ class CoconutLSM(SIMSIndex):
             if offset_parts
             else np.empty(0, dtype=np.int64)
         )
-        if len(offsets) == 0:
-            return -1, float("inf"), offsets
-        distances = early_abandon_euclidean_block(
-            query, raw.get_many(offsets), float("inf")
-        )
-        j = int(np.argmin(distances))
-        return int(offsets[j]), float(distances[j]), offsets
-
-    def _sorted_memtable(self) -> tuple[np.ndarray, np.ndarray]:
-        """The memtable's ``(keys, offsets)`` in stable key order."""
-        keys = np.concatenate(self._mem_keys)
-        order = np.argsort(keys, kind="stable")
-        return keys[order], np.concatenate(self._mem_offsets)[order]
-
-    def approximate_search(self, query: np.ndarray) -> QueryResult:
-        """Probe every run (and the memtable) around the query key."""
-        query = self._query_array(query)
-        with Measurement(self.disk) as measure:
-            result = self._seed(query)
-        return measure.stamp(result)
-
-    def _seed(self, query: np.ndarray, read_window=None, raw=None) -> QueryResult:
-        """:meth:`_approximate_one` as an unmeasured result, for a query
-        already checked: the probe that seeds an exact search."""
-        best_idx, best_dist, offsets = self._approximate_one(query, read_window, raw)
+        best_idx, best_dist = -1, float("inf")
+        if len(offsets):
+            distances = early_abandon_euclidean_block(
+                query, raw.get_many(offsets), float("inf")
+            )
+            j = int(np.argmin(distances))
+            best_idx, best_dist = int(offsets[j]), float(distances[j])
         return QueryResult(
             answer_idx=best_idx,
             distance=best_dist,
@@ -484,8 +472,8 @@ class CoconutLSM(SIMSIndex):
     def _approximate_batch(
         self, queries: np.ndarray, device=None
     ) -> list[QueryResult]:
-        """:meth:`approximate_search`'s answers for a checked batch,
-        unmeasured, in batch order, sharing one window cache.
+        """:meth:`_seed`'s answers for a checked batch, unmeasured, in
+        batch order, sharing one window cache.
 
         Every query probes every run around its own key, so there is no
         cross-query order to exploit: the queries go in batch order and

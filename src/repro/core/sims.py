@@ -19,12 +19,11 @@ pages it read and copies only those that can
 (:func:`fetch_rows_that_can_win`), and the kept rows' bounds go on to
 the refine, which takes the lowest first.
 
-:class:`SIMSIndex` is what the Coconut indexes share *above* that engine:
-given an approximate probe and a ``(column, fetch)`` pair, exact search,
-exact k-NN and ``query_batch`` are the same code whether the records sit
-in median-split leaves, prefix-split leaves or LSM runs; ``query_batch``
-calls the engine itself.  :func:`seeded_sims_search`, the measured,
-probe-seeded 1-NN search, is also ADS's exact search.
+:class:`SIMSIndex` is the one query front-end above that engine: its
+four entry points (approximate search, exact search, exact k-NN and
+``query_batch``) are defined once, over three hooks each index supplies
+— the probe, the batched probe and the ``(column, fetch)`` pair — for
+the Coconut indexes and ADS alike.
 """
 
 from __future__ import annotations
@@ -315,46 +314,33 @@ def sims_scan(
     return best_of(outcome)
 
 
-def seeded_sims_search(
-    index, query: np.ndarray, prepare, *probe_args
-) -> QueryResult:
-    """Algorithm 5 on ``index``: one exact 1-NN search, measured.
-
-    The query is checked first.  Then, inside one measurement,
-    ``prepare()`` yields the ``(column, fetch)`` pair, the probe
-    ``index._seed(query, *probe_args)`` seeds the best-so-far, and
-    :func:`sims_scan` finishes the search.  The probe's records count
-    as visited.  Shared by every :class:`SIMSIndex` and by ADS, whose
-    column is in raw-file order.
-    """
-    query = index._query_array(query)
-    with Measurement(index.disk) as measure:
-        column, fetch = prepare()
-        seed = index._seed(query, *probe_args)
-        result = sims_scan(
-            query,
-            column,
-            index.config,
-            fetch,
-            initial_bsf=seed.distance,
-            initial_answer=seed.answer_idx,
-        )
-    result.visited_records += seed.visited_records
-    result.visited_leaves = seed.visited_leaves
-    return measure.stamp(result)
-
-
 class SIMSIndex(SeriesIndex):
-    """Exact search, exact k-NN and batches over a summary column.
+    """Algorithm 5's four entry points over a summary column, written once.
 
-    A subclass supplies ``_seed(query, *probe_args)`` — the approximate
-    probe's unmeasured :class:`QueryResult` for a query already checked,
-    the pruning seed — ``_prepare_sims()`` -> ``(column, fetch)`` —
-    loading whatever the column needs, charging its I/O to the caller's
-    measurement — and ``_approximate_batch(queries)``: the unmeasured
-    answers of :meth:`approximate_search` for a checked batch, sharing
-    the probe's reads across it.
+    Approximate search, exact search, exact k-NN and ``query_batch`` are
+    the same code whether the records sit in median-split leaves,
+    prefix-split leaves, LSM runs or ADS's raw-file order.  A subclass
+    supplies three hooks:
+
+    * ``_seed(query, *probe_args)`` — the approximate probe's unmeasured
+      :class:`QueryResult` for a query already checked: the approximate
+      answer, and the pruning seed of a 1-NN search;
+    * ``_approximate_batch(queries)`` — the unmeasured probe answers of
+      a checked batch, in batch order, sharing the probe's reads across
+      it;
+    * ``_prepare_sims()`` -> ``(column, fetch)`` — loading whatever the
+      column needs, charging its I/O to the caller's measurement.
+
+    The one-query entry points pass their extra arguments through
+    ``_probe_args``, which checks them before anything is read and
+    returns what ``_seed`` gets after the query: none, and any extra
+    argument is a ``TypeError``, except on ``CoconutTree``, whose probe
+    takes a radius.
     """
+
+    def _probe_args(self) -> tuple:
+        """The probe arguments of a one-query call: none."""
+        return ()
 
     @staticmethod
     def _probe_seeds(k: int) -> bool:
@@ -369,77 +355,99 @@ class SIMSIndex(SeriesIndex):
         """
         return k == 1
 
-    def exact_search(self, query: np.ndarray) -> QueryResult:
-        """Algorithm 5: SIMS over the column, seeded by the probe."""
-        return seeded_sims_search(self, query, self._prepare_sims)
+    def approximate_search(self, query: np.ndarray, *probe_args) -> QueryResult:
+        """The probe (Algorithm 4 on the Coconut indexes), measured."""
+        probe_args = self._probe_args(*probe_args)
+        query = self._query_array(query)
+        with Measurement(self.disk) as measure:
+            result = self._seed(query, *probe_args)
+        return measure.stamp(result)
 
-    def exact_knn(self, query: np.ndarray, k: int):
-        """Exact k nearest neighbors via the SIMS kNN scan (core.knn).
+    def exact_search(self, query: np.ndarray, *probe_args) -> QueryResult:
+        """Algorithm 5: the probe seeds :func:`sims_scan` over the column.
 
-        At ``k = 1`` the scan is seeded by the probe's best answer; at
+        The probe's records count as visited, and its leaves are the
+        visited leaves.
+        """
+        probe_args = self._probe_args(*probe_args)
+        query = self._query_array(query)
+        with Measurement(self.disk) as measure:
+            column, fetch = self._prepare_sims()
+            seed = self._seed(query, *probe_args)
+            result = sims_scan(
+                query, column, self.config, fetch, seed.distance, seed.answer_idx
+            )
+        result.visited_records += seed.visited_records
+        result.visited_leaves = seed.visited_leaves
+        return measure.stamp(result)
+
+    def exact_knn(self, query: np.ndarray, k: int, *probe_args):
+        """Exact k nearest neighbors: the engine's one-query call.
+
+        At ``k = 1`` the engine is seeded by the probe's answer; at
         ``k > 1`` it runs unseeded and primes its heap
         (:meth:`_probe_seeds`), so no probe runs and ``visited_records``
-        counts no probe rows, only the rows the scan fetched.
+        counts only the rows the engine fetched.
 
         Returns a :class:`repro.core.knn.KNNOutcome` carrying the
         query's I/O, any probe's and summary load included.
         """
-        return self._sims_exact_knn(query, k)
-
-    def _sims_exact_knn(self, query: np.ndarray, k: int, *probe_args):
-        """``exact_knn`` with ``probe_args`` passed on to the probe."""
-        from .knn import sims_knn_scan  # deferred: knn imports sims
-
+        probe_args = self._probe_args(*probe_args)
         k = check_k(k)
         query = self._query_array(query)
+        (outcome,), probes, measure = self._exact_knn_batch(
+            query[None], k, lambda: [self._seed(query, *probe_args)]
+        )
+        for probe in probes:
+            outcome.visited_records += probe.visited_records
+        return measure.stamp(outcome)
+
+    def _exact_knn_batch(self, queries: np.ndarray, k: int, probe):
+        """Exact k-NN of checked ``queries`` in one measurement.
+
+        The column is prepared, ``probe()`` — the probe answers, one per
+        query — runs only when :meth:`_probe_seeds` asks for seeds, and
+        one :func:`repro.parallel.batch.batched_exact_knn` call answers
+        every query.  Returns ``(outcomes, probe answers, measurement)``;
+        the probe answers are empty when no probe ran.
+        """
+        from ..parallel.batch import batched_exact_knn  # deferred: batch imports sims
+
         with Measurement(self.disk) as measure:
             column, fetch = self._prepare_sims()
-            seeds, probed = None, 0
-            if self._probe_seeds(k):
-                seed = self._seed(query, *probe_args)
-                seeds, probed = [(seed.distance, seed.answer_idx)], seed.visited_records
-            outcome = sims_knn_scan(
-                query, k, column, self.config, fetch, seed_distances=seeds
-            )
-        outcome.visited_records += probed
-        return measure.stamp(outcome)
+            probes = probe() if self._probe_seeds(k) else []
+            seeds = [[(p.distance, p.answer_idx)] for p in probes] or None
+            outcomes = batched_exact_knn(queries, k, column, self.config, fetch, seeds)
+        return outcomes, probes, measure
 
     def query_batch(self, batch, query_workers=1):
         """Batched queries sharing work across the batch.
 
         The queries are checked, then ``query_workers`` (an integer or
         ``None``; it changes nothing, every batch runs on the calling
-        thread).  Exact batches are one call of the shared engine
-        (:func:`repro.parallel.batch.batched_exact_knn`): the summary
-        column is loaded once and every fetched record block serves all
-        queries that still need it; a ``k = 1`` batch is seeded from
-        one probe pass (:meth:`_probe_seeds`).  Approximate batches are
-        that probe pass (``_approximate_batch``): a leaf — or, on the
-        LSM, a run page window — several queries land in is read once.
-        Either way, answers are identical to issuing the queries one at
-        a time.  The batch's predicted cost
+        thread).  An exact batch is :meth:`exact_knn`'s body over every
+        query at once: the summary column is loaded once, a ``k = 1``
+        batch is seeded from one probe pass (``_approximate_batch``),
+        and every fetched record block serves all queries that still
+        need it.  An approximate batch is that probe pass: a leaf — or,
+        on the LSM, a run page window — several queries land in is read
+        once.  Either way, answers are identical to issuing the queries
+        one at a time.  The batch's predicted cost
         (:func:`repro.parallel.sched.plan_query_batch`) is attached as
         ``report.plan``.
         """
-        from ..parallel import batch as engine, sched  # deferred: they import sims
+        from ..parallel import sched  # deferred: repro.parallel imports sims
 
         queries = self._query_matrix(batch.queries)
         sched.resolve_workers(query_workers)
         plan = sched.plan_query_batch(batch, self)
-        with Measurement(self.disk) as measure:
-            if batch.mode == "approximate":
+        if batch.mode == "approximate":
+            with Measurement(self.disk) as measure:
                 answers = self._approximate_batch(queries)
-            else:
-                column, fetch = self._prepare_sims()
-                seeds = None
-                if self._probe_seeds(batch.k):
-                    seeds = [
-                        [(probe.distance, probe.answer_idx)]
-                        for probe in self._approximate_batch(queries)
-                    ]
-                answers = engine.batched_exact_knn(
-                    queries, batch.k, column, self.config, fetch, seeds
-                )
+        else:
+            answers, _, measure = self._exact_knn_batch(
+                queries, batch.k, lambda: self._approximate_batch(queries)
+            )
         report = BatchReport.of(answers, measure)
         report.plan = plan
         return report

@@ -17,26 +17,30 @@ The paper's main competitor (Zoumpatianos et al., VLDB J. 2016).
 Exact search is SIMS (Zoumpatianos et al.): the in-memory summary
 column — aligned with the raw file order — is scanned with vectorized
 lower bounds, and surviving records are fetched skip-sequentially from
-the raw file.  Coconut's CoconutTreeSIMS (Algorithm 5) differs by
-scanning summaries in *index* order; both share the engine in
-:mod:`repro.core.sims`.
+the raw file.  Coconut's CoconutTreeSIMS (Algorithm 5) differs only by
+scanning summaries in *index* order, so ADS is a
+:class:`~repro.core.sims.SIMSIndex`: it supplies the probe (the leaf
+the query routes to, materialized first on ADS+) and the
+``(column, raw-file fetch)`` pair, and answers through the same four
+entry points as the Coconut indexes — exact k-NN and exact batches
+included, pruned by the one engine.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.sims import RawFetch, seeded_sims_search
+from ..core.sims import RawFetch, SIMSIndex
 from ..core.summary_column import WordColumn
 from ..series.distance import early_abandon_euclidean_block
 from ..storage.disk import SimulatedDisk
 from ..storage.seriesfile import RawSeriesFile
 from ..summaries.sax import SAXConfig, sax_words
-from .base import BuildReport, Measurement, QueryResult, SeriesIndex
+from .base import BuildReport, Measurement, QueryResult
 from .isax2 import ISAXTree, _Leaf
 
 
-class ADSIndex(SeriesIndex):
+class ADSIndex(SIMSIndex):
     """ADSFull (``plus=False``) or ADS+ (``plus=True``)."""
 
     def __init__(
@@ -196,15 +200,11 @@ class ADSIndex(SeriesIndex):
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def approximate_search(self, query: np.ndarray) -> QueryResult:
-        query = self._query_array(query)
-        with Measurement(self.disk) as measure:
-            result = self._seed(query)
-        return measure.stamp(result)
-
     def _seed(self, query: np.ndarray) -> QueryResult:
-        """The approximate answer, unmeasured, for a query already
-        checked: the probe that seeds an exact search."""
+        """The probe, unmeasured, for a query already checked: the leaf
+        the query's word routes to (split and materialized first on
+        ADS+), every record in it refined.  The approximate answer, and
+        the seed of a 1-NN search."""
         word = sax_words(query[None, :], self.config)[0]
         leaf = self.tree.route(word, create=False)
         best_idx, best_dist, visited = -1, float("inf"), 0
@@ -227,11 +227,15 @@ class ADSIndex(SeriesIndex):
             visited_leaves=1 if visited else 0,
         )
 
-    def exact_search(self, query: np.ndarray) -> QueryResult:
-        """SIMS: summaries in raw-file order + skip-sequential scan."""
-        return seeded_sims_search(
-            self, query, lambda: (self._column, RawFetch(self.raw))
-        )
+    def _approximate_batch(self, queries: np.ndarray) -> list[QueryResult]:
+        """The probe per query, in batch order: an ADS+ probe materializes
+        the leaf it visits, so a later query may find it materialized."""
+        return [self._seed(query) for query in queries]
+
+    def _prepare_sims(self):
+        """SIMS's pair: the summary column in raw-file order, and the raw
+        file read straight by position."""
+        return self._column, RawFetch(self.raw)
 
     # ------------------------------------------------------------------
     def storage_bytes(self) -> int:

@@ -247,9 +247,11 @@ class SeriesIndex(abc.ABC):
         """Exact k nearest neighbors; returns a ``KNNOutcome``.
 
         k = 1 delegates to :meth:`exact_search` (the index's own pruned
-        path).  For larger k the base implementation falls back to a
-        ground-truth scan of the raw file — exact but unindexed, so
-        SIMS-backed indexes override it with a pruned k-NN scan.
+        path).  For larger k this falls back to a ground-truth scan of
+        the raw file — exact but unindexed.  Every SIMS-backed index
+        (the Coconut family and ADS, :class:`repro.core.sims.SIMSIndex`)
+        answers every k with the pruned engine instead; the other
+        baselines use this.
         """
         from ..core.knn import KNNOutcome, scan_knn  # deferred
 

@@ -12,10 +12,12 @@ pass and serves the whole batch.  When that union holds more than
 refines each short heap's lowest-bound rows (:func:`prime_short_heaps`),
 so the walk starts at thresholds close to the final ones.
 
-It is the one exact engine: :func:`repro.core.knn.sims_knn_scan` is
-its one-query call and the 1-NN :func:`repro.core.sims.sims_scan` its
-seeded ``k = 1`` one-query call.  Only a ``k = 1`` search is seeded
-from the approximate probe: one probe answer fills a 1-NN heap, while a
+It is the one exact engine.  Every SIMS index's ``exact_knn`` and
+exact ``query_batch`` make one call of it
+(:class:`repro.core.sims.SIMSIndex`), and the 1-NN
+:func:`repro.core.sims.sims_scan` behind ``exact_search`` is its seeded
+``k = 1`` one-query call.  Only a ``k = 1`` search is seeded from the
+approximate probe: one probe answer fills a 1-NN heap, while a
 ``k > 1`` heap would stay short and be primed anyway, so library
 ``k > 1`` batches and ``exact_knn`` calls run unseeded, as served
 exact tickets do.
@@ -54,10 +56,13 @@ def batched_exact_knn(
 ) -> list[KNNOutcome]:
     """Exact k nearest neighbors for every query in one shared pass.
 
-    Parameters mirror :func:`repro.core.knn.sims_knn_scan`, except that
-    ``queries`` is a (Q, n) batch and ``seeds`` holds one (distance,
-    id) seed list per query (ids < 0 are ignored); a ``seeds`` of any
-    other length is refused before anything is fetched.  ``fetch`` is
+    ``queries`` is a (Q, n) batch (one query: ``query[None]``),
+    ``column`` the summary column in storage order and ``fetch`` its
+    fetch (:data:`repro.core.sims.FetchFn`).  ``seeds`` holds one
+    (distance, id) seed list per query, from an approximate pass (ids
+    < 0 are ignored), which tightens the pruning bound from the start;
+    a ``seeds`` of any other length is refused before anything is
+    fetched.  ``fetch`` is
     called with ascending positions exactly once per unpruned block —
     the same skip-sequential contract as the per-query engine, shared
     batch-wide — in two passes when some heap is short of k and the

@@ -11,7 +11,7 @@ time can be set against measured time.
 ``query_workers`` is accepted everywhere a batch is asked for, because
 existing callers (the pipeline benchmark) pass it, and checked by
 :func:`resolve_workers`; it changes nothing.  ``docs/queries.md``
-("Decided on 2-core evidence") has the measurements that left one
+(*Execution tiers*) names the commits whose measurements left one
 engine.
 """
 

@@ -14,6 +14,8 @@ import pytest
 
 from repro import QueryBatch, RawSeriesFile, SerialScan, SimulatedDisk, make_dataset
 from repro.core import CoconutLSM, CoconutTree, CoconutTrie
+from repro.core.bulk_index import BulkLoadedIndex
+from repro.core.sims import SIMSIndex
 from repro.indexes import ADSIndex, DSTree, ISAX2Index, RTreeIndex, VerticalIndex
 from repro.series import query_workload
 from repro.summaries import SAXConfig
@@ -127,6 +129,24 @@ def test_approximate_batch_matches_per_query(workload):
         assert report.results[i].distance == pytest.approx(solo.distance)
 
 
+ENTRY_POINTS = ("approximate_search", "exact_search", "exact_knn", "query_batch")
+
+
+def test_entry_points_are_defined_once():
+    """Every SIMS index answers through ``SIMSIndex``'s four entry points.
+
+    ``CoconutTree`` alone overrides three of them, each to pass its
+    ``radius_leaves`` on to the probe; no other SIMS index (ADS
+    included) or intermediate class defines one."""
+    from repro.service.snapshot import _FrozenLSM  # the served view
+
+    assert set(ENTRY_POINTS) <= set(vars(SIMSIndex))
+    assert issubclass(ADSIndex, SIMSIndex)
+    for cls in (BulkLoadedIndex, CoconutTrie, CoconutLSM, _FrozenLSM, ADSIndex):
+        assert not set(ENTRY_POINTS) & set(vars(cls)), cls
+    assert set(ENTRY_POINTS) & set(vars(CoconutTree)) == set(ENTRY_POINTS[:3])
+
+
 def test_query_batch_validation():
     with pytest.raises(ValueError):
         QueryBatch(queries=np.zeros((2, 8)), k=0)
@@ -134,10 +154,12 @@ def test_query_batch_validation():
         QueryBatch(queries=np.zeros((2, 8)), mode="fuzzy")
 
 
-def test_default_loop_fallback_agrees(workload):
-    """Indexes without a shared-scan override use the per-query loop."""
+@pytest.mark.parametrize("cls", [ADSIndex, ISAX2Index])
+def test_default_loop_fallback_agrees(workload, cls):
+    """ADS batches through ``SIMSIndex``; iSAX2.0, without a shared-scan
+    override, through the per-query loop.  Both answer as the oracle."""
     disk, raw, queries, oracle = workload
-    index = ADSIndex(disk, MEMORY, config=default_config(48), leaf_size=32)
+    index = cls(disk, MEMORY, config=default_config(48), leaf_size=32)
     index.build(raw)
     report = index.query_batch(QueryBatch(queries=queries, k=1))
     for i, query in enumerate(queries):
@@ -146,11 +168,13 @@ def test_default_loop_fallback_agrees(workload):
         assert report.results[i].distance == pytest.approx(want.distance)
 
 
-def test_default_knn_fallback_matches_oracle(workload):
+@pytest.mark.parametrize("cls", [ADSIndex, ISAX2Index])
+def test_default_knn_fallback_matches_oracle(workload, cls):
     """Indexes without a SIMS k-NN override fall back to a ground-truth
-    scan of the raw file (regression: they used to raise for k > 1)."""
+    scan of the raw file (regression: they used to raise for k > 1);
+    ADS answers k > 1 with the pruned SIMS engine, equally exact."""
     disk, raw, queries, oracle = workload
-    index = ADSIndex(disk, MEMORY, config=default_config(48), leaf_size=32)
+    index = cls(disk, MEMORY, config=default_config(48), leaf_size=32)
     index.build(raw)
     report = index.query_batch(QueryBatch(queries=queries, k=3))
     want = oracle.query_batch(QueryBatch(queries=queries, k=3))
@@ -184,7 +208,8 @@ def test_oversized_batch_splits_without_changing_answers(workload, monkeypatch):
 # ----------------------------------------------------------------------
 COCONUT = sorted(set(INDEX_MAKERS) - {"Serial"})
 
-# The baselines answer through the base class's per-query loop.
+# ADS+ answers through SIMSIndex's entry points, as the Coconut indexes
+# do; the other baselines through the base class's per-query loop.
 BASELINE_MAKERS = {
     "ADS+": lambda disk: ADSIndex(disk, MEMORY, config=CONFIG, leaf_size=32),
     "iSAX2.0": lambda disk: ISAX2Index(disk, MEMORY, config=CONFIG, leaf_size=32),

@@ -260,3 +260,46 @@ def test_a_refused_dtw_query_reads_nothing(variant):
         assert disk.snapshot() == before
     dtw_exact_search(index, query, window=WINDOW)
     assert disk.snapshot() != before
+
+
+TIE_CONFIG = SAXConfig(series_length=48, word_length=8, cardinality=256)
+TIE_VARIANTS = {
+    "tree": lambda disk: CoconutTree(disk, 1 << 20, config=TIE_CONFIG, leaf_size=16),
+    "tree-full": lambda disk: CoconutTree(
+        disk, 1 << 20, config=TIE_CONFIG, leaf_size=16, materialized=True
+    ),
+    "trie": lambda disk: CoconutTrie(disk, 1 << 20, config=TIE_CONFIG, leaf_size=16),
+    "lsm": lambda disk: CoconutLSM(disk, 1 << 12, config=TIE_CONFIG),
+}
+
+
+def _tying_walks():
+    """Rows that tie under DTW: all copies of one walk, or 300 walks in
+    which rows 5-14 and 200-209 copy row 5; the query is that row."""
+    walks = random_walk(300, length=48, seed=8)
+    duplicated = walks.copy()
+    duplicated[5:15] = walks[5]
+    duplicated[200:210] = walks[5]
+    return {
+        "identical": (np.tile(walks[0], (40, 1)), walks[0]),
+        "duplicates": (duplicated, walks[5]),
+    }
+
+
+@pytest.mark.parametrize("dataset", ["identical", "duplicates"])
+@pytest.mark.parametrize("variant", TIE_VARIANTS)
+def test_dtw_ties_name_brute_forces_smallest_id(variant, dataset):
+    """Among series at the best DTW distance the answer is the smallest
+    id, as brute force and ``exact_search`` name it: a bound that ties
+    the best-so-far is still fetched, and a tie goes to the smaller id,
+    whichever row the probe seeded with or the walk met first."""
+    rows, query = _tying_walks()[dataset]
+    disk = SimulatedDisk(page_size=2048)
+    index = TIE_VARIANTS[variant](disk)
+    index.build(RawSeriesFile.create(disk, rows))
+    query = np.asarray(query, dtype=np.float64)
+    want_idx, want = brute_force_dtw(query, rows, WINDOW)
+    result = dtw_exact_search(index, query, window=WINDOW)
+    assert (result.answer_idx, result.distance) == (want_idx, want) == (
+        index.exact_search(query).answer_idx, 0.0
+    )

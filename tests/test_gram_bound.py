@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.core import knn as knn_module
 from repro.core import sims as sims_module
-from repro.core.knn import sims_knn_scan
 from repro.core.sims import BOUND_MIN_ELEMENTS, rows_that_can_win, sims_scan
 from repro.core.summary_column import WordColumn
 from repro.parallel.batch import batched_exact_knn
@@ -282,7 +281,7 @@ def test_sims_scan_answers_as_without_the_bound(
 
 
 @pytest.mark.parametrize("k", [1, 3, 50])
-def test_sims_knn_scan_answers_as_without_the_bound(monkeypatch, kernel_rows, k):
+def test_one_query_engine_call_answers_as_without_the_bound(monkeypatch, kernel_rows, k):
     data, column, queries, fetch = _corpus()
     for query in queries:
         distances = euclidean_batch(query, data[200:203])
@@ -290,10 +289,9 @@ def test_sims_knn_scan_answers_as_without_the_bound(monkeypatch, kernel_rows, k)
         a, b, rows_a, rows_b = _run_both(
             monkeypatch,
             kernel_rows,
-            lambda: sims_knn_scan(
-                query, k, column, CONFIG, fetch, seed_distances=seeds,
-                block_records=256,
-            ),
+            lambda: batched_exact_knn(
+                query[None], k, column, CONFIG, fetch, [seeds], block_records=256,
+            )[0],
         )
         assert a.answer_ids == b.answer_ids
         assert np.array(a.distances).tobytes() == np.array(b.distances).tobytes()
@@ -363,10 +361,10 @@ def test_a_short_heap_bounds_its_first_block_at_the_threshold_it_reaches(
 
     def run():
         scans = [
-            sims_knn_scan(
-                query, k, column, CONFIG, fetch, seed_distances=query_seeds,
+            batched_exact_knn(
+                query[None], k, column, CONFIG, fetch, [query_seeds],
                 block_records=4096,
-            )
+            )[0]
             for query, query_seeds in zip(queries, seeds)
         ]
         return scans + batched_exact_knn(

@@ -8,8 +8,9 @@ from test_sax import reference_mindist_paa_to_words
 
 from repro import CoconutService, QueryBatch, SerialScan, make_dataset
 from repro.core import CoconutLSM, CoconutTree, CoconutTrie
-from repro.core.knn import _BoundedMaxHeap, sims_knn_scan
+from repro.core.knn import _BoundedMaxHeap
 from repro.core.summary_column import WordColumn
+from repro.parallel.batch import batched_exact_knn
 from repro.series import euclidean_batch, query_workload, random_walk
 from repro.storage import RawSeriesFile, SimulatedDisk
 from repro.summaries import SAXConfig, sax_words
@@ -208,7 +209,7 @@ def test_offer_block_cuts_a_block_to_the_pairs_that_can_be_retained(monkeypatch)
 
 
 # ---------------------------------------------------------------- scan
-def test_sims_knn_scan_matches_brute_force():
+def test_one_query_engine_call_matches_brute_force():
     rng = np.random.default_rng(0)
     data = random_walk(200, length=64, seed=1)
     words = WordColumn(CONFIG, sax_words(data, CONFIG))
@@ -218,7 +219,7 @@ def test_sims_knn_scan_matches_brute_force():
 
     query = random_walk(1, length=64, seed=2)[0]
     for k in (1, 3, 10):
-        outcome = sims_knn_scan(query, k, words, CONFIG, fetch)
+        outcome = batched_exact_knn(query[None], k, words, CONFIG, fetch)[0]
         want_ids, want_dists = brute_force_knn(query, data, k)
         np.testing.assert_allclose(outcome.distances, want_dists, rtol=1e-6)
         assert set(outcome.answer_ids) == set(want_ids)
@@ -228,10 +229,10 @@ def test_knn_distances_sorted_ascending():
     data = random_walk(100, length=64, seed=3)
     words = WordColumn(CONFIG, sax_words(data, CONFIG))
     query = random_walk(1, length=64, seed=4)[0]
-    outcome = sims_knn_scan(
-        query, 5, words, CONFIG,
+    outcome = batched_exact_knn(
+        query[None], 5, words, CONFIG,
         lambda p: (data[p].astype(np.float64), p),
-    )
+    )[0]
     assert outcome.distances == sorted(outcome.distances)
 
 

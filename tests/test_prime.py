@@ -32,9 +32,9 @@ import repro.parallel.batch
 from oracles import refine_every_row
 from repro import CoconutTree, QueryBatch, RawSeriesFile, SimulatedDisk, make_dataset
 from repro.core import CoconutLSM, CoconutTrie
-from repro.core.knn import sims_knn_scan
 from repro.core.sims import sims_scan
 from repro.core.summary_column import WordColumn
+from repro.indexes import ADSIndex
 from repro.parallel.batch import (
     batched_exact_knn,
     candidate_union,
@@ -119,10 +119,9 @@ def test_property_primed_engines_equal_the_refine_oracle_and_brute_force(
             queries, k, column, config, fetch, seeds, block_records
         )
         single = [
-            sims_knn_scan(
-                query, k, column, config, fetch,
-                seed_distances=query_seeds, block_records=block_records,
-            )
+            batched_exact_knn(
+                query[None], k, column, config, fetch, [query_seeds], block_records
+            )[0]
             for query, query_seeds in zip(queries, seeds)
         ]
         nearest = [  # exact_search's engine, at k = 1
@@ -200,22 +199,26 @@ def test_a_multi_block_union_is_primed_with_the_lowest_bound_rows():
         assert 64 <= outcome.visited_records <= len(data)
 
 
-SEISMIC_CONFIG = SAXConfig(series_length=128, word_length=16, cardinality=256)
-SEISMIC_MAKERS = {
-    "CTree": lambda disk: CoconutTree(disk, 1 << 20, config=SEISMIC_CONFIG, leaf_size=100),
-    "CTrie": lambda disk: CoconutTrie(disk, 1 << 20, config=SEISMIC_CONFIG, leaf_size=100),
-    "LSM": lambda disk: CoconutLSM(disk, 1 << 16, config=SEISMIC_CONFIG),
+CONFIG_128 = SAXConfig(series_length=128, word_length=16, cardinality=256)
+MAKERS_128 = {
+    "CTree": lambda disk: CoconutTree(disk, 1 << 20, config=CONFIG_128, leaf_size=100),
+    "CTrie": lambda disk: CoconutTrie(disk, 1 << 20, config=CONFIG_128, leaf_size=100),
+    "LSM": lambda disk: CoconutLSM(disk, 1 << 16, config=CONFIG_128),
+    "ADS+": lambda disk: ADSIndex(disk, 1 << 20, config=CONFIG_128, leaf_size=100),
+    "ADSFull": lambda disk: ADSIndex(
+        disk, 1 << 20, config=CONFIG_128, leaf_size=100, plus=False
+    ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(SEISMIC_MAKERS))
+@pytest.mark.parametrize("name", sorted(MAKERS_128))
 def test_an_unprunable_multi_block_corpus_counts_each_row_once(name):
     """Seismic data over 9 000 rows: the heaps are primed, then the walk
     visits nearly every row.  Counting a primed row again would push
     ``visited_records`` past ``n`` and ``pruned_fraction`` below 0."""
     disk = SimulatedDisk(page_size=8192)
     data = make_dataset("seismic", 9_000, length=128, seed=7)
-    index = SEISMIC_MAKERS[name](disk)
+    index = MAKERS_128[name](disk)
     index.build(RawSeriesFile.create(disk, data))
     queries = query_workload("seismic", 4, length=128, seed=7)
     report = index.query_batch(QueryBatch(queries, k=10))
@@ -230,6 +233,33 @@ def test_an_unprunable_multi_block_corpus_counts_each_row_once(name):
         assert 0.0 <= result.pruned_fraction <= 1.0
         assert 0.0 <= singles[qi].pruned_fraction <= 1.0
     assert max(r.visited_records for r in report.results) > len(data) - 64
+
+
+@pytest.mark.parametrize("name", sorted(MAKERS_128))
+def test_a_k10_search_on_a_random_walk_prunes_on_every_sims_index(name):
+    """10 000 random-walk rows: ``exact_knn(q, 10)`` and an 8-query
+    ``k = 10`` batch are pruned on every SIMS index, ADS included (it
+    scanned every row before it answered through the SIMS engine:
+    10 000 visited records, 5 000 pages per batch), and both equal
+    brute force in id order."""
+    disk = SimulatedDisk(page_size=8192)
+    data = make_dataset("randomwalk", 10_000, length=128, seed=7)
+    index = MAKERS_128[name](disk)
+    index.build(RawSeriesFile.create(disk, data))
+    queries = query_workload("randomwalk", 8, length=128, seed=7)
+    brute = [
+        sorted(zip(euclidean_batch(query, data).tolist(), range(len(data))))[:10]
+        for query in queries
+    ]
+    single = index.exact_knn(queries[0], 10)
+    assert list(zip(single.distances, single.answer_ids)) == brute[0]
+    assert single.visited_records < len(data)
+    before = disk.snapshot()
+    report = index.query_batch(QueryBatch(queries, k=10))
+    stats = disk.stats_since(before)
+    assert stats.random_reads + stats.sequential_reads < 5_000
+    for ids, distances, want in zip(report.knn_ids, report.knn_distances, brute):
+        assert list(zip(distances, ids)) == want
 
 
 def test_a_primed_batch_fetches_under_a_thousand_rows_per_query(monkeypatch):

@@ -32,7 +32,6 @@ import repro.parallel.batch
 from oracles import refine_every_row
 from repro import QueryBatch, RawSeriesFile, SimulatedDisk, make_dataset
 from repro.core import CoconutLSM, CoconutTree, CoconutTrie
-from repro.core.knn import sims_knn_scan
 from repro.core.summary_column import WordColumn
 from repro.parallel.batch import batched_exact_knn
 from repro.series import query_workload, random_walk
@@ -139,7 +138,7 @@ def scan_all(data, queries, seeds, column, k):
             fetched[0] += len(positions)
             return data[positions], positions
         for query, query_seeds in zip(queries, seeds):
-            sims_knn_scan(query, k, column, SAVING_CONFIG, fetch, seed_distances=query_seeds)
+            batched_exact_knn(query[None], k, column, SAVING_CONFIG, fetch, [query_seeds])
     return run
 
 
@@ -152,7 +151,7 @@ def batch_all(data, queries, seeds, column, k):
     return run
 
 
-ENGINES = {"sims_knn_scan": scan_all, "batched_exact_knn": batch_all}
+ENGINES = {"one_query_calls": scan_all, "batched_exact_knn": batch_all}
 
 
 def refines(monkeypatch, run):

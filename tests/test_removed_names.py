@@ -171,6 +171,15 @@ absent(HealReport, "merge")
 # The 1-NN scan answers a QueryResult (best_of): no fourth 1-NN type.
 absent(repro.core, "SIMSOutcome")
 absent(repro.core.sims, "SIMSOutcome")
+# One query front-end: SIMSIndex defines the four entry points once, so
+# the one-query wrappers under them are gone
+# (test_cross_index_equivalence.py::test_entry_points_are_defined_once).
+absent(repro.core.sims, "seeded_sims_search")
+absent(SIMSIndex, "_sims_exact_knn")
+absent(repro.core.knn, "sims_knn_scan")
+absent(repro.core, "sims_knn_scan")
+absent(BulkLoadedIndex, "_approximate")
+absent(CoconutLSM, "_approximate_one")
 
 # ------------------------------------------------------------ keywords
 
@@ -203,7 +212,6 @@ QUERY_BATCH_INDEXES = {
     "CoconutTrie": _built(CoconutTrie, config=CONFIG),
     "CoconutLSM": _built(CoconutLSM, config=CONFIG),
     "SerialScan": _built(SerialScan),
-    # The base class's per-query loop.
     "ADSIndex": _built(ADSIndex, config=CONFIG, leaf_size=16),
 }
 for index_name, make in QUERY_BATCH_INDEXES.items():

@@ -122,8 +122,10 @@ def test_served_exact_ticket_hashes_every_page_it_reads(monkeypatch, k):
     assert disk.head_position == parent_head
     view = snapshot.frozen_view()  # reads on the parent from here on
     for query, ticket in zip(QUERIES, tickets):
+        probe = view._seed(query)
         assert (ticket.knn_ids[0], ticket.knn_distances[0]) == (
-            view._approximate_one(query)[:2]
+            probe.answer_idx,
+            probe.distance,
         )
 
 
@@ -172,8 +174,10 @@ def test_a_page_flipped_at_rest_is_refused_healed_and_answered_exactly(
             query, k, ticket.snapshot_series
         )
     else:
+        probe = snapshot.frozen_view()._seed(query)
         assert (ticket.knn_ids[0], ticket.knn_distances[0]) == (
-            snapshot.frozen_view()._approximate_one(query)[:2]
+            probe.answer_idx,
+            probe.distance,
         )
     assert (ticket.knn_ids, ticket.knn_distances) == (
         clean.knn_ids,

@@ -482,7 +482,7 @@ def test_served_heaps_are_seeded_with_every_probe_distance(memtable_rows):
     # A query sitting on a duplicated series: the k nearest tie in pairs.
     queries = np.concatenate([QUERIES, BASE[3:4].astype(np.float64)])
     probes = view._approximate_batch(queries)
-    probe_size = len(view._approximate_one(queries[0])[2])
+    probe_size = view._seed(queries[0]).visited_records
     assert probe_size > 3
     words, fetch = view._prepare_sims(snapshot.shard)
     for k in (1, 3, probe_size, probe_size + 1, len(rows) + 1):
@@ -517,11 +517,11 @@ def test_probe_hand_over_is_per_query_on_pool_workers():
     batch = QueryBatch(queries=queries, k=1, mode="approximate")
     report = view.query_batch(batch, query_workers=2)
     for query, result in zip(queries, report.results):
-        best_idx, best_dist, offsets = view._approximate_one(query)
+        probe = view._seed(query)
         assert (result.answer_idx, result.distance, result.visited_records) == (
-            best_idx,
-            best_dist,
-            len(offsets),
+            probe.answer_idx,
+            probe.distance,
+            probe.visited_records,
         )
     # And the two-worker service answers exact tickets like brute force.
     rows = np.concatenate([BASE, EXTRA[:60]])
