@@ -8,7 +8,10 @@ short digest of each of the four, to say which one moved.  Cells: the
 Coconut-Tree, Tree-Full spilling and fitting in memory, and the Trie,
 each queried at ``query_workers`` 1 (``w1``); the LSM through ingest and
 compaction; a served batch at ``query_workers`` 1 and 2.  ``query_workers``
-is inert, so the two served cells print the same digest.
+is inert, so the two served cells print the same digest.  The
+``datasets`` cell is one SHA-256 over the data and the queries each
+``bench_e2e`` workload generates at seed 7, with a short digest per
+workload.
 
 Runs unchanged on a parent commit and on a change; equal output is the
 identity evidence::
@@ -21,6 +24,7 @@ identity evidence::
 
 import hashlib
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -36,6 +40,9 @@ from repro import (
 )
 from repro.core import CoconutLSM
 from repro.series import make_dataset, query_workload
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from bench_e2e.workloads import WORKLOADS  # noqa: E402
 
 LENGTH = 128
 CONFIG = SAXConfig(series_length=LENGTH, word_length=16, cardinality=256)
@@ -117,8 +124,21 @@ def _served_cell(workers: int):
     return disk, answers
 
 
+def _datasets_cell() -> "tuple[str, dict]":
+    """The bytes of each workload's ``make_dataset`` and
+    ``query_workload`` inputs at seed 7, as ``bench_e2e.pipeline.set_up``
+    generates them."""
+    parts = {}
+    for name, w in WORKLOADS.items():
+        n_queries = w.n_approx + w.batch_queries + max(w.restart_queries, w.n_mixed_requests)
+        data = make_dataset(w.dataset, w.total_rows, length=w.length, seed=7)
+        queries = query_workload(w.dataset, n_queries, length=w.length, seed=7)
+        parts[name] = _sha(data.tobytes(), queries.tobytes())
+    return _sha(*parts.values()), parts
+
+
 def cells():
-    """``(name, thunk)`` per cell; each thunk returns ``(disk, answers)``."""
+    """``(name, thunk)`` per cell; each thunk returns ``(digest, parts)``."""
     out = [
         ("tree w1", lambda: _bulk_cell(CoconutTree, 0.05)),
         ("tree-full-spill w1", lambda: _bulk_cell(CoconutTree, 0.05, materialized=True)),
@@ -127,11 +147,12 @@ def cells():
         ("lsm ingest+compaction", _lsm_cell),
     ]
     out += [(f"served batch w{w}", lambda w=w: _served_cell(w)) for w in (1, 2)]
-    return out
+    out = [(name, lambda thunk=thunk: _fingerprint(*thunk())) for name, thunk in out]
+    return out + [("datasets", _datasets_cell)]
 
 
 def run() -> "dict[str, tuple[str, dict]]":
-    return {name: _fingerprint(*thunk()) for name, thunk in cells()}
+    return {name: thunk() for name, thunk in cells()}
 
 
 def main(argv: list) -> int:

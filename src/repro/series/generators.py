@@ -21,6 +21,18 @@ workloads derive an independent stream from the same seed (offset by
 ``0x5EED``) so queries never collide with the indexed data.  Passing
 ``seed=None`` requests fresh OS entropy and is *not* reproducible; all
 benchmark defaults pass explicit seeds.
+
+The draw order is part of the bytes.  ``seismic`` draws the noise
+block, then every series' event count, then one ``(events, 5)`` block
+of uniforms, row by row in per-event order (onset, frequency, decay,
+amplitude, phase of series 0's first event, and so on): the order one
+scalar draw per parameter takes them in, so the packets can be built
+as arrays, a rank of events at a time, with the same bytes.
+``astronomy`` keeps its per-series loop: its stream interleaves
+``standard_normal``, ``poisson`` and ``exponential`` draws with its
+uniforms, and how much of the stream each consumes varies per call
+(rejection sampling, and the flare count sets how many draws follow),
+so drawing them as arrays would change its bytes.
 """
 
 from __future__ import annotations
@@ -28,6 +40,10 @@ from __future__ import annotations
 import numpy as np
 
 from .dataseries import z_normalize
+
+#: Bound on each of ``seismic``'s scratch buffers: rows are taken in
+#: chunks of at most this many bytes of float64 values.
+_CHUNK_BYTES = 16 << 20
 
 
 def random_walk(
@@ -62,21 +78,39 @@ def seismic(
     t = np.arange(length, dtype=np.float64)
     data = 0.1 * rng.standard_normal((n_series, length))
     n_events = rng.poisson(events_per_series, size=n_series)
-    for i in range(n_series):
-        for _ in range(n_events[i]):
-            onset = rng.uniform(0, length * 0.9)
-            freq = rng.uniform(0.02, 0.2)
-            decay = rng.uniform(0.01, 0.08)
-            amp = rng.uniform(0.5, 3.0)
-            phase = rng.uniform(0, 2 * np.pi)
-            rel = t - onset
-            packet = np.where(
-                rel >= 0,
-                amp * np.exp(-decay * np.clip(rel, 0, None))
-                * np.sin(2 * np.pi * freq * rel + phase),
-                0.0,
-            )
-            data[i] += packet
+    # Row e holds event e's (onset, freq, decay, amp, phase), series by
+    # series: the order in which one scalar draw per parameter took them.
+    params = rng.uniform(
+        (0.0, 0.02, 0.01, 0.5, 0.0),
+        (length * 0.9, 0.2, 0.08, 3.0, 2 * np.pi),
+        size=(int(n_events.sum()), 5),
+    )
+    first_event = np.cumsum(n_events) - n_events
+    onset, freq, decay, amp, phase = params.T
+    angular = 2 * np.pi * freq
+    rows_per_chunk = max(1, _CHUNK_BYTES // (8 * max(1, length)))
+    shape = (min(rows_per_chunk, n_series), length)
+    buffers = (np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape, bool))
+    # Rank r adds every series' r-th packet, so each element gets its
+    # packets in the per-series order, with the per-event operations.
+    for r in range(int(n_events.max(initial=0))):
+        series = np.flatnonzero(n_events > r)
+        for lo in range(0, len(series), rows_per_chunk):
+            rows = series[lo : lo + rows_per_chunk]
+            events = (first_event[rows] + r)[:, None]
+            rel, envelope, wave, before_onset = (b[: len(rows)] for b in buffers)
+            np.subtract(t, onset[events], out=rel)
+            np.clip(rel, 0, None, out=envelope)
+            np.multiply(-decay[events], envelope, out=envelope)
+            np.exp(envelope, out=envelope)
+            np.multiply(amp[events], envelope, out=envelope)
+            np.multiply(angular[events], rel, out=wave)
+            np.add(wave, phase[events], out=wave)
+            np.sin(wave, out=wave)
+            np.multiply(envelope, wave, out=envelope)
+            np.less(rel, 0, out=before_onset)
+            np.copyto(envelope, 0.0, where=before_onset)
+            data[rows] += envelope
     return z_normalize(data)
 
 

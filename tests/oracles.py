@@ -13,6 +13,7 @@ oracle                     production callable it pins            pinned in
 ``argsort_merge``          ``repro.storage.merge.merge_presorted``  ``test_merge_engine.py``
 ``loop_get_many``          ``RawSeriesFile.get_many``             ``test_fetch_oracle.py``
 ``loop_read_pages``        ``read_pages`` (native and adapter)    ``test_fetch_oracle.py``
+``loop_seismic``           ``repro.series.generators.seismic``    ``test_generators.py``
 ``per_page_append``        ``RawSeriesFile.append_batch``         ``test_seriesfile.py``
 ``refine_every_row``       ``repro.core.knn.refine_block``        ``test_refine_order.py``
 ``refine_kept_rows``       ``repro.core.knn.refine_block``        ``test_refine_lowest_bound_first.py``
@@ -25,6 +26,7 @@ import heapq
 import numpy as np
 
 from fault_injection import replay_read_pages
+from repro.series import z_normalize
 from repro.series.distance import early_abandon_euclidean_block
 from repro.storage import SimulatedDisk
 from repro.storage.merge import _open_cursors
@@ -269,6 +271,35 @@ def refine_kept_rows(query, series, identifiers, rows, heap, bounds=None):
     lets in) must leave the same heap as."""
     distances = early_abandon_euclidean_block(query, series[rows], heap.threshold)
     heap.offer_block(distances, identifiers[rows])
+
+
+# ---------------------------------------------------------------- datasets
+def loop_seismic(n_series, length=256, events_per_series=2.0, seed=None):
+    """The seismology stand-in as one loop iteration per event (same
+    signature as ``seismic``): five scalar ``rng.uniform`` draws, then
+    the packet built and added to its series with fresh temporaries —
+    the per-event body the rank-at-a-time, buffered ``seismic`` must
+    reproduce byte for byte."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(length, dtype=np.float64)
+    data = 0.1 * rng.standard_normal((n_series, length))
+    n_events = rng.poisson(events_per_series, size=n_series)
+    for i in range(n_series):
+        for _ in range(n_events[i]):
+            onset = rng.uniform(0, length * 0.9)
+            freq = rng.uniform(0.02, 0.2)
+            decay = rng.uniform(0.01, 0.08)
+            amp = rng.uniform(0.5, 3.0)
+            phase = rng.uniform(0, 2 * np.pi)
+            rel = t - onset
+            packet = np.where(
+                rel >= 0,
+                amp * np.exp(-decay * np.clip(rel, 0, None))
+                * np.sin(2 * np.pi * freq * rel + phase),
+                0.0,
+            )
+            data[i] += packet
+    return z_normalize(data)
 
 
 # ---------------------------------------------------------------- symbols

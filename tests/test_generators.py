@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import oracles
+from oracles import loop_seismic
+from repro.series import generators
 from repro.series import (
     GENERATORS,
     is_z_normalized,
@@ -98,3 +101,73 @@ def test_unseeded_workloads_are_not_secretly_identical():
     b = query_workload("randomwalk", 4, length=32, seed=None)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, make_dataset("randomwalk", 4, length=32, seed=0x5EED))
+
+
+# ---------------------------------------------------------- seismic bytes
+def unnormalized(monkeypatch, module) -> list:
+    """Record a copy of every float64 block ``module`` z-normalizes: the
+    float32 output rounds away differences of a few ulps."""
+    seen, real = [], module.z_normalize
+
+    def recording(data):
+        seen.append(np.array(data, dtype=np.float64))
+        return real(data)
+
+    monkeypatch.setattr(module, "z_normalize", recording)
+    return seen
+
+
+@pytest.mark.parametrize("events", [0, 2, 5])
+@pytest.mark.parametrize("length", [1, 16, 128, 256, 1_000])
+@pytest.mark.parametrize(
+    "n,seeds", [(0, [3]), (1, [0, 3, 11]), (40, [0, 3, 11]), (4_500, [3])]
+)
+def test_seismic_is_the_per_event_loop_byte_for_byte(
+    monkeypatch, n, seeds, length, events
+):
+    """Drawn as one block of uniforms and added a rank at a time, the
+    packets give every element the loop's float64 operations in its
+    order: the sums before normalization are equal too."""
+    sums, loop_sums = unnormalized(monkeypatch, generators), unnormalized(
+        monkeypatch, oracles
+    )
+    for seed in seeds:
+        got = seismic(n, length, events_per_series=events, seed=seed)
+        want = loop_seismic(n, length, events_per_series=events, seed=seed)
+        assert got.shape == want.shape == (n, length)
+        assert got.dtype == want.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+        assert sums.pop().tobytes() == loop_sums.pop().tobytes()
+
+
+def test_the_long_rows_are_taken_in_several_chunks():
+    """The 4 500 x 1 000 cases above run the chunked path."""
+    assert 4_500 * 1_000 * 8 > 2 * generators._CHUNK_BYTES
+
+
+@pytest.mark.parametrize("n,seed", [(4_500, 7), (284, 7 + 0x5EED)])
+def test_seismic_benchmark_inputs_are_the_loops(n, seed):
+    """The two calls the seismic benchmark workload makes: its data and
+    its query stream."""
+    assert seismic(n, 256, seed=seed).tobytes() == loop_seismic(n, 256, seed=seed).tobytes()
+
+
+@pytest.mark.parametrize("length", [1, 16])
+def test_seismic_of_no_series_is_an_empty_float32_block(length):
+    data = seismic(0, length, seed=1)
+    assert data.shape == (0, length) and data.dtype == np.float32
+
+
+def test_seismic_of_length_one_is_all_zeros():
+    """A one-point series is constant, which z-normalizes to zero."""
+    data = seismic(30, 1, events_per_series=5, seed=2)
+    assert data.shape == (30, 1) and not data.any()
+
+
+def test_seismic_refuses_a_negative_event_rate_before_any_output(monkeypatch):
+    def built(*args):
+        raise AssertionError("an output was built")
+
+    monkeypatch.setattr(generators, "z_normalize", built)
+    with pytest.raises(ValueError):
+        seismic(4, 16, events_per_series=-1.0, seed=0)

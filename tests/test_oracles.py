@@ -17,6 +17,7 @@ from oracles import (
     heapq_merge_stream,
     loop_get_many,
     loop_read_pages,
+    loop_seismic,
     per_page_append,
     refine_every_row,
     refine_kept_rows,
@@ -24,7 +25,7 @@ from oracles import (
 )
 from repro import RawSeriesFile, SimulatedDisk
 from repro.core.knn import _BoundedMaxHeap
-from repro.series import euclidean
+from repro.series import euclidean, z_normalize
 from repro.storage import PagedFile
 from repro.summaries import breakpoints
 
@@ -179,6 +180,18 @@ def test_searchsorted_symbols_count_the_breakpoints_below(cardinality):
     ]
     assert searchsorted_symbols(values, cardinality).tolist() == want
     assert searchsorted_symbols(values, cardinality).dtype == np.uint16
+
+
+# ------------------------------------------------------------ the datasets
+@pytest.mark.parametrize("n,length", [(0, 16), (1, 1), (40, 128)])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_loop_seismic_without_events_is_scaled_noise(n, length, seed):
+    """With no events the loop adds nothing: its output is the
+    z-normalized ``0.1 * standard_normal`` block of the same stream."""
+    noise = 0.1 * np.random.default_rng(seed).standard_normal((n, length))
+    got = loop_seismic(n, length, events_per_series=0, seed=seed)
+    assert got.dtype == np.float32
+    assert got.tobytes() == z_normalize(noise).tobytes()
 
 
 # ------------------------------------------------------------ the device
